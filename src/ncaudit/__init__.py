@@ -1,18 +1,19 @@
 """Privacy-preserving integrity auditing for network-coded storage."""
 
-from .audit import (Challenge, KeyMaterial, NodePayload, Proof, gen_challenge,
-                    gen_proof, keygen, setup_file, taggen, verify_proof)
+from .audit import (Challenge, KeyMaterial, NodePayload, Proof, aggregate_coeffs,
+                    gen_challenge, gen_proof, keygen, setup_file, taggen,
+                    verify_block, verify_proof)
 from .blocks import (CodedBlock, FileManifest, SystemParams, UndecodableError,
                      combine_blocks, decode_file, decode_source_data,
-                     make_source_blocks)
-from .cluster import Cluster, Fault, spawn_cluster
-from .dynamics import append_block, delete_block, insert_block, update_block, verify_with_deltas
+                     make_source_block, make_source_blocks)
+from .cluster import Cluster, Fault, make_layout, spawn_cluster
+from .dynamics import append_block, delete_block, insert_block, update_block
 from .extractor import ExtractionError, extract_node
 from .ncrypt import AuxiliaryElements, Ciphertext, dec, enc, precompute_mask
 from .repair import (PlanningError, RepairPlan, make_repair_blocks,
                      plan_exact_repair, plan_functional_repair,
-                     reconstruct_node, refresh_manifest)
-from .spacemac import combine_tags, mac, verify
+                     reconstruct_node, refresh_manifest, repair_node)
+from .spacemac import combine_tag_arrays, mac
 
 __version__ = "0.1.0"
 
@@ -20,11 +21,12 @@ __all__ = [
     "AuxiliaryElements", "Challenge", "Ciphertext", "CodedBlock", "Cluster",
     "ExtractionError", "Fault", "FileManifest", "KeyMaterial", "NodePayload",
     "PlanningError", "Proof", "RepairPlan", "SystemParams", "UndecodableError",
-    "append_block", "combine_blocks", "combine_tags", "dec",
-    "decode_file", "decode_source_data", "delete_block", "enc",
+    "aggregate_coeffs", "append_block", "combine_blocks", "combine_tag_arrays",
+    "dec", "decode_file", "decode_source_data", "delete_block", "enc",
     "extract_node", "gen_challenge", "gen_proof", "insert_block", "keygen",
-    "mac", "make_repair_blocks", "make_source_blocks", "plan_exact_repair",
-    "plan_functional_repair", "precompute_mask", "reconstruct_node",
-    "refresh_manifest", "setup_file", "spawn_cluster", "taggen",
-    "update_block", "verify", "verify_proof", "verify_with_deltas",
+    "mac", "make_layout", "make_repair_blocks", "make_source_block",
+    "make_source_blocks", "plan_exact_repair", "plan_functional_repair",
+    "precompute_mask", "reconstruct_node", "refresh_manifest", "repair_node",
+    "setup_file", "spawn_cluster", "taggen", "update_block", "verify_block",
+    "verify_proof",
 ]

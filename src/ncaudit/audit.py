@@ -51,15 +51,19 @@ class Challenge:
 
     @classmethod
     def from_bytes(cls, raw: bytes, node: int = 0) -> "Challenge":
-        (flen,) = struct.unpack(">I", raw[:4])
+        """Parse the wire format; ValueError on truncated or trailing bytes."""
+        if len(raw) < 4:
+            raise ValueError("truncated challenge")
+        (flen,) = struct.unpack_from(">I", raw)
+        if len(raw) < 8 + flen:
+            raise ValueError("truncated challenge")
         fid = raw[4: 4 + flen].decode()
-        (count,) = struct.unpack(">I", raw[4 + flen: 8 + flen])
-        entries = []
-        off = 8 + flen
-        for _ in range(count):
-            i, a = struct.unpack(">IB", raw[off: off + 5])
-            entries.append((i, a))
-            off += 5
+        (count,) = struct.unpack_from(">I", raw, 4 + flen)
+        if len(raw) != 8 + flen + 5 * count:
+            raise ValueError(f"challenge of {count} entries needs "
+                             f"{8 + flen + 5 * count} bytes, got {len(raw)}")
+        entries = [struct.unpack_from(">IB", raw, 8 + flen + 5 * k)
+                   for k in range(count)]
         return cls(fid, entries, node)
 
 
@@ -74,8 +78,12 @@ class Proof:
 
     @classmethod
     def from_bytes(cls, raw: bytes, params: SystemParams) -> "Proof":
+        """Parse the wire format; ValueError unless raw has exactly the
+        length params imply."""
         n, ell, lam = params.n, params.ell, params.lambda_bits
         ct_len = (n - 2) + lam // 8 + ell
+        if len(raw) != ct_len + 2 + ell:
+            raise ValueError(f"proof needs {ct_len + 2 + ell} bytes, got {len(raw)}")
         ct = Ciphertext.from_bytes(raw[:ct_len], n, ell, lam)
         pad = np.frombuffer(raw[ct_len: ct_len + 2], dtype=np.uint8).copy()
         tag = np.frombuffer(raw[ct_len + 2: ct_len + 2 + ell], dtype=np.uint8).copy()
@@ -137,12 +145,13 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
 
 
 def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challenge:
-    """count distinct block indices with uniformly random coefficients."""
+    """count distinct block indices with uniformly random nonzero
+    coefficients: a zero would leave its block unchecked."""
     M = manifest.node_coeffs[node].shape[0]
     if not 1 <= count <= M:
         raise ValueError(f"challenge count must be in [1, {M}]")
     idx = rng.choice(M, size=count, replace=False)
-    alphas = rng.integers(0, 256, size=count, dtype=np.uint8)
+    alphas = rng.integers(1, 256, size=count, dtype=np.uint8)
     entries = [(int(i), int(a)) for i, a in zip(idx, alphas)]
     return Challenge(manifest.file_id, entries, node)
 
@@ -166,32 +175,32 @@ def gen_proof(blocks: List[Optional[CodedBlock]], tags: List[Optional[np.ndarray
 
     Only the first n symbols are aggregated; the coefficient part is never
     transmitted (the auditor recomputes it from its own records).  With
-    strict=False a missing block is replaced by a uniformly random one.
+    strict=False a missing block and its tag are replaced by uniformly
+    random ones.
     """
     n, ell = params.n, params.ell
-    stats = GenProofStats()
-    counting = field.counter.enabled
-    before = field.counter.value if counting else 0
-
-    agg = np.zeros(n, dtype=np.uint8)
-    agg_tag = np.zeros(ell, dtype=np.uint8)
-    for i, a in chal.entries:
+    data = np.empty((len(chal.entries), n), dtype=np.uint8)
+    tag_rows = np.empty((len(chal.entries), ell), dtype=np.uint8)
+    for k, (i, _) in enumerate(chal.entries):
         block, tag = blocks[i], tags[i]
         if block is None or tag is None:
             if strict:
                 raise MissingBlockError(f"block {i} not in store")
-            block = CodedBlock(rng.integers(0, 256, size=n + params.m, dtype=np.uint8),
-                               n, params.m)
-            tag = rng.integers(0, 256, size=ell, dtype=np.uint8)
-        agg ^= field.vec_scale(a, block.vec[:n])
+            data[k] = rng.integers(0, 256, size=n, dtype=np.uint8)
+            tag_rows[k] = rng.integers(0, 256, size=ell, dtype=np.uint8)
+        else:
+            data[k] = block.vec[:n]
+            tag_rows[k] = tag
+    alphas = field.vec([a for _, a in chal.entries])
+
+    stats = GenProofStats()
+    counting = field.counter.enabled
+    before = field.counter.value if counting else 0
+    agg = field.combine_rows(alphas, data)
     if counting:
         stats.block_mults = field.counter.value - before
         before = field.counter.value
-    for i, a in chal.entries:
-        tag = tags[i]
-        if tag is None:
-            tag = rng.integers(0, 256, size=ell, dtype=np.uint8)
-        agg_tag ^= field.vec_scale(a, np.asarray(tag, dtype=np.uint8))
+    agg_tag = field.combine_rows(alphas, tag_rows)
     if counting:
         stats.tag_mults = field.counter.value - before
         before = field.counter.value
@@ -204,6 +213,29 @@ def gen_proof(blocks: List[Optional[CodedBlock]], tags: List[Optional[np.ndarray
     return Proof(ct, pad, agg_tag), stats
 
 
+def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
+    """The challenged combination's source coefficients, from the manifest."""
+    rows = manifest.node_coeffs[chal.node]
+    idx = [i for i, _ in chal.entries]
+    return field.combine_rows([a for _, a in chal.entries], rows[idx])
+
+
+def verify_block(k_v: bytes, manifest: FileManifest, block: CodedBlock,
+                 tag: np.ndarray) -> bool:
+    """Whether `tag`, made before the manifest's updates, is the block's tag.
+
+    The running per-index tag deltas, weighted by the block's source
+    coefficients, bring the tag up to date; without deltas this costs no
+    multiplication."""
+    tag = np.asarray(tag, dtype=np.uint8)
+    if manifest.deltas:
+        idx = sorted(manifest.deltas)
+        tag = tag ^ field.combine_rows(block.coeffs[idx],
+                                       np.stack([manifest.deltas[i] for i in idx]))
+    fid = manifest.file_id.encode()
+    return np.array_equal(spacemac.mac(k_v, fid, block, manifest.params.ell), tag)
+
+
 @dataclass
 class VerifyStats:
     mults: int = 0  # C*m coefficient aggregation + ell*(n+m) verification dots
@@ -211,38 +243,20 @@ class VerifyStats:
 
 def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof) -> Tuple[bool, VerifyStats]:
-    """Rebuild the expected coefficients, compensate the mask, verify tags."""
+    """Rebuild the expected coefficients, compensate the mask and the
+    manifest's tag deltas, verify the tags."""
     params = manifest.params
     n, m, ell = params.n, params.m, params.ell
     if proof.ciphertext.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
             or proof.pad.shape[0] != 2 or proof.ciphertext.p.shape[0] != ell:
         raise ValueError("malformed proof dimensions")
-    rows = manifest.node_coeffs[chal.node]
     stats = VerifyStats()
     counting = field.counter.enabled
     before = field.counter.value if counting else 0
 
-    idx = np.array([i for i, _ in chal.entries])
-    alphas = np.array([a for _, a in chal.entries], dtype=np.uint8)
-    aug = field.combine_rows(alphas, rows[idx])
-
-    c = np.concatenate([proof.ciphertext.c_bar, proof.pad, aug])
-    expected = proof.tag ^ proof.ciphertext.p
-    fid = manifest.file_id.encode()
-    ok = True
-    for j in range(ell):
-        r = spacemac.r_vector(k_v, fid, n + m, j + 1)
-        if field.dot(c, r) != int(expected[j]):
-            ok = False
-            break
+    aug = aggregate_coeffs(manifest, chal)
+    c = CodedBlock(np.concatenate([proof.ciphertext.c_bar, proof.pad, aug]), n, m)
+    ok = verify_block(k_v, manifest, c, proof.tag ^ proof.ciphertext.p)
     if counting:
         stats.mults = field.counter.value - before
     return ok, stats
-
-
-def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
-    """The challenged combination's source coefficients, from the manifest."""
-    rows = manifest.node_coeffs[chal.node]
-    idx = np.array([i for i, _ in chal.entries])
-    alphas = np.array([a for _, a in chal.entries], dtype=np.uint8)
-    return field.combine_rows(alphas, rows[idx])

@@ -107,16 +107,6 @@ class FileManifest:
     logical_order: List[int] = dc_field(default_factory=list)
     deltas: Dict[int, np.ndarray] = dc_field(default_factory=dict)
 
-    def coeff_rows(self, node: int) -> np.ndarray:
-        return self.node_coeffs[node]
-
-    def all_rows(self):
-        """(node, block index, row) triples in node order."""
-        for node in sorted(self.node_coeffs):
-            rows = self.node_coeffs[node]
-            for j in range(rows.shape[0]):
-                yield node, j, rows[j]
-
     def to_json(self) -> str:
         doc = {
             "file_id": self.file_id,
@@ -150,32 +140,38 @@ class FileManifest:
         )
 
 
+def make_source_block(data: bytes, params: SystemParams, index: int, rng,
+                      ) -> CodedBlock:
+    """Source block for slot `index` of a file with params.m slots: the data,
+    zero-filled to n-2 symbols, two random padding symbols, then the
+    index-th unit vector as coefficients."""
+    n, m = params.n, params.m
+    if len(data) > n - 2:
+        raise ValueError(f"block data exceeds {n - 2} bytes")
+    vec = np.zeros(n + m, dtype=np.uint8)
+    vec[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    vec[n - 2: n] = np.frombuffer(rng.bytes(2), dtype=np.uint8)
+    vec[n + index] = 1
+    return CodedBlock(vec, n, m)
+
+
 def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
     """Split a file into m padded, unit-augmented source blocks.
 
     Returns (blocks, residual_len, block_lengths).  The two padding symbols
-    are drawn once here and never re-randomized; they are part of the
-    authenticated vector.
+    are drawn once here, block by block, and never re-randomized; they are
+    part of the authenticated vector.
     """
     params.validate()
-    n, m = params.n, params.m
-    payload = n - 2
-    if len(file_bytes) > m * payload:
+    payload = params.n - 2
+    if len(file_bytes) > params.m * payload:
         raise ValueError("file longer than m*(n-2) symbols")
-    blocks = []
-    lengths = []
-    for i in range(m):
-        chunk = file_bytes[i * payload: (i + 1) * payload]
-        lengths.append(len(chunk))
-        vec = np.zeros(n + m, dtype=np.uint8)
-        vec[: len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-        vec[payload: n] = np.frombuffer(rng.bytes(2), dtype=np.uint8)
-        vec[n + i] = 1
-        blocks.append(CodedBlock(vec, n, m))
+    chunks = [file_bytes[i * payload: (i + 1) * payload] for i in range(params.m)]
+    blocks = [make_source_block(chunk, params, i, rng) for i, chunk in enumerate(chunks)]
     residual = len(file_bytes) % payload
     if file_bytes and residual == 0:
         residual = payload
-    return blocks, residual, lengths
+    return blocks, residual, [len(chunk) for chunk in chunks]
 
 
 def combine_blocks(blocks: List[CodedBlock], alphas) -> CodedBlock:
@@ -204,6 +200,8 @@ def decode_source_data(blocks: List[CodedBlock], m: int) -> np.ndarray:
     a = np.stack([b.coeffs for b in blocks])
     d = np.stack([b.data for b in blocks])
     res = field.gaussian_solve(a, d)
+    if res.status == "inconsistent":
+        raise UndecodableError("coded blocks are inconsistent: one of them is corrupted")
     if res.status != "unique":
         raise UndecodableError(
             f"coefficient rows do not span the source space (rank {res.rank} < {m})"
@@ -213,7 +211,7 @@ def decode_source_data(blocks: List[CodedBlock], m: int) -> np.ndarray:
 
 def decode_file(blocks: List[CodedBlock], manifest: FileManifest) -> bytes:
     """Original file bytes from >= m coded blocks with full-rank coefficients."""
-    m = blocks[0].m
+    m = manifest.params.m
     data = decode_source_data(blocks, m)
     out = bytearray()
     order = manifest.logical_order or list(range(m))

@@ -25,20 +25,21 @@ from pathlib import Path
 import numpy as np
 
 from . import audit, field, ncrypt, repair, spacemac
-from .audit import Challenge, KeyMaterial, NodePayload, Proof
+from .audit import KeyMaterial, NodePayload
 from .blocks import CodedBlock, FileManifest, SystemParams
-from .cluster import EVENODD4, run_scenario
+from .cluster import Fault, Node, make_layout, run_scenario
 
 
 class UsageError(ValueError):
     pass
 
 
-def _seed(args) -> int:
+def _seed(args) -> int | None:
+    """--seed (hex), else NCAUDIT_SEED, else None: OS entropy."""
     if getattr(args, "seed", None) is not None:
         return int(args.seed, 16) if isinstance(args.seed, str) else args.seed
     env = os.environ.get("NCAUDIT_SEED")
-    return int(env, 0) if env else 0
+    return int(env, 0) if env else None
 
 
 # ---------------------------------------------------------------- store I/O
@@ -100,15 +101,13 @@ def cmd_setup(args) -> int:
     if args.layout == "evenodd4":
         params = SystemParams(n=args.n, m=4, N=4, M=2, P=3, Q=1, ell=args.ell,
                               lambda_bits=args.lam)
-        code = {k: v.copy() for k, v in EVENODD4.items()}
+        code = make_layout("evenodd4", params, rng)
     else:
         params = SystemParams(n=args.n, m=args.m, N=args.nodes,
                               M=-(-args.m // args.nodes) + 1,
                               P=args.nodes - 1, Q=1, ell=args.ell,
                               lambda_bits=args.lam)
-        code = {node: rng.integers(1, 256, size=(params.M, params.m),
-                                   dtype=np.uint8)
-                for node in range(params.N)}
+        code = make_layout("random_functional", params, rng)
     keys = audit.keygen(params, rng)
     manifest, payloads = audit.setup_file(src.read_bytes(), params, keys,
                                           code, rng, file_id=src.name)
@@ -161,17 +160,8 @@ def cmd_repair(args) -> int:
     root = Path(args.dir)
     manifest, keys, payloads = _load_store(root)
     rng = np.random.default_rng(_seed(args))
-    helpers = [h for h in sorted(payloads) if h != args.node][: manifest.params.P]
-    if args.mode == "exact":
-        plan = repair.plan_exact_repair(manifest, args.node, helpers, rng)
-    else:
-        plan = repair.plan_functional_repair(manifest, args.node, helpers, rng)
-    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h)
-                 for h in plan.helpers]
-    blocks, tags = repair.reconstruct_node(plan, shipments)
-    repair.refresh_manifest(manifest, plan)
-    payloads[args.node] = NodePayload(blocks, tags,
-                                      payloads[args.node].aux, keys.k_e)
+    plan, _ = repair.repair_node(manifest, payloads, args.node, args.mode,
+                                 None, rng)
     _save_store(root, manifest, keys, payloads)
     print(f"rebuilt node {args.node} ({args.mode}) from helpers {plan.helpers}")
     return 0
@@ -180,24 +170,14 @@ def cmd_repair(args) -> int:
 def cmd_extract(args) -> int:
     from . import extractor
     manifest, keys, payloads = _load_store(Path(args.dir))
-    params = manifest.params
     rng = np.random.default_rng(_seed(args))
-    node_rng = np.random.default_rng(rng.integers(2**63))
     p = payloads[args.node]
-
-    def oracle(chal: Challenge):
-        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                                   node_rng, params, strict=False)
-        if args.epsilon and node_rng.random() < args.epsilon:
-            junk = node_rng.integers(0, 256, size=proof.ciphertext.c_bar.shape,
-                                     dtype=np.uint8)
-            proof = Proof(ncrypt.Ciphertext(junk, proof.ciphertext.nonce,
-                                            proof.ciphertext.p),
-                          proof.pad, proof.tag)
-        return proof
-
-    report = extractor.extract_node(oracle, manifest, args.node, keys.k_e,
-                                    keys.k_v, p.aux, rng, rounds=args.rounds)
+    node = Node(args.node, p, manifest.params,
+                np.random.default_rng(rng.integers(2**63)))
+    node.apply_fault(Fault("lie_probability", epsilon=args.epsilon))
+    report = extractor.extract_node(lambda chal: node.answer(chal)[0], manifest,
+                                    args.node, keys.k_e, keys.k_v, p.aux, rng,
+                                    rounds=args.rounds)
     match = all(np.array_equal(a.vec, b.vec)
                 for a, b in zip(report.blocks, p.blocks))
     print(f"extracted {len(report.blocks)} blocks in {report.queries} queries "
@@ -205,33 +185,27 @@ def cmd_extract(args) -> int:
     return 0 if match else 1
 
 
-def cmd_bench(args) -> int:
-    n = args.block_kb * 1024
-    m, C, ell = args.m, args.challenge, args.ell
-    lam = args.lam
+def bench_store(n: int, m: int, C: int, ell: int, lam: int, rng):
+    """A one-node store of C blocks for timing gen/verify at table scale.
+
+    Block j is a random nonzero multiple of source block j mod m, so the
+    store is cheap to build but proofs still verify honestly.  Returns
+    (params, keys, manifest, blocks, tags, aux)."""
     params = SystemParams(n=n, m=m, N=1, M=C, P=1, Q=1, ell=ell,
                           lambda_bits=lam)
-    rng = np.random.default_rng(_seed(args))
     keys = audit.keygen(params, rng)
     fid = b"bench"
-
-    # synthetic store: each stored block is one scaled source block, so the
-    # manifest is cheap to build but proofs still verify honestly
     sources = []
-    src_tags = []
     for i in range(m):
         vec = np.zeros(n + m, dtype=np.uint8)
         vec[:n] = rng.integers(0, 256, size=n, dtype=np.uint8)
         vec[n + i] = 1
-        blk = CodedBlock(vec, n, m)
-        sources.append(blk)
-        src_tags.append(spacemac.mac(keys.k_v, fid, blk, ell))
-    src_tags = np.stack(src_tags)
+        sources.append(CodedBlock(vec, n, m))
+    src_tags = np.stack([spacemac.mac(keys.k_v, fid, b, ell) for b in sources])
     rows = np.zeros((C, m), dtype=np.uint8)
     blocks, tags = [], []
     for j in range(C):
-        i = j % m
-        a = int(rng.integers(1, 256))
+        i, a = j % m, int(rng.integers(1, 256))
         rows[j, i] = a
         blocks.append(CodedBlock(field.vec_scale(a, sources[i].vec), n, m))
         tags.append(audit.taggen(rows[j], src_tags))
@@ -240,6 +214,16 @@ def cmd_bench(args) -> int:
                             node_coeffs={0: rows},
                             logical_order=list(range(m)))
     aux = ncrypt.setup(keys.k_e, keys.k_v, fid, params)
+    return params, keys, manifest, blocks, tags, aux
+
+
+def cmd_bench(args) -> int:
+    n = args.block_kb * 1024
+    m, C, ell = args.m, args.challenge, args.ell
+    lam = args.lam
+    rng = np.random.default_rng(_seed(args))
+    params, keys, manifest, blocks, tags, aux = bench_store(n, m, C, ell, lam, rng)
+    fid = b"bench"
 
     gen_times, ver_times = [], []
     gen_mults = ver_mults = 0

@@ -31,8 +31,30 @@ LEDGER_CATEGORIES = ("data_block_bytes", "tag_bytes", "coefficient_bytes",
                      "proof_bytes", "control_bytes")
 
 
-class KeyScopeError(PermissionError):
-    pass
+def make_layout(layout: str, params: SystemParams, rng) -> Dict[int, np.ndarray]:
+    """Node -> (M, m) coefficient rows for a named layout.
+
+    "evenodd4" is the fixed parity layout above.  "random_functional" draws
+    each node's rows uniformly, redrawing a node with an all-zero row, and
+    rejects a layout whose rows do not span all m source blocks.
+    """
+    if layout == "evenodd4":
+        if (params.m, params.N, params.M, params.P, params.Q) != (4, 4, 2, 3, 1):
+            raise ValueError("evenodd4 requires m=4, N=4, M=2, P=3, Q=1")
+        return {k: v.copy() for k, v in EVENODD4.items()}
+    if layout != "random_functional":
+        raise ValueError(f"unknown layout {layout!r}")
+    code = {}
+    for node in range(params.N):
+        while True:
+            rows = rng.integers(0, 256, size=(params.M, params.m), dtype=np.uint8)
+            if all(rows[j].any() for j in range(params.M)):
+                code[node] = rows
+                break
+    stacked = np.concatenate(list(code.values()), axis=0)
+    if field.matrix_rank(stacked) < params.m:
+        raise ValueError("random layout failed to span the source space")
+    return code
 
 
 @dataclass
@@ -143,8 +165,7 @@ class Tpa:
         return audit.gen_challenge(self.manifest, node, count, self.rng)
 
     def verify(self, chal: Challenge, proof: Proof):
-        from . import dynamics
-        return dynamics.verify_with_deltas(self._k_v, self.manifest, chal, proof)
+        return audit.verify_proof(self._k_v, self.manifest, chal, proof)
 
 
 class User:
@@ -168,24 +189,7 @@ class Cluster:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self.user = User(audit.keygen(params, rng), np.random.default_rng(rng.integers(2**63)))
-        if layout == "evenodd4":
-            if (params.m, params.N, params.M, params.P, params.Q) != (4, 4, 2, 3, 1):
-                raise ValueError("evenodd4 requires m=4, N=4, M=2, P=3, Q=1")
-            code = {k: v.copy() for k, v in EVENODD4.items()}
-        elif layout == "random_functional":
-            code = {}
-            for node in range(params.N):
-                while True:
-                    rows = rng.integers(0, 256, size=(params.M, params.m), dtype=np.uint8)
-                    if all(rows[j].any() for j in range(params.M)):
-                        code[node] = rows
-                        break
-            stacked = np.concatenate(list(code.values()), axis=0)
-            if field.matrix_rank(stacked) < params.m:
-                raise ValueError("random layout failed to span the source space")
-        else:
-            raise ValueError(f"unknown layout {layout!r}")
-
+        code = make_layout(layout, params, rng)
         self.manifest, payloads = audit.setup_file(
             file_bytes, params, self.user.keys, code, rng,
             file_id=f"file-{seed:016x}")
@@ -198,14 +202,6 @@ class Cluster:
                        np.random.default_rng(rng.integers(2**63)))
         self.rng = rng
         self.transcript: List[dict] = []
-
-    # -- role-scoped key accessors ------------------------------------
-    def key_for(self, role: str, which: str) -> bytes:
-        allowed = {("user", "k_v"), ("user", "k_e"),
-                   ("tpa", "k_v"), ("node", "k_e")}
-        if (role, which) not in allowed:
-            raise KeyScopeError(f"role {role!r} may not read {which}")
-        return getattr(self.user.keys, which)
 
     # -- protocol steps ------------------------------------------------
     def run_audit_round(self, node: int, count: int) -> Tuple[bool, dict]:
@@ -232,49 +228,38 @@ class Cluster:
     def fail_and_repair(self, node: int, mode: str = "exact",
                         helpers: Optional[List[int]] = None) -> None:
         """Drop a node, rebuild it from P helpers, refresh the manifest."""
-        params = self.params
-        if helpers is None:
-            helpers = [h for h in sorted(self.nodes) if h != node][: params.P]
+        payloads = {i: n.payload for i, n in self.nodes.items()}
         plan_rng = np.random.default_rng(self.rng.integers(2**63))
-        if mode == "exact":
-            plan = repair.plan_exact_repair(self.manifest, node, helpers, plan_rng)
-        elif mode == "functional":
-            plan = repair.plan_functional_repair(self.manifest, node, helpers, plan_rng)
-        else:
-            raise ValueError(f"unknown repair mode {mode!r}")
-        # user ships gamma to helpers (coefficient traffic, no data)
-        shipments = []
-        for h in helpers:
-            if h not in plan.gamma:
-                continue
-            g = plan.gamma[h]
-            self.user.ledger.charge(self.nodes[h].ledger, "coefficient_bytes",
-                                    int(g.size))
-            ship = repair.make_repair_blocks(self.nodes[h].payload, g, h)
-            nbytes = sum(b.vec.size for b in ship.blocks)
-            tbytes = sum(t.size for t in ship.tags)
-            self.nodes[h].ledger.charge(self.nodes[node].ledger,
-                                        "data_block_bytes", nbytes)
-            self.nodes[h].ledger.charge(self.nodes[node].ledger,
-                                        "tag_bytes", tbytes)
-            shipments.append(ship)
-        blocks, tags = repair.reconstruct_node(plan, shipments)
-        old = self.nodes[node]
-        fresh = Node(node, NodePayload(blocks, tags, old.payload.aux,
-                                       old.payload.k_e),
-                     params, np.random.default_rng(self.rng.integers(2**63)))
-        fresh.ledger = old.ledger
-        self.nodes[node] = fresh
+        plan, shipments = repair.repair_node(self.manifest, payloads, node, mode,
+                                             helpers, plan_rng)
+        for ship in shipments:
+            helper = self.nodes[ship.helper]
+            # user ships gamma to the helper (coefficient traffic, no data)
+            self.user.ledger.charge(helper.ledger, "coefficient_bytes",
+                                    int(plan.gamma[ship.helper].size))
+            helper.ledger.charge(self.nodes[node].ledger, "data_block_bytes",
+                                 sum(b.vec.size for b in ship.blocks))
+            helper.ledger.charge(self.nodes[node].ledger, "tag_bytes",
+                                 sum(t.size for t in ship.tags))
         # user tells the TPA the replacement coefficients
         self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
                                 int(plan.target_rows.size))
-        repair.refresh_manifest(self.manifest, plan)
+        fresh = Node(node, payloads[node], self.params,
+                     np.random.default_rng(self.rng.integers(2**63)))
+        fresh.ledger = self.nodes[node].ledger
+        self.nodes[node] = fresh
         self.transcript.append({"event": "repair", "node": node, "mode": mode,
-                                "helpers": helpers})
+                                "helpers": plan.helpers})
 
     def decode_current_file(self) -> bytes:
+        """Decode from the stored blocks whose tags verify under the user's
+        k_v, so a corrupted block is left out rather than poisoning the
+        system."""
         blocks = [b for node in sorted(self.nodes)
-                  for b in self.nodes[node].payload.blocks if b is not None]
+                  for b, t in zip(self.nodes[node].payload.blocks,
+                                  self.nodes[node].payload.tags)
+                  if b is not None
+                  and audit.verify_block(self.user.keys.k_v, self.manifest, b, t)]
         return decode_file(blocks, self.manifest)
 
 

@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import field, spacemac
-from .audit import Challenge, KeyMaterial, NodePayload, Proof, taggen, verify_proof
-from .blocks import CodedBlock, FileManifest, SystemParams
+from .audit import KeyMaterial, NodePayload, taggen
+from .blocks import (CodedBlock, FileManifest, SystemParams, combine_blocks,
+                     make_source_block)
 
 
 @dataclass
@@ -41,19 +42,6 @@ def _widen_manifest(manifest: FileManifest) -> None:
 def _widen_block(block: CodedBlock) -> CodedBlock:
     return CodedBlock(np.concatenate([block.vec, np.zeros(1, dtype=np.uint8)]),
                       block.n, block.m + 1)
-
-
-def make_source_block(data: bytes, params: SystemParams, index: int, rng,
-                      ) -> Tuple[CodedBlock, int]:
-    """A fresh source block for slot `index` of a file with params.m slots."""
-    n, m = params.n, params.m
-    if len(data) > n - 2:
-        raise ValueError(f"block data exceeds {n - 2} bytes")
-    vec = np.zeros(n + m, dtype=np.uint8)
-    vec[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    vec[n - 2: n] = np.frombuffer(rng.bytes(2), dtype=np.uint8)
-    vec[n + index] = 1
-    return CodedBlock(vec, n, m), len(data)
 
 
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -89,9 +77,9 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                 [manifest.node_coeffs[dst],
                  manifest.node_coeffs[src][local][None, :]], axis=0)
 
-    new_block, used = make_source_block(data, params, new_index, rng)
+    new_block = make_source_block(data, params, new_index, rng)
     new_tag = spacemac.mac(keys.k_v, fid, new_block, params.ell)
-    manifest.block_lengths.append(used)
+    manifest.block_lengths.append(len(data))
     manifest.logical_order.append(new_index)
 
     placed: Dict[int, int] = {}
@@ -116,13 +104,8 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                 row = _unit_row(params.m, new_index)
             else:
                 # mix runs over the node's pre-append blocks plus the new one
-                stack = base_blocks + [new_block]
-                tag_mat = np.stack(base_tags + [new_tag])
-                vec = np.zeros(params.n + params.m, dtype=np.uint8)
-                for coeff, blk in zip(one, stack):
-                    vec ^= field.vec_scale(int(coeff), blk.vec)
-                payload.blocks.append(CodedBlock(vec, params.n, params.m))
-                payload.tags.append(taggen(one, tag_mat))
+                payload.blocks.append(combine_blocks(base_blocks + [new_block], one))
+                payload.tags.append(taggen(one, np.stack(base_tags + [new_tag])))
                 row = field.combine_rows(one, base_rows)
             manifest.node_coeffs[node] = np.concatenate(
                 [manifest.node_coeffs[node], row[None, :]], axis=0)
@@ -156,7 +139,7 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     params = manifest.params
     fid = manifest.file_id.encode()
     old = _reconstruct_source(manifest, payloads, index)
-    new_block, used = make_source_block(data, params, index, rng)
+    new_block = make_source_block(data, params, index, rng)
     # keep pads so the delta has zero coefficient part and clean pads
     new_block.vec[params.n - 2: params.n] = old.vec[params.n - 2: params.n]
     diff = old.vec ^ new_block.vec
@@ -171,7 +154,7 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
             a = int(rows[j, index])
             if a:
                 block.vec ^= field.vec_scale(a, diff)
-    manifest.block_lengths[index] = used
+    manifest.block_lengths[index] = len(data)
     manifest.deltas[index] = manifest.deltas.get(
         index, np.zeros(params.ell, dtype=np.uint8)) ^ delta
     return delta
@@ -191,29 +174,7 @@ def _reconstruct_source(manifest: FileManifest, payloads: Dict[int, NodePayload]
     sol = field.solve_any(np.stack(rows).T, _unit_row(params.m, index))
     if sol is None:
         raise RuntimeError(f"source block {index} is not expressible")
-    vec = np.zeros(params.n + params.m, dtype=np.uint8)
-    for coeff, blk in zip(sol, blocks):
-        if coeff:
-            vec ^= field.vec_scale(int(coeff), blk.vec)
-    return CodedBlock(vec, params.n, params.m)
-
-
-def verify_with_deltas(k_v: bytes, manifest: FileManifest, chal: Challenge,
-                       proof: Proof):
-    """verify_proof, compensating stale tags with the running deltas."""
-    if not manifest.deltas:
-        return verify_proof(k_v, manifest, chal, proof)
-    rows = manifest.node_coeffs[chal.node]
-    idx = np.array([i for i, _ in chal.entries])
-    alphas = np.array([a for _, a in chal.entries], dtype=np.uint8)
-    aug = field.combine_rows(alphas, rows[idx])
-    adjusted = proof.tag.copy()
-    for j, delta in manifest.deltas.items():
-        a = int(aug[j])
-        if a:
-            adjusted ^= field.vec_scale(a, delta)
-    patched = Proof(proof.ciphertext, proof.pad, adjusted)
-    return verify_proof(k_v, manifest, chal, patched)
+    return combine_blocks(blocks, sol)
 
 
 def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],

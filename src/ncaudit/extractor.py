@@ -16,8 +16,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import field, ncrypt, spacemac
-from .audit import Challenge, Proof
+from . import field, ncrypt
+from .audit import Challenge, Proof, aggregate_coeffs, verify_block
 from .blocks import CodedBlock, FileManifest
 
 
@@ -52,7 +52,7 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     M = rows.shape[0]
     if equations is None:
         equations = M
-    n, m, ell = params.n, params.m, params.ell
+    n, m = params.n, params.m
     fid = manifest.file_id.encode()
 
     solved_alphas: List[np.ndarray] = []
@@ -72,24 +72,18 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
         votes: Counter = Counter()
         for _ in range(rounds):
             c = int(rng.integers(1, 256))
-            entries = [(i, int(field.mul(c, int(a))))
-                       for i, a in enumerate(alphas) if field.mul(c, int(a))]
-            if not entries:
-                continue
+            entries = [(i, int(a)) for i, a in enumerate(field.vec_scale(c, alphas)) if a]
             chal = Challenge(manifest.file_id, entries, node)
             proof = oracle(chal)
             queries += 1
             if proof is None:
                 continue
-            aug = field.combine_rows(
-                np.array([a for _, a in entries], dtype=np.uint8),
-                rows[[i for i, _ in entries]])
             # after decryption the plain tag applies; t+p matches only the
             # masked form
-            full = np.concatenate([
-                ncrypt.dec(k_e, fid, proof.ciphertext, aux), proof.pad, aug])
+            full = np.concatenate([ncrypt.dec(k_e, fid, proof.ciphertext, aux),
+                                   proof.pad, aggregate_coeffs(manifest, chal)])
             tag = proof.tag
-            if not spacemac.verify_vector(k_v, fid, full, tag):
+            if not verify_block(k_v, manifest, CodedBlock(full, n, m), tag):
                 discarded += 1
                 continue
             inv = field.inv(c)
@@ -120,7 +114,7 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     for j in range(M):
         block = CodedBlock(sol[j, : n + m].astype(np.uint8), n, m)
         tag = sol[j, n + m:].astype(np.uint8)
-        if not spacemac.verify(k_v, fid, block, tag):
+        if not verify_block(k_v, manifest, block, tag):
             raise ExtractionError(f"recovered block {j} fails verification")
         blocks.append(block)
         tags.append(tag)

@@ -2,8 +2,10 @@
 
 Reduction polynomial is x^8 + x^4 + x^3 + x + 1 (0x11B).  Multiplication is
 served from a 256x256 lookup table built once at import time from the
-shift-and-reduce routine; addition is XOR.  All vector helpers operate on
-numpy uint8 arrays so hot paths (proof generation, verification) stay fast.
+shift-and-reduce routine; addition is XOR.  Vector work goes through three
+kernels on numpy uint8 arrays: vec_scale (one scaled vector), combine_rows
+(a linear combination of rows) and matvec (the dot product of every row
+with one vector).
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class MultCounter:
 counter = MultCounter()
 
 
-def add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     if counter.enabled:
         counter.value += 1
@@ -98,50 +96,41 @@ def vec(values) -> np.ndarray:
     return np.asarray(values, dtype=np.uint8)
 
 
-def zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.uint8)
-
-
-def vec_add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if u.shape != v.shape:
-        raise ValueError("length mismatch")
-    return u ^ v
-
-
 def vec_scale(alpha: int, v: np.ndarray) -> np.ndarray:
     if counter.enabled:
         counter.value += int(v.size)
     return MUL[alpha][v]
 
 
-def vec_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if u.shape != v.shape:
-        raise ValueError("length mismatch")
-    if counter.enabled:
-        counter.value += int(u.size)
-    return MUL[u, v]
+# From this row width on, accumulating MUL[a][row] one row at a time beats
+# one (rows x width) gather, which pays for its large temporary; below it
+# the per-row Python overhead dominates.
+ROW_KERNEL_MIN_WIDTH = 1000
 
 
-def dot(u: np.ndarray, v: np.ndarray) -> int:
-    if u.shape != v.shape:
-        raise ValueError("length mismatch")
-    if counter.enabled:
-        counter.value += int(u.size)
-    return int(np.bitwise_xor.reduce(MUL[u, v]))
-
-
-def scale_rows(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row i scaled by alphas[i]; counts len(alphas) * row width."""
+def combine_rows(alphas, rows: np.ndarray) -> np.ndarray:
+    """sum_i alphas[i] * rows[i]; counts one multiplication per row symbol."""
+    alphas = vec(alphas)
     if alphas.shape[0] != rows.shape[0]:
         raise ValueError("length mismatch")
     if counter.enabled:
         counter.value += int(rows.size)
-    return MUL[alphas[:, None], rows]
+    if rows.shape[1] < ROW_KERNEL_MIN_WIDTH:
+        return np.bitwise_xor.reduce(MUL[alphas[:, None], rows], axis=0)
+    out = np.zeros(rows.shape[1], dtype=np.uint8)
+    for a, row in zip(alphas.tolist(), rows):
+        if a:
+            out ^= MUL[a][row]
+    return out
 
 
-def combine_rows(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """XOR-accumulated linear combination of the rows."""
-    return np.bitwise_xor.reduce(scale_rows(alphas, rows), axis=0)
+def matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of every row with v; counts one multiplication per row symbol."""
+    if rows.shape[-1] != v.shape[0]:
+        raise ValueError("length mismatch")
+    if counter.enabled:
+        counter.value += int(rows.size)
+    return np.bitwise_xor.reduce(MUL[rows, v], axis=-1)
 
 
 def matrix_rank(a: np.ndarray) -> int:
@@ -151,7 +140,7 @@ def matrix_rank(a: np.ndarray) -> int:
 @dataclass
 class GaussResult:
     status: str  # "unique" | "rank_deficient" | "inconsistent"
-    solution: Optional[np.ndarray]
+    solution: Optional[np.ndarray]  # None only when inconsistent
     rank: int
     witness: Optional[np.ndarray] = None
 
@@ -197,9 +186,10 @@ def gaussian_solve(matrix, rhs) -> GaussResult:
     """Solve matrix @ X = rhs over GF(256).
 
     Full column rank plus a consistent system yields the unique solution.
-    A rank-deficient system is reported with a nonzero null-space vector as
-    witness; an inconsistent system is reported distinctly (witness is the
-    offending reduced right-hand-side row).
+    A rank-deficient system is reported with a particular solution (free
+    variables zero) and a nonzero null-space vector as witness; an
+    inconsistent system is reported distinctly (witness is the offending
+    reduced right-hand-side row).
     """
     a = np.array(matrix, dtype=np.uint8, copy=True)
     if a.ndim != 2:
@@ -211,36 +201,25 @@ def gaussian_solve(matrix, rhs) -> GaussResult:
     if b.shape[0] != a.shape[0]:
         raise ValueError("row count mismatch between matrix and rhs")
     pivots, rank = _eliminate(a, b)
-    cols = a.shape[1]
     # rows below the rank have an all-zero coefficient part after reduction
     for i in range(rank, a.shape[0]):
         if b[i].any():
             return GaussResult("inconsistent", None, rank, witness=b[i].copy())
+    cols = a.shape[1]
+    x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
+    for r, c in enumerate(pivots):
+        x[c] = b[r]
+    x = x[:, 0] if squeeze else x
     if rank < cols:
         free = next(c for c in range(cols) if c not in pivots)
         null = np.zeros(cols, dtype=np.uint8)
         null[free] = 1
         for r, c in enumerate(pivots):
             null[c] = a[r, free]
-        return GaussResult("rank_deficient", None, rank, witness=null)
-    x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = b[r]
-    return GaussResult("unique", x[:, 0] if squeeze else x, rank)
+        return GaussResult("rank_deficient", x, rank, witness=null)
+    return GaussResult("unique", x, rank)
 
 
 def solve_any(matrix, rhs) -> Optional[np.ndarray]:
     """A particular solution (free variables zero), or None if inconsistent."""
-    a = np.array(matrix, dtype=np.uint8, copy=True)
-    b = np.array(rhs, dtype=np.uint8, copy=True)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    pivots, rank = _eliminate(a, b)
-    for i in range(rank, a.shape[0]):
-        if b[i].any():
-            return None
-    x = np.zeros((a.shape[1], b.shape[1]), dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = b[r]
-    return x[:, 0] if squeeze else x
+    return gaussian_solve(matrix, rhs).solution

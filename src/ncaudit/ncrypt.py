@@ -74,8 +74,7 @@ def setup(k_e: bytes, k_v: bytes, file_id: bytes, params) -> AuxiliaryElements:
         r_bar = spacemac.r_vector(k_v, file_id, width, j + 1)
         if not r_bar.any():
             raise SetupError(f"degenerate r vector for key index {j + 1}")
-        for i in range(n - 1):
-            scalars[i, j] = field.dot(r_bar, basis[i])
+        scalars[:, j] = field.matvec(basis, r_bar)
     return AuxiliaryElements(basis, scalars)
 
 

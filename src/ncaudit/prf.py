@@ -43,13 +43,6 @@ def test_mode() -> bool:
     return os.environ.get("NCAUDIT_TEST_PRF") == "1"
 
 
-def new_key(rng, lambda_bits: int = 128) -> bytes:
-    nbytes = lambda_bits // 8
-    if rng is None:
-        return os.urandom(nbytes)
-    return rng.bytes(nbytes)
-
-
 def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes:
     """Injective encoding of a PRF domain point."""
     if fn not in (F1, F2, F3):
@@ -63,6 +56,11 @@ def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes
     for i in indices:
         if i < 1:
             raise ValueError(f"index {i} out of range (must be >= 1)")
+    return _prefix(fn, file_id, indices, nonce)
+
+
+def _prefix(fn: int, file_id: bytes, indices, nonce: bytes) -> bytes:
+    """The encoding of the domain point up to and including `indices`."""
     parts = [bytes([fn]), struct.pack(">I", len(file_id)), file_id]
     if fn == F3:
         parts += [struct.pack(">I", len(nonce)), nonce]
@@ -135,20 +133,17 @@ def _prod_batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
 
 # -- public surface ---------------------------------------------------------
 
+def _batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
+    if test_mode():
+        return _pinned_batch(key, prefix, last)
+    return _prod_batch(key, prefix, last)
+
+
 def prf_eval(key: bytes, fn: int, file_id: bytes, indices, nonce: bytes = b"") -> int:
     """One field symbol, deterministic in (key, domain)."""
     encode_domain(fn, file_id, indices, nonce)  # range/shape validation
-    head = list(indices[:-1])
-    last = int(indices[-1])
-    parts = [bytes([fn]), struct.pack(">I", len(file_id)), file_id]
-    if fn == F3:
-        parts += [struct.pack(">I", len(nonce)), nonce]
-    parts += [struct.pack(">I", i) for i in head]
-    pre = b"".join(parts)
-    arr = np.array([last], dtype=np.uint32)
-    if test_mode():
-        return int(_pinned_batch(key, pre, arr)[0])
-    return int(_prod_batch(key, pre, arr)[0])
+    prefix = _prefix(fn, file_id, indices[:-1], nonce)
+    return int(_batch(key, prefix, np.array([indices[-1]], dtype=np.uint32))[0])
 
 
 def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
@@ -156,15 +151,8 @@ def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
     """PRF outputs for trailing indices start..start+count-1, as a vector."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    parts = [bytes([fn]), struct.pack(">I", len(file_id)), file_id]
-    if fn == F3:
-        parts += [struct.pack(">I", len(nonce)), nonce]
-    parts += [struct.pack(">I", i) for i in head_indices]
-    prefix = b"".join(parts)
     last = np.arange(start, start + count, dtype=np.uint32)
-    if test_mode():
-        return _pinned_batch(key, prefix, last)
-    return _prod_batch(key, prefix, last)
+    return _batch(key, _prefix(fn, file_id, head_indices, nonce), last)
 
 
 def derive_r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:

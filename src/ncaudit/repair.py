@@ -34,12 +34,13 @@ class RepairPlan:
 
     def sent_rows(self, manifest: FileManifest) -> np.ndarray:
         """Source-coefficient rows of every block the helpers transmit."""
-        rows = []
-        for h in self.helpers:
-            hrows = manifest.node_coeffs[h]
-            for q in range(self.gamma[h].shape[0]):
-                rows.append(field.combine_rows(self.gamma[h][q], hrows))
-        return np.stack(rows)
+        return _sent_rows(manifest, self.helpers, self.gamma)
+
+
+def _sent_rows(manifest: FileManifest, helpers: List[int],
+               gamma: Dict[int, np.ndarray]) -> np.ndarray:
+    return np.stack([field.combine_rows(g, manifest.node_coeffs[h])
+                     for h in helpers for g in gamma[h]])
 
 
 def _stack_helper_rows(manifest: FileManifest, helpers: List[int]) -> np.ndarray:
@@ -133,20 +134,11 @@ def _plan_unit(manifest, failed, helpers, Q) -> Optional[RepairPlan]:
 
 
 def _solve_theta(manifest, failed, helpers, gamma, target) -> Optional[RepairPlan]:
-    sent = []
-    for h in helpers:
-        rows = manifest.node_coeffs[h]
-        for q in range(gamma[h].shape[0]):
-            sent.append(field.combine_rows(gamma[h][q], rows))
-    sent = np.stack(sent)
-    theta_rows = []
-    for row in target:
-        sol = field.solve_any(sent.T, row)
-        if sol is None:
-            return None
-        theta_rows.append(sol)
-    return RepairPlan(failed, list(helpers), gamma,
-                      np.stack(theta_rows).astype(np.uint8), target.copy())
+    sent = _sent_rows(manifest, helpers, gamma)
+    theta = field.solve_any(sent.T, target.T)
+    if theta is None:
+        return None
+    return RepairPlan(failed, list(helpers), gamma, theta.T.copy(), target.copy())
 
 
 def plan_functional_repair(manifest: FileManifest, failed: int,
@@ -160,11 +152,7 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
     for _ in range(attempts):
         gamma = {h: rng.integers(0, 256, size=(Q, manifest.node_coeffs[h].shape[0]),
                                  dtype=np.uint8) for h in helpers}
-        sent = []
-        for h in helpers:
-            for q in range(Q):
-                sent.append(field.combine_rows(gamma[h][q], manifest.node_coeffs[h]))
-        sent = np.stack(sent)
+        sent = _sent_rows(manifest, helpers, gamma)
         theta = rng.integers(0, 256, size=(M, sent.shape[0]), dtype=np.uint8)
         new_rows = np.stack([field.combine_rows(theta[j], sent) for j in range(M)])
         if field.matrix_rank(np.concatenate([others, new_rows], axis=0)) == m:
@@ -211,3 +199,26 @@ def refresh_manifest(manifest: FileManifest, plan: RepairPlan) -> None:
     """Record the replacement node's rows; defeats replay of pre-repair
     proofs because the auditor aggregates coefficients from this record."""
     manifest.node_coeffs[plan.failed] = plan.target_rows.copy()
+
+
+def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
+                failed: int, mode: str, helpers: Optional[List[int]], rng,
+                ) -> Tuple[RepairPlan, List[RepairShipment]]:
+    """Rebuild payloads[failed] from helper shipments and refresh the
+    manifest.  helpers=None takes the first P other nodes; mode is "exact"
+    or "functional".  Returns the plan and the shipments it moved."""
+    if helpers is None:
+        helpers = [h for h in sorted(payloads) if h != failed][: manifest.params.P]
+    if mode == "exact":
+        plan = plan_exact_repair(manifest, failed, helpers, rng)
+    elif mode == "functional":
+        plan = plan_functional_repair(manifest, failed, helpers, rng)
+    else:
+        raise ValueError(f"unknown repair mode {mode!r}")
+    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h)
+                 for h in plan.helpers]
+    blocks, tags = reconstruct_node(plan, shipments)
+    old = payloads[failed]
+    payloads[failed] = NodePayload(blocks, tags, old.aux, old.k_e)
+    refresh_manifest(manifest, plan)
+    return plan, shipments

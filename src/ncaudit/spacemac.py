@@ -1,4 +1,4 @@
-"""Homomorphic MAC over coded blocks: Mac, Combine, Verify.
+"""Homomorphic MAC over coded blocks: Mac and Combine.
 
 A tag is the dot product of the full (n+m)-symbol block vector with a
 secret PRF-derived vector.  Tags of linear combinations are the same
@@ -38,12 +38,11 @@ def clear_cache():
 
 
 def mac(k_v: bytes, file_id: bytes, block: CodedBlock, ell: int = 1) -> np.ndarray:
-    """ell tags for a block; tag j is dot(block, r_j)."""
+    """ell tags for a block; tag j is dot(block, r_j).  A tag is verified by
+    recomputing it (audit.verify_block)."""
     length = block.n + block.m
-    tags = np.empty(ell, dtype=np.uint8)
-    for j in range(ell):
-        tags[j] = field.dot(block.vec, r_vector(k_v, file_id, length, j + 1))
-    return tags
+    rs = np.stack([r_vector(k_v, file_id, length, j + 1) for j in range(ell)])
+    return field.matvec(rs, block.vec)
 
 
 def combine_tag_arrays(tags: np.ndarray, alphas) -> np.ndarray:
@@ -53,29 +52,3 @@ def combine_tag_arrays(tags: np.ndarray, alphas) -> np.ndarray:
     if tags.shape[0] != alphas.shape[0]:
         raise ValueError("tag count mismatch")
     return field.combine_rows(alphas, tags)
-
-
-def combine_tags(entries) -> np.ndarray:
-    """Combine [(block, tag, alpha), ...]; blocks are accepted for interface
-    fidelity but only the tags and coefficients are read."""
-    tags = [np.asarray(t, dtype=np.uint8) for _, t, _ in entries]
-    ell = tags[0].shape[0]
-    for t in tags:
-        if t.shape[0] != ell:
-            raise ValueError("tag length mismatch")
-    alphas = [a for _, _, a in entries]
-    return combine_tag_arrays(np.stack(tags), alphas)
-
-
-def verify(k_v: bytes, file_id: bytes, block: CodedBlock, tag: np.ndarray) -> bool:
-    """Accept iff every tag symbol matches its recomputed dot product."""
-    tag = np.asarray(tag, dtype=np.uint8)
-    return verify_vector(k_v, file_id, block.vec, tag)
-
-
-def verify_vector(k_v: bytes, file_id: bytes, vec: np.ndarray, tag: np.ndarray) -> bool:
-    length = vec.shape[0]
-    for j in range(tag.shape[0]):
-        if field.dot(vec, r_vector(k_v, file_id, length, j + 1)) != int(tag[j]):
-            return False
-    return True

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncaudit import audit, field, ncrypt
 from ncaudit.audit import Challenge, Proof
@@ -126,3 +127,63 @@ def test_proof_privacy(system, rng):
     proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
                                rng, PARAMS)
     assert not np.array_equal(proof.ciphertext.c_bar, plain)
+
+
+def test_challenge_coefficients_nonzero(system, rng):
+    keys, manifest, payloads = system
+    alphas = [a for _ in range(2000)
+              for _, a in audit.gen_challenge(manifest, 0, 2, rng).entries]
+    assert min(alphas) >= 1
+
+
+def test_full_node_audit_catches_every_corruption(rng):
+    # a zero coefficient would leave the corrupted block out of the aggregate;
+    # the coefficient part is never sent, so only data symbols are corrupted
+    params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=10, lambda_bits=80)
+    keys = audit.keygen(params, rng)
+    manifest, payloads = audit.setup_file(bytes(range(56)), params, keys,
+                                          EVENODD4, rng)
+    p = payloads[2]
+    for _ in range(2000):
+        block, pos = int(rng.integers(2)), int(rng.integers(params.n))
+        delta = int(rng.integers(1, 256))
+        p.blocks[block].vec[pos] ^= delta
+        chal = audit.gen_challenge(manifest, 2, 2, rng)
+        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
+                                   rng, params)
+        p.blocks[block].vec[pos] ^= delta
+        assert not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
+
+
+def test_wire_parsers_reject_truncated_and_trailing(system, rng):
+    keys, manifest, payloads = system
+    chal = audit.gen_challenge(manifest, 3, 2, rng)
+    p = payloads[3]
+    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
+                               rng, PARAMS)
+    for raw, parse in [(chal.to_bytes(), Challenge.from_bytes),
+                       (proof.to_bytes(), lambda b: Proof.from_bytes(b, PARAMS))]:
+        for bad in (raw[:-1], raw[:3], b"", raw + b"\x00"):
+            with pytest.raises(ValueError):
+                parse(bad)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=80))
+def test_wire_parsers_raise_only_value_error(raw):
+    for parse in (Challenge.from_bytes, lambda b: Proof.from_bytes(b, PARAMS)):
+        try:
+            parse(raw)
+        except ValueError:
+            pass
+
+
+@given(st.text(max_size=12),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8, unique=True),
+       st.data())
+def test_challenge_roundtrip_any(file_id, indices, data):
+    alphas = data.draw(st.lists(st.integers(0, 255), min_size=len(indices),
+                                max_size=len(indices)))
+    chal = Challenge(file_id, list(zip(indices, alphas)))
+    back = Challenge.from_bytes(chal.to_bytes())
+    assert (back.file_id, back.entries) == (chal.file_id, chal.entries)

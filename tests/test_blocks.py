@@ -106,3 +106,11 @@ def test_manifest_json_roundtrip(rng):
     assert np.array_equal(back.deltas[1], manifest.deltas[1])
     # deterministic serialization
     assert back.to_json() == manifest.to_json()
+
+
+def test_decode_reports_inconsistent_blocks(rng):
+    blks, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
+    bad = blks[0].copy()
+    bad.vec[3] ^= 1
+    with pytest.raises(blocks.UndecodableError, match="inconsistent"):
+        blocks.decode_source_data(blks + [bad], 4)

@@ -101,3 +101,29 @@ def test_scenario_command(store, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert main(["scenario", "--file", str(path)]) == 0
+
+
+def test_unseeded_setups_use_fresh_keys(tmp_path, monkeypatch):
+    monkeypatch.delenv("NCAUDIT_SEED", raising=False)
+    keys = []
+    for name, body in [("a.bin", b"first file"), ("b.bin", b"second file")]:
+        src = tmp_path / name
+        src.write_bytes(body)
+        out = tmp_path / f"store-{name}"
+        assert main(["setup", "--file", str(src), "--out", str(out), "--n", "16"]) == 0
+        keys.append((out / "keys.json").read_bytes())
+    assert keys[0] != keys[1]
+
+
+def test_random_layout_store_audits(tmp_path):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    out = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(out), "--layout", "random",
+                 "--n", "40", "--m", "6", "--nodes", "3", "--seed", "5"]) == 0
+    assert main(["audit", "--dir", str(out), "--node", "2", "--count", "3",
+                 "--rounds", "3", "--seed", "6"]) == 0
+    assert main(["repair", "--dir", str(out), "--node", "1", "--mode", "functional",
+                 "--seed", "7"]) == 0
+    assert main(["audit", "--dir", str(out), "--node", "1", "--count", "3",
+                 "--rounds", "3", "--seed", "8"]) == 0

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from ncaudit import cluster as cl
+from ncaudit import cluster as cl, dynamics
 from ncaudit.blocks import SystemParams
-from ncaudit.cluster import Fault, KeyScopeError, spawn_cluster
+from ncaudit.cluster import Fault, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 DATA = bytes(range(56))
@@ -49,15 +49,6 @@ def test_evenodd_requires_matching_params():
     bad = SystemParams(n=16, m=5, N=4, M=2, P=3, Q=1)
     with pytest.raises(ValueError):
         spawn_cluster(bad, "evenodd4", DATA, seed=1)
-
-
-def test_key_scope(cluster):
-    assert cluster.key_for("tpa", "k_v") == cluster.user.keys.k_v
-    assert cluster.key_for("node", "k_e") == cluster.user.keys.k_e
-    with pytest.raises(KeyScopeError):
-        cluster.key_for("node", "k_v")
-    with pytest.raises(KeyScopeError):
-        cluster.key_for("tpa", "k_e")
 
 
 def test_ledger_conservation(cluster):
@@ -140,3 +131,22 @@ def test_scenario_runner(tmp_path):
     audits = [r for r in records if r["event"] == "audit"]
     assert rejects == 1
     assert [r["accepted"] for r in audits] == [True, False, True]
+
+
+def test_decode_skips_corrupted_block(cluster):
+    cluster.inject_fault(3, Fault("corrupt_symbol", block=1, position=2, delta=5))
+    assert cluster.decode_current_file() == DATA
+
+
+def test_decode_after_update_uses_stale_tags(cluster):
+    payloads = {i: node.payload for i, node in cluster.nodes.items()}
+    dynamics.update_block(cluster.manifest, payloads, cluster.user.keys, 2,
+                          b"fresh", np.random.default_rng(1))
+    cluster.inject_fault(0, Fault("corrupt_symbol", block=0, position=0, delta=1))
+    assert cluster.decode_current_file() == DATA[:28] + b"fresh" + DATA[42:]
+
+
+def test_all_exports_resolve():
+    import ncaudit
+    for name in ncaudit.__all__:
+        assert getattr(ncaudit, name) is not None, name

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ncaudit import extractor
-from ncaudit.blocks import SystemParams
+from ncaudit import dynamics, extractor
+from ncaudit.blocks import SystemParams, decode_file
 from ncaudit.cluster import Fault, spawn_cluster
 
 PARAMS = SystemParams(n=32, m=8, N=4, M=8, P=3, Q=1, ell=2, lambda_bits=80)
@@ -59,3 +59,19 @@ def test_query_accounting(cluster):
     report = _extract(cluster, 1, seed=5)
     assert report.queries <= 15 * PARAMS.M * 4  # within the retry budget
     assert report.queries >= PARAMS.M  # at least one per equation
+
+
+def test_extract_after_update():
+    # the extractor compensates stale stored tags with the manifest's deltas
+    params = SystemParams(n=64, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
+    data = bytes(range(200)) + bytes(48)
+    c = spawn_cluster(params, "evenodd4", data, seed=5)
+    payloads = {i: node.payload for i, node in c.nodes.items()}
+    dynamics.update_block(c.manifest, payloads, c.user.keys, 0, b"new first block",
+                          np.random.default_rng(6))
+    report = _extract(c, 0, seed=7)
+    p = c.nodes[0].payload
+    assert all(np.array_equal(a.vec, b.vec) for a, b in zip(report.blocks, p.blocks))
+    assert all(np.array_equal(a, b) for a, b in zip(report.tags, p.tags))
+    others = c.nodes[1].payload.blocks
+    assert decode_file(report.blocks + others, c.manifest) == b"new first block" + data[62:]

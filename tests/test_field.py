@@ -53,22 +53,39 @@ def test_vec_scale_matches_scalar(vals, alpha):
     assert field.vec_scale(alpha, v).tolist() == [field.mul(alpha, x) for x in vals]
 
 
-def test_dot_matches_scalar_sum():
-    r = np.random.default_rng(1)
-    u = r.integers(0, 256, 50, dtype=np.uint8)
-    v = r.integers(0, 256, 50, dtype=np.uint8)
-    expect = 0
+def _scalar_dot(u, v):
+    acc = 0
     for a, b in zip(u.tolist(), v.tolist()):
-        expect ^= field.mul(a, b)
-    assert field.dot(u, v) == expect
+        acc ^= field.mul(a, b)
+    return acc
+
+
+def test_dot_matches_scalar_sum():
+    # matvec: one dot product per row
+    r = np.random.default_rng(1)
+    rows = r.integers(0, 256, (3, 50), dtype=np.uint8)
+    v = r.integers(0, 256, 50, dtype=np.uint8)
+    assert field.matvec(rows, v).tolist() == [_scalar_dot(row, v) for row in rows]
+
+
+@pytest.mark.parametrize("width", [10, field.ROW_KERNEL_MIN_WIDTH - 1,
+                                   field.ROW_KERNEL_MIN_WIDTH, 1500])
+def test_combine_rows_matches_scalar_sum(width):
+    # both kernels, on either side of the width at which combine_rows switches
+    r = np.random.default_rng(width)
+    rows = r.integers(0, 256, (5, width), dtype=np.uint8)
+    alphas = r.integers(0, 256, 5, dtype=np.uint8)
+    alphas[1] = 0
+    got = field.combine_rows(alphas, rows)
+    assert got.tolist() == [_scalar_dot(alphas, rows[:, c]) for c in range(width)]
 
 
 def test_counter_counts_each_helper():
     v = field.vec([1, 2, 3, 4])
     with field.counter:
         field.vec_scale(7, v)
-        field.dot(v, v)
-        field.scale_rows(np.array([1, 2], dtype=np.uint8), np.stack([v, v]))
+        field.matvec(v[None, :], v)
+        field.combine_rows(np.array([1, 2], dtype=np.uint8), np.stack([v, v]))
         total = field.counter.value
     assert total == 4 + 4 + 8
     assert not field.counter.enabled
@@ -81,7 +98,7 @@ def test_gaussian_solve_unique():
         if field.matrix_rank(a) < 6:
             continue
         x = r.integers(0, 256, 6, dtype=np.uint8)
-        b = np.array([field.dot(row, x) for row in a], dtype=np.uint8)
+        b = field.matvec(a, x)
         res = field.gaussian_solve(a, b)
         assert res.status == "unique"
         assert np.array_equal(res.solution, x)
@@ -106,4 +123,4 @@ def test_solve_any_particular_solution():
     b = np.array([5, 9], dtype=np.uint8)
     x = field.solve_any(a, b)
     assert x is not None
-    assert all(field.dot(row, x) == bb for row, bb in zip(a, b))
+    assert np.array_equal(field.matvec(a, x), b)
