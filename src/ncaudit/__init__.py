@@ -1,7 +1,7 @@
 """Privacy-preserving integrity auditing for network-coded storage."""
 
 from .audit import (Challenge, KeyMaterial, NodePayload, Proof, aggregate_coeffs,
-                    gen_challenge, gen_proof, keygen, setup_file, taggen,
+                    gen_challenge, gen_proof, keygen, setup_file, verified_rows,
                     verify_block, verify_proof)
 from .blocks import (CodedBlock, FileManifest, SystemParams, UndecodableError,
                      combine_blocks, decode_file, decode_source_data,
@@ -13,20 +13,20 @@ from .ncrypt import AuxiliaryElements, Ciphertext, dec, enc, precompute_mask
 from .repair import (PlanningError, RepairPlan, make_repair_blocks,
                      plan_exact_repair, plan_functional_repair,
                      reconstruct_node, refresh_manifest, repair_node)
-from .spacemac import combine_tag_arrays, mac
+from .spacemac import mac
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryElements", "Challenge", "Ciphertext", "CodedBlock", "Cluster",
+    "AuxiliaryElements", "Challenge", "Ciphertext", "Cluster", "CodedBlock",
     "ExtractionError", "Fault", "FileManifest", "KeyMaterial", "NodePayload",
     "PlanningError", "Proof", "RepairPlan", "SystemParams", "UndecodableError",
-    "aggregate_coeffs", "append_block", "combine_blocks", "combine_tag_arrays",
-    "dec", "decode_file", "decode_source_data", "delete_block", "enc",
-    "extract_node", "gen_challenge", "gen_proof", "insert_block", "keygen",
-    "mac", "make_layout", "make_repair_blocks", "make_source_block",
+    "aggregate_coeffs", "append_block", "combine_blocks", "dec", "decode_file",
+    "decode_source_data", "delete_block", "enc", "extract_node",
+    "gen_challenge", "gen_proof", "insert_block", "keygen", "mac",
+    "make_layout", "make_repair_blocks", "make_source_block",
     "make_source_blocks", "plan_exact_repair", "plan_functional_repair",
     "precompute_mask", "reconstruct_node", "refresh_manifest", "repair_node",
-    "setup_file", "spawn_cluster", "taggen", "update_block", "verify_block",
-    "verify_proof",
+    "setup_file", "spawn_cluster", "update_block", "verified_rows",
+    "verify_block", "verify_proof",
 ]

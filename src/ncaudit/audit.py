@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import field, ncrypt, spacemac
-from .blocks import CodedBlock, FileManifest, SystemParams, make_source_blocks, combine_blocks
+from .blocks import FileManifest, SystemParams, combine_blocks, make_source_blocks
 from .ncrypt import AuxiliaryElements, Ciphertext, MaskBundle
 
 
@@ -95,17 +95,12 @@ class Proof:
 
 @dataclass
 class NodePayload:
-    """What the user hands a storage node at setup."""
-    blocks: List[CodedBlock]
-    tags: List[np.ndarray]
+    """What the user hands a storage node at setup: row j of `blocks` is
+    stored block j and row j of `tags` its ell tag symbols."""
+    blocks: np.ndarray  # (M, n+m)
+    tags: np.ndarray    # (M, ell)
     aux: AuxiliaryElements
     k_e: bytes
-
-
-def taggen(coeffs, source_tags: np.ndarray) -> np.ndarray:
-    """Tag of a coded block as the coefficient combination of source tags."""
-    return spacemac.combine_tag_arrays(np.asarray(source_tags, dtype=np.uint8),
-                                       field.vec(coeffs))
 
 
 def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
@@ -113,13 +108,14 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
                ) -> Tuple[FileManifest, Dict[int, NodePayload]]:
     """Build source blocks, tag them, encode per-node payloads.
 
-    code_layout maps node id -> (M, m) coefficient rows.  Encoded-block tags
-    go through TagGen (the Combine route), never a fresh Mac.
+    code_layout maps node id -> (M, m) coefficient rows.  A node's blocks
+    are its rows times the source matrix and its tags the same rows times
+    the source tags (the Combine route), never a fresh Mac.
     """
     params.validate()
     fid = file_id.encode()
     sources, residual, lengths = make_source_blocks(file_bytes, params, rng)
-    source_tags = np.stack([spacemac.mac(keys.k_v, fid, b, params.ell) for b in sources])
+    source_tags = spacemac.mac(keys.k_v, fid, sources, params.ell)
     aux = ncrypt.setup(keys.k_e, keys.k_v, fid, params)
 
     payloads: Dict[int, NodePayload] = {}
@@ -128,9 +124,9 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.shape != (params.M, params.m):
             raise ValueError(f"layout rows for node {node} must be (M, m)")
-        blocks = [combine_blocks(sources, rows[j]) for j in range(params.M)]
-        tags = [taggen(rows[j], source_tags) for j in range(params.M)]
-        payloads[node] = NodePayload(blocks, tags, aux, keys.k_e)
+        payloads[node] = NodePayload(combine_blocks(rows, sources),
+                                     combine_blocks(rows, source_tags),
+                                     aux, keys.k_e)
         node_coeffs[node] = rows.copy()
 
     manifest = FileManifest(
@@ -163,53 +159,34 @@ class GenProofStats:
     mask_mults: int = 0   # 0 when the mask bundle is precomputed
 
 
-class MissingBlockError(KeyError):
-    pass
-
-
-def gen_proof(blocks: List[Optional[CodedBlock]], tags: List[Optional[np.ndarray]],
-              chal: Challenge, k_e: bytes, aux: AuxiliaryElements, rng,
-              params: SystemParams, mask: MaskBundle | None = None,
-              strict: bool = True) -> Tuple[Proof, GenProofStats]:
-    """Aggregate the challenged blocks and tags, then mask the data part.
+def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
+              k_e: bytes, aux: AuxiliaryElements, rng, params: SystemParams,
+              mask: MaskBundle | None = None) -> Tuple[Proof, GenProofStats]:
+    """Aggregate the challenged rows of the (M, n+m) block and (M, ell) tag
+    matrices, then mask the data part.
 
     Only the first n symbols are aggregated; the coefficient part is never
-    transmitted (the auditor recomputes it from its own records).  With
-    strict=False a missing block and its tag are replaced by uniformly
-    random ones.
+    transmitted (the auditor recomputes it from its own records).
+    ValueError on a challenge index outside the store.
     """
-    n, ell = params.n, params.ell
-    data = np.empty((len(chal.entries), n), dtype=np.uint8)
-    tag_rows = np.empty((len(chal.entries), ell), dtype=np.uint8)
-    for k, (i, _) in enumerate(chal.entries):
-        block, tag = blocks[i], tags[i]
-        if block is None or tag is None:
-            if strict:
-                raise MissingBlockError(f"block {i} not in store")
-            data[k] = rng.integers(0, 256, size=n, dtype=np.uint8)
-            tag_rows[k] = rng.integers(0, 256, size=ell, dtype=np.uint8)
-        else:
-            data[k] = block.vec[:n]
-            tag_rows[k] = tag
+    n = params.n
+    idx = [i for i, _ in chal.entries]
+    if not all(0 <= i < blocks.shape[0] for i in idx):
+        raise ValueError(f"challenge index outside a store of {blocks.shape[0]} blocks")
     alphas = field.vec([a for _, a in chal.entries])
 
     stats = GenProofStats()
-    counting = field.counter.enabled
-    before = field.counter.value if counting else 0
-    agg = field.combine_rows(alphas, data)
-    if counting:
-        stats.block_mults = field.counter.value - before
-        before = field.counter.value
-    agg_tag = field.combine_rows(alphas, tag_rows)
-    if counting:
-        stats.tag_mults = field.counter.value - before
-        before = field.counter.value
+    before = field.counter.value  # stays put while the counter is off
+    agg = field.combine_rows(alphas, blocks[idx, :n])
+    stats.block_mults = field.counter.value - before
+    agg_tag = field.combine_rows(alphas, tags[idx])
+    stats.tag_mults = field.counter.value - before - stats.block_mults
 
     e_bar, pad = agg[: n - 2], agg[n - 2: n].copy()
     ct = ncrypt.enc(k_e, chal.file_id.encode(), e_bar, aux, rng,
                     params.lambda_bits, mask=mask)
-    if counting:
-        stats.mask_mults = field.counter.value - before
+    stats.mask_mults = (field.counter.value - before
+                        - stats.block_mults - stats.tag_mults)
     return Proof(ct, pad, agg_tag), stats
 
 
@@ -220,20 +197,33 @@ def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
     return field.combine_rows([a for _, a in chal.entries], rows[idx])
 
 
-def verify_block(k_v: bytes, manifest: FileManifest, block: CodedBlock,
-                 tag: np.ndarray) -> bool:
-    """Whether `tag`, made before the manifest's updates, is the block's tag.
+def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
+                 tags: np.ndarray):
+    """Whether tags made before the manifest's updates are the rows' tags:
+    one bool for an (n+m,) row and its (ell,) tag, one per row for (k, n+m)
+    rows and (k, ell) tags.
 
-    The running per-index tag deltas, weighted by the block's source
-    coefficients, bring the tag up to date; without deltas this costs no
+    The running per-index tag deltas, weighted by each row's source
+    coefficients, bring the tags up to date; without deltas this costs no
     multiplication."""
-    tag = np.asarray(tag, dtype=np.uint8)
+    tags = np.asarray(tags, dtype=np.uint8)
     if manifest.deltas:
         idx = sorted(manifest.deltas)
-        tag = tag ^ field.combine_rows(block.coeffs[idx],
-                                       np.stack([manifest.deltas[i] for i in idx]))
+        coeffs = rows[..., [manifest.params.n + i for i in idx]]
+        tags = tags ^ combine_blocks(coeffs, np.stack([manifest.deltas[i] for i in idx]))
     fid = manifest.file_id.encode()
-    return np.array_equal(spacemac.mac(k_v, fid, block, manifest.params.ell), tag)
+    return np.all(spacemac.mac(k_v, fid, rows, manifest.params.ell) == tags, axis=-1)
+
+
+def verified_rows(k_v: bytes, manifest: FileManifest,
+                  payloads: Dict[int, NodePayload]) -> np.ndarray:
+    """The stored block rows of every node, in node order, whose tags pass
+    verify_block: a corrupted row is left out rather than poisoning a
+    solve over the stored rows."""
+    nodes = sorted(payloads)
+    rows = np.concatenate([payloads[i].blocks for i in nodes])
+    tags = np.concatenate([payloads[i].tags for i in nodes])
+    return rows[verify_block(k_v, manifest, rows, tags)]
 
 
 @dataclass
@@ -246,17 +236,15 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     """Rebuild the expected coefficients, compensate the mask and the
     manifest's tag deltas, verify the tags."""
     params = manifest.params
-    n, m, ell = params.n, params.m, params.ell
+    n, ell = params.n, params.ell
     if proof.ciphertext.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
             or proof.pad.shape[0] != 2 or proof.ciphertext.p.shape[0] != ell:
         raise ValueError("malformed proof dimensions")
     stats = VerifyStats()
-    counting = field.counter.enabled
-    before = field.counter.value if counting else 0
+    before = field.counter.value  # stays put while the counter is off
 
     aug = aggregate_coeffs(manifest, chal)
-    c = CodedBlock(np.concatenate([proof.ciphertext.c_bar, proof.pad, aug]), n, m)
-    ok = verify_block(k_v, manifest, c, proof.tag ^ proof.ciphertext.p)
-    if counting:
-        stats.mults = field.counter.value - before
+    row = np.concatenate([proof.ciphertext.c_bar, proof.pad, aug])
+    ok = bool(verify_block(k_v, manifest, row, proof.tag ^ proof.ciphertext.p))
+    stats.mults = field.counter.value - before
     return ok, stats

@@ -3,22 +3,19 @@
 A block is a vector in GF(256)^(n+m): n data symbols (the last two of which
 are random padding) followed by m coding coefficients.  Source block i has
 the i-th unit vector as its coefficients; any linear combination keeps the
-combination weights in its last m coordinates.
+combination weights in its last m coordinates.  A set of blocks is a row
+matrix with one block per row, which is how nodes store theirs.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List
 
 import numpy as np
 
 from . import field
-
-BLOCK_MAGIC = b"NCAB"
-BLOCK_VERSION = 1
 
 
 @dataclass
@@ -55,11 +52,20 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d).validate()
+        """Parameters from a dict of integers; ValueError on anything else."""
+        if not isinstance(d, dict) or not all(type(v) is int for v in d.values()):
+            raise ValueError("params must map names to integers")
+        try:
+            params = cls(**d)
+        except TypeError as e:
+            raise ValueError(f"bad params: {e}") from e
+        return params.validate()
 
 
 @dataclass
 class CodedBlock:
+    """One block on its own, as node snapshots and repair shipments hand
+    blocks out."""
     vec: np.ndarray  # length n + m
     n: int
     m: int
@@ -69,30 +75,23 @@ class CodedBlock:
         if self.vec.shape != (self.n + self.m,):
             raise ValueError("block vector has wrong length")
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.vec[: self.n]
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.vec[self.n:]
+def _symbols(value, shape, what: str) -> np.ndarray:
+    """A JSON array of field symbols as uint8; ValueError unless it has the
+    given shape (None: any length) and holds integers in 0..255."""
+    arr = np.array(value, dtype=object)
+    fits = arr.ndim == len(shape) and all(want in (None, got)
+                                          for want, got in zip(shape, arr.shape))
+    if not fits or not all(type(v) is int and 0 <= v <= 255 for v in arr.flat):
+        raise ValueError(f"manifest {what} must be symbols 0..255 shaped {shape}")
+    return arr.astype(np.uint8)
 
-    def copy(self) -> "CodedBlock":
-        return CodedBlock(self.vec.copy(), self.n, self.m)
 
-    def to_bytes(self) -> bytes:
-        return (BLOCK_MAGIC + bytes([BLOCK_VERSION])
-                + struct.pack(">II", self.n, self.m) + self.vec.tobytes())
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CodedBlock":
-        if raw[:4] != BLOCK_MAGIC:
-            raise ValueError("bad block magic")
-        if raw[4] != BLOCK_VERSION:
-            raise ValueError("unsupported block version")
-        n, m = struct.unpack(">II", raw[5:13])
-        vec = np.frombuffer(raw[13: 13 + n + m], dtype=np.uint8).copy()
-        return cls(vec, n, m)
+def _ints(value, what: str, top: int) -> List[int]:
+    if not isinstance(value, list) or not all(type(v) is int and 0 <= v < top
+                                              for v in value):
+        raise ValueError(f"manifest {what} must be a list of integers in 0..{top - 1}")
+    return list(value)
 
 
 @dataclass
@@ -124,24 +123,42 @@ class FileManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
+        """Parse a manifest; ValueError on malformed JSON, a missing key, a
+        wrong type, a coefficient row of the wrong width or an index or
+        symbol out of range."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("manifest must be a JSON object")
+        missing = {"file_id", "params", "residual_len", "block_lengths",
+                   "node_coeffs", "logical_order"} - set(doc)
+        if missing:
+            raise ValueError(f"manifest lacks {sorted(missing)}")
+        params = SystemParams.from_dict(doc["params"])
+        if not isinstance(doc["file_id"], str) or type(doc["residual_len"]) is not int:
+            raise ValueError("manifest file_id must be a string, residual_len an integer")
+        lengths = _ints(doc["block_lengths"], "block_lengths", params.n - 1)
+        if len(lengths) != params.m:
+            raise ValueError(f"manifest needs {params.m} block_lengths")
+        node_coeffs, deltas = doc["node_coeffs"], doc.get("deltas", {})
+        if not isinstance(node_coeffs, dict) or not isinstance(deltas, dict) \
+                or not all(0 <= int(j) < params.m for j in deltas):
+            raise ValueError("manifest node_coeffs and deltas must be objects, "
+                             "deltas keyed by source index")
         return cls(
             file_id=doc["file_id"],
-            params=SystemParams.from_dict(doc["params"]),
+            params=params,
             residual_len=doc["residual_len"],
-            block_lengths=list(doc["block_lengths"]),
-            node_coeffs={
-                int(node): np.array(rows, dtype=np.uint8)
-                for node, rows in doc["node_coeffs"].items()
-            },
-            logical_order=list(doc["logical_order"]),
-            deltas={int(j): np.array(d, dtype=np.uint8)
-                    for j, d in doc.get("deltas", {}).items()},
+            block_lengths=lengths,
+            node_coeffs={int(node): _symbols(rows, (None, params.m), f"node {node} rows")
+                         for node, rows in node_coeffs.items()},
+            logical_order=_ints(doc["logical_order"], "logical_order", params.m),
+            deltas={int(j): _symbols(d, (params.ell,), f"delta {j}")
+                    for j, d in deltas.items()},
         )
 
 
 def make_source_block(data: bytes, params: SystemParams, index: int, rng,
-                      ) -> CodedBlock:
+                      ) -> np.ndarray:
     """Source block for slot `index` of a file with params.m slots: the data,
     zero-filled to n-2 symbols, two random padding symbols, then the
     index-th unit vector as coefficients."""
@@ -152,54 +169,56 @@ def make_source_block(data: bytes, params: SystemParams, index: int, rng,
     vec[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     vec[n - 2: n] = np.frombuffer(rng.bytes(2), dtype=np.uint8)
     vec[n + index] = 1
-    return CodedBlock(vec, n, m)
+    return vec
 
 
 def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
     """Split a file into m padded, unit-augmented source blocks.
 
-    Returns (blocks, residual_len, block_lengths).  The two padding symbols
-    are drawn once here, block by block, and never re-randomized; they are
-    part of the authenticated vector.
+    Returns (rows, residual_len, block_lengths), rows being the (m, n+m)
+    source matrix.  The two padding symbols are drawn once here, block by
+    block, and never re-randomized; they are part of the authenticated
+    vector.
     """
     params.validate()
     payload = params.n - 2
     if len(file_bytes) > params.m * payload:
         raise ValueError("file longer than m*(n-2) symbols")
     chunks = [file_bytes[i * payload: (i + 1) * payload] for i in range(params.m)]
-    blocks = [make_source_block(chunk, params, i, rng) for i, chunk in enumerate(chunks)]
+    rows = np.stack([make_source_block(chunk, params, i, rng)
+                     for i, chunk in enumerate(chunks)])
     residual = len(file_bytes) % payload
     if file_bytes and residual == 0:
         residual = payload
-    return blocks, residual, [len(chunk) for chunk in chunks]
+    return rows, residual, [len(chunk) for chunk in chunks]
 
 
-def combine_blocks(blocks: List[CodedBlock], alphas) -> CodedBlock:
-    """Componentwise linear combination over all n+m coordinates."""
-    if not blocks:
-        raise ValueError("need at least one block")
-    n, m = blocks[0].n, blocks[0].m
-    alphas = field.vec(alphas)
-    if len(blocks) != alphas.shape[0]:
-        raise ValueError("length mismatch between blocks and coefficients")
-    for b in blocks:
-        if b.n != n or b.m != m:
-            raise ValueError("dimension mismatch")
-    mat = np.stack([b.vec for b in blocks])
-    return CodedBlock(field.combine_rows(alphas, mat), n, m)
+def combine_blocks(coeffs, rows) -> np.ndarray:
+    """coeffs · rows over GF(256), the one combination of stored rows.
+
+    rows is (r, w): block rows, or their tag rows, since tags are linear in
+    blocks.  coeffs is (r,) for one combination, giving a (w,) row, or
+    (k, r) for k of them, giving a (k, w) matrix."""
+    coeffs = field.vec(coeffs)
+    rows = field.vec(rows)
+    if coeffs.ndim == 1:
+        return field.combine_rows(coeffs, rows)
+    out = np.empty((coeffs.shape[0], rows.shape[1]), dtype=np.uint8)
+    for out_row, c in zip(out, coeffs):
+        out_row[:] = field.combine_rows(c, rows)
+    return out
 
 
 class UndecodableError(ValueError):
     pass
 
 
-def decode_source_data(blocks: List[CodedBlock], m: int) -> np.ndarray:
-    """Recover the m source data rows (n symbols each) from coded blocks."""
-    if not blocks:
+def decode_source_data(rows: np.ndarray, m: int) -> np.ndarray:
+    """Recover the m source data rows (n symbols each) from a matrix of
+    coded block rows."""
+    if rows.shape[0] == 0:
         raise UndecodableError("no blocks supplied")
-    a = np.stack([b.coeffs for b in blocks])
-    d = np.stack([b.data for b in blocks])
-    res = field.gaussian_solve(a, d)
+    res = field.gaussian_solve(rows[:, -m:], rows[:, :-m])
     if res.status == "inconsistent":
         raise UndecodableError("coded blocks are inconsistent: one of them is corrupted")
     if res.status != "unique":
@@ -209,10 +228,11 @@ def decode_source_data(blocks: List[CodedBlock], m: int) -> np.ndarray:
     return res.solution
 
 
-def decode_file(blocks: List[CodedBlock], manifest: FileManifest) -> bytes:
-    """Original file bytes from >= m coded blocks with full-rank coefficients."""
+def decode_file(rows: np.ndarray, manifest: FileManifest) -> bytes:
+    """Original file bytes from >= m coded block rows with full-rank
+    coefficients."""
     m = manifest.params.m
-    data = decode_source_data(blocks, m)
+    data = decode_source_data(rows, m)
     out = bytearray()
     order = manifest.logical_order or list(range(m))
     for j in order:

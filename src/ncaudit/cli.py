@@ -5,8 +5,8 @@ On-disk layout written by `setup`:
     <dir>/manifest.json
     <dir>/keys.json                 (hex keys; a real deployment would split these)
     <dir>/aux.bin
-    <dir>/nodes/node<i>/block<j>.ncab
-    <dir>/nodes/node<i>/tags.bin
+    <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n+m symbols each, row-major)
+    <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
 
 Exit codes: 0 success / all audits accepted, 1 at least one audit rejected,
 2 usage error, 3 internal failure.
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import audit, field, ncrypt, repair, spacemac
 from .audit import KeyMaterial, NodePayload
-from .blocks import CodedBlock, FileManifest, SystemParams
+from .blocks import FileManifest, SystemParams
 from .cluster import Fault, Node, make_layout, run_scenario
 
 
@@ -53,13 +53,24 @@ def _save_store(out: Path, manifest: FileManifest, keys: KeyMaterial,
     aux = next(iter(payloads.values())).aux
     (out / "aux.bin").write_bytes(aux.to_bytes())
     for node, payload in payloads.items():
-        ndir = out / "nodes" / f"node{node}"
-        ndir.mkdir(parents=True, exist_ok=True)
-        for j, block in enumerate(payload.blocks):
-            (ndir / f"block{j}.ncab").write_bytes(block.to_bytes())
-        (ndir / "tags.bin").write_bytes(
-            b"".join(np.asarray(t, dtype=np.uint8).tobytes()
-                     for t in payload.tags))
+        _save_node(out, node, payload)
+
+
+def _save_node(root: Path, node: int, payload: NodePayload) -> None:
+    ndir = root / "nodes" / f"node{node}"
+    ndir.mkdir(parents=True, exist_ok=True)
+    (ndir / "blocks.bin").write_bytes(payload.blocks.tobytes())
+    (ndir / "tags.bin").write_bytes(payload.tags.tobytes())
+
+
+def _load_matrix(path: Path, rows: int, width: int) -> np.ndarray:
+    """A (rows, width) symbol matrix stored row-major; ValueError unless the
+    file has exactly that many bytes."""
+    raw = path.read_bytes()
+    if len(raw) != rows * width:
+        raise ValueError(f"{path} holds {len(raw)} bytes, the manifest implies "
+                         f"{rows} x {width}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, width).copy()
 
 
 def _load_store(root: Path):
@@ -71,16 +82,18 @@ def _load_store(root: Path):
     payloads = {}
     for node, rows in manifest.node_coeffs.items():
         ndir = root / "nodes" / f"node{node}"
-        blocks, tags = [], []
-        raw_tags = (ndir / "tags.bin").read_bytes()
-        for j in range(rows.shape[0]):
-            blocks.append(CodedBlock.from_bytes(
-                (ndir / f"block{j}.ncab").read_bytes()))
-            tags.append(np.frombuffer(
-                raw_tags[j * params.ell: (j + 1) * params.ell],
-                dtype=np.uint8).copy())
-        payloads[node] = NodePayload(blocks, tags, aux, keys.k_e)
+        M = rows.shape[0]
+        payloads[node] = NodePayload(
+            _load_matrix(ndir / "blocks.bin", M, params.n + params.m),
+            _load_matrix(ndir / "tags.bin", M, params.ell), aux, keys.k_e)
     return manifest, keys, payloads
+
+
+def _check_node(manifest: FileManifest, node: int) -> int:
+    if node not in manifest.node_coeffs:
+        raise UsageError(f"no node {node} in this store "
+                         f"(nodes {sorted(manifest.node_coeffs)})")
+    return node
 
 
 def _load_aux(path: Path, params: SystemParams) -> ncrypt.AuxiliaryElements:
@@ -121,11 +134,10 @@ def cmd_audit(args) -> int:
     manifest, keys, payloads = _load_store(Path(args.dir))
     rng = np.random.default_rng(_seed(args))
     params = manifest.params
+    p = payloads[_check_node(manifest, args.node)]
     accepted = 0
-    times = []
     for _ in range(args.rounds):
         chal = audit.gen_challenge(manifest, args.node, args.count, rng)
-        p = payloads[args.node]
         t0 = time.perf_counter()
         proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
                                    rng, params)
@@ -133,7 +145,6 @@ def cmd_audit(args) -> int:
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         t2 = time.perf_counter()
         accepted += ok
-        times.append((t1 - t0, t2 - t1))
         print(json.dumps({"event": "audit", "node": args.node,
                           "accepted": bool(ok),
                           "gen_ms": round((t1 - t0) * 1e3, 3),
@@ -145,12 +156,11 @@ def cmd_audit(args) -> int:
 def cmd_corrupt(args) -> int:
     root = Path(args.dir)
     manifest, _, payloads = _load_store(root)
-    if args.delta % 256 == 0:
-        raise UsageError("corruption delta must be nonzero mod 256")
-    block = payloads[args.node].blocks[args.block]
-    block.vec[args.position] ^= args.delta % 256
-    path = root / "nodes" / f"node{args.node}" / f"block{args.block}.ncab"
-    path.write_bytes(block.to_bytes())
+    p = payloads[_check_node(manifest, args.node)]
+    node = Node(args.node, p, manifest.params, np.random.default_rng())
+    node.apply_fault(Fault("corrupt_symbol", block=args.block,
+                           position=args.position, delta=args.delta % 256))
+    _save_node(root, args.node, node.payload)
     print(f"flipped node {args.node} block {args.block} "
           f"position {args.position} by {args.delta % 256:#04x}")
     return 0
@@ -160,8 +170,8 @@ def cmd_repair(args) -> int:
     root = Path(args.dir)
     manifest, keys, payloads = _load_store(root)
     rng = np.random.default_rng(_seed(args))
-    plan, _ = repair.repair_node(manifest, payloads, args.node, args.mode,
-                                 None, rng)
+    plan, _ = repair.repair_node(manifest, payloads, _check_node(manifest, args.node),
+                                 args.mode, None, rng)
     _save_store(root, manifest, keys, payloads)
     print(f"rebuilt node {args.node} ({args.mode}) from helpers {plan.helpers}")
     return 0
@@ -171,15 +181,14 @@ def cmd_extract(args) -> int:
     from . import extractor
     manifest, keys, payloads = _load_store(Path(args.dir))
     rng = np.random.default_rng(_seed(args))
-    p = payloads[args.node]
+    p = payloads[_check_node(manifest, args.node)]
     node = Node(args.node, p, manifest.params,
                 np.random.default_rng(rng.integers(2**63)))
     node.apply_fault(Fault("lie_probability", epsilon=args.epsilon))
     report = extractor.extract_node(lambda chal: node.answer(chal)[0], manifest,
                                     args.node, keys.k_e, keys.k_v, p.aux, rng,
                                     rounds=args.rounds)
-    match = all(np.array_equal(a.vec, b.vec)
-                for a, b in zip(report.blocks, p.blocks))
+    match = np.array_equal(report.blocks, p.blocks)
     print(f"extracted {len(report.blocks)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
     return 0 if match else 1
@@ -195,20 +204,16 @@ def bench_store(n: int, m: int, C: int, ell: int, lam: int, rng):
                           lambda_bits=lam)
     keys = audit.keygen(params, rng)
     fid = b"bench"
-    sources = []
-    for i in range(m):
-        vec = np.zeros(n + m, dtype=np.uint8)
-        vec[:n] = rng.integers(0, 256, size=n, dtype=np.uint8)
-        vec[n + i] = 1
-        sources.append(CodedBlock(vec, n, m))
-    src_tags = np.stack([spacemac.mac(keys.k_v, fid, b, ell) for b in sources])
+    sources = np.zeros((m, n + m), dtype=np.uint8)
+    sources[:, :n] = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
+    sources[:, n:] = np.eye(m, dtype=np.uint8)
+    src_tags = spacemac.mac(keys.k_v, fid, sources, ell)
+    picks = np.arange(C) % m
+    scales = rng.integers(1, 256, size=C, dtype=np.uint8)
     rows = np.zeros((C, m), dtype=np.uint8)
-    blocks, tags = [], []
-    for j in range(C):
-        i, a = j % m, int(rng.integers(1, 256))
-        rows[j, i] = a
-        blocks.append(CodedBlock(field.vec_scale(a, sources[i].vec), n, m))
-        tags.append(audit.taggen(rows[j], src_tags))
+    rows[np.arange(C), picks] = scales
+    blocks = field.MUL[scales[:, None], sources[picks]]
+    tags = field.MUL[scales[:, None], src_tags[picks]]
     manifest = FileManifest(file_id="bench", params=params, residual_len=0,
                             block_lengths=[n - 2] * m,
                             node_coeffs={0: rows},

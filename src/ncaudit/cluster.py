@@ -83,12 +83,16 @@ class Fault:
     epsilon: float = 0.0
     snapshot: Optional[Tuple[List[CodedBlock], List[np.ndarray]]] = None
 
-    def validate(self, store_size: int) -> None:
+    def validate(self, store_size: int, width: int) -> None:
+        """Check the fault against a store of store_size blocks of width
+        symbols; ValueError if it does not fit."""
         if self.kind == "corrupt_symbol":
-            if self.delta == 0:
-                raise ValueError("corruption delta must be nonzero")
+            if not 1 <= self.delta <= 255:
+                raise ValueError("corruption delta must be a nonzero symbol")
             if not 0 <= self.block < store_size:
                 raise ValueError("corrupt_symbol block out of range")
+            if not 0 <= self.position < width:
+                raise ValueError("corrupt_symbol position out of range")
         elif self.kind == "delete_block":
             if not 0 <= self.block < store_size:
                 raise ValueError("delete_block index out of range")
@@ -115,16 +119,22 @@ class Node:
         self._mask: Optional[ncrypt.MaskBundle] = None
 
     def apply_fault(self, fault: Fault) -> None:
-        fault.validate(len(self.payload.blocks))
+        """Apply a fault to the store.  delete_block overwrites the row and
+        its tag once with uniform symbols, which is what a node that lost
+        the block can answer with."""
+        p = self.payload
+        fault.validate(*p.blocks.shape)
         if fault.kind == "corrupt_symbol":
-            self.payload.blocks[fault.block].vec[fault.position] ^= fault.delta
+            p.blocks[fault.block, fault.position] ^= fault.delta
         elif fault.kind == "delete_block":
-            self.payload.blocks[fault.block] = None
-            self.payload.tags[fault.block] = None
+            p.blocks[fault.block] = self.rng.integers(0, 256, size=p.blocks.shape[1],
+                                                      dtype=np.uint8)
+            p.tags[fault.block] = self.rng.integers(0, 256, size=p.tags.shape[1],
+                                                    dtype=np.uint8)
         elif fault.kind == "replay_old":
             blocks, tags = fault.snapshot
-            self.payload.blocks = [b.copy() for b in blocks]
-            self.payload.tags = [t.copy() for t in tags]
+            p.blocks = np.stack([b.vec for b in blocks])
+            p.tags = np.stack(tags)
         elif fault.kind == "lie_probability":
             self.lie_epsilon = fault.epsilon
 
@@ -136,8 +146,7 @@ class Node:
         lying = self.lie_epsilon and self.rng.random() < self.lie_epsilon
         proof, stats = audit.gen_proof(
             self.payload.blocks, self.payload.tags, chal, self.payload.k_e,
-            self.payload.aux, self.rng, self.params,
-            mask=self._mask, strict=False)
+            self.payload.aux, self.rng, self.params, mask=self._mask)
         self._mask = None  # single-use: the nonce must not repeat
         if lying:
             junk = self.rng.integers(0, 256, size=proof.ciphertext.c_bar.shape,
@@ -148,8 +157,11 @@ class Node:
         return proof, stats
 
     def snapshot(self) -> Tuple[List[CodedBlock], List[np.ndarray]]:
-        return ([b.copy() for b in self.payload.blocks],
-                [t.copy() for t in self.payload.tags])
+        """Copies of the stored blocks one by one and of the tag rows."""
+        n = self.params.n
+        m = self.payload.blocks.shape[1] - n
+        return ([CodedBlock(row, n, m) for row in self.payload.blocks.copy()],
+                list(self.payload.tags.copy()))
 
 
 class Tpa:
@@ -238,9 +250,9 @@ class Cluster:
             self.user.ledger.charge(helper.ledger, "coefficient_bytes",
                                     int(plan.gamma[ship.helper].size))
             helper.ledger.charge(self.nodes[node].ledger, "data_block_bytes",
-                                 sum(b.vec.size for b in ship.blocks))
+                                 int(ship.rows.size))
             helper.ledger.charge(self.nodes[node].ledger, "tag_bytes",
-                                 sum(t.size for t in ship.tags))
+                                 int(ship.tags.size))
         # user tells the TPA the replacement coefficients
         self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
                                 int(plan.target_rows.size))
@@ -255,12 +267,9 @@ class Cluster:
         """Decode from the stored blocks whose tags verify under the user's
         k_v, so a corrupted block is left out rather than poisoning the
         system."""
-        blocks = [b for node in sorted(self.nodes)
-                  for b, t in zip(self.nodes[node].payload.blocks,
-                                  self.nodes[node].payload.tags)
-                  if b is not None
-                  and audit.verify_block(self.user.keys.k_v, self.manifest, b, t)]
-        return decode_file(blocks, self.manifest)
+        payloads = {i: node.payload for i, node in self.nodes.items()}
+        rows = audit.verified_rows(self.user.keys.k_v, self.manifest, payloads)
+        return decode_file(rows, self.manifest)
 
 
 def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,

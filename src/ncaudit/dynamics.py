@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import field, spacemac
-from .audit import KeyMaterial, NodePayload, taggen
-from .blocks import (CodedBlock, FileManifest, SystemParams, combine_blocks,
-                     make_source_block)
+from .audit import KeyMaterial, NodePayload, verified_rows
+from .blocks import FileManifest, SystemParams, combine_blocks, make_source_block
 
 
 @dataclass
@@ -32,16 +31,14 @@ class AppendResult:
 
 def _widen_manifest(manifest: FileManifest) -> None:
     for node, rows in manifest.node_coeffs.items():
-        manifest.node_coeffs[node] = np.concatenate(
-            [rows, np.zeros((rows.shape[0], 1), dtype=np.uint8)], axis=1)
+        manifest.node_coeffs[node] = _zero_column(rows)
     p = manifest.params
     manifest.params = SystemParams(p.n, p.m + 1, p.N, p.M, p.P, p.Q,
                                    p.ell, p.lambda_bits, p.q)
 
 
-def _widen_block(block: CodedBlock) -> CodedBlock:
-    return CodedBlock(np.concatenate([block.vec, np.zeros(1, dtype=np.uint8)]),
-                      block.n, block.m + 1)
+def _zero_column(rows: np.ndarray) -> np.ndarray:
+    return np.concatenate([rows, np.zeros((rows.shape[0], 1), dtype=np.uint8)], axis=1)
 
 
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -52,11 +49,11 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  ) -> AppendResult:
     """Append one source block.
 
-    Every stored block and tag widens with a zero coefficient column, which
-    changes no tag value.  Nodes listed in `placements` receive the new
-    block: None means a plain copy, a mix row (or list of rows) over the
-    node's current blocks plus the new one yields combined blocks whose tags
-    come from combining stored tags.  `donations` optionally moves copies of
+    Every stored block widens with a zero coefficient column, which changes
+    no tag value.  Nodes listed in `placements` receive the new block: None
+    means a plain copy, a mix row (or matrix of rows) over the node's
+    current blocks plus the new one yields combined blocks whose tags come
+    from combining stored tags.  `donations` optionally moves copies of
     existing blocks between nodes first (layout rebalancing), and `retire`
     drops the listed pre-existing local slots afterwards.
     """
@@ -65,17 +62,15 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     new_index = params.m - 1
     fid = manifest.file_id.encode()
 
-    for node, payload in payloads.items():
-        payload.blocks = [_widen_block(b) for b in payload.blocks]
+    for payload in payloads.values():
+        payload.blocks = _zero_column(payload.blocks)
 
-    if donations:
-        for src, local, dst in donations:
-            blk = payloads[src].blocks[local]
-            payloads[dst].blocks.append(blk.copy())
-            payloads[dst].tags.append(payloads[src].tags[local].copy())
-            manifest.node_coeffs[dst] = np.concatenate(
-                [manifest.node_coeffs[dst],
-                 manifest.node_coeffs[src][local][None, :]], axis=0)
+    for src, local, dst in donations or []:
+        src_payload, dst_payload = payloads[src], payloads[dst]
+        dst_payload.blocks = np.vstack([dst_payload.blocks, src_payload.blocks[local]])
+        dst_payload.tags = np.vstack([dst_payload.tags, src_payload.tags[local]])
+        manifest.node_coeffs[dst] = np.vstack([manifest.node_coeffs[dst],
+                                               manifest.node_coeffs[src][local]])
 
     new_block = make_source_block(data, params, new_index, rng)
     new_tag = spacemac.mac(keys.k_v, fid, new_block, params.ell)
@@ -87,37 +82,27 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
         placements = {node: None for node in payloads}
     for node, mix in placements.items():
         payload = payloads[node]
+        # mixes run over the node's pre-append blocks plus the new one
+        M = payload.blocks.shape[0]
         if mix is None:
-            mixes = [None]
-        else:
-            mix = np.asarray(mix, dtype=np.uint8)
-            mixes = list(mix) if mix.ndim == 2 else [mix]
-        base_blocks = list(payload.blocks)  # new blocks don't feed later mixes
-        base_tags = [np.asarray(t, dtype=np.uint8) for t in payload.tags]
-        base_rows = np.concatenate([manifest.node_coeffs[node],
-                                    _unit_row(params.m, new_index)[None, :]],
-                                   axis=0)
-        for one in mixes:
-            if one is None:
-                payload.blocks.append(new_block.copy())
-                payload.tags.append(new_tag.copy())
-                row = _unit_row(params.m, new_index)
-            else:
-                # mix runs over the node's pre-append blocks plus the new one
-                payload.blocks.append(combine_blocks(base_blocks + [new_block], one))
-                payload.tags.append(taggen(one, np.stack(base_tags + [new_tag])))
-                row = field.combine_rows(one, base_rows)
-            manifest.node_coeffs[node] = np.concatenate(
-                [manifest.node_coeffs[node], row[None, :]], axis=0)
+            mix = np.zeros(M + 1, dtype=np.uint8)
+            mix[M] = 1
+        mix = np.atleast_2d(np.asarray(mix, dtype=np.uint8))
+        base_rows = np.vstack([manifest.node_coeffs[node],
+                               _unit_row(params.m, new_index)])
+        payload.blocks = np.vstack([payload.blocks, combine_blocks(
+            mix, np.vstack([payload.blocks, new_block]))])
+        payload.tags = np.vstack([payload.tags, combine_blocks(
+            mix, np.vstack([payload.tags, new_tag]))])
+        manifest.node_coeffs[node] = np.vstack([manifest.node_coeffs[node],
+                                                combine_blocks(mix, base_rows)])
         placed[node] = manifest.node_coeffs[node].shape[0] - 1
 
-    if retire:
-        for node, slots in retire.items():
-            payload = payloads[node]
-            keep = [j for j in range(len(payload.blocks)) if j not in set(slots)]
-            payload.blocks = [payload.blocks[j] for j in keep]
-            payload.tags = [payload.tags[j] for j in keep]
-            manifest.node_coeffs[node] = manifest.node_coeffs[node][keep]
+    for node, slots in (retire or {}).items():
+        payload = payloads[node]
+        payload.blocks = np.delete(payload.blocks, slots, axis=0)
+        payload.tags = np.delete(payload.tags, slots, axis=0)
+        manifest.node_coeffs[node] = np.delete(manifest.node_coeffs[node], slots, axis=0)
     return AppendResult(new_index, placed, donations or [])
 
 
@@ -138,22 +123,16 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     """
     params = manifest.params
     fid = manifest.file_id.encode()
-    old = _reconstruct_source(manifest, payloads, index)
+    old = _reconstruct_source(manifest, payloads, keys.k_v, index)
     new_block = make_source_block(data, params, index, rng)
     # keep pads so the delta has zero coefficient part and clean pads
-    new_block.vec[params.n - 2: params.n] = old.vec[params.n - 2: params.n]
-    diff = old.vec ^ new_block.vec
-
-    old_tag = spacemac.mac(keys.k_v, fid, old, params.ell)
-    new_tag = spacemac.mac(keys.k_v, fid, new_block, params.ell)
-    delta = old_tag ^ new_tag
+    new_block[params.n - 2: params.n] = old[params.n - 2: params.n]
+    diff = old ^ new_block
+    delta = spacemac.mac(keys.k_v, fid, diff, params.ell)  # tags are linear
 
     for node, payload in payloads.items():
-        rows = manifest.node_coeffs[node]
-        for j, block in enumerate(payload.blocks):
-            a = int(rows[j, index])
-            if a:
-                block.vec ^= field.vec_scale(a, diff)
+        column = manifest.node_coeffs[node][:, index: index + 1]
+        payload.blocks ^= combine_blocks(column, diff[None, :])
     manifest.block_lengths[index] = len(data)
     manifest.deltas[index] = manifest.deltas.get(
         index, np.zeros(params.ell, dtype=np.uint8)) ^ delta
@@ -161,20 +140,16 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
 
 
 def _reconstruct_source(manifest: FileManifest, payloads: Dict[int, NodePayload],
-                        index: int) -> CodedBlock:
-    """Nodes jointly express source block `index`; first expressible set in
-    the natural block order wins."""
+                        k_v: bytes, index: int) -> np.ndarray:
+    """Source block `index` from the stored rows whose tags verify, so an
+    undetected corrupted row cannot spread through the patch; the first
+    expressible set in node and block order wins."""
     params = manifest.params
-    rows, blocks = [], []
-    for node in sorted(payloads):
-        nrows = manifest.node_coeffs[node]
-        for j in range(nrows.shape[0]):
-            rows.append(nrows[j])
-            blocks.append(payloads[node].blocks[j])
-    sol = field.solve_any(np.stack(rows).T, _unit_row(params.m, index))
+    rows = verified_rows(k_v, manifest, payloads)
+    sol = field.solve_any(rows[:, params.n:].T, _unit_row(params.m, index))
     if sol is None:
         raise RuntimeError(f"source block {index} is not expressible")
-    return combine_blocks(blocks, sol)
+    return combine_blocks(sol, rows)
 
 
 def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],

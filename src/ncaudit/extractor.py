@@ -18,7 +18,7 @@ import numpy as np
 
 from . import field, ncrypt
 from .audit import Challenge, Proof, aggregate_coeffs, verify_block
-from .blocks import CodedBlock, FileManifest
+from .blocks import FileManifest
 
 
 class ExtractionError(RuntimeError):
@@ -31,8 +31,8 @@ ProofOracle = Callable[[Challenge], Optional[Proof]]
 
 @dataclass
 class ExtractionReport:
-    blocks: List[CodedBlock]
-    tags: List[np.ndarray]
+    blocks: np.ndarray  # (M, n+m), row j the node's block j
+    tags: np.ndarray    # (M, ell)
     queries: int
     discarded: int  # answers that failed tag verification
 
@@ -52,12 +52,11 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     M = rows.shape[0]
     if equations is None:
         equations = M
-    n, m = params.n, params.m
+    n = params.n
     fid = manifest.file_id.encode()
 
     solved_alphas: List[np.ndarray] = []
-    solved_vecs: List[np.ndarray] = []
-    solved_tags: List[np.ndarray] = []
+    solved_answers: List[np.ndarray] = []  # n data symbols, then ell tag symbols
     queries = discarded = 0
     budget = extra_budget * equations
 
@@ -65,7 +64,7 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
         alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
         if not alphas.any():
             continue
-        basis = np.stack(solved_alphas + [alphas]) if solved_alphas else alphas[None]
+        basis = np.stack(solved_alphas + [alphas])
         if field.matrix_rank(basis) < basis.shape[0]:
             continue  # dependent on earlier equations
 
@@ -83,39 +82,29 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
             full = np.concatenate([ncrypt.dec(k_e, fid, proof.ciphertext, aux),
                                    proof.pad, aggregate_coeffs(manifest, chal)])
             tag = proof.tag
-            if not verify_block(k_v, manifest, CodedBlock(full, n, m), tag):
+            if not verify_block(k_v, manifest, full, tag):
                 discarded += 1
                 continue
-            inv = field.inv(c)
-            votes[(field.vec_scale(inv, full[:n]).tobytes(),
-                   field.vec_scale(inv, tag).tobytes())] += 1
+            answer = np.concatenate([full[:n], tag])
+            votes[field.vec_scale(field.inv(c), answer).tobytes()] += 1
         if votes:
             (win, count), = votes.most_common(1)
             if count * 2 > sum(votes.values()):
                 solved_alphas.append(alphas)
-                vec = np.concatenate([
-                    np.frombuffer(win[0], dtype=np.uint8),
-                    field.combine_rows(alphas, rows)])
-                solved_vecs.append(vec)
-                solved_tags.append(np.frombuffer(win[1], dtype=np.uint8).copy())
+                solved_answers.append(np.frombuffer(win, dtype=np.uint8))
                 continue
         budget -= 1
         if budget < 0:
             raise ExtractionError("vote budget exhausted")
 
-    A = np.stack(solved_alphas)            # (equations, M)
-    V = np.stack(solved_vecs)              # (equations, n+m)
-    T = np.stack(solved_tags)              # (equations, ell)
-    res = field.gaussian_solve(A, np.concatenate([V, T], axis=1))
+    # a unique solution's coefficient part is the manifest's rows, since
+    # each equation's coefficient part is alphas times those rows
+    res = field.gaussian_solve(np.stack(solved_alphas), np.stack(solved_answers))
     if res.status != "unique":
         raise ExtractionError(f"equation system {res.status}")
-    sol = res.solution
-    blocks, tags = [], []
-    for j in range(M):
-        block = CodedBlock(sol[j, : n + m].astype(np.uint8), n, m)
-        tag = sol[j, n + m:].astype(np.uint8)
-        if not verify_block(k_v, manifest, block, tag):
-            raise ExtractionError(f"recovered block {j} fails verification")
-        blocks.append(block)
-        tags.append(tag)
+    blocks = np.concatenate([res.solution[:, :n], rows], axis=1)
+    tags = res.solution[:, n:]
+    bad = np.flatnonzero(~verify_block(k_v, manifest, blocks, tags))
+    if bad.size:
+        raise ExtractionError(f"recovered block {bad[0]} fails verification")
     return ExtractionReport(blocks, tags, queries, discarded)

@@ -44,10 +44,12 @@ class Ciphertext:
 
     @classmethod
     def from_bytes(cls, raw: bytes, n: int, ell: int, lambda_bits: int) -> "Ciphertext":
+        """Parse the wire format; ValueError unless raw has exactly the
+        length n, ell and lambda_bits imply."""
         width = n - 2
         nb = lambda_bits // 8
-        if len(raw) < width + nb + ell:
-            raise ValueError("short ciphertext")
+        if len(raw) != width + nb + ell:
+            raise ValueError(f"ciphertext needs {width + nb + ell} bytes, got {len(raw)}")
         c_bar = np.frombuffer(raw[:width], dtype=np.uint8).copy()
         nonce = raw[width: width + nb]
         p = np.frombuffer(raw[width + nb: width + nb + ell], dtype=np.uint8).copy()

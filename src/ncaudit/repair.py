@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import field
-from .audit import NodePayload, taggen
+from .audit import NodePayload
 from .blocks import CodedBlock, FileManifest, combine_blocks
 
 
@@ -39,12 +39,8 @@ class RepairPlan:
 
 def _sent_rows(manifest: FileManifest, helpers: List[int],
                gamma: Dict[int, np.ndarray]) -> np.ndarray:
-    return np.stack([field.combine_rows(g, manifest.node_coeffs[h])
-                     for h in helpers for g in gamma[h]])
-
-
-def _stack_helper_rows(manifest: FileManifest, helpers: List[int]) -> np.ndarray:
-    return np.concatenate([manifest.node_coeffs[h] for h in helpers], axis=0)
+    return np.concatenate([combine_blocks(gamma[h], manifest.node_coeffs[h])
+                           for h in helpers])
 
 
 def plan_exact_repair(manifest: FileManifest, failed: int,
@@ -59,9 +55,8 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
     """
     params = manifest.params
     target = manifest.node_coeffs[failed]
-    M, m = target.shape
     Q = per_helper if per_helper is not None else params.Q
-    stacked = _stack_helper_rows(manifest, helpers)
+    stacked = np.concatenate([manifest.node_coeffs[h] for h in helpers])
     need = field.matrix_rank(np.concatenate([stacked, target], axis=0))
     if field.matrix_rank(stacked) < need:
         raise PlanningError("helpers do not span the failed node's rows")
@@ -97,40 +92,23 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
 
 
 def _plan_unit(manifest, failed, helpers, Q) -> Optional[RepairPlan]:
+    """Direct copies: each target row from the first equal helper row not
+    yet picked, at most Q per helper."""
     target = manifest.node_coeffs[failed]
     picks: List[Tuple[int, int]] = []  # (helper, local block index) per target row
-    used: Dict[int, int] = {h: 0 for h in helpers}
     for row in target:
-        hit = None
-        for h in helpers:
-            rows = manifest.node_coeffs[h]
-            for j in range(rows.shape[0]):
-                if used[h] < Q and np.array_equal(rows[j], row) \
-                        and (h, j) not in picks:
-                    hit = (h, j)
-                    break
-            if hit:
-                break
+        hit = next(((h, j) for h in helpers if sum(p[0] == h for p in picks) < Q
+                    for j, stored in enumerate(manifest.node_coeffs[h])
+                    if (h, j) not in picks and np.array_equal(stored, row)), None)
         if hit is None:
             return None
         picks.append(hit)
-        used[hit[0]] += 1
-    gamma = {}
-    order = []
-    for h in helpers:
-        mine = [j for (hh, j) in picks if hh == h]
-        if not mine:
-            continue
-        g = np.zeros((len(mine), manifest.node_coeffs[h].shape[0]), dtype=np.uint8)
-        for q, j in enumerate(mine):
-            g[q, j] = 1
-        gamma[h] = g
-        order.extend((h, j) for j in mine)
-    theta = np.zeros((target.shape[0], len(order)), dtype=np.uint8)
-    for row_i, pick in enumerate(picks):
-        theta[row_i, order.index(pick)] = 1
-    return RepairPlan(failed, [h for h in helpers if h in gamma],
-                      gamma, theta, target.copy())
+    used = [h for h in helpers if any(p[0] == h for p in picks)]
+    order = [p for h in used for p in picks if p[0] == h]  # blocks as received
+    eye = {h: np.eye(len(manifest.node_coeffs[h]), dtype=np.uint8) for h in used}
+    gamma = {h: eye[h][[j for g, j in order if g == h]] for h in used}
+    theta = np.eye(len(order), dtype=np.uint8)[[order.index(p) for p in picks]]
+    return RepairPlan(failed, used, gamma, theta, target.copy())
 
 
 def _solve_theta(manifest, failed, helpers, gamma, target) -> Optional[RepairPlan]:
@@ -154,45 +132,44 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
                                  dtype=np.uint8) for h in helpers}
         sent = _sent_rows(manifest, helpers, gamma)
         theta = rng.integers(0, 256, size=(M, sent.shape[0]), dtype=np.uint8)
-        new_rows = np.stack([field.combine_rows(theta[j], sent) for j in range(M)])
+        new_rows = combine_blocks(theta, sent)
         if field.matrix_rank(np.concatenate([others, new_rows], axis=0)) == m:
-            return RepairPlan(failed, list(helpers), gamma, theta,
-                              new_rows.astype(np.uint8))
+            return RepairPlan(failed, list(helpers), gamma, theta, new_rows)
     raise PlanningError("no functional repair keeps the file decodable")
 
 
 @dataclass
 class RepairShipment:
-    """One helper's contribution: combined blocks with combined tags."""
+    """One helper's contribution: its gamma rows times its stored block
+    and tag matrices."""
     helper: int
-    blocks: List[CodedBlock]
-    tags: List[np.ndarray]
+    rows: np.ndarray  # (Q, n+m) combined blocks
+    tags: np.ndarray  # (Q, ell) their tags
+    n: int
+
+    @property
+    def blocks(self) -> List[CodedBlock]:
+        """The combined blocks one by one."""
+        m = self.rows.shape[1] - self.n
+        return [CodedBlock(row, self.n, m) for row in self.rows]
 
 
 def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray,
                        helper: int) -> RepairShipment:
-    blocks, tags = [], []
-    tag_mat = np.stack([np.asarray(t, dtype=np.uint8) for t in payload.tags])
-    for q in range(gamma_rows.shape[0]):
-        blocks.append(combine_blocks(payload.blocks, gamma_rows[q]))
-        tags.append(taggen(gamma_rows[q], tag_mat))
-    return RepairShipment(helper, blocks, tags)
+    # the mask basis rows span the n-2 unpadded data symbols
+    n = payload.aux.width + 2
+    return RepairShipment(helper, combine_blocks(gamma_rows, payload.blocks),
+                          combine_blocks(gamma_rows, payload.tags), n)
 
 
 def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment],
-                     ) -> Tuple[List[CodedBlock], List[np.ndarray]]:
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """The new node's (M, n+m) blocks and (M, ell) tags: theta times the
+    received rows, in plan.helpers order."""
     by_helper = {s.helper: s for s in shipments}
-    recv_blocks: List[CodedBlock] = []
-    recv_tags: List[np.ndarray] = []
-    for h in plan.helpers:
-        recv_blocks.extend(by_helper[h].blocks)
-        recv_tags.extend(by_helper[h].tags)
-    tag_mat = np.stack(recv_tags)
-    blocks, tags = [], []
-    for j in range(plan.theta.shape[0]):
-        blocks.append(combine_blocks(recv_blocks, plan.theta[j]))
-        tags.append(taggen(plan.theta[j], tag_mat))
-    return blocks, tags
+    received = [by_helper[h] for h in plan.helpers]
+    return (combine_blocks(plan.theta, np.concatenate([s.rows for s in received])),
+            combine_blocks(plan.theta, np.concatenate([s.tags for s in received])))
 
 
 def refresh_manifest(manifest: FileManifest, plan: RepairPlan) -> None:
@@ -217,8 +194,7 @@ def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
         raise ValueError(f"unknown repair mode {mode!r}")
     shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h)
                  for h in plan.helpers]
-    blocks, tags = reconstruct_node(plan, shipments)
     old = payloads[failed]
-    payloads[failed] = NodePayload(blocks, tags, old.aux, old.k_e)
+    payloads[failed] = NodePayload(*reconstruct_node(plan, shipments), old.aux, old.k_e)
     refresh_manifest(manifest, plan)
     return plan, shipments

@@ -1,10 +1,11 @@
-"""Homomorphic MAC over coded blocks: Mac and Combine.
+"""Homomorphic MAC over coded blocks.
 
 A tag is the dot product of the full (n+m)-symbol block vector with a
 secret PRF-derived vector.  Tags of linear combinations are the same
-linear combinations of tags, which is what lets storage nodes maintain
-valid tags without the verification key.  ell parallel tags (independent
-key indices) push the forgery bound from 1/q down to 1/q^ell.
+linear combinations of tags (blocks.combine_blocks on tag rows), which is
+what lets storage nodes maintain valid tags without the verification key.
+ell parallel tags (independent key indices) push the forgery bound from
+1/q down to 1/q^ell.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from . import field, prf
-from .blocks import CodedBlock
+from . import prf
+from .blocks import combine_blocks
 
 # (mode, key, file_id, key_index) -> longest r-vector derived so far.
 # Entries are only ever extended, never mutated, so concurrent readers are safe.
@@ -37,18 +38,10 @@ def clear_cache():
     _r_cache.clear()
 
 
-def mac(k_v: bytes, file_id: bytes, block: CodedBlock, ell: int = 1) -> np.ndarray:
-    """ell tags for a block; tag j is dot(block, r_j).  A tag is verified by
-    recomputing it (audit.verify_block)."""
-    length = block.n + block.m
-    rs = np.stack([r_vector(k_v, file_id, length, j + 1) for j in range(ell)])
-    return field.matvec(rs, block.vec)
-
-
-def combine_tag_arrays(tags: np.ndarray, alphas) -> np.ndarray:
-    """Tag of the alpha-combination; tags is (k, ell), alphas length k."""
-    alphas = field.vec(alphas)
-    tags = np.atleast_2d(np.asarray(tags, dtype=np.uint8))
-    if tags.shape[0] != alphas.shape[0]:
-        raise ValueError("tag count mismatch")
-    return field.combine_rows(alphas, tags)
+def mac(k_v: bytes, file_id: bytes, rows: np.ndarray, ell: int = 1) -> np.ndarray:
+    """ell tags for an (n+m,) block, or an (ell,) tag row per row of a
+    (k, n+m) block matrix; tag j is the dot product with r_j.  A tag is
+    verified by recomputing it (audit.verify_block)."""
+    length = rows.shape[-1]
+    rs = np.stack([r_vector(k_v, file_id, length, j + 1) for j in range(ell)], axis=1)
+    return combine_blocks(rows, rs)

@@ -10,7 +10,7 @@ import pytest
 
 from ncaudit import (audit, blocks, dynamics, extractor, field, ncrypt,
                      repair, spacemac)
-from ncaudit.blocks import CodedBlock, SystemParams, decode_file
+from ncaudit.blocks import SystemParams, decode_file
 from ncaudit.cli import bench_store
 from ncaudit.cluster import EVENODD4, Fault, spawn_cluster
 
@@ -29,12 +29,11 @@ def test_criterion_01_homomorphic_correctness():
     t0 = time.perf_counter()
     for trial in range(1000):
         k = int(rng.integers(2, 6))
-        blks = [CodedBlock(rng.integers(0, 256, 72, dtype=np.uint8), 64, 8)
-                for _ in range(k)]
-        tags = np.stack([spacemac.mac(k_v, fid, b, ell=2) for b in blks])
+        rows = rng.integers(0, 256, (k, 72), dtype=np.uint8)
+        tags = spacemac.mac(k_v, fid, rows, ell=2)
         alphas = rng.integers(0, 256, k, dtype=np.uint8)
-        combined = blocks.combine_blocks(blks, alphas)
-        t = spacemac.combine_tag_arrays(tags, alphas)
+        combined = blocks.combine_blocks(alphas, rows)
+        t = blocks.combine_blocks(alphas, tags)
         assert np.array_equal(spacemac.mac(k_v, fid, combined, ell=2), t)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5
@@ -100,10 +99,10 @@ def _detection_batch(params, keys, manifest, payloads, trials, rng):
         target = live[int(rng.integers(len(live)))]
         pos = int(rng.integers(params.n))
         delta = int(rng.integers(1, 256))
-        p.blocks[target].vec[pos] ^= delta       # corrupt one symbol
+        p.blocks[target, pos] ^= delta           # corrupt one symbol
         proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
                                    rng, params)
-        p.blocks[target].vec[pos] ^= delta       # restore
+        p.blocks[target, pos] ^= delta           # restore
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         accepts += ok
     return accepts
@@ -184,9 +183,8 @@ def test_criterion_06_repair():
     before_blocks, before_tags = c.snapshot_node(3)
     c.fail_and_repair(3, "exact")
     after = c.nodes[3].payload
-    assert all(np.array_equal(a.vec, b.vec)
-               for a, b in zip(before_blocks, after.blocks))
-    assert all(np.array_equal(a, b) for a, b in zip(before_tags, after.tags))
+    assert np.array_equal(np.stack([b.vec for b in before_blocks]), after.blocks)
+    assert np.array_equal(np.stack(before_tags), after.tags)
     assert c.user.ledger.sent["data_block_bytes"] == 0
     assert c.user.ledger.received["data_block_bytes"] == 0
     assert all(c.run_audit_round(node, 2)[0]
@@ -288,8 +286,7 @@ def test_criterion_10_retrievability():
                 np.random.default_rng(10_000 + trial), rounds=15)
         except extractor.ExtractionError:
             continue
-        if not all(np.array_equal(a.vec, b.vec)
-                   for a, b in zip(report.blocks, p.blocks)):
+        if not np.array_equal(report.blocks, p.blocks):
             continue
         if decode_file(report.blocks, c.manifest) != data:
             continue
@@ -310,10 +307,10 @@ def test_criterion_11_dynamics():
                           lambda_bits=80)
     c = spawn_cluster(params, "evenodd4", bytes(range(56)), seed=1111)
     payloads = {i: c.nodes[i].payload for i in c.nodes}
-    node0_tags = [t.copy() for t in payloads[0].tags]
-    b = {j: payloads[0].blocks[j].vec[:16].copy() for j in (0, 1)}
-    b[2] = payloads[1].blocks[0].vec[:16].copy()
-    b[3] = payloads[1].blocks[1].vec[:16].copy()
+    node0_tags = payloads[0].tags.copy()
+    b = {j: payloads[0].blocks[j, :16].copy() for j in (0, 1)}
+    b[2] = payloads[1].blocks[0, :16].copy()
+    b[3] = payloads[1].blocks[1, :16].copy()
 
     mixes = np.array([[1, 0, 0, 1, 0],    # (b2+b3) + b2       = b3
                       [0, 1, 0, 1, 0],    # (b1+b2+b4) + b2    = b1+b4
@@ -324,10 +321,9 @@ def test_criterion_11_dynamics():
                           placements={1: None, 2: None, 3: mixes},
                           donations=[(0, 0, 3), (0, 1, 3)],
                           retire={3: [0, 1, 2, 3]})
-    assert all(np.array_equal(a, t)
-               for a, t in zip(node0_tags, payloads[0].tags))
-    b5 = payloads[1].blocks[-1].vec[:16]
-    got = [blk.vec[:16] for blk in payloads[3].blocks]
+    assert np.array_equal(node0_tags, payloads[0].tags)
+    b5 = payloads[1].blocks[-1, :16]
+    got = payloads[3].blocks[:, :16]
     assert np.array_equal(got[0], b[2])            # b3
     assert np.array_equal(got[1], b[0] ^ b[3])     # b1+b4
     assert np.array_equal(got[2], b[1] ^ b5)       # b2+b5
@@ -364,7 +360,7 @@ def test_criterion_11_dynamics():
                                 b"mid", rng)
     dynamics.delete_block(c2.manifest, payloads2, c2.user.keys, res.index, rng)
     expect = bytes(range(14)) + b"updated" + bytes(range(28, 56))
-    fresh = [b for i in live for b in payloads2[i].blocks]  # skip stale node
+    fresh = np.concatenate([payloads2[i].blocks for i in live])  # skip stale node
     assert decode_file(fresh, c2.manifest) == expect
     _report("11 dynamics",
             "append layout exact with old tags bit-identical; update "
@@ -383,9 +379,8 @@ def test_criterion_12_two_node_fault_tolerance():
     patterns = list(itertools.combinations(range(4), 2))
     for dead in patterns:
         keep = [n for n in range(4) if n not in dead]
-        blks = [b for n in keep for b in c.nodes[n].payload.blocks]
-        rows = np.stack([b.coeffs for b in blks])
-        assert field.matrix_rank(rows) == 4
-        assert decode_file(blks, c.manifest) == data
+        rows = np.concatenate([c.nodes[n].payload.blocks for n in keep])
+        assert field.matrix_rank(rows[:, params.n:]) == 4
+        assert decode_file(rows, c.manifest) == data
     _report("12 two-node fault tolerance",
             f"all {len(patterns)} failure patterns decodable")

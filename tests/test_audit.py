@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ncaudit import audit, field, ncrypt
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
-from ncaudit.cluster import EVENODD4
+from ncaudit.cluster import EVENODD4, Fault, Node
 
 PARAMS = SystemParams(n=32, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 
@@ -32,7 +32,7 @@ def test_honest_round_accepts(system, rng):
 def test_corrupted_block_rejected(system, rng):
     keys, manifest, payloads = system
     p = payloads[1]
-    p.blocks[0].vec[3] ^= 0x40
+    p.blocks[0, 3] ^= 0x40
     rejections = 0
     for _ in range(50):
         chal = Challenge(manifest.file_id, [(0, int(rng.integers(1, 256))),
@@ -57,18 +57,26 @@ def test_wrong_coefficients_rejected(system, rng):
     assert not ok
 
 
-def test_gen_proof_strict_missing_block(system, rng):
+def test_gen_proof_deleted_block_rejected(system, rng):
+    # a lost block is answered with the uniform junk the fault leaves behind
+    keys, manifest, payloads = system
+    node = Node(0, payloads[0], PARAMS, rng)
+    node.apply_fault(Fault("delete_block", block=1))
+    rejected = 0
+    for _ in range(20):
+        chal = Challenge(manifest.file_id, [(0, 5), (1, int(rng.integers(1, 256)))], 0)
+        proof, _ = node.answer(chal)
+        rejected += not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
+    assert rejected == 20
+
+
+@pytest.mark.parametrize("index", [2, 99, -1])
+def test_gen_proof_rejects_index_outside_store(system, rng, index):
     keys, manifest, payloads = system
     p = payloads[0]
-    p.blocks[1] = None
-    chal = Challenge(manifest.file_id, [(0, 5), (1, 7)], 0)
-    with pytest.raises(audit.MissingBlockError):
+    chal = Challenge(manifest.file_id, [(0, 5), (index, 7)], 0)
+    with pytest.raises(ValueError, match="outside a store of 2 blocks"):
         audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux, rng, PARAMS)
-    # lenient mode substitutes a random block instead
-    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                               rng, PARAMS, strict=False)
-    ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
-    assert not ok
 
 
 def test_challenge_wire_roundtrip():
@@ -123,7 +131,7 @@ def test_proof_privacy(system, rng):
     keys, manifest, payloads = system
     p = payloads[0]
     chal = Challenge(manifest.file_id, [(0, 9)], 0)
-    plain = field.vec_scale(9, p.blocks[0].vec[: PARAMS.n - 2])
+    plain = field.vec_scale(9, p.blocks[0, : PARAMS.n - 2])
     proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
                                rng, PARAMS)
     assert not np.array_equal(proof.ciphertext.c_bar, plain)
@@ -147,11 +155,11 @@ def test_full_node_audit_catches_every_corruption(rng):
     for _ in range(2000):
         block, pos = int(rng.integers(2)), int(rng.integers(params.n))
         delta = int(rng.integers(1, 256))
-        p.blocks[block].vec[pos] ^= delta
+        p.blocks[block, pos] ^= delta
         chal = audit.gen_challenge(manifest, 2, 2, rng)
         proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
                                    rng, params)
-        p.blocks[block].vec[pos] ^= delta
+        p.blocks[block, pos] ^= delta
         assert not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
 
 

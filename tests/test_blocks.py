@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncaudit import blocks
-from ncaudit.blocks import CodedBlock, FileManifest, SystemParams
+from ncaudit.blocks import FileManifest, SystemParams
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
 
@@ -18,22 +21,17 @@ def test_params_validation():
 
 
 def test_source_block_shape(rng):
-    blks, residual, lengths = blocks.make_source_blocks(b"x" * 30, PARAMS, rng)
-    assert len(blks) == 4
+    rows, residual, lengths = blocks.make_source_blocks(b"x" * 30, PARAMS, rng)
+    assert rows.shape == (4, 20) and rows.dtype == np.uint8
     assert lengths == [14, 14, 2, 0]
     assert residual == 2
-    for i, b in enumerate(blks):
-        # unit coefficient in slot i, data then two padding symbols
-        expect = np.zeros(4, dtype=np.uint8)
-        expect[i] = 1
-        assert np.array_equal(b.coeffs, expect)
-        assert b.vec.shape == (20,)
+    # unit coefficient in slot i, data then two padding symbols
+    assert np.array_equal(rows[:, 16:], np.eye(4, dtype=np.uint8))
 
 
 def test_padding_is_random_not_zero(rng):
-    blks, _, _ = blocks.make_source_blocks(b"", PARAMS, rng)
-    pads = np.concatenate([b.data[-2:] for b in blks])
-    assert pads.any()
+    rows, _, _ = blocks.make_source_blocks(b"", PARAMS, rng)
+    assert rows[:, 14:16].any()
 
 
 def test_file_too_long(rng):
@@ -41,33 +39,22 @@ def test_file_too_long(rng):
         blocks.make_source_blocks(b"y" * (4 * 14 + 1), PARAMS, rng)
 
 
-def test_block_file_roundtrip(rng):
-    b = CodedBlock(rng.integers(0, 256, 20, dtype=np.uint8), 16, 4)
-    raw = b.to_bytes()
-    assert raw[:4] == b"NCAB" and raw[4] == 1
-    assert int.from_bytes(raw[5:9], "big") == 16
-    assert int.from_bytes(raw[9:13], "big") == 4
-    back = CodedBlock.from_bytes(raw)
-    assert np.array_equal(back.vec, b.vec)
-    assert (back.n, back.m) == (16, 4)
-
-
-def test_block_file_rejects_bad_magic(rng):
-    raw = CodedBlock(rng.integers(0, 256, 20, dtype=np.uint8), 16, 4).to_bytes()
-    with pytest.raises(ValueError):
-        CodedBlock.from_bytes(b"XXXX" + raw[4:])
-
-
 def test_combine_is_linear(rng):
-    blks, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
+    rows, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
     alphas = rng.integers(0, 256, 4, dtype=np.uint8)
-    combined = blocks.combine_blocks(blks, alphas)
-    assert np.array_equal(combined.coeffs, alphas)
+    combined = blocks.combine_blocks(alphas, rows)
+    assert np.array_equal(combined[16:], alphas)
+    # a (k, r) coefficient matrix gives one combination per row
+    mix = rng.integers(0, 256, (3, 4), dtype=np.uint8)
+    many = blocks.combine_blocks(mix, rows)
+    assert many.shape == (3, 20)
+    for j in range(3):
+        assert np.array_equal(many[j], blocks.combine_blocks(mix[j], rows))
 
 
 def test_decode_roundtrip(rng):
     data = bytes(range(50))
-    blks, residual, lengths = blocks.make_source_blocks(data, PARAMS, rng)
+    rows, residual, lengths = blocks.make_source_blocks(data, PARAMS, rng)
     manifest = FileManifest(
         file_id="f", params=PARAMS, residual_len=residual,
         block_lengths=lengths,
@@ -79,14 +66,13 @@ def test_decode_roundtrip(rng):
         from ncaudit import field
         if field.matrix_rank(mix) == 4:
             break
-    coded = [blocks.combine_blocks(blks, mix[i]) for i in range(4)]
-    assert blocks.decode_file(coded, manifest) == data
+    assert blocks.decode_file(blocks.combine_blocks(mix, rows), manifest) == data
 
 
 def test_decode_insufficient_rank(rng):
-    blks, _, _ = blocks.make_source_blocks(b"abc", PARAMS, rng)
+    rows, _, _ = blocks.make_source_blocks(b"abc", PARAMS, rng)
     with pytest.raises(blocks.UndecodableError):
-        blocks.decode_source_data(blks[:3], 4)
+        blocks.decode_source_data(rows[:3], 4)
 
 
 def test_manifest_json_roundtrip(rng):
@@ -109,8 +95,88 @@ def test_manifest_json_roundtrip(rng):
 
 
 def test_decode_reports_inconsistent_blocks(rng):
-    blks, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
-    bad = blks[0].copy()
-    bad.vec[3] ^= 1
+    rows, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
+    bad = rows[0].copy()
+    bad[3] ^= 1
     with pytest.raises(blocks.UndecodableError, match="inconsistent"):
-        blocks.decode_source_data(blks + [bad], 4)
+        blocks.decode_source_data(np.vstack([rows, bad]), 4)
+
+
+def _manifest_doc(rng):
+    manifest = FileManifest(
+        file_id="demo", params=PARAMS, residual_len=3,
+        block_lengths=[14, 14, 14, 3],
+        node_coeffs={0: rng.integers(0, 256, (2, 4), dtype=np.uint8)},
+        logical_order=[0, 1, 2, 3],
+        deltas={1: np.array([7], dtype=np.uint8)})
+    return json.loads(manifest.to_json())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.clear(),                                   # every key missing
+    lambda d: d.pop("node_coeffs"),
+    lambda d: d.update(file_id=3),
+    lambda d: d.update(residual_len="3"),
+    lambda d: d.update(params=[16, 4]),
+    lambda d: d["params"].update(n="16"),
+    lambda d: d["params"].update(extra=1),
+    lambda d: d.update(block_lengths=[14, 14]),
+    lambda d: d.update(block_lengths=[14, 14, 14, 15]),
+    lambda d: d.update(logical_order=[0, 1, 2, 4]),
+    lambda d: d.update(node_coeffs=[[1, 0, 0, 0]]),
+    lambda d: d["node_coeffs"].update({"0": [[256, 0, 0, 0]]}),
+    lambda d: d["node_coeffs"].update({"0": [[-1, 0, 0, 0]]}),
+    lambda d: d["node_coeffs"].update({"0": [[1.5, 0, 0, 0]]}),
+    lambda d: d["node_coeffs"].update({"0": [[True, 0, 0, 0]]}),
+    lambda d: d["node_coeffs"].update({"0": [[1, 0, 0]]}),
+    lambda d: d["node_coeffs"].update({"0": [[1, 0, 0, 0], [1]]}),
+    lambda d: d["node_coeffs"].update({"x": [[1, 0, 0, 0]]}),
+    lambda d: d["deltas"].update({"1": [7, 7]}),
+    lambda d: d["deltas"].update({"9": [7]}),
+])
+def test_manifest_rejects_malformed(rng, edit):
+    doc = _manifest_doc(rng)
+    edit(doc)
+    with pytest.raises(ValueError):
+        FileManifest.from_json(json.dumps(doc))
+
+
+def test_manifest_rejects_non_object():
+    for text in ("[]", "3", '"manifest"', "{", ""):
+        with pytest.raises(ValueError):
+            FileManifest.from_json(text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-300, 2**70) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["file_id", "params", "residual_len", "block_lengths",
+                        "node_coeffs", "logical_order", "deltas"]),
+       _json_values)
+def test_manifest_parser_raises_only_value_error(key, value):
+    doc = _manifest_doc(np.random.default_rng(0))
+    doc[key] = value
+    try:
+        FileManifest.from_json(json.dumps(doc))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 255), min_size=8, max_size=8),
+       st.lists(st.integers(0, 255), min_size=1, max_size=1),
+       st.permutations(range(4)))
+def test_manifest_roundtrip_any(coeffs, delta, order):
+    manifest = FileManifest(
+        file_id="f", params=PARAMS, residual_len=1, block_lengths=[14, 0, 3, 1],
+        node_coeffs={2: np.array(coeffs, dtype=np.uint8).reshape(2, 4)},
+        logical_order=list(order), deltas={3: np.array(delta, dtype=np.uint8)})
+    back = FileManifest.from_json(manifest.to_json())
+    assert back.to_json() == manifest.to_json()
+    assert back.node_coeffs[2].dtype == np.uint8

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ncaudit.cli import main
+from ncaudit.cli import _load_store, _save_store, main
 
 
 @pytest.fixture
@@ -23,9 +25,10 @@ def test_setup_writes_layout(store):
     assert (store / "aux.bin").exists()
     for node in range(4):
         ndir = store / "nodes" / f"node{node}"
-        assert (ndir / "block0.ncab").exists()
-        assert (ndir / "block1.ncab").exists()
-        assert (ndir / "tags.bin").exists()
+        assert sorted(p.name for p in ndir.iterdir()) == ["blocks.bin", "tags.bin"]
+        # evenodd4: two blocks of n + m = 68 symbols, two tags of ell = 2
+        assert (ndir / "blocks.bin").stat().st_size == 2 * 68
+        assert (ndir / "tags.bin").stat().st_size == 2 * 2
 
 
 def test_setup_deterministic(store, tmp_path, monkeypatch):
@@ -33,7 +36,7 @@ def test_setup_deterministic(store, tmp_path, monkeypatch):
     rc = main(["setup", "--file", str(tmp_path / "input.bin"),
                "--out", str(out2), "--n", "64", "--ell", "2"])
     assert rc == 0
-    for rel in ["manifest.json", "nodes/node2/block1.ncab"]:
+    for rel in ["manifest.json", "nodes/node2/blocks.bin", "nodes/node2/tags.bin"]:
         assert (store / rel).read_bytes() == (out2 / rel).read_bytes()
 
 
@@ -127,3 +130,57 @@ def test_random_layout_store_audits(tmp_path):
                  "--seed", "7"]) == 0
     assert main(["audit", "--dir", str(out), "--node", "1", "--count", "3",
                  "--rounds", "3", "--seed", "8"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--node", "9"],
+    ["corrupt", "--node", "9"],
+    ["repair", "--node", "9"],
+    ["extract", "--node", "9"],
+    ["corrupt", "--node", "1", "--block", "5"],
+    ["corrupt", "--node", "1", "--position", "99999"],
+    ["corrupt", "--node", "1", "--position", "-1"],
+    ["corrupt", "--node", "1", "--delta", "256"],
+])
+def test_out_of_range_ids_are_usage_errors(store, argv, capsys):
+    before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    assert main([argv[0], "--dir", str(store), *argv[1:]]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+
+
+def test_node_files_roundtrip(store, tmp_path):
+    manifest, keys, payloads = _load_store(store)
+    assert payloads[3].blocks.shape == (2, 68) and payloads[3].tags.shape == (2, 2)
+    copy = tmp_path / "copy"
+    _save_store(copy, manifest, keys, payloads)
+    for rel in ["nodes/node3/blocks.bin", "nodes/node3/tags.bin", "manifest.json"]:
+        assert (copy / rel).read_bytes() == (store / rel).read_bytes()
+
+
+def test_corrupt_rewrites_one_symbol(store):
+    path = store / "nodes" / "node1" / "blocks.bin"
+    before = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 68)
+    assert main(["corrupt", "--dir", str(store), "--node", "1", "--block", "1",
+                 "--position", "66", "--delta", "9"]) == 0
+    after = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 68)
+    assert [tuple(ix) for ix in np.argwhere(before != after)] == [(1, 66)]
+    assert after[1, 66] == before[1, 66] ^ 9
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["blocks.bin", "tags.bin"]), st.integers(0, 300))
+def test_node_file_of_wrong_length_is_rejected(store, name, length):
+    path = store / "nodes" / "node0" / name
+    good = path.read_bytes()
+    path.write_bytes(bytes(length))
+    try:
+        if length == len(good):
+            _load_store(store)
+        else:
+            with pytest.raises(ValueError, match="the manifest implies"):
+                _load_store(store)
+            assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
+    finally:
+        path.write_bytes(good)

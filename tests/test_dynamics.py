@@ -3,7 +3,7 @@ import pytest
 
 from ncaudit import dynamics
 from ncaudit.blocks import SystemParams
-from ncaudit.cluster import spawn_cluster
+from ncaudit.cluster import Fault, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 DATA = bytes(range(56))  # 4 blocks of 14
@@ -24,12 +24,11 @@ def _audit_all(cluster):
 
 def test_append_leaves_old_tags_alone(cluster, rng):
     payloads = _payloads(cluster)
-    before = {i: [t.copy() for t in payloads[i].tags] for i in payloads}
+    before = {i: payloads[i].tags.copy() for i in payloads}
     dynamics.append_block(cluster.manifest, payloads, cluster.user.keys,
                           b"appended", rng, placements={1: None, 2: None})
     for i in (0, 3):  # untouched nodes: tags bit-identical
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(before[i], payloads[i].tags))
+        assert np.array_equal(before[i], payloads[i].tags)
     assert _audit_all(cluster)
     assert cluster.decode_current_file() == DATA + b"appended"
 
@@ -51,7 +50,7 @@ def test_append_with_donation(cluster, rng):
                           b"dn", rng, placements={0: None},
                           donations=[(1, 0, 3)])
     # node 3 now also holds node 1's first block, with its original tag
-    assert np.array_equal(payloads[3].blocks[-1].vec, payloads[1].blocks[0].vec)
+    assert np.array_equal(payloads[3].blocks[-1], payloads[1].blocks[0])
     assert _audit_all(cluster)
 
 
@@ -111,3 +110,43 @@ def test_insert_delete_roundtrip(cluster, rng):
                           res.index, rng)
     assert cluster.decode_current_file() == DATA
     assert _audit_all(cluster)
+
+
+def test_update_does_not_spread_corruption(cluster, rng):
+    # the old block is rebuilt only from rows whose tags verify, so a
+    # corrupted copy cannot leak into the patch of every other node
+    cluster.inject_fault(0, Fault("corrupt_symbol", block=0, position=1, delta=3))
+    dynamics.update_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                          0, b"new-data", rng)
+    cluster.fail_and_repair(0, "exact")
+    assert _audit_all(cluster)
+    assert cluster.decode_current_file() == b"new-data" + DATA[14:]
+
+
+def test_store_stays_two_matrices(cluster, rng):
+    # setup, repair, append, update and a replay fault all keep each node's
+    # store as (M_i, n+m) blocks and (M_i, ell) tags in uint8
+    def check():
+        m = cluster.manifest.params.m
+        for i, node in cluster.nodes.items():
+            M = cluster.manifest.node_coeffs[i].shape[0]
+            assert node.payload.blocks.shape == (M, PARAMS.n + m)
+            assert node.payload.tags.shape == (M, PARAMS.ell)
+            assert node.payload.blocks.dtype == node.payload.tags.dtype == np.uint8
+
+    check()
+    cluster.fail_and_repair(1, "exact")
+    check()
+    mix = np.ones(3, dtype=np.uint8)
+    dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                          b"more", rng, placements={2: None, 3: mix},
+                          donations=[(0, 1, 2)], retire={2: [0]})
+    check()
+    dynamics.update_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                          4, b"again", rng)
+    check()
+    snap = cluster.snapshot_node(1)
+    cluster.fail_and_repair(1, "functional")
+    cluster.inject_fault(1, Fault("replay_old", snapshot=snap))
+    check()
+    assert cluster.decode_current_file() == DATA + b"again"

@@ -25,9 +25,8 @@ def _extract(cluster, node, seed, rounds=15):
 def test_extract_honest_node(cluster):
     report = _extract(cluster, 0, seed=1)
     p = cluster.nodes[0].payload
-    assert all(np.array_equal(a.vec, b.vec)
-               for a, b in zip(report.blocks, p.blocks))
-    assert all(np.array_equal(a, b) for a, b in zip(report.tags, p.tags))
+    assert np.array_equal(report.blocks, p.blocks)
+    assert np.array_equal(report.tags, p.tags)
     assert report.discarded == 0
 
 
@@ -35,8 +34,7 @@ def test_extract_lying_node(cluster):
     cluster.inject_fault(2, Fault("lie_probability", epsilon=0.2))
     report = _extract(cluster, 2, seed=2)
     p = cluster.nodes[2].payload
-    assert all(np.array_equal(a.vec, b.vec)
-               for a, b in zip(report.blocks, p.blocks))
+    assert np.array_equal(report.blocks, p.blocks)
     assert report.discarded > 0  # lies were seen and filtered
 
 
@@ -71,7 +69,8 @@ def test_extract_after_update():
                           np.random.default_rng(6))
     report = _extract(c, 0, seed=7)
     p = c.nodes[0].payload
-    assert all(np.array_equal(a.vec, b.vec) for a, b in zip(report.blocks, p.blocks))
-    assert all(np.array_equal(a, b) for a, b in zip(report.tags, p.tags))
+    assert np.array_equal(report.blocks, p.blocks)
+    assert np.array_equal(report.tags, p.tags)
     others = c.nodes[1].payload.blocks
-    assert decode_file(report.blocks + others, c.manifest) == b"new first block" + data[62:]
+    assert decode_file(np.vstack([report.blocks, others]),
+                       c.manifest) == b"new first block" + data[62:]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncaudit import field, ncrypt, spacemac
 from ncaudit.blocks import SystemParams
@@ -80,3 +81,22 @@ def test_ciphertext_wire_roundtrip(aux, rng):
     assert np.array_equal(back.c_bar, ct.c_bar)
     assert back.nonce == ct.nonce
     assert np.array_equal(back.p, ct.p)
+
+
+def test_ciphertext_rejects_truncated_and_trailing(aux, rng):
+    ct = ncrypt.enc(K_E, FID, rng.integers(0, 256, 14, dtype=np.uint8), aux, rng,
+                    PARAMS.lambda_bits)
+    raw = ct.to_bytes()
+    for bad in (raw[:-1], b"", raw + b"\x00"):
+        with pytest.raises(ValueError):
+            ncrypt.Ciphertext.from_bytes(bad, 16, 2, 80)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=60))
+def test_ciphertext_parser_raises_only_value_error(raw):
+    try:
+        ct = ncrypt.Ciphertext.from_bytes(raw, 16, 2, 80)
+    except ValueError:
+        return
+    assert ct.to_bytes() == raw  # anything accepted round-trips

@@ -28,10 +28,8 @@ def test_exact_repair_bit_for_bit(system, rng, failed):
     helpers = [h for h in range(4) if h != failed]
     plan = repair.plan_exact_repair(manifest, failed, helpers, rng)
     blocks, tags = _run_repair(manifest, payloads, plan)
-    for old, new in zip(payloads[failed].blocks, blocks):
-        assert np.array_equal(old.vec, new.vec)
-    for old, new in zip(payloads[failed].tags, tags):
-        assert np.array_equal(old, new)
+    assert np.array_equal(blocks, payloads[failed].blocks)
+    assert np.array_equal(tags, payloads[failed].tags)
 
 
 def test_repaired_tags_verify(system, rng):
@@ -39,8 +37,7 @@ def test_repaired_tags_verify(system, rng):
     plan = repair.plan_exact_repair(manifest, 3, [0, 1, 2], rng)
     blocks, tags = _run_repair(manifest, payloads, plan)
     fid = manifest.file_id.encode()
-    for b, t in zip(blocks, tags):
-        assert np.array_equal(spacemac.mac(keys.k_v, fid, b, PARAMS.ell), t)
+    assert np.array_equal(spacemac.mac(keys.k_v, fid, blocks, PARAMS.ell), tags)
 
 
 def test_exact_plan_respects_per_helper_budget(system, rng):
@@ -62,19 +59,17 @@ def test_functional_repair_keeps_decodability(system, rng):
     plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
     blocks, tags = _run_repair(manifest, payloads, plan)
     repair.refresh_manifest(manifest, plan)
-    assert np.array_equal(manifest.node_coeffs[1],
-                          np.stack([b.coeffs for b in blocks]))
+    assert np.array_equal(manifest.node_coeffs[1], blocks[:, PARAMS.n:])
     stacked = np.concatenate(list(manifest.node_coeffs.values()), axis=0)
     assert field.matrix_rank(stacked) == PARAMS.m
     fid = manifest.file_id.encode()
-    for b, t in zip(blocks, tags):
-        assert np.array_equal(spacemac.mac(keys.k_v, fid, b, PARAMS.ell), t)
+    assert np.array_equal(spacemac.mac(keys.k_v, fid, blocks, PARAMS.ell), tags)
 
 
 def test_replay_detected_after_functional_repair(system, rng):
     keys, manifest, payloads = system
-    old_blocks = [b.copy() for b in payloads[1].blocks]
-    old_tags = [t.copy() for t in payloads[1].tags]
+    old_blocks = payloads[1].blocks.copy()
+    old_tags = payloads[1].tags.copy()
     plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
     repair.refresh_manifest(manifest, plan)
     # the node serves its pre-repair store against refreshed records
@@ -97,3 +92,19 @@ def test_plan_sent_rows_consistent(system, rng):
     rebuilt = np.stack([field.combine_rows(plan.theta[j], sent)
                         for j in range(plan.theta.shape[0])])
     assert np.array_equal(rebuilt, plan.target_rows)
+
+
+def test_exact_repair_copies_replicated_rows(rng):
+    # node 1 replicates node 0, so the plan is direct copies from node 1
+    params = SystemParams(n=16, m=2, N=3, M=2, P=2, Q=2, ell=2, lambda_bits=80)
+    layout = {0: np.eye(2, dtype=np.uint8), 1: np.array([[0, 1], [1, 0]], dtype=np.uint8),
+              2: np.array([[1, 1], [1, 2]], dtype=np.uint8)}
+    keys = audit.keygen(params, rng)
+    manifest, payloads = audit.setup_file(bytes(range(28)), params, keys, layout, rng)
+    before = payloads[0].blocks.copy(), payloads[0].tags.copy()
+    plan, _ = repair.repair_node(manifest, payloads, 0, "exact", [2, 1], rng)
+    assert plan.helpers == [1]
+    assert np.array_equal(plan.gamma[1], np.eye(2, dtype=np.uint8)[[1, 0]])
+    assert np.array_equal(plan.theta, np.eye(2, dtype=np.uint8))
+    assert np.array_equal(payloads[0].blocks, before[0])
+    assert np.array_equal(payloads[0].tags, before[1])

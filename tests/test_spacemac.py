@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ncaudit import blocks, field, spacemac
-from ncaudit.blocks import CodedBlock, SystemParams
+from ncaudit.blocks import SystemParams
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2)
 KEY = bytes(range(16))
@@ -10,7 +10,7 @@ FID = b"mac-file"
 
 
 def _random_block(rng):
-    return CodedBlock(rng.integers(0, 256, 20, dtype=np.uint8), 16, 4)
+    return rng.integers(0, 256, 20, dtype=np.uint8)
 
 
 def _verifies(block, tags):
@@ -24,7 +24,7 @@ def test_tag_is_keystream_dot(rng):
     for j in (1, 2):
         r = spacemac.r_vector(KEY, FID, 20, j)
         expect = 0
-        for x, y in zip(b.vec.tolist(), r.tolist()):
+        for x, y in zip(b.tolist(), r.tolist()):
             expect ^= field.mul(x, y)
         assert tags[j - 1] == expect
 
@@ -34,7 +34,7 @@ def test_verify_accepts_and_rejects(rng):
     tags = spacemac.mac(KEY, FID, b, ell=2)
     assert _verifies(b, tags)
     bad = b.copy()
-    bad.vec[5] ^= 1
+    bad[5] ^= 1
     assert not _verifies(bad, tags)
     assert not _verifies(b, tags ^ np.uint8(1))
 
@@ -43,11 +43,19 @@ def test_verify_accepts_and_rejects(rng):
 @given(st.lists(st.integers(0, 255), min_size=2, max_size=5))
 def test_combined_tag_is_tag_of_combination(alphas):
     rng = np.random.default_rng(len(alphas) * 1000 + sum(alphas))
-    blks = [_random_block(rng) for _ in alphas]
-    tag_rows = np.stack([spacemac.mac(KEY, FID, b, ell=2) for b in blks])
-    combined_tag = spacemac.combine_tag_arrays(tag_rows, field.vec(alphas))
-    combined = blocks.combine_blocks(blks, alphas)
+    rows = np.stack([_random_block(rng) for _ in alphas])
+    tag_rows = spacemac.mac(KEY, FID, rows, ell=2)
+    combined_tag = blocks.combine_blocks(alphas, tag_rows)
+    combined = blocks.combine_blocks(alphas, rows)
     assert _verifies(combined, combined_tag)
+
+
+def test_row_matrix_tags_match_single_rows(rng):
+    rows = np.stack([_random_block(rng) for _ in range(5)])
+    tags = spacemac.mac(KEY, FID, rows, ell=3)
+    assert tags.shape == (5, 3)
+    for row, tag in zip(rows, tags):
+        assert np.array_equal(spacemac.mac(KEY, FID, row, ell=3), tag)
 
 
 def test_forgery_rate_single_tag(rng):
