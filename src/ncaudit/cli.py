@@ -76,6 +76,8 @@ def _load_matrix(path: Path, rows: int, width: int) -> np.ndarray:
 def _load_store(root: Path):
     manifest = FileManifest.from_json((root / "manifest.json").read_text())
     kj = json.loads((root / "keys.json").read_text())
+    if not (isinstance(kj, dict) and all(isinstance(kj.get(k), str) for k in ("k_v", "k_e"))):
+        raise ValueError("keys.json must be an object with hex strings k_v and k_e")
     keys = KeyMaterial(bytes.fromhex(kj["k_v"]), bytes.fromhex(kj["k_e"]))
     params = manifest.params
     aux = _load_aux(root / "aux.bin", params)

@@ -11,8 +11,9 @@ Domains are separated by an injective byte encoding:
 Two instantiations exist:
 
 * production (default): keyed BLAKE2b in counter mode over the trailing
-  index, 64 output bytes per call, so bulk vector derivation needs one hash
-  per 64 symbols;
+  index: symbol i is byte i mod 64 of the digest for chunk i // 64, and a
+  batch hashes each chunk it needs once, so bulk vector derivation needs
+  one hash per 64 symbols;
 * test mode (NCAUDIT_TEST_PRF=1): a pinned splitmix64 absorption that is
   byte-exact and trivially portable, used for golden vectors.
 """
@@ -119,16 +120,9 @@ def _prod_block(key: bytes, prefix: bytes, chunk: int) -> bytes:
 
 
 def _prod_batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
-    out = np.empty(last.shape, dtype=np.uint8)
-    blocks: dict[int, bytes] = {}
-    for pos, idx in enumerate(last):
-        chunk, off = divmod(int(idx), 64)
-        block = blocks.get(chunk)
-        if block is None:
-            block = _prod_block(key, prefix, chunk)
-            blocks[chunk] = block
-        out[pos] = block[off]
-    return out
+    chunks, inverse = np.unique(last // 64, return_inverse=True)
+    digests = b"".join(_prod_block(key, prefix, int(c)) for c in chunks)
+    return np.frombuffer(digests, dtype=np.uint8).reshape(-1, 64)[inverse, last % 64]
 
 
 # -- public surface ---------------------------------------------------------

@@ -149,6 +149,17 @@ def test_out_of_range_ids_are_usage_errors(store, argv, capsys):
     assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("doc", [
+    {}, [], "k_v", None, {"k_v": "00" * 32}, {"k_e": "00" * 32},
+    {"k_v": 7, "k_e": "00" * 32}, {"k_v": "00" * 32, "k_e": None},
+    {"k_v": ["00"], "k_e": "00" * 32},
+])
+def test_malformed_keys_file_is_usage_error(store, doc, capsys):
+    (store / "keys.json").write_text(json.dumps(doc))
+    assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
+    assert "keys.json" in capsys.readouterr().err
+
+
 def test_node_files_roundtrip(store, tmp_path):
     manifest, keys, payloads = _load_store(store)
     assert payloads[3].blocks.shape == (2, 68) and payloads[3].tags.shape == (2, 2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncaudit import field
 
@@ -42,6 +42,11 @@ def test_inverse(a):
     assert field.mul(a, field.inv(a)) == 1
 
 
+def test_inverse_table_exhaustive():
+    for a in range(1, 256):
+        assert field.MUL[a, field.inv(a)] == 1
+
+
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         field.inv(0)
@@ -68,16 +73,49 @@ def test_dot_matches_scalar_sum():
     assert field.matvec(rows, v).tolist() == [_scalar_dot(row, v) for row in rows]
 
 
-@pytest.mark.parametrize("width", [10, field.ROW_KERNEL_MIN_WIDTH - 1,
-                                   field.ROW_KERNEL_MIN_WIDTH, 1500])
+_MUL_LISTS = field.MUL.tolist()
+
+
+def _scalar_combination(alphas, rows):
+    # column-wise scalar sum of table products, the reference for combine_rows
+    out = [0] * rows.shape[1]
+    for a, row in zip(alphas.tolist(), rows.tolist()):
+        products = _MUL_LISTS[a]
+        for c, x in enumerate(row):
+            out[c] ^= products[x]
+    return out
+
+
+@pytest.mark.parametrize("width", [10, 255, 256, 999, 1000, 1500, 2500])
 def test_combine_rows_matches_scalar_sum(width):
-    # both kernels, on either side of the width at which combine_rows switches
+    # both kernels: combine_rows gathers below 256 columns or 2**17 symbols
+    # and bit-slices otherwise, so each width takes row counts on either side
+    # of the symbol threshold
     r = np.random.default_rng(width)
-    rows = r.integers(0, 256, (5, width), dtype=np.uint8)
-    alphas = r.integers(0, 256, 5, dtype=np.uint8)
-    alphas[1] = 0
-    got = field.combine_rows(alphas, rows)
-    assert got.tolist() == [_scalar_dot(alphas, rows[:, c]) for c in range(width)]
+    deep = -(-(1 << 17) // width)
+    for nrows in (1, 7, deep - 1, deep):
+        rows = r.integers(0, 256, (nrows, width), dtype=np.uint8)
+        alphas = r.integers(0, 256, nrows, dtype=np.uint8)
+        alphas[:3] = [0, 1, 255][:nrows]
+        got = field.combine_rows(alphas, rows)
+        assert got.tolist() == _scalar_combination(alphas, rows)
+        zero = field.combine_rows(np.zeros(nrows, dtype=np.uint8), rows)
+        assert got.dtype == zero.dtype == np.uint8
+        assert not zero.any()
+
+
+# one strategy per kernel: small shapes gather, the large ones bit-slice
+_SHAPES = st.one_of(st.tuples(st.integers(1, 64), st.integers(1, 600)),
+                    st.tuples(st.integers(128, 400), st.integers(1024, 1200)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SHAPES, st.integers(0, 2**32 - 1))
+def test_combine_rows_property(shape, seed):
+    r = np.random.default_rng(seed)
+    rows = r.integers(0, 256, shape, dtype=np.uint8)
+    alphas = r.integers(0, 256, shape[0], dtype=np.uint8)
+    assert field.combine_rows(alphas, rows).tolist() == _scalar_combination(alphas, rows)
 
 
 def test_counter_counts_each_helper():
