@@ -8,8 +8,9 @@ On-disk layout written by `setup`:
     <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n+m symbols each, row-major)
     <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
 
-Exit codes: 0 success / all audits accepted, 1 at least one audit rejected,
-2 usage error, 3 internal failure.
+Exit codes: 0 success / all audits accepted, 1 at least one audit rejected
+or a failed extraction, 2 usage error (a repair with no plan included),
+3 internal failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ from .cluster import Fault, Node, make_layout, run_scenario
 
 class UsageError(ValueError):
     pass
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
 
 
 def _seed(args) -> int | None:
@@ -187,9 +195,13 @@ def cmd_extract(args) -> int:
     node = Node(args.node, p, manifest.params,
                 np.random.default_rng(rng.integers(2**63)))
     node.apply_fault(Fault("lie_probability", epsilon=args.epsilon))
-    report = extractor.extract_node(lambda chal: node.answer(chal)[0], manifest,
-                                    args.node, keys.k_e, keys.k_v, p.aux, rng,
-                                    rounds=args.rounds)
+    try:
+        report = extractor.extract_node(lambda chal: node.answer(chal)[0], manifest,
+                                        args.node, keys.k_e, keys.k_v, p.aux, rng,
+                                        rounds=args.rounds)
+    except extractor.ExtractionError as e:
+        print(f"extraction failed: {e}")
+        return 1
     match = np.array_equal(report.blocks, p.blocks)
     print(f"extracted {len(report.blocks)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
@@ -290,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--layout", choices=["evenodd4", "random"], default="evenodd4")
     s.add_argument("--n", type=int, default=1024)
     s.add_argument("--m", type=int, default=4)
-    s.add_argument("--nodes", type=int, default=4)
+    s.add_argument("--nodes", type=_positive_int, default=4)
     s.add_argument("--ell", type=int, default=1)
     s.add_argument("--lam", type=int, default=128)
     s.add_argument("--seed")
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dir", required=True)
     s.add_argument("--node", type=int, default=0)
     s.add_argument("--count", type=int, default=1)
-    s.add_argument("--rounds", type=int, default=1)
+    s.add_argument("--rounds", type=_positive_int, default=1)
     s.add_argument("--seed")
     s.set_defaults(func=cmd_audit)
 
@@ -322,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("extract", help="recover a node's blocks from audits")
     s.add_argument("--dir", required=True)
     s.add_argument("--node", type=int, default=0)
-    s.add_argument("--rounds", type=int, default=15)
+    s.add_argument("--rounds", type=_positive_int, default=15)
     s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--seed")
     s.set_defaults(func=cmd_extract)
@@ -351,7 +363,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as e:
+    except (UsageError, FileNotFoundError, ValueError, repair.PlanningError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -38,6 +38,7 @@ def make_layout(layout: str, params: SystemParams, rng) -> Dict[int, np.ndarray]
     each node's rows uniformly, redrawing a node with an all-zero row, and
     rejects a layout whose rows do not span all m source blocks.
     """
+    params.validate()
     if layout == "evenodd4":
         if (params.m, params.N, params.M, params.P, params.Q) != (4, 4, 2, 3, 1):
             raise ValueError("evenodd4 requires m=4, N=4, M=2, P=3, Q=1")
@@ -116,7 +117,6 @@ class Node:
         self.rng = rng
         self.ledger = ByteLedger()
         self.lie_epsilon = 0.0
-        self._mask: Optional[ncrypt.MaskBundle] = None
 
     def apply_fault(self, fault: Fault) -> None:
         """Apply a fault to the store.  delete_block overwrites the row and
@@ -138,16 +138,11 @@ class Node:
         elif fault.kind == "lie_probability":
             self.lie_epsilon = fault.epsilon
 
-    def precompute_mask(self, file_id: str, lambda_bits: int) -> None:
-        self._mask = ncrypt.precompute_mask(self.payload.k_e, file_id.encode(),
-                                            self.payload.aux, self.rng, lambda_bits)
-
     def answer(self, chal: Challenge) -> Tuple[Proof, audit.GenProofStats]:
         lying = self.lie_epsilon and self.rng.random() < self.lie_epsilon
         proof, stats = audit.gen_proof(
             self.payload.blocks, self.payload.tags, chal, self.payload.k_e,
-            self.payload.aux, self.rng, self.params, mask=self._mask)
-        self._mask = None  # single-use: the nonce must not repeat
+            self.payload.aux, self.rng, self.params)
         if lying:
             junk = self.rng.integers(0, 256, size=proof.ciphertext.c_bar.shape,
                                      dtype=np.uint8)

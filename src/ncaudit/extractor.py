@@ -25,6 +25,10 @@ class ExtractionError(RuntimeError):
     pass
 
 
+# failed votes allowed, as a multiple of the number of equations needed
+EXTRA_BUDGET = 3
+
+
 # oracle: Challenge -> Proof or None (refusal)
 ProofOracle = Callable[[Challenge], Optional[Proof]]
 
@@ -39,28 +43,25 @@ class ExtractionReport:
 
 def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
                  k_e: bytes, k_v: bytes, aux: ncrypt.AuxiliaryElements,
-                 rng, rounds: int = 15, equations: Optional[int] = None,
-                 extra_budget: int = 3) -> ExtractionReport:
+                 rng, rounds: int = 15) -> ExtractionReport:
     """Rebuild all M blocks stored at `node`, with their tags.
 
-    `rounds` challenges per equation; an equation whose vote is not a strict
-    majority of verified answers is redrawn with fresh coefficients, up to
-    extra_budget * equations replacements in total.
+    `rounds` challenges per equation, M equations; an equation whose vote
+    is not a strict majority of verified answers is redrawn with fresh
+    coefficients, up to EXTRA_BUDGET * M replacements in total.
     """
     params = manifest.params
     rows = manifest.node_coeffs[node]
     M = rows.shape[0]
-    if equations is None:
-        equations = M
     n = params.n
     fid = manifest.file_id.encode()
 
     solved_alphas: List[np.ndarray] = []
     solved_answers: List[np.ndarray] = []  # n data symbols, then ell tag symbols
     queries = discarded = 0
-    budget = extra_budget * equations
+    budget = EXTRA_BUDGET * M
 
-    while len(solved_alphas) < equations:
+    while len(solved_alphas) < M:
         alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
         if not alphas.any():
             continue

@@ -10,7 +10,9 @@ table indices, for small or narrow inputs and otherwise bit-slices: Horner's
 rule over the eight bit-planes of the coefficients, one doubling and one XOR
 reduction of the selected rows per plane (the bit-plane decomposition of
 Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using
-Intel SIMD Instructions", FAST 2013).
+Intel SIMD Instructions", FAST 2013).  Gaussian elimination reduces all
+the rows that hold a pivot column in one step: each such row's table row,
+read at the symbols of the pivot row.
 """
 
 from __future__ import annotations
@@ -145,10 +147,11 @@ def matrix_rank(a: np.ndarray) -> int:
 
 @dataclass
 class GaussResult:
+    """The outcome of gaussian_solve: its status, a particular solution
+    (free variables zero; None only when inconsistent) and the rank."""
     status: str  # "unique" | "rank_deficient" | "inconsistent"
-    solution: Optional[np.ndarray]  # None only when inconsistent
+    solution: Optional[np.ndarray]
     rank: int
-    witness: Optional[np.ndarray] = None
 
 
 def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
@@ -175,14 +178,13 @@ def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
         a[r] = MUL[f][a[r]]
         if b is not None:
             b[r] = MUL[f][b[r]]
-        hits = np.nonzero(a[:, c])[0]
-        for i in hits:
-            if i == r:
-                continue
-            g = int(a[i, c])
-            a[i] ^= MUL[g][a[r]]
-            if b is not None:
-                b[i] ^= MUL[g][b[r]]
+        hits = np.flatnonzero(a[:, c])
+        hits = hits[hits != r]
+        # all hit rows at once: each one's table row, read at the pivot row
+        t = MUL[a[hits, c]]
+        a[hits] ^= t.take(a[r], axis=1)
+        if b is not None:
+            b[hits] ^= t.take(b[r], axis=1)
         pivots.append(c)
         r += 1
     return pivots, r
@@ -193,9 +195,7 @@ def gaussian_solve(matrix, rhs) -> GaussResult:
 
     Full column rank plus a consistent system yields the unique solution.
     A rank-deficient system is reported with a particular solution (free
-    variables zero) and a nonzero null-space vector as witness; an
-    inconsistent system is reported distinctly (witness is the offending
-    reduced right-hand-side row).
+    variables zero); an inconsistent system is reported distinctly.
     """
     a = np.array(matrix, dtype=np.uint8, copy=True)
     if a.ndim != 2:
@@ -208,22 +208,13 @@ def gaussian_solve(matrix, rhs) -> GaussResult:
         raise ValueError("row count mismatch between matrix and rhs")
     pivots, rank = _eliminate(a, b)
     # rows below the rank have an all-zero coefficient part after reduction
-    for i in range(rank, a.shape[0]):
-        if b[i].any():
-            return GaussResult("inconsistent", None, rank, witness=b[i].copy())
+    if b[rank:].any():
+        return GaussResult("inconsistent", None, rank)
     cols = a.shape[1]
     x = np.zeros((cols, b.shape[1]), dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = b[r]
+    x[pivots] = b[:rank]
     x = x[:, 0] if squeeze else x
-    if rank < cols:
-        free = next(c for c in range(cols) if c not in pivots)
-        null = np.zeros(cols, dtype=np.uint8)
-        null[free] = 1
-        for r, c in enumerate(pivots):
-            null[c] = a[r, free]
-        return GaussResult("rank_deficient", x, rank, witness=null)
-    return GaussResult("unique", x, rank)
+    return GaussResult("unique" if rank == cols else "rank_deficient", x, rank)
 
 
 def solve_any(matrix, rhs) -> Optional[np.ndarray]:

@@ -8,20 +8,15 @@ Domains are separated by an injective byte encoding:
     || [u32 BE length of nonce || nonce]      (F3 only)
     || u32 BE per integer index
 
-Two instantiations exist:
-
-* production (default): keyed BLAKE2b in counter mode over the trailing
-  index: symbol i is byte i mod 64 of the digest for chunk i // 64, and a
-  batch hashes each chunk it needs once, so bulk vector derivation needs
-  one hash per 64 symbols;
-* test mode (NCAUDIT_TEST_PRF=1): a pinned splitmix64 absorption that is
-  byte-exact and trivially portable, used for golden vectors.
+The keystream is keyed BLAKE2b in counter mode over the trailing index:
+symbol i is byte i mod 64 of the digest for chunk i // 64, and a batch
+hashes each chunk it needs once, so bulk vector derivation needs one hash
+per 64 symbols.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 
 import numpy as np
@@ -29,19 +24,6 @@ import numpy as np
 F1 = 1
 F2 = 2
 F3 = 3
-
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
-
-_G64 = np.uint64(_GOLDEN)
-_M164 = np.uint64(_MIX1)
-_M264 = np.uint64(_MIX2)
-
-
-def test_mode() -> bool:
-    return os.environ.get("NCAUDIT_TEST_PRF") == "1"
 
 
 def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes:
@@ -69,69 +51,17 @@ def _prefix(fn: int, file_id: bytes, indices, nonce: bytes) -> bytes:
     return b"".join(parts)
 
 
-# -- pinned test instantiation -------------------------------------------
-
-def _mix(z: int) -> int:
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _pinned_seed(key: bytes) -> int:
-    if len(key) < 8:
-        raise ValueError("key must be at least 8 bytes")
-    a = int.from_bytes(key[:8], "little")
-    b = int.from_bytes(key[-8:], "little")
-    return a ^ b
-
-
-def _pinned_absorb(state: int, data: bytes) -> int:
-    for byte in data:
-        state = _mix(state ^ ((byte * _GOLDEN) & _MASK64))
-    return state
-
-
-def _mix_vec(z: np.ndarray) -> np.ndarray:
-    z = z + _G64
-    z = (z ^ (z >> np.uint64(30))) * _M164
-    z = (z ^ (z >> np.uint64(27))) * _M264
-    return z ^ (z >> np.uint64(31))
-
-
-def _pinned_batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
-    """Evaluate the pinned PRF for many values of the trailing u32 index."""
-    state0 = _pinned_absorb(_pinned_seed(key), prefix)
-    st = np.full(last.shape, state0, dtype=np.uint64)
-    li = last.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        for shift in (24, 16, 8, 0):
-            b = (li >> np.uint64(shift)) & np.uint64(0xFF)
-            st = _mix_vec(st ^ (b * _G64))
-    return (st & np.uint64(0xFF)).astype(np.uint8)
-
-
-# -- production instantiation ----------------------------------------------
-
-def _prod_block(key: bytes, prefix: bytes, chunk: int) -> bytes:
-    return hashlib.blake2b(
-        prefix + struct.pack(">I", chunk), key=key[:64], digest_size=64
-    ).digest()
-
-
-def _prod_batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
+def _batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
+    """Symbols for many values of the trailing u32 index."""
     chunks, inverse = np.unique(last // 64, return_inverse=True)
-    digests = b"".join(_prod_block(key, prefix, int(c)) for c in chunks)
+    digests = b"".join(
+        hashlib.blake2b(prefix + struct.pack(">I", int(c)), key=key[:64],
+                        digest_size=64).digest()
+        for c in chunks)
     return np.frombuffer(digests, dtype=np.uint8).reshape(-1, 64)[inverse, last % 64]
 
 
 # -- public surface ---------------------------------------------------------
-
-def _batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
-    if test_mode():
-        return _pinned_batch(key, prefix, last)
-    return _prod_batch(key, prefix, last)
-
 
 def prf_eval(key: bytes, fn: int, file_id: bytes, indices, nonce: bytes = b"") -> int:
     """One field symbol, deterministic in (key, domain)."""

@@ -22,6 +22,10 @@ class PlanningError(RuntimeError):
     pass
 
 
+# random (gamma, theta) draws a planner tries before it gives up
+ATTEMPTS = 200
+
+
 @dataclass
 class RepairPlan:
     """gamma: per-helper mixing rows; theta: how the replacement node
@@ -45,8 +49,7 @@ def _sent_rows(manifest: FileManifest, helpers: List[int],
 
 def plan_exact_repair(manifest: FileManifest, failed: int,
                       helpers: List[int], rng,
-                      per_helper: Optional[int] = None,
-                      attempts: int = 200) -> RepairPlan:
+                      per_helper: Optional[int] = None) -> RepairPlan:
     """Find gamma/theta reproducing the failed node's rows exactly.
 
     Tries, in order: direct copies when every target row is already stored
@@ -70,7 +73,7 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
     total = Q * len(helpers)
 
     if total >= field.matrix_rank(stacked):
-        for _ in range(attempts):
+        for _ in range(ATTEMPTS):
             gamma = {h: rng.integers(0, 256, size=(Q, manifest.node_coeffs[h].shape[0]),
                                      dtype=np.uint8) for h in helpers}
             plan = _solve_theta(manifest, failed, helpers, gamma, target)
@@ -120,14 +123,13 @@ def _solve_theta(manifest, failed, helpers, gamma, target) -> Optional[RepairPla
 
 
 def plan_functional_repair(manifest: FileManifest, failed: int,
-                           helpers: List[int], rng,
-                           attempts: int = 200) -> RepairPlan:
+                           helpers: List[int], rng) -> RepairPlan:
     """Random gamma/theta; retried until the cluster still spans all m
     source blocks.  The replacement rows differ from the lost ones."""
     params = manifest.params
     M, m, Q = params.M, params.m, params.Q
     others = np.concatenate([manifest.node_coeffs[h] for h in helpers], axis=0)
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         gamma = {h: rng.integers(0, 256, size=(Q, manifest.node_coeffs[h].shape[0]),
                                  dtype=np.uint8) for h in helpers}
         sent = _sent_rows(manifest, helpers, gamma)

@@ -18,14 +18,14 @@ import numpy as np
 from . import prf
 from .blocks import combine_blocks
 
-# (mode, key, file_id, key_index) -> longest r-vector derived so far.
+# (key, file_id, key_index) -> longest r-vector derived so far.
 # Entries are only ever extended, never mutated, so concurrent readers are safe.
 _r_cache: Dict[Tuple, np.ndarray] = {}
 _r_lock = threading.Lock()
 
 
 def r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:
-    cache_key = (prf.test_mode(), k_v, file_id, key_index)
+    cache_key = (k_v, file_id, key_index)
     vec = _r_cache.get(cache_key)
     if vec is None or vec.shape[0] < length:
         vec = prf.derive_r_vector(k_v, file_id, length, key_index)

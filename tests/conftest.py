@@ -1,13 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-# Fast deterministic PRF for the suite; individual tests opt back into the
-# hash-based one by deleting the variable.
-os.environ.setdefault("NCAUDIT_TEST_PRF", "1")
-
-from ncaudit import spacemac  # noqa: E402
+from ncaudit import spacemac
 
 
 @pytest.fixture(autouse=True)

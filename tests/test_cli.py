@@ -141,12 +141,44 @@ def test_random_layout_store_audits(tmp_path):
     ["corrupt", "--node", "1", "--position", "99999"],
     ["corrupt", "--node", "1", "--position", "-1"],
     ["corrupt", "--node", "1", "--delta", "256"],
+    ["audit", "--rounds", "0"],
+    ["audit", "--rounds", "-3"],
+    ["extract", "--rounds", "0"],
 ])
 def test_out_of_range_ids_are_usage_errors(store, argv, capsys):
     before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
     assert main([argv[0], "--dir", str(store), *argv[1:]]) == 2
     assert "error:" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("argv", [["--nodes", "0"], ["--m", "0"]])
+def test_setup_with_no_nodes_or_blocks_is_usage_error(tmp_path, argv, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    assert main(["setup", "--file", str(src), "--out", str(tmp_path / "store"),
+                 "--layout", "random", *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
+def test_repair_with_no_plan_is_usage_error(tmp_path, capsys):
+    # two surviving nodes hold 2 x 11 rows, fewer than m = 30
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    out = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(out), "--layout", "random",
+                 "--m", "30", "--nodes", "3", "--n", "64", "--seed", "2a"]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(["repair", "--dir", str(out), "--node", "0"]) == 2
+    assert "do not span" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_extract_from_a_node_that_always_lies_fails(store, capsys):
+    assert main(["extract", "--dir", str(store), "--node", "0",
+                 "--epsilon", "1.0", "--seed", "7"]) == 1
+    assert "extraction failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("doc", [

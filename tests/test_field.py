@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncaudit import field
+from ncaudit.blocks import combine_blocks
 
 elem = st.integers(0, 255)
 
@@ -162,3 +163,69 @@ def test_solve_any_particular_solution():
     x = field.solve_any(a, b)
     assert x is not None
     assert np.array_equal(field.matvec(a, x), b)
+
+
+def _eliminate_row_by_row(a, b):
+    # the per-row reduction, the reference for field._eliminate
+    pivots, r = [], 0
+    for c in range(a.shape[1]):
+        nz = [i for i in range(r, a.shape[0]) if a[i, c]]
+        if not nz:
+            continue
+        a[[r, nz[0]]], b[[r, nz[0]]] = a[[nz[0], r]], b[[nz[0], r]]
+        f = field.inv(int(a[r, c]))
+        a[r], b[r] = field.MUL[f][a[r]], field.MUL[f][b[r]]
+        for i in range(a.shape[0]):
+            if i != r and a[i, c]:
+                g = int(a[i, c])
+                a[i] ^= field.MUL[g][a[r]]
+                b[i] ^= field.MUL[g][b[r]]
+        pivots.append(c)
+        r += 1
+    return pivots, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([2, 4, 256]),
+       st.booleans(), st.booleans(), st.sampled_from([None, 1, 3]),
+       st.integers(0, 2**32 - 1))
+def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, seed):
+    # tall, wide and square; small alphabets and duplicate rows make ranks
+    # below min(rows, cols); a zero column is never a pivot
+    r = np.random.default_rng(seed)
+    a = r.integers(0, alphabet, (rows, cols), dtype=np.uint8)
+    if dup_row and rows > 1:
+        a[-1] = a[0]
+    if zero_col:
+        a[:, r.integers(cols)] = 0
+    rank = field.matrix_rank(a)
+    assert rank == field.matrix_rank(a.T) <= min(rows, cols)
+
+    x = r.integers(0, 256, cols if width is None else (cols, width), dtype=np.uint8)
+    x2 = x[:, None] if width is None else x
+    rhs2 = combine_blocks(a, x2)
+    rhs = rhs2[:, 0] if width is None else rhs2
+
+    want_a, want_b = a.copy(), rhs2.copy()
+    got_a, got_b = a.copy(), rhs2.copy()
+    assert field._eliminate(got_a, got_b) == _eliminate_row_by_row(want_a, want_b)
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+
+    res = field.gaussian_solve(a, rhs)
+    assert res.rank == rank
+    assert res.status == ("unique" if rank == cols else "rank_deficient")
+    assert res.solution.shape == x.shape
+    sol2 = res.solution[:, None] if width is None else res.solution
+    assert np.array_equal(combine_blocks(a, sol2), rhs2)
+    if rank == cols:
+        assert np.array_equal(res.solution, x)
+
+    # a row dependent on the others whose right-hand side is off by a nonzero delta
+    c = r.integers(0, 256, rows, dtype=np.uint8)
+    delta = np.zeros(rhs2.shape[1], dtype=np.uint8)
+    delta[r.integers(delta.size)] = r.integers(1, 256)
+    bad_row = combine_blocks(c, a)[None]
+    bad_rhs = (combine_blocks(c, rhs2) ^ delta)[None]
+    bad = field.gaussian_solve(np.concatenate([a, bad_row]),
+                               np.concatenate([rhs2, bad_rhs]))
+    assert bad.status == "inconsistent" and bad.solution is None

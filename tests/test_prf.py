@@ -1,5 +1,5 @@
-"""Golden vectors are frozen outputs of independent plain-Python
-reimplementations of both keystream constructions (computed once, pinned)."""
+"""Golden vectors are frozen outputs of an independent plain-Python
+reimplementation of the keyed-BLAKE2b keystream (computed once, pinned)."""
 
 import hashlib
 
@@ -11,12 +11,6 @@ from ncaudit import prf
 KEY = bytes(range(32))
 FID = b"golden-file"
 
-# fast deterministic construction (NCAUDIT_TEST_PRF=1, the suite default)
-GOLDEN_PINNED_F1 = [248, 13, 123, 221, 180, 115, 249, 39]
-GOLDEN_PINNED_F2 = [197, 200, 162, 248, 112, 60]
-GOLDEN_PINNED_F3 = [83, 238, 47, 13, 101, 182]
-
-# hash-based construction (default outside tests)
 GOLDEN_PROD_F1 = [123, 219, 144, 50, 28, 37, 219, 157]
 GOLDEN_PROD_F2 = [59, 133, 8, 128, 219, 88]
 GOLDEN_PROD_F3 = [168, 99, 186, 52, 240, 119]
@@ -37,22 +31,14 @@ GOLDEN_PROD_F2_ROW4095_SHA256 = (
 )
 
 
-def test_pinned_golden_vectors():
-    assert prf.derive_r_vector(KEY, FID, 8, 1).tolist() == GOLDEN_PINNED_F1
-    assert prf.derive_mask_row(KEY, FID, 3, 6).tolist() == GOLDEN_PINNED_F2
-    assert prf.derive_betas(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PINNED_F3
-
-
-def test_production_golden_vectors(monkeypatch):
-    monkeypatch.delenv("NCAUDIT_TEST_PRF")
+def test_production_golden_vectors():
     assert prf.derive_r_vector(KEY, FID, 8, 1).tolist() == GOLDEN_PROD_F1
     assert prf.derive_mask_row(KEY, FID, 3, 6).tolist() == GOLDEN_PROD_F2
     assert prf.derive_betas(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PROD_F3
 
 
-def test_production_golden_vectors_across_chunks(monkeypatch):
+def test_production_golden_vectors_across_chunks():
     # ranges that start, end and cross 64-symbol hash chunk boundaries
-    monkeypatch.delenv("NCAUDIT_TEST_PRF")
     assert prf.derive_mask_row(KEY, FID, 3, 200).tobytes() == GOLDEN_PROD_F2_ROW3_W200
     assert prf.eval_range(KEY, prf.F1, FID, (2,), 10, start=60).tolist() \
         == GOLDEN_PROD_F1_KEY2_60_69
@@ -62,11 +48,8 @@ def test_production_golden_vectors_across_chunks(monkeypatch):
     assert hashlib.sha256(row.tobytes()).hexdigest() == GOLDEN_PROD_F2_ROW4095_SHA256
 
 
-@pytest.mark.parametrize("production", [False, True])
-def test_prefix_stability(monkeypatch, production):
+def test_prefix_stability():
     # longer derivations extend shorter ones symbol-for-symbol
-    if production:
-        monkeypatch.delenv("NCAUDIT_TEST_PRF")
     short = prf.derive_r_vector(KEY, FID, 70, 2)
     long = prf.derive_r_vector(KEY, FID, 200, 2)
     assert np.array_equal(long[:70], short)
