@@ -2,11 +2,13 @@
 
 KeyGen / TagGen run at the user, GenProof at a storage node, VerifyProof at
 the auditor.  The auditor holds only the verification key and the coding
-coefficients; response data reaches it masked.
+coefficients; response data reaches it masked, and the tag reaches it
+offset by a one-time voucher (see ncrypt).
 """
 
 from __future__ import annotations
 
+import secrets
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import field, ncrypt, spacemac
 from .blocks import FileManifest, SystemParams, combine_blocks, make_source_blocks
-from .ncrypt import AuxiliaryElements, Ciphertext, MaskBundle
+from .ncrypt import Ciphertext, Voucher
 
 
 @dataclass
@@ -24,9 +26,12 @@ class KeyMaterial:
     k_e: bytes  # encryption key: user and nodes only
 
 
-def keygen(params: SystemParams, rng) -> KeyMaterial:
+def keygen(params: SystemParams, rng=None) -> KeyMaterial:
+    """Two lambda-bit keys from the OS CSPRNG (secrets), or from rng when a
+    caller passes a generator it seeded on purpose, for reproducible runs."""
+    draw = secrets.token_bytes if rng is None else rng.bytes
     nbytes = params.lambda_bits // 8
-    return KeyMaterial(k_v=rng.bytes(nbytes), k_e=rng.bytes(nbytes))
+    return KeyMaterial(k_v=draw(nbytes), k_e=draw(nbytes))
 
 
 @dataclass
@@ -71,7 +76,7 @@ class Challenge:
 class Proof:
     ciphertext: Ciphertext
     pad: np.ndarray  # the two clear padding symbols e^(n-1), e^(n)
-    tag: np.ndarray  # ell aggregated tag symbols
+    tag: np.ndarray  # tau: the ell aggregated tag symbols plus the voucher
 
     def to_bytes(self) -> bytes:
         return self.ciphertext.to_bytes() + self.pad.tobytes() + self.tag.tobytes()
@@ -81,16 +86,13 @@ class Proof:
         """Parse the wire format; ValueError unless raw has exactly the
         length params imply."""
         n, ell, lam = params.n, params.ell, params.lambda_bits
-        ct_len = (n - 2) + lam // 8 + ell
+        ct_len = (n - 2) + lam // 8
         if len(raw) != ct_len + 2 + ell:
             raise ValueError(f"proof needs {ct_len + 2 + ell} bytes, got {len(raw)}")
-        ct = Ciphertext.from_bytes(raw[:ct_len], n, ell, lam)
+        ct = Ciphertext.from_bytes(raw[:ct_len], n, lam)
         pad = np.frombuffer(raw[ct_len: ct_len + 2], dtype=np.uint8).copy()
         tag = np.frombuffer(raw[ct_len + 2: ct_len + 2 + ell], dtype=np.uint8).copy()
         return cls(ct, pad, tag)
-
-    def wire_size(self) -> int:
-        return len(self.to_bytes())
 
 
 @dataclass
@@ -99,7 +101,6 @@ class NodePayload:
     stored block j and row j of `tags` its ell tag symbols."""
     blocks: np.ndarray  # (M, n+m)
     tags: np.ndarray    # (M, ell)
-    aux: AuxiliaryElements
     k_e: bytes
 
 
@@ -116,7 +117,6 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
     fid = file_id.encode()
     sources, residual, lengths = make_source_blocks(file_bytes, params, rng)
     source_tags = spacemac.mac(keys.k_v, fid, sources, params.ell)
-    aux = ncrypt.setup(keys.k_e, keys.k_v, fid, params)
 
     payloads: Dict[int, NodePayload] = {}
     node_coeffs: Dict[int, np.ndarray] = {}
@@ -125,8 +125,7 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
         if rows.shape != (params.M, params.m):
             raise ValueError(f"layout rows for node {node} must be (M, m)")
         payloads[node] = NodePayload(combine_blocks(rows, sources),
-                                     combine_blocks(rows, source_tags),
-                                     aux, keys.k_e)
+                                     combine_blocks(rows, source_tags), keys.k_e)
         node_coeffs[node] = rows.copy()
 
     manifest = FileManifest(
@@ -156,14 +155,14 @@ def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challen
 class GenProofStats:
     block_mults: int = 0  # aggregating the n data symbols: C*n
     tag_mults: int = 0    # aggregating the stored tags: C*ell
-    mask_mults: int = 0   # 0 when the mask bundle is precomputed
 
 
 def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
-              k_e: bytes, aux: AuxiliaryElements, rng, params: SystemParams,
-              mask: MaskBundle | None = None) -> Tuple[Proof, GenProofStats]:
+              k_e: bytes, voucher: Voucher, params: SystemParams,
+              ) -> Tuple[Proof, GenProofStats]:
     """Aggregate the challenged rows of the (M, n+m) block and (M, ell) tag
-    matrices, then mask the data part.
+    matrices, mask the data part with the voucher's mask and offset the tag
+    by the voucher; masking costs no multiplication.
 
     Only the first n symbols are aggregated; the coefficient part is never
     transmitted (the auditor recomputes it from its own records).
@@ -183,11 +182,8 @@ def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
     stats.tag_mults = field.counter.value - before - stats.block_mults
 
     e_bar, pad = agg[: n - 2], agg[n - 2: n].copy()
-    ct = ncrypt.enc(k_e, chal.file_id.encode(), e_bar, aux, rng,
-                    params.lambda_bits, mask=mask)
-    stats.mask_mults = (field.counter.value - before
-                        - stats.block_mults - stats.tag_mults)
-    return Proof(ct, pad, agg_tag), stats
+    ct = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k, e_bar, params)
+    return Proof(ct, pad, agg_tag ^ voucher.value), stats
 
 
 def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
@@ -233,18 +229,22 @@ class VerifyStats:
 
 def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof) -> Tuple[bool, VerifyStats]:
-    """Rebuild the expected coefficients, compensate the mask and the
-    manifest's tag deltas, verify the tags."""
+    """Rebuild the expected coefficients, strip the voucher pad of the
+    proof's k, compensate the manifest's tag deltas and verify the tags.
+    Whether k was issued to the node and is unused is the caller's check
+    (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.ciphertext.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
-            or proof.pad.shape[0] != 2 or proof.ciphertext.p.shape[0] != ell:
+            or proof.pad.shape[0] != 2:
         raise ValueError("malformed proof dimensions")
     stats = VerifyStats()
     before = field.counter.value  # stays put while the counter is off
 
     aug = aggregate_coeffs(manifest, chal)
     row = np.concatenate([proof.ciphertext.c_bar, proof.pad, aug])
-    ok = bool(verify_block(k_v, manifest, row, proof.tag ^ proof.ciphertext.p))
+    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node,
+                             proof.ciphertext.k, params)
+    ok = bool(verify_block(k_v, manifest, row, proof.tag ^ s_k))
     stats.mults = field.counter.value - before
     return ok, stats

@@ -27,7 +27,7 @@ class SystemParams:
     P: int                  # helper nodes per repair
     Q: int                  # repair blocks per helper
     ell: int = 1            # parallel tag count
-    lambda_bits: int = 128  # key / nonce size
+    lambda_bits: int = 128  # key and audit-counter size
     q: int = 256
 
     def validate(self):

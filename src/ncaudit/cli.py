@@ -4,7 +4,7 @@ bench / scenario.
 On-disk layout written by `setup`:
     <dir>/manifest.json
     <dir>/keys.json                 (hex keys; a real deployment would split these)
-    <dir>/aux.bin
+    <dir>/vouchers.json             (node id -> the counter k of its next voucher)
     <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n+m symbols each, row-major)
     <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
 
@@ -28,7 +28,7 @@ import numpy as np
 from . import audit, field, ncrypt, repair, spacemac
 from .audit import KeyMaterial, NodePayload
 from .blocks import FileManifest, SystemParams
-from .cluster import Fault, Node, make_layout, run_scenario
+from .cluster import Fault, Node, Tpa, User, make_layout, run_scenario
 
 
 class UsageError(ValueError):
@@ -58,8 +58,6 @@ def _save_store(out: Path, manifest: FileManifest, keys: KeyMaterial,
     (out / "manifest.json").write_text(manifest.to_json())
     (out / "keys.json").write_text(json.dumps(
         {"k_v": keys.k_v.hex(), "k_e": keys.k_e.hex()}, indent=1))
-    aux = next(iter(payloads.values())).aux
-    (out / "aux.bin").write_bytes(aux.to_bytes())
     for node, payload in payloads.items():
         _save_node(out, node, payload)
 
@@ -88,15 +86,29 @@ def _load_store(root: Path):
         raise ValueError("keys.json must be an object with hex strings k_v and k_e")
     keys = KeyMaterial(bytes.fromhex(kj["k_v"]), bytes.fromhex(kj["k_e"]))
     params = manifest.params
-    aux = _load_aux(root / "aux.bin", params)
     payloads = {}
     for node, rows in manifest.node_coeffs.items():
         ndir = root / "nodes" / f"node{node}"
         M = rows.shape[0]
         payloads[node] = NodePayload(
             _load_matrix(ndir / "blocks.bin", M, params.n + params.m),
-            _load_matrix(ndir / "tags.bin", M, params.ell), aux, keys.k_e)
+            _load_matrix(ndir / "tags.bin", M, params.ell), keys.k_e)
     return manifest, keys, payloads
+
+
+def _load_user(root: Path, keys: KeyMaterial, rng) -> User:
+    """The user, with the voucher counters of vouchers.json."""
+    doc = json.loads((root / "vouchers.json").read_text())
+    if not (isinstance(doc, dict) and all(type(k) is int and k >= 1 for k in doc.values())):
+        raise ValueError("vouchers.json must map node ids to counters >= 1")
+    user = User(keys, rng)
+    user.next_k = {int(node): k for node, k in doc.items()}
+    return user
+
+
+def _save_counters(root: Path, next_k) -> None:
+    (root / "vouchers.json").write_text(json.dumps(
+        {str(node): k for node, k in sorted(next_k.items())}))
 
 
 def _check_node(manifest: FileManifest, node: int) -> int:
@@ -106,21 +118,14 @@ def _check_node(manifest: FileManifest, node: int) -> int:
     return node
 
 
-def _load_aux(path: Path, params: SystemParams) -> ncrypt.AuxiliaryElements:
-    raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-    n, ell = params.n, params.ell
-    basis = raw[: (n - 1) * (n - 2)].reshape(n - 1, n - 2).copy()
-    scalars = raw[(n - 1) * (n - 2):].reshape(n - 1, ell).copy()
-    return ncrypt.AuxiliaryElements(basis, scalars)
-
-
 # --------------------------------------------------------------- commands
 
 def cmd_setup(args) -> int:
     src = Path(args.file)
     if not src.exists():
         raise UsageError(f"no such file: {src}")
-    rng = np.random.default_rng(_seed(args))
+    seed = _seed(args)
+    rng = np.random.default_rng(seed)
     if args.layout == "evenodd4":
         params = SystemParams(n=args.n, m=4, N=4, M=2, P=3, Q=1, ell=args.ell,
                               lambda_bits=args.lam)
@@ -131,28 +136,33 @@ def cmd_setup(args) -> int:
                               P=args.nodes - 1, Q=1, ell=args.ell,
                               lambda_bits=args.lam)
         code = make_layout("random_functional", params, rng)
-    keys = audit.keygen(params, rng)
+    keys = audit.keygen(params, None if seed is None else rng)
     manifest, payloads = audit.setup_file(src.read_bytes(), params, keys,
                                           code, rng, file_id=src.name)
     _save_store(Path(args.out), manifest, keys, payloads)
+    _save_counters(Path(args.out), dict.fromkeys(payloads, 1))
     print(f"wrote {args.out}: {params.N} nodes, {params.m} source blocks, "
           f"n={params.n}, ell={params.ell}")
     return 0
 
 
 def cmd_audit(args) -> int:
-    manifest, keys, payloads = _load_store(Path(args.dir))
+    root = Path(args.dir)
+    manifest, keys, payloads = _load_store(root)
     rng = np.random.default_rng(_seed(args))
-    params = manifest.params
     p = payloads[_check_node(manifest, args.node)]
+    node = Node(args.node, p, manifest.params, rng)
+    user, tpa = _load_user(root, keys, rng), Tpa(keys.k_v, manifest, rng)
     accepted = 0
     for _ in range(args.rounds):
-        chal = audit.gen_challenge(manifest, args.node, args.count, rng)
+        chal = tpa.challenge(args.node, args.count)
+        voucher = user.issue(manifest, args.node)
+        _save_counters(root, user.next_k)  # before k is used
+        tpa.expect(args.node, voucher.k)
         t0 = time.perf_counter()
-        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                                   rng, params)
+        proof, _ = node.answer(chal, voucher)
         t1 = time.perf_counter()
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, _ = tpa.verify(chal, proof)
         t2 = time.perf_counter()
         accepted += ok
         print(json.dumps({"event": "audit", "node": args.node,
@@ -189,19 +199,23 @@ def cmd_repair(args) -> int:
 
 def cmd_extract(args) -> int:
     from . import extractor
-    manifest, keys, payloads = _load_store(Path(args.dir))
+    root = Path(args.dir)
+    manifest, keys, payloads = _load_store(root)
     rng = np.random.default_rng(_seed(args))
     p = payloads[_check_node(manifest, args.node)]
     node = Node(args.node, p, manifest.params,
                 np.random.default_rng(rng.integers(2**63)))
     node.apply_fault(Fault("lie_probability", epsilon=args.epsilon))
+    user = _load_user(root, keys, rng)
     try:
-        report = extractor.extract_node(lambda chal: node.answer(chal)[0], manifest,
-                                        args.node, keys.k_e, keys.k_v, p.aux, rng,
+        report = extractor.extract_node(lambda chal, v: node.answer(chal, v)[0],
+                                        manifest, args.node, user, rng,
                                         rounds=args.rounds)
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
+    finally:
+        _save_counters(root, user.next_k)
     match = np.array_equal(report.blocks, p.blocks)
     print(f"extracted {len(report.blocks)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
@@ -213,7 +227,7 @@ def bench_store(n: int, m: int, C: int, ell: int, lam: int, rng):
 
     Block j is a random nonzero multiple of source block j mod m, so the
     store is cheap to build but proofs still verify honestly.  Returns
-    (params, keys, manifest, blocks, tags, aux)."""
+    (params, keys, manifest, blocks, tags)."""
     params = SystemParams(n=n, m=m, N=1, M=C, P=1, Q=1, ell=ell,
                           lambda_bits=lam)
     keys = audit.keygen(params, rng)
@@ -232,8 +246,7 @@ def bench_store(n: int, m: int, C: int, ell: int, lam: int, rng):
                             block_lengths=[n - 2] * m,
                             node_coeffs={0: rows},
                             logical_order=list(range(m)))
-    aux = ncrypt.setup(keys.k_e, keys.k_v, fid, params)
-    return params, keys, manifest, blocks, tags, aux
+    return params, keys, manifest, blocks, tags
 
 
 def cmd_bench(args) -> int:
@@ -241,18 +254,17 @@ def cmd_bench(args) -> int:
     m, C, ell = args.m, args.challenge, args.ell
     lam = args.lam
     rng = np.random.default_rng(_seed(args))
-    params, keys, manifest, blocks, tags, aux = bench_store(n, m, C, ell, lam, rng)
-    fid = b"bench"
+    params, keys, manifest, blocks, tags = bench_store(n, m, C, ell, lam, rng)
 
     gen_times, ver_times = [], []
     gen_mults = ver_mults = 0
     for t in range(args.trials):
         chal = audit.gen_challenge(manifest, 0, C, rng)
-        mask = ncrypt.precompute_mask(keys.k_e, fid, aux, rng, lam)
+        voucher = ncrypt.setup(keys.k_e, keys.k_v, b"bench", 0, t + 1, params)
         with field.counter:
             t0 = time.perf_counter()
-            proof, gstats = audit.gen_proof(blocks, tags, chal, keys.k_e, aux,
-                                            rng, params, mask=mask)
+            proof, gstats = audit.gen_proof(blocks, tags, chal, keys.k_e, voucher,
+                                            params)
             t1 = time.perf_counter()
             ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
             t2 = time.perf_counter()
@@ -273,7 +285,7 @@ def cmd_bench(args) -> int:
         "gen_proof_mults_expected": C * n,
         "verify_proof_mults": ver_mults,
         "verify_proof_mults_expected": C * m + ell * (n + m),
-        "proof_bytes": proof.wire_size(),
+        "proof_bytes": len(proof.to_bytes()),
         "overhead_ratio": round(overhead, 6),
     }
     print(json.dumps(report, indent=1))

@@ -3,19 +3,20 @@
 No sockets; messages are method calls, but every payload that would cross
 the wire is serialized and the byte ledgers are charged from the serialized
 length.  Key visibility is role-scoped: nodes never see the verification
-key, the auditor never sees the encryption key.
+key, the auditor never sees the encryption key.  The user issues one
+voucher per challenge; the auditor spends each k once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from . import audit, field, ncrypt, repair
-from .audit import Challenge, KeyMaterial, NodePayload, Proof
+from .audit import Challenge, KeyMaterial, NodePayload, Proof, VerifyStats
 from .blocks import CodedBlock, FileManifest, SystemParams, decode_file
 
 # Fig.-style 4-node parity layout over m=4 source blocks (rows are nodes,
@@ -28,7 +29,7 @@ EVENODD4 = {
 }
 
 LEDGER_CATEGORIES = ("data_block_bytes", "tag_bytes", "coefficient_bytes",
-                     "proof_bytes", "control_bytes")
+                     "proof_bytes", "control_bytes", "voucher_bytes")
 
 
 def make_layout(layout: str, params: SystemParams, rng) -> Dict[int, np.ndarray]:
@@ -70,9 +71,6 @@ class ByteLedger:
             raise ValueError("ledger counters are monotone")
         self.sent[category] += nbytes
         other.received[category] += nbytes
-
-    def totals(self) -> Dict[str, int]:
-        return {k: self.sent[k] + self.received[k] for k in LEDGER_CATEGORIES}
 
 
 @dataclass
@@ -138,16 +136,15 @@ class Node:
         elif fault.kind == "lie_probability":
             self.lie_epsilon = fault.epsilon
 
-    def answer(self, chal: Challenge) -> Tuple[Proof, audit.GenProofStats]:
+    def answer(self, chal: Challenge, voucher) -> Tuple[Proof, audit.GenProofStats]:
         lying = self.lie_epsilon and self.rng.random() < self.lie_epsilon
         proof, stats = audit.gen_proof(
             self.payload.blocks, self.payload.tags, chal, self.payload.k_e,
-            self.payload.aux, self.rng, self.params)
+            voucher, self.params)
         if lying:
             junk = self.rng.integers(0, 256, size=proof.ciphertext.c_bar.shape,
                                      dtype=np.uint8)
-            proof = Proof(ncrypt.Ciphertext(junk, proof.ciphertext.nonce,
-                                            proof.ciphertext.p),
+            proof = Proof(ncrypt.Ciphertext(junk, proof.ciphertext.nonce),
                           proof.pad, proof.tag)
         return proof, stats
 
@@ -167,25 +164,40 @@ class Tpa:
         self.manifest = manifest
         self.rng = rng
         self.ledger = ByteLedger()
+        self._unspent: Set[Tuple[int, int]] = set()  # issued, unused (node, k)
 
     def challenge(self, node: int, count: int) -> Challenge:
         return audit.gen_challenge(self.manifest, node, count, self.rng)
 
-    def verify(self, chal: Challenge, proof: Proof):
+    def expect(self, node: int, k: int) -> None:
+        """The user's notice that voucher k was issued to node."""
+        self._unspent.add((node, k))
+
+    def verify(self, chal: Challenge, proof: Proof) -> Tuple[bool, VerifyStats]:
+        """Spend the proof's k and verify; a k used before, never issued, or
+        issued to another node is rejected unverified."""
+        spent = (chal.node, proof.ciphertext.k)
+        if spent not in self._unspent:
+            return False, VerifyStats()
+        self._unspent.remove(spent)
         return audit.verify_proof(self._k_v, self.manifest, chal, proof)
 
 
 class User:
-    """Data owner.  The only role holding both keys."""
+    """Data owner: the only role holding both keys, so the voucher issuer."""
 
     def __init__(self, keys: KeyMaterial, rng):
-        self._keys = keys
+        self.keys = keys
         self.rng = rng
         self.ledger = ByteLedger()
+        self.next_k: Dict[int, int] = {}  # node -> counter of its next voucher
 
-    @property
-    def keys(self) -> KeyMaterial:
-        return self._keys
+    def issue(self, manifest: FileManifest, node: int) -> ncrypt.Voucher:
+        """The node's next voucher: each k is issued once per file and node."""
+        k = self.next_k.get(node, 1)
+        self.next_k[node] = k + 1
+        return ncrypt.setup(self.keys.k_e, self.keys.k_v, manifest.file_id.encode(),
+                            node, k, manifest.params)
 
 
 class Cluster:
@@ -215,7 +227,14 @@ class Cluster:
         chal = self.tpa.challenge(node, count)
         self.tpa.ledger.charge(self.nodes[node].ledger, "control_bytes",
                                len(chal.to_bytes()))
-        proof, _ = self.nodes[node].answer(chal)
+        # the user sends the node k and the voucher, and the TPA k
+        voucher = self.user.issue(self.manifest, node)
+        self.tpa.expect(node, voucher.k)
+        k_bytes = self.params.lambda_bits // 8
+        self.user.ledger.charge(self.nodes[node].ledger, "voucher_bytes",
+                                k_bytes + voucher.value.size)
+        self.user.ledger.charge(self.tpa.ledger, "voucher_bytes", k_bytes)
+        proof, _ = self.nodes[node].answer(chal, voucher)
         raw = proof.to_bytes()
         self.nodes[node].ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
         accepted, _ = self.tpa.verify(

@@ -5,7 +5,8 @@ tag verification to count, and a random lie rarely does.  Each target
 combination is asked R times with proportional coefficients (c * alpha for
 random nonzero c), normalized by 1/c, and settled by majority vote over the
 (data, tag) answers.  M independent majority winners pin down the node's
-blocks by elimination.
+blocks by elimination.  The extractor runs at the user, which issues
+each query's voucher and so can strip both the mask and the voucher.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class ExtractionError(RuntimeError):
 EXTRA_BUDGET = 3
 
 
-# oracle: Challenge -> Proof or None (refusal)
-ProofOracle = Callable[[Challenge], Optional[Proof]]
+# oracle: (Challenge, Voucher) -> Proof or None (refusal)
+ProofOracle = Callable[[Challenge, ncrypt.Voucher], Optional[Proof]]
 
 
 @dataclass
@@ -42,9 +43,9 @@ class ExtractionReport:
 
 
 def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
-                 k_e: bytes, k_v: bytes, aux: ncrypt.AuxiliaryElements,
-                 rng, rounds: int = 15) -> ExtractionReport:
-    """Rebuild all M blocks stored at `node`, with their tags.
+                 user, rng, rounds: int = 15) -> ExtractionReport:
+    """Rebuild all M blocks stored at `node`, with their tags; `user` holds
+    the keys and issues the vouchers (cluster.User).
 
     `rounds` challenges per equation, M equations; an equation whose vote
     is not a strict majority of verified answers is redrawn with fresh
@@ -55,6 +56,7 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     M = rows.shape[0]
     n = params.n
     fid = manifest.file_id.encode()
+    k_e, k_v = user.keys.k_e, user.keys.k_v
 
     solved_alphas: List[np.ndarray] = []
     solved_answers: List[np.ndarray] = []  # n data symbols, then ell tag symbols
@@ -74,15 +76,15 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
             c = int(rng.integers(1, 256))
             entries = [(i, int(a)) for i, a in enumerate(field.vec_scale(c, alphas)) if a]
             chal = Challenge(manifest.file_id, entries, node)
-            proof = oracle(chal)
+            voucher = user.issue(manifest, node)
+            proof = oracle(chal, voucher)
             queries += 1
-            if proof is None:
-                continue
-            # after decryption the plain tag applies; t+p matches only the
-            # masked form
-            full = np.concatenate([ncrypt.dec(k_e, fid, proof.ciphertext, aux),
+            if proof is None or proof.ciphertext.k != voucher.k:
+                continue  # a refusal, or an answer under another voucher
+            # unmasked data and the tag without the voucher: the plain pair
+            full = np.concatenate([ncrypt.dec(k_e, fid, node, proof.ciphertext, params),
                                    proof.pad, aggregate_coeffs(manifest, chal)])
-            tag = proof.tag
+            tag = proof.tag ^ voucher.value
             if not verify_block(k_v, manifest, full, tag):
                 discarded += 1
                 continue

@@ -2,17 +2,16 @@
 
 Reduction polynomial is x^8 + x^4 + x^3 + x + 1 (0x11B).  Multiplication is
 served from a 256x256 lookup table built once at import time from exp/log
-tables of the generator 3; addition is XOR.  Vector work goes through three
-kernels on numpy uint8 arrays: vec_scale (one scaled vector), combine_rows
-(a linear combination of rows) and matvec (the dot product of every row
-with one vector).  combine_rows gathers every product at once, through flat
-table indices, for small or narrow inputs and otherwise bit-slices: Horner's
-rule over the eight bit-planes of the coefficients, one doubling and one XOR
-reduction of the selected rows per plane (the bit-plane decomposition of
-Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using
-Intel SIMD Instructions", FAST 2013).  Gaussian elimination reduces all
-the rows that hold a pivot column in one step: each such row's table row,
-read at the symbols of the pivot row.
+tables of the generator 3; addition is XOR.  Vector work goes through two
+kernels on numpy uint8 arrays: vec_scale (one scaled vector) and
+combine_rows (a linear combination of rows).  combine_rows gathers every
+product at once, through flat table indices, for small or narrow inputs and
+otherwise bit-slices: Horner's rule over the eight bit-planes of the
+coefficients, one doubling and one XOR reduction of the selected rows per
+plane (the bit-plane decomposition of Plank, Greenan and Miller, "Screaming
+Fast Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013).
+Gaussian elimination reduces all the rows that hold a pivot column in one
+step: each such row's table row, read at the symbols of the pivot row.
 """
 
 from __future__ import annotations
@@ -74,9 +73,6 @@ class MultCounter:
         self.enabled = False
         self.value = 0
 
-    def reset(self):
-        self.value = 0
-
     def __enter__(self):
         self.enabled = True
         self.value = 0
@@ -130,15 +126,6 @@ def combine_rows(alphas, rows: np.ndarray) -> np.ndarray:
     for k in range(7, -1, -1):
         out = MUL[2][out] ^ np.bitwise_xor.reduce(rows[(alphas >> k) & 1 == 1], axis=0)
     return out
-
-
-def matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot product of every row with v; counts one multiplication per row symbol."""
-    if rows.shape[-1] != v.shape[0]:
-        raise ValueError("length mismatch")
-    if counter.enabled:
-        counter.value += int(rows.size)
-    return np.bitwise_xor.reduce(MUL[rows, v], axis=-1)
 
 
 def matrix_rank(a: np.ndarray) -> int:

@@ -1,112 +1,96 @@
-"""Mask-based encryption that stays verifiable under the homomorphic MAC.
+"""One-time masks and vouchers: masking that stays verifiable under the
+homomorphic MAC.
 
-The first n-2 symbols of a response block are hidden by adding a
-pseudorandom element of span(p_1..p_{n-1}), where the basis rows come from
-F2 under the encryption key.  For each MAC key index j the auxiliary
-scalars p_{i,j} = dot(r_j[:n-2], p_i) let the verifier compensate for the
-mask: the tag of the masked block is t + p where p = sum beta_i p_{i,j}.
+Audit k of a node hides the first n-2 symbols of the node's aggregate with
+m_k = F3(k_e, file, node, k), which the node derives directly in O(n).  The
+user, who alone holds both keys, issues the node a voucher for k (setup):
+
+    v_{k,j} = <m_k, r_j[:n-2]> + s_{k,j},    s_k = F4(k_v, file, node, k),
+
+and the node sends tau = t + v_k in place of its aggregate tag t.  The
+auditor, holding k_v but not k_e, accepts when the MAC of the masked block
+equals tau + s_k.  To the node s_k is a one-time pad, so vouchers tell it
+nothing about r; to the auditor tau is a function of the masked data and
+public values, and m_k keeps the masked data uniform.  Each k serves one
+audit: the auditor rejects a k it has seen, or one never issued to the node.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import field, prf, spacemac
-
-
-class SetupError(ValueError):
-    pass
-
-
-@dataclass
-class AuxiliaryElements:
-    basis: np.ndarray    # (n-1, n-2) mask basis rows
-    scalars: np.ndarray  # (n-1, ell) dot products with each r_j prefix
-
-    @property
-    def width(self) -> int:
-        return self.basis.shape[1]
-
-    def to_bytes(self) -> bytes:
-        return self.basis.tobytes() + self.scalars.tobytes()
+from . import prf, spacemac
 
 
 @dataclass
 class Ciphertext:
     c_bar: np.ndarray   # masked data, length n-2
-    nonce: bytes        # lambda-bit freshness value
-    p: np.ndarray       # ell auxiliary tags
+    nonce: bytes        # the audit counter k, lambda/8 bytes big-endian
+
+    @property
+    def k(self) -> int:
+        return int.from_bytes(self.nonce, "big")
 
     def to_bytes(self) -> bytes:
-        return self.c_bar.tobytes() + self.nonce + self.p.tobytes()
+        return self.c_bar.tobytes() + self.nonce
 
     @classmethod
-    def from_bytes(cls, raw: bytes, n: int, ell: int, lambda_bits: int) -> "Ciphertext":
+    def from_bytes(cls, raw: bytes, n: int, lambda_bits: int) -> "Ciphertext":
         """Parse the wire format; ValueError unless raw has exactly the
-        length n, ell and lambda_bits imply."""
+        length n and lambda_bits imply."""
         width = n - 2
-        nb = lambda_bits // 8
-        if len(raw) != width + nb + ell:
-            raise ValueError(f"ciphertext needs {width + nb + ell} bytes, got {len(raw)}")
-        c_bar = np.frombuffer(raw[:width], dtype=np.uint8).copy()
-        nonce = raw[width: width + nb]
-        p = np.frombuffer(raw[width + nb: width + nb + ell], dtype=np.uint8).copy()
-        return cls(c_bar, nonce, p)
+        if len(raw) != width + lambda_bits // 8:
+            raise ValueError(f"ciphertext needs {width + lambda_bits // 8} bytes, "
+                             f"got {len(raw)}")
+        return cls(np.frombuffer(raw[:width], dtype=np.uint8).copy(), raw[width:])
 
 
 @dataclass
-class MaskBundle:
-    """A nonce with its expanded mask, precomputed ahead of a challenge."""
-    nonce: bytes
-    m_bar: np.ndarray
-    p: np.ndarray
+class Voucher:
+    """What the user hands a node for one audit: k and ell symbols."""
+    node: int
+    k: int
+    value: np.ndarray
 
 
-def setup(k_e: bytes, k_v: bytes, file_id: bytes, params) -> AuxiliaryElements:
-    """Derive the mask basis and the per-key-index auxiliary scalars."""
-    n, ell = params.n, params.ell
-    width = n - 2
-    basis = np.empty((n - 1, width), dtype=np.uint8)
-    for i in range(1, n):
-        basis[i - 1] = prf.derive_mask_row(k_e, file_id, i, width)
-    scalars = np.empty((n - 1, ell), dtype=np.uint8)
-    for j in range(ell):
-        r_bar = spacemac.r_vector(k_v, file_id, width, j + 1)
-        if not r_bar.any():
-            raise SetupError(f"degenerate r vector for key index {j + 1}")
-        scalars[:, j] = field.matvec(basis, r_bar)
-    return AuxiliaryElements(basis, scalars)
+def _nonce(node: int, k: int, params) -> bytes:
+    """The PRF nonce of audit k at a node: u32 BE node id || k as on the wire."""
+    if not 1 <= k < 1 << params.lambda_bits:
+        raise ValueError(f"audit counter {k} outside 1..2^{params.lambda_bits}-1")
+    return struct.pack(">I", node) + k.to_bytes(params.lambda_bits // 8, "big")
 
 
-def mask_for_nonce(k_e: bytes, file_id: bytes, nonce: bytes,
-                   aux: AuxiliaryElements) -> MaskBundle:
-    """Expand a nonce into its masking vector and auxiliary tags."""
-    betas = prf.derive_betas(k_e, file_id, nonce, aux.basis.shape[0])
-    m_bar = field.combine_rows(betas, aux.basis)
-    p = field.combine_rows(betas, aux.scalars)
-    return MaskBundle(nonce, m_bar, p)
+def mask_for_nonce(k_e: bytes, file_id: bytes, node: int, k: int, params) -> np.ndarray:
+    """The mask m_k of audit k at a node, n-2 symbols."""
+    return prf.derive_mask(k_e, file_id, _nonce(node, k, params), params.n - 2)
 
 
-def precompute_mask(k_e: bytes, file_id: bytes, aux: AuxiliaryElements,
-                    rng, lambda_bits: int = 128) -> MaskBundle:
-    nonce = rng.bytes(lambda_bits // 8)
-    return mask_for_nonce(k_e, file_id, nonce, aux)
+def voucher_pad(k_v: bytes, file_id: bytes, node: int, k: int, params) -> np.ndarray:
+    """The pad s_k that the auditor strips from tau, ell symbols."""
+    return prf.derive_pad(k_v, file_id, _nonce(node, k, params), params.ell)
 
 
-def enc(k_e: bytes, file_id: bytes, e_bar: np.ndarray, aux: AuxiliaryElements,
-        rng, lambda_bits: int = 128, mask: MaskBundle | None = None) -> Ciphertext:
-    """Mask e_bar with a fresh (or precomputed) span element."""
+def setup(k_e: bytes, k_v: bytes, file_id: bytes, node: int, k: int,
+          params) -> Voucher:
+    """Issue voucher k for a node; needs both keys."""
+    m_bar = mask_for_nonce(k_e, file_id, node, k, params)
+    value = spacemac.mac(k_v, file_id, m_bar, params.ell)
+    return Voucher(node, k, value ^ voucher_pad(k_v, file_id, node, k, params))
+
+
+def enc(k_e: bytes, file_id: bytes, node: int, k: int, e_bar: np.ndarray,
+        params) -> Ciphertext:
+    """Mask e_bar with the mask of audit k."""
     e_bar = np.asarray(e_bar, dtype=np.uint8)
-    if e_bar.shape[0] != aux.width:
+    if e_bar.shape[0] != params.n - 2:
         raise ValueError("plaintext must have length n-2")
-    if mask is None:
-        mask = precompute_mask(k_e, file_id, aux, rng, lambda_bits)
-    return Ciphertext(e_bar ^ mask.m_bar, mask.nonce, mask.p.copy())
+    return Ciphertext(e_bar ^ mask_for_nonce(k_e, file_id, node, k, params),
+                      k.to_bytes(params.lambda_bits // 8, "big"))
 
 
-def dec(k_e: bytes, file_id: bytes, ct: Ciphertext, aux: AuxiliaryElements) -> np.ndarray:
+def dec(k_e: bytes, file_id: bytes, node: int, ct: Ciphertext, params) -> np.ndarray:
     """Strip the mask.  No integrity check: that is the MAC's job."""
-    mask = mask_for_nonce(k_e, file_id, ct.nonce, aux)
-    return ct.c_bar ^ mask.m_bar
+    return ct.c_bar ^ mask_for_nonce(k_e, file_id, node, ct.k, params)

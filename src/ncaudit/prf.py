@@ -1,11 +1,13 @@
 """The three keyed pseudorandom functions used by the protocol.
 
-F1 derives MAC vectors, F2 the mask basis, F3 the masking coefficients.
-Domains are separated by an injective byte encoding:
+F1 (under k_v) derives the MAC vectors r_j, F3 (under k_e) the mask of one
+audit and F4 (under k_v) the one-time pad of that audit's voucher; an
+audit's nonce names the node and the audit counter k.  Function id 2 is
+not used.  Domains are separated by an injective byte encoding:
 
     function id (1 byte)
     || u32 BE length of file id || file id
-    || [u32 BE length of nonce || nonce]      (F3 only)
+    || [u32 BE length of nonce || nonce]      (F3 and F4 only)
     || u32 BE per integer index
 
 The keystream is keyed BLAKE2b in counter mode over the trailing index:
@@ -22,30 +24,23 @@ import struct
 import numpy as np
 
 F1 = 1
-F2 = 2
 F3 = 3
+F4 = 4
+NONCED = (F3, F4)
 
 
 def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes:
-    """Injective encoding of a PRF domain point."""
-    if fn not in (F1, F2, F3):
+    """Injective encoding of a PRF domain point, or of its leading indices;
+    ValueError on an unknown function, a nonce missing for F3 or F4 or given
+    to F1, or an index below 1."""
+    if fn not in (F1, *NONCED):
         raise ValueError(f"unknown PRF function id {fn}")
-    if fn == F3 and not nonce:
-        raise ValueError("F3 requires a nonce")
-    if fn != F3 and nonce:
-        raise ValueError("only F3 carries a nonce")
-    if not indices:
-        raise ValueError("at least one index required")
-    for i in indices:
-        if i < 1:
-            raise ValueError(f"index {i} out of range (must be >= 1)")
-    return _prefix(fn, file_id, indices, nonce)
-
-
-def _prefix(fn: int, file_id: bytes, indices, nonce: bytes) -> bytes:
-    """The encoding of the domain point up to and including `indices`."""
+    if (fn in NONCED) != bool(nonce):
+        raise ValueError("F3 and F4 need a nonce, and only they carry one")
+    if any(i < 1 for i in indices):
+        raise ValueError("PRF indices must be >= 1")
     parts = [bytes([fn]), struct.pack(">I", len(file_id)), file_id]
-    if fn == F3:
+    if fn in NONCED:
         parts += [struct.pack(">I", len(nonce)), nonce]
     parts += [struct.pack(">I", i) for i in indices]
     return b"".join(parts)
@@ -65,36 +60,30 @@ def _batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
 
 def prf_eval(key: bytes, fn: int, file_id: bytes, indices, nonce: bytes = b"") -> int:
     """One field symbol, deterministic in (key, domain)."""
-    encode_domain(fn, file_id, indices, nonce)  # range/shape validation
-    prefix = _prefix(fn, file_id, indices[:-1], nonce)
-    return int(_batch(key, prefix, np.array([indices[-1]], dtype=np.uint32))[0])
+    if not indices:
+        raise ValueError("at least one index required")
+    return int(eval_range(key, fn, file_id, indices[:-1], 1, nonce, indices[-1])[0])
 
 
 def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
                nonce: bytes = b"", start: int = 1) -> np.ndarray:
     """PRF outputs for trailing indices start..start+count-1, as a vector."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if count < 1 or start < 1:
+        raise ValueError("count and start must be >= 1")
     last = np.arange(start, start + count, dtype=np.uint32)
-    return _batch(key, _prefix(fn, file_id, head_indices, nonce), last)
+    return _batch(key, encode_domain(fn, file_id, head_indices, nonce), last)
 
 
 def derive_r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:
     """The F1 vector r for one key index; prefix-stable in length."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if key_index < 1:
-        raise ValueError("key_index must be >= 1")
     return eval_range(k_v, F1, file_id, (key_index,), length)
 
 
-def derive_mask_row(k_e: bytes, file_id: bytes, i: int, width: int) -> np.ndarray:
-    """F2 row i of the mask basis, width n-2."""
-    if i < 1:
-        raise ValueError("basis row index must be >= 1")
-    return eval_range(k_e, F2, file_id, (i,), width)
+def derive_mask(k_e: bytes, file_id: bytes, nonce: bytes, width: int) -> np.ndarray:
+    """The F3 mask of one audit, width n-2."""
+    return eval_range(k_e, F3, file_id, (), width, nonce=nonce)
 
 
-def derive_betas(k_e: bytes, file_id: bytes, nonce: bytes, count: int) -> np.ndarray:
-    """F3 masking coefficients beta_1..beta_count for one nonce."""
-    return eval_range(k_e, F3, file_id, (), count, nonce=nonce)
+def derive_pad(k_v: bytes, file_id: bytes, nonce: bytes, ell: int) -> np.ndarray:
+    """The F4 one-time pad of one audit's voucher, ell symbols."""
+    return eval_range(k_v, F4, file_id, (), ell, nonce=nonce)

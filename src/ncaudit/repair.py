@@ -47,6 +47,14 @@ def _sent_rows(manifest: FileManifest, helpers: List[int],
                            for h in helpers])
 
 
+def _helper_rows(manifest: FileManifest, failed: int, helpers: List[int]) -> np.ndarray:
+    """The helpers' stored coefficient rows, stacked."""
+    if not helpers:
+        raise PlanningError(f"no helper nodes to rebuild node {failed} from: "
+                            "a repair needs at least one other node")
+    return np.concatenate([manifest.node_coeffs[h] for h in helpers])
+
+
 def plan_exact_repair(manifest: FileManifest, failed: int,
                       helpers: List[int], rng,
                       per_helper: Optional[int] = None) -> RepairPlan:
@@ -59,7 +67,7 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
     params = manifest.params
     target = manifest.node_coeffs[failed]
     Q = per_helper if per_helper is not None else params.Q
-    stacked = np.concatenate([manifest.node_coeffs[h] for h in helpers])
+    stacked = _helper_rows(manifest, failed, helpers)
     need = field.matrix_rank(np.concatenate([stacked, target], axis=0))
     if field.matrix_rank(stacked) < need:
         raise PlanningError("helpers do not span the failed node's rows")
@@ -128,7 +136,7 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
     source blocks.  The replacement rows differ from the lost ones."""
     params = manifest.params
     M, m, Q = params.M, params.m, params.Q
-    others = np.concatenate([manifest.node_coeffs[h] for h in helpers], axis=0)
+    others = _helper_rows(manifest, failed, helpers)
     for _ in range(ATTEMPTS):
         gamma = {h: rng.integers(0, 256, size=(Q, manifest.node_coeffs[h].shape[0]),
                                  dtype=np.uint8) for h in helpers}
@@ -157,9 +165,7 @@ class RepairShipment:
 
 
 def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray,
-                       helper: int) -> RepairShipment:
-    # the mask basis rows span the n-2 unpadded data symbols
-    n = payload.aux.width + 2
+                       helper: int, n: int) -> RepairShipment:
     return RepairShipment(helper, combine_blocks(gamma_rows, payload.blocks),
                           combine_blocks(gamma_rows, payload.tags), n)
 
@@ -194,9 +200,9 @@ def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
         plan = plan_functional_repair(manifest, failed, helpers, rng)
     else:
         raise ValueError(f"unknown repair mode {mode!r}")
-    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h)
+    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h, manifest.params.n)
                  for h in plan.helpers]
-    old = payloads[failed]
-    payloads[failed] = NodePayload(*reconstruct_node(plan, shipments), old.aux, old.k_e)
+    payloads[failed] = NodePayload(*reconstruct_node(plan, shipments),
+                                   payloads[failed].k_e)
     refresh_manifest(manifest, plan)
     return plan, shipments

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncaudit import (audit, blocks, dynamics, extractor, field, ncrypt,
-                     repair, spacemac)
+                     prf, repair, spacemac)
 from ncaudit.blocks import SystemParams, decode_file
 from ncaudit.cli import bench_store
 from ncaudit.cluster import EVENODD4, Fault, spawn_cluster
@@ -86,7 +86,8 @@ def _detection_trials(ell, trials, seed, keys_to_try=100):
 
 def _detection_batch(params, keys, manifest, payloads, trials, rng):
     accepts = 0
-    for _ in range(trials):
+    fid = manifest.file_id.encode()
+    for k in range(1, trials + 1):
         node = int(rng.integers(4))
         # the corrupted block must actually enter the aggregate: a zero
         # coefficient would make acceptance correct rather than a miss
@@ -100,8 +101,9 @@ def _detection_batch(params, keys, manifest, payloads, trials, rng):
         pos = int(rng.integers(params.n))
         delta = int(rng.integers(1, 256))
         p.blocks[target, pos] ^= delta           # corrupt one symbol
-        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                                   rng, params)
+        voucher = ncrypt.setup(keys.k_e, keys.k_v, fid, node, k, params)
+        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, voucher,
+                                   params)
         p.blocks[target, pos] ^= delta           # restore
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         accepts += ok
@@ -125,53 +127,51 @@ def test_criterion_03_detection_rate():
 # ------------------------------------------------------------------ 4
 
 def test_criterion_04_mask_tag_identity():
+    # the voucher identity: v_k = <m_k, r_j[:n-2]> + s_{k,j} for every k, j
     params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2,
                           lambda_bits=80)
     rng = np.random.default_rng(404)
     k_e, k_v, fid = rng.bytes(16), rng.bytes(16), b"c4"
-    aux = ncrypt.setup(k_e, k_v, fid, params)
-    rs = [spacemac.r_vector(k_v, fid, params.n - 2, j) for j in (1, 2)]
+    rs = np.stack([spacemac.r_vector(k_v, fid, params.n - 2, j) for j in (1, 2)])
     t0 = time.perf_counter()
-    for _ in range(10_000):
-        bundle = ncrypt.precompute_mask(k_e, fid, aux, rng, 80)
-        for j, r in enumerate(rs):
-            assert bundle.p[j] == field.matvec(r[None, :], bundle.m_bar)[0]
+    for k in range(1, 10_001):
+        node = k % 4
+        voucher = ncrypt.setup(k_e, k_v, fid, node, k, params)
+        mask = ncrypt.mask_for_nonce(k_e, fid, node, k, params)
+        pad = ncrypt.voucher_pad(k_v, fid, node, k, params)
+        assert np.array_equal(voucher.value ^ pad, field.combine_rows(mask, rs.T))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10
-    _report("4 mask-tag identity",
-            f"10000 masks, exact equality for both key indices in {elapsed:.1f}s")
+    _report("4 voucher identity",
+            f"10000 vouchers, exact equality for both key indices in {elapsed:.1f}s")
 
 
 # ------------------------------------------------------------------ 5
 
 def test_criterion_05_masking_structure():
+    # the direct mask: roundtrip per k, and a fresh mask for every k and node
     rng = np.random.default_rng(505)
     small = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
-    k_e, k_v, fid = rng.bytes(16), rng.bytes(16), b"c5"
-    aux = ncrypt.setup(k_e, k_v, fid, small)
-    for _ in range(10_000):
+    k_e, fid = rng.bytes(16), b"c5"
+    for k in range(1, 10_001):
         e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-        ct = ncrypt.enc(k_e, fid, e_bar, aux, rng, 80)
-        assert np.array_equal(ncrypt.dec(k_e, fid, ct, aux), e_bar)
-    # span membership by elimination at n = 64
-    big = SystemParams(n=64, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
-    aux64 = ncrypt.setup(k_e, k_v, b"c5-64", big)
-    base_rank = field.matrix_rank(aux64.basis)
-    for _ in range(100):
-        e_bar = rng.integers(0, 256, 62, dtype=np.uint8)
-        ct = ncrypt.enc(k_e, b"c5-64", e_bar, aux64, rng, 80)
-        mask = ct.c_bar ^ e_bar
-        assert field.matrix_rank(
-            np.concatenate([aux64.basis, mask[None, :]])) == base_rank
-    # freshness
+        ct = ncrypt.enc(k_e, fid, k % 4, k, e_bar, small)
+        assert ct.k == k
+        assert np.array_equal(ncrypt.dec(k_e, fid, k % 4, ct, small), e_bar)
+    # freshness: one plaintext under 250 counters at each of 4 nodes
     e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-    seen = set()
-    for _ in range(1000):
-        ct = ncrypt.enc(k_e, fid, e_bar, aux, rng, 80)
-        seen.add(ct.to_bytes())
-    assert len(seen) == 1000
+    masks = {ncrypt.enc(k_e, fid, node, k, e_bar, small).c_bar.tobytes()
+             for node in range(4) for k in range(1, 251)}
+    assert len(masks) == 1000
+    # the mask is the F3 keystream, whose symbols spread over the field
+    big = SystemParams(n=4096, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
+    counts = np.bincount(ncrypt.mask_for_nonce(k_e, fid, 0, 1, big), minlength=256)
+    assert counts.min() > 0 and counts.max() < 4 * 4094 // 256
+    assert prf.derive_mask(k_e, fid, b"\x00" * 4 + (1).to_bytes(10, "big"),
+                           4094).tobytes() == \
+        ncrypt.mask_for_nonce(k_e, fid, 0, 1, big).tobytes()
     _report("5 masking structure",
-            "10000 roundtrips, 100 span checks, 1000/1000 fresh ciphertexts")
+            "10000 roundtrips, 1000/1000 fresh masks over (node, k)")
 
 
 # ------------------------------------------------------------------ 6
@@ -208,16 +208,22 @@ def _table_scale_store(seed):
     return (*bench_store(4096, 500, 300, 10, 80, rng), rng)
 
 
+def _bench_voucher(keys, params, k):
+    return ncrypt.setup(keys.k_e, keys.k_v, b"bench", 0, k, params)
+
+
 def test_criterion_07_cost_formulas():
-    params, keys, manifest, blks, tags, aux, rng = _table_scale_store(707)
+    params, keys, manifest, blks, tags, rng = _table_scale_store(707)
     n, m, C, ell = params.n, params.m, 300, params.ell
     chal = audit.gen_challenge(manifest, 0, C, rng)
-    mask = ncrypt.precompute_mask(keys.k_e, b"bench", aux, rng, 80)
+    voucher = _bench_voucher(keys, params, 1)
     with field.counter:
-        proof, gstats = audit.gen_proof(blks, tags, chal, keys.k_e, aux,
-                                        rng, params, mask=mask)
+        proof, gstats = audit.gen_proof(blks, tags, chal, keys.k_e, voucher,
+                                        params)
+        gen_total = field.counter.value
     assert gstats.block_mults == C * n == 1_228_800
-    assert gstats.mask_mults == 0
+    assert gen_total == gstats.block_mults + C * ell  # masking costs none
+    assert len(proof.to_bytes()) == (n - 2) + 80 // 8 + 2 + ell
     with field.counter:
         ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
     assert ok
@@ -228,14 +234,15 @@ def test_criterion_07_cost_formulas():
 
 
 def test_criterion_08_timing():
-    params, keys, manifest, blks, tags, aux, rng = _table_scale_store(808)
+    # gen_proof now includes deriving the mask; the voucher is issued
+    # beforehand at the user
+    params, keys, manifest, blks, tags, rng = _table_scale_store(808)
     gen_ms, ver_ms = [], []
-    for _ in range(20):
+    for k in range(1, 21):
         chal = audit.gen_challenge(manifest, 0, 300, rng)
-        mask = ncrypt.precompute_mask(keys.k_e, b"bench", aux, rng, 80)
+        voucher = _bench_voucher(keys, params, k)
         t0 = time.perf_counter()
-        proof, _ = audit.gen_proof(blks, tags, chal, keys.k_e, aux, rng,
-                                   params, mask=mask)
+        proof, _ = audit.gen_proof(blks, tags, chal, keys.k_e, voucher, params)
         t1 = time.perf_counter()
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         t2 = time.perf_counter()
@@ -257,11 +264,15 @@ def test_criterion_09_bandwidth_overhead():
     overhead = Fraction(lam // 8 + ell + 2, n)
     assert overhead == Fraction(13, 4096)
     assert overhead < Fraction(1, 100)
-    # the serialized proof carries exactly that many bytes beyond n - 2
+    # the serialized proof carries exactly that many bytes beyond n - 2:
+    # the counter k, the two padding symbols and the ell symbols of tau
     params = SystemParams(n=n, m=4, N=4, M=2, P=3, Q=1, ell=ell,
                           lambda_bits=lam)
-    proof_bytes = (n - 2) + lam // 8 + 2 + 2 * ell
-    assert proof_bytes - (n - 2) == 13 + ell  # nonce+p+pads+tag
+    c = spawn_cluster(params, "evenodd4", bytes(range(200)), seed=909)
+    accepted, record = c.run_audit_round(0, 2)
+    assert accepted
+    proof_bytes = record["proof_bytes"]
+    assert proof_bytes - (n - 2) == 12 + ell == 13
     _report("9 bandwidth overhead",
             f"13/4096 = {float(overhead):.4%} < 1%")
 
@@ -281,9 +292,9 @@ def test_criterion_10_retrievability():
     for trial in range(100):
         try:
             report = extractor.extract_node(
-                lambda chal: c.nodes[node].answer(chal)[0],
-                c.manifest, node, c.user.keys.k_e, c.user.keys.k_v, p.aux,
-                np.random.default_rng(10_000 + trial), rounds=15)
+                lambda chal, voucher: c.nodes[node].answer(chal, voucher)[0],
+                c.manifest, node, c.user, np.random.default_rng(10_000 + trial),
+                rounds=15)
         except extractor.ExtractionError:
             continue
         if not np.array_equal(report.blocks, p.blocks):
@@ -350,7 +361,9 @@ def test_criterion_11_dynamics():
         if not aug[1]:
             continue
         rounds += 1
-        proof, _ = c2.nodes[stale].answer(chal)
+        voucher = c2.user.issue(c2.manifest, stale)
+        c2.tpa.expect(stale, voucher.k)
+        proof, _ = c2.nodes[stale].answer(chal, voucher)
         rejected += not c2.tpa.verify(chal, proof)[0]
     assert accepted == 1000
     assert rejected == 1000

@@ -1,13 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import audit, field, ncrypt
+from ncaudit import audit, field, ncrypt, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import EVENODD4, Fault, Node
 
 PARAMS = SystemParams(n=32, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
+_COUNTER = itertools.count(1)
+
+
+def _voucher(keys, manifest, chal):
+    """A fresh voucher for the challenged node, as the user issues it."""
+    return ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), chal.node,
+                        next(_COUNTER), manifest.params)
 
 
 @pytest.fixture
@@ -23,8 +32,8 @@ def test_honest_round_accepts(system, rng):
     for node in range(4):
         chal = audit.gen_challenge(manifest, node, 2, rng)
         p = payloads[node]
-        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                                   rng, PARAMS)
+        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                                   _voucher(keys, manifest, chal), PARAMS)
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         assert ok
 
@@ -37,8 +46,8 @@ def test_corrupted_block_rejected(system, rng):
     for _ in range(50):
         chal = Challenge(manifest.file_id, [(0, int(rng.integers(1, 256))),
                                             (1, int(rng.integers(1, 256)))], 1)
-        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                                   rng, PARAMS)
+        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                                   _voucher(keys, manifest, chal), PARAMS)
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         rejections += not ok
     assert rejections == 50  # two key indices: escape odds ~2^-16 per round
@@ -49,8 +58,8 @@ def test_wrong_coefficients_rejected(system, rng):
     keys, manifest, payloads = system
     chal = audit.gen_challenge(manifest, 2, 2, rng)
     p = payloads[2]
-    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                               rng, PARAMS)
+    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                               _voucher(keys, manifest, chal), PARAMS)
     manifest.node_coeffs[2] = manifest.node_coeffs[2].copy()
     manifest.node_coeffs[2][0, 0] ^= 1
     ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
@@ -65,7 +74,7 @@ def test_gen_proof_deleted_block_rejected(system, rng):
     rejected = 0
     for _ in range(20):
         chal = Challenge(manifest.file_id, [(0, 5), (1, int(rng.integers(1, 256)))], 0)
-        proof, _ = node.answer(chal)
+        proof, _ = node.answer(chal, _voucher(keys, manifest, chal))
         rejected += not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
     assert rejected == 20
 
@@ -76,7 +85,8 @@ def test_gen_proof_rejects_index_outside_store(system, rng, index):
     p = payloads[0]
     chal = Challenge(manifest.file_id, [(0, 5), (index, 7)], 0)
     with pytest.raises(ValueError, match="outside a store of 2 blocks"):
-        audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux, rng, PARAMS)
+        audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                        _voucher(keys, manifest, chal), PARAMS)
 
 
 def test_challenge_wire_roundtrip():
@@ -97,11 +107,11 @@ def test_proof_wire_roundtrip(system, rng):
     keys, manifest, payloads = system
     chal = audit.gen_challenge(manifest, 3, 2, rng)
     p = payloads[3]
-    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                               rng, PARAMS)
+    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                               _voucher(keys, manifest, chal), PARAMS)
     raw = proof.to_bytes()
-    # data, nonce, auxiliary tags, two padding symbols, tag symbols
-    assert len(raw) == (32 - 2) + 10 + 2 + 2 + 2
+    # data, counter k, two padding symbols, tag symbols
+    assert len(raw) == (32 - 2) + 10 + 2 + 2
     back = Proof.from_bytes(raw, PARAMS)
     ok, _ = audit.verify_proof(keys.k_v, manifest, chal, back)
     assert ok
@@ -112,14 +122,14 @@ def test_multiplication_counts(system, rng):
     n, m, ell, C = PARAMS.n, PARAMS.m, PARAMS.ell, 2
     chal = audit.gen_challenge(manifest, 0, C, rng)
     p = payloads[0]
-    mask = ncrypt.precompute_mask(keys.k_e, manifest.file_id.encode(), p.aux,
-                                  rng, PARAMS.lambda_bits)
+    voucher = _voucher(keys, manifest, chal)
     with field.counter:
         proof, gstats = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
-                                        p.aux, rng, PARAMS, mask=mask)
+                                        voucher, PARAMS)
+        total = field.counter.value
     assert gstats.block_mults == C * n
     assert gstats.tag_mults == C * ell
-    assert gstats.mask_mults == 0
+    assert total == C * (n + ell)  # the direct mask and the voucher cost none
     with field.counter:
         ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
     assert ok
@@ -127,14 +137,34 @@ def test_multiplication_counts(system, rng):
 
 
 def test_proof_privacy(system, rng):
-    # the transmitted data symbols never equal the plain aggregate
+    # the data symbols are masked, and what the TPA can strip from the tag
+    # (its pad s_k) leaves exactly the MAC of the masked row: a function of
+    # c_bar and public values, not the plain aggregate's tag
     keys, manifest, payloads = system
     p = payloads[0]
     chal = Challenge(manifest.file_id, [(0, 9)], 0)
-    plain = field.vec_scale(9, p.blocks[0, : PARAMS.n - 2])
-    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                               rng, PARAMS)
-    assert not np.array_equal(proof.ciphertext.c_bar, plain)
+    plain = field.vec_scale(9, p.blocks[0])
+    voucher = _voucher(keys, manifest, chal)
+    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, voucher, PARAMS)
+    fid = manifest.file_id.encode()
+    assert not np.array_equal(proof.ciphertext.c_bar, plain[: PARAMS.n - 2])
+    seen = proof.tag ^ ncrypt.voucher_pad(keys.k_v, fid, 0, voucher.k, PARAMS)
+    masked = np.concatenate([proof.ciphertext.c_bar, plain[PARAMS.n - 2:]])
+    assert np.array_equal(seen, spacemac.mac(keys.k_v, fid, masked, PARAMS.ell))
+    assert not np.array_equal(seen, spacemac.mac(keys.k_v, fid, plain, PARAMS.ell))
+
+
+def test_unseeded_keygen_leaves_generator_untouched(rng):
+    # without a generator the keys come from the secrets module; a seeded
+    # generator gives the same keys as its first two lambda-bit draws
+    state = rng.bit_generator.state
+    a, b = audit.keygen(PARAMS), audit.keygen(PARAMS, None)
+    assert rng.bit_generator.state == state
+    assert len(a.k_v) == len(a.k_e) == PARAMS.lambda_bits // 8
+    assert len({a.k_v, a.k_e, b.k_v, b.k_e}) == 4
+    seeded = audit.keygen(PARAMS, np.random.default_rng(9))
+    twin = np.random.default_rng(9)
+    assert (seeded.k_v, seeded.k_e) == (twin.bytes(10), twin.bytes(10))
 
 
 def test_challenge_coefficients_nonzero(system, rng):
@@ -157,8 +187,8 @@ def test_full_node_audit_catches_every_corruption(rng):
         delta = int(rng.integers(1, 256))
         p.blocks[block, pos] ^= delta
         chal = audit.gen_challenge(manifest, 2, 2, rng)
-        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                                   rng, params)
+        proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                                   _voucher(keys, manifest, chal), params)
         p.blocks[block, pos] ^= delta
         assert not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
 
@@ -167,8 +197,8 @@ def test_wire_parsers_reject_truncated_and_trailing(system, rng):
     keys, manifest, payloads = system
     chal = audit.gen_challenge(manifest, 3, 2, rng)
     p = payloads[3]
-    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, p.aux,
-                               rng, PARAMS)
+    proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e,
+                               _voucher(keys, manifest, chal), PARAMS)
     for raw, parse in [(chal.to_bytes(), Challenge.from_bytes),
                        (proof.to_bytes(), lambda b: Proof.from_bytes(b, PARAMS))]:
         for bad in (raw[:-1], raw[:3], b"", raw + b"\x00"):

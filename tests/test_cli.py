@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ncaudit import audit
 from ncaudit.cli import _load_store, _save_store, main
 
 
@@ -20,9 +21,10 @@ def store(tmp_path, monkeypatch):
 
 
 def test_setup_writes_layout(store):
-    assert (store / "manifest.json").exists()
-    assert (store / "keys.json").exists()
-    assert (store / "aux.bin").exists()
+    assert sorted(p.name for p in store.iterdir()) == [
+        "keys.json", "manifest.json", "nodes", "vouchers.json"]
+    assert json.loads((store / "vouchers.json").read_text()) == {
+        "0": 1, "1": 1, "2": 1, "3": 1}
     for node in range(4):
         ndir = store / "nodes" / f"node{node}"
         assert sorted(p.name for p in ndir.iterdir()) == ["blocks.bin", "tags.bin"]
@@ -227,3 +229,66 @@ def test_node_file_of_wrong_length_is_rejected(store, name, length):
             assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
     finally:
         path.write_bytes(good)
+
+
+def test_audits_advance_the_voucher_counter_and_leave_node_files(store, capsys):
+    nodes = {p: p.read_bytes() for p in (store / "nodes").rglob("*") if p.is_file()}
+    assert main(["audit", "--dir", str(store), "--node", "1", "--rounds", "3"]) == 0
+    assert main(["audit", "--dir", str(store), "--node", "1", "--rounds", "2"]) == 0
+    assert main(["extract", "--dir", str(store), "--node", "2", "--seed", "7"]) == 0
+    counters = json.loads((store / "vouchers.json").read_text())
+    assert counters["1"] == 6 and counters["0"] == 1
+    assert counters["2"] > 2  # one voucher per extraction query
+    assert {p: p.read_bytes() for p in (store / "nodes").rglob("*")
+            if p.is_file()} == nodes
+
+
+@pytest.mark.parametrize("doc", [[], {"0": 0}, {"0": "1"}, {"x": 1}, {"0": 1.5}])
+def test_malformed_voucher_counters_are_usage_errors(store, doc, capsys):
+    (store / "vouchers.json").write_text(json.dumps(doc))
+    assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [None, "2a"])
+def test_only_seeded_setup_draws_keys_from_numpy(tmp_path, monkeypatch, seed):
+    # unseeded keys come from the OS CSPRNG: setup's generator then draws
+    # only the two padding symbols per source block, never a key
+    monkeypatch.delenv("NCAUDIT_SEED", raising=False)
+    monkeypatch.setattr(audit.secrets, "token_bytes", lambda n: bytes([0xA5]) * n)
+    drawn, default_rng = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, s):
+            self._rng = default_rng(s)
+
+        def bytes(self, n):
+            drawn.append(n)
+            return self._rng.bytes(n)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"some file")
+    argv = ["setup", "--file", str(src), "--out", str(tmp_path / "s"), "--n", "16"]
+    assert main(argv + (["--seed", seed] if seed else [])) == 0
+    keys = json.loads((tmp_path / "s" / "keys.json").read_text())
+    if seed is None:
+        assert keys == {"k_v": "a5" * 16, "k_e": "a5" * 16}
+        assert drawn == [2] * 4
+    else:
+        assert keys["k_v"] != "a5" * 16
+        assert drawn == [16, 16] + [2] * 4
+
+
+@pytest.mark.parametrize("mode", ["exact", "functional"])
+def test_one_node_store_repair_names_missing_helpers(tmp_path, mode, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    out = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(out), "--layout", "random",
+                 "--nodes", "1", "--n", "64", "--seed", "3"]) == 0
+    assert main(["repair", "--dir", str(out), "--node", "0", "--mode", mode]) == 2
+    assert "no helper nodes to rebuild node 0" in capsys.readouterr().err

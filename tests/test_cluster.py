@@ -60,7 +60,7 @@ def test_ledger_conservation(cluster):
 def test_proof_bytes_per_round(cluster):
     _, record = cluster.run_audit_round(1, 2)
     n, lam, ell = PARAMS.n, PARAMS.lambda_bits, PARAMS.ell
-    assert record["proof_bytes"] == (n - 2) + lam // 8 + 2 + 2 * ell
+    assert record["proof_bytes"] == (n - 2) + lam // 8 + 2 + ell
 
 
 def test_fault_validation(cluster):

@@ -15,11 +15,10 @@ def cluster():
 
 
 def _extract(cluster, node, seed, rounds=15):
-    p = cluster.nodes[node].payload
     return extractor.extract_node(
-        lambda chal: cluster.nodes[node].answer(chal)[0],
-        cluster.manifest, node, cluster.user.keys.k_e, cluster.user.keys.k_v,
-        p.aux, np.random.default_rng(seed), rounds=rounds)
+        lambda chal, voucher: cluster.nodes[node].answer(chal, voucher)[0],
+        cluster.manifest, node, cluster.user, np.random.default_rng(seed),
+        rounds=rounds)
 
 
 def test_extract_honest_node(cluster):
@@ -42,9 +41,8 @@ def test_extract_refusing_node(cluster):
     # a prover that refuses every challenge yields no equations
     with pytest.raises(extractor.ExtractionError):
         extractor.extract_node(
-            lambda chal: None, cluster.manifest, 1,
-            cluster.user.keys.k_e, cluster.user.keys.k_v,
-            cluster.nodes[1].payload.aux, np.random.default_rng(3))
+            lambda chal, voucher: None, cluster.manifest, 1, cluster.user,
+            np.random.default_rng(3))
 
 
 def test_extract_always_lying_node(cluster):

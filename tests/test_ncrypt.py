@@ -1,102 +1,118 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import field, ncrypt, spacemac
+from ncaudit import field, ncrypt, prf, spacemac
 from ncaudit.blocks import SystemParams
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 K_E = bytes(range(10, 26))
 K_V = bytes(range(50, 66))
 FID = b"enc-file"
+NODE = 2
 
 
-@pytest.fixture
-def aux():
-    return ncrypt.setup(K_E, K_V, FID, PARAMS)
+def _scalar_dot(a, b):
+    acc = 0
+    for x, y in zip(a.tolist(), b.tolist()):
+        acc ^= field.mul(x, y)
+    return acc
 
 
-def test_setup_shapes(aux):
-    assert aux.basis.shape == (15, 14)   # n-1 rows of width n-2
-    assert aux.scalars.shape == (15, 2)  # one column per key index
+def test_setup_shapes():
+    # setup issues one voucher: ell symbols for one node and counter
+    v = ncrypt.setup(K_E, K_V, FID, NODE, 5, PARAMS)
+    assert (v.node, v.k) == (NODE, 5)
+    assert v.value.shape == (2,) and v.value.dtype == np.uint8
+    with pytest.raises(ValueError):
+        ncrypt.setup(K_E, K_V, FID, NODE, 0, PARAMS)       # counters start at 1
+    with pytest.raises(ValueError):
+        ncrypt.setup(K_E, K_V, FID, NODE, 2**80, PARAMS)   # past lambda bits
 
 
-def test_scalars_are_keystream_dots(aux):
-    # each auxiliary scalar is the basis row dotted with the keystream prefix
-    for j in (1, 2):
-        r = spacemac.r_vector(K_V, FID, 14, j)
-        for i in range(15):
-            expect = 0
-            for x, y in zip(aux.basis[i].tolist(), r.tolist()):
-                expect ^= field.mul(x, y)
-            assert aux.scalars[i, j - 1] == expect
-
-
-def test_roundtrip(aux, rng):
-    for _ in range(50):
-        e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-        ct = ncrypt.enc(K_E, FID, e_bar, aux, rng, PARAMS.lambda_bits)
-        assert np.array_equal(ncrypt.dec(K_E, FID, ct, aux), e_bar)
-
-
-def test_mask_lies_in_basis_span(aux, rng):
-    e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-    ct = ncrypt.enc(K_E, FID, e_bar, aux, rng, PARAMS.lambda_bits)
-    mask = ct.c_bar ^ e_bar
-    stacked = np.concatenate([aux.basis, mask[None, :]], axis=0)
-    assert field.matrix_rank(stacked) == field.matrix_rank(aux.basis)
-
-
-def test_fresh_nonce_changes_ciphertext(aux, rng):
-    e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-    a = ncrypt.enc(K_E, FID, e_bar, aux, rng, PARAMS.lambda_bits)
-    b = ncrypt.enc(K_E, FID, e_bar, aux, rng, PARAMS.lambda_bits)
-    assert a.nonce != b.nonce
-    assert not np.array_equal(a.c_bar, b.c_bar)
-
-
-def test_mask_tag_identity(aux, rng):
-    # the auxiliary tag p equals the mask dotted with each keystream prefix
-    for _ in range(100):
-        bundle = ncrypt.precompute_mask(K_E, FID, aux, rng, PARAMS.lambda_bits)
+def test_scalars_are_keystream_dots():
+    # voucher symbol j is the mask dotted with the keystream prefix r_j,
+    # plus the F4 pad symbol j
+    for k in (1, 2, 300):
+        v = ncrypt.setup(K_E, K_V, FID, NODE, k, PARAMS)
+        mask = ncrypt.mask_for_nonce(K_E, FID, NODE, k, PARAMS)
+        pad = ncrypt.voucher_pad(K_V, FID, NODE, k, PARAMS)
         for j in (1, 2):
             r = spacemac.r_vector(K_V, FID, 14, j)
-            assert bundle.p[j - 1] == field.matvec(r[None, :], bundle.m_bar)[0]
+            assert v.value[j - 1] == _scalar_dot(mask, r) ^ pad[j - 1]
 
 
-def test_precomputed_mask_used(aux, rng):
+def test_roundtrip(rng):
+    for k in range(1, 51):
+        e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
+        ct = ncrypt.enc(K_E, FID, NODE, k, e_bar, PARAMS)
+        assert ct.k == k
+        assert np.array_equal(ncrypt.dec(K_E, FID, NODE, ct, PARAMS), e_bar)
+
+
+def test_mask_is_the_f3_keystream_of_node_and_counter():
+    # m_k = F3(k_e, file, node || k), n-2 symbols, derived directly
+    nonce = struct.pack(">I", NODE) + (9).to_bytes(10, "big")
+    assert np.array_equal(ncrypt.mask_for_nonce(K_E, FID, NODE, 9, PARAMS),
+                          prf.derive_mask(K_E, FID, nonce, 14))
+    assert np.array_equal(ncrypt.voucher_pad(K_V, FID, NODE, 9, PARAMS),
+                          prf.derive_pad(K_V, FID, nonce, 2))
+
+
+def test_fresh_nonce_changes_ciphertext(rng):
     e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-    bundle = ncrypt.precompute_mask(K_E, FID, aux, rng, PARAMS.lambda_bits)
-    ct = ncrypt.enc(K_E, FID, e_bar, aux, rng, PARAMS.lambda_bits, mask=bundle)
-    assert ct.nonce == bundle.nonce
-    assert np.array_equal(ct.c_bar, e_bar ^ bundle.m_bar)
+    a = ncrypt.enc(K_E, FID, NODE, 1, e_bar, PARAMS)
+    b = ncrypt.enc(K_E, FID, NODE, 2, e_bar, PARAMS)
+    c = ncrypt.enc(K_E, FID, NODE + 1, 1, e_bar, PARAMS)
+    assert a.nonce != b.nonce
+    assert not np.array_equal(a.c_bar, b.c_bar)
+    assert not np.array_equal(a.c_bar, c.c_bar)  # the node id is in the domain
 
 
-def test_ciphertext_wire_roundtrip(aux, rng):
+def test_mask_tag_identity():
+    # the voucher minus its pad is the mask's tag under each r_j
+    for k in range(1, 101):
+        v = ncrypt.setup(K_E, K_V, FID, NODE, k, PARAMS)
+        mask = ncrypt.mask_for_nonce(K_E, FID, NODE, k, PARAMS)
+        unpadded = v.value ^ ncrypt.voucher_pad(K_V, FID, NODE, k, PARAMS)
+        assert np.array_equal(unpadded, spacemac.mac(K_V, FID, mask, 2))
+
+
+def test_precomputed_mask_used(rng):
+    # enc applies exactly the mask that mask_for_nonce derives ahead of time
     e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-    ct = ncrypt.enc(K_E, FID, e_bar, aux, rng, PARAMS.lambda_bits)
+    mask = ncrypt.mask_for_nonce(K_E, FID, NODE, 4, PARAMS)
+    ct = ncrypt.enc(K_E, FID, NODE, 4, e_bar, PARAMS)
+    assert ct.nonce == (4).to_bytes(10, "big")
+    assert np.array_equal(ct.c_bar, e_bar ^ mask)
+
+
+def test_ciphertext_wire_roundtrip(rng):
+    e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
+    ct = ncrypt.enc(K_E, FID, NODE, 77, e_bar, PARAMS)
     raw = ct.to_bytes()
-    assert len(raw) == 14 + 10 + 2  # data, nonce, auxiliary tags
-    back = ncrypt.Ciphertext.from_bytes(raw, 16, 2, 80)
+    assert len(raw) == 14 + 10  # data, counter
+    back = ncrypt.Ciphertext.from_bytes(raw, 16, 80)
     assert np.array_equal(back.c_bar, ct.c_bar)
-    assert back.nonce == ct.nonce
-    assert np.array_equal(back.p, ct.p)
+    assert back.nonce == ct.nonce and back.k == 77
 
 
-def test_ciphertext_rejects_truncated_and_trailing(aux, rng):
-    ct = ncrypt.enc(K_E, FID, rng.integers(0, 256, 14, dtype=np.uint8), aux, rng,
-                    PARAMS.lambda_bits)
+def test_ciphertext_rejects_truncated_and_trailing(rng):
+    ct = ncrypt.enc(K_E, FID, NODE, 1, rng.integers(0, 256, 14, dtype=np.uint8),
+                    PARAMS)
     raw = ct.to_bytes()
     for bad in (raw[:-1], b"", raw + b"\x00"):
         with pytest.raises(ValueError):
-            ncrypt.Ciphertext.from_bytes(bad, 16, 2, 80)
+            ncrypt.Ciphertext.from_bytes(bad, 16, 80)
 
 
 @settings(max_examples=300)
 @given(st.binary(max_size=60))
 def test_ciphertext_parser_raises_only_value_error(raw):
     try:
-        ct = ncrypt.Ciphertext.from_bytes(raw, 16, 2, 80)
+        ct = ncrypt.Ciphertext.from_bytes(raw, 16, 80)
     except ValueError:
         return
     assert ct.to_bytes() == raw  # anything accepted round-trips

@@ -2,6 +2,7 @@
 reimplementation of the keyed-BLAKE2b keystream (computed once, pinned)."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -12,40 +13,48 @@ KEY = bytes(range(32))
 FID = b"golden-file"
 
 GOLDEN_PROD_F1 = [123, 219, 144, 50, 28, 37, 219, 157]
-GOLDEN_PROD_F2 = [59, 133, 8, 128, 219, 88]
 GOLDEN_PROD_F3 = [168, 99, 186, 52, 240, 119]
+GOLDEN_PROD_F4 = [166, 128, 133, 47, 7, 80]
+# the nonce of audit k = 7 at node 3 under an 80-bit counter
+NONCE_3_7 = struct.pack(">I", 3) + (7).to_bytes(10, "big")
 # production outputs past the first 64-byte hash chunk
-GOLDEN_PROD_F2_ROW3_W200 = bytes.fromhex(
-    "3b850880db581c228bedaeb26c508e992ce5aca0d19448c5b88e79358dee9ecb"
-    "738dad9a3ab61d0d0784a63aece28c36b264edf327a2784c084ebfa2e344aa01"
-    "16e50f91b417ca91b48833bafc58342f9e2bc3e8c3d95e86eb120ed9e2fd27da"
-    "30125f1b80ad9823fa317b93314b0233ade2b225a9d209516d666e3d6c0c5648"
-    "cf579425e04e8997a44e394e0cae1ac8a0e85b9b01a1be9fac146dafc4831a91"
-    "fb1c9826fcf447bd25018806c07c572698051de2e1af094fcedbe82ad97396a7"
-    "a8f8cbcfd5328635"
+GOLDEN_PROD_F3_NODE3_K7_W200 = bytes.fromhex(
+    "01183ed7d6ba83f83e6995ca5ea6152e3cb4987f4fe57a22557403294a49c787"
+    "4002535d9d6faa9e4212a0e93e060e8f88b964b6acced53d661d64b82af2fda7"
+    "1fbaf0a1da22173929d46603c25fd6bf6ce956eed72cd5141c67665740362706"
+    "dfb9ef05aab80ec488fe652137a207d714d22e9e5fceead585f1fd2be8c0532b"
+    "8ff0a1c867f03b0413019ddfdd71d0f9cf9b9bfd31b234a9f3ac32b548ea1e9a"
+    "52296ff9572e9e3d5a1886ae3e0956b648ebdb673d1caaaaa35f769399b7eb01"
+    "f197bce44f6f2c2a"
 )
 GOLDEN_PROD_F1_KEY2_60_69 = [162, 146, 255, 102, 34, 35, 55, 236, 212, 32]
+GOLDEN_PROD_F4_NODE3_K7_60_69 = [198, 37, 210, 223, 178, 113, 56, 172, 216, 222]
 GOLDEN_PROD_F3_AT = {63: 222, 64: 80, 65: 196, 128: 205}
-GOLDEN_PROD_F2_ROW4095_SHA256 = (
-    "7025c521b024e11040125256051db1740e81b010f1efe29a9ab2f45191e1d18c"
+# the 4094-symbol mask of the largest 80-bit counter at node 4095
+GOLDEN_PROD_F3_W4094_SHA256 = (
+    "f9d88e26fe17567444768013be60d627cc38b2c818753e9db415ab70d7efaaec"
 )
 
 
 def test_production_golden_vectors():
     assert prf.derive_r_vector(KEY, FID, 8, 1).tolist() == GOLDEN_PROD_F1
-    assert prf.derive_mask_row(KEY, FID, 3, 6).tolist() == GOLDEN_PROD_F2
-    assert prf.derive_betas(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PROD_F3
+    assert prf.derive_mask(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PROD_F3
+    assert prf.derive_pad(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PROD_F4
 
 
 def test_production_golden_vectors_across_chunks():
     # ranges that start, end and cross 64-symbol hash chunk boundaries
-    assert prf.derive_mask_row(KEY, FID, 3, 200).tobytes() == GOLDEN_PROD_F2_ROW3_W200
+    assert prf.derive_mask(KEY, FID, NONCE_3_7, 200).tobytes() \
+        == GOLDEN_PROD_F3_NODE3_K7_W200
     assert prf.eval_range(KEY, prf.F1, FID, (2,), 10, start=60).tolist() \
         == GOLDEN_PROD_F1_KEY2_60_69
+    assert prf.eval_range(KEY, prf.F4, FID, (), 10, nonce=NONCE_3_7, start=60).tolist() \
+        == GOLDEN_PROD_F4_NODE3_K7_60_69
     for i, want in GOLDEN_PROD_F3_AT.items():
         assert prf.prf_eval(KEY, prf.F3, FID, (i,), nonce=b"\xaa\xbb") == want
-    row = prf.derive_mask_row(KEY, FID, 4095, 4094)
-    assert hashlib.sha256(row.tobytes()).hexdigest() == GOLDEN_PROD_F2_ROW4095_SHA256
+    nonce = struct.pack(">I", 4095) + (2**80 - 1).to_bytes(10, "big")
+    row = prf.derive_mask(KEY, FID, nonce, 4094)
+    assert hashlib.sha256(row.tobytes()).hexdigest() == GOLDEN_PROD_F3_W4094_SHA256
 
 
 def test_prefix_stability():
@@ -56,11 +65,13 @@ def test_prefix_stability():
 
 
 def test_function_domains_disjoint():
+    # F3 and F4 under one key and nonce: the mask and the pad of an audit
     a = prf.derive_r_vector(KEY, FID, 16, 1)
-    b = prf.derive_mask_row(KEY, FID, 1, 16)
-    c = prf.derive_betas(KEY, FID, b"", 16)
+    b = prf.derive_mask(KEY, FID, NONCE_3_7, 16)
+    c = prf.derive_pad(KEY, FID, NONCE_3_7, 16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(b, c)
 
 
 def test_key_index_domains_disjoint():
@@ -74,22 +85,30 @@ def test_file_id_separates():
 
 
 def test_nonce_separates():
-    assert not np.array_equal(prf.derive_betas(KEY, FID, b"\x01", 32),
-                              prf.derive_betas(KEY, FID, b"\x02", 32))
+    # the node id and the counter k both sit in the nonce
+    other_node = struct.pack(">I", 4) + (7).to_bytes(10, "big")
+    other_k = struct.pack(">I", 3) + (8).to_bytes(10, "big")
+    for fn in (prf.derive_mask, prf.derive_pad):
+        base = fn(KEY, FID, NONCE_3_7, 32)
+        assert not np.array_equal(base, fn(KEY, FID, other_node, 32))
+        assert not np.array_equal(base, fn(KEY, FID, other_k, 32))
 
 
 def test_single_eval_matches_batch():
-    batch = prf.derive_betas(KEY, FID, b"\xee", 10)
+    batch = prf.derive_mask(KEY, FID, b"\xee", 10)
     for i in range(10):
         one = prf.prf_eval(KEY, prf.F3, FID, (i + 1,), nonce=b"\xee")
         assert one == batch[i]
 
 
-def test_nonce_required_only_for_f3():
+def test_nonce_required_only_for_f3_and_f4():
     with pytest.raises(ValueError):
         prf.encode_domain(prf.F1, FID, (1, 1), nonce=b"x")
+    for fn in (prf.F3, prf.F4):
+        with pytest.raises(ValueError):
+            prf.encode_domain(fn, FID, (1,), nonce=None)
     with pytest.raises(ValueError):
-        prf.encode_domain(prf.F3, FID, (1,), nonce=None)
+        prf.encode_domain(2, FID, (1,))  # no function has id 2
 
 
 def test_output_distribution_sanity():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncaudit import audit, field, repair, spacemac
+from ncaudit import audit, field, ncrypt, repair, spacemac
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import EVENODD4
 
@@ -17,7 +17,8 @@ def system(rng):
 
 
 def _run_repair(manifest, payloads, plan):
-    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h)
+    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h,
+                                           manifest.params.n)
                  for h in plan.helpers]
     return repair.reconstruct_node(plan, shipments)
 
@@ -74,11 +75,12 @@ def test_replay_detected_after_functional_repair(system, rng):
     repair.refresh_manifest(manifest, plan)
     # the node serves its pre-repair store against refreshed records
     rejected = 0
-    for _ in range(50):
+    for k in range(1, 51):
         chal = audit.gen_challenge(manifest, 1, 2, rng)
-        p = payloads[1]
+        voucher = ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), 1, k,
+                               PARAMS)
         proof, _ = audit.gen_proof(old_blocks, old_tags, chal, keys.k_e,
-                                   p.aux, rng, PARAMS)
+                                   voucher, PARAMS)
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         rejected += not ok
     assert rejected == 50
@@ -108,3 +110,13 @@ def test_exact_repair_copies_replicated_rows(rng):
     assert np.array_equal(plan.theta, np.eye(2, dtype=np.uint8))
     assert np.array_equal(payloads[0].blocks, before[0])
     assert np.array_equal(payloads[0].tags, before[1])
+
+
+@pytest.mark.parametrize("mode", ["exact", "functional"])
+def test_one_node_store_names_missing_helpers(rng, mode):
+    params = SystemParams(n=16, m=2, N=1, M=3, P=0, Q=1, ell=2, lambda_bits=80)
+    layout = {0: np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)}
+    keys = audit.keygen(params, rng)
+    manifest, payloads = audit.setup_file(bytes(range(28)), params, keys, layout, rng)
+    with pytest.raises(repair.PlanningError, match="no helper nodes to rebuild node 0"):
+        repair.repair_node(manifest, payloads, 0, mode, None, rng)

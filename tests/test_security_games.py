@@ -1,0 +1,213 @@
+"""Security games for the README's claims, each adversary built only from
+what its role holds.
+
+* A node holds its payload (blocks, tags, k_e), the vouchers the user
+  issued to it, and the challenges it answered.
+* A TPA holds k_v, the manifest, and every proof it received.
+
+Counts are checked against binomial tolerances: a bound is the smallest
+count that an adversary with the stated success probability exceeds with
+probability below 1e-6, so a deterministic seed that passes is not luck.
+"""
+
+from math import comb
+
+import numpy as np
+import pytest
+
+from ncaudit import field, ncrypt, spacemac
+from ncaudit.audit import Challenge, Proof
+from ncaudit.blocks import SystemParams
+from ncaudit.cluster import spawn_cluster
+
+TRIALS = 200
+ALPHA = 1e-6
+
+
+def _upper(trials: int, p: float) -> int:
+    """The smallest c with P(Binomial(trials, p) > c) < ALPHA."""
+    tail = 1.0
+    for c in range(trials + 1):
+        tail -= comb(trials, c) * p ** c * (1 - p) ** (trials - c)
+        if tail < ALPHA:
+            return c
+    return trials
+
+
+def _params(ell: int) -> SystemParams:
+    return SystemParams(n=32, m=4, N=4, M=2, P=3, Q=1, ell=ell, lambda_bits=80)
+
+
+def _round(cluster, node: int, chal: Challenge):
+    """One audit as Cluster.run_audit_round runs it, with a chosen challenge:
+    the user issues a voucher, the node answers, the TPA spends k.  Returns
+    (voucher, proof, accepted)."""
+    voucher = cluster.user.issue(cluster.manifest, node)
+    cluster.tpa.expect(node, voucher.k)
+    proof, _ = cluster.nodes[node].answer(chal, voucher)
+    return voucher, proof, cluster.tpa.verify(chal, proof)[0]
+
+
+# ------------------------------------------------------------ node forgery
+
+VOUCHERS = 40  # vouchers the node holds: more equations than r has symbols
+
+
+def _solve_r(blocks, tags, masks, vouchers, width):
+    """The node's best algebraic guess at every r_j: solve its stored rows
+    against their tags together with its masks against their vouchers,
+    read as <m_k, r_j>.  When those equations are inconsistent it keeps the
+    stored rows and the first masks that leave the system square."""
+    mask_rows = np.zeros((len(masks), width), dtype=np.uint8)
+    mask_rows[:, : masks.shape[1]] = masks
+    a = np.concatenate([blocks, mask_rows])
+    b = np.concatenate([tags, vouchers])
+    res = field.gaussian_solve(a, b)
+    if res.solution is None:
+        keep = blocks.shape[0] + masks.shape[1]
+        res = field.gaussian_solve(a[:keep], b[:keep])
+    if res.solution is None:
+        return np.zeros((width, tags.shape[1]), dtype=np.uint8)
+    return res.solution
+
+
+def _forge(ell: int, seed: int, strategy: str) -> bool:
+    """A node edits one stored data symbol, patches its tag, and is
+    audited on the edited block; True when the TPA accepts."""
+    params = _params(ell)
+    c = spawn_cluster(params, "evenodd4", bytes(range(120)), seed=seed)
+    node, fid = 1, c.manifest.file_id.encode()
+    payload = c.nodes[node].payload
+    rng = np.random.default_rng(seed)
+    # the node's view: its payload and VOUCHERS vouchers with their masks;
+    # answering audits with them would add nothing about r
+    issued = [c.user.issue(c.manifest, node) for _ in range(VOUCHERS)]
+    vouchers = [v.value for v in issued]
+    masks = [ncrypt.mask_for_nonce(payload.k_e, fid, node, v.k, params) for v in issued]
+
+    block, pos = int(rng.integers(2)), int(rng.integers(params.n - 2))
+    delta = int(rng.integers(1, 256))
+    if strategy == "algebra":
+        r_hat = _solve_r(payload.blocks, payload.tags, np.stack(masks),
+                         np.stack(vouchers), payload.blocks.shape[1])
+        patch = field.vec_scale(delta, r_hat[pos])
+    else:
+        patch = rng.integers(0, 256, ell, dtype=np.uint8)
+    payload.blocks[block, pos] ^= delta
+    payload.tags[block] ^= patch
+    chal = Challenge(c.manifest.file_id, [(block, int(rng.integers(1, 256)))], node)
+    return _round(c, node, chal)[2]
+
+
+@pytest.mark.parametrize("strategy", ["algebra", "random"])
+@pytest.mark.parametrize("ell", [1, 10])
+def test_node_cannot_forge_a_tag(ell, strategy):
+    accepted = sum(_forge(ell, 7_000 + t, strategy) for t in range(TRIALS))
+    assert accepted <= _upper(TRIALS, 256.0 ** -ell)
+
+
+def test_forger_recovers_r_once_pads_are_known():
+    # the forger's equations, read with the user's pads removed, pin r
+    # exactly: the pads, not a weak solver, keep the node from r
+    params = _params(2)
+    c = spawn_cluster(params, "evenodd4", bytes(range(120)), seed=11)
+    fid = c.manifest.file_id.encode()
+    k_e, k_v = c.user.keys.k_e, c.user.keys.k_v
+    vouchers = [c.user.issue(c.manifest, 1) for _ in range(VOUCHERS)]
+    masks = np.stack([ncrypt.mask_for_nonce(k_e, fid, 1, v.k, params) for v in vouchers])
+    pads = np.stack([ncrypt.voucher_pad(k_v, fid, 1, v.k, params) for v in vouchers])
+    values = np.stack([v.value for v in vouchers])
+    r = np.stack([spacemac.r_vector(k_v, fid, params.n - 2, j) for j in (1, 2)], axis=1)
+    width = params.n - 2
+    no_blocks = np.zeros((0, width), dtype=np.uint8)
+    no_tags = np.zeros((0, 2), dtype=np.uint8)
+    assert np.array_equal(_solve_r(no_blocks, no_tags, masks, values ^ pads, width), r)
+    assert not np.array_equal(_solve_r(no_blocks, no_tags, masks, values, width), r)
+
+
+# ------------------------------------------------------ TPA left-or-right
+
+def _guess(k_v: bytes, manifest, chal: Challenge, proof: Proof, candidates):
+    """The TPA's guess at which candidate aggregate a proof hides: one whose
+    tag matches what the TPA can strip from the proof's tag, else None."""
+    params, fid = manifest.params, manifest.file_id.encode()
+    seen = proof.tag ^ ncrypt.voucher_pad(k_v, fid, chal.node, proof.ciphertext.k,
+                                          params)
+    hits = [b for b, data in enumerate(candidates)
+            if np.array_equal(spacemac.mac(k_v, fid, data, params.ell), seen)]
+    return hits[0] if len(hits) == 1 else None
+
+
+def _left_or_right(ell: int, seed: int) -> bool:
+    """Two files that differ in one byte; the TPA sees single-block
+    challenges of node 0, which stores source block 0 in the clear layout,
+    and guesses which file it audits.  True when the guess is right."""
+    params = _params(ell)
+    rng = np.random.default_rng(seed)
+    width = params.n - 2
+    files = [bytearray(rng.bytes(params.m * width))]
+    files.append(bytearray(files[0]))
+    files[1][int(rng.integers(width))] ^= int(rng.integers(1, 256))
+    secret = int(rng.integers(2))
+    c = spawn_cluster(params, "evenodd4", bytes(files[secret]), seed=seed)
+    manifest, k_v = c.manifest, c.user.keys.k_v  # the TPA's view
+    alpha = int(rng.integers(1, 256))
+    chal = Challenge(manifest.file_id, [(0, alpha)], 0)
+    _, proof, accepted = _round(c, 0, chal)
+    assert accepted
+    coeffs = field.vec_scale(alpha, manifest.node_coeffs[0][0])
+    candidates = [np.concatenate([field.vec_scale(alpha, np.frombuffer(bytes(f[:width]),
+                                                                       dtype=np.uint8)),
+                                  proof.pad, coeffs]) for f in files]
+    guess = _guess(k_v, manifest, chal, proof, candidates)
+    return (guess if guess is not None else int(rng.integers(2))) == secret
+
+
+@pytest.mark.parametrize("ell", [1, 10])
+def test_tpa_cannot_tell_files_apart(ell):
+    correct = sum(_left_or_right(ell, 9_000 + t) for t in range(TRIALS))
+    # a coin flip's count, two-sided
+    slack = _upper(TRIALS, 0.5) - TRIALS // 2
+    assert abs(correct - TRIALS // 2) <= slack
+
+
+# ------------------------------------------------------------------ replay
+
+@pytest.fixture
+def cluster():
+    return spawn_cluster(_params(2), "evenodd4", bytes(range(120)), seed=33)
+
+
+def test_reused_k_is_rejected(cluster):
+    chal = cluster.tpa.challenge(0, 2)
+    _, proof, accepted = _round(cluster, 0, chal)
+    assert accepted
+    assert not cluster.tpa.verify(chal, proof)[0]  # the same proof again
+    # an old voucher for a new challenge
+    voucher = cluster.user.issue(cluster.manifest, 0)
+    cluster.tpa.expect(0, voucher.k)
+    assert cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
+    chal = cluster.tpa.challenge(0, 2)
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
+
+
+def test_never_issued_k_is_rejected(cluster):
+    chal = cluster.tpa.challenge(0, 2)
+    voucher = cluster.user.issue(cluster.manifest, 0)  # never announced
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
+    honest, _ = cluster.nodes[0].answer(chal, voucher)
+    forged = Proof(ncrypt.Ciphertext(honest.ciphertext.c_bar, (999).to_bytes(10, "big")),
+                   honest.pad, honest.tag)
+    assert not cluster.tpa.verify(chal, forged)[0]
+
+
+def test_another_nodes_k_is_rejected(cluster):
+    for _ in range(3):
+        assert cluster.run_audit_round(1, 2)[0]
+    stolen = cluster.user.issue(cluster.manifest, 1)  # k = 4, issued to node 1
+    cluster.tpa.expect(1, stolen.k)
+    chal = cluster.tpa.challenge(0, 2)
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, stolen)[0])[0]
+    # the voucher still serves the node it was issued to
+    chal = cluster.tpa.challenge(1, 2)
+    assert cluster.tpa.verify(chal, cluster.nodes[1].answer(chal, stolen)[0])[0]
