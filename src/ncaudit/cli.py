@@ -1,5 +1,9 @@
 """Command-line front end: setup / audit / corrupt / repair / extract /
-bench / scenario.
+scenario.
+
+`setup` writes a store; every other command on a store opens a
+`cluster.Cluster` over it (the user, its nodes and the TPA) and calls the
+methods the simulator calls, then writes back what changed.
 
 On-disk layout written by `setup`:
     <dir>/manifest.json
@@ -18,17 +22,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import audit, field, ncrypt, repair, spacemac
+from . import audit, repair
 from .audit import KeyMaterial, NodePayload
 from .blocks import FileManifest, SystemParams
-from .cluster import Fault, Node, Tpa, User, make_layout, run_scenario
+from .cluster import Cluster, Fault, User, make_layout, run_scenario
 
 
 class UsageError(ValueError):
@@ -43,11 +45,12 @@ def _positive_int(text: str) -> int:
 
 
 def _seed(args) -> int | None:
-    """--seed (hex), else NCAUDIT_SEED, else None: OS entropy."""
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed, 16) if isinstance(args.seed, str) else args.seed
-    env = os.environ.get("NCAUDIT_SEED")
-    return int(env, 0) if env else None
+    """--seed, else NCAUDIT_SEED, both hex (a 0x prefix is allowed); else
+    None: OS entropy."""
+    text = getattr(args, "seed", None)
+    if text is None:
+        text = os.environ.get("NCAUDIT_SEED") or None
+    return None if text is None else int(text, 16)
 
 
 # ---------------------------------------------------------------- store I/O
@@ -96,26 +99,43 @@ def _load_store(root: Path):
     return manifest, keys, payloads
 
 
-def _load_user(root: Path, keys: KeyMaterial, rng) -> User:
-    """The user, with the voucher counters of vouchers.json."""
-    doc = json.loads((root / "vouchers.json").read_text())
-    if not (isinstance(doc, dict) and all(type(k) is int and k >= 1 for k in doc.values())):
-        raise ValueError("vouchers.json must map node ids to counters >= 1")
-    user = User(keys, rng)
-    user.next_k = {int(node): k for node, k in doc.items()}
-    return user
-
-
 def _save_counters(root: Path, next_k) -> None:
     (root / "vouchers.json").write_text(json.dumps(
         {str(node): k for node, k in sorted(next_k.items())}))
 
 
-def _check_node(manifest: FileManifest, node: int) -> int:
-    if node not in manifest.node_coeffs:
-        raise UsageError(f"no node {node} in this store "
+class _StoreUser(User):
+    """The user of a store: each voucher's counter is on disk before the
+    node that is to spend it sees the voucher."""
+
+    def __init__(self, keys: KeyMaterial, rng, root: Path):
+        super().__init__(keys, rng)
+        self.root = root
+
+    def issue(self, manifest: FileManifest, node: int):
+        voucher = super().issue(manifest, node)
+        _save_counters(self.root, self.next_k)
+        return voucher
+
+
+def _open_cluster(args) -> Cluster:
+    """The store under --dir as a Cluster, after checking --node; its
+    generator is seeded by _seed."""
+    root = Path(args.dir)
+    manifest, keys, payloads = _load_store(root)
+    if args.node not in manifest.node_coeffs:
+        raise UsageError(f"no node {args.node} in this store "
                          f"(nodes {sorted(manifest.node_coeffs)})")
-    return node
+    counters = json.loads((root / "vouchers.json").read_text())
+    if not (isinstance(counters, dict)
+            and set(counters) == {str(node) for node in manifest.node_coeffs}
+            and all(type(k) is int and k >= 1 for k in counters.values())):
+        raise ValueError("vouchers.json must map each of the store's node ids, "
+                         "and no other, to a counter >= 1")
+    rng = np.random.default_rng(_seed(args))
+    user = _StoreUser(keys, rng, root)
+    user.next_k = {int(node): k for node, k in counters.items()}
+    return Cluster(manifest, user, payloads, rng)
 
 
 # --------------------------------------------------------------- commands
@@ -127,6 +147,9 @@ def cmd_setup(args) -> int:
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     if args.layout == "evenodd4":
+        if (args.m, args.nodes) != (4, 4):
+            raise UsageError("the evenodd4 layout has m=4 and 4 nodes; "
+                             "--m and --nodes need --layout random")
         params = SystemParams(n=args.n, m=4, N=4, M=2, P=3, Q=1, ell=args.ell,
                               lambda_bits=args.lam)
         code = make_layout("evenodd4", params, rng)
@@ -147,152 +170,53 @@ def cmd_setup(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    root = Path(args.dir)
-    manifest, keys, payloads = _load_store(root)
-    rng = np.random.default_rng(_seed(args))
-    p = payloads[_check_node(manifest, args.node)]
-    node = Node(args.node, p, manifest.params, rng)
-    user, tpa = _load_user(root, keys, rng), Tpa(keys.k_v, manifest, rng)
+    cluster = _open_cluster(args)
     accepted = 0
     for _ in range(args.rounds):
-        chal = tpa.challenge(args.node, args.count)
-        voucher = user.issue(manifest, args.node)
-        _save_counters(root, user.next_k)  # before k is used
-        tpa.expect(args.node, voucher.k)
-        t0 = time.perf_counter()
-        proof, _ = node.answer(chal, voucher)
-        t1 = time.perf_counter()
-        ok, _ = tpa.verify(chal, proof)
-        t2 = time.perf_counter()
+        ok, record = cluster.run_audit_round(args.node, args.count)
         accepted += ok
-        print(json.dumps({"event": "audit", "node": args.node,
-                          "accepted": bool(ok),
-                          "gen_ms": round((t1 - t0) * 1e3, 3),
-                          "verify_ms": round((t2 - t1) * 1e3, 3)}))
+        print(json.dumps(record))
     print(f"{accepted}/{args.rounds} accepted")
     return 0 if accepted == args.rounds else 1
 
 
 def cmd_corrupt(args) -> int:
-    root = Path(args.dir)
-    manifest, _, payloads = _load_store(root)
-    p = payloads[_check_node(manifest, args.node)]
-    node = Node(args.node, p, manifest.params, np.random.default_rng())
-    node.apply_fault(Fault("corrupt_symbol", block=args.block,
-                           position=args.position, delta=args.delta % 256))
-    _save_node(root, args.node, node.payload)
+    cluster = _open_cluster(args)
+    cluster.inject_fault(args.node, Fault("corrupt_symbol", block=args.block,
+                                          position=args.position,
+                                          delta=args.delta % 256))
+    _save_node(Path(args.dir), args.node, cluster.nodes[args.node].payload)
     print(f"flipped node {args.node} block {args.block} "
           f"position {args.position} by {args.delta % 256:#04x}")
     return 0
 
 
 def cmd_repair(args) -> int:
-    root = Path(args.dir)
-    manifest, keys, payloads = _load_store(root)
-    rng = np.random.default_rng(_seed(args))
-    plan, _ = repair.repair_node(manifest, payloads, _check_node(manifest, args.node),
-                                 args.mode, None, rng)
-    _save_store(root, manifest, keys, payloads)
-    print(f"rebuilt node {args.node} ({args.mode}) from helpers {plan.helpers}")
+    cluster = _open_cluster(args)
+    cluster.fail_and_repair(args.node, args.mode)
+    _save_store(Path(args.dir), cluster.manifest, cluster.user.keys,
+                {i: node.payload for i, node in cluster.nodes.items()})
+    print(f"rebuilt node {args.node} ({args.mode}) from helpers "
+          f"{cluster.transcript[-1]['helpers']}")
     return 0
 
 
 def cmd_extract(args) -> int:
     from . import extractor
-    root = Path(args.dir)
-    manifest, keys, payloads = _load_store(root)
-    rng = np.random.default_rng(_seed(args))
-    p = payloads[_check_node(manifest, args.node)]
-    node = Node(args.node, p, manifest.params,
-                np.random.default_rng(rng.integers(2**63)))
-    node.apply_fault(Fault("lie_probability", epsilon=args.epsilon))
-    user = _load_user(root, keys, rng)
+    cluster = _open_cluster(args)
+    cluster.inject_fault(args.node, Fault("lie_probability", epsilon=args.epsilon))
+    node = cluster.nodes[args.node]
     try:
         report = extractor.extract_node(lambda chal, v: node.answer(chal, v)[0],
-                                        manifest, args.node, user, rng,
-                                        rounds=args.rounds)
+                                        cluster.manifest, args.node, cluster.user,
+                                        cluster.rng, rounds=args.rounds)
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
-    finally:
-        _save_counters(root, user.next_k)
-    match = np.array_equal(report.blocks, p.blocks)
+    match = np.array_equal(report.blocks, node.payload.blocks)
     print(f"extracted {len(report.blocks)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
     return 0 if match else 1
-
-
-def bench_store(n: int, m: int, C: int, ell: int, lam: int, rng):
-    """A one-node store of C blocks for timing gen/verify at table scale.
-
-    Block j is a random nonzero multiple of source block j mod m, so the
-    store is cheap to build but proofs still verify honestly.  Returns
-    (params, keys, manifest, blocks, tags)."""
-    params = SystemParams(n=n, m=m, N=1, M=C, P=1, Q=1, ell=ell,
-                          lambda_bits=lam)
-    keys = audit.keygen(params, rng)
-    fid = b"bench"
-    sources = np.zeros((m, n + m), dtype=np.uint8)
-    sources[:, :n] = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
-    sources[:, n:] = np.eye(m, dtype=np.uint8)
-    src_tags = spacemac.mac(keys.k_v, fid, sources, ell)
-    picks = np.arange(C) % m
-    scales = rng.integers(1, 256, size=C, dtype=np.uint8)
-    rows = np.zeros((C, m), dtype=np.uint8)
-    rows[np.arange(C), picks] = scales
-    blocks = field.MUL[scales[:, None], sources[picks]]
-    tags = field.MUL[scales[:, None], src_tags[picks]]
-    manifest = FileManifest(file_id="bench", params=params, residual_len=0,
-                            block_lengths=[n - 2] * m,
-                            node_coeffs={0: rows},
-                            logical_order=list(range(m)))
-    return params, keys, manifest, blocks, tags
-
-
-def cmd_bench(args) -> int:
-    n = args.block_kb * 1024
-    m, C, ell = args.m, args.challenge, args.ell
-    lam = args.lam
-    rng = np.random.default_rng(_seed(args))
-    params, keys, manifest, blocks, tags = bench_store(n, m, C, ell, lam, rng)
-
-    gen_times, ver_times = [], []
-    gen_mults = ver_mults = 0
-    for t in range(args.trials):
-        chal = audit.gen_challenge(manifest, 0, C, rng)
-        voucher = ncrypt.setup(keys.k_e, keys.k_v, b"bench", 0, t + 1, params)
-        with field.counter:
-            t0 = time.perf_counter()
-            proof, gstats = audit.gen_proof(blocks, tags, chal, keys.k_e, voucher,
-                                            params)
-            t1 = time.perf_counter()
-            ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
-            t2 = time.perf_counter()
-        if not ok:
-            raise RuntimeError("benchmark proof rejected")
-        gen_times.append((t1 - t0) * 1e3)
-        ver_times.append((t2 - t1) * 1e3)
-        gen_mults, ver_mults = gstats.block_mults, vstats.mults
-
-    overhead = (lam // 8 + ell + 2) / n
-    report = {
-        "params": {"n": n, "m": m, "C": C, "ell": ell, "lambda_bits": lam},
-        "gen_ms_median": round(statistics.median(gen_times), 3),
-        "gen_ms_mean": round(statistics.fmean(gen_times), 3),
-        "verify_ms_median": round(statistics.median(ver_times), 3),
-        "verify_ms_mean": round(statistics.fmean(ver_times), 3),
-        "gen_proof_mults": gen_mults,
-        "gen_proof_mults_expected": C * n,
-        "verify_proof_mults": ver_mults,
-        "verify_proof_mults_expected": C * m + ell * (n + m),
-        "proof_bytes": len(proof.to_bytes()),
-        "overhead_ratio": round(overhead, 6),
-    }
-    print(json.dumps(report, indent=1))
-    print(f"gen_proof median {report['gen_ms_median']} ms, "
-          f"verify_proof median {report['verify_ms_median']} ms, "
-          f"mults {gen_mults} / {ver_mults}")
-    return 0
 
 
 def cmd_scenario(args) -> int:
@@ -350,16 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--seed")
     s.set_defaults(func=cmd_extract)
-
-    s = sub.add_parser("bench", help="time gen/verify and count multiplications")
-    s.add_argument("--block-kb", type=int, default=4)
-    s.add_argument("--m", type=int, default=500)
-    s.add_argument("--challenge", type=int, default=300)
-    s.add_argument("--ell", type=int, default=10)
-    s.add_argument("--lam", type=int, default=80)
-    s.add_argument("--trials", type=int, default=100)
-    s.add_argument("--seed")
-    s.set_defaults(func=cmd_bench)
 
     s = sub.add_parser("scenario", help="run a declarative fault scenario")
     s.add_argument("--file", required=True)

@@ -1,5 +1,10 @@
 """In-process three-party simulation: user, storage nodes, auditor.
 
+`Cluster` holds the three roles over one stored file.  `spawn_cluster`
+sets a file up in memory; the CLI opens a Cluster over a store on disk.
+So the simulator and the CLI run one audit round, one fault injection and
+one repair.
+
 No sockets; messages are method calls, but every payload that would cross
 the wire is serialized and the byte ledgers are charged from the serialized
 length.  Key visibility is role-scoped: nodes never see the verification
@@ -201,23 +206,19 @@ class User:
 
 
 class Cluster:
-    def __init__(self, params: SystemParams, layout: str, file_bytes: bytes,
-                 seed: int):
-        self.params = params
-        self.layout = layout
-        self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.user = User(audit.keygen(params, rng), np.random.default_rng(rng.integers(2**63)))
-        code = make_layout(layout, params, rng)
-        self.manifest, payloads = audit.setup_file(
-            file_bytes, params, self.user.keys, code, rng,
-            file_id=f"file-{seed:016x}")
-        self.file_bytes = file_bytes
-        self.nodes: Dict[int, Node] = {}
-        for node_id, payload in payloads.items():
-            node_rng = np.random.default_rng(rng.integers(2**63))
-            self.nodes[node_id] = Node(node_id, payload, params, node_rng)
-        self.tpa = Tpa(self.user.keys.k_v, self.manifest,
+    """The three roles over one stored file: the user, a node per payload
+    and the TPA, with the transcript of what they did."""
+
+    def __init__(self, manifest: FileManifest, user: User,
+                 payloads: Dict[int, NodePayload], rng):
+        self.manifest = manifest
+        self.params = manifest.params
+        self.user = user
+        self.nodes: Dict[int, Node] = {
+            node_id: Node(node_id, payload, self.params,
+                          np.random.default_rng(rng.integers(2**63)))
+            for node_id, payload in payloads.items()}
+        self.tpa = Tpa(user.keys.k_v, manifest,
                        np.random.default_rng(rng.integers(2**63)))
         self.rng = rng
         self.transcript: List[dict] = []
@@ -288,7 +289,14 @@ class Cluster:
 
 def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
                   seed: int) -> Cluster:
-    return Cluster(params, layout, file_bytes, seed)
+    """Set up a file under a named layout with keys, padding and every
+    role's generator drawn from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    user = User(audit.keygen(params, rng), np.random.default_rng(rng.integers(2**63)))
+    code = make_layout(layout, params, rng)
+    manifest, payloads = audit.setup_file(file_bytes, params, user.keys, code, rng,
+                                          file_id=f"file-{seed:016x}")
+    return Cluster(manifest, user, payloads, rng)
 
 
 def run_scenario(scenario: dict, out) -> int:

@@ -58,13 +58,6 @@ def _batch(key: bytes, prefix: bytes, last: np.ndarray) -> np.ndarray:
 
 # -- public surface ---------------------------------------------------------
 
-def prf_eval(key: bytes, fn: int, file_id: bytes, indices, nonce: bytes = b"") -> int:
-    """One field symbol, deterministic in (key, domain)."""
-    if not indices:
-        raise ValueError("at least one index required")
-    return int(eval_range(key, fn, file_id, indices[:-1], 1, nonce, indices[-1])[0])
-
-
 def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
                nonce: bytes = b"", start: int = 1) -> np.ndarray:
     """PRF outputs for trailing indices start..start+count-1, as a vector."""

@@ -11,7 +11,6 @@ import pytest
 from ncaudit import (audit, blocks, dynamics, extractor, field, ncrypt,
                      prf, repair, spacemac)
 from ncaudit.blocks import SystemParams, decode_file
-from ncaudit.cli import bench_store
 from ncaudit.cluster import EVENODD4, Fault, spawn_cluster
 
 
@@ -202,30 +201,37 @@ def test_criterion_06_repair():
 
 # ---------------------------------------------------------- 7 and 8
 
-def _table_scale_store(seed):
-    # the store `ncaudit bench` times, at the paper's table scale
-    rng = np.random.default_rng(seed)
-    return (*bench_store(4096, 500, 300, 10, 80, rng), rng)
+@pytest.fixture(scope="module")
+def paper_cluster():
+    # perfbench's paper-audit store: 4 KB blocks, m=500, two nodes of
+    # C=300 blocks each, ell=10, lambda=80
+    n, m = 4096, 500
+    params = SystemParams(n=n, m=m, N=2, M=300, P=1, Q=1, ell=10, lambda_bits=80)
+    data = np.random.default_rng(707).bytes(m * (n - 2))
+    return spawn_cluster(params, "random_functional", data, seed=707)
 
 
-def _bench_voucher(keys, params, k):
-    return ncrypt.setup(keys.k_e, keys.k_v, b"bench", 0, k, params)
+def _full_node_challenge(c, node=0):
+    # the round's first half, up to the node: a challenge of all C blocks
+    # and a voucher the TPA expects
+    chal = c.tpa.challenge(node, c.params.M)
+    voucher = c.user.issue(c.manifest, node)
+    c.tpa.expect(node, voucher.k)
+    return chal, voucher
 
 
-def test_criterion_07_cost_formulas():
-    params, keys, manifest, blks, tags, rng = _table_scale_store(707)
-    n, m, C, ell = params.n, params.m, 300, params.ell
-    chal = audit.gen_challenge(manifest, 0, C, rng)
-    voucher = _bench_voucher(keys, params, 1)
+def test_criterion_07_cost_formulas(paper_cluster):
+    c = paper_cluster
+    n, m, C, ell = c.params.n, c.params.m, c.params.M, c.params.ell
+    chal, voucher = _full_node_challenge(c)
     with field.counter:
-        proof, gstats = audit.gen_proof(blks, tags, chal, keys.k_e, voucher,
-                                        params)
+        proof, gstats = c.nodes[0].answer(chal, voucher)
         gen_total = field.counter.value
     assert gstats.block_mults == C * n == 1_228_800
     assert gen_total == gstats.block_mults + C * ell  # masking costs none
     assert len(proof.to_bytes()) == (n - 2) + 80 // 8 + 2 + ell
     with field.counter:
-        ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, vstats = c.tpa.verify(chal, proof)
     assert ok
     assert vstats.mults == C * m + ell * (n + m) == 195_960
     _report("7 cost formulas",
@@ -233,18 +239,17 @@ def test_criterion_07_cost_formulas():
             "C*m + ell*(n+m), exact")
 
 
-def test_criterion_08_timing():
+def test_criterion_08_timing(paper_cluster):
     # gen_proof now includes deriving the mask; the voucher is issued
     # beforehand at the user
-    params, keys, manifest, blks, tags, rng = _table_scale_store(808)
+    c = paper_cluster
     gen_ms, ver_ms = [], []
-    for k in range(1, 21):
-        chal = audit.gen_challenge(manifest, 0, 300, rng)
-        voucher = _bench_voucher(keys, params, k)
+    for _ in range(20):
+        chal, voucher = _full_node_challenge(c)
         t0 = time.perf_counter()
-        proof, _ = audit.gen_proof(blks, tags, chal, keys.k_e, voucher, params)
+        proof, _ = c.nodes[0].answer(chal, voucher)
         t1 = time.perf_counter()
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, _ = c.tpa.verify(chal, proof)
         t2 = time.perf_counter()
         assert ok
         gen_ms.append((t1 - t0) * 1e3)

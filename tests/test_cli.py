@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ncaudit import audit
+from ncaudit.cluster import Node
 from ncaudit.cli import _load_store, _save_store, main
 
 
@@ -84,16 +85,6 @@ def test_extract_command(store):
     assert rc == 0
 
 
-def test_bench_reports_exact_counts(capsys):
-    rc = main(["bench", "--block-kb", "1", "--m", "50", "--challenge", "30",
-               "--ell", "2", "--trials", "3", "--seed", "1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    report = json.loads(out[: out.rindex("}") + 1])
-    assert report["gen_proof_mults"] == report["gen_proof_mults_expected"]
-    assert report["verify_proof_mults"] == report["verify_proof_mults_expected"]
-
-
 def test_scenario_command(store, tmp_path):
     scenario = {
         "params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
@@ -154,12 +145,19 @@ def test_out_of_range_ids_are_usage_errors(store, argv, capsys):
     assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} == before
 
 
-@pytest.mark.parametrize("argv", [["--nodes", "0"], ["--m", "0"]])
+@pytest.mark.parametrize("argv", [
+    ["--layout", "random", "--nodes", "0"],
+    ["--layout", "random", "--m", "0"],
+    # evenodd4 is m=4 over 4 nodes; it must not drop other values silently
+    ["--m", "10", "--nodes", "6"],
+    ["--m", "10"],
+    ["--nodes", "6"],
+])
 def test_setup_with_no_nodes_or_blocks_is_usage_error(tmp_path, argv, capsys):
     src = tmp_path / "input.bin"
     src.write_bytes(bytes(range(200)))
     assert main(["setup", "--file", str(src), "--out", str(tmp_path / "store"),
-                 "--layout", "random", *argv]) == 2
+                 *argv]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
 
@@ -243,11 +241,54 @@ def test_audits_advance_the_voucher_counter_and_leave_node_files(store, capsys):
             if p.is_file()} == nodes
 
 
-@pytest.mark.parametrize("doc", [[], {"0": 0}, {"0": "1"}, {"x": 1}, {"0": 1.5}])
+@pytest.mark.parametrize("doc", [
+    [], {"0": 0}, {"0": "1"}, {"x": 1}, {"0": 1.5},
+    # a node left out would restart at k=1 and be issued used masks again
+    {"1": 1, "2": 1, "3": 1},
+    {"0": 1, "1": 1, "2": 1, "3": 1, "4": 1},
+])
 def test_malformed_voucher_counters_are_usage_errors(store, doc, capsys):
     (store / "vouchers.json").write_text(json.dumps(doc))
-    assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
+    assert main(["audit", "--dir", str(store), "--node", "0", "--rounds", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert json.loads((store / "vouchers.json").read_text()) == doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--node", "1", "--count", "2", "--rounds", "3"],
+    ["extract", "--node", "2", "--epsilon", "0.2", "--seed", "7"],
+])
+def test_every_voucher_is_on_disk_before_the_node_answers(store, argv, monkeypatch):
+    # a command killed while a node answers must not leave that voucher's
+    # counter to be issued again
+    answer, seen = Node.answer, []
+
+    def checked(self, chal, voucher):
+        counters = json.loads((store / "vouchers.json").read_text())
+        assert counters[str(self.node_id)] > voucher.k
+        seen.append(voucher.k)
+        return answer(self, chal, voucher)
+
+    monkeypatch.setattr(Node, "answer", checked)
+    assert main([argv[0], "--dir", str(store), *argv[1:]]) == 0
+    assert seen and seen == list(range(1, len(seen) + 1))
+
+
+def test_seed_flag_and_variable_are_both_hex(tmp_path, monkeypatch):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    stores = []
+    for env, flag in [(None, ["--seed", "42"]), ("42", []), ("0x42", [])]:
+        if env is None:
+            monkeypatch.delenv("NCAUDIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("NCAUDIT_SEED", env)
+        out = tmp_path / f"store{len(stores)}"
+        assert main(["setup", "--file", str(src), "--out", str(out), "--n", "64",
+                     *flag]) == 0
+        stores.append({p.relative_to(out): p.read_bytes()
+                       for p in (out / "nodes").rglob("*") if p.is_file()})
+    assert stores[0] == stores[1] == stores[2]
 
 
 @pytest.mark.parametrize("seed", [None, "2a"])

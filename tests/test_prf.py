@@ -51,7 +51,8 @@ def test_production_golden_vectors_across_chunks():
     assert prf.eval_range(KEY, prf.F4, FID, (), 10, nonce=NONCE_3_7, start=60).tolist() \
         == GOLDEN_PROD_F4_NODE3_K7_60_69
     for i, want in GOLDEN_PROD_F3_AT.items():
-        assert prf.prf_eval(KEY, prf.F3, FID, (i,), nonce=b"\xaa\xbb") == want
+        assert prf.eval_range(KEY, prf.F3, FID, (), 1, nonce=b"\xaa\xbb",
+                              start=i)[0] == want
     nonce = struct.pack(">I", 4095) + (2**80 - 1).to_bytes(10, "big")
     row = prf.derive_mask(KEY, FID, nonce, 4094)
     assert hashlib.sha256(row.tobytes()).hexdigest() == GOLDEN_PROD_F3_W4094_SHA256
@@ -97,7 +98,7 @@ def test_nonce_separates():
 def test_single_eval_matches_batch():
     batch = prf.derive_mask(KEY, FID, b"\xee", 10)
     for i in range(10):
-        one = prf.prf_eval(KEY, prf.F3, FID, (i + 1,), nonce=b"\xee")
+        one = prf.eval_range(KEY, prf.F3, FID, (), 1, nonce=b"\xee", start=i + 1)[0]
         assert one == batch[i]
 
 
