@@ -115,7 +115,7 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
     """
     params.validate()
     fid = file_id.encode()
-    sources, residual, lengths = make_source_blocks(file_bytes, params, rng)
+    sources, lengths = make_source_blocks(file_bytes, params, rng)
     source_tags = spacemac.mac(keys.k_v, fid, sources, params.ell)
 
     payloads: Dict[int, NodePayload] = {}
@@ -131,7 +131,6 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
     manifest = FileManifest(
         file_id=file_id,
         params=params,
-        residual_len=residual,
         block_lengths=lengths,
         node_coeffs=node_coeffs,
         logical_order=list(range(params.m)),

@@ -100,7 +100,6 @@ class FileManifest:
 
     file_id: str
     params: SystemParams
-    residual_len: int                      # bytes in the last original block
     block_lengths: List[int]               # payload bytes per source block
     node_coeffs: Dict[int, np.ndarray]     # node -> (M, m) coefficient rows
     logical_order: List[int] = dc_field(default_factory=list)
@@ -110,7 +109,6 @@ class FileManifest:
         doc = {
             "file_id": self.file_id,
             "params": self.params.to_dict(),
-            "residual_len": self.residual_len,
             "block_lengths": list(self.block_lengths),
             "node_coeffs": {
                 str(node): rows.tolist()
@@ -129,13 +127,13 @@ class FileManifest:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("manifest must be a JSON object")
-        missing = {"file_id", "params", "residual_len", "block_lengths",
-                   "node_coeffs", "logical_order"} - set(doc)
+        missing = {"file_id", "params", "block_lengths", "node_coeffs",
+                   "logical_order"} - set(doc)
         if missing:
             raise ValueError(f"manifest lacks {sorted(missing)}")
         params = SystemParams.from_dict(doc["params"])
-        if not isinstance(doc["file_id"], str) or type(doc["residual_len"]) is not int:
-            raise ValueError("manifest file_id must be a string, residual_len an integer")
+        if not isinstance(doc["file_id"], str):
+            raise ValueError("manifest file_id must be a string")
         lengths = _ints(doc["block_lengths"], "block_lengths", params.n - 1)
         if len(lengths) != params.m:
             raise ValueError(f"manifest needs {params.m} block_lengths")
@@ -147,7 +145,6 @@ class FileManifest:
         return cls(
             file_id=doc["file_id"],
             params=params,
-            residual_len=doc["residual_len"],
             block_lengths=lengths,
             node_coeffs={int(node): _symbols(rows, (None, params.m), f"node {node} rows")
                          for node, rows in node_coeffs.items()},
@@ -175,10 +172,9 @@ def make_source_block(data: bytes, params: SystemParams, index: int, rng,
 def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
     """Split a file into m padded, unit-augmented source blocks.
 
-    Returns (rows, residual_len, block_lengths), rows being the (m, n+m)
-    source matrix.  The two padding symbols are drawn once here, block by
-    block, and never re-randomized; they are part of the authenticated
-    vector.
+    Returns (rows, block_lengths), rows being the (m, n+m) source matrix.
+    The two padding symbols are drawn once here, block by block, and never
+    re-randomized; they are part of the authenticated vector.
     """
     params.validate()
     payload = params.n - 2
@@ -187,10 +183,7 @@ def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
     chunks = [file_bytes[i * payload: (i + 1) * payload] for i in range(params.m)]
     rows = np.stack([make_source_block(chunk, params, i, rng)
                      for i, chunk in enumerate(chunks)])
-    residual = len(file_bytes) % payload
-    if file_bytes and residual == 0:
-        residual = payload
-    return rows, residual, [len(chunk) for chunk in chunks]
+    return rows, [len(chunk) for chunk in chunks]
 
 
 def combine_blocks(coeffs, rows) -> np.ndarray:

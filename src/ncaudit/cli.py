@@ -89,6 +89,8 @@ def _load_store(root: Path):
         raise ValueError("keys.json must be an object with hex strings k_v and k_e")
     keys = KeyMaterial(bytes.fromhex(kj["k_v"]), bytes.fromhex(kj["k_e"]))
     params = manifest.params
+    if {len(keys.k_v), len(keys.k_e)} != {params.lambda_bits // 8}:
+        raise ValueError(f"keys.json keys must be {params.lambda_bits // 8} bytes each")
     payloads = {}
     for node, rows in manifest.node_coeffs.items():
         ndir = root / "nodes" / f"node{node}"

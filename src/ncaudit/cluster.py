@@ -299,27 +299,42 @@ def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
     return Cluster(manifest, user, payloads, rng)
 
 
+# the fields a scenario fault may set, with their JSON types
+FAULT_FIELDS = {"kind": str, "block": int, "position": int, "delta": int,
+                "epsilon": (int, float)}
+
+
 def run_scenario(scenario: dict, out) -> int:
     """Execute a declarative scenario; JSON records to `out`; returns the
-    number of rejected audits."""
-    params = SystemParams(**scenario["params"])
+    number of rejected audits.  ValueError names a malformed step."""
+    if not (isinstance(scenario, dict) and isinstance(scenario.get("steps", []), list)):
+        raise ValueError("a scenario must be a JSON object with a list of steps")
+    params = SystemParams.from_dict(scenario.get("params"))
     cluster = spawn_cluster(params, scenario.get("layout", "evenodd4"),
                             bytes.fromhex(scenario.get("file_hex", ""))
                             or scenario.get("file_text", "").encode(),
                             scenario.get("seed", 0))
     rejects = 0
-    for step in scenario.get("steps", []):
-        op = step["op"]
+    for i, step in enumerate(scenario.get("steps", [])):
+        if not (isinstance(step, dict) and type(step.get("node")) is int
+                and step["node"] in cluster.nodes):
+            raise ValueError(f"scenario step {i} must be an object naming a node "
+                             f"among {sorted(cluster.nodes)}")
+        op, fault = step.get("op"), step.get("fault")
         if op == "audit":
             ok, rec = cluster.run_audit_round(step["node"], step.get("count", 1))
             rejects += not ok
+        elif op == "fault" and isinstance(fault, dict) and "kind" in fault and all(
+                isinstance(v, FAULT_FIELDS.get(k, ())) for k, v in fault.items()):
+            cluster.inject_fault(step["node"], Fault(**fault))
         elif op == "fault":
-            cluster.inject_fault(step["node"], Fault(**step["fault"]))
+            raise ValueError(f"scenario step {i}: a fault needs a kind and no field "
+                             f"outside {sorted(FAULT_FIELDS)}, each of its type")
         elif op == "repair":
             cluster.fail_and_repair(step["node"], step.get("mode", "exact"),
                                     step.get("helpers"))
         else:
-            raise ValueError(f"unknown scenario op {op!r}")
+            raise ValueError(f"scenario step {i}: unknown op {op!r}")
     for rec in cluster.transcript:
         out.write(json.dumps(rec) + "\n")
     return rejects

@@ -1,15 +1,16 @@
 """Rebuilding a lost node from coded helper blocks, tags included.
 
-Helpers send linear combinations of their own blocks; the replacement node
-combines those.  Tags ride along through the same combinations, so nothing
-needs the verification key and no original file data is ever downloaded.
+Helpers send combinations (gamma) of their own blocks and the new node
+combines those (theta).  Tags ride along, so neither the verification key nor
+file data is needed.  An exact repair reproduces the lost rows; a functional
+repair stores fresh combinations that keep the file decodable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,27 +23,24 @@ class PlanningError(RuntimeError):
     pass
 
 
-# random (gamma, theta) draws a planner tries before it gives up
+# random gamma draws an exact planner tries before its {0,1} search
 ATTEMPTS = 200
 
 
 @dataclass
 class RepairPlan:
     """gamma: per-helper mixing rows; theta: how the replacement node
-    combines the received blocks into its M new blocks."""
+    combines the received blocks into its new blocks."""
     failed: int
     helpers: List[int]
-    gamma: Dict[int, np.ndarray]   # helper -> (Q, M) rows over its own blocks
-    theta: np.ndarray              # (M, total_sent) over the received blocks
-    target_rows: np.ndarray        # (M, m) coefficients the new node will hold
-
-    def sent_rows(self, manifest: FileManifest) -> np.ndarray:
-        """Source-coefficient rows of every block the helpers transmit."""
-        return _sent_rows(manifest, self.helpers, self.gamma)
+    gamma: Dict[int, np.ndarray]   # helper -> (Q, rows it stores)
+    theta: np.ndarray              # (rows of the failed node, total_sent)
+    target_rows: np.ndarray        # (rows of the failed node, m) new coefficients
 
 
 def _sent_rows(manifest: FileManifest, helpers: List[int],
                gamma: Dict[int, np.ndarray]) -> np.ndarray:
+    """Source-coefficient rows of every block the helpers transmit."""
     return np.concatenate([combine_blocks(gamma[h], manifest.node_coeffs[h])
                            for h in helpers])
 
@@ -56,96 +54,63 @@ def _helper_rows(manifest: FileManifest, failed: int, helpers: List[int]) -> np.
 
 
 def plan_exact_repair(manifest: FileManifest, failed: int,
-                      helpers: List[int], rng,
-                      per_helper: Optional[int] = None) -> RepairPlan:
-    """Find gamma/theta reproducing the failed node's rows exactly.
-
-    Tries, in order: direct copies when every target row is already stored
-    on some helper; random gamma with theta solved by elimination; a bounded
-    search over {0,1}-valued gamma (enough for parity-style layouts).
-    """
-    params = manifest.params
+                      helpers: List[int], rng) -> RepairPlan:
+    """gamma/theta rebuilding the failed node's rows: the first candidate that solves."""
     target = manifest.node_coeffs[failed]
-    Q = per_helper if per_helper is not None else params.Q
-    stacked = _helper_rows(manifest, failed, helpers)
-    need = field.matrix_rank(np.concatenate([stacked, target], axis=0))
-    if field.matrix_rank(stacked) < need:
+    span = field.gaussian_solve(_helper_rows(manifest, failed, helpers).T, target.T)
+    if span.status == "inconsistent":
         raise PlanningError("helpers do not span the failed node's rows")
-
-    # direct-copy fast path
-    plan = _plan_unit(manifest, failed, helpers, Q)
-    if plan is not None:
-        return plan
-
-    sizes = [manifest.node_coeffs[h].shape[0] for h in helpers]
-    total = Q * len(helpers)
-
-    if total >= field.matrix_rank(stacked):
-        for _ in range(ATTEMPTS):
-            gamma = {h: rng.integers(0, 256, size=(Q, manifest.node_coeffs[h].shape[0]),
-                                     dtype=np.uint8) for h in helpers}
-            plan = _solve_theta(manifest, failed, helpers, gamma, target)
-            if plan is not None:
-                return plan
-
-    # small-field exhaustive fallback: one block per helper, gf(2) weights
-    if all(s <= 4 for s in sizes) and len(helpers) <= 4:
-        choices = [list(itertools.product((0, 1), repeat=s)) for s in sizes]
-        for combo in itertools.product(*choices):
-            gamma = {h: np.array([c], dtype=np.uint8)
-                     for h, c in zip(helpers, combo)}
-            if any(not g.any() for g in gamma.values()):
-                continue
-            plan = _solve_theta(manifest, failed, helpers, gamma, target)
-            if plan is not None:
-                return plan
+    for used, gamma in _candidates(manifest, target, helpers, span.rank, rng):
+        theta = field.solve_any(_sent_rows(manifest, used, gamma).T, target.T)
+        if theta is not None:
+            return RepairPlan(failed, used, gamma, theta.T.copy(), target.copy())
     raise PlanningError("no exact repair plan found")
 
 
-def _plan_unit(manifest, failed, helpers, Q) -> Optional[RepairPlan]:
-    """Direct copies: each target row from the first equal helper row not
-    yet picked, at most Q per helper."""
-    target = manifest.node_coeffs[failed]
+def _candidates(manifest: FileManifest, target: np.ndarray, helpers: List[int],
+                rank: int, rng) -> Iterator[Tuple[List[int], Dict[int, np.ndarray]]]:
+    """(helpers used, gamma) in the order an exact planner tries them: direct
+    copies if every target row is stored on a helper (at most Q per helper);
+    ATTEMPTS random gammas if Q rows per helper can reach the helpers' rank;
+    one {0,1} row per helper for at most 4 helpers of at most 4 rows."""
+    Q = manifest.params.Q
+    stored = manifest.node_coeffs
     picks: List[Tuple[int, int]] = []  # (helper, local block index) per target row
     for row in target:
         hit = next(((h, j) for h in helpers if sum(p[0] == h for p in picks) < Q
-                    for j, stored in enumerate(manifest.node_coeffs[h])
-                    if (h, j) not in picks and np.array_equal(stored, row)), None)
+                    for j, s in enumerate(stored[h])
+                    if (h, j) not in picks and np.array_equal(s, row)), None)
         if hit is None:
-            return None
+            break
         picks.append(hit)
-    used = [h for h in helpers if any(p[0] == h for p in picks)]
-    order = [p for h in used for p in picks if p[0] == h]  # blocks as received
-    eye = {h: np.eye(len(manifest.node_coeffs[h]), dtype=np.uint8) for h in used}
-    gamma = {h: eye[h][[j for g, j in order if g == h]] for h in used}
-    theta = np.eye(len(order), dtype=np.uint8)[[order.index(p) for p in picks]]
-    return RepairPlan(failed, used, gamma, theta, target.copy())
-
-
-def _solve_theta(manifest, failed, helpers, gamma, target) -> Optional[RepairPlan]:
-    sent = _sent_rows(manifest, helpers, gamma)
-    theta = field.solve_any(sent.T, target.T)
-    if theta is None:
-        return None
-    return RepairPlan(failed, list(helpers), gamma, theta.T.copy(), target.copy())
+    else:
+        used = [h for h in helpers if any(p[0] == h for p in picks)]
+        yield used, {h: np.eye(len(stored[h]), dtype=np.uint8)[[j for g, j in picks if g == h]]
+                     for h in used}
+    if Q * len(helpers) >= rank:
+        for _ in range(ATTEMPTS):
+            yield list(helpers), {h: rng.integers(0, 256, size=(Q, len(stored[h])),
+                                                  dtype=np.uint8) for h in helpers}
+    if len(helpers) <= 4 and max(len(stored[h]) for h in helpers) <= 4:
+        bits = [itertools.product((0, 1), repeat=len(stored[h])) for h in helpers]
+        for combo in itertools.product(*bits):
+            if all(any(c) for c in combo):
+                yield list(helpers), {h: np.array([c], dtype=np.uint8)
+                                      for h, c in zip(helpers, combo)}
 
 
 def plan_functional_repair(manifest: FileManifest, failed: int,
                            helpers: List[int], rng) -> RepairPlan:
-    """Random gamma/theta; retried until the cluster still spans all m
-    source blocks.  The replacement rows differ from the lost ones."""
-    params = manifest.params
-    M, m, Q = params.M, params.m, params.Q
-    others = _helper_rows(manifest, failed, helpers)
-    for _ in range(ATTEMPTS):
-        gamma = {h: rng.integers(0, 256, size=(Q, manifest.node_coeffs[h].shape[0]),
-                                 dtype=np.uint8) for h in helpers}
-        sent = _sent_rows(manifest, helpers, gamma)
-        theta = rng.integers(0, 256, size=(M, sent.shape[0]), dtype=np.uint8)
-        new_rows = combine_blocks(theta, sent)
-        if field.matrix_rank(np.concatenate([others, new_rows], axis=0)) == m:
-            return RepairPlan(failed, list(helpers), gamma, theta, new_rows)
-    raise PlanningError("no functional repair keeps the file decodable")
+    """One random gamma and theta: the new rows lie in the helpers' span, so
+    whatever the draw they keep the file decodable if the helpers span it."""
+    if field.matrix_rank(_helper_rows(manifest, failed, helpers)) < manifest.params.m:
+        raise PlanningError("no functional repair keeps the file decodable")
+    gamma = {h: rng.integers(0, 256, size=(manifest.params.Q, len(manifest.node_coeffs[h])),
+                             dtype=np.uint8) for h in helpers}
+    sent = _sent_rows(manifest, helpers, gamma)
+    theta = rng.integers(0, 256, size=(len(manifest.node_coeffs[failed]), len(sent)),
+                         dtype=np.uint8)
+    return RepairPlan(failed, list(helpers), gamma, theta, combine_blocks(theta, sent))
 
 
 @dataclass

@@ -21,16 +21,15 @@ def test_params_validation():
 
 
 def test_source_block_shape(rng):
-    rows, residual, lengths = blocks.make_source_blocks(b"x" * 30, PARAMS, rng)
+    rows, lengths = blocks.make_source_blocks(b"x" * 30, PARAMS, rng)
     assert rows.shape == (4, 20) and rows.dtype == np.uint8
     assert lengths == [14, 14, 2, 0]
-    assert residual == 2
     # unit coefficient in slot i, data then two padding symbols
     assert np.array_equal(rows[:, 16:], np.eye(4, dtype=np.uint8))
 
 
 def test_padding_is_random_not_zero(rng):
-    rows, _, _ = blocks.make_source_blocks(b"", PARAMS, rng)
+    rows, _ = blocks.make_source_blocks(b"", PARAMS, rng)
     assert rows[:, 14:16].any()
 
 
@@ -40,7 +39,7 @@ def test_file_too_long(rng):
 
 
 def test_combine_is_linear(rng):
-    rows, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
+    rows, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
     alphas = rng.integers(0, 256, 4, dtype=np.uint8)
     combined = blocks.combine_blocks(alphas, rows)
     assert np.array_equal(combined[16:], alphas)
@@ -54,9 +53,9 @@ def test_combine_is_linear(rng):
 
 def test_decode_roundtrip(rng):
     data = bytes(range(50))
-    rows, residual, lengths = blocks.make_source_blocks(data, PARAMS, rng)
+    rows, lengths = blocks.make_source_blocks(data, PARAMS, rng)
     manifest = FileManifest(
-        file_id="f", params=PARAMS, residual_len=residual,
+        file_id="f", params=PARAMS,
         block_lengths=lengths,
         node_coeffs={0: np.eye(4, dtype=np.uint8)},
         logical_order=[0, 1, 2, 3])
@@ -70,14 +69,14 @@ def test_decode_roundtrip(rng):
 
 
 def test_decode_insufficient_rank(rng):
-    rows, _, _ = blocks.make_source_blocks(b"abc", PARAMS, rng)
+    rows, _ = blocks.make_source_blocks(b"abc", PARAMS, rng)
     with pytest.raises(blocks.UndecodableError):
         blocks.decode_source_data(rows[:3], 4)
 
 
 def test_manifest_json_roundtrip(rng):
     manifest = FileManifest(
-        file_id="demo", params=PARAMS, residual_len=3,
+        file_id="demo", params=PARAMS,
         block_lengths=[14, 14, 14, 3],
         node_coeffs={0: rng.integers(0, 256, (2, 4), dtype=np.uint8),
                      3: rng.integers(0, 256, (2, 4), dtype=np.uint8)},
@@ -95,7 +94,7 @@ def test_manifest_json_roundtrip(rng):
 
 
 def test_decode_reports_inconsistent_blocks(rng):
-    rows, _, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
+    rows, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
     bad = rows[0].copy()
     bad[3] ^= 1
     with pytest.raises(blocks.UndecodableError, match="inconsistent"):
@@ -104,7 +103,7 @@ def test_decode_reports_inconsistent_blocks(rng):
 
 def _manifest_doc(rng):
     manifest = FileManifest(
-        file_id="demo", params=PARAMS, residual_len=3,
+        file_id="demo", params=PARAMS,
         block_lengths=[14, 14, 14, 3],
         node_coeffs={0: rng.integers(0, 256, (2, 4), dtype=np.uint8)},
         logical_order=[0, 1, 2, 3],
@@ -116,7 +115,7 @@ def _manifest_doc(rng):
     lambda d: d.clear(),                                   # every key missing
     lambda d: d.pop("node_coeffs"),
     lambda d: d.update(file_id=3),
-    lambda d: d.update(residual_len="3"),
+    lambda d: d.update(logical_order="0123"),
     lambda d: d.update(params=[16, 4]),
     lambda d: d["params"].update(n="16"),
     lambda d: d["params"].update(extra=1),
@@ -147,6 +146,14 @@ def test_manifest_rejects_non_object():
             FileManifest.from_json(text)
 
 
+def test_manifest_ignores_unknown_keys(rng):
+    # manifests written by older versions may carry keys no longer read
+    doc = _manifest_doc(rng)
+    plain = FileManifest.from_json(json.dumps(doc)).to_json()
+    doc["retired"] = 3
+    assert FileManifest.from_json(json.dumps(doc)).to_json() == plain
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-300, 2**70) | st.floats(allow_nan=False)
     | st.text(max_size=4),
@@ -156,8 +163,8 @@ _json_values = st.recursive(
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(["file_id", "params", "residual_len", "block_lengths",
-                        "node_coeffs", "logical_order", "deltas"]),
+@given(st.sampled_from(["file_id", "params", "block_lengths", "node_coeffs",
+                        "logical_order", "deltas"]),
        _json_values)
 def test_manifest_parser_raises_only_value_error(key, value):
     doc = _manifest_doc(np.random.default_rng(0))
@@ -174,7 +181,7 @@ def test_manifest_parser_raises_only_value_error(key, value):
        st.permutations(range(4)))
 def test_manifest_roundtrip_any(coeffs, delta, order):
     manifest = FileManifest(
-        file_id="f", params=PARAMS, residual_len=1, block_lengths=[14, 0, 3, 1],
+        file_id="f", params=PARAMS, block_lengths=[14, 0, 3, 1],
         node_coeffs={2: np.array(coeffs, dtype=np.uint8).reshape(2, 4)},
         logical_order=list(order), deltas={3: np.array(delta, dtype=np.uint8)})
     back = FileManifest.from_json(manifest.to_json())

@@ -99,6 +99,29 @@ def test_scenario_command(store, tmp_path):
     assert main(["scenario", "--file", str(path)]) == 0
 
 
+_SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
+                        "ell": 2, "lambda_bits": 80}, "file_text": "hello"}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"steps": []}, "params"),
+    ({**_SCENARIO, "steps": [{"op": "audit", "count": 1}]}, "step 0"),
+    ({**_SCENARIO, "steps": [{"op": "fault", "node": 1, "fault": {
+        "kind": "corrupt_symbol", "colour": 1}}]}, "step 0"),
+    ({**_SCENARIO, "steps": [{"op": "audit", "node": 0}, {"op": "audit", "node": 9}]},
+     "step 1"),
+    ([_SCENARIO], "JSON object"),
+    ({**_SCENARIO, "steps": [{"op": "audit", "node": 0}, "audit"]}, "step 1"),
+    ({**_SCENARIO, "steps": [{"op": "erase", "node": 0}]}, "step 0"),
+], ids=["no-params", "no-node", "unknown-fault-field", "absent-node", "array",
+        "non-object-step", "unknown-op"])
+def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scenario", "--file", str(path)]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_unseeded_setups_use_fresh_keys(tmp_path, monkeypatch):
     monkeypatch.delenv("NCAUDIT_SEED", raising=False)
     keys = []
@@ -185,6 +208,7 @@ def test_extract_from_a_node_that_always_lies_fails(store, capsys):
     {}, [], "k_v", None, {"k_v": "00" * 32}, {"k_e": "00" * 32},
     {"k_v": 7, "k_e": "00" * 32}, {"k_v": "00" * 32, "k_e": None},
     {"k_v": ["00"], "k_e": "00" * 32},
+    {"k_v": "", "k_e": ""}, {"k_v": "00" * 8, "k_e": "00" * 16},
 ])
 def test_malformed_keys_file_is_usage_error(store, doc, capsys):
     (store / "keys.json").write_text(json.dumps(doc))

@@ -54,6 +54,18 @@ def test_append_with_donation(cluster, rng):
     assert _audit_all(cluster)
 
 
+def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
+    # a default append gives every node a third row; the rebuilt node must
+    # hold three as well, not params.M
+    dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                          b"appended", rng)
+    cluster.fail_and_repair(1, "functional")
+    assert cluster.manifest.node_coeffs[1].shape == (3, PARAMS.m + 1)
+    assert cluster.nodes[1].payload.blocks.shape == (3, PARAMS.n + PARAMS.m + 1)
+    assert all(cluster.run_audit_round(node, 3)[0] for node in range(4))
+    assert cluster.decode_current_file() == DATA + b"appended"
+
+
 def test_update_patches_and_verifies(cluster, rng):
     payloads = _payloads(cluster)
     dynamics.update_block(cluster.manifest, payloads, cluster.user.keys,

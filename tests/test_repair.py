@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ncaudit import audit, field, ncrypt, repair, spacemac
-from ncaudit.blocks import SystemParams
-from ncaudit.cluster import EVENODD4
+from ncaudit.blocks import SystemParams, combine_blocks
+from ncaudit.cluster import EVENODD4, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 
@@ -41,7 +41,7 @@ def test_repaired_tags_verify(system, rng):
     assert np.array_equal(spacemac.mac(keys.k_v, fid, blocks, PARAMS.ell), tags)
 
 
-def test_exact_plan_respects_per_helper_budget(system, rng):
+def test_exact_plan_respects_helper_budget(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_exact_repair(manifest, 3, [0, 1, 2], rng)
     for h in plan.helpers:
@@ -53,6 +53,37 @@ def test_exact_repair_impossible_without_span(system, rng):
     # nodes 0 and 2 alone cannot express node 3's second row (needs b4)
     with pytest.raises(repair.PlanningError):
         repair.plan_exact_repair(manifest, 3, [0, 2], rng)
+
+
+# seed-11 random_functional layouts (n=64, m=4, N=6, M=2, P=5) store no
+# helper row twice, so rebuilding node 0 draws gamma at random; the planner's
+# generator is seeded with 5
+@pytest.mark.parametrize("Q, gamma, theta", [
+    (1, [[[168, 229]], [[238, 171]], [[245, 153]], [[37, 53]], [[192, 173]]],
+     [[36, 144, 1, 196, 0], [220, 214, 133, 222, 0]]),
+    (2, [[[168, 229], [184, 171]], [[238, 171], [20, 206]], [[245, 153], [204, 5]],
+         [[37, 53], [213, 206]], [[192, 173], [6, 120]]],
+     [[79, 191, 190, 22, 0, 0, 0, 0, 0, 0], [69, 141, 178, 43, 0, 0, 0, 0, 0, 0]]),
+], ids=["Q<M", "Q=M"])
+def test_random_gamma_exact_repair_bit_for_bit(Q, gamma, theta):
+    params = SystemParams(n=64, m=4, N=6, M=2, P=5, Q=Q, ell=2, lambda_bits=80)
+    cluster = spawn_cluster(params, "random_functional", bytes(range(200)), seed=11)
+    payloads = {i: node.payload for i, node in cluster.nodes.items()}
+    before = payloads[0].blocks.copy(), payloads[0].tags.copy()
+    plan, _ = repair.repair_node(cluster.manifest, payloads, 0, "exact", None,
+                                 np.random.default_rng(5))
+    assert plan.helpers == [1, 2, 3, 4, 5]
+    assert [plan.gamma[h].tolist() for h in plan.helpers] == gamma
+    assert plan.theta.tolist() == theta
+    assert np.array_equal(payloads[0].blocks, before[0])
+    assert np.array_equal(payloads[0].tags, before[1])
+
+
+def test_functional_repair_needs_helpers_spanning_the_file(system, rng):
+    keys, manifest, payloads = system
+    # node 0 holds b1 and b2 only
+    with pytest.raises(repair.PlanningError, match="keeps the file decodable"):
+        repair.plan_functional_repair(manifest, 3, [0], rng)
 
 
 def test_functional_repair_keeps_decodability(system, rng):
@@ -89,7 +120,8 @@ def test_replay_detected_after_functional_repair(system, rng):
 def test_plan_sent_rows_consistent(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_exact_repair(manifest, 2, [0, 1, 3], rng)
-    sent = plan.sent_rows(manifest)
+    sent = np.concatenate([combine_blocks(plan.gamma[h], manifest.node_coeffs[h])
+                           for h in plan.helpers])
     # theta applied to the sent rows reproduces the target rows
     rebuilt = np.stack([field.combine_rows(plan.theta[j], sent)
                         for j in range(plan.theta.shape[0])])
