@@ -9,7 +9,7 @@ from .blocks import (CodedBlock, FileManifest, SystemParams, UndecodableError,
 from .cluster import Cluster, Fault, make_layout, spawn_cluster
 from .dynamics import append_block, delete_block, insert_block, update_block
 from .extractor import ExtractionError, extract_node
-from .ncrypt import Ciphertext, Voucher, dec, enc
+from .ncrypt import Voucher, dec, enc
 from .repair import (PlanningError, RepairPlan, make_repair_blocks,
                      plan_exact_repair, plan_functional_repair,
                      reconstruct_node, refresh_manifest, repair_node)
@@ -18,7 +18,7 @@ from .spacemac import mac
 __version__ = "0.1.0"
 
 __all__ = [
-    "Challenge", "Ciphertext", "Cluster", "CodedBlock", "ExtractionError",
+    "Challenge", "Cluster", "CodedBlock", "ExtractionError",
     "Fault", "FileManifest", "KeyMaterial", "NodePayload", "PlanningError",
     "Proof", "RepairPlan", "SystemParams", "UndecodableError", "Voucher",
     "aggregate_coeffs", "append_block", "combine_blocks", "dec", "decode_file",

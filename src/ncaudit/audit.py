@@ -17,7 +17,7 @@ import numpy as np
 
 from . import field, ncrypt, spacemac
 from .blocks import FileManifest, SystemParams, combine_blocks, make_source_blocks
-from .ncrypt import Ciphertext, Voucher
+from .ncrypt import Voucher
 
 
 @dataclass
@@ -74,25 +74,29 @@ class Challenge:
 
 @dataclass
 class Proof:
-    ciphertext: Ciphertext
-    pad: np.ndarray  # the two clear padding symbols e^(n-1), e^(n)
-    tag: np.ndarray  # tau: the ell aggregated tag symbols plus the voucher
+    """The wire form is c_bar || nonce || pad || tag."""
+    c_bar: np.ndarray  # the aggregate's first n-2 symbols, masked (ncrypt.enc)
+    nonce: bytes       # the audit counter k, lambda/8 bytes big-endian
+    pad: np.ndarray    # the two clear padding symbols e^(n-1), e^(n)
+    tag: np.ndarray    # tau: the ell aggregated tag symbols plus the voucher
+
+    @property
+    def k(self) -> int:
+        return int.from_bytes(self.nonce, "big")
 
     def to_bytes(self) -> bytes:
-        return self.ciphertext.to_bytes() + self.pad.tobytes() + self.tag.tobytes()
+        return self.c_bar.tobytes() + self.nonce + self.pad.tobytes() + self.tag.tobytes()
 
     @classmethod
     def from_bytes(cls, raw: bytes, params: SystemParams) -> "Proof":
         """Parse the wire format; ValueError unless raw has exactly the
         length params imply."""
-        n, ell, lam = params.n, params.ell, params.lambda_bits
-        ct_len = (n - 2) + lam // 8
-        if len(raw) != ct_len + 2 + ell:
-            raise ValueError(f"proof needs {ct_len + 2 + ell} bytes, got {len(raw)}")
-        ct = Ciphertext.from_bytes(raw[:ct_len], n, lam)
-        pad = np.frombuffer(raw[ct_len: ct_len + 2], dtype=np.uint8).copy()
-        tag = np.frombuffer(raw[ct_len + 2: ct_len + 2 + ell], dtype=np.uint8).copy()
-        return cls(ct, pad, tag)
+        width, end = params.n - 2, params.n - 2 + params.lambda_bits // 8
+        if len(raw) != end + 2 + params.ell:
+            raise ValueError(f"proof needs {end + 2 + params.ell} bytes, got {len(raw)}")
+        symbols = np.frombuffer(raw, dtype=np.uint8)
+        return cls(symbols[:width].copy(), raw[width:end], symbols[end:end + 2].copy(),
+                   symbols[end + 2:].copy())
 
 
 @dataclass
@@ -180,9 +184,10 @@ def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
     agg_tag = field.combine_rows(alphas, tags[idx])
     stats.tag_mults = field.counter.value - before - stats.block_mults
 
-    e_bar, pad = agg[: n - 2], agg[n - 2: n].copy()
-    ct = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k, e_bar, params)
-    return Proof(ct, pad, agg_tag ^ voucher.value), stats
+    c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
+                       agg[: n - 2], params)
+    return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
+                 agg[n - 2: n].copy(), agg_tag ^ voucher.value), stats
 
 
 def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
@@ -234,16 +239,16 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
-    if proof.ciphertext.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
+    if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
             or proof.pad.shape[0] != 2:
         raise ValueError("malformed proof dimensions")
     stats = VerifyStats()
     before = field.counter.value  # stays put while the counter is off
 
     aug = aggregate_coeffs(manifest, chal)
-    row = np.concatenate([proof.ciphertext.c_bar, proof.pad, aug])
-    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node,
-                             proof.ciphertext.k, params)
+    row = np.concatenate([proof.c_bar, proof.pad, aug])
+    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k,
+                             params)
     ok = bool(verify_block(k_v, manifest, row, proof.tag ^ s_k))
     stats.mults = field.counter.value - before
     return ok, stats

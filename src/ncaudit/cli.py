@@ -156,9 +156,10 @@ def cmd_setup(args) -> int:
                               lambda_bits=args.lam)
         code = make_layout("evenodd4", params, rng)
     else:
-        params = SystemParams(n=args.n, m=args.m, N=args.nodes,
-                              M=-(-args.m // args.nodes) + 1,
-                              P=args.nodes - 1, Q=1, ell=args.ell,
+        # Q rows from each of the P helpers can span the file's m sources
+        M, P = -(-args.m // args.nodes) + 1, args.nodes - 1
+        params = SystemParams(n=args.n, m=args.m, N=args.nodes, M=M, P=P,
+                              Q=min(M, -(-args.m // max(P, 1))), ell=args.ell,
                               lambda_bits=args.lam)
         code = make_layout("random_functional", params, rng)
     keys = audit.keygen(params, None if seed is None else rng)

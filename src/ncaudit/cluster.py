@@ -147,10 +147,8 @@ class Node:
             self.payload.blocks, self.payload.tags, chal, self.payload.k_e,
             voucher, self.params)
         if lying:
-            junk = self.rng.integers(0, 256, size=proof.ciphertext.c_bar.shape,
-                                     dtype=np.uint8)
-            proof = Proof(ncrypt.Ciphertext(junk, proof.ciphertext.nonce),
-                          proof.pad, proof.tag)
+            junk = self.rng.integers(0, 256, size=proof.c_bar.shape, dtype=np.uint8)
+            proof = Proof(junk, proof.nonce, proof.pad, proof.tag)
         return proof, stats
 
     def snapshot(self) -> Tuple[List[CodedBlock], List[np.ndarray]]:
@@ -181,7 +179,7 @@ class Tpa:
     def verify(self, chal: Challenge, proof: Proof) -> Tuple[bool, VerifyStats]:
         """Spend the proof's k and verify; a k used before, never issued, or
         issued to another node is rejected unverified."""
-        spent = (chal.node, proof.ciphertext.k)
+        spent = (chal.node, proof.k)
         if spent not in self._unspent:
             return False, VerifyStats()
         self._unspent.remove(spent)
@@ -322,6 +320,8 @@ def run_scenario(scenario: dict, out) -> int:
                              f"among {sorted(cluster.nodes)}")
         op, fault = step.get("op"), step.get("fault")
         if op == "audit":
+            if type(step.get("count", 1)) is not int:
+                raise ValueError(f"scenario step {i}: count must be an integer")
             ok, rec = cluster.run_audit_round(step["node"], step.get("count", 1))
             rejects += not ok
         elif op == "fault" and isinstance(fault, dict) and "kind" in fault and all(

@@ -1,12 +1,13 @@
 """Recovering a node's blocks from a prover that sometimes lies.
 
-The prover answers aggregate challenges; a lying answer still has to pass
-tag verification to count, and a random lie rarely does.  Each target
-combination is asked R times with proportional coefficients (c * alpha for
-random nonzero c), normalized by 1/c, and settled by majority vote over the
-(data, tag) answers.  M independent majority winners pin down the node's
-blocks by elimination.  The extractor runs at the user, which issues
-each query's voucher and so can strip both the mask and the voucher.
+The prover answers aggregate challenges; an answer counts only if the
+auditor's check, audit.verify_proof, accepts it, and a random lie rarely
+does.  Each target combination is asked R times with proportional
+coefficients (c * alpha for random nonzero c), normalized by 1/c, and
+settled by majority vote over the (data, tag) answers.  M independent
+majority winners pin down the node's blocks by elimination.  The extractor
+runs at the user, which issues each query's voucher and so can strip both
+the mask and the voucher from an accepted answer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import field, ncrypt
-from .audit import Challenge, Proof, aggregate_coeffs, verify_block
+from .audit import Challenge, Proof, verify_block, verify_proof
 from .blocks import FileManifest
 
 
@@ -39,7 +40,7 @@ class ExtractionReport:
     blocks: np.ndarray  # (M, n+m), row j the node's block j
     tags: np.ndarray    # (M, ell)
     queries: int
-    discarded: int  # answers that failed tag verification
+    discarded: int  # answers that verify_proof rejected
 
 
 def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
@@ -79,16 +80,14 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
             voucher = user.issue(manifest, node)
             proof = oracle(chal, voucher)
             queries += 1
-            if proof is None or proof.ciphertext.k != voucher.k:
+            if proof is None or proof.k != voucher.k:
                 continue  # a refusal, or an answer under another voucher
-            # unmasked data and the tag without the voucher: the plain pair
-            full = np.concatenate([ncrypt.dec(k_e, fid, node, proof.ciphertext, params),
-                                   proof.pad, aggregate_coeffs(manifest, chal)])
-            tag = proof.tag ^ voucher.value
-            if not verify_block(k_v, manifest, full, tag):
+            if not verify_proof(k_v, manifest, chal, proof)[0]:
                 discarded += 1
                 continue
-            answer = np.concatenate([full[:n], tag])
+            # the unmasked aggregate and its tag without the voucher
+            e_bar = ncrypt.dec(k_e, fid, node, proof.k, proof.c_bar, params)
+            answer = np.concatenate([e_bar, proof.pad, proof.tag ^ voucher.value])
             votes[field.vec_scale(field.inv(c), answer).tobytes()] += 1
         if votes:
             (win, count), = votes.most_common(1)

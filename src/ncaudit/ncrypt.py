@@ -13,6 +13,9 @@ equals tau + s_k.  To the node s_k is a one-time pad, so vouchers tell it
 nothing about r; to the auditor tau is a function of the masked data and
 public values, and m_k keeps the masked data uniform.  Each k serves one
 audit: the auditor rejects a k it has seen, or one never issued to the node.
+
+enc and dec map symbol arrays to symbol arrays; audit.Proof carries the
+masked data on the wire and audit.verify_proof checks it.
 """
 
 from __future__ import annotations
@@ -23,29 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prf, spacemac
-
-
-@dataclass
-class Ciphertext:
-    c_bar: np.ndarray   # masked data, length n-2
-    nonce: bytes        # the audit counter k, lambda/8 bytes big-endian
-
-    @property
-    def k(self) -> int:
-        return int.from_bytes(self.nonce, "big")
-
-    def to_bytes(self) -> bytes:
-        return self.c_bar.tobytes() + self.nonce
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, n: int, lambda_bits: int) -> "Ciphertext":
-        """Parse the wire format; ValueError unless raw has exactly the
-        length n and lambda_bits imply."""
-        width = n - 2
-        if len(raw) != width + lambda_bits // 8:
-            raise ValueError(f"ciphertext needs {width + lambda_bits // 8} bytes, "
-                             f"got {len(raw)}")
-        return cls(np.frombuffer(raw[:width], dtype=np.uint8).copy(), raw[width:])
 
 
 @dataclass
@@ -82,15 +62,16 @@ def setup(k_e: bytes, k_v: bytes, file_id: bytes, node: int, k: int,
 
 
 def enc(k_e: bytes, file_id: bytes, node: int, k: int, e_bar: np.ndarray,
-        params) -> Ciphertext:
-    """Mask e_bar with the mask of audit k."""
+        params) -> np.ndarray:
+    """c_bar: e_bar, n-2 symbols, masked with the mask of audit k."""
     e_bar = np.asarray(e_bar, dtype=np.uint8)
-    if e_bar.shape[0] != params.n - 2:
-        raise ValueError("plaintext must have length n-2")
-    return Ciphertext(e_bar ^ mask_for_nonce(k_e, file_id, node, k, params),
-                      k.to_bytes(params.lambda_bits // 8, "big"))
+    if e_bar.shape != (params.n - 2,):
+        raise ValueError("data must be n-2 symbols")
+    return e_bar ^ mask_for_nonce(k_e, file_id, node, k, params)
 
 
-def dec(k_e: bytes, file_id: bytes, node: int, ct: Ciphertext, params) -> np.ndarray:
-    """Strip the mask.  No integrity check: that is the MAC's job."""
-    return ct.c_bar ^ mask_for_nonce(k_e, file_id, node, ct.k, params)
+def dec(k_e: bytes, file_id: bytes, node: int, k: int, c_bar: np.ndarray,
+        params) -> np.ndarray:
+    """e_bar: the mask of audit k stripped, by masking again.  No integrity
+    check: that is audit.verify_proof's job."""
+    return enc(k_e, file_id, node, k, c_bar, params)

@@ -156,9 +156,17 @@ def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
                 ) -> Tuple[RepairPlan, List[RepairShipment]]:
     """Rebuild payloads[failed] from helper shipments and refresh the
     manifest.  helpers=None takes the first P other nodes; mode is "exact"
-    or "functional".  Returns the plan and the shipments it moved."""
+    or "functional".  Returns the plan and the shipments it moved.
+    PlanningError names a helper that is not a distinct id of another node."""
     if helpers is None:
         helpers = [h for h in sorted(payloads) if h != failed][: manifest.params.P]
+    others = sorted(set(manifest.node_coeffs) - {failed})
+    if not isinstance(helpers, (list, tuple)):
+        raise PlanningError(f"helpers must be a list of node ids, not {helpers!r}")
+    for i, h in enumerate(helpers):
+        if type(h) is not int or h not in others or h in helpers[:i]:
+            raise PlanningError(f"helper {h!r} of node {failed} is not a distinct "
+                                f"id among the other nodes {others}")
     if mode == "exact":
         plan = plan_exact_repair(manifest, failed, helpers, rng)
     elif mode == "functional":

@@ -147,9 +147,9 @@ def test_proof_privacy(system, rng):
     voucher = _voucher(keys, manifest, chal)
     proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, voucher, PARAMS)
     fid = manifest.file_id.encode()
-    assert not np.array_equal(proof.ciphertext.c_bar, plain[: PARAMS.n - 2])
+    assert not np.array_equal(proof.c_bar, plain[: PARAMS.n - 2])
     seen = proof.tag ^ ncrypt.voucher_pad(keys.k_v, fid, 0, voucher.k, PARAMS)
-    masked = np.concatenate([proof.ciphertext.c_bar, plain[PARAMS.n - 2:]])
+    masked = np.concatenate([proof.c_bar, plain[PARAMS.n - 2:]])
     assert np.array_equal(seen, spacemac.mac(keys.k_v, fid, masked, PARAMS.ell))
     assert not np.array_equal(seen, spacemac.mac(keys.k_v, fid, plain, PARAMS.ell))
 
@@ -207,13 +207,16 @@ def test_wire_parsers_reject_truncated_and_trailing(system, rng):
 
 
 @settings(max_examples=300)
-@given(st.binary(max_size=80))
+@given(st.one_of(st.binary(max_size=80), st.binary(min_size=44, max_size=44)))
 def test_wire_parsers_raise_only_value_error(raw):
+    # 44 bytes is a proof's length at PARAMS
     for parse in (Challenge.from_bytes, lambda b: Proof.from_bytes(b, PARAMS)):
         try:
-            parse(raw)
+            parsed = parse(raw)
         except ValueError:
-            pass
+            continue
+        if isinstance(parsed, Proof):
+            assert parsed.to_bytes() == raw  # any accepted proof round-trips
 
 
 @given(st.text(max_size=12),

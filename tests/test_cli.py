@@ -113,8 +113,17 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
     ([_SCENARIO], "JSON object"),
     ({**_SCENARIO, "steps": [{"op": "audit", "node": 0}, "audit"]}, "step 1"),
     ({**_SCENARIO, "steps": [{"op": "erase", "node": 0}]}, "step 0"),
+    ({**_SCENARIO, "steps": [{"op": "audit", "node": 0, "count": "2"}]}, "step 0"),
+    ({**_SCENARIO, "steps": [{"op": "repair", "node": 0, "helpers": [1, 9]}]},
+     "helper 9"),
+    ({**_SCENARIO, "steps": [{"op": "repair", "node": 0, "helpers": "12"}]}, "'12'"),
+    ({**_SCENARIO, "steps": [{"op": "repair", "node": 0, "helpers": [1, 1, 1]}]},
+     "helper 1"),
+    ({**_SCENARIO, "steps": [{"op": "repair", "node": 0, "helpers": [0, 1, 2]}]},
+     "helper 0"),
 ], ids=["no-params", "no-node", "unknown-fault-field", "absent-node", "array",
-        "non-object-step", "unknown-op"])
+        "non-object-step", "unknown-op", "string-count", "absent-helper",
+        "string-helpers", "repeated-helper", "failed-node-as-helper"])
 def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -146,6 +155,23 @@ def test_random_layout_store_audits(tmp_path):
                  "--seed", "7"]) == 0
     assert main(["audit", "--dir", str(out), "--node", "1", "--count", "3",
                  "--rounds", "3", "--seed", "8"]) == 0
+
+
+def test_random_layout_exact_repair_rebuilds_every_node(tmp_path):
+    # Q rows from each helper can span the sources, so exact repair has a plan
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)) * 2)
+    out = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(out), "--layout", "random",
+                 "--n", "128", "--m", "6", "--nodes", "4", "--seed", "2a"]) == 0
+    files = sorted((out / "nodes").rglob("*.bin"))
+    before = [f.read_bytes() for f in files]
+    for node in range(4):
+        assert main(["repair", "--dir", str(out), "--node", str(node),
+                     "--seed", "1"]) == 0
+    assert [f.read_bytes() for f in files] == before
+    assert main(["audit", "--dir", str(out), "--node", "0", "--count", "2",
+                 "--rounds", "3", "--seed", "3"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,37 @@ def test_extract_always_lying_node(cluster):
     cluster.inject_fault(3, Fault("lie_probability", epsilon=1.0))
     with pytest.raises(extractor.ExtractionError):
         _extract(cluster, 3, seed=4)
+
+
+def _stale_oracle(cluster, node, every):
+    """An honest node that answers every `every`-th query under the first
+    voucher it ever received instead of the one it was given."""
+    first, queries = [], itertools.count()
+
+    def oracle(chal, voucher):
+        if not first:
+            first.append(voucher)
+        stale = next(queries) % every == 0
+        return cluster.nodes[node].answer(chal, first[0] if stale else voucher)[0]
+    return oracle
+
+
+def test_extract_node_that_keeps_its_first_voucher(cluster):
+    # only the first answer is under the voucher it was asked with
+    with pytest.raises(extractor.ExtractionError):
+        extractor.extract_node(_stale_oracle(cluster, 1, every=1), cluster.manifest, 1,
+                               cluster.user, np.random.default_rng(8))
+
+
+def test_extract_node_that_replays_its_first_voucher_half_the_time(cluster):
+    # answers under another voucher are skipped, not counted as rejected
+    report = extractor.extract_node(_stale_oracle(cluster, 1, every=2),
+                                    cluster.manifest, 1, cluster.user,
+                                    np.random.default_rng(9))
+    p = cluster.nodes[1].payload
+    assert np.array_equal(report.blocks, p.blocks)
+    assert np.array_equal(report.tags, p.tags)
+    assert report.discarded == 0
 
 
 def test_query_accounting(cluster):

@@ -2,9 +2,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncaudit import field, ncrypt, prf, spacemac
+from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
@@ -47,9 +47,8 @@ def test_scalars_are_keystream_dots():
 def test_roundtrip(rng):
     for k in range(1, 51):
         e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-        ct = ncrypt.enc(K_E, FID, NODE, k, e_bar, PARAMS)
-        assert ct.k == k
-        assert np.array_equal(ncrypt.dec(K_E, FID, NODE, ct, PARAMS), e_bar)
+        c_bar = ncrypt.enc(K_E, FID, NODE, k, e_bar, PARAMS)
+        assert np.array_equal(ncrypt.dec(K_E, FID, NODE, k, c_bar, PARAMS), e_bar)
 
 
 def test_mask_is_the_f3_keystream_of_node_and_counter():
@@ -66,9 +65,8 @@ def test_fresh_nonce_changes_ciphertext(rng):
     a = ncrypt.enc(K_E, FID, NODE, 1, e_bar, PARAMS)
     b = ncrypt.enc(K_E, FID, NODE, 2, e_bar, PARAMS)
     c = ncrypt.enc(K_E, FID, NODE + 1, 1, e_bar, PARAMS)
-    assert a.nonce != b.nonce
-    assert not np.array_equal(a.c_bar, b.c_bar)
-    assert not np.array_equal(a.c_bar, c.c_bar)  # the node id is in the domain
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)  # the node id is in the domain
 
 
 def test_mask_tag_identity():
@@ -84,35 +82,38 @@ def test_precomputed_mask_used(rng):
     # enc applies exactly the mask that mask_for_nonce derives ahead of time
     e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
     mask = ncrypt.mask_for_nonce(K_E, FID, NODE, 4, PARAMS)
-    ct = ncrypt.enc(K_E, FID, NODE, 4, e_bar, PARAMS)
-    assert ct.nonce == (4).to_bytes(10, "big")
-    assert np.array_equal(ct.c_bar, e_bar ^ mask)
+    assert np.array_equal(ncrypt.enc(K_E, FID, NODE, 4, e_bar, PARAMS), e_bar ^ mask)
 
 
-def test_ciphertext_wire_roundtrip(rng):
+def _proof(rng, k):
+    """A proof of k around masked random data, with its plain data."""
     e_bar = rng.integers(0, 256, 14, dtype=np.uint8)
-    ct = ncrypt.enc(K_E, FID, NODE, 77, e_bar, PARAMS)
-    raw = ct.to_bytes()
-    assert len(raw) == 14 + 10  # data, counter
-    back = ncrypt.Ciphertext.from_bytes(raw, 16, 80)
-    assert np.array_equal(back.c_bar, ct.c_bar)
-    assert back.nonce == ct.nonce and back.k == 77
+    proof = Proof(ncrypt.enc(K_E, FID, NODE, k, e_bar, PARAMS), k.to_bytes(10, "big"),
+                  rng.integers(0, 256, 2, dtype=np.uint8),
+                  rng.integers(0, 256, 2, dtype=np.uint8))
+    return proof, e_bar
 
 
-def test_ciphertext_rejects_truncated_and_trailing(rng):
-    ct = ncrypt.enc(K_E, FID, NODE, 1, rng.integers(0, 256, 14, dtype=np.uint8),
-                    PARAMS)
-    raw = ct.to_bytes()
+def test_enc_dec_roundtrip_through_proof_bytes(rng):
+    proof, e_bar = _proof(rng, 77)
+    raw = proof.to_bytes()
+    assert len(raw) == 14 + 10 + 2 + 2  # data, counter, padding symbols, tag
+    back = Proof.from_bytes(raw, PARAMS)
+    assert back.k == 77 and back.to_bytes() == raw
+    for field_name in ("c_bar", "pad", "tag"):
+        assert np.array_equal(getattr(back, field_name), getattr(proof, field_name))
+    assert np.array_equal(ncrypt.dec(K_E, FID, NODE, back.k, back.c_bar, PARAMS), e_bar)
+
+
+def test_proof_rejects_truncated_and_trailing(rng):
+    proof, e_bar = _proof(rng, 1)
+    raw = proof.to_bytes()
     for bad in (raw[:-1], b"", raw + b"\x00"):
         with pytest.raises(ValueError):
-            ncrypt.Ciphertext.from_bytes(bad, 16, 80)
-
-
-@settings(max_examples=300)
-@given(st.binary(max_size=60))
-def test_ciphertext_parser_raises_only_value_error(raw):
-    try:
-        ct = ncrypt.Ciphertext.from_bytes(raw, 16, 80)
-    except ValueError:
-        return
-    assert ct.to_bytes() == raw  # anything accepted round-trips
+            Proof.from_bytes(bad, PARAMS)
+    # enc and dec take exactly n-2 symbols
+    for data in (e_bar[:-1], np.append(e_bar, 0)):
+        with pytest.raises(ValueError):
+            ncrypt.enc(K_E, FID, NODE, 1, data, PARAMS)
+        with pytest.raises(ValueError):
+            ncrypt.dec(K_E, FID, NODE, 1, data, PARAMS)

@@ -1,11 +1,13 @@
 """The benchmark under perfbench/ drives ncaudit through names and shapes of
 its own choosing; these checks keep that contract in the tier-1 suite.
 
-Each case copies BENCHMARK.json, perfbench/ and src/ into a temporary
-checkout, as perfbench/selftest/run_selftest.py does, so nothing is written
-under perfbench/out, then makes a short traced toy run of one workload.
+Each toy-run case copies BENCHMARK.json, perfbench/ and src/ into a
+temporary checkout, as perfbench/selftest/run_selftest.py does, so nothing
+is written under perfbench/out, then makes a short traced toy run of one
+workload.  The self-test's mutants must also still apply to src/.
 """
 
+import ast
 import json
 import shutil
 import subprocess
@@ -48,3 +50,16 @@ def test_traced_toy_run_keeps_the_contract(tmp_path, workload):
     missing = [line[len(prefix):] for line in lines if line.startswith(prefix)]
     assert len(missing) == 1
     assert set(missing[0].split(", ")) == KNOWN_MISSING
+
+
+def test_selftest_mutants_each_apply_once():
+    # a refactor that moves a mutant's line silently disarms the self-test;
+    # MUTANTS is read from the script's source, so its main() never runs
+    tree = ast.parse((ROOT / "perfbench" / "selftest" / "run_selftest.py").read_text())
+    mutants = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["MUTANTS"])
+    assert mutants
+    for name, filename, text, _, _ in mutants:
+        source = (ROOT / "src" / "ncaudit" / filename).read_text()
+        assert source.count(text) == 1, f"{name}: {text!r} in {filename}"

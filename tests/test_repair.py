@@ -152,3 +152,12 @@ def test_one_node_store_names_missing_helpers(rng, mode):
     manifest, payloads = audit.setup_file(bytes(range(28)), params, keys, layout, rng)
     with pytest.raises(repair.PlanningError, match="no helper nodes to rebuild node 0"):
         repair.repair_node(manifest, payloads, 0, mode, None, rng)
+
+
+def test_repair_rejects_the_failed_node_as_its_own_helper():
+    # its lost rows are no helper; CLI scenarios cover absent and repeated ids
+    c = spawn_cluster(PARAMS, "evenodd4", bytes(range(56)), seed=3)
+    before = c.nodes[0].payload.blocks.copy()
+    with pytest.raises(repair.PlanningError, match="helper 0 of node 0"):
+        c.fail_and_repair(0, helpers=[0, 1, 2])
+    assert np.array_equal(c.nodes[0].payload.blocks, before)

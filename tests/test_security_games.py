@@ -131,8 +131,7 @@ def _guess(k_v: bytes, manifest, chal: Challenge, proof: Proof, candidates):
     """The TPA's guess at which candidate aggregate a proof hides: one whose
     tag matches what the TPA can strip from the proof's tag, else None."""
     params, fid = manifest.params, manifest.file_id.encode()
-    seen = proof.tag ^ ncrypt.voucher_pad(k_v, fid, chal.node, proof.ciphertext.k,
-                                          params)
+    seen = proof.tag ^ ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
     hits = [b for b, data in enumerate(candidates)
             if np.array_equal(spacemac.mac(k_v, fid, data, params.ell), seen)]
     return hits[0] if len(hits) == 1 else None
@@ -196,8 +195,7 @@ def test_never_issued_k_is_rejected(cluster):
     voucher = cluster.user.issue(cluster.manifest, 0)  # never announced
     assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
     honest, _ = cluster.nodes[0].answer(chal, voucher)
-    forged = Proof(ncrypt.Ciphertext(honest.ciphertext.c_bar, (999).to_bytes(10, "big")),
-                   honest.pad, honest.tag)
+    forged = Proof(honest.c_bar, (999).to_bytes(10, "big"), honest.pad, honest.tag)
     assert not cluster.tpa.verify(chal, forged)[0]
 
 
