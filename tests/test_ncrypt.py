@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncaudit import field, ncrypt, prf, spacemac
 from ncaudit.audit import Proof
@@ -117,3 +119,21 @@ def test_proof_rejects_truncated_and_trailing(rng):
             ncrypt.enc(K_E, FID, NODE, 1, data, PARAMS)
         with pytest.raises(ValueError):
             ncrypt.dec(K_E, FID, NODE, 1, data, PARAMS)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=60), st.binary(min_size=28, max_size=28)))
+def test_ciphertext_parser_raises_only_value_error(raw):
+    # 28 bytes is a proof's length at PARAMS: c_bar || k || pad || tag
+    try:
+        proof = Proof.from_bytes(raw, PARAMS)
+    except ValueError:
+        return
+    assert proof.to_bytes() == raw  # anything accepted round-trips
+    if proof.k == 0:  # counters start at 1, so dec refuses this one
+        with pytest.raises(ValueError):
+            ncrypt.dec(K_E, FID, NODE, proof.k, proof.c_bar, PARAMS)
+        return
+    # the parsed c_bar and counter k decrypt and re-encrypt to themselves
+    e_bar = ncrypt.dec(K_E, FID, NODE, proof.k, proof.c_bar, PARAMS)
+    assert np.array_equal(ncrypt.enc(K_E, FID, NODE, proof.k, e_bar, PARAMS), proof.c_bar)
