@@ -192,14 +192,7 @@ def combine_blocks(coeffs, rows) -> np.ndarray:
     rows is (r, w): block rows, or their tag rows, since tags are linear in
     blocks.  coeffs is (r,) for one combination, giving a (w,) row, or
     (k, r) for k of them, giving a (k, w) matrix."""
-    coeffs = field.vec(coeffs)
-    rows = field.vec(rows)
-    if coeffs.ndim == 1:
-        return field.combine_rows(coeffs, rows)
-    out = np.empty((coeffs.shape[0], rows.shape[1]), dtype=np.uint8)
-    for out_row, c in zip(out, coeffs):
-        out_row[:] = field.combine_rows(c, rows)
-    return out
+    return field.combine_rows(coeffs, rows)
 
 
 class UndecodableError(ValueError):

@@ -40,7 +40,7 @@ class ExtractionReport:
     blocks: np.ndarray  # (M, n+m), row j the node's block j
     tags: np.ndarray    # (M, ell)
     queries: int
-    discarded: int  # answers that verify_proof rejected
+    discarded: int  # answers that verify_proof rejected or could not read
 
 
 def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
@@ -82,7 +82,11 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
             queries += 1
             if proof is None or proof.k != voucher.k:
                 continue  # a refusal, or an answer under another voucher
-            if not verify_proof(k_v, manifest, chal, proof)[0]:
+            try:
+                accepted = verify_proof(k_v, manifest, chal, proof)[0]
+            except ValueError:  # c_bar, pad or tag of the wrong length
+                accepted = False
+            if not accepted:
                 discarded += 1
                 continue
             # the unmasked aggregate and its tag without the voucher

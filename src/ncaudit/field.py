@@ -4,14 +4,21 @@ Reduction polynomial is x^8 + x^4 + x^3 + x + 1 (0x11B).  Multiplication is
 served from a 256x256 lookup table built once at import time from exp/log
 tables of the generator 3; addition is XOR.  Vector work goes through two
 kernels on numpy uint8 arrays: vec_scale (one scaled vector) and
-combine_rows (a linear combination of rows).  combine_rows gathers every
-product at once, through flat table indices, for small or narrow inputs and
-otherwise bit-slices: Horner's rule over the eight bit-planes of the
-coefficients, one doubling and one XOR reduction of the selected rows per
-plane (the bit-plane decomposition of Plank, Greenan and Miller, "Screaming
-Fast Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013).
+combine_rows, coefficients times rows.  With (r,) coefficients combine_rows
+makes one combination: it gathers every product at once, through flat
+table indices, for small or narrow inputs and otherwise bit-slices, by
+Horner's rule over the eight bit-planes of the coefficients (Plank, Greenan
+and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
+Instructions", FAST 2013).  A (k, r) @ (r, w) product takes one of three
+forms: narrow outputs (w < k) make one combination per output column, wide
+products with k and r both large use the Four-Russians method (Albrecht,
+Bard and Hart, "Algorithm 898", ACM TOMS 2010) on each bit-plane, as M4RIE
+does for GF(2^e) (Albrecht, ISSAC 2012), and the rest make one combination
+per output row.
 Gaussian elimination reduces all the rows that hold a pivot column in one
-step: each such row's table row, read at the symbols of the pivot row.
+step, each such row's table row read at the symbols of the pivot row; it
+touches only the columns from the pivot on, since the pivot row is zero
+before it.
 """
 
 from __future__ import annotations
@@ -108,13 +115,47 @@ def vec_scale(alpha: int, v: np.ndarray) -> np.ndarray:
     return MUL[alpha][v]
 
 
-def combine_rows(alphas, rows: np.ndarray) -> np.ndarray:
-    """sum_i alphas[i] * rows[i]; counts one multiplication per row symbol."""
-    alphas = vec(alphas)
-    if alphas.shape[0] != rows.shape[0]:
+# A (k, r) @ (r, w) product with w >= k takes the Four-Russians form when
+# min(k, r) reaches this.  On one CPU, for w from 300 to 4,596, it took
+# 0.8-0.94x the per-row time at k = r = 32, 0.35-0.75x from 64 on and
+# 0.15-0.3x at k, r = 300, 500; with fewer than 32 output rows the tables
+# do not pay for themselves, and with fewer than 32 source rows the per-row
+# gathers stay faster (up to 1.9x).
+FOUR_RUSSIANS_MIN = 32
+# Output columns per Four-Russians pass.  At k, r, w = 300, 500, 4,596,
+# 256 ran ~10% faster than 512 and halves the accumulator and gather
+# buffers (8 bytes per output row and chunk column each).
+CHUNK = 256
+
+
+def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
+    """coeffs · rows: (r,) coefficients give the (w,) row
+    sum_i coeffs[i] * rows[i], (k, r) ones the (k, w) matrix of k such
+    rows.  Counts one multiplication per coefficient and row symbol, k·r·w."""
+    coeffs, rows = vec(coeffs), vec(rows)
+    if coeffs.shape[-1] != rows.shape[0]:
         raise ValueError("length mismatch")
     if counter.enabled:
-        counter.value += int(rows.size)
+        counter.value += int(rows.size) * (coeffs.shape[0] if coeffs.ndim == 2 else 1)
+    if coeffs.ndim == 1:
+        return _combine(coeffs, rows)
+    (k, r), w = coeffs.shape, rows.shape[1]
+    if w >= k and min(k, r) >= FOUR_RUSSIANS_MIN:
+        return _four_russians(coeffs, rows)
+    out = np.empty((k, w), dtype=np.uint8)
+    if w < k:
+        # output column j is rows[:, j] times coeffs' columns
+        columns = np.ascontiguousarray(coeffs.T)
+        for j in range(w):
+            out[:, j] = _combine(rows[:, j], columns)
+    else:
+        for out_row, c in zip(out, coeffs):
+            out_row[:] = _combine(c, rows)
+    return out
+
+
+def _combine(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i alphas[i] * rows[i], uncounted."""
     # The gather reads MUL through flat indices a << 8 | b, several times
     # faster than a two-array index.  Bit-slicing pays a fixed cost of eight
     # row selections, reductions and doublings; on one CPU it beats the
@@ -125,6 +166,44 @@ def combine_rows(alphas, rows: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape[1], dtype=np.uint8)
     for k in range(7, -1, -1):
         out = MUL[2][out] ^ np.bitwise_xor.reduce(rows[(alphas >> k) & 1 == 1], axis=0)
+    return out
+
+
+def _four_russians(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """coeffs @ rows by bit-planes: plane b of coeffs picks, for each group
+    of 8 source rows, one XOR of that group's rows, read from a 256-row
+    table of all such XORs; the planes are joined by Horner's rule."""
+    (k, r), w = coeffs.shape, rows.shape[1]
+    # index[g, b, i]: bits 8g..8g+7 of plane b of output row i's coefficients
+    index = np.stack([np.packbits((coeffs >> b) & 1, axis=1, bitorder="little")
+                      for b in range(8)]).transpose(2, 0, 1).copy()
+    table = np.empty((256, CHUNK), dtype=np.uint8)
+    # one accumulator and one gather buffer for all chunks, reshaped so
+    # that each stays contiguous for a partial last chunk
+    acc_buf, picked_buf = (np.empty(k * CHUNK, dtype=np.uint64) for _ in range(2))
+    out = np.empty((k, w), dtype=np.uint8)
+    for lo in range(0, w, CHUNK):
+        width = min(CHUNK, w - lo)
+        words = -(-width // 8)
+        t = table[:, :width]
+        t64 = table[:, :8 * words].view(np.uint64)
+        acc = acc_buf[: 8 * k * words].reshape(8, k, words)
+        picked = picked_buf[: 8 * k * words].reshape(8, k, words)
+        acc.fill(0)
+        for g in range(index.shape[0]):
+            # table row s: the XOR of the group's rows at the set bits of s
+            t[0] = 0
+            for i, row in enumerate(rows[8 * g: 8 * g + 8, lo: lo + width]):
+                np.bitwise_xor(t[: 1 << i], row, out=t[1 << i: 2 << i])
+            # mode="clip" lets take fill `picked` in place, unbuffered
+            np.take(t64, index[g], axis=0, out=picked, mode="clip")
+            acc ^= picked
+        planes = acc.view(np.uint8)[:, :, :width]
+        chunk = planes[7].copy()
+        for b in range(6, -1, -1):
+            chunk = MUL[2][chunk]
+            chunk ^= planes[b]
+        out[:, lo: lo + width] = chunk
     return out
 
 
@@ -161,15 +240,16 @@ def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
             a[[r, p]] = a[[p, r]]
             if b is not None:
                 b[[r, p]] = b[[p, r]]
+        # rows r on are zero left of c, so only a[:, c:] changes
         f = inv(int(a[r, c]))
-        a[r] = MUL[f][a[r]]
+        a[r, c:] = MUL[f][a[r, c:]]
         if b is not None:
             b[r] = MUL[f][b[r]]
         hits = np.flatnonzero(a[:, c])
         hits = hits[hits != r]
         # all hit rows at once: each one's table row, read at the pivot row
         t = MUL[a[hits, c]]
-        a[hits] ^= t.take(a[r], axis=1)
+        a[hits, c:] ^= t.take(a[r, c:], axis=1)
         if b is not None:
             b[hits] ^= t.take(b[r], axis=1)
         pivots.append(c)

@@ -10,7 +10,6 @@ ell parallel tags (independent key indices) push the forgery bound from
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Tuple
 
 import numpy as np
@@ -18,19 +17,16 @@ import numpy as np
 from . import prf
 from .blocks import combine_blocks
 
-# (key, file_id, key_index) -> longest r-vector derived so far.
-# Entries are only ever extended, never mutated, so concurrent readers are safe.
+# (key, file_id, key_index) -> longest r-vector derived so far; a longer
+# request replaces the entry, and callers get a prefix of it.
 _r_cache: Dict[Tuple, np.ndarray] = {}
-_r_lock = threading.Lock()
 
 
 def r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:
     cache_key = (k_v, file_id, key_index)
     vec = _r_cache.get(cache_key)
     if vec is None or vec.shape[0] < length:
-        vec = prf.derive_r_vector(k_v, file_id, length, key_index)
-        with _r_lock:
-            _r_cache[cache_key] = vec
+        vec = _r_cache[cache_key] = prf.derive_r_vector(k_v, file_id, length, key_index)
     return vec[:length]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncaudit import dynamics, extractor
+from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams, decode_file
 from ncaudit.cluster import Fault, spawn_cluster
 
@@ -105,3 +106,22 @@ def test_extract_after_update():
     others = c.nodes[1].payload.blocks
     assert decode_file(np.vstack([report.blocks, others]),
                        c.manifest) == b"new first block" + data[62:]
+
+
+def test_extract_node_whose_answers_are_sometimes_malformed(cluster):
+    # every third answer drops the last symbol of c_bar: it counts as
+    # discarded, and the store is still recovered exactly
+    queries = itertools.count()
+
+    def oracle(chal, voucher):
+        proof = cluster.nodes[2].answer(chal, voucher)[0]
+        if next(queries) % 3 == 0:
+            proof = Proof(proof.c_bar[:-1], proof.nonce, proof.pad, proof.tag)
+        return proof
+
+    report = extractor.extract_node(oracle, cluster.manifest, 2, cluster.user,
+                                    np.random.default_rng(10))
+    p = cluster.nodes[2].payload
+    assert np.array_equal(report.blocks, p.blocks)
+    assert np.array_equal(report.tags, p.tags)
+    assert report.discarded == -(-report.queries // 3)

@@ -1,9 +1,13 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncaudit import field
-from ncaudit.blocks import combine_blocks
+from ncaudit.blocks import SystemParams, combine_blocks
+from ncaudit.cluster import spawn_cluster
 
 elem = st.integers(0, 255)
 
@@ -131,6 +135,78 @@ def test_counter_counts_each_helper():
         total = field.counter.value
     assert total == 4 + 8
     assert not field.counter.enabled
+
+
+LO = field.FOUR_RUSSIANS_MIN
+
+
+@st.composite
+def _products(draw):
+    """(form, k, r, w, coefficient kind): shapes on both sides of each switch
+    of a (k, r) @ (r, w) product, r and w often not multiples of 8."""
+    form = draw(st.sampled_from(["column", "four_russians", "per_row"]))
+    if form == "column":
+        k = draw(st.integers(2, 2 * LO))
+        r, w = draw(st.integers(1, 3 * LO)), draw(st.integers(1, k - 1))
+    elif form == "four_russians":
+        k, r = draw(st.integers(LO, 2 * LO)), draw(st.integers(LO, 3 * LO))
+        w = draw(st.integers(k, 2 * field.CHUNK + 40))
+    else:
+        small = st.integers(1, LO - 1)
+        k, r = draw(st.one_of(st.tuples(small, st.integers(1, 3 * LO)),
+                              st.tuples(st.integers(1, 2 * LO), small)))
+        w = draw(st.integers(k, field.CHUNK + 40))
+    return form, k, r, w, draw(st.sampled_from(["random", "zero", "0/1/255"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_products(), st.integers(0, 2**32 - 1))
+def test_product_matches_row_by_row(product, seed):
+    # every form of the 2-D product against one 1-D combination per row
+    form, k, r, w, kind = product
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, 256, (k, r), dtype=np.uint8)
+    if kind == "zero":
+        coeffs[:] = 0
+    elif kind == "0/1/255":
+        coeffs = np.array([0, 1, 255], dtype=np.uint8)[rng.integers(0, 3, (k, r))]
+    rows = rng.integers(0, 256, (r, w), dtype=np.uint8)
+    want = np.stack([field.combine_rows(c, rows) for c in coeffs])
+    with mock.patch.object(field, "_four_russians", wraps=field._four_russians) as fr, \
+            mock.patch.object(field, "_combine", wraps=field._combine) as one:
+        got = field.combine_rows(coeffs, rows)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert fr.called == (form == "four_russians")
+    assert one.call_count == {"column": w, "four_russians": 0, "per_row": k}[form]
+
+
+@pytest.mark.parametrize("k, r, w", [(2 * LO, 3 * LO, 7),          # column
+                                     (LO, LO + 5, field.CHUNK + 3),  # Four Russians
+                                     (LO - 1, 3 * LO, 2 * LO),     # per row
+                                     (3, 9, 1)])                  # column, tiny
+def test_counter_reads_k_r_w_for_each_form(k, r, w):
+    rng = np.random.default_rng(k * r * w)
+    coeffs = rng.integers(0, 256, (k, r), dtype=np.uint8)
+    rows = rng.integers(0, 256, (r, w), dtype=np.uint8)
+    with field.counter:
+        field.combine_rows(coeffs, rows)
+        assert field.counter.value == k * r * w
+
+
+def test_spawn_cluster_blocks_and_tags_golden():
+    # node blocks are (36, 40) @ (40, 645): the Four-Russians form, over
+    # full column chunks and a partial one; the digest was printed before
+    # that form existed, from per-row combinations
+    params = SystemParams(n=605, m=40, N=2, M=36, P=1, Q=1, ell=3, lambda_bits=80)
+    data = np.random.default_rng(13).bytes(40 * 603 - 17)
+    with mock.patch.object(field, "_four_russians", wraps=field._four_russians) as fr:
+        c = spawn_cluster(params, "random_functional", data, seed=13)
+    assert fr.call_count == 2
+    h = hashlib.sha256()
+    for i in sorted(c.nodes):
+        h.update(c.nodes[i].payload.blocks.tobytes())
+        h.update(c.nodes[i].payload.tags.tobytes())
+    assert h.hexdigest() == "e1f996eb21e50db27f8645e8bcfaf3d46ecc995945422877e71e8f6a8057389f"
 
 
 def test_gaussian_solve_unique():
