@@ -173,7 +173,7 @@ def _four_russians(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """coeffs @ rows by bit-planes: plane b of coeffs picks, for each group
     of 8 source rows, one XOR of that group's rows, read from a 256-row
     table of all such XORs; the planes are joined by Horner's rule."""
-    (k, r), w = coeffs.shape, rows.shape[1]
+    k, w = coeffs.shape[0], rows.shape[1]
     # index[g, b, i]: bits 8g..8g+7 of plane b of output row i's coefficients
     index = np.stack([np.packbits((coeffs >> b) & 1, axis=1, bitorder="little")
                       for b in range(8)]).transpose(2, 0, 1).copy()
