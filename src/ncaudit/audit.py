@@ -102,8 +102,9 @@ class Proof:
 @dataclass
 class NodePayload:
     """What the user hands a storage node at setup: row j of `blocks` is
-    stored block j and row j of `tags` its ell tag symbols."""
-    blocks: np.ndarray  # (M, n+m)
+    the n data symbols of stored block j and row j of `tags` its ell tag
+    symbols.  The block's coefficient part is kept only in the manifest."""
+    blocks: np.ndarray  # (M, n)
     tags: np.ndarray    # (M, ell)
     k_e: bytes
 
@@ -114,8 +115,8 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
     """Build source blocks, tag them, encode per-node payloads.
 
     code_layout maps node id -> (M, m) coefficient rows.  A node's blocks
-    are its rows times the source matrix and its tags the same rows times
-    the source tags (the Combine route), never a fresh Mac.
+    are its rows times the sources' data symbols and its tags the same rows
+    times the source tags (the Combine route), never a fresh Mac.
     """
     params.validate()
     fid = file_id.encode()
@@ -128,7 +129,7 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.shape != (params.M, params.m):
             raise ValueError(f"layout rows for node {node} must be (M, m)")
-        payloads[node] = NodePayload(combine_blocks(rows, sources),
+        payloads[node] = NodePayload(combine_blocks(rows, sources[:, :params.n]),
                                      combine_blocks(rows, source_tags), keys.k_e)
         node_coeffs[node] = rows.copy()
 
@@ -163,13 +164,13 @@ class GenProofStats:
 def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
               k_e: bytes, voucher: Voucher, params: SystemParams,
               ) -> Tuple[Proof, GenProofStats]:
-    """Aggregate the challenged rows of the (M, n+m) block and (M, ell) tag
+    """Aggregate the challenged rows of the (M, n) block and (M, ell) tag
     matrices, mask the data part with the voucher's mask and offset the tag
     by the voucher; masking costs no multiplication.
 
-    Only the first n symbols are aggregated; the coefficient part is never
-    transmitted (the auditor recomputes it from its own records).
-    ValueError on a challenge index outside the store.
+    The coefficient part is neither stored nor transmitted: the auditor
+    rebuilds it from its own records.  ValueError on a challenge index
+    outside the store.
     """
     n = params.n
     idx = [i for i, _ in chal.entries]
@@ -179,7 +180,7 @@ def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
 
     stats = GenProofStats()
     before = field.counter.value  # stays put while the counter is off
-    agg = field.combine_rows(alphas, blocks[idx, :n])
+    agg = field.combine_rows(alphas, blocks[idx])
     stats.block_mults = field.counter.value - before
     agg_tag = field.combine_rows(alphas, tags[idx])
     stats.tag_mults = field.counter.value - before - stats.block_mults
@@ -217,11 +218,13 @@ def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
 
 def verified_rows(k_v: bytes, manifest: FileManifest,
                   payloads: Dict[int, NodePayload]) -> np.ndarray:
-    """The stored block rows of every node, in node order, whose tags pass
-    verify_block: a corrupted row is left out rather than poisoning a
+    """The full (n+m)-symbol rows of every node's stored blocks, in node
+    order, each joined to its coefficients from the manifest, whose tags
+    pass verify_block: a corrupted row is left out rather than poisoning a
     solve over the stored rows."""
     nodes = sorted(payloads)
-    rows = np.concatenate([payloads[i].blocks for i in nodes])
+    rows = np.concatenate([np.hstack([payloads[i].blocks, manifest.node_coeffs[i]])
+                           for i in nodes])
     tags = np.concatenate([payloads[i].tags for i in nodes])
     return rows[verify_block(k_v, manifest, rows, tags)]
 

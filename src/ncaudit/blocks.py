@@ -4,7 +4,10 @@ A block is a vector in GF(256)^(n+m): n data symbols (the last two of which
 are random padding) followed by m coding coefficients.  Source block i has
 the i-th unit vector as its coefficients; any linear combination keeps the
 combination weights in its last m coordinates.  A set of blocks is a row
-matrix with one block per row, which is how nodes store theirs.
+matrix with one block per row.  Nodes store only the n data symbols of
+theirs: the coefficient part of every stored block is kept once, in the
+manifest (FileManifest.node_coeffs), and joined back where a full row is
+needed.
 """
 
 from __future__ import annotations
@@ -64,16 +67,9 @@ class SystemParams:
 
 @dataclass
 class CodedBlock:
-    """One block on its own, as node snapshots and repair shipments hand
-    blocks out."""
-    vec: np.ndarray  # length n + m
-    n: int
-    m: int
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=np.uint8)
-        if self.vec.shape != (self.n + self.m,):
-            raise ValueError("block vector has wrong length")
+    """One stored block's n data symbols on their own, as node snapshots
+    and repair shipments hand blocks out."""
+    vec: np.ndarray
 
 
 def _symbols(value, shape, what: str) -> np.ndarray:

@@ -9,7 +9,8 @@ On-disk layout written by `setup`:
     <dir>/manifest.json
     <dir>/keys.json                 (hex keys; a real deployment would split these)
     <dir>/vouchers.json             (node id -> the counter k of its next voucher)
-    <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n+m symbols each, row-major)
+    <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n data symbols each, row-major;
+                                     their coefficients are in the manifest only)
     <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
 
 Exit codes: 0 success / all audits accepted, 1 at least one audit rejected
@@ -96,7 +97,7 @@ def _load_store(root: Path):
         ndir = root / "nodes" / f"node{node}"
         M = rows.shape[0]
         payloads[node] = NodePayload(
-            _load_matrix(ndir / "blocks.bin", M, params.n + params.m),
+            _load_matrix(ndir / "blocks.bin", M, params.n),
             _load_matrix(ndir / "tags.bin", M, params.ell), keys.k_e)
     return manifest, keys, payloads
 
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError, repair.PlanningError) as e:
+    except (UsageError, OSError, ValueError, repair.PlanningError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

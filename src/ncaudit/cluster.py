@@ -153,9 +153,7 @@ class Node:
 
     def snapshot(self) -> Tuple[List[CodedBlock], List[np.ndarray]]:
         """Copies of the stored blocks one by one and of the tag rows."""
-        n = self.params.n
-        m = self.payload.blocks.shape[1] - n
-        return ([CodedBlock(row, n, m) for row in self.payload.blocks.copy()],
+        return ([CodedBlock(row) for row in self.payload.blocks.copy()],
                 list(self.payload.tags.copy()))
 
 
@@ -308,6 +306,11 @@ def run_scenario(scenario: dict, out) -> int:
     if not (isinstance(scenario, dict) and isinstance(scenario.get("steps", []), list)):
         raise ValueError("a scenario must be a JSON object with a list of steps")
     params = SystemParams.from_dict(scenario.get("params"))
+    if type(scenario.get("seed", 0)) is not int:
+        raise ValueError("scenario seed must be an integer")
+    for key in ("file_hex", "file_text"):
+        if not isinstance(scenario.get(key, ""), str):
+            raise ValueError(f"scenario {key} must be a string")
     cluster = spawn_cluster(params, scenario.get("layout", "evenodd4"),
                             bytes.fromhex(scenario.get("file_hex", ""))
                             or scenario.get("file_text", "").encode(),

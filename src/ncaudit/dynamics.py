@@ -2,8 +2,9 @@
 
 The PRF that backs the tags is evaluated per position, so growing a vector
 leaves the tag contributions of existing positions untouched: appending a
-source block only widens the coefficient part, and every stored tag stays
-valid once the new coefficient column is zero for old blocks.
+source block only widens the coefficient part, which the manifest alone
+holds, and every stored tag stays valid once the new coefficient column is
+zero for old blocks.
 
 Updates never replace stored tags in place.  The auditor keeps one running
 tag delta per source index and compensates during verification, so stale
@@ -31,14 +32,11 @@ class AppendResult:
 
 def _widen_manifest(manifest: FileManifest) -> None:
     for node, rows in manifest.node_coeffs.items():
-        manifest.node_coeffs[node] = _zero_column(rows)
+        manifest.node_coeffs[node] = np.concatenate(
+            [rows, np.zeros((rows.shape[0], 1), dtype=np.uint8)], axis=1)
     p = manifest.params
     manifest.params = SystemParams(p.n, p.m + 1, p.N, p.M, p.P, p.Q,
                                    p.ell, p.lambda_bits, p.q)
-
-
-def _zero_column(rows: np.ndarray) -> np.ndarray:
-    return np.concatenate([rows, np.zeros((rows.shape[0], 1), dtype=np.uint8)], axis=1)
 
 
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -49,21 +47,19 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  ) -> AppendResult:
     """Append one source block.
 
-    Every stored block widens with a zero coefficient column, which changes
-    no tag value.  Nodes listed in `placements` receive the new block: None
-    means a plain copy, a mix row (or matrix of rows) over the node's
-    current blocks plus the new one yields combined blocks whose tags come
-    from combining stored tags.  `donations` optionally moves copies of
-    existing blocks between nodes first (layout rebalancing), and `retire`
-    drops the listed pre-existing local slots afterwards.
+    Every block's manifest coefficients widen with a zero column, which
+    changes no tag value and no stored symbol.  Nodes listed in
+    `placements` receive the new block: None means a plain copy, a mix row
+    (or matrix of rows) over the node's current blocks plus the new one
+    yields combined blocks whose tags come from combining stored tags.
+    `donations` optionally moves copies of existing blocks between nodes
+    first (layout rebalancing), and `retire` drops the listed pre-existing
+    local slots afterwards.
     """
     _widen_manifest(manifest)
     params = manifest.params
     new_index = params.m - 1
     fid = manifest.file_id.encode()
-
-    for payload in payloads.values():
-        payload.blocks = _zero_column(payload.blocks)
 
     for src, local, dst in donations or []:
         src_payload, dst_payload = payloads[src], payloads[dst]
@@ -91,7 +87,7 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
         base_rows = np.vstack([manifest.node_coeffs[node],
                                _unit_row(params.m, new_index)])
         payload.blocks = np.vstack([payload.blocks, combine_blocks(
-            mix, np.vstack([payload.blocks, new_block]))])
+            mix, np.vstack([payload.blocks, new_block[:params.n]]))])
         payload.tags = np.vstack([payload.tags, combine_blocks(
             mix, np.vstack([payload.tags, new_tag]))])
         manifest.node_coeffs[node] = np.vstack([manifest.node_coeffs[node],
@@ -132,7 +128,7 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
 
     for node, payload in payloads.items():
         column = manifest.node_coeffs[node][:, index: index + 1]
-        payload.blocks ^= combine_blocks(column, diff[None, :])
+        payload.blocks ^= combine_blocks(column, diff[None, :params.n])
     manifest.block_lengths[index] = len(data)
     manifest.deltas[index] = manifest.deltas.get(
         index, np.zeros(params.ell, dtype=np.uint8)) ^ delta

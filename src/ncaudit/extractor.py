@@ -37,7 +37,7 @@ ProofOracle = Callable[[Challenge, ncrypt.Voucher], Optional[Proof]]
 
 @dataclass
 class ExtractionReport:
-    blocks: np.ndarray  # (M, n+m), row j the node's block j
+    blocks: np.ndarray  # (M, n), row j the data symbols of the node's block j
     tags: np.ndarray    # (M, ell)
     queries: int
     discarded: int  # answers that verify_proof rejected or could not read
@@ -103,14 +103,13 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
         if budget < 0:
             raise ExtractionError("vote budget exhausted")
 
-    # a unique solution's coefficient part is the manifest's rows, since
-    # each equation's coefficient part is alphas times those rows
+    # each equation's coefficient part is alphas times the manifest's rows,
+    # so the recovered blocks are checked with those rows joined back
     res = field.gaussian_solve(np.stack(solved_alphas), np.stack(solved_answers))
     if res.status != "unique":
         raise ExtractionError(f"equation system {res.status}")
-    blocks = np.concatenate([res.solution[:, :n], rows], axis=1)
-    tags = res.solution[:, n:]
-    bad = np.flatnonzero(~verify_block(k_v, manifest, blocks, tags))
+    blocks, tags = res.solution[:, :n], res.solution[:, n:]
+    bad = np.flatnonzero(~verify_block(k_v, manifest, np.hstack([blocks, rows]), tags))
     if bad.size:
         raise ExtractionError(f"recovered block {bad[0]} fails verification")
     return ExtractionReport(blocks, tags, queries, discarded)

@@ -116,28 +116,27 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
 @dataclass
 class RepairShipment:
     """One helper's contribution: its gamma rows times its stored block
-    and tag matrices."""
+    and tag matrices.  The combined blocks' coefficients are gamma times
+    the helper's manifest rows, so they are not shipped."""
     helper: int
-    rows: np.ndarray  # (Q, n+m) combined blocks
+    rows: np.ndarray  # (Q, n) combined blocks
     tags: np.ndarray  # (Q, ell) their tags
-    n: int
 
     @property
     def blocks(self) -> List[CodedBlock]:
         """The combined blocks one by one."""
-        m = self.rows.shape[1] - self.n
-        return [CodedBlock(row, self.n, m) for row in self.rows]
+        return [CodedBlock(row) for row in self.rows]
 
 
 def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray,
-                       helper: int, n: int) -> RepairShipment:
+                       helper: int) -> RepairShipment:
     return RepairShipment(helper, combine_blocks(gamma_rows, payload.blocks),
-                          combine_blocks(gamma_rows, payload.tags), n)
+                          combine_blocks(gamma_rows, payload.tags))
 
 
 def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment],
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """The new node's (M, n+m) blocks and (M, ell) tags: theta times the
+    """The new node's (M, n) blocks and (M, ell) tags: theta times the
     received rows, in plan.helpers order."""
     by_helper = {s.helper: s for s in shipments}
     received = [by_helper[h] for h in plan.helpers]
@@ -173,8 +172,7 @@ def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
         plan = plan_functional_repair(manifest, failed, helpers, rng)
     else:
         raise ValueError(f"unknown repair mode {mode!r}")
-    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h, manifest.params.n)
-                 for h in plan.helpers]
+    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h) for h in plan.helpers]
     payloads[failed] = NodePayload(*reconstruct_node(plan, shipments),
                                    payloads[failed].k_e)
     refresh_manifest(manifest, plan)

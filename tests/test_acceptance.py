@@ -303,7 +303,9 @@ def test_criterion_10_retrievability():
             continue
         if not np.array_equal(report.blocks, p.blocks):
             continue
-        if decode_file(report.blocks, c.manifest) != data:
+        # the extracted data symbols joined to the manifest's coefficients
+        full = np.hstack([report.blocks, c.manifest.node_coeffs[node]])
+        if decode_file(full, c.manifest) != data:
             continue
         successes += 1
     elapsed = time.perf_counter() - t0
@@ -377,7 +379,8 @@ def test_criterion_11_dynamics():
                                 b"mid", rng)
     dynamics.delete_block(c2.manifest, payloads2, c2.user.keys, res.index, rng)
     expect = bytes(range(14)) + b"updated" + bytes(range(28, 56))
-    fresh = np.concatenate([payloads2[i].blocks for i in live])  # skip stale node
+    fresh = np.concatenate([np.hstack([payloads2[i].blocks, c2.manifest.node_coeffs[i]])
+                            for i in live])  # skip stale node
     assert decode_file(fresh, c2.manifest) == expect
     _report("11 dynamics",
             "append layout exact with old tags bit-identical; update "
@@ -396,7 +399,8 @@ def test_criterion_12_two_node_fault_tolerance():
     patterns = list(itertools.combinations(range(4), 2))
     for dead in patterns:
         keep = [n for n in range(4) if n not in dead]
-        rows = np.concatenate([c.nodes[n].payload.blocks for n in keep])
+        rows = np.concatenate([np.hstack([c.nodes[n].payload.blocks,
+                                          c.manifest.node_coeffs[n]]) for n in keep])
         assert field.matrix_rank(rows[:, params.n:]) == 4
         assert decode_file(rows, c.manifest) == data
     _report("12 two-node fault tolerance",

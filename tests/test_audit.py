@@ -143,7 +143,7 @@ def test_proof_privacy(system, rng):
     keys, manifest, payloads = system
     p = payloads[0]
     chal = Challenge(manifest.file_id, [(0, 9)], 0)
-    plain = field.vec_scale(9, p.blocks[0])
+    plain = field.vec_scale(9, np.concatenate([p.blocks[0], manifest.node_coeffs[0][0]]))
     voucher = _voucher(keys, manifest, chal)
     proof, _ = audit.gen_proof(p.blocks, p.tags, chal, keys.k_e, voucher, PARAMS)
     fid = manifest.file_id.encode()

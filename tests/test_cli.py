@@ -29,9 +29,13 @@ def test_setup_writes_layout(store):
     for node in range(4):
         ndir = store / "nodes" / f"node{node}"
         assert sorted(p.name for p in ndir.iterdir()) == ["blocks.bin", "tags.bin"]
-        # evenodd4: two blocks of n + m = 68 symbols, two tags of ell = 2
-        assert (ndir / "blocks.bin").stat().st_size == 2 * 68
+        # evenodd4: two blocks of n = 64 data symbols, two tags of ell = 2;
+        # the blocks' m = 4 coefficients are in the manifest only
+        assert (ndir / "blocks.bin").stat().st_size == 2 * 64
         assert (ndir / "tags.bin").stat().st_size == 2 * 2
+    coeffs = json.loads((store / "manifest.json").read_text())["node_coeffs"]
+    assert {node: np.array(rows).shape for node, rows in coeffs.items()} == {
+        str(node): (2, 4) for node in range(4)}
 
 
 def test_setup_deterministic(store, tmp_path, monkeypatch):
@@ -47,6 +51,22 @@ def test_setup_missing_file(tmp_path):
     rc = main(["setup", "--file", str(tmp_path / "absent"),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_setup_out_is_an_existing_file(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    out = tmp_path / "o"
+    out.write_bytes(b"not a directory")
+    assert main(["setup", "--file", str(src), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == b"not a directory"
+
+
+def test_setup_file_is_a_directory(tmp_path, capsys):
+    assert main(["setup", "--file", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_usage_exit_code():
@@ -121,9 +141,14 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
      "helper 1"),
     ({**_SCENARIO, "steps": [{"op": "repair", "node": 0, "helpers": [0, 1, 2]}]},
      "helper 0"),
+    ({**_SCENARIO, "seed": "2"}, "seed"),
+    ({**_SCENARIO, "seed": 2.5}, "seed"),
+    ({**_SCENARIO, "file_text": 5}, "file_text"),
+    ({**_SCENARIO, "file_hex": ["00"]}, "file_hex"),
 ], ids=["no-params", "no-node", "unknown-fault-field", "absent-node", "array",
         "non-object-step", "unknown-op", "string-count", "absent-helper",
-        "string-helpers", "repeated-helper", "failed-node-as-helper"])
+        "string-helpers", "repeated-helper", "failed-node-as-helper",
+        "string-seed", "float-seed", "non-string-file-text", "non-string-file-hex"])
 def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -186,6 +211,8 @@ def test_random_layout_exact_repair_rebuilds_every_node(tmp_path):
     ["audit", "--rounds", "0"],
     ["audit", "--rounds", "-3"],
     ["extract", "--rounds", "0"],
+    # n = 64: position 64 would be the first coefficient, which no node stores
+    ["corrupt", "--node", "1", "--position", "64"],
 ])
 def test_out_of_range_ids_are_usage_errors(store, argv, capsys):
     before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
@@ -244,7 +271,7 @@ def test_malformed_keys_file_is_usage_error(store, doc, capsys):
 
 def test_node_files_roundtrip(store, tmp_path):
     manifest, keys, payloads = _load_store(store)
-    assert payloads[3].blocks.shape == (2, 68) and payloads[3].tags.shape == (2, 2)
+    assert payloads[3].blocks.shape == (2, 64) and payloads[3].tags.shape == (2, 2)
     copy = tmp_path / "copy"
     _save_store(copy, manifest, keys, payloads)
     for rel in ["nodes/node3/blocks.bin", "nodes/node3/tags.bin", "manifest.json"]:
@@ -253,12 +280,12 @@ def test_node_files_roundtrip(store, tmp_path):
 
 def test_corrupt_rewrites_one_symbol(store):
     path = store / "nodes" / "node1" / "blocks.bin"
-    before = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 68)
+    before = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64)
     assert main(["corrupt", "--dir", str(store), "--node", "1", "--block", "1",
-                 "--position", "66", "--delta", "9"]) == 0
-    after = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 68)
-    assert [tuple(ix) for ix in np.argwhere(before != after)] == [(1, 66)]
-    assert after[1, 66] == before[1, 66] ^ 9
+                 "--position", "63", "--delta", "9"]) == 0
+    after = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64)
+    assert [tuple(ix) for ix in np.argwhere(before != after)] == [(1, 63)]
+    assert after[1, 63] == before[1, 63] ^ 9
 
 
 @settings(max_examples=40, deadline=None,

@@ -68,6 +68,9 @@ def test_fault_validation(cluster):
         cluster.inject_fault(0, Fault("corrupt_symbol", block=0, delta=0))
     with pytest.raises(ValueError):
         cluster.inject_fault(0, Fault("corrupt_symbol", block=0, position=20, delta=1))
+    with pytest.raises(ValueError):  # the first coefficient: not in the store
+        cluster.inject_fault(0, Fault("corrupt_symbol", block=0, position=PARAMS.n,
+                                      delta=1))
     with pytest.raises(ValueError):
         cluster.inject_fault(0, Fault("corrupt_symbol", block=2, delta=1))
     with pytest.raises(ValueError):
@@ -104,11 +107,15 @@ def test_random_functional_decodes_from_subsets():
     from ncaudit import field
     from ncaudit.blocks import decode_file
     c = spawn_cluster(PARAMS, "random_functional", DATA, seed=55)
+    decoded = 0
     for drop in range(4):
         keep = [n for n in range(4) if n != drop]
-        rows = np.concatenate([c.nodes[n].payload.blocks for n in keep])
+        rows = np.concatenate([np.hstack([c.nodes[n].payload.blocks,
+                                          c.manifest.node_coeffs[n]]) for n in keep])
         if field.matrix_rank(rows[:, PARAMS.n:]) == PARAMS.m:
             assert decode_file(rows, c.manifest) == DATA
+            decoded += 1
+    assert decoded == 4  # this seed's layout spans the file without any one node
 
 
 def test_scenario_runner(tmp_path):

@@ -61,7 +61,7 @@ def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
                           b"appended", rng)
     cluster.fail_and_repair(1, "functional")
     assert cluster.manifest.node_coeffs[1].shape == (3, PARAMS.m + 1)
-    assert cluster.nodes[1].payload.blocks.shape == (3, PARAMS.n + PARAMS.m + 1)
+    assert cluster.nodes[1].payload.blocks.shape == (3, PARAMS.n)
     assert all(cluster.run_audit_round(node, 3)[0] for node in range(4))
     assert cluster.decode_current_file() == DATA + b"appended"
 
@@ -137,12 +137,14 @@ def test_update_does_not_spread_corruption(cluster, rng):
 
 def test_store_stays_two_matrices(cluster, rng):
     # setup, repair, append, update and a replay fault all keep each node's
-    # store as (M_i, n+m) blocks and (M_i, ell) tags in uint8
+    # store as (M_i, n) blocks and (M_i, ell) tags in uint8, the blocks'
+    # (M_i, m) coefficients being in the manifest only
     def check():
         m = cluster.manifest.params.m
         for i, node in cluster.nodes.items():
             M = cluster.manifest.node_coeffs[i].shape[0]
-            assert node.payload.blocks.shape == (M, PARAMS.n + m)
+            assert cluster.manifest.node_coeffs[i].shape == (M, m)
+            assert node.payload.blocks.shape == (M, PARAMS.n)
             assert node.payload.tags.shape == (M, PARAMS.ell)
             assert node.payload.blocks.dtype == node.payload.tags.dtype == np.uint8
 

@@ -103,9 +103,9 @@ def test_extract_after_update():
     p = c.nodes[0].payload
     assert np.array_equal(report.blocks, p.blocks)
     assert np.array_equal(report.tags, p.tags)
-    others = c.nodes[1].payload.blocks
-    assert decode_file(np.vstack([report.blocks, others]),
-                       c.manifest) == b"new first block" + data[62:]
+    rows = np.vstack([np.hstack([report.blocks, c.manifest.node_coeffs[0]]),
+                      np.hstack([c.nodes[1].payload.blocks, c.manifest.node_coeffs[1]])])
+    assert decode_file(rows, c.manifest) == b"new first block" + data[62:]
 
 
 def test_extract_node_whose_answers_are_sometimes_malformed(cluster):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncaudit import audit, field, ncrypt, repair, spacemac
-from ncaudit.blocks import SystemParams, combine_blocks
+from ncaudit.blocks import SystemParams, combine_blocks, decode_source_data
 from ncaudit.cluster import EVENODD4, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
@@ -17,8 +17,7 @@ def system(rng):
 
 
 def _run_repair(manifest, payloads, plan):
-    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h,
-                                           manifest.params.n)
+    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h)
                  for h in plan.helpers]
     return repair.reconstruct_node(plan, shipments)
 
@@ -38,7 +37,8 @@ def test_repaired_tags_verify(system, rng):
     plan = repair.plan_exact_repair(manifest, 3, [0, 1, 2], rng)
     blocks, tags = _run_repair(manifest, payloads, plan)
     fid = manifest.file_id.encode()
-    assert np.array_equal(spacemac.mac(keys.k_v, fid, blocks, PARAMS.ell), tags)
+    full = np.hstack([blocks, manifest.node_coeffs[3]])
+    assert np.array_equal(spacemac.mac(keys.k_v, fid, full, PARAMS.ell), tags)
 
 
 def test_exact_plan_respects_helper_budget(system, rng):
@@ -91,11 +91,16 @@ def test_functional_repair_keeps_decodability(system, rng):
     plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
     blocks, tags = _run_repair(manifest, payloads, plan)
     repair.refresh_manifest(manifest, plan)
-    assert np.array_equal(manifest.node_coeffs[1], blocks[:, PARAMS.n:])
+    # the rebuilt data symbols are the manifest's new rows times the sources
+    assert np.array_equal(manifest.node_coeffs[1], plan.target_rows)
+    helper_rows = audit.verified_rows(keys.k_v, manifest, {h: payloads[h] for h in (0, 2)})
+    sources = decode_source_data(helper_rows, PARAMS.m)
+    assert np.array_equal(blocks, combine_blocks(manifest.node_coeffs[1], sources))
     stacked = np.concatenate(list(manifest.node_coeffs.values()), axis=0)
     assert field.matrix_rank(stacked) == PARAMS.m
     fid = manifest.file_id.encode()
-    assert np.array_equal(spacemac.mac(keys.k_v, fid, blocks, PARAMS.ell), tags)
+    full = np.hstack([blocks, manifest.node_coeffs[1]])
+    assert np.array_equal(spacemac.mac(keys.k_v, fid, full, PARAMS.ell), tags)
 
 
 def test_replay_detected_after_functional_repair(system, rng):

@@ -1,8 +1,9 @@
 """Security games for the README's claims, each adversary built only from
 what its role holds.
 
-* A node holds its payload (blocks, tags, k_e), the vouchers the user
-  issued to it, and the challenges it answered.
+* A node holds its payload (blocks, tags, k_e), its blocks' coefficient
+  rows (the manifest's record of them), the vouchers the user issued to
+  it, and the challenges it answered.
 * A TPA holds k_v, the manifest, and every proof it received.
 
 Counts are checked against binomial tolerances: a bound is the smallest
@@ -88,8 +89,10 @@ def _forge(ell: int, seed: int, strategy: str) -> bool:
     block, pos = int(rng.integers(2)), int(rng.integers(params.n - 2))
     delta = int(rng.integers(1, 256))
     if strategy == "algebra":
-        r_hat = _solve_r(payload.blocks, payload.tags, np.stack(masks),
-                         np.stack(vouchers), payload.blocks.shape[1])
+        # the node knows its coefficient rows, so it solves over full rows
+        rows = np.hstack([payload.blocks, c.manifest.node_coeffs[node]])
+        r_hat = _solve_r(rows, payload.tags, np.stack(masks), np.stack(vouchers),
+                         rows.shape[1])
         patch = field.vec_scale(delta, r_hat[pos])
     else:
         patch = rng.integers(0, 256, ell, dtype=np.uint8)
