@@ -101,11 +101,11 @@ class Proof:
 
 @dataclass
 class NodePayload:
-    """What the user hands a storage node at setup: row j of `blocks` is
-    the n data symbols of stored block j and row j of `tags` its ell tag
-    symbols.  The block's coefficient part is kept only in the manifest."""
-    blocks: np.ndarray  # (M, n)
-    tags: np.ndarray    # (M, ell)
+    """What the user hands a storage node at setup: row j of `rows` is
+    stored block j's n data symbols followed by its ell tag symbols.  Tags
+    are linear in blocks, so one combination of rows combines both; the
+    block's coefficient part is kept only in the manifest."""
+    rows: np.ndarray  # (M, n+ell)
     k_e: bytes
 
 
@@ -114,14 +114,17 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
                ) -> Tuple[FileManifest, Dict[int, NodePayload]]:
     """Build source blocks, tag them, encode per-node payloads.
 
-    code_layout maps node id -> (M, m) coefficient rows.  A node's blocks
-    are its rows times the sources' data symbols and its tags the same rows
-    times the source tags (the Combine route), never a fresh Mac.
+    code_layout maps node id -> (M, m) coefficient rows.  A node's rows
+    are its coefficient rows times the sources' data symbols joined to
+    their tags: its tags come by the Combine route, never a fresh Mac.
     """
     params.validate()
     fid = file_id.encode()
     sources, lengths = make_source_blocks(file_bytes, params, rng)
-    source_tags = spacemac.mac(keys.k_v, fid, sources, params.ell)
+    # each source row becomes its data symbols, then its tags; rebinding
+    # frees the full rows before the per-node products
+    sources = np.hstack([sources[:, :params.n],
+                         spacemac.mac(keys.k_v, fid, sources, params.ell)])
 
     payloads: Dict[int, NodePayload] = {}
     node_coeffs: Dict[int, np.ndarray] = {}
@@ -129,8 +132,7 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.shape != (params.M, params.m):
             raise ValueError(f"layout rows for node {node} must be (M, m)")
-        payloads[node] = NodePayload(combine_blocks(rows, sources[:, :params.n]),
-                                     combine_blocks(rows, source_tags), keys.k_e)
+        payloads[node] = NodePayload(combine_blocks(rows, sources), keys.k_e)
         node_coeffs[node] = rows.copy()
 
     manifest = FileManifest(
@@ -155,18 +157,12 @@ def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challen
     return Challenge(manifest.file_id, entries, node)
 
 
-@dataclass
-class GenProofStats:
-    block_mults: int = 0  # aggregating the n data symbols: C*n
-    tag_mults: int = 0    # aggregating the stored tags: C*ell
-
-
-def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
-              k_e: bytes, voucher: Voucher, params: SystemParams,
-              ) -> Tuple[Proof, GenProofStats]:
-    """Aggregate the challenged rows of the (M, n) block and (M, ell) tag
-    matrices, mask the data part with the voucher's mask and offset the tag
-    by the voucher; masking costs no multiplication.
+def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
+              params: SystemParams) -> Proof:
+    """Aggregate the challenged rows of the node's (M, n+ell) store, giving
+    the n data symbols and ell tag symbols of the combination at once;
+    mask the first n-2 with the voucher's mask and offset the tag by the
+    voucher, which costs no multiplication.
 
     The coefficient part is neither stored nor transmitted: the auditor
     rebuilds it from its own records.  ValueError on a challenge index
@@ -174,21 +170,13 @@ def gen_proof(blocks: np.ndarray, tags: np.ndarray, chal: Challenge,
     """
     n = params.n
     idx = [i for i, _ in chal.entries]
-    if not all(0 <= i < blocks.shape[0] for i in idx):
-        raise ValueError(f"challenge index outside a store of {blocks.shape[0]} blocks")
-    alphas = field.vec([a for _, a in chal.entries])
-
-    stats = GenProofStats()
-    before = field.counter.value  # stays put while the counter is off
-    agg = field.combine_rows(alphas, blocks[idx])
-    stats.block_mults = field.counter.value - before
-    agg_tag = field.combine_rows(alphas, tags[idx])
-    stats.tag_mults = field.counter.value - before - stats.block_mults
-
+    if not all(0 <= i < rows.shape[0] for i in idx):
+        raise ValueError(f"challenge index outside a store of {rows.shape[0]} blocks")
+    agg = field.combine_rows([a for _, a in chal.entries], rows[idx])
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
-                 agg[n - 2: n].copy(), agg_tag ^ voucher.value), stats
+                 agg[n - 2: n].copy(), agg[n:] ^ voucher.value)
 
 
 def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
@@ -222,11 +210,11 @@ def verified_rows(k_v: bytes, manifest: FileManifest,
     order, each joined to its coefficients from the manifest, whose tags
     pass verify_block: a corrupted row is left out rather than poisoning a
     solve over the stored rows."""
-    nodes = sorted(payloads)
-    rows = np.concatenate([np.hstack([payloads[i].blocks, manifest.node_coeffs[i]])
-                           for i in nodes])
-    tags = np.concatenate([payloads[i].tags for i in nodes])
-    return rows[verify_block(k_v, manifest, rows, tags)]
+    n, nodes = manifest.params.n, sorted(payloads)
+    stored = np.concatenate([payloads[i].rows for i in nodes])
+    rows = np.hstack([stored[:, :n], np.concatenate([manifest.node_coeffs[i]
+                                                     for i in nodes])])
+    return rows[verify_block(k_v, manifest, rows, stored[:, n:])]
 
 
 @dataclass

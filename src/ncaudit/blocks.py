@@ -185,9 +185,10 @@ def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
 def combine_blocks(coeffs, rows) -> np.ndarray:
     """coeffs · rows over GF(256), the one combination of stored rows.
 
-    rows is (r, w): block rows, or their tag rows, since tags are linear in
-    blocks.  coeffs is (r,) for one combination, giving a (w,) row, or
-    (k, r) for k of them, giving a (k, w) matrix."""
+    rows is (r, w): block rows, or a node's stored rows with their tags
+    joined, since tags are linear in blocks.  coeffs is (r,) for one
+    combination, giving a (w,) row, or (k, r) for k of them, giving a
+    (k, w) matrix."""
     return field.combine_rows(coeffs, rows)
 
 

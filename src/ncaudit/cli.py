@@ -58,19 +58,17 @@ def _seed(args) -> int | None:
 
 def _save_store(out: Path, manifest: FileManifest, keys: KeyMaterial,
                 payloads) -> None:
+    """Write the manifest, the keys and the given nodes' files."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(manifest.to_json())
     (out / "keys.json").write_text(json.dumps(
         {"k_v": keys.k_v.hex(), "k_e": keys.k_e.hex()}, indent=1))
+    n = manifest.params.n
     for node, payload in payloads.items():
-        _save_node(out, node, payload)
-
-
-def _save_node(root: Path, node: int, payload: NodePayload) -> None:
-    ndir = root / "nodes" / f"node{node}"
-    ndir.mkdir(parents=True, exist_ok=True)
-    (ndir / "blocks.bin").write_bytes(payload.blocks.tobytes())
-    (ndir / "tags.bin").write_bytes(payload.tags.tobytes())
+        ndir = out / "nodes" / f"node{node}"
+        ndir.mkdir(parents=True, exist_ok=True)
+        (ndir / "blocks.bin").write_bytes(payload.rows[:, :n].tobytes())
+        (ndir / "tags.bin").write_bytes(payload.rows[:, n:].tobytes())
 
 
 def _load_matrix(path: Path, rows: int, width: int) -> np.ndarray:
@@ -80,7 +78,7 @@ def _load_matrix(path: Path, rows: int, width: int) -> np.ndarray:
     if len(raw) != rows * width:
         raise ValueError(f"{path} holds {len(raw)} bytes, the manifest implies "
                          f"{rows} x {width}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, width).copy()
+    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
 
 
 def _load_store(root: Path):
@@ -96,9 +94,9 @@ def _load_store(root: Path):
     for node, rows in manifest.node_coeffs.items():
         ndir = root / "nodes" / f"node{node}"
         M = rows.shape[0]
-        payloads[node] = NodePayload(
-            _load_matrix(ndir / "blocks.bin", M, params.n),
-            _load_matrix(ndir / "tags.bin", M, params.ell), keys.k_e)
+        payloads[node] = NodePayload(np.hstack(
+            [_load_matrix(ndir / "blocks.bin", M, params.n),
+             _load_matrix(ndir / "tags.bin", M, params.ell)]), keys.k_e)
     return manifest, keys, payloads
 
 
@@ -189,7 +187,8 @@ def cmd_corrupt(args) -> int:
     cluster.inject_fault(args.node, Fault("corrupt_symbol", block=args.block,
                                           position=args.position,
                                           delta=args.delta % 256))
-    _save_node(Path(args.dir), args.node, cluster.nodes[args.node].payload)
+    _save_store(Path(args.dir), cluster.manifest, cluster.user.keys,
+                {args.node: cluster.nodes[args.node].payload})
     print(f"flipped node {args.node} block {args.block} "
           f"position {args.position} by {args.delta % 256:#04x}")
     return 0
@@ -211,14 +210,13 @@ def cmd_extract(args) -> int:
     cluster.inject_fault(args.node, Fault("lie_probability", epsilon=args.epsilon))
     node = cluster.nodes[args.node]
     try:
-        report = extractor.extract_node(lambda chal, v: node.answer(chal, v)[0],
-                                        cluster.manifest, args.node, cluster.user,
-                                        cluster.rng, rounds=args.rounds)
+        report = extractor.extract_node(node.answer, cluster.manifest, args.node,
+                                        cluster.user, cluster.rng, rounds=args.rounds)
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
-    match = np.array_equal(report.blocks, node.payload.blocks)
-    print(f"extracted {len(report.blocks)} blocks in {report.queries} queries "
+    match = np.array_equal(report.rows, node.payload.rows)
+    print(f"extracted {len(report.rows)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
     return 0 if match else 1
 

@@ -122,39 +122,36 @@ class Node:
         self.lie_epsilon = 0.0
 
     def apply_fault(self, fault: Fault) -> None:
-        """Apply a fault to the store.  delete_block overwrites the row and
+        """Apply a fault to the store.  delete_block overwrites the block and
         its tag once with uniform symbols, which is what a node that lost
         the block can answer with."""
         p = self.payload
-        fault.validate(*p.blocks.shape)
+        fault.validate(p.rows.shape[0], self.params.n)
         if fault.kind == "corrupt_symbol":
-            p.blocks[fault.block, fault.position] ^= fault.delta
+            p.rows[fault.block, fault.position] ^= fault.delta
         elif fault.kind == "delete_block":
-            p.blocks[fault.block] = self.rng.integers(0, 256, size=p.blocks.shape[1],
-                                                      dtype=np.uint8)
-            p.tags[fault.block] = self.rng.integers(0, 256, size=p.tags.shape[1],
+            p.rows[fault.block] = self.rng.integers(0, 256, size=p.rows.shape[1],
                                                     dtype=np.uint8)
         elif fault.kind == "replay_old":
             blocks, tags = fault.snapshot
-            p.blocks = np.stack([b.vec for b in blocks])
-            p.tags = np.stack(tags)
+            p.rows = np.hstack([np.stack([b.vec for b in blocks]), np.stack(tags)])
         elif fault.kind == "lie_probability":
             self.lie_epsilon = fault.epsilon
 
-    def answer(self, chal: Challenge, voucher) -> Tuple[Proof, audit.GenProofStats]:
+    def answer(self, chal: Challenge, voucher) -> Proof:
         lying = self.lie_epsilon and self.rng.random() < self.lie_epsilon
-        proof, stats = audit.gen_proof(
-            self.payload.blocks, self.payload.tags, chal, self.payload.k_e,
-            voucher, self.params)
+        proof = audit.gen_proof(self.payload.rows, chal, self.payload.k_e, voucher,
+                                self.params)
         if lying:
             junk = self.rng.integers(0, 256, size=proof.c_bar.shape, dtype=np.uint8)
             proof = Proof(junk, proof.nonce, proof.pad, proof.tag)
-        return proof, stats
+        return proof
 
     def snapshot(self) -> Tuple[List[CodedBlock], List[np.ndarray]]:
-        """Copies of the stored blocks one by one and of the tag rows."""
-        return ([CodedBlock(row) for row in self.payload.blocks.copy()],
-                list(self.payload.tags.copy()))
+        """Copies of the stored blocks' data symbols one by one and of
+        their tag rows."""
+        rows, n = self.payload.rows.copy(), self.params.n
+        return [CodedBlock(row) for row in rows[:, :n]], list(rows[:, n:])
 
 
 class Tpa:
@@ -231,11 +228,13 @@ class Cluster:
         self.user.ledger.charge(self.nodes[node].ledger, "voucher_bytes",
                                 k_bytes + voucher.value.size)
         self.user.ledger.charge(self.tpa.ledger, "voucher_bytes", k_bytes)
-        proof, _ = self.nodes[node].answer(chal, voucher)
-        raw = proof.to_bytes()
+        try:
+            raw = self.nodes[node].answer(chal, voucher).to_bytes()
+        except ValueError:  # a challenged row the node no longer stores
+            raw = b""
         self.nodes[node].ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
-        accepted, _ = self.tpa.verify(
-            chal, Proof.from_bytes(raw, self.manifest.params))
+        accepted = bool(raw) and self.tpa.verify(
+            chal, Proof.from_bytes(raw, self.manifest.params))[0]
         record = {"event": "audit", "node": node, "count": count,
                   "accepted": bool(accepted), "proof_bytes": len(raw)}
         self.transcript.append(record)
@@ -261,7 +260,7 @@ class Cluster:
             self.user.ledger.charge(helper.ledger, "coefficient_bytes",
                                     int(plan.gamma[ship.helper].size))
             helper.ledger.charge(self.nodes[node].ledger, "data_block_bytes",
-                                 int(ship.rows.size))
+                                 int(ship.rows[:, :self.params.n].size))
             helper.ledger.charge(self.nodes[node].ledger, "tag_bytes",
                                  int(ship.tags.size))
         # user tells the TPA the replacement coefficients

@@ -50,8 +50,8 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     Every block's manifest coefficients widen with a zero column, which
     changes no tag value and no stored symbol.  Nodes listed in
     `placements` receive the new block: None means a plain copy, a mix row
-    (or matrix of rows) over the node's current blocks plus the new one
-    yields combined blocks whose tags come from combining stored tags.
+    (or matrix of rows) over the node's current rows plus the new one
+    yields combined rows, whose tags are the combined stored tags.
     `donations` optionally moves copies of existing blocks between nodes
     first (layout rebalancing), and `retire` drops the listed pre-existing
     local slots afterwards.
@@ -62,14 +62,13 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     fid = manifest.file_id.encode()
 
     for src, local, dst in donations or []:
-        src_payload, dst_payload = payloads[src], payloads[dst]
-        dst_payload.blocks = np.vstack([dst_payload.blocks, src_payload.blocks[local]])
-        dst_payload.tags = np.vstack([dst_payload.tags, src_payload.tags[local]])
+        payloads[dst].rows = np.vstack([payloads[dst].rows, payloads[src].rows[local]])
         manifest.node_coeffs[dst] = np.vstack([manifest.node_coeffs[dst],
                                                manifest.node_coeffs[src][local]])
 
     new_block = make_source_block(data, params, new_index, rng)
-    new_tag = spacemac.mac(keys.k_v, fid, new_block, params.ell)
+    new_row = np.concatenate([new_block[:params.n],
+                              spacemac.mac(keys.k_v, fid, new_block, params.ell)])
     manifest.block_lengths.append(len(data))
     manifest.logical_order.append(new_index)
 
@@ -78,26 +77,22 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
         placements = {node: None for node in payloads}
     for node, mix in placements.items():
         payload = payloads[node]
-        # mixes run over the node's pre-append blocks plus the new one
-        M = payload.blocks.shape[0]
+        # mixes run over the node's pre-append rows plus the new one
+        M = payload.rows.shape[0]
         if mix is None:
             mix = np.zeros(M + 1, dtype=np.uint8)
             mix[M] = 1
         mix = np.atleast_2d(np.asarray(mix, dtype=np.uint8))
         base_rows = np.vstack([manifest.node_coeffs[node],
                                _unit_row(params.m, new_index)])
-        payload.blocks = np.vstack([payload.blocks, combine_blocks(
-            mix, np.vstack([payload.blocks, new_block[:params.n]]))])
-        payload.tags = np.vstack([payload.tags, combine_blocks(
-            mix, np.vstack([payload.tags, new_tag]))])
+        payload.rows = np.vstack([payload.rows, combine_blocks(
+            mix, np.vstack([payload.rows, new_row]))])
         manifest.node_coeffs[node] = np.vstack([manifest.node_coeffs[node],
                                                 combine_blocks(mix, base_rows)])
         placed[node] = manifest.node_coeffs[node].shape[0] - 1
 
     for node, slots in (retire or {}).items():
-        payload = payloads[node]
-        payload.blocks = np.delete(payload.blocks, slots, axis=0)
-        payload.tags = np.delete(payload.tags, slots, axis=0)
+        payloads[node].rows = np.delete(payloads[node].rows, slots, axis=0)
         manifest.node_coeffs[node] = np.delete(manifest.node_coeffs[node], slots, axis=0)
     return AppendResult(new_index, placed, donations or [])
 
@@ -128,7 +123,7 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
 
     for node, payload in payloads.items():
         column = manifest.node_coeffs[node][:, index: index + 1]
-        payload.blocks ^= combine_blocks(column, diff[None, :params.n])
+        payload.rows[:, :params.n] ^= combine_blocks(column, diff[None, :params.n])
     manifest.block_lengths[index] = len(data)
     manifest.deltas[index] = manifest.deltas.get(
         index, np.zeros(params.ell, dtype=np.uint8)) ^ delta

@@ -37,8 +37,7 @@ ProofOracle = Callable[[Challenge, ncrypt.Voucher], Optional[Proof]]
 
 @dataclass
 class ExtractionReport:
-    blocks: np.ndarray  # (M, n), row j the data symbols of the node's block j
-    tags: np.ndarray    # (M, ell)
+    rows: np.ndarray  # (M, n+ell), row j as the node stores block j: data, then tags
     queries: int
     discarded: int  # answers that verify_proof rejected or could not read
 
@@ -60,7 +59,7 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     k_e, k_v = user.keys.k_e, user.keys.k_v
 
     solved_alphas: List[np.ndarray] = []
-    solved_answers: List[np.ndarray] = []  # n data symbols, then ell tag symbols
+    solved_answers: List[np.ndarray] = []  # rows as the node stores them
     queries = discarded = 0
     budget = EXTRA_BUDGET * M
 
@@ -108,8 +107,9 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     res = field.gaussian_solve(np.stack(solved_alphas), np.stack(solved_answers))
     if res.status != "unique":
         raise ExtractionError(f"equation system {res.status}")
-    blocks, tags = res.solution[:, :n], res.solution[:, n:]
-    bad = np.flatnonzero(~verify_block(k_v, manifest, np.hstack([blocks, rows]), tags))
+    solved = res.solution
+    bad = np.flatnonzero(~verify_block(k_v, manifest, np.hstack([solved[:, :n], rows]),
+                                       solved[:, n:]))
     if bad.size:
         raise ExtractionError(f"recovered block {bad[0]} fails verification")
-    return ExtractionReport(blocks, tags, queries, discarded)
+    return ExtractionReport(solved, queries, discarded)

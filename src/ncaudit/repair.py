@@ -1,9 +1,11 @@
 """Rebuilding a lost node from coded helper blocks, tags included.
 
-Helpers send combinations (gamma) of their own blocks and the new node
-combines those (theta).  Tags ride along, so neither the verification key nor
-file data is needed.  An exact repair reproduces the lost rows; a functional
-repair stores fresh combinations that keep the file decodable.
+Helpers send combinations (gamma) of their own stored rows and the new node
+combines those (theta).  A stored row holds a block's data symbols and its
+tags, which are linear in the block, so each combination carries its tags
+along and neither the verification key nor file data is needed.  An exact
+repair reproduces the lost rows; a functional repair stores fresh
+combinations that keep the file decodable.
 """
 
 from __future__ import annotations
@@ -115,33 +117,35 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
 
 @dataclass
 class RepairShipment:
-    """One helper's contribution: its gamma rows times its stored block
-    and tag matrices.  The combined blocks' coefficients are gamma times
-    the helper's manifest rows, so they are not shipped."""
+    """One helper's contribution: its gamma rows times its stored rows,
+    data and tag symbols alike.  The combined blocks' coefficients are
+    gamma times the helper's manifest rows, so they are not shipped."""
     helper: int
-    rows: np.ndarray  # (Q, n) combined blocks
-    tags: np.ndarray  # (Q, ell) their tags
+    rows: np.ndarray  # (Q, n+ell) combined blocks, each followed by its tag
+    n: int
 
     @property
     def blocks(self) -> List[CodedBlock]:
-        """The combined blocks one by one."""
-        return [CodedBlock(row) for row in self.rows]
+        """The combined blocks' data symbols, one block at a time."""
+        return [CodedBlock(row) for row in self.rows[:, :self.n]]
+
+    @property
+    def tags(self) -> np.ndarray:
+        """Their (Q, ell) tags."""
+        return self.rows[:, self.n:]
 
 
 def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray,
-                       helper: int) -> RepairShipment:
-    return RepairShipment(helper, combine_blocks(gamma_rows, payload.blocks),
-                          combine_blocks(gamma_rows, payload.tags))
+                       helper: int, n: int) -> RepairShipment:
+    return RepairShipment(helper, combine_blocks(gamma_rows, payload.rows), n)
 
 
-def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment],
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """The new node's (M, n) blocks and (M, ell) tags: theta times the
-    received rows, in plan.helpers order."""
+def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment]) -> np.ndarray:
+    """The new node's (M, n+ell) rows: theta times the received rows, in
+    plan.helpers order."""
     by_helper = {s.helper: s for s in shipments}
-    received = [by_helper[h] for h in plan.helpers]
-    return (combine_blocks(plan.theta, np.concatenate([s.rows for s in received])),
-            combine_blocks(plan.theta, np.concatenate([s.tags for s in received])))
+    return combine_blocks(plan.theta, np.concatenate([by_helper[h].rows
+                                                      for h in plan.helpers]))
 
 
 def refresh_manifest(manifest: FileManifest, plan: RepairPlan) -> None:
@@ -172,8 +176,8 @@ def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
         plan = plan_functional_repair(manifest, failed, helpers, rng)
     else:
         raise ValueError(f"unknown repair mode {mode!r}")
-    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h) for h in plan.helpers]
-    payloads[failed] = NodePayload(*reconstruct_node(plan, shipments),
-                                   payloads[failed].k_e)
+    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h, manifest.params.n)
+                 for h in plan.helpers]
+    payloads[failed] = NodePayload(reconstruct_node(plan, shipments), payloads[failed].k_e)
     refresh_manifest(manifest, plan)
     return plan, shipments

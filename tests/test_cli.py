@@ -271,7 +271,7 @@ def test_malformed_keys_file_is_usage_error(store, doc, capsys):
 
 def test_node_files_roundtrip(store, tmp_path):
     manifest, keys, payloads = _load_store(store)
-    assert payloads[3].blocks.shape == (2, 64) and payloads[3].tags.shape == (2, 2)
+    assert payloads[3].rows.shape == (2, 64 + 2)  # n data and ell tag symbols
     copy = tmp_path / "copy"
     _save_store(copy, manifest, keys, payloads)
     for rel in ["nodes/node3/blocks.bin", "nodes/node3/tags.bin", "manifest.json"]:

@@ -22,12 +22,12 @@ def test_evenodd_layout_contents(cluster):
     n = PARAMS.n
     sources = {}
     for j in range(2):  # nodes 0,1 hold the plain source blocks
-        sources[j] = cluster.nodes[0].payload.blocks[j, :n]
-        sources[j + 2] = cluster.nodes[1].payload.blocks[j, :n]
-    n2 = cluster.nodes[2].payload.blocks[:, :n]
+        sources[j] = cluster.nodes[0].payload.rows[j, :n]
+        sources[j + 2] = cluster.nodes[1].payload.rows[j, :n]
+    n2 = cluster.nodes[2].payload.rows[:, :n]
     assert np.array_equal(n2[0], sources[0] ^ sources[2])
     assert np.array_equal(n2[1], sources[1] ^ sources[3])
-    n3 = cluster.nodes[3].payload.blocks[:, :n]
+    n3 = cluster.nodes[3].payload.rows[:, :n]
     assert np.array_equal(n3[0], sources[1] ^ sources[2])
     assert np.array_equal(n3[1], sources[0] ^ sources[1] ^ sources[3])
 
@@ -37,8 +37,8 @@ def test_same_seed_same_state():
     b = spawn_cluster(PARAMS, "evenodd4", DATA, seed=7)
     assert a.manifest.to_json() == b.manifest.to_json()
     for node in a.nodes:
-        assert np.array_equal(a.nodes[node].payload.blocks,
-                              b.nodes[node].payload.blocks)
+        assert np.array_equal(a.nodes[node].payload.rows,
+                              b.nodes[node].payload.rows)
     ra = [a.run_audit_round(n, 2) for n in range(4)]
     rb = [b.run_audit_round(n, 2) for n in range(4)]
     assert ra == rb
@@ -110,7 +110,7 @@ def test_random_functional_decodes_from_subsets():
     decoded = 0
     for drop in range(4):
         keep = [n for n in range(4) if n != drop]
-        rows = np.concatenate([np.hstack([c.nodes[n].payload.blocks,
+        rows = np.concatenate([np.hstack([c.nodes[n].payload.rows[:, :PARAMS.n],
                                           c.manifest.node_coeffs[n]]) for n in keep])
         if field.matrix_rank(rows[:, PARAMS.n:]) == PARAMS.m:
             assert decode_file(rows, c.manifest) == DATA

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncaudit import dynamics
+from ncaudit.audit import verified_rows
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
@@ -24,11 +25,11 @@ def _audit_all(cluster):
 
 def test_append_leaves_old_tags_alone(cluster, rng):
     payloads = _payloads(cluster)
-    before = {i: payloads[i].tags.copy() for i in payloads}
+    before = {i: payloads[i].rows[:, PARAMS.n:].copy() for i in payloads}
     dynamics.append_block(cluster.manifest, payloads, cluster.user.keys,
                           b"appended", rng, placements={1: None, 2: None})
     for i in (0, 3):  # untouched nodes: tags bit-identical
-        assert np.array_equal(before[i], payloads[i].tags)
+        assert np.array_equal(before[i], payloads[i].rows[:, PARAMS.n:])
     assert _audit_all(cluster)
     assert cluster.decode_current_file() == DATA + b"appended"
 
@@ -50,7 +51,7 @@ def test_append_with_donation(cluster, rng):
                           b"dn", rng, placements={0: None},
                           donations=[(1, 0, 3)])
     # node 3 now also holds node 1's first block, with its original tag
-    assert np.array_equal(payloads[3].blocks[-1], payloads[1].blocks[0])
+    assert np.array_equal(payloads[3].rows[-1], payloads[1].rows[0])
     assert _audit_all(cluster)
 
 
@@ -61,7 +62,7 @@ def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
                           b"appended", rng)
     cluster.fail_and_repair(1, "functional")
     assert cluster.manifest.node_coeffs[1].shape == (3, PARAMS.m + 1)
-    assert cluster.nodes[1].payload.blocks.shape == (3, PARAMS.n)
+    assert cluster.nodes[1].payload.rows.shape == (3, PARAMS.n + PARAMS.ell)
     assert all(cluster.run_audit_round(node, 3)[0] for node in range(4))
     assert cluster.decode_current_file() == DATA + b"appended"
 
@@ -137,16 +138,15 @@ def test_update_does_not_spread_corruption(cluster, rng):
 
 def test_store_stays_two_matrices(cluster, rng):
     # setup, repair, append, update and a replay fault all keep each node's
-    # store as (M_i, n) blocks and (M_i, ell) tags in uint8, the blocks'
-    # (M_i, m) coefficients being in the manifest only
+    # store as one (M_i, n+ell) uint8 matrix, data symbols then tags, and
+    # the blocks' (M_i, m) coefficients in the manifest only
     def check():
         m = cluster.manifest.params.m
         for i, node in cluster.nodes.items():
             M = cluster.manifest.node_coeffs[i].shape[0]
             assert cluster.manifest.node_coeffs[i].shape == (M, m)
-            assert node.payload.blocks.shape == (M, PARAMS.n)
-            assert node.payload.tags.shape == (M, PARAMS.ell)
-            assert node.payload.blocks.dtype == node.payload.tags.dtype == np.uint8
+            assert node.payload.rows.shape == (M, PARAMS.n + PARAMS.ell)
+            assert node.payload.rows.dtype == np.uint8
 
     check()
     cluster.fail_and_repair(1, "exact")
@@ -164,3 +164,66 @@ def test_store_stays_two_matrices(cluster, rng):
     cluster.inject_fault(1, Fault("replay_old", snapshot=snap))
     check()
     assert cluster.decode_current_file() == DATA + b"again"
+
+
+def test_node_missing_a_challenged_row_fails_its_audit(rng):
+    # a node that replays a store from before an append lacks the appended
+    # row; an audit that challenges it is rejected, not an error
+    cluster = spawn_cluster(PARAMS, "evenodd4", DATA, seed=1)
+    snap = cluster.snapshot_node(1)
+    dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                          b"appended", rng)
+    cluster.inject_fault(1, Fault("replay_old", snapshot=snap))
+    records = [cluster.run_audit_round(1, 3)[1] for _ in range(10)]
+    assert [r["accepted"] for r in records] == [False] * 10
+    assert all(r["proof_bytes"] == 0 for r in records)
+    assert all(cluster.run_audit_round(node, 3)[0] for node in (0, 2, 3))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_interleaved_writes_and_repairs_keep_every_row_verified(seed):
+    # exact and functional repairs, appends (plain and mixed placements, a
+    # row moved by donation and retire) and updates, in a seeded order:
+    # after every step each stored row's tags verify and the file decodes
+    params = SystemParams(n=32, m=4, N=4, M=3, P=3, Q=3, ell=2, lambda_bits=80)
+    rng = np.random.default_rng(seed)
+    chunks = [rng.bytes(30) for _ in range(params.m)]
+    cluster = spawn_cluster(params, "random_functional", b"".join(chunks), seed=seed)
+    keys = cluster.user.keys
+
+    def append():
+        payloads = _payloads(cluster)
+        src, dst = (int(i) for i in rng.choice(4, size=2, replace=False))
+        local = int(rng.integers(payloads[src].rows.shape[0]))
+        placements = {}
+        for node in (int(i) for i in rng.choice(4, size=2, replace=False)):
+            # a mix runs over the node's rows after the donation, then the new one
+            width = payloads[node].rows.shape[0] + (node == dst) + 1
+            mix = rng.integers(0, 256, size=width, dtype=np.uint8)
+            mix[-1] = rng.integers(1, 256)
+            placements[node] = None if rng.integers(2) else mix
+        chunks.append(rng.bytes(int(rng.integers(1, 31))))
+        dynamics.append_block(cluster.manifest, payloads, keys, chunks[-1], rng,
+                              placements=placements, donations=[(src, local, dst)],
+                              retire={src: [local]})
+
+    def update():
+        index = int(rng.integers(len(chunks)))
+        chunks[index] = rng.bytes(int(rng.integers(0, 31)))
+        dynamics.update_block(cluster.manifest, _payloads(cluster), keys, index,
+                              chunks[index], rng)
+
+    steps = {"exact": lambda: cluster.fail_and_repair(int(rng.integers(4)), "exact"),
+             "functional": lambda: cluster.fail_and_repair(int(rng.integers(4)),
+                                                            "functional"),
+             "append": append, "update": update}
+    order = list(steps) * 3
+    rng.shuffle(order)
+    for step in order:
+        steps[step]()
+        payloads = _payloads(cluster)
+        stored = sum(p.rows.shape[0] for p in payloads.values())
+        assert len(verified_rows(keys.k_v, cluster.manifest, payloads)) == stored, step
+        assert cluster.decode_current_file() == b"".join(chunks), step
+        assert all(cluster.run_audit_round(i, len(cluster.manifest.node_coeffs[i]))[0]
+                   for i in cluster.nodes), step

@@ -19,16 +19,14 @@ def cluster():
 
 def _extract(cluster, node, seed, rounds=15):
     return extractor.extract_node(
-        lambda chal, voucher: cluster.nodes[node].answer(chal, voucher)[0],
-        cluster.manifest, node, cluster.user, np.random.default_rng(seed),
-        rounds=rounds)
+        cluster.nodes[node].answer, cluster.manifest, node, cluster.user,
+        np.random.default_rng(seed), rounds=rounds)
 
 
 def test_extract_honest_node(cluster):
     report = _extract(cluster, 0, seed=1)
     p = cluster.nodes[0].payload
-    assert np.array_equal(report.blocks, p.blocks)
-    assert np.array_equal(report.tags, p.tags)
+    assert np.array_equal(report.rows, p.rows)
     assert report.discarded == 0
 
 
@@ -36,7 +34,7 @@ def test_extract_lying_node(cluster):
     cluster.inject_fault(2, Fault("lie_probability", epsilon=0.2))
     report = _extract(cluster, 2, seed=2)
     p = cluster.nodes[2].payload
-    assert np.array_equal(report.blocks, p.blocks)
+    assert np.array_equal(report.rows, p.rows)
     assert report.discarded > 0  # lies were seen and filtered
 
 
@@ -63,7 +61,7 @@ def _stale_oracle(cluster, node, every):
         if not first:
             first.append(voucher)
         stale = next(queries) % every == 0
-        return cluster.nodes[node].answer(chal, first[0] if stale else voucher)[0]
+        return cluster.nodes[node].answer(chal, first[0] if stale else voucher)
     return oracle
 
 
@@ -80,8 +78,7 @@ def test_extract_node_that_replays_its_first_voucher_half_the_time(cluster):
                                     cluster.manifest, 1, cluster.user,
                                     np.random.default_rng(9))
     p = cluster.nodes[1].payload
-    assert np.array_equal(report.blocks, p.blocks)
-    assert np.array_equal(report.tags, p.tags)
+    assert np.array_equal(report.rows, p.rows)
     assert report.discarded == 0
 
 
@@ -101,10 +98,10 @@ def test_extract_after_update():
                           np.random.default_rng(6))
     report = _extract(c, 0, seed=7)
     p = c.nodes[0].payload
-    assert np.array_equal(report.blocks, p.blocks)
-    assert np.array_equal(report.tags, p.tags)
-    rows = np.vstack([np.hstack([report.blocks, c.manifest.node_coeffs[0]]),
-                      np.hstack([c.nodes[1].payload.blocks, c.manifest.node_coeffs[1]])])
+    assert np.array_equal(report.rows, p.rows)
+    rows = np.vstack([np.hstack([report.rows[:, :params.n], c.manifest.node_coeffs[0]]),
+                      np.hstack([c.nodes[1].payload.rows[:, :params.n],
+                                 c.manifest.node_coeffs[1]])])
     assert decode_file(rows, c.manifest) == b"new first block" + data[62:]
 
 
@@ -114,7 +111,7 @@ def test_extract_node_whose_answers_are_sometimes_malformed(cluster):
     queries = itertools.count()
 
     def oracle(chal, voucher):
-        proof = cluster.nodes[2].answer(chal, voucher)[0]
+        proof = cluster.nodes[2].answer(chal, voucher)
         if next(queries) % 3 == 0:
             proof = Proof(proof.c_bar[:-1], proof.nonce, proof.pad, proof.tag)
         return proof
@@ -122,6 +119,5 @@ def test_extract_node_whose_answers_are_sometimes_malformed(cluster):
     report = extractor.extract_node(oracle, cluster.manifest, 2, cluster.user,
                                     np.random.default_rng(10))
     p = cluster.nodes[2].payload
-    assert np.array_equal(report.blocks, p.blocks)
-    assert np.array_equal(report.tags, p.tags)
+    assert np.array_equal(report.rows, p.rows)
     assert report.discarded == -(-report.queries // 3)

@@ -195,9 +195,11 @@ def test_counter_reads_k_r_w_for_each_form(k, r, w):
 
 def test_spawn_cluster_blocks_and_tags_golden():
     # node blocks are (36, 40) @ (40, 605): the Four-Russians form, over
-    # full column chunks and a partial one; the digest was printed before
-    # that form existed, from per-row combinations, when nodes stored each
-    # block's coefficients too, so they are joined back from the manifest
+    # full column chunks and a partial one.  The data symbols and
+    # coefficients hashed here are those printed before that form existed,
+    # from per-row combinations, when nodes stored each block's
+    # coefficients too, so they are joined back from the manifest; the tags
+    # were restated when MAC vectors began to skip zero keystream symbols
     params = SystemParams(n=605, m=40, N=2, M=36, P=1, Q=1, ell=3, lambda_bits=80)
     data = np.random.default_rng(13).bytes(40 * 603 - 17)
     with mock.patch.object(field, "_four_russians", wraps=field._four_russians) as fr:
@@ -205,10 +207,10 @@ def test_spawn_cluster_blocks_and_tags_golden():
     assert fr.call_count == 2
     h = hashlib.sha256()
     for i in sorted(c.nodes):
-        h.update(np.hstack([c.nodes[i].payload.blocks,
-                            c.manifest.node_coeffs[i]]).tobytes())
-        h.update(c.nodes[i].payload.tags.tobytes())
-    assert h.hexdigest() == "e1f996eb21e50db27f8645e8bcfaf3d46ecc995945422877e71e8f6a8057389f"
+        rows = c.nodes[i].payload.rows
+        h.update(np.hstack([rows[:, :params.n], c.manifest.node_coeffs[i]]).tobytes())
+        h.update(rows[:, params.n:].tobytes())
+    assert h.hexdigest() == "1fc65aceec1a9cbe2a2985ecc6097a57c8d572d2de2b85c0de52468fb3dc8b98"
 
 
 def test_gaussian_solve_unique():

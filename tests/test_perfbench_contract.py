@@ -52,6 +52,19 @@ def test_traced_toy_run_keeps_the_contract(tmp_path, workload):
     assert set(missing[0].split(", ")) == KNOWN_MISSING
 
 
+def test_every_trace_target_resolves_but_the_known_missing():
+    # the CLI targets are resolved only in the CLI's child processes, where
+    # a miss goes unreported; here every target is installed, as a traced
+    # run installs it, in an interpreter of its own so no test sees wrappers
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']; import tracing; "
+            "t = tracing.Tracer('check'); "
+            "t.install(tracing.TARGETS + tracing.CLI_TARGETS); print(*t.missing)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert set(proc.stdout.split()) == KNOWN_MISSING
+
+
 def test_selftest_mutants_each_apply_once():
     # a refactor that moves a mutant's line silently disarms the self-test;
     # MUTANTS is read from the script's source, so its main() never runs

@@ -17,7 +17,7 @@ def system(rng):
 
 
 def _run_repair(manifest, payloads, plan):
-    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h)
+    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h, PARAMS.n)
                  for h in plan.helpers]
     return repair.reconstruct_node(plan, shipments)
 
@@ -27,15 +27,14 @@ def test_exact_repair_bit_for_bit(system, rng, failed):
     keys, manifest, payloads = system
     helpers = [h for h in range(4) if h != failed]
     plan = repair.plan_exact_repair(manifest, failed, helpers, rng)
-    blocks, tags = _run_repair(manifest, payloads, plan)
-    assert np.array_equal(blocks, payloads[failed].blocks)
-    assert np.array_equal(tags, payloads[failed].tags)
+    assert np.array_equal(_run_repair(manifest, payloads, plan), payloads[failed].rows)
 
 
 def test_repaired_tags_verify(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_exact_repair(manifest, 3, [0, 1, 2], rng)
-    blocks, tags = _run_repair(manifest, payloads, plan)
+    rows = _run_repair(manifest, payloads, plan)
+    blocks, tags = rows[:, :PARAMS.n], rows[:, PARAMS.n:]
     fid = manifest.file_id.encode()
     full = np.hstack([blocks, manifest.node_coeffs[3]])
     assert np.array_equal(spacemac.mac(keys.k_v, fid, full, PARAMS.ell), tags)
@@ -69,14 +68,13 @@ def test_random_gamma_exact_repair_bit_for_bit(Q, gamma, theta):
     params = SystemParams(n=64, m=4, N=6, M=2, P=5, Q=Q, ell=2, lambda_bits=80)
     cluster = spawn_cluster(params, "random_functional", bytes(range(200)), seed=11)
     payloads = {i: node.payload for i, node in cluster.nodes.items()}
-    before = payloads[0].blocks.copy(), payloads[0].tags.copy()
+    before = payloads[0].rows.copy()
     plan, _ = repair.repair_node(cluster.manifest, payloads, 0, "exact", None,
                                  np.random.default_rng(5))
     assert plan.helpers == [1, 2, 3, 4, 5]
     assert [plan.gamma[h].tolist() for h in plan.helpers] == gamma
     assert plan.theta.tolist() == theta
-    assert np.array_equal(payloads[0].blocks, before[0])
-    assert np.array_equal(payloads[0].tags, before[1])
+    assert np.array_equal(payloads[0].rows, before)
 
 
 def test_functional_repair_needs_helpers_spanning_the_file(system, rng):
@@ -89,7 +87,8 @@ def test_functional_repair_needs_helpers_spanning_the_file(system, rng):
 def test_functional_repair_keeps_decodability(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
-    blocks, tags = _run_repair(manifest, payloads, plan)
+    rows = _run_repair(manifest, payloads, plan)
+    blocks, tags = rows[:, :PARAMS.n], rows[:, PARAMS.n:]
     repair.refresh_manifest(manifest, plan)
     # the rebuilt data symbols are the manifest's new rows times the sources
     assert np.array_equal(manifest.node_coeffs[1], plan.target_rows)
@@ -105,8 +104,7 @@ def test_functional_repair_keeps_decodability(system, rng):
 
 def test_replay_detected_after_functional_repair(system, rng):
     keys, manifest, payloads = system
-    old_blocks = payloads[1].blocks.copy()
-    old_tags = payloads[1].tags.copy()
+    old_rows = payloads[1].rows.copy()
     plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
     repair.refresh_manifest(manifest, plan)
     # the node serves its pre-repair store against refreshed records
@@ -115,8 +113,7 @@ def test_replay_detected_after_functional_repair(system, rng):
         chal = audit.gen_challenge(manifest, 1, 2, rng)
         voucher = ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), 1, k,
                                PARAMS)
-        proof, _ = audit.gen_proof(old_blocks, old_tags, chal, keys.k_e,
-                                   voucher, PARAMS)
+        proof = audit.gen_proof(old_rows, chal, keys.k_e, voucher, PARAMS)
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
         rejected += not ok
     assert rejected == 50
@@ -140,13 +137,12 @@ def test_exact_repair_copies_replicated_rows(rng):
               2: np.array([[1, 1], [1, 2]], dtype=np.uint8)}
     keys = audit.keygen(params, rng)
     manifest, payloads = audit.setup_file(bytes(range(28)), params, keys, layout, rng)
-    before = payloads[0].blocks.copy(), payloads[0].tags.copy()
+    before = payloads[0].rows.copy()
     plan, _ = repair.repair_node(manifest, payloads, 0, "exact", [2, 1], rng)
     assert plan.helpers == [1]
     assert np.array_equal(plan.gamma[1], np.eye(2, dtype=np.uint8)[[1, 0]])
     assert np.array_equal(plan.theta, np.eye(2, dtype=np.uint8))
-    assert np.array_equal(payloads[0].blocks, before[0])
-    assert np.array_equal(payloads[0].tags, before[1])
+    assert np.array_equal(payloads[0].rows, before)
 
 
 @pytest.mark.parametrize("mode", ["exact", "functional"])
@@ -162,7 +158,7 @@ def test_one_node_store_names_missing_helpers(rng, mode):
 def test_repair_rejects_the_failed_node_as_its_own_helper():
     # its lost rows are no helper; CLI scenarios cover absent and repeated ids
     c = spawn_cluster(PARAMS, "evenodd4", bytes(range(56)), seed=3)
-    before = c.nodes[0].payload.blocks.copy()
+    before = c.nodes[0].payload.rows.copy()
     with pytest.raises(repair.PlanningError, match="helper 0 of node 0"):
         c.fail_and_repair(0, helpers=[0, 1, 2])
-    assert np.array_equal(c.nodes[0].payload.blocks, before)
+    assert np.array_equal(c.nodes[0].payload.rows, before)

@@ -45,7 +45,7 @@ def _round(cluster, node: int, chal: Challenge):
     (voucher, proof, accepted)."""
     voucher = cluster.user.issue(cluster.manifest, node)
     cluster.tpa.expect(node, voucher.k)
-    proof, _ = cluster.nodes[node].answer(chal, voucher)
+    proof = cluster.nodes[node].answer(chal, voucher)
     return voucher, proof, cluster.tpa.verify(chal, proof)[0]
 
 
@@ -90,14 +90,14 @@ def _forge(ell: int, seed: int, strategy: str) -> bool:
     delta = int(rng.integers(1, 256))
     if strategy == "algebra":
         # the node knows its coefficient rows, so it solves over full rows
-        rows = np.hstack([payload.blocks, c.manifest.node_coeffs[node]])
-        r_hat = _solve_r(rows, payload.tags, np.stack(masks), np.stack(vouchers),
-                         rows.shape[1])
+        rows = np.hstack([payload.rows[:, :params.n], c.manifest.node_coeffs[node]])
+        r_hat = _solve_r(rows, payload.rows[:, params.n:], np.stack(masks),
+                         np.stack(vouchers), rows.shape[1])
         patch = field.vec_scale(delta, r_hat[pos])
     else:
         patch = rng.integers(0, 256, ell, dtype=np.uint8)
-    payload.blocks[block, pos] ^= delta
-    payload.tags[block] ^= patch
+    payload.rows[block, pos] ^= delta
+    payload.rows[block, params.n:] ^= patch
     chal = Challenge(c.manifest.file_id, [(block, int(rng.integers(1, 256)))], node)
     return _round(c, node, chal)[2]
 
@@ -188,16 +188,16 @@ def test_reused_k_is_rejected(cluster):
     # an old voucher for a new challenge
     voucher = cluster.user.issue(cluster.manifest, 0)
     cluster.tpa.expect(0, voucher.k)
-    assert cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
+    assert cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher))[0]
     chal = cluster.tpa.challenge(0, 2)
-    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher))[0]
 
 
 def test_never_issued_k_is_rejected(cluster):
     chal = cluster.tpa.challenge(0, 2)
     voucher = cluster.user.issue(cluster.manifest, 0)  # never announced
-    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher)[0])[0]
-    honest, _ = cluster.nodes[0].answer(chal, voucher)
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher))[0]
+    honest = cluster.nodes[0].answer(chal, voucher)
     forged = Proof(honest.c_bar, (999).to_bytes(10, "big"), honest.pad, honest.tag)
     assert not cluster.tpa.verify(chal, forged)[0]
 
@@ -208,7 +208,7 @@ def test_another_nodes_k_is_rejected(cluster):
     stolen = cluster.user.issue(cluster.manifest, 1)  # k = 4, issued to node 1
     cluster.tpa.expect(1, stolen.k)
     chal = cluster.tpa.challenge(0, 2)
-    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, stolen)[0])[0]
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, stolen))[0]
     # the voucher still serves the node it was issued to
     chal = cluster.tpa.challenge(1, 2)
-    assert cluster.tpa.verify(chal, cluster.nodes[1].answer(chal, stolen)[0])[0]
+    assert cluster.tpa.verify(chal, cluster.nodes[1].answer(chal, stolen))[0]

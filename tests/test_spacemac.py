@@ -1,8 +1,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import blocks, field, spacemac
+from ncaudit import blocks, field, prf, spacemac
 from ncaudit.blocks import SystemParams
+from ncaudit.cluster import Fault, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2)
 KEY = bytes(range(16))
@@ -79,3 +80,27 @@ def test_cache_extends_monotonically():
     short = spacemac.r_vector(KEY, FID, 10, 1).copy()
     long = spacemac.r_vector(KEY, FID, 64, 1)
     assert np.array_equal(long[:10], short)
+
+
+def test_r_vector_skips_zero_keystream_symbols():
+    # r_j is the F1 keystream with its zeros dropped: symbols in 1..255,
+    # the same prefix whatever length is asked first
+    stream = prf.derive_r_vector(KEY, FID, 6000, 1)
+    assert (stream == 0).any()
+    r = spacemac.r_vector(KEY, FID, 5000, 1)
+    assert r.min() >= 1 and np.array_equal(r, stream[stream != 0][:5000])
+    spacemac.clear_cache()
+    assert np.array_equal(spacemac.r_vector(KEY, FID, 300, 1), r[:300])
+
+
+def test_full_node_audit_catches_a_corruption_where_the_keystream_is_zero():
+    # at one tag, most file keys have a data position whose F1 keystream
+    # symbol is 0; were that r_1's symbol, a corruption there would pass
+    # every audit.  Seed 3's key has one at position 34.
+    params = SystemParams(n=64, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
+    c = spawn_cluster(params, "evenodd4", bytes(range(100)), seed=3)
+    stream = prf.derive_r_vector(c.user.keys.k_v, c.manifest.file_id.encode(), params.n)
+    pos = int(np.flatnonzero(stream == 0)[0])
+    assert pos == 34
+    c.inject_fault(2, Fault("corrupt_symbol", block=0, position=pos, delta=1))
+    assert not any(c.run_audit_round(2, 2)[0] for _ in range(20))
