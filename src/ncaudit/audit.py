@@ -11,7 +11,7 @@ from __future__ import annotations
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -34,25 +34,43 @@ def keygen(params: SystemParams, rng=None) -> KeyMaterial:
     return KeyMaterial(k_v=draw(nbytes), k_e=draw(nbytes))
 
 
+# one challenge entry on the wire: u32 BE block index, then alpha
+_ENTRY = np.dtype([("index", ">u4"), ("alpha", "u1")])
+
+
 @dataclass
 class Challenge:
+    """Distinct block indices of a node and one coefficient alpha for
+    each, as two arrays.  The wire form is u32 BE length of file id ||
+    file id || u32 BE entry count || per entry, u32 BE index || alpha."""
     file_id: str
-    entries: List[Tuple[int, int]]  # (block index, alpha), indices distinct
-    node: int = 0                   # addressing; not part of the wire format
+    indices: np.ndarray  # (C,) intp block indices, distinct, below 2^32
+    alphas: np.ndarray   # (C,) uint8
+    node: int = 0        # addressing; not part of the wire format
 
     def __post_init__(self):
-        if not self.entries:
+        indices, alphas = np.asarray(self.indices), np.asarray(self.alphas)
+        if indices.ndim != 1 or indices.shape != alphas.shape:
+            raise ValueError("challenge indices and alphas must be 1-D and of one length")
+        if not indices.size:
             raise ValueError("challenge needs at least one entry")
-        idx = [i for i, _ in self.entries]
-        if len(set(idx)) != len(idx):
+        if indices.dtype.kind not in "iu" or alphas.dtype.kind not in "iu":
+            raise ValueError("challenge indices and alphas must be integers")
+        ordered = np.sort(indices)
+        if ordered[0] < 0 or ordered[-1] >= 1 << 32:
+            raise ValueError("challenge indices must be integers in [0, 2^32)")
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("challenge indices must be distinct")
+        self.indices, self.alphas = indices.astype(np.intp), alphas.astype(np.uint8)
+        if (self.alphas != alphas).any():
+            raise ValueError("challenge alphas must be integers in [0, 256)")
 
     def to_bytes(self) -> bytes:
         fid = self.file_id.encode()
-        out = [struct.pack(">I", len(fid)), fid, struct.pack(">I", len(self.entries))]
-        for i, a in self.entries:
-            out.append(struct.pack(">IB", i, a))
-        return b"".join(out)
+        records = np.empty(self.indices.size, dtype=_ENTRY)
+        records["index"], records["alpha"] = self.indices, self.alphas
+        return (struct.pack(">I", len(fid)) + fid + struct.pack(">I", records.size)
+                + records.tobytes())
 
     @classmethod
     def from_bytes(cls, raw: bytes, node: int = 0) -> "Challenge":
@@ -64,12 +82,11 @@ class Challenge:
             raise ValueError("truncated challenge")
         fid = raw[4: 4 + flen].decode()
         (count,) = struct.unpack_from(">I", raw, 4 + flen)
-        if len(raw) != 8 + flen + 5 * count:
+        if len(raw) != 8 + flen + _ENTRY.itemsize * count:
             raise ValueError(f"challenge of {count} entries needs "
-                             f"{8 + flen + 5 * count} bytes, got {len(raw)}")
-        entries = [struct.unpack_from(">IB", raw, 8 + flen + 5 * k)
-                   for k in range(count)]
-        return cls(fid, entries, node)
+                             f"{8 + flen + _ENTRY.itemsize * count} bytes, got {len(raw)}")
+        records = np.frombuffer(raw, dtype=_ENTRY, offset=8 + flen)
+        return cls(fid, records["index"], records["alpha"], node)
 
 
 @dataclass
@@ -151,10 +168,9 @@ def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challen
     M = manifest.node_coeffs[node].shape[0]
     if not 1 <= count <= M:
         raise ValueError(f"challenge count must be in [1, {M}]")
-    idx = rng.choice(M, size=count, replace=False)
+    indices = rng.choice(M, size=count, replace=False)
     alphas = rng.integers(1, 256, size=count, dtype=np.uint8)
-    entries = [(int(i), int(a)) for i, a in zip(idx, alphas)]
-    return Challenge(manifest.file_id, entries, node)
+    return Challenge(manifest.file_id, indices, alphas, node)
 
 
 def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
@@ -169,10 +185,9 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
     outside the store.
     """
     n = params.n
-    idx = [i for i, _ in chal.entries]
-    if not all(0 <= i < rows.shape[0] for i in idx):
+    if chal.indices.max() >= rows.shape[0]:
         raise ValueError(f"challenge index outside a store of {rows.shape[0]} blocks")
-    agg = field.combine_rows([a for _, a in chal.entries], rows[idx])
+    agg = field.combine_rows(chal.alphas, rows[chal.indices])
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
@@ -181,9 +196,7 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
 
 def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
     """The challenged combination's source coefficients, from the manifest."""
-    rows = manifest.node_coeffs[chal.node]
-    idx = [i for i, _ in chal.entries]
-    return field.combine_rows([a for _, a in chal.entries], rows[idx])
+    return field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node][chal.indices])
 
 
 def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,

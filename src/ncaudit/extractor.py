@@ -74,8 +74,9 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
         votes: Counter = Counter()
         for _ in range(rounds):
             c = int(rng.integers(1, 256))
-            entries = [(i, int(a)) for i, a in enumerate(field.vec_scale(c, alphas)) if a]
-            chal = Challenge(manifest.file_id, entries, node)
+            scaled = field.vec_scale(c, alphas)
+            live = np.flatnonzero(scaled)
+            chal = Challenge(manifest.file_id, live, scaled[live], node)
             voucher = user.issue(manifest, node)
             proof = oracle(chal, voucher)
             queries += 1

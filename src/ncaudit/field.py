@@ -9,7 +9,10 @@ makes one combination: it gathers every product at once, through flat
 table indices, for small or narrow inputs and otherwise bit-slices, by
 Horner's rule over the eight bit-planes of the coefficients (Plank, Greenan
 and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
-Instructions", FAST 2013).  A (k, r) @ (r, w) product takes one of three
+Instructions", FAST 2013).  The gather of a narrow input (w < r: few
+columns, many rows, such as a MAC's r-vectors, whose tag-major cache gives
+that order for free) lays its indices out as (w, r), so each output symbol
+reduces one contiguous run.  A (k, r) @ (r, w) product takes one of three
 forms: narrow outputs (w < k) make one combination per output column, wide
 products with k and r both large use the Four-Russians method (Albrecht,
 Bard and Hart, "Algorithm 898", ACM TOMS 2010) on each bit-plane, as M4RIE
@@ -160,10 +163,17 @@ def _combine(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # faster than a two-array index.  Bit-slicing pays a fixed cost of eight
     # row selections, reductions and doublings; on one CPU it beats the
     # gather from about 128k symbols in rows at least 256 wide.
-    if rows.shape[1] < 256 or rows.size < 1 << 17:
+    r, w = rows.shape
+    if w < 256 or rows.size < 1 << 17:
+        if w < r:
+            # narrow rows (a MAC's r-vectors): (w, r) indices, so that each
+            # output symbol reduces one contiguous run, whatever rows' order
+            flat = np.empty((w, r), dtype=np.uint16)
+            np.bitwise_or(alphas.astype(np.uint16) << 8, rows.T, out=flat)
+            return np.bitwise_xor.reduce(MUL.take(flat), axis=1)
         flat = (alphas[:, None].astype(np.uint16) << 8) | rows
         return np.bitwise_xor.reduce(MUL.take(flat), axis=0)
-    out = np.zeros(rows.shape[1], dtype=np.uint8)
+    out = np.zeros(w, dtype=np.uint8)
     for k in range(7, -1, -1):
         out = MUL[2][out] ^ np.bitwise_xor.reduce(rows[(alphas >> k) & 1 == 1], axis=0)
     return out

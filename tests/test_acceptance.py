@@ -93,7 +93,7 @@ def _detection_batch(params, keys, manifest, payloads, trials, rng):
         # coefficient would make acceptance correct rather than a miss
         while True:
             chal = audit.gen_challenge(manifest, node, 2, rng)
-            live = [i for i, a in chal.entries if a]
+            live = chal.indices[chal.alphas != 0].tolist()
             if live:
                 break
         p = payloads[node]

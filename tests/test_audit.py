@@ -44,8 +44,8 @@ def test_corrupted_block_rejected(system, rng):
     p.rows[0, 3] ^= 0x40
     rejections = 0
     for _ in range(50):
-        chal = Challenge(manifest.file_id, [(0, int(rng.integers(1, 256))),
-                                            (1, int(rng.integers(1, 256)))], 1)
+        chal = Challenge(manifest.file_id, [0, 1], [int(rng.integers(1, 256)),
+                                                    int(rng.integers(1, 256))], 1)
         proof = audit.gen_proof(p.rows, chal, keys.k_e,
                                 _voucher(keys, manifest, chal), PARAMS)
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
@@ -73,34 +73,71 @@ def test_gen_proof_deleted_block_rejected(system, rng):
     node.apply_fault(Fault("delete_block", block=1))
     rejected = 0
     for _ in range(20):
-        chal = Challenge(manifest.file_id, [(0, 5), (1, int(rng.integers(1, 256)))], 0)
+        chal = Challenge(manifest.file_id, [0, 1], [5, int(rng.integers(1, 256))], 0)
         proof = node.answer(chal, _voucher(keys, manifest, chal))
         rejected += not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
     assert rejected == 20
 
 
-@pytest.mark.parametrize("index", [2, 99, -1])
+@pytest.mark.parametrize("index", [2, 99, 2**32 - 1])
 def test_gen_proof_rejects_index_outside_store(system, rng, index):
     keys, manifest, payloads = system
     p = payloads[0]
-    chal = Challenge(manifest.file_id, [(0, 5), (index, 7)], 0)
+    chal = Challenge(manifest.file_id, [0, index], [5, 7], 0)
     with pytest.raises(ValueError, match="outside a store of 2 blocks"):
         audit.gen_proof(p.rows, chal, keys.k_e,
                         _voucher(keys, manifest, chal), PARAMS)
 
 
+def _same_challenge(a, b):
+    return (a.file_id == b.file_id and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.alphas, b.alphas))
+
+
 def test_challenge_wire_roundtrip():
-    chal = Challenge("some-file", [(3, 200), (0, 1), (7, 255)], node=2)
+    chal = Challenge("some-file", [3, 0, 7], [200, 1, 255], node=2)
     back = Challenge.from_bytes(chal.to_bytes(), node=2)
-    assert back.file_id == chal.file_id
-    assert back.entries == chal.entries
+    assert _same_challenge(back, chal) and back.node == 2
+
+
+def test_challenge_wire_golden():
+    # the bytes the struct-packed (>I, >IB records) encoding gave
+    chal = Challenge("some-file", [3, 0, 7, 2**32 - 1, 65536], [200, 1, 255, 0, 17])
+    assert chal.to_bytes().hex() == (
+        "00000009736f6d652d66696c6500000005"
+        "00000003c8" "0000000001" "00000007ff" "ffffffff00" "0001000011")
 
 
 def test_challenge_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Challenge("f", [(1, 2), (1, 3)])
-    with pytest.raises(ValueError):
-        Challenge("f", [])
+    with pytest.raises(ValueError, match="distinct"):
+        Challenge("f", [1, 1], [2, 3])
+    with pytest.raises(ValueError, match="distinct"):
+        Challenge("f", [5, 0, 9, 0], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match="at least one"):
+        Challenge("f", [], [])
+
+
+@pytest.mark.parametrize("indices, alphas", [
+    pytest.param([2**32], [1], id="index-2^32"),
+    pytest.param([-1], [3], id="negative-index"),
+    pytest.param([2**64], [1], id="index-2^64"),
+    pytest.param([1.0], [1], id="float-index"),
+    pytest.param([1], [256], id="alpha-256"),
+    pytest.param([0, 1], [1, -1], id="negative-alpha"),
+    pytest.param([1], [True], id="bool-alpha"),
+])
+def test_challenge_rejects_entries_outside_the_wire_range(indices, alphas):
+    # each used to construct and then fail in to_bytes with struct.error
+    with pytest.raises(ValueError, match="must be integers"):
+        Challenge("f", indices, alphas)
+
+
+@pytest.mark.parametrize("indices, alphas", [
+    ([1, 2], [1]), ([1], [1, 2]), ([[1, 2]], [[1, 2]]), (3, 4),
+])
+def test_challenge_rejects_mismatched_or_non_1d_arrays(indices, alphas):
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        Challenge("f", np.array(indices), np.array(alphas))
 
 
 def test_proof_wire_roundtrip(system, rng):
@@ -141,7 +178,7 @@ def test_proof_privacy(system, rng):
     # c_bar and public values, not the plain aggregate's tag
     keys, manifest, payloads = system
     p = payloads[0]
-    chal = Challenge(manifest.file_id, [(0, 9)], 0)
+    chal = Challenge(manifest.file_id, [0], [9], 0)
     plain = field.vec_scale(9, np.concatenate([p.rows[0, :PARAMS.n],
                                             manifest.node_coeffs[0][0]]))
     voucher = _voucher(keys, manifest, chal)
@@ -169,9 +206,9 @@ def test_unseeded_keygen_leaves_generator_untouched(rng):
 
 def test_challenge_coefficients_nonzero(system, rng):
     keys, manifest, payloads = system
-    alphas = [a for _ in range(2000)
-              for _, a in audit.gen_challenge(manifest, 0, 2, rng).entries]
-    assert min(alphas) >= 1
+    alphas = np.concatenate([audit.gen_challenge(manifest, 0, 2, rng).alphas
+                             for _ in range(2000)])
+    assert alphas.min() >= 1
 
 
 def test_full_node_audit_catches_every_corruption(rng):
@@ -225,6 +262,7 @@ def test_wire_parsers_raise_only_value_error(raw):
 def test_challenge_roundtrip_any(file_id, indices, data):
     alphas = data.draw(st.lists(st.integers(0, 255), min_size=len(indices),
                                 max_size=len(indices)))
-    chal = Challenge(file_id, list(zip(indices, alphas)))
+    chal = Challenge(file_id, indices, alphas)
     back = Challenge.from_bytes(chal.to_bytes())
-    assert (back.file_id, back.entries) == (chal.file_id, chal.entries)
+    assert _same_challenge(back, chal)
+    assert back.indices.tolist() == indices and back.alphas.tolist() == alphas

@@ -1,5 +1,8 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,3 +163,24 @@ def test_all_exports_resolve():
     import ncaudit
     for name in ncaudit.__all__:
         assert getattr(ncaudit, name) is not None, name
+
+
+def test_audit_repair_and_decode_leave_numpy_ma_unimported():
+    # numpy.ma costs tens of milliseconds to import, and a plain np.unique
+    # imports it lazily: every CLI command would pay that
+    code = """
+import sys
+from ncaudit import SystemParams, spawn_cluster
+params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
+c = spawn_cluster(params, "evenodd4", bytes(range(56)), seed=1)
+assert all(c.run_audit_round(node, 2)[0] for node in range(4))
+c.fail_and_repair(0, "exact")
+c.fail_and_repair(1, "functional")
+assert c.decode_current_file() == bytes(range(56))
+print("numpy.ma" in sys.modules)
+"""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(root / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]

@@ -193,6 +193,40 @@ def test_counter_reads_k_r_w_for_each_form(k, r, w):
         assert field.counter.value == k * r * w
 
 
+def _shift_reduce_product(x, rs):
+    # (k, L) or (L,) times (L, ell), every product by shift and reduce
+    out = []
+    for row in np.atleast_2d(x).tolist():
+        acc = [0] * rs.shape[1]
+        for a, r_row in zip(row, rs.tolist()):
+            for t, b in enumerate(r_row):
+                acc[t] ^= field.mul_shift_reduce(a, b)
+        out.append(acc)
+    return np.array(out, dtype=np.uint8).reshape(np.shape(x)[:-1] + (rs.shape[1],))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 10])
+@pytest.mark.parametrize("layout", ["C", "F", "transposed view"])
+@pytest.mark.parametrize("k", [None, 3, 12])
+def test_narrow_gather_matches_shift_reduce(ell, layout, k):
+    # a MAC's shape: rows times (L, ell) r-vectors, few columns and many
+    # rows, which the gather reduces in (ell, L) order whatever the layout;
+    # k = 12 > ell takes the column form, the rest one combination per row
+    rng = np.random.default_rng(ell * 100 + (k or 0))
+    L = 300
+    stacked = rng.integers(0, 256, (ell, L), dtype=np.uint8)  # tag-major
+    rs = {"C": np.ascontiguousarray(stacked.T), "F": np.asfortranarray(stacked.T),
+          "transposed view": stacked.T}[layout]
+    x = rng.integers(0, 256, L if k is None else (L, k), dtype=np.uint8)
+    x = x if k is None else x.T  # a (k, L) view of an (L, k) matrix
+    x[..., :3] = [0, 1, 255]
+    with field.counter:
+        got = field.combine_rows(x, rs)
+        assert field.counter.value == (k or 1) * L * ell
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _shift_reduce_product(x, rs))
+
+
 def test_spawn_cluster_blocks_and_tags_golden():
     # node blocks are (36, 40) @ (40, 605): the Four-Russians form, over
     # full column chunks and a partial one.  The data symbols and

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncaudit import prf
 
@@ -93,6 +94,27 @@ def test_nonce_separates():
         base = fn(KEY, FID, NONCE_3_7, 32)
         assert not np.array_equal(base, fn(KEY, FID, other_node, 32))
         assert not np.array_equal(base, fn(KEY, FID, other_k, 32))
+
+
+# head indices and nonce for one domain of each function
+_DOMAINS = {prf.F1: ((2,), b""), prf.F3: ((), NONCE_3_7), prf.F4: ((), NONCE_3_7)}
+
+
+@settings(max_examples=80, deadline=None)
+@example(prf.F3, 64, 64, 0, 0)   # exactly one chunk, not the first
+@example(prf.F4, 127, 2, 63, 65)  # a two-symbol range across a boundary
+@given(st.sampled_from(sorted(_DOMAINS)), st.integers(1, 400), st.integers(1, 200),
+       st.integers(0, 130), st.integers(0, 130))
+def test_eval_range_is_the_slice_of_a_longer_range(fn, start, count, before, after):
+    # a range read alone equals the same symbols read inside a longer range
+    # that begins up to `before` symbols earlier and ends `after` later
+    head, nonce = _DOMAINS[fn]
+    lo = max(1, start - before)
+    whole = prf.eval_range(KEY, fn, FID, head, start - lo + count + after,
+                           nonce=nonce, start=lo)
+    part = prf.eval_range(KEY, fn, FID, head, count, nonce=nonce, start=start)
+    assert part.dtype == np.uint8 and part.shape == (count,)
+    assert np.array_equal(part, whole[start - lo: start - lo + count])
 
 
 def test_single_eval_matches_batch():

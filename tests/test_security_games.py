@@ -98,7 +98,7 @@ def _forge(ell: int, seed: int, strategy: str) -> bool:
         patch = rng.integers(0, 256, ell, dtype=np.uint8)
     payload.rows[block, pos] ^= delta
     payload.rows[block, params.n:] ^= patch
-    chal = Challenge(c.manifest.file_id, [(block, int(rng.integers(1, 256)))], node)
+    chal = Challenge(c.manifest.file_id, [block], [int(rng.integers(1, 256))], node)
     return _round(c, node, chal)[2]
 
 
@@ -154,7 +154,7 @@ def _left_or_right(ell: int, seed: int) -> bool:
     c = spawn_cluster(params, "evenodd4", bytes(files[secret]), seed=seed)
     manifest, k_v = c.manifest, c.user.keys.k_v  # the TPA's view
     alpha = int(rng.integers(1, 256))
-    chal = Challenge(manifest.file_id, [(0, alpha)], 0)
+    chal = Challenge(manifest.file_id, [0], [alpha], 0)
     _, proof, accepted = _round(c, 0, chal)
     assert accepted
     coeffs = field.vec_scale(alpha, manifest.node_coeffs[0][0])

@@ -1,4 +1,7 @@
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncaudit import blocks, field, prf, spacemac
@@ -80,6 +83,36 @@ def test_cache_extends_monotonically():
     short = spacemac.r_vector(KEY, FID, 10, 1).copy()
     long = spacemac.r_vector(KEY, FID, 64, 1)
     assert np.array_equal(long[:10], short)
+
+
+def test_r_cache_is_bounded():
+    # one entry per (k_v, file id), the least recently used dropped first
+    block = np.arange(20, dtype=np.uint8)
+    first = spacemac.mac(KEY, b"file-0", block, ell=2)
+    for i in range(100):
+        spacemac.mac(KEY, f"file-{i}".encode(), block, ell=2)
+        assert len(spacemac._r_cache) <= spacemac.R_CACHE_SIZE
+    assert (KEY, b"file-99") in spacemac._r_cache
+    assert (KEY, b"file-0") not in spacemac._r_cache
+    assert np.array_equal(spacemac.mac(KEY, b"file-0", block, ell=2), first)
+
+
+def test_r_vectors_are_rows_of_one_read_only_matrix():
+    # each vector is derived once, when first asked for, and a longer
+    # request re-derives them all; earlier prefixes stay the same
+    block = np.arange(40, dtype=np.uint8)
+    with mock.patch.object(prf, "derive_r_vector", wraps=prf.derive_r_vector) as derive:
+        tags = spacemac.mac(KEY, FID, block, ell=3)
+        assert derive.call_count == 3
+        spacemac.mac(KEY, FID, block[:30], ell=3)
+        assert derive.call_count == 3
+        spacemac.mac(KEY, FID, np.zeros(200, dtype=np.uint8), ell=2)
+        assert derive.call_count == 6
+    stack = spacemac._r_cache[KEY, FID]
+    assert stack.shape[0] == 3 and stack.shape[1] >= 200 and not stack.flags.writeable
+    assert np.array_equal(spacemac.mac(KEY, FID, block, ell=3), tags)
+    with pytest.raises(ValueError):
+        spacemac.r_vector(KEY, FID, 50, 3)[0] = 1
 
 
 def test_r_vector_skips_zero_keystream_symbols():
