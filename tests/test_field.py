@@ -3,11 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ncaudit import field
+from ncaudit import dynamics, field
 from ncaudit.blocks import SystemParams, combine_blocks
-from ncaudit.cluster import spawn_cluster
+from ncaudit.cluster import Fault, spawn_cluster
 
 elem = st.integers(0, 255)
 
@@ -68,6 +68,11 @@ def _scalar_dot(u, v):
     for a, b in zip(u.tolist(), v.tolist()):
         acc ^= field.mul(a, b)
     return acc
+
+
+def _combine_row_by_row(coeffs, rows):
+    # the reference for a 2-D combine_rows: one 1-D combination per output row
+    return np.stack([field.combine_rows(c, rows) for c in coeffs])
 
 
 def _row_dots(rows, v):
@@ -138,29 +143,40 @@ def test_counter_counts_each_helper():
 
 
 LO = field.FOUR_RUSSIANS_MIN
+# a (k, r) @ (r, w) product with w >= k and fewer products than this is one gather
+GATHER = 1 << 17
 
 
 @st.composite
 def _products(draw):
     """(form, k, r, w, coefficient kind): shapes on both sides of each switch
     of a (k, r) @ (r, w) product, r and w often not multiples of 8."""
-    form = draw(st.sampled_from(["column", "four_russians", "per_row"]))
+    form = draw(st.sampled_from(["column", "gather", "four_russians", "per_row"]))
     if form == "column":
         k = draw(st.integers(2, 2 * LO))
         r, w = draw(st.integers(1, 3 * LO)), draw(st.integers(1, k - 1))
-    elif form == "four_russians":
-        k, r = draw(st.integers(LO, 2 * LO)), draw(st.integers(LO, 3 * LO))
-        w = draw(st.integers(k, 2 * field.CHUNK + 40))
+    elif form == "gather":
+        k = draw(st.integers(1, 2 * LO))
+        r = draw(st.integers(1, min(3 * LO, (GATHER - 1) // (k * k))))
+        w = draw(st.integers(k, (GATHER - 1) // (k * r)))
     else:
-        small = st.integers(1, LO - 1)
-        k, r = draw(st.one_of(st.tuples(small, st.integers(1, 3 * LO)),
-                              st.tuples(st.integers(1, 2 * LO), small)))
-        w = draw(st.integers(k, field.CHUNK + 40))
+        if form == "four_russians":
+            k, r = draw(st.integers(LO, 2 * LO)), draw(st.integers(LO, 3 * LO))
+        else:
+            small = st.integers(1, LO - 1)
+            k, r = draw(st.one_of(st.tuples(small, st.integers(1, 3 * LO)),
+                                  st.tuples(st.integers(1, 2 * LO), small)))
+        # at least GATHER products, so the one gather does not take them
+        least = max(k, -(-GATHER // (k * r)))
+        w = draw(st.integers(least, least + field.CHUNK + 40))
     return form, k, r, w, draw(st.sampled_from(["random", "zero", "0/1/255"]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_products(), st.integers(0, 2**32 - 1))
+@example(("gather", 1, 40, 600, "random"), 1)
+@example(("gather", 4, 1, 1024, "random"), 2)
+@example(("gather", 1, 1, 1, "0/1/255"), 3)
 def test_product_matches_row_by_row(product, seed):
     # every form of the 2-D product against one 1-D combination per row
     form, k, r, w, kind = product
@@ -171,19 +187,22 @@ def test_product_matches_row_by_row(product, seed):
     elif kind == "0/1/255":
         coeffs = np.array([0, 1, 255], dtype=np.uint8)[rng.integers(0, 3, (k, r))]
     rows = rng.integers(0, 256, (r, w), dtype=np.uint8)
-    want = np.stack([field.combine_rows(c, rows) for c in coeffs])
+    want = _combine_row_by_row(coeffs, rows)
     with mock.patch.object(field, "_four_russians", wraps=field._four_russians) as fr, \
             mock.patch.object(field, "_combine", wraps=field._combine) as one:
         got = field.combine_rows(coeffs, rows)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
     assert fr.called == (form == "four_russians")
-    assert one.call_count == {"column": w, "four_russians": 0, "per_row": k}[form]
+    assert one.call_count == {"column": w, "gather": 0, "four_russians": 0,
+                              "per_row": k}[form]
 
 
 @pytest.mark.parametrize("k, r, w", [(2 * LO, 3 * LO, 7),          # column
                                      (LO, LO + 5, field.CHUNK + 3),  # Four Russians
                                      (LO - 1, 3 * LO, 2 * LO),     # per row
-                                     (3, 9, 1)])                  # column, tiny
+                                     (3, 9, 1),                   # column, tiny
+                                     (4, 20, 1026),               # one gather
+                                     (1, 1, 5)])                  # one gather, tiny
 def test_counter_reads_k_r_w_for_each_form(k, r, w):
     rng = np.random.default_rng(k * r * w)
     coeffs = rng.integers(0, 256, (k, r), dtype=np.uint8)
@@ -211,7 +230,7 @@ def _shift_reduce_product(x, rs):
 def test_narrow_gather_matches_shift_reduce(ell, layout, k):
     # a MAC's shape: rows times (L, ell) r-vectors, few columns and many
     # rows, which the gather reduces in (ell, L) order whatever the layout;
-    # k = 12 > ell takes the column form, the rest one combination per row
+    # k > ell takes the column form and k = 3 <= ell = 10 the one gather
     rng = np.random.default_rng(ell * 100 + (k or 0))
     L = 300
     stacked = rng.integers(0, 256, (ell, L), dtype=np.uint8)  # tag-major
@@ -283,7 +302,10 @@ def test_solve_any_particular_solution():
 
 
 def _eliminate_row_by_row(a, b):
-    # the per-row reduction, the reference for field._eliminate
+    # the per-row reduction, the reference for field._eliminate (which with
+    # b None reduces only below each pivot; the pivots and rank are the same)
+    if b is None:
+        b = np.zeros((a.shape[0], 0), dtype=np.uint8)
     pivots, r = [], 0
     for c in range(a.shape[1]):
         nz = [i for i in range(r, a.shape[0]) if a[i, c]]
@@ -303,12 +325,13 @@ def _eliminate_row_by_row(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([2, 4, 256]),
-       st.booleans(), st.booleans(), st.sampled_from([None, 1, 3]),
+@given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([2, 4, 256]),
+       st.booleans(), st.booleans(), st.sampled_from([None, 0, 1, 3, 256, 1026]),
        st.integers(0, 2**32 - 1))
 def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, seed):
-    # tall, wide and square; small alphabets and duplicate rows make ranks
-    # below min(rows, cols); a zero column is never a pivot
+    # tall, wide and square up to the simulator's sizes, right-hand sides
+    # from none to a decode's width; small alphabets and duplicate rows make
+    # ranks below min(rows, cols); a zero column is never a pivot
     r = np.random.default_rng(seed)
     a = r.integers(0, alphabet, (rows, cols), dtype=np.uint8)
     if dup_row and rows > 1:
@@ -325,8 +348,16 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
 
     want_a, want_b = a.copy(), rhs2.copy()
     got_a, got_b = a.copy(), rhs2.copy()
-    assert field._eliminate(got_a, got_b) == _eliminate_row_by_row(want_a, want_b)
+    pivots, want_rank = want = _eliminate_row_by_row(want_a, want_b)
+    assert field._eliminate(got_a, got_b) == want
     assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+    # the rank alone: the same pivots, a row echelon form below them
+    assert rank == want_rank
+    forward = a.copy()
+    assert field._eliminate(forward, None) == want
+    for i, c in enumerate(pivots):
+        assert forward[i, c] == 1 and not forward[i + 1:, c].any()
+    assert not forward[rank:].any()
 
     res = field.gaussian_solve(a, rhs)
     assert res.rank == rank
@@ -337,6 +368,8 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
     if rank == cols:
         assert np.array_equal(res.solution, x)
 
+    if width == 0:
+        return  # no right-hand side can be off
     # a row dependent on the others whose right-hand side is off by a nonzero delta
     c = r.integers(0, 256, rows, dtype=np.uint8)
     delta = np.zeros(rhs2.shape[1], dtype=np.uint8)
@@ -346,3 +379,45 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
     bad = field.gaussian_solve(np.concatenate([a, bad_row]),
                                np.concatenate([rhs2, bad_rhs]))
     assert bad.status == "inconsistent" and bad.solution is None
+
+
+def _churn_once(seed):
+    # one cluster-churn round at n=64: an update, an exact and a functional
+    # repair, a corruption caught by full-node audits, a decode
+    params = SystemParams(n=64, m=8, N=6, M=2, P=5, Q=2, ell=2, lambda_bits=80)
+    rng = np.random.default_rng(seed)
+    width = params.n - 2
+    data = rng.bytes(params.m * width - 11)
+    c = spawn_cluster(params, "random_functional", data, seed=seed)
+    chunks = [data[i * width:(i + 1) * width] for i in range(params.m)]
+    chunks[3] = rng.bytes(40)
+    payloads = {i: node.payload for i, node in c.nodes.items()}
+    dynamics.update_block(c.manifest, payloads, c.user.keys, 3, chunks[3], rng)
+    c.fail_and_repair(1, "exact")
+    c.fail_and_repair(2, "functional")
+    c.inject_fault(4, Fault("corrupt_symbol", block=1, position=7, delta=9))
+    verdicts = [c.run_audit_round(4, params.M)[0] for _ in range(3)]
+    decoded = c.decode_current_file()
+    assert not all(verdicts) and decoded == b"".join(chunks)
+    return ({i: node.payload.rows.copy() for i, node in c.nodes.items()},
+            c.manifest.to_json(), verdicts, decoded)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_churn_matches_row_by_row_references(seed):
+    # the whole write path twice, once with the 2-D products and every
+    # elimination swapped for the row-by-row references: the same bytes
+    one_d = field.combine_rows
+
+    def combine_row_by_row(coeffs, rows):
+        coeffs = field.vec(coeffs)
+        return one_d(coeffs, rows) if coeffs.ndim == 1 else _combine_row_by_row(coeffs, rows)
+
+    want = _churn_once(seed)
+    with mock.patch.object(field, "_eliminate", wraps=_eliminate_row_by_row) as elim, \
+            mock.patch.object(field, "combine_rows", wraps=combine_row_by_row) as comb:
+        got = _churn_once(seed)
+    assert elim.call_count > 5 and comb.called
+    assert got[0].keys() == want[0].keys()
+    assert all(np.array_equal(got[0][i], want[0][i]) for i in want[0])
+    assert got[1:] == want[1:]
