@@ -15,7 +15,7 @@ that order for free) lays its indices out as (w, r), so each output symbol
 reduces one contiguous run.  A (k, r) @ (r, w) product takes one of four
 forms: narrow outputs (w < k) make one combination per output column, small
 products (fewer than 2^17 symbol products) are one gather of all k·r·w
-products reduced over r, wide products with k and r both large use the
+products, laid out (k, w, r) when w < r, reduced over r, wide products with k and r both large use the
 Four-Russians method (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS
 2010) on each bit-plane, as M4RIE does for GF(2^e) (Albrecht, ISSAC 2012),
 and the rest make one combination per output row.
@@ -131,6 +131,11 @@ FOUR_RUSSIANS_MIN = 32
 # 256 ran ~10% faster than 512 and halves the accumulator and gather
 # buffers (8 bytes per output row and chunk column each).
 CHUNK = 256
+# Below this many symbol products (k·r·w, or r·w for one combination) a
+# product is one gather of flat table indices a << 8 | b, several times
+# faster than a two-array index; above it a combination bit-slices and a
+# product takes one of the other forms.
+GATHER_MAX = 1 << 17
 
 
 def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
@@ -145,12 +150,10 @@ def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
     if coeffs.ndim == 1:
         return _combine(coeffs, rows)
     (k, r), w = coeffs.shape, rows.shape[1]
-    if w >= k and k * r * w < 1 << 17:
-        # one gather of all k·r·w products, reduced over r; on one CPU it
-        # took 0.3-0.75x the time of the per-row or Four-Russians form, from
-        # (4, 1, 1024) to shapes just under the bound
-        flat = (coeffs[:, :, None].astype(np.uint16) << 8) | rows
-        return np.bitwise_xor.reduce(MUL.take(flat), axis=1)
+    if w >= k and k * r * w < GATHER_MAX:
+        # on one CPU it took 0.3-0.75x the time of the per-row or
+        # Four-Russians form, from (4, 1, 1024) to shapes just under the bound
+        return _gather(coeffs, rows)
     if w >= k and min(k, r) >= FOUR_RUSSIANS_MIN:
         return _four_russians(coeffs, rows)
     out = np.empty((k, w), dtype=np.uint8)
@@ -165,22 +168,28 @@ def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """alphas @ rows for (r,) or (k, r) alphas as one gather of every
+    product through flat table indices, uncounted."""
+    r, w = rows.shape
+    if w < r:
+        # narrow rows (a MAC's r-vectors): (..., w, r) indices, so that each
+        # output symbol reduces one contiguous run, whatever rows' order
+        flat = np.empty(alphas.shape[:-1] + (w, r), dtype=np.uint16)
+        np.bitwise_or(alphas[..., None, :].astype(np.uint16) << 8, rows.T, out=flat)
+        return np.bitwise_xor.reduce(MUL.take(flat), axis=-1)
+    flat = (alphas[..., None].astype(np.uint16) << 8) | rows
+    return np.bitwise_xor.reduce(MUL.take(flat), axis=-2)
+
+
 def _combine(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_i alphas[i] * rows[i], uncounted."""
-    # The gather reads MUL through flat indices a << 8 | b, several times
-    # faster than a two-array index.  Bit-slicing pays a fixed cost of eight
-    # row selections, reductions and doublings; on one CPU it beats the
-    # gather from about 128k symbols in rows at least 256 wide.
+    # Bit-slicing pays a fixed cost of eight row selections, reductions and
+    # doublings; on one CPU it beats the gather from about 128k symbols in
+    # rows at least 256 wide.
     r, w = rows.shape
-    if w < 256 or rows.size < 1 << 17:
-        if w < r:
-            # narrow rows (a MAC's r-vectors): (w, r) indices, so that each
-            # output symbol reduces one contiguous run, whatever rows' order
-            flat = np.empty((w, r), dtype=np.uint16)
-            np.bitwise_or(alphas.astype(np.uint16) << 8, rows.T, out=flat)
-            return np.bitwise_xor.reduce(MUL.take(flat), axis=1)
-        flat = (alphas[:, None].astype(np.uint16) << 8) | rows
-        return np.bitwise_xor.reduce(MUL.take(flat), axis=0)
+    if w < 256 or rows.size < GATHER_MAX:
+        return _gather(alphas, rows)
     out = np.zeros(w, dtype=np.uint8)
     for k in range(7, -1, -1):
         out = MUL[2][out] ^ np.bitwise_xor.reduce(rows[(alphas >> k) & 1 == 1], axis=0)

@@ -144,7 +144,7 @@ def test_counter_counts_each_helper():
 
 LO = field.FOUR_RUSSIANS_MIN
 # a (k, r) @ (r, w) product with w >= k and fewer products than this is one gather
-GATHER = 1 << 17
+GATHER = field.GATHER_MAX
 
 
 @st.composite
@@ -166,9 +166,11 @@ def _products(draw):
             small = st.integers(1, LO - 1)
             k, r = draw(st.one_of(st.tuples(small, st.integers(1, 3 * LO)),
                                   st.tuples(st.integers(1, 2 * LO), small)))
-        # at least GATHER products, so the one gather does not take them
+        # at least GATHER products, so the one gather does not take them;
+        # Four Russians up to three column chunks
         least = max(k, -(-GATHER // (k * r)))
-        w = draw(st.integers(least, least + field.CHUNK + 40))
+        most = 2 * field.CHUNK + 40 if form == "four_russians" else least + field.CHUNK + 40
+        w = draw(st.integers(least, max(least, most)))
     return form, k, r, w, draw(st.sampled_from(["random", "zero", "0/1/255"]))
 
 
@@ -177,6 +179,7 @@ def _products(draw):
 @example(("gather", 1, 40, 600, "random"), 1)
 @example(("gather", 4, 1, 1024, "random"), 2)
 @example(("gather", 1, 1, 1, "0/1/255"), 3)
+@example(("gather", 3, 300, 10, "random"), 4)  # narrow: w < r
 def test_product_matches_row_by_row(product, seed):
     # every form of the 2-D product against one 1-D combination per row
     form, k, r, w, kind = product
