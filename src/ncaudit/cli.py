@@ -208,14 +208,13 @@ def cmd_extract(args) -> int:
     from . import extractor
     cluster = _open_cluster(args)
     cluster.inject_fault(args.node, Fault("lie_probability", epsilon=args.epsilon))
-    node = cluster.nodes[args.node]
     try:
-        report = extractor.extract_node(node.answer, cluster.manifest, args.node,
-                                        cluster.user, cluster.rng, rounds=args.rounds)
+        report = extractor.extract_node(cluster, args.node, cluster.rng,
+                                        rounds=args.rounds)
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
-    match = np.array_equal(report.rows, node.payload.rows)
+    match = np.array_equal(report.rows, cluster.nodes[args.node].payload.rows)
     print(f"extracted {len(report.rows)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
     return 0 if match else 1

@@ -8,15 +8,16 @@ one repair.
 No sockets; messages are method calls, but every payload that would cross
 the wire is serialized and the byte ledgers are charged from the serialized
 length.  Key visibility is role-scoped: nodes never see the verification
-key, the auditor never sees the encryption key.  The user issues one
-voucher per challenge; the auditor spends each k once.
+key, the auditor never sees the encryption key.  Audit rounds and
+extraction queries run one exchange, in which the auditor spends each
+node's voucher counters once and in order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -155,29 +156,30 @@ class Node:
 
 
 class Tpa:
-    """Auditor.  Holds k_v and the manifest; never k_e."""
+    """Auditor.  Holds k_v and the manifest; never k_e.  Per node it keeps
+    the last k it spent and the last k the user announced."""
 
     def __init__(self, k_v: bytes, manifest: FileManifest, rng):
         self._k_v = k_v
         self.manifest = manifest
         self.rng = rng
         self.ledger = ByteLedger()
-        self._unspent: Set[Tuple[int, int]] = set()  # issued, unused (node, k)
+        self.last_spent: Dict[int, int] = {}
+        self.issued_upto: Dict[int, int] = {}
 
     def challenge(self, node: int, count: int) -> Challenge:
         return audit.gen_challenge(self.manifest, node, count, self.rng)
 
     def expect(self, node: int, k: int) -> None:
-        """The user's notice that voucher k was issued to node."""
-        self._unspent.add((node, k))
+        """The user's notice that vouchers up to k were issued to node."""
+        self.issued_upto[node] = k
 
     def verify(self, chal: Challenge, proof: Proof) -> Tuple[bool, VerifyStats]:
-        """Spend the proof's k and verify; a k used before, never issued, or
-        issued to another node is rejected unverified."""
-        spent = (chal.node, proof.k)
-        if spent not in self._unspent:
+        """Spend the proof's k and verify; a k at or below the node's last
+        spent one, or above its last announced one, is rejected unverified."""
+        if not self.last_spent.get(chal.node, 0) < proof.k <= self.issued_upto.get(chal.node, 0):
             return False, VerifyStats()
-        self._unspent.remove(spent)
+        self.last_spent[chal.node] = proof.k
         return audit.verify_proof(self._k_v, self.manifest, chal, proof)
 
 
@@ -217,26 +219,32 @@ class Cluster:
         self.transcript: List[dict] = []
 
     # -- protocol steps ------------------------------------------------
-    def run_audit_round(self, node: int, count: int) -> Tuple[bool, dict]:
-        chal = self.tpa.challenge(node, count)
-        self.tpa.ledger.charge(self.nodes[node].ledger, "control_bytes",
-                               len(chal.to_bytes()))
-        # the user sends the node k and the voucher, and the TPA k
-        voucher = self.user.issue(self.manifest, node)
-        self.tpa.expect(node, voucher.k)
+    def exchange(self, chal: Challenge) -> Tuple[bool, Optional[Proof], ncrypt.Voucher]:
+        """The TPA's challenge to a node, the user's next voucher for it (k
+        announced to the TPA), the node's answer on the wire and the TPA's
+        verdict: (accepted, proof, voucher).  An answer the node cannot give
+        or the TPA cannot parse is rejected, with proof None."""
+        node = self.nodes[chal.node]
+        self.tpa.ledger.charge(node.ledger, "control_bytes", len(chal.to_bytes()))
+        voucher = self.user.issue(self.manifest, chal.node)
+        self.tpa.expect(chal.node, voucher.k)
         k_bytes = self.params.lambda_bits // 8
-        self.user.ledger.charge(self.nodes[node].ledger, "voucher_bytes",
-                                k_bytes + voucher.value.size)
+        self.user.ledger.charge(node.ledger, "voucher_bytes", k_bytes + voucher.value.size)
         self.user.ledger.charge(self.tpa.ledger, "voucher_bytes", k_bytes)
+        raw, proof = b"", None
         try:
-            raw = self.nodes[node].answer(chal, voucher).to_bytes()
-        except ValueError:  # a challenged row the node no longer stores
-            raw = b""
-        self.nodes[node].ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
-        accepted = bool(raw) and self.tpa.verify(
-            chal, Proof.from_bytes(raw, self.manifest.params))[0]
-        record = {"event": "audit", "node": node, "count": count,
-                  "accepted": bool(accepted), "proof_bytes": len(raw)}
+            raw = node.answer(chal, voucher).to_bytes()
+            proof = Proof.from_bytes(raw, self.manifest.params)
+        except ValueError:  # e.g. a challenged row the node no longer stores
+            pass
+        node.ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
+        return proof is not None and self.tpa.verify(chal, proof)[0], proof, voucher
+
+    def run_audit_round(self, node: int, count: int) -> Tuple[bool, dict]:
+        sent = self.nodes[node].ledger.sent["proof_bytes"]
+        accepted = self.exchange(self.tpa.challenge(node, count))[0]
+        record = {"event": "audit", "node": node, "count": count, "accepted": accepted,
+                  "proof_bytes": self.nodes[node].ledger.sent["proof_bytes"] - sent}
         self.transcript.append(record)
         return accepted, record
 

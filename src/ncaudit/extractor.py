@@ -1,26 +1,26 @@
 """Recovering a node's blocks from a prover that sometimes lies.
 
-The prover answers aggregate challenges; an answer counts only if the
-auditor's check, audit.verify_proof, accepts it, and a random lie rarely
-does.  Each target combination is asked R times with proportional
-coefficients (c * alpha for random nonzero c), normalized by 1/c, and
-settled by majority vote over the (data, tag) answers.  M independent
-majority winners pin down the node's blocks by elimination.  The extractor
-runs at the user, which issues each query's voucher and so can strip both
-the mask and the voucher from an accepted answer.
+The prover answers aggregate challenges through the audit's own exchange
+(cluster.Cluster.exchange); an answer counts only if the auditor accepts
+it, and a random lie rarely passes.  Each target combination is asked R
+times with proportional coefficients (c * alpha for random nonzero c),
+normalized by 1/c, and settled by majority vote over the (data, tag)
+answers.  M independent majority winners pin down the node's blocks by
+elimination.  The extractor runs at the user, which issued each query's
+voucher and so can strip both the mask and the voucher from an accepted
+answer.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
 from . import field, ncrypt
-from .audit import Challenge, Proof, verify_block, verify_proof
-from .blocks import FileManifest
+from .audit import Challenge, verify_block
 
 
 class ExtractionError(RuntimeError):
@@ -31,32 +31,24 @@ class ExtractionError(RuntimeError):
 EXTRA_BUDGET = 3
 
 
-# oracle: (Challenge, Voucher) -> Proof or None (refusal)
-ProofOracle = Callable[[Challenge, ncrypt.Voucher], Optional[Proof]]
-
-
 @dataclass
 class ExtractionReport:
     rows: np.ndarray  # (M, n+ell), row j as the node stores block j: data, then tags
     queries: int
-    discarded: int  # answers that verify_proof rejected or could not read
+    discarded: int  # answers the auditor rejected
 
 
-def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
-                 user, rng, rounds: int = 15) -> ExtractionReport:
-    """Rebuild all M blocks stored at `node`, with their tags; `user` holds
-    the keys and issues the vouchers (cluster.User).
+def extract_node(cluster, node: int, rng, rounds: int = 15) -> ExtractionReport:
+    """Rebuild all M blocks stored at `node` of a cluster.Cluster, with
+    their tags, from audit exchanges; `rng` draws the queries.
 
     `rounds` challenges per equation, M equations; an equation whose vote
-    is not a strict majority of verified answers is redrawn with fresh
+    is not a strict majority of accepted answers is redrawn with fresh
     coefficients, up to EXTRA_BUDGET * M replacements in total.
     """
-    params = manifest.params
+    manifest, keys = cluster.manifest, cluster.user.keys
     rows = manifest.node_coeffs[node]
-    M = rows.shape[0]
-    n = params.n
-    fid = manifest.file_id.encode()
-    k_e, k_v = user.keys.k_e, user.keys.k_v
+    M, n, fid = rows.shape[0], manifest.params.n, manifest.file_id.encode()
 
     solved_alphas: List[np.ndarray] = []
     solved_answers: List[np.ndarray] = []  # rows as the node stores them
@@ -77,20 +69,14 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
             scaled = field.vec_scale(c, alphas)
             live = np.flatnonzero(scaled)
             chal = Challenge(manifest.file_id, live, scaled[live], node)
-            voucher = user.issue(manifest, node)
-            proof = oracle(chal, voucher)
+            accepted, proof, voucher = cluster.exchange(chal)
             queries += 1
-            if proof is None or proof.k != voucher.k:
-                continue  # a refusal, or an answer under another voucher
-            try:
-                accepted = verify_proof(k_v, manifest, chal, proof)[0]
-            except ValueError:  # c_bar, pad or tag of the wrong length
-                accepted = False
             if not accepted:
                 discarded += 1
                 continue
             # the unmasked aggregate and its tag without the voucher
-            e_bar = ncrypt.dec(k_e, fid, node, proof.k, proof.c_bar, params)
+            e_bar = ncrypt.dec(keys.k_e, fid, node, proof.k, proof.c_bar,
+                             manifest.params)
             answer = np.concatenate([e_bar, proof.pad, proof.tag ^ voucher.value])
             votes[field.vec_scale(field.inv(c), answer).tobytes()] += 1
         if votes:
@@ -109,8 +95,8 @@ def extract_node(oracle: ProofOracle, manifest: FileManifest, node: int,
     if res.status != "unique":
         raise ExtractionError(f"equation system {res.status}")
     solved = res.solution
-    bad = np.flatnonzero(~verify_block(k_v, manifest, np.hstack([solved[:, :n], rows]),
-                                       solved[:, n:]))
+    bad = np.flatnonzero(~verify_block(keys.k_v, manifest,
+                                       np.hstack([solved[:, :n], rows]), solved[:, n:]))
     if bad.size:
         raise ExtractionError(f"recovered block {bad[0]} fails verification")
     return ExtractionReport(solved, queries, discarded)

@@ -296,9 +296,8 @@ def test_criterion_10_retrievability():
     successes = 0
     for trial in range(100):
         try:
-            report = extractor.extract_node(
-                c.nodes[node].answer, c.manifest, node, c.user,
-                np.random.default_rng(10_000 + trial), rounds=15)
+            report = extractor.extract_node(c, node, np.random.default_rng(10_000 + trial),
+                                            rounds=15)
         except extractor.ExtractionError:
             continue
         if not np.array_equal(report.rows, p.rows):
@@ -367,10 +366,7 @@ def test_criterion_11_dynamics():
         if not aug[1]:
             continue
         rounds += 1
-        voucher = c2.user.issue(c2.manifest, stale)
-        c2.tpa.expect(stale, voucher.k)
-        proof = c2.nodes[stale].answer(chal, voucher)
-        rejected += not c2.tpa.verify(chal, proof)[0]
+        rejected += not c2.exchange(chal)[0]
     assert accepted == 1000
     assert rejected == 1000
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncaudit import cluster as cl, dynamics
+from ncaudit import cluster as cl, dynamics, extractor
+from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
@@ -64,6 +65,50 @@ def test_proof_bytes_per_round(cluster):
     _, record = cluster.run_audit_round(1, 2)
     n, lam, ell = PARAMS.n, PARAMS.lambda_bits, PARAMS.ell
     assert record["proof_bytes"] == (n - 2) + lam // 8 + 2 + ell
+
+
+def _refusing(answer):
+    def refuse(chal, voucher):
+        raise ValueError("no such row")
+    return refuse
+
+
+def _one_symbol_short(answer):
+    def short(chal, voucher):
+        proof = answer(chal, voucher)
+        return Proof(proof.c_bar[:-1], proof.nonce, proof.pad, proof.tag)
+    return short
+
+
+@pytest.mark.parametrize("fake, sent", [(_refusing, 0), (_one_symbol_short, -1)])
+def test_unreadable_answer_is_a_rejected_record(cluster, fake, sent):
+    # the record keeps the bytes the node sent: none, or one fewer than a proof
+    full = cluster.run_audit_round(1, 2)[1]["proof_bytes"]
+    node = cluster.nodes[1]
+    node.answer = fake(node.answer)
+    accepted, record = cluster.run_audit_round(1, 2)
+    assert not accepted and record["accepted"] is False
+    assert record["proof_bytes"] == (full + sent if sent else 0)
+    del node.answer
+    assert cluster.run_audit_round(1, 2)[0]
+
+
+def test_extraction_is_charged_to_the_ledgers(cluster):
+    report = extractor.extract_node(cluster, 3, np.random.default_rng(4))
+    ledgers = [cluster.user.ledger, cluster.tpa.ledger,
+               *(node.ledger for node in cluster.nodes.values())]
+    for category in cl.LEDGER_CATEGORIES:
+        assert (sum(ledger.sent[category] for ledger in ledgers)
+                == sum(ledger.received[category] for ledger in ledgers))
+    node, tpa, q = cluster.nodes[3].ledger, cluster.tpa.ledger, report.queries
+    n, k_bytes, ell = PARAMS.n, PARAMS.lambda_bits // 8, PARAMS.ell
+    assert node.sent["proof_bytes"] == tpa.received["proof_bytes"] == q * (
+        (n - 2) + k_bytes + 2 + ell)
+    assert node.received["voucher_bytes"] == q * (k_bytes + ell)
+    assert tpa.received["voucher_bytes"] == q * k_bytes
+    # a challenge of one or two entries: file id, entry count, 5 bytes an entry
+    head = 8 + len(cluster.manifest.file_id)
+    assert q * (head + 5) <= node.received["control_bytes"] <= q * (head + 10)
 
 
 def test_fault_validation(cluster):

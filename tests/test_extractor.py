@@ -18,9 +18,8 @@ def cluster():
 
 
 def _extract(cluster, node, seed, rounds=15):
-    return extractor.extract_node(
-        cluster.nodes[node].answer, cluster.manifest, node, cluster.user,
-        np.random.default_rng(seed), rounds=rounds)
+    return extractor.extract_node(cluster, node, np.random.default_rng(seed),
+                                  rounds=rounds)
 
 
 def test_extract_honest_node(cluster):
@@ -40,10 +39,12 @@ def test_extract_lying_node(cluster):
 
 def test_extract_refusing_node(cluster):
     # a prover that refuses every challenge yields no equations
+    def refuse(chal, voucher):
+        raise ValueError("refused")
+
+    cluster.nodes[1].answer = refuse
     with pytest.raises(extractor.ExtractionError):
-        extractor.extract_node(
-            lambda chal, voucher: None, cluster.manifest, 1, cluster.user,
-            np.random.default_rng(3))
+        _extract(cluster, 1, seed=3)
 
 
 def test_extract_always_lying_node(cluster):
@@ -52,34 +53,34 @@ def test_extract_always_lying_node(cluster):
         _extract(cluster, 3, seed=4)
 
 
-def _stale_oracle(cluster, node, every):
-    """An honest node that answers every `every`-th query under the first
+def _answer_stale(cluster, node, every):
+    """Make an honest node answer every `every`-th query under the first
     voucher it ever received instead of the one it was given."""
-    first, queries = [], itertools.count()
+    first, queries, answer = [], itertools.count(), cluster.nodes[node].answer
 
-    def oracle(chal, voucher):
+    def stale_answer(chal, voucher):
         if not first:
             first.append(voucher)
         stale = next(queries) % every == 0
-        return cluster.nodes[node].answer(chal, first[0] if stale else voucher)
-    return oracle
+        return answer(chal, first[0] if stale else voucher)
+    cluster.nodes[node].answer = stale_answer
 
 
 def test_extract_node_that_keeps_its_first_voucher(cluster):
     # only the first answer is under the voucher it was asked with
+    _answer_stale(cluster, 1, every=1)
     with pytest.raises(extractor.ExtractionError):
-        extractor.extract_node(_stale_oracle(cluster, 1, every=1), cluster.manifest, 1,
-                               cluster.user, np.random.default_rng(8))
+        _extract(cluster, 1, seed=8)
 
 
 def test_extract_node_that_replays_its_first_voucher_half_the_time(cluster):
-    # answers under another voucher are skipped, not counted as rejected
-    report = extractor.extract_node(_stale_oracle(cluster, 1, every=2),
-                                    cluster.manifest, 1, cluster.user,
-                                    np.random.default_rng(9))
+    # the TPA rejects an answer under a spent voucher, so it is discarded:
+    # every other answer but the first, whose voucher was the first one
+    _answer_stale(cluster, 1, every=2)
+    report = _extract(cluster, 1, seed=9)
     p = cluster.nodes[1].payload
     assert np.array_equal(report.rows, p.rows)
-    assert report.discarded == 0
+    assert report.discarded == report.queries // 2 - 1 == 59
 
 
 def test_query_accounting(cluster):
@@ -108,16 +109,16 @@ def test_extract_after_update():
 def test_extract_node_whose_answers_are_sometimes_malformed(cluster):
     # every third answer drops the last symbol of c_bar: it counts as
     # discarded, and the store is still recovered exactly
-    queries = itertools.count()
+    queries, answer = itertools.count(), cluster.nodes[2].answer
 
-    def oracle(chal, voucher):
-        proof = cluster.nodes[2].answer(chal, voucher)
+    def malformed_answer(chal, voucher):
+        proof = answer(chal, voucher)
         if next(queries) % 3 == 0:
             proof = Proof(proof.c_bar[:-1], proof.nonce, proof.pad, proof.tag)
         return proof
 
-    report = extractor.extract_node(oracle, cluster.manifest, 2, cluster.user,
-                                    np.random.default_rng(10))
+    cluster.nodes[2].answer = malformed_answer
+    report = _extract(cluster, 2, seed=10)
     p = cluster.nodes[2].payload
     assert np.array_equal(report.rows, p.rows)
     assert report.discarded == -(-report.queries // 3)

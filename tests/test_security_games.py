@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ncaudit import field, ncrypt, spacemac
+from ncaudit import audit, field, ncrypt, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import spawn_cluster
@@ -37,16 +37,6 @@ def _upper(trials: int, p: float) -> int:
 
 def _params(ell: int) -> SystemParams:
     return SystemParams(n=32, m=4, N=4, M=2, P=3, Q=1, ell=ell, lambda_bits=80)
-
-
-def _round(cluster, node: int, chal: Challenge):
-    """One audit as Cluster.run_audit_round runs it, with a chosen challenge:
-    the user issues a voucher, the node answers, the TPA spends k.  Returns
-    (voucher, proof, accepted)."""
-    voucher = cluster.user.issue(cluster.manifest, node)
-    cluster.tpa.expect(node, voucher.k)
-    proof = cluster.nodes[node].answer(chal, voucher)
-    return voucher, proof, cluster.tpa.verify(chal, proof)[0]
 
 
 # ------------------------------------------------------------ node forgery
@@ -99,7 +89,7 @@ def _forge(ell: int, seed: int, strategy: str) -> bool:
     payload.rows[block, pos] ^= delta
     payload.rows[block, params.n:] ^= patch
     chal = Challenge(c.manifest.file_id, [block], [int(rng.integers(1, 256))], node)
-    return _round(c, node, chal)[2]
+    return c.exchange(chal)[0]  # under k = VOUCHERS + 1, the first announced
 
 
 @pytest.mark.parametrize("strategy", ["algebra", "random"])
@@ -155,7 +145,7 @@ def _left_or_right(ell: int, seed: int) -> bool:
     manifest, k_v = c.manifest, c.user.keys.k_v  # the TPA's view
     alpha = int(rng.integers(1, 256))
     chal = Challenge(manifest.file_id, [0], [alpha], 0)
-    _, proof, accepted = _round(c, 0, chal)
+    accepted, proof, _ = c.exchange(chal)
     assert accepted
     coeffs = field.vec_scale(alpha, manifest.node_coeffs[0][0])
     candidates = [np.concatenate([field.vec_scale(alpha, np.frombuffer(bytes(f[:width]),
@@ -182,7 +172,7 @@ def cluster():
 
 def test_reused_k_is_rejected(cluster):
     chal = cluster.tpa.challenge(0, 2)
-    _, proof, accepted = _round(cluster, 0, chal)
+    accepted, proof, _ = cluster.exchange(chal)
     assert accepted
     assert not cluster.tpa.verify(chal, proof)[0]  # the same proof again
     # an old voucher for a new challenge
@@ -212,3 +202,35 @@ def test_another_nodes_k_is_rejected(cluster):
     # the voucher still serves the node it was issued to
     chal = cluster.tpa.challenge(1, 2)
     assert cluster.tpa.verify(chal, cluster.nodes[1].answer(chal, stolen))[0]
+
+
+def test_a_skipped_k_is_harmless_and_then_stale(cluster):
+    first = cluster.user.issue(cluster.manifest, 0)
+    cluster.tpa.expect(0, first.k)
+    second = cluster.user.issue(cluster.manifest, 0)
+    cluster.tpa.expect(0, second.k)
+    # the node answers under k = 2 first: accepted, and k = 1 is then spent
+    chal = cluster.tpa.challenge(0, 2)
+    assert cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, second))[0]
+    chal = cluster.tpa.challenge(0, 2)
+    assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, first))[0]
+    assert cluster.run_audit_round(0, 2)[0]
+
+
+def test_a_k_above_the_announced_ones_burns_no_counter(cluster, monkeypatch):
+    # a node answers under a k the user has not reached; were it spent, the
+    # node rebuilt in its place would be locked out until the user caught up
+    params = cluster.params
+    assert cluster.run_audit_round(2, 2)[0]
+    junk = Proof(np.zeros(params.n - 2, dtype=np.uint8),
+                 (2 ** params.lambda_bits - 1).to_bytes(params.lambda_bits // 8, "big"),
+                 np.zeros(2, dtype=np.uint8), np.zeros(params.ell, dtype=np.uint8))
+    cluster.nodes[2].answer = lambda chal, voucher: junk
+    checked, verify_proof = [], audit.verify_proof
+    monkeypatch.setattr(audit, "verify_proof",
+                        lambda *args: checked.append(args) or verify_proof(*args))
+    assert not cluster.exchange(cluster.tpa.challenge(2, 2))[0]
+    assert checked == []  # rejected unverified
+    cluster.fail_and_repair(2, "exact")
+    assert cluster.run_audit_round(2, 2)[0]
+    assert len(checked) == 1
