@@ -9,6 +9,7 @@ On-disk layout written by `setup`:
     <dir>/manifest.json
     <dir>/keys.json                 (hex keys; a real deployment would split these)
     <dir>/vouchers.json             (node id -> the counter k of its next voucher)
+    <dir>/tpa.json                  (node id -> the last counter the TPA spent)
     <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n data symbols each, row-major;
                                      their coefficients are in the manifest only)
     <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
@@ -100,9 +101,20 @@ def _load_store(root: Path):
     return manifest, keys, payloads
 
 
-def _save_counters(root: Path, next_k) -> None:
-    (root / "vouchers.json").write_text(json.dumps(
-        {str(node): k for node, k in sorted(next_k.items())}))
+def _save_counters(path: Path, counters) -> None:
+    path.write_text(json.dumps({str(node): k for node, k in sorted(counters.items())}))
+
+
+def _load_counters(path: Path, manifest: FileManifest, least: int):
+    """Node id -> counter from a JSON object that maps each of the store's
+    node ids, and no other, to an integer >= least; ValueError otherwise."""
+    counters = json.loads(path.read_text())
+    if not (isinstance(counters, dict)
+            and set(counters) == {str(node) for node in manifest.node_coeffs}
+            and all(type(k) is int and k >= least for k in counters.values())):
+        raise ValueError(f"{path.name} must map each of the store's node ids, "
+                         f"and no other, to a counter >= {least}")
+    return {int(node): k for node, k in counters.items()}
 
 
 class _StoreUser(User):
@@ -115,7 +127,7 @@ class _StoreUser(User):
 
     def issue(self, manifest: FileManifest, node: int):
         voucher = super().issue(manifest, node)
-        _save_counters(self.root, self.next_k)
+        _save_counters(self.root / "vouchers.json", self.next_k)
         return voucher
 
 
@@ -127,16 +139,12 @@ def _open_cluster(args) -> Cluster:
     if args.node not in manifest.node_coeffs:
         raise UsageError(f"no node {args.node} in this store "
                          f"(nodes {sorted(manifest.node_coeffs)})")
-    counters = json.loads((root / "vouchers.json").read_text())
-    if not (isinstance(counters, dict)
-            and set(counters) == {str(node) for node in manifest.node_coeffs}
-            and all(type(k) is int and k >= 1 for k in counters.values())):
-        raise ValueError("vouchers.json must map each of the store's node ids, "
-                         "and no other, to a counter >= 1")
     rng = np.random.default_rng(_seed(args))
     user = _StoreUser(keys, rng, root)
-    user.next_k = {int(node): k for node, k in counters.items()}
-    return Cluster(manifest, user, payloads, rng)
+    user.next_k = _load_counters(root / "vouchers.json", manifest, 1)
+    cluster = Cluster(manifest, user, payloads, rng)
+    cluster.tpa.last_spent = _load_counters(root / "tpa.json", manifest, 0)
+    return cluster
 
 
 # --------------------------------------------------------------- commands
@@ -165,7 +173,8 @@ def cmd_setup(args) -> int:
     manifest, payloads = audit.setup_file(src.read_bytes(), params, keys,
                                           code, rng, file_id=src.name)
     _save_store(Path(args.out), manifest, keys, payloads)
-    _save_counters(Path(args.out), dict.fromkeys(payloads, 1))
+    _save_counters(Path(args.out) / "vouchers.json", dict.fromkeys(payloads, 1))
+    _save_counters(Path(args.out) / "tpa.json", dict.fromkeys(payloads, 0))
     print(f"wrote {args.out}: {params.N} nodes, {params.m} source blocks, "
           f"n={params.n}, ell={params.ell}")
     return 0
@@ -174,10 +183,13 @@ def cmd_setup(args) -> int:
 def cmd_audit(args) -> int:
     cluster = _open_cluster(args)
     accepted = 0
-    for _ in range(args.rounds):
-        ok, record = cluster.run_audit_round(args.node, args.count)
-        accepted += ok
-        print(json.dumps(record))
+    try:
+        for _ in range(args.rounds):
+            ok, record = cluster.run_audit_round(args.node, args.count)
+            accepted += ok
+            print(json.dumps(record))
+    finally:
+        _save_counters(Path(args.dir) / "tpa.json", cluster.tpa.last_spent)
     print(f"{accepted}/{args.rounds} accepted")
     return 0 if accepted == args.rounds else 1
 
@@ -214,6 +226,8 @@ def cmd_extract(args) -> int:
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
+    finally:
+        _save_counters(Path(args.dir) / "tpa.json", cluster.tpa.last_spent)
     match = np.array_equal(report.rows, cluster.nodes[args.node].payload.rows)
     print(f"extracted {len(report.rows)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")

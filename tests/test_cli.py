@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ncaudit import audit
 from ncaudit.cluster import Node
@@ -23,9 +23,11 @@ def store(tmp_path, monkeypatch):
 
 def test_setup_writes_layout(store):
     assert sorted(p.name for p in store.iterdir()) == [
-        "keys.json", "manifest.json", "nodes", "vouchers.json"]
+        "keys.json", "manifest.json", "nodes", "tpa.json", "vouchers.json"]
     assert json.loads((store / "vouchers.json").read_text()) == {
         "0": 1, "1": 1, "2": 1, "3": 1}
+    assert json.loads((store / "tpa.json").read_text()) == {
+        "0": 0, "1": 0, "2": 0, "3": 0}
     for node in range(4):
         ndir = store / "nodes" / f"node{node}"
         assert sorted(p.name for p in ndir.iterdir()) == ["blocks.bin", "tags.bin"]
@@ -314,6 +316,9 @@ def test_audits_advance_the_voucher_counter_and_leave_node_files(store, capsys):
     counters = json.loads((store / "vouchers.json").read_text())
     assert counters["1"] == 6 and counters["0"] == 1
     assert counters["2"] > 2  # one voucher per extraction query
+    # the TPA spent every voucher it was answered under
+    spent = json.loads((store / "tpa.json").read_text())
+    assert spent == {"0": 0, "1": 5, "2": counters["2"] - 1, "3": 0}
     assert {p: p.read_bytes() for p in (store / "nodes").rglob("*")
             if p.is_file()} == nodes
 
@@ -329,6 +334,86 @@ def test_malformed_voucher_counters_are_usage_errors(store, doc, capsys):
     assert main(["audit", "--dir", str(store), "--node", "0", "--rounds", "2"]) == 2
     assert "error:" in capsys.readouterr().err
     assert json.loads((store / "vouchers.json").read_text()) == doc
+
+
+@pytest.mark.parametrize("doc", [
+    [], {"0": -1}, {"0": "0"}, {"0": False, "1": 0, "2": 0, "3": 0},
+    {"1": 0, "2": 0, "3": 0}, {"0": 0, "1": 0, "2": 0, "3": 0, "4": 0}, None,
+])
+@pytest.mark.parametrize("command", ["audit", "extract"])
+def test_malformed_tpa_counters_are_usage_errors(store, doc, command, capsys):
+    path = store / "tpa.json"
+    if doc is None:  # a store written before the TPA kept a file
+        path.unlink()
+    else:
+        path.write_text(json.dumps(doc))
+    assert main([command, "--dir", str(store), "--node", "0"]) == 2
+    assert "tpa.json" in capsys.readouterr().err
+    assert path.exists() == (doc is not None)
+    assert doc is None or json.loads(path.read_text()) == doc
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8)
+# the least counter each counter file takes; a key is 32 hex digits, longer
+# than any text _JSON draws
+_LEAST = {"vouchers.json": 1, "tpa.json": 0}
+
+
+@st.composite
+def _bad_document(draw, name, valid):
+    """Arbitrary JSON, or the file's valid document with one value replaced
+    by one it cannot take."""
+    if draw(st.booleans()):
+        doc = draw(_JSON)
+        assume(not (isinstance(doc, dict) and set(doc) == set(valid)))
+        return doc
+    least = _LEAST.get(name)
+    bad = _JSON.filter(lambda v: least is None or type(v) is not int or v < least)
+    return {**valid, draw(st.sampled_from(sorted(valid))): draw(bad)}
+
+
+@pytest.fixture(scope="module")
+def shared_store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "input.bin").write_bytes(bytes(range(200)))
+    assert main(["setup", "--file", str(root / "input.bin"), "--out", str(root / "store"),
+                 "--n", "64", "--ell", "2", "--seed", "42"]) == 0
+    return root / "store"
+
+
+@pytest.mark.parametrize("command", ["audit", "extract"])
+@pytest.mark.parametrize("name", ["vouchers.json", "keys.json", "tpa.json"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_store_documents_are_usage_errors(shared_store, name, command, data):
+    path = shared_store / name
+    good = path.read_bytes()
+    raw = json.dumps(data.draw(_bad_document(name, json.loads(good)))).encode()
+    path.write_bytes(raw)
+    try:
+        assert main([command, "--dir", str(shared_store), "--node", "1", "--seed", "5"]) == 2
+        assert path.read_bytes() == raw
+    finally:
+        path.write_bytes(good)
+
+
+def test_rolled_back_voucher_counters_reuse_no_mask(tmp_path):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    store = tmp_path / "st"
+    assert main(["setup", "--file", str(src), "--out", str(store), "--n", "1024",
+                 "--ell", "2", "--seed", "2a"]) == 0
+    saved = (store / "vouchers.json").read_bytes()
+    assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "1"]) == 0
+    # the user's file rolled back: the node would be asked under k = 1 again
+    (store / "vouchers.json").write_bytes(saved)
+    assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "2"]) == 1
+    # once the user's counter passes the TPA's, audits are accepted again
+    assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "3"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
