@@ -12,13 +12,12 @@ and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
 Instructions", FAST 2013).  The gather of a narrow input (w < r: few
 columns, many rows, such as a MAC's r-vectors, whose tag-major cache gives
 that order for free) lays its indices out as (w, r), so each output symbol
-reduces one contiguous run.  A (k, r) @ (r, w) product takes one of four
-forms: narrow outputs (w < k) make one combination per output column, small
-products (fewer than 2^17 symbol products) are one gather of all k·r·w
-products, laid out (k, w, r) when w < r, reduced over r, wide products with k and r both large use the
-Four-Russians method (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS
-2010) on each bit-plane, as M4RIE does for GF(2^e) (Albrecht, ISSAC 2012),
-and the rest make one combination per output row.
+reduces one contiguous run.  A (k, r) @ (r, w) product with a narrow
+output (w < k) is computed as its transpose.  Then fewer than 2^17 symbol
+products are one gather, laid out (k, w, r) when w < r; k and r both large
+take the Four-Russians method (Albrecht, Bard and Hart, "Algorithm 898",
+ACM TOMS 2010) on each bit-plane, as M4RIE does for GF(2^e) (Albrecht,
+ISSAC 2012); the rest make one combination per output row.
 Gaussian elimination runs on one augmented array [A | B]: each pivot row is
 normalised with one table row, then every row is reduced in one step, its
 own table row read at the pivot row (a zero factor's table row is zero),
@@ -149,23 +148,19 @@ def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
         counter.value += int(rows.size) * (coeffs.shape[0] if coeffs.ndim == 2 else 1)
     if coeffs.ndim == 1:
         return _combine(coeffs, rows)
+    narrow = rows.shape[1] < coeffs.shape[0]
+    if narrow:  # the transposed product, rows.T @ coeffs.T, has the wide output
+        coeffs, rows = rows.T, np.ascontiguousarray(coeffs.T)
     (k, r), w = coeffs.shape, rows.shape[1]
-    if w >= k and k * r * w < GATHER_MAX:
+    if k * r * w < GATHER_MAX:
         # on one CPU it took 0.3-0.75x the time of the per-row or
         # Four-Russians form, from (4, 1, 1024) to shapes just under the bound
-        return _gather(coeffs, rows)
-    if w >= k and min(k, r) >= FOUR_RUSSIANS_MIN:
-        return _four_russians(coeffs, rows)
-    out = np.empty((k, w), dtype=np.uint8)
-    if w < k:
-        # output column j is rows[:, j] times coeffs' columns
-        columns = np.ascontiguousarray(coeffs.T)
-        for j in range(w):
-            out[:, j] = _combine(rows[:, j], columns)
+        out = _gather(coeffs, rows)
+    elif min(k, r) >= FOUR_RUSSIANS_MIN:
+        out = _four_russians(coeffs, rows)
     else:
-        for out_row, c in zip(out, coeffs):
-            out_row[:] = _combine(c, rows)
-    return out
+        out = np.stack([_combine(c, rows) for c in coeffs])
+    return np.ascontiguousarray(out.T) if narrow else out
 
 
 def _gather(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:

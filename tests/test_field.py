@@ -147,10 +147,18 @@ LO = field.FOUR_RUSSIANS_MIN
 GATHER = field.GATHER_MAX
 
 
+def _wide_form(k, r, w):
+    """The form a (k, r) @ (r, w) product with w >= k takes."""
+    if k * r * w < GATHER:
+        return "gather"
+    return "four_russians" if min(k, r) >= LO else "per_row"
+
+
 @st.composite
 def _products(draw):
     """(form, k, r, w, coefficient kind): shapes on both sides of each switch
-    of a (k, r) @ (r, w) product, r and w often not multiples of 8."""
+    of a (k, r) @ (r, w) product, r and w often not multiples of 8; a
+    "column" product has a narrow output (w < k)."""
     form = draw(st.sampled_from(["column", "gather", "four_russians", "per_row"]))
     if form == "column":
         k = draw(st.integers(2, 2 * LO))
@@ -195,15 +203,18 @@ def test_product_matches_row_by_row(product, seed):
             mock.patch.object(field, "_combine", wraps=field._combine) as one:
         got = field.combine_rows(coeffs, rows)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert got.flags.c_contiguous
+    out_rows = k
+    if form == "column":  # the transposed product, (w, r) @ (r, k)
+        form, out_rows = _wide_form(w, r, k), w
     assert fr.called == (form == "four_russians")
-    assert one.call_count == {"column": w, "gather": 0, "four_russians": 0,
-                              "per_row": k}[form]
+    assert one.call_count == {"gather": 0, "four_russians": 0, "per_row": out_rows}[form]
 
 
-@pytest.mark.parametrize("k, r, w", [(2 * LO, 3 * LO, 7),          # column
+@pytest.mark.parametrize("k, r, w", [(2 * LO, 3 * LO, 7),          # narrow: one gather
                                      (LO, LO + 5, field.CHUNK + 3),  # Four Russians
                                      (LO - 1, 3 * LO, 2 * LO),     # per row
-                                     (3, 9, 1),                   # column, tiny
+                                     (3, 9, 1),                   # narrow, tiny
                                      (4, 20, 1026),               # one gather
                                      (1, 1, 5)])                  # one gather, tiny
 def test_counter_reads_k_r_w_for_each_form(k, r, w):
@@ -233,7 +244,8 @@ def _shift_reduce_product(x, rs):
 def test_narrow_gather_matches_shift_reduce(ell, layout, k):
     # a MAC's shape: rows times (L, ell) r-vectors, few columns and many
     # rows, which the gather reduces in (ell, L) order whatever the layout;
-    # k > ell takes the column form and k = 3 <= ell = 10 the one gather
+    # k > ell takes the transposed product, (ell, L) @ (L, k), and k = 3 <=
+    # ell = 10 the one gather
     rng = np.random.default_rng(ell * 100 + (k or 0))
     L = 300
     stacked = rng.integers(0, 256, (ell, L), dtype=np.uint8)  # tag-major
