@@ -337,11 +337,11 @@ def test_malformed_voucher_counters_are_usage_errors(store, doc, capsys):
 
 
 @pytest.mark.parametrize("doc", [
-    [], {"0": -1}, {"0": "0"}, {"0": False, "1": 0, "2": 0, "3": 0},
-    {"1": 0, "2": 0, "3": 0}, {"0": 0, "1": 0, "2": 0, "3": 0, "4": 0}, None,
+    # a node left out would have its spent counters accepted again
+    None, {"1": 0, "2": 0, "3": 0}, {"0": -1, "1": 0, "2": 0, "3": 0},
 ])
 @pytest.mark.parametrize("command", ["audit", "extract"])
-def test_malformed_tpa_counters_are_usage_errors(store, doc, command, capsys):
+def test_missing_or_malformed_tpa_counters_are_usage_errors(store, doc, command, capsys):
     path = store / "tpa.json"
     if doc is None:  # a store written before the TPA kept a file
         path.unlink()
