@@ -150,16 +150,16 @@ def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
         return _combine(coeffs, rows)
     narrow = rows.shape[1] < coeffs.shape[0]
     if narrow:  # the transposed product, rows.T @ coeffs.T, has the wide output
-        coeffs, rows = rows.T, np.ascontiguousarray(coeffs.T)
+        coeffs, rows = rows.T, coeffs.T
     (k, r), w = coeffs.shape, rows.shape[1]
     if k * r * w < GATHER_MAX:
         # on one CPU it took 0.3-0.75x the time of the per-row or
         # Four-Russians form, from (4, 1, 1024) to shapes just under the bound
         out = _gather(coeffs, rows)
-    elif min(k, r) >= FOUR_RUSSIANS_MIN:
-        out = _four_russians(coeffs, rows)
-    else:
-        out = np.stack([_combine(c, rows) for c in coeffs])
+    else:  # their row selections are slow on a transposed view, so copy it once
+        rows = np.ascontiguousarray(rows)
+        out = (_four_russians(coeffs, rows) if min(k, r) >= FOUR_RUSSIANS_MIN
+               else np.stack([_combine(c, rows) for c in coeffs]))
     return np.ascontiguousarray(out.T) if narrow else out
 
 
