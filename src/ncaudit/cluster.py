@@ -235,7 +235,7 @@ class Cluster:
         try:
             raw = node.answer(chal, voucher).to_bytes()
             proof = Proof.from_bytes(raw, self.manifest.params)
-        except ValueError:  # e.g. a challenged row the node no longer stores
+        except ValueError:  # a challenged row it no longer stores, or a wrong length
             pass
         node.ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
         return proof is not None and self.tpa.verify(chal, proof)[0], proof, voucher

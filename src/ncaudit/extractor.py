@@ -76,7 +76,7 @@ def extract_node(cluster, node: int, rng, rounds: int = 15) -> ExtractionReport:
                 continue
             # the unmasked aggregate and its tag without the voucher
             e_bar = ncrypt.dec(keys.k_e, fid, node, proof.k, proof.c_bar,
-                             manifest.params)
+                               manifest.params)
             answer = np.concatenate([e_bar, proof.pad, proof.tag ^ voucher.value])
             votes[field.vec_scale(field.inv(c), answer).tobytes()] += 1
         if votes:
