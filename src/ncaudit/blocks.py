@@ -13,7 +13,7 @@ needed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Dict, List
 
 import numpy as np
@@ -47,11 +47,7 @@ class SystemParams:
         return self
 
     def to_dict(self):
-        return {
-            "n": self.n, "m": self.m, "N": self.N, "M": self.M,
-            "P": self.P, "Q": self.Q, "ell": self.ell,
-            "lambda_bits": self.lambda_bits, "q": self.q,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -59,10 +55,9 @@ class SystemParams:
         if not isinstance(d, dict) or not all(type(v) is int for v in d.values()):
             raise ValueError("params must map names to integers")
         try:
-            params = cls(**d)
+            return cls(**d).validate()
         except TypeError as e:
             raise ValueError(f"bad params: {e}") from e
-        return params.validate()
 
 
 @dataclass
@@ -102,18 +97,15 @@ class FileManifest:
     deltas: Dict[int, np.ndarray] = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
+        return json.dumps({
             "file_id": self.file_id,
             "params": self.params.to_dict(),
             "block_lengths": list(self.block_lengths),
-            "node_coeffs": {
-                str(node): rows.tolist()
-                for node, rows in sorted(self.node_coeffs.items())
-            },
+            "node_coeffs": {str(node): rows.tolist()
+                            for node, rows in sorted(self.node_coeffs.items())},
             "logical_order": list(self.logical_order),
             "deltas": {str(j): d.tolist() for j, d in sorted(self.deltas.items())},
-        }
-        return json.dumps(doc, indent=2)
+        }, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
@@ -150,8 +142,7 @@ class FileManifest:
         )
 
 
-def make_source_block(data: bytes, params: SystemParams, index: int, rng,
-                      ) -> np.ndarray:
+def make_source_block(data: bytes, params: SystemParams, index: int, rng) -> np.ndarray:
     """Source block for slot `index` of a file with params.m slots: the data,
     zero-filled to n-2 symbols, two random padding symbols, then the
     index-th unit vector as coefficients."""
@@ -205,9 +196,8 @@ def decode_source_data(rows: np.ndarray, m: int) -> np.ndarray:
     if res.status == "inconsistent":
         raise UndecodableError("coded blocks are inconsistent: one of them is corrupted")
     if res.status != "unique":
-        raise UndecodableError(
-            f"coefficient rows do not span the source space (rank {res.rank} < {m})"
-        )
+        raise UndecodableError(f"coefficient rows do not span the source space "
+                               f"(rank {res.rank} < {m})")
     return res.solution
 
 

@@ -14,9 +14,10 @@ On-disk layout written by `setup`:
                                      their coefficients are in the manifest only)
     <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
 
-Exit codes: 0 success / all audits accepted, 1 at least one audit rejected
-or a failed extraction, 2 usage error (a repair with no plan included),
-3 internal failure.
+Exit codes: 0 success / all audits accepted, 1 at least one audit rejected,
+a failed extraction or a voucher counter the TPA has spent (vouchers.json
+rolled back behind tpa.json), 2 usage error (a repair with no plan
+included), 3 internal failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import audit, repair
 from .audit import KeyMaterial, NodePayload
 from .blocks import FileManifest, SystemParams
-from .cluster import Cluster, Fault, User, make_layout, run_scenario
+from .cluster import Cluster, Fault, SpentCounterError, Tpa, User, make_layout, run_scenario
 
 
 class UsageError(ValueError):
@@ -131,6 +132,21 @@ class _StoreUser(User):
         return voucher
 
 
+class _StoreTpa(Tpa):
+    """The TPA of a store: each counter it spends is on disk before its
+    verdict is out."""
+
+    def __init__(self, k_v: bytes, manifest: FileManifest, rng, root: Path):
+        super().__init__(k_v, manifest, rng)
+        self.root = root
+        self.last_spent = _load_counters(root / "tpa.json", manifest, 0)
+
+    def verify(self, chal, proof):
+        verdict = super().verify(chal, proof)
+        _save_counters(self.root / "tpa.json", self.last_spent)
+        return verdict
+
+
 def _open_cluster(args) -> Cluster:
     """The store under --dir as a Cluster, after checking --node; its
     generator is seeded by _seed."""
@@ -143,7 +159,7 @@ def _open_cluster(args) -> Cluster:
     user = _StoreUser(keys, rng, root)
     user.next_k = _load_counters(root / "vouchers.json", manifest, 1)
     cluster = Cluster(manifest, user, payloads, rng)
-    cluster.tpa.last_spent = _load_counters(root / "tpa.json", manifest, 0)
+    cluster.tpa = _StoreTpa(keys.k_v, manifest, cluster.tpa.rng, root)
     return cluster
 
 
@@ -183,13 +199,10 @@ def cmd_setup(args) -> int:
 def cmd_audit(args) -> int:
     cluster = _open_cluster(args)
     accepted = 0
-    try:
-        for _ in range(args.rounds):
-            ok, record = cluster.run_audit_round(args.node, args.count)
-            accepted += ok
-            print(json.dumps(record))
-    finally:
-        _save_counters(Path(args.dir) / "tpa.json", cluster.tpa.last_spent)
+    for _ in range(args.rounds):
+        ok, record = cluster.run_audit_round(args.node, args.count)
+        accepted += ok
+        print(json.dumps(record))
     print(f"{accepted}/{args.rounds} accepted")
     return 0 if accepted == args.rounds else 1
 
@@ -226,8 +239,6 @@ def cmd_extract(args) -> int:
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
-    finally:
-        _save_counters(Path(args.dir) / "tpa.json", cluster.tpa.last_spent)
     match = np.array_equal(report.rows, cluster.nodes[args.node].payload.rows)
     print(f"extracted {len(report.rows)} blocks in {report.queries} queries "
           f"({report.discarded} discarded); store match: {match}")
@@ -235,8 +246,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    scenario = json.loads(Path(args.file).read_text())
-    rejects = run_scenario(scenario, sys.stdout)
+    rejects = run_scenario(json.loads(Path(args.file).read_text()), sys.stdout)
     return 0 if rejects == 0 else 1
 
 
@@ -304,6 +314,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except SpentCounterError as e:  # no voucher reached the node
+        print(f"rejected: {e}; vouchers.json is behind tpa.json")
+        return 1
     except (UsageError, OSError, ValueError, repair.PlanningError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -155,6 +155,11 @@ class Node:
         return [CodedBlock(row) for row in rows[:, :n]], list(rows[:, n:])
 
 
+class SpentCounterError(RuntimeError):
+    """The user issued a node a counter the TPA has spent (the user's
+    counters were rolled back); two answers would share its mask."""
+
+
 class Tpa:
     """Auditor.  Holds k_v and the manifest; never k_e.  Per node it keeps
     the last k it spent and the last k the user announced."""
@@ -171,7 +176,10 @@ class Tpa:
         return audit.gen_challenge(self.manifest, node, count, self.rng)
 
     def expect(self, node: int, k: int) -> None:
-        """The user's notice that vouchers up to k were issued to node."""
+        """The user's notice that vouchers up to k were issued to node;
+        SpentCounterError if k was spent."""
+        if k <= self.last_spent.get(node, 0):
+            raise SpentCounterError(f"node {node}'s voucher counter {k} was spent")
         self.issued_upto[node] = k
 
     def verify(self, chal: Challenge, proof: Proof) -> Tuple[bool, VerifyStats]:
@@ -219,11 +227,12 @@ class Cluster:
         self.transcript: List[dict] = []
 
     # -- protocol steps ------------------------------------------------
-    def exchange(self, chal: Challenge) -> Tuple[bool, Optional[Proof], ncrypt.Voucher]:
+    def exchange(self, chal: Challenge) -> Tuple[bool, Optional[Proof], ncrypt.Voucher, int]:
         """The TPA's challenge to a node, the user's next voucher for it (k
         announced to the TPA), the node's answer on the wire and the TPA's
-        verdict: (accepted, proof, voucher).  An answer the node cannot give
-        or the TPA cannot parse is rejected, with proof None."""
+        verdict: (accepted, proof, voucher, bytes the node sent).  An answer
+        the node cannot give, the TPA cannot parse, or under another
+        voucher is rejected; proof is None for the first two."""
         node = self.nodes[chal.node]
         self.tpa.ledger.charge(node.ledger, "control_bytes", len(chal.to_bytes()))
         voucher = self.user.issue(self.manifest, chal.node)
@@ -238,13 +247,14 @@ class Cluster:
         except ValueError:  # a challenged row it no longer stores, or a wrong length
             pass
         node.ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
-        return proof is not None and self.tpa.verify(chal, proof)[0], proof, voucher
+        accepted = (proof is not None and proof.k == voucher.k
+                    and self.tpa.verify(chal, proof)[0])
+        return accepted, proof, voucher, len(raw)
 
     def run_audit_round(self, node: int, count: int) -> Tuple[bool, dict]:
-        sent = self.nodes[node].ledger.sent["proof_bytes"]
-        accepted = self.exchange(self.tpa.challenge(node, count))[0]
+        accepted, _, _, sent = self.exchange(self.tpa.challenge(node, count))
         record = {"event": "audit", "node": node, "count": count, "accepted": accepted,
-                  "proof_bytes": self.nodes[node].ledger.sent["proof_bytes"] - sent}
+                  "proof_bytes": sent}
         self.transcript.append(record)
         return accepted, record
 

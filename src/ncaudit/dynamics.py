@@ -13,14 +13,14 @@ and fresh blocks can coexist on different nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import field, spacemac
 from .audit import KeyMaterial, NodePayload, verified_rows
-from .blocks import FileManifest, SystemParams, combine_blocks, make_source_block
+from .blocks import FileManifest, combine_blocks, make_source_block
 
 
 @dataclass
@@ -34,9 +34,7 @@ def _widen_manifest(manifest: FileManifest) -> None:
     for node, rows in manifest.node_coeffs.items():
         manifest.node_coeffs[node] = np.concatenate(
             [rows, np.zeros((rows.shape[0], 1), dtype=np.uint8)], axis=1)
-    p = manifest.params
-    manifest.params = SystemParams(p.n, p.m + 1, p.N, p.M, p.P, p.Q,
-                                   p.ell, p.lambda_bits, p.q)
+    manifest.params = replace(manifest.params, m=manifest.params.m + 1)
 
 
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -84,7 +82,7 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
             mix[M] = 1
         mix = np.atleast_2d(np.asarray(mix, dtype=np.uint8))
         base_rows = np.vstack([manifest.node_coeffs[node],
-                               _unit_row(params.m, new_index)])
+                               np.eye(params.m, dtype=np.uint8)[new_index]])
         payload.rows = np.vstack([payload.rows, combine_blocks(
             mix, np.vstack([payload.rows, new_row]))])
         manifest.node_coeffs[node] = np.vstack([manifest.node_coeffs[node],
@@ -95,12 +93,6 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
         payloads[node].rows = np.delete(payloads[node].rows, slots, axis=0)
         manifest.node_coeffs[node] = np.delete(manifest.node_coeffs[node], slots, axis=0)
     return AppendResult(new_index, placed, donations or [])
-
-
-def _unit_row(m: int, index: int) -> np.ndarray:
-    row = np.zeros(m, dtype=np.uint8)
-    row[index] = 1
-    return row
 
 
 def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -137,7 +129,7 @@ def _reconstruct_source(manifest: FileManifest, payloads: Dict[int, NodePayload]
     expressible set in node and block order wins."""
     params = manifest.params
     rows = verified_rows(k_v, manifest, payloads)
-    sol = field.solve_any(rows[:, params.n:].T, _unit_row(params.m, index))
+    sol = field.solve_any(rows[:, params.n:].T, np.eye(params.m, dtype=np.uint8)[index])
     if sol is None:
         raise RuntimeError(f"source block {index} is not expressible")
     return combine_blocks(sol, rows)

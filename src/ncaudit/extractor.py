@@ -1,14 +1,14 @@
 """Recovering a node's blocks from a prover that sometimes lies.
 
 The prover answers aggregate challenges through the audit's own exchange
-(cluster.Cluster.exchange); an answer counts only if the auditor accepts
-it, and a random lie rarely passes.  Each target combination is asked R
-times with proportional coefficients (c * alpha for random nonzero c),
-normalized by 1/c, and settled by majority vote over the (data, tag)
-answers.  M independent majority winners pin down the node's blocks by
-elimination.  The extractor runs at the user, which issued each query's
-voucher and so can strip both the mask and the voucher from an accepted
-answer.
+(cluster.Cluster.exchange), which accepts an answer only under the query's
+own voucher and only if the auditor does; a random lie rarely passes.  Each
+target combination is asked R times with proportional coefficients
+(c * alpha for random nonzero c), normalized by 1/c, and settled by
+majority vote over the (data, tag) answers.  M independent majority
+winners pin down the node's blocks by elimination.  The extractor runs at
+the user, which issued each query's voucher and so can strip both the
+mask and the voucher from an accepted answer.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ def extract_node(cluster, node: int, rng, rounds: int = 15) -> ExtractionReport:
 
     solved_alphas: List[np.ndarray] = []
     solved_answers: List[np.ndarray] = []  # rows as the node stores them
-    queries = discarded = 0
-    budget = EXTRA_BUDGET * M
+    queries, discarded, budget = 0, 0, EXTRA_BUDGET * M
 
     while len(solved_alphas) < M:
         alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
@@ -69,7 +68,7 @@ def extract_node(cluster, node: int, rng, rounds: int = 15) -> ExtractionReport:
             scaled = field.vec_scale(c, alphas)
             live = np.flatnonzero(scaled)
             chal = Challenge(manifest.file_id, live, scaled[live], node)
-            accepted, proof, voucher = cluster.exchange(chal)
+            accepted, proof, voucher, _ = cluster.exchange(chal)
             queries += 1
             if not accepted:
                 discarded += 1

@@ -40,8 +40,7 @@ def mul_shift_reduce(a: int, b: int) -> int:
     """Shift-and-reduce product in GF(2^8); reference for the lookup table."""
     if not (0 <= a < ORDER and 0 <= b < ORDER):
         raise ValueError("operands must be single field symbols")
-    acc = 0
-    x, y = a, b
+    acc, x, y = 0, a, b
     while y:
         if y & 1:
             acc ^= x
@@ -251,8 +250,7 @@ def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
     """
     rows, cols = a.shape
     w = a if b is None else np.concatenate((a, b), axis=1)
-    pivots = []
-    r = 0
+    pivots, r = [], 0
     for c in range(cols):
         if r == rows:
             break

@@ -25,9 +25,7 @@ import struct
 
 import numpy as np
 
-F1 = 1
-F3 = 3
-F4 = 4
+F1, F3, F4 = 1, 3, 4
 NONCED = (F3, F4)
 
 

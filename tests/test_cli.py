@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ncaudit import audit
-from ncaudit.cluster import Node
+from ncaudit.cluster import Node, Tpa
 from ncaudit.cli import _load_store, _save_store, main
 
 
@@ -401,7 +401,7 @@ def test_fuzzed_store_documents_are_usage_errors(shared_store, name, command, da
         path.write_bytes(good)
 
 
-def test_rolled_back_voucher_counters_reuse_no_mask(tmp_path):
+def test_rolled_back_voucher_counters_reuse_no_mask(tmp_path, monkeypatch, capsys):
     src = tmp_path / "input.bin"
     src.write_bytes(bytes(range(200)))
     store = tmp_path / "st"
@@ -409,11 +409,46 @@ def test_rolled_back_voucher_counters_reuse_no_mask(tmp_path):
                  "--ell", "2", "--seed", "2a"]) == 0
     saved = (store / "vouchers.json").read_bytes()
     assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "1"]) == 0
-    # the user's file rolled back: the node would be asked under k = 1 again
+    spent = (store / "tpa.json").read_bytes()
+    # the user's file rolled back: k = 1 would reach the node again, and
+    # two answers would share its mask; the TPA refuses it first
     (store / "vouchers.json").write_bytes(saved)
-    assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "2"]) == 1
-    # once the user's counter passes the TPA's, audits are accepted again
+    answer, seen = Node.answer, []
+    monkeypatch.setattr(Node, "answer",
+                        lambda self, chal, voucher: seen.append(voucher.k)
+                        or answer(self, chal, voucher))
+    capsys.readouterr()
+    for command in ("audit", "extract"):
+        assert main([command, "--dir", str(store), "--node", "2", "--seed", "2"]) == 1
+        assert "counter 1 was spent" in capsys.readouterr().out
+        (store / "vouchers.json").write_bytes(saved)
+    assert seen == [] and (store / "tpa.json").read_bytes() == spent
+    # each refusal burns the counter it issued; once the user's counter
+    # passes the TPA's, audits are accepted again
+    assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "3"]) == 1
     assert main(["audit", "--dir", str(store), "--node", "2", "--seed", "3"]) == 0
+    assert seen == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--node", "1", "--count", "2", "--rounds", "3"],
+    ["extract", "--node", "2", "--epsilon", "0.2", "--seed", "7"],
+])
+def test_every_spent_counter_is_on_disk_before_the_verdict(store, argv, monkeypatch):
+    # a command killed after a verdict must not leave that counter to be
+    # accepted again under a rolled-back vouchers.json
+    verify, spent = Tpa.verify, []
+
+    def checked(self, chal, proof):
+        if spent:
+            counters = json.loads((store / "tpa.json").read_text())
+            assert counters[str(chal.node)] == spent[-1]
+        spent.append(proof.k)
+        return verify(self, chal, proof)
+
+    monkeypatch.setattr(Tpa, "verify", checked)
+    assert main([argv[0], "--dir", str(store), *argv[1:]]) == 0
+    assert spent and json.loads((store / "tpa.json").read_text())[argv[2]] == spent[-1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -122,3 +122,22 @@ def test_extract_node_whose_answers_are_sometimes_malformed(cluster):
     p = cluster.nodes[2].payload
     assert np.array_equal(report.rows, p.rows)
     assert report.discarded == -(-report.queries // 3)
+
+
+def test_extract_node_that_answers_under_the_voucher_it_refused(cluster):
+    # every third query is refused, which spends no counter, and the next
+    # one is answered under the refused query's voucher: the TPA would take
+    # it, but it is not the query's own voucher, so it is discarded too
+    queries, kept, answer = itertools.count(), [], cluster.nodes[2].answer
+
+    def skipping_answer(chal, voucher):
+        q = next(queries) % 3
+        if q == 0:
+            kept[:] = [voucher]
+            raise ValueError("refused")
+        return answer(chal, kept[0] if q == 1 else voucher)
+
+    cluster.nodes[2].answer = skipping_answer
+    report = _extract(cluster, 2, seed=11)
+    assert np.array_equal(report.rows, cluster.nodes[2].payload.rows)
+    assert report.discarded == sum(q % 3 != 2 for q in range(report.queries))

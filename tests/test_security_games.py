@@ -145,7 +145,7 @@ def _left_or_right(ell: int, seed: int) -> bool:
     manifest, k_v = c.manifest, c.user.keys.k_v  # the TPA's view
     alpha = int(rng.integers(1, 256))
     chal = Challenge(manifest.file_id, [0], [alpha], 0)
-    accepted, proof, _ = c.exchange(chal)
+    accepted, proof, *_ = c.exchange(chal)
     assert accepted
     coeffs = field.vec_scale(alpha, manifest.node_coeffs[0][0])
     candidates = [np.concatenate([field.vec_scale(alpha, np.frombuffer(bytes(f[:width]),
@@ -172,7 +172,7 @@ def cluster():
 
 def test_reused_k_is_rejected(cluster):
     chal = cluster.tpa.challenge(0, 2)
-    accepted, proof, _ = cluster.exchange(chal)
+    accepted, proof, *_ = cluster.exchange(chal)
     assert accepted
     assert not cluster.tpa.verify(chal, proof)[0]  # the same proof again
     # an old voucher for a new challenge
@@ -225,11 +225,10 @@ def test_a_k_above_the_announced_ones_burns_no_counter(cluster, monkeypatch):
     junk = Proof(np.zeros(params.n - 2, dtype=np.uint8),
                  (2 ** params.lambda_bits - 1).to_bytes(params.lambda_bits // 8, "big"),
                  np.zeros(2, dtype=np.uint8), np.zeros(params.ell, dtype=np.uint8))
-    cluster.nodes[2].answer = lambda chal, voucher: junk
     checked, verify_proof = [], audit.verify_proof
     monkeypatch.setattr(audit, "verify_proof",
                         lambda *args: checked.append(args) or verify_proof(*args))
-    assert not cluster.exchange(cluster.tpa.challenge(2, 2))[0]
+    assert not cluster.tpa.verify(cluster.tpa.challenge(2, 2), junk)[0]
     assert checked == []  # rejected unverified
     cluster.fail_and_repair(2, "exact")
     assert cluster.run_audit_round(2, 2)[0]
