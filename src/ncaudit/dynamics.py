@@ -4,7 +4,9 @@ The PRF that backs the tags is evaluated per position, so growing a vector
 leaves the tag contributions of existing positions untouched: appending a
 source block only widens the coefficient part, which the manifest alone
 holds, and every stored tag stays valid once the new coefficient column is
-zero for old blocks.
+zero for old blocks.  An append stages each node's new rows first and
+changes the manifest and the stores only once every input has been used,
+so it happens whole or not at all.
 
 Updates never replace stored tags in place.  The auditor keeps one running
 tag delta per source index and compensates during verification, so stale
@@ -13,7 +15,7 @@ and fresh blocks can coexist on different nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,76 +25,51 @@ from .audit import KeyMaterial, NodePayload, verified_rows
 from .blocks import FileManifest, combine_blocks, make_source_block
 
 
-@dataclass
-class AppendResult:
-    index: int                       # source index of the new block
-    placements: Dict[int, int]       # node -> local slot that now holds it
-    donations: List[Tuple[int, int, int]]  # (from_node, local_idx, to_node)
-
-
-def _widen_manifest(manifest: FileManifest) -> None:
-    for node, rows in manifest.node_coeffs.items():
-        manifest.node_coeffs[node] = np.concatenate(
-            [rows, np.zeros((rows.shape[0], 1), dtype=np.uint8)], axis=1)
-    manifest.params = replace(manifest.params, m=manifest.params.m + 1)
-
-
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  keys: KeyMaterial, data: bytes, rng,
                  placements: Dict[int, Optional[np.ndarray]] | None = None,
                  donations: List[Tuple[int, int, int]] | None = None,
-                 retire: Dict[int, List[int]] | None = None,
-                 ) -> AppendResult:
-    """Append one source block.
+                 retire: Dict[int, List[int]] | None = None) -> int:
+    """Append one source block; returns its source index.
 
-    Every block's manifest coefficients widen with a zero column, which
-    changes no tag value and no stored symbol.  Nodes listed in
-    `placements` receive the new block: None means a plain copy, a mix row
-    (or matrix of rows) over the node's current rows plus the new one
+    Each node's stored rows are joined to its manifest coefficient rows,
+    widened by a zero column, which changes no tag value and no stored
+    symbol; so a donation, a placement and a retire each edit one matrix.
+    `donations` first copies rows between nodes as (from_node, local_idx,
+    to_node) (layout rebalancing).  Nodes listed in `placements` (default:
+    every node) then receive the new block: None means a plain copy, a mix
+    row (or matrix of rows) over the node's rows so far plus the new one
     yields combined rows, whose tags are the combined stored tags.
-    `donations` optionally moves copies of existing blocks between nodes
-    first (layout rebalancing), and `retire` drops the listed pre-existing
-    local slots afterwards.
+    `retire` finally drops the listed pre-existing local slots.  The
+    manifest and the stores change only after every input has been used,
+    so an append that raises leaves the file as it was.
     """
-    _widen_manifest(manifest)
-    params = manifest.params
-    new_index = params.m - 1
-    fid = manifest.file_id.encode()
-
+    params = replace(manifest.params, m=manifest.params.m + 1)
+    index, width = manifest.params.m, params.n + params.ell
+    block = make_source_block(data, params, index, rng)
+    new_row = np.concatenate([block[:params.n],
+                              spacemac.mac(keys.k_v, manifest.file_id.encode(), block,
+                                           params.ell), block[params.n:]])
+    coeffs = {node: np.hstack([rows, np.zeros((len(rows), 1), dtype=np.uint8)])
+              for node, rows in manifest.node_coeffs.items()}
+    joined = {node: np.hstack([p.rows, coeffs[node]]) for node, p in payloads.items()}
     for src, local, dst in donations or []:
-        payloads[dst].rows = np.vstack([payloads[dst].rows, payloads[src].rows[local]])
-        manifest.node_coeffs[dst] = np.vstack([manifest.node_coeffs[dst],
-                                               manifest.node_coeffs[src][local]])
-
-    new_block = make_source_block(data, params, new_index, rng)
-    new_row = np.concatenate([new_block[:params.n],
-                              spacemac.mac(keys.k_v, fid, new_block, params.ell)])
-    manifest.block_lengths.append(len(data))
-    manifest.logical_order.append(new_index)
-
-    placed: Dict[int, int] = {}
-    if placements is None:
-        placements = {node: None for node in payloads}
-    for node, mix in placements.items():
-        payload = payloads[node]
-        # mixes run over the node's pre-append rows plus the new one
-        M = payload.rows.shape[0]
-        if mix is None:
-            mix = np.zeros(M + 1, dtype=np.uint8)
-            mix[M] = 1
-        mix = np.atleast_2d(np.asarray(mix, dtype=np.uint8))
-        base_rows = np.vstack([manifest.node_coeffs[node],
-                               np.eye(params.m, dtype=np.uint8)[new_index]])
-        payload.rows = np.vstack([payload.rows, combine_blocks(
-            mix, np.vstack([payload.rows, new_row]))])
-        manifest.node_coeffs[node] = np.vstack([manifest.node_coeffs[node],
-                                                combine_blocks(mix, base_rows)])
-        placed[node] = manifest.node_coeffs[node].shape[0] - 1
-
+        joined[dst] = np.vstack([joined[dst], joined[src][local]])
+    for node, mix in (dict.fromkeys(payloads) if placements is None else placements).items():
+        add = new_row if mix is None else combine_blocks(
+            np.atleast_2d(np.asarray(mix, dtype=np.uint8)), np.vstack([joined[node], new_row]))
+        joined[node] = np.vstack([joined[node], add])
     for node, slots in (retire or {}).items():
-        payloads[node].rows = np.delete(payloads[node].rows, slots, axis=0)
-        manifest.node_coeffs[node] = np.delete(manifest.node_coeffs[node], slots, axis=0)
-    return AppendResult(new_index, placed, donations or [])
+        joined[node] = np.delete(joined[node], slots, axis=0)
+
+    for node, rows in joined.items():
+        payloads[node].rows = np.ascontiguousarray(rows[:, :width])
+        coeffs[node] = np.ascontiguousarray(rows[:, width:])
+    manifest.node_coeffs.update(coeffs)
+    manifest.params = params
+    manifest.block_lengths.append(len(data))
+    manifest.logical_order.append(index)
+    return index
 
 
 def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -137,13 +114,12 @@ def _reconstruct_source(manifest: FileManifest, payloads: Dict[int, NodePayload]
 
 def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  keys: KeyMaterial, position: int, data: bytes, rng,
-                 **append_kw) -> AppendResult:
+                 **append_kw) -> int:
     """Insert at a logical position: physically an append plus an ordering
-    entry, so no stored block moves."""
-    res = append_block(manifest, payloads, keys, data, rng, **append_kw)
-    manifest.logical_order.remove(res.index)
-    manifest.logical_order.insert(position, res.index)
-    return res
+    entry, so no stored block moves; returns the new source index."""
+    index = append_block(manifest, payloads, keys, data, rng, **append_kw)
+    manifest.logical_order.insert(position, manifest.logical_order.pop())
+    return index
 
 
 def delete_block(manifest: FileManifest, payloads: Dict[int, NodePayload],

@@ -214,7 +214,7 @@ def paper_cluster():
 def _full_node_challenge(c, node=0):
     # the round's first half, up to the node: a challenge of all C blocks
     # and a voucher the TPA expects
-    chal = c.tpa.challenge(node, c.params.M)
+    chal = c.tpa.challenge(node, c.manifest.params.M)
     voucher = c.user.issue(c.manifest, node)
     c.tpa.expect(node, voucher.k)
     return chal, voucher
@@ -222,7 +222,7 @@ def _full_node_challenge(c, node=0):
 
 def test_criterion_07_cost_formulas(paper_cluster):
     c = paper_cluster
-    n, m, C, ell = c.params.n, c.params.m, c.params.M, c.params.ell
+    n, m, C, ell = c.manifest.params.n, c.manifest.params.m, c.manifest.params.M, c.manifest.params.ell
     chal, voucher = _full_node_challenge(c)
     with field.counter:
         proof = c.nodes[0].answer(chal, voucher)
@@ -371,9 +371,9 @@ def test_criterion_11_dynamics():
     assert rejected == 1000
 
     # insert/delete round-trip through decode
-    res = dynamics.insert_block(c2.manifest, payloads2, c2.user.keys, 1,
-                                b"mid", rng)
-    dynamics.delete_block(c2.manifest, payloads2, c2.user.keys, res.index, rng)
+    index = dynamics.insert_block(c2.manifest, payloads2, c2.user.keys, 1,
+                                  b"mid", rng)
+    dynamics.delete_block(c2.manifest, payloads2, c2.user.keys, index, rng)
     expect = bytes(range(14)) + b"updated" + bytes(range(28, 56))
     fresh = np.concatenate([np.hstack([payloads2[i].rows[:, :16], c2.manifest.node_coeffs[i]])
                             for i in live])  # skip stale node

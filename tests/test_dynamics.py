@@ -63,8 +63,28 @@ def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
     cluster.fail_and_repair(1, "functional")
     assert cluster.manifest.node_coeffs[1].shape == (3, PARAMS.m + 1)
     assert cluster.nodes[1].payload.rows.shape == (3, PARAMS.n + PARAMS.ell)
+    assert cluster.nodes[1].params.m == cluster.manifest.params.m == PARAMS.m + 1
     assert all(cluster.run_audit_round(node, 3)[0] for node in range(4))
     assert cluster.decode_current_file() == DATA + b"appended"
+
+
+@pytest.mark.parametrize("data, kw", [
+    (bytes(15), {}),
+    (b"new", {"placements": {3: np.ones(7, dtype=np.uint8)}}),
+    (b"new", {"retire": {1: [9]}}),
+    (b"new", {"donations": [(0, 5, 3)]}),
+], ids=["data-too-long", "mix-too-long", "retired-slot-absent", "donated-slot-absent"])
+def test_refused_append_leaves_the_file_unchanged(cluster, rng, data, kw):
+    # every input is used before the manifest or a store changes
+    payloads = _payloads(cluster)
+    manifest = cluster.manifest.to_json()
+    stores = {i: (p.rows.shape, p.rows.tobytes()) for i, p in payloads.items()}
+    with pytest.raises((ValueError, IndexError)):
+        dynamics.append_block(cluster.manifest, payloads, cluster.user.keys, data, rng, **kw)
+    assert cluster.manifest.to_json() == manifest
+    assert {i: (p.rows.shape, p.rows.tobytes()) for i, p in payloads.items()} == stores
+    assert cluster.decode_current_file() == DATA
+    assert _audit_all(cluster)
 
 
 def test_update_patches_and_verifies(cluster, rng):
@@ -117,10 +137,11 @@ def test_delete_tombstones(cluster, rng):
 
 def test_insert_delete_roundtrip(cluster, rng):
     payloads = _payloads(cluster)
-    res = dynamics.insert_block(cluster.manifest, payloads, cluster.user.keys,
-                                2, b"tmp", rng)
+    index = dynamics.insert_block(cluster.manifest, payloads, cluster.user.keys,
+                                  2, b"tmp", rng)
+    assert index == PARAMS.m
     dynamics.delete_block(cluster.manifest, payloads, cluster.user.keys,
-                          res.index, rng)
+                          index, rng)
     assert cluster.decode_current_file() == DATA
     assert _audit_all(cluster)
 
