@@ -91,6 +91,8 @@ class Fault:
     def validate(self, store_size: int, width: int) -> None:
         """Check the fault against a store of store_size blocks of width
         symbols; ValueError if it does not fit."""
+        if any(type(v) is not int for v in (self.block, self.position, self.delta)):
+            raise ValueError("fault block, position and delta must be integers")
         if self.kind == "corrupt_symbol":
             if not 1 <= self.delta <= 255:
                 raise ValueError("corruption delta must be a nonzero symbol")
@@ -215,10 +217,9 @@ class Cluster:
     def __init__(self, manifest: FileManifest, user: User,
                  payloads: Dict[int, NodePayload], rng):
         self.manifest = manifest
-        self.params = manifest.params
         self.user = user
         self.nodes: Dict[int, Node] = {
-            node_id: Node(node_id, payload, self.params,
+            node_id: Node(node_id, payload, manifest.params,
                           np.random.default_rng(rng.integers(2**63)))
             for node_id, payload in payloads.items()}
         self.tpa = Tpa(user.keys.k_v, manifest,
@@ -237,7 +238,7 @@ class Cluster:
         self.tpa.ledger.charge(node.ledger, "control_bytes", len(chal.to_bytes()))
         voucher = self.user.issue(self.manifest, chal.node)
         self.tpa.expect(chal.node, voucher.k)
-        k_bytes = self.params.lambda_bits // 8
+        k_bytes = self.manifest.params.lambda_bits // 8
         self.user.ledger.charge(node.ledger, "voucher_bytes", k_bytes + voucher.value.size)
         self.user.ledger.charge(self.tpa.ledger, "voucher_bytes", k_bytes)
         raw, proof = b"", None
@@ -278,13 +279,13 @@ class Cluster:
             self.user.ledger.charge(helper.ledger, "coefficient_bytes",
                                     int(plan.gamma[ship.helper].size))
             helper.ledger.charge(self.nodes[node].ledger, "data_block_bytes",
-                                 int(ship.rows[:, :self.params.n].size))
+                                 int(ship.rows[:, :self.manifest.params.n].size))
             helper.ledger.charge(self.nodes[node].ledger, "tag_bytes",
                                  int(ship.tags.size))
         # user tells the TPA the replacement coefficients
         self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
                                 int(plan.target_rows.size))
-        fresh = Node(node, payloads[node], self.params,
+        fresh = Node(node, payloads[node], self.manifest.params,
                      np.random.default_rng(self.rng.integers(2**63)))
         fresh.ledger = self.nodes[node].ledger
         self.nodes[node] = fresh

@@ -143,6 +143,9 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
      "helper 1"),
     ({**_SCENARIO, "steps": [{"op": "repair", "node": 0, "helpers": [0, 1, 2]}]},
      "helper 0"),
+    ({**_SCENARIO, "steps": [{"op": "fault", "node": 1, "fault": {
+        "kind": "corrupt_symbol", "block": True, "position": 1, "delta": 5}},
+        {"op": "audit", "node": 1, "count": 2}]}, "integers"),
     ({**_SCENARIO, "seed": "2"}, "seed"),
     ({**_SCENARIO, "seed": 2.5}, "seed"),
     ({**_SCENARIO, "file_text": 5}, "file_text"),
@@ -150,7 +153,7 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
 ], ids=["no-params", "no-node", "unknown-fault-field", "absent-node", "array",
         "non-object-step", "unknown-op", "string-count", "absent-helper",
         "string-helpers", "repeated-helper", "failed-node-as-helper",
-        "string-seed", "float-seed", "non-string-file-text", "non-string-file-hex"])
+        "boolean-fault-block", "string-seed", "float-seed", "non-string-file-text", "non-string-file-hex"])
 def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -353,8 +356,9 @@ def test_missing_or_malformed_tpa_counters_are_usage_errors(store, doc, command,
     assert doc is None or json.loads(path.read_text()) == doc
 
 
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    _SCALAR,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=4),
     max_leaves=8)
@@ -374,6 +378,20 @@ def _bad_document(draw, name, valid):
     least = _LEAST.get(name)
     bad = _JSON.filter(lambda v: least is None or type(v) is not int or v < least)
     return {**valid, draw(st.sampled_from(sorted(valid))): draw(bad)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries(
+    {"kind": st.sampled_from(["corrupt_symbol", "delete_block", "replay_old",
+                              "lie_probability"]) | _SCALAR},
+    optional={**dict.fromkeys(["block", "position", "delta", "epsilon"],
+                              st.integers(-2, 260) | _SCALAR),
+              "snapshot": _SCALAR, "colour": _SCALAR}))
+def test_fuzzed_scenario_faults_never_exit_3(tmp_path_factory, fault):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-fault.json"
+    path.write_text(json.dumps({**_SCENARIO, "steps": [
+        {"op": "fault", "node": 1, "fault": fault}, {"op": "audit", "node": 1, "count": 2}]}))
+    assert main(["scenario", "--file", str(path)]) in (0, 1, 2)
 
 
 @pytest.fixture(scope="module")

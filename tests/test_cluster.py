@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncaudit import cluster as cl, dynamics, extractor
 from ncaudit.audit import Proof
@@ -127,6 +128,44 @@ def test_fault_validation(cluster):
         cluster.inject_fault(0, Fault("delete_block", block=9))
     with pytest.raises(ValueError):
         cluster.inject_fault(0, Fault("nonsense"))
+
+
+@pytest.mark.parametrize("kind, field", [("corrupt_symbol", "block"),
+                                         ("corrupt_symbol", "position"),
+                                         ("corrupt_symbol", "delta"),
+                                         ("delete_block", "block")])
+def test_boolean_fault_fields_are_rejected(cluster, kind, field):
+    # a bool is an int, and rows[True, position] is the whole row at position
+    before = cluster.nodes[1].payload.rows.copy()
+    fault = Fault(kind, **{"block": 1, "position": 1, "delta": 5, field: True})
+    with pytest.raises(ValueError, match="integers"):
+        cluster.inject_fault(1, fault)
+    assert np.array_equal(cluster.nodes[1].payload.rows, before)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_cluster():
+    cluster = spawn_cluster(PARAMS, "evenodd4", DATA, seed=1234)
+    return cluster, cluster.nodes[2].payload.rows.copy()
+
+
+_SCALAR = (st.none() | st.booleans() | st.integers(-2, 260) | st.integers()
+           | st.floats() | st.text(max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional=dict.fromkeys(("block", "position", "delta"),
+                                                        _SCALAR)))
+def test_fuzzed_corruption_changes_one_symbol_or_is_refused(fuzzed_cluster, fields):
+    cluster, clean = fuzzed_cluster
+    node = cluster.nodes[2]
+    node.payload.rows = clean.copy()
+    try:
+        cluster.inject_fault(2, Fault("corrupt_symbol", **fields))
+    except ValueError:
+        assert np.array_equal(node.payload.rows, clean)
+    else:
+        assert np.count_nonzero(node.payload.rows != clean) == 1
 
 
 def test_delete_block_fault_detected(cluster):

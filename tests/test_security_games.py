@@ -220,7 +220,7 @@ def test_a_skipped_k_is_harmless_and_then_stale(cluster):
 def test_a_k_above_the_announced_ones_burns_no_counter(cluster, monkeypatch):
     # a node answers under a k the user has not reached; were it spent, the
     # node rebuilt in its place would be locked out until the user caught up
-    params = cluster.params
+    params = cluster.manifest.params
     assert cluster.run_audit_round(2, 2)[0]
     junk = Proof(np.zeros(params.n - 2, dtype=np.uint8),
                  (2 ** params.lambda_bits - 1).to_bytes(params.lambda_bits // 8, "big"),
