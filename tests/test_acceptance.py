@@ -222,7 +222,8 @@ def _full_node_challenge(c, node=0):
 
 def test_criterion_07_cost_formulas(paper_cluster):
     c = paper_cluster
-    n, m, C, ell = c.manifest.params.n, c.manifest.params.m, c.manifest.params.M, c.manifest.params.ell
+    params = c.manifest.params
+    n, m, C, ell = params.n, params.m, params.M, params.ell
     chal, voucher = _full_node_challenge(c)
     with field.counter:
         proof = c.nodes[0].answer(chal, voucher)

@@ -153,7 +153,8 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
 ], ids=["no-params", "no-node", "unknown-fault-field", "absent-node", "array",
         "non-object-step", "unknown-op", "string-count", "absent-helper",
         "string-helpers", "repeated-helper", "failed-node-as-helper",
-        "boolean-fault-block", "string-seed", "float-seed", "non-string-file-text", "non-string-file-hex"])
+        "boolean-fault-block", "string-seed", "float-seed", "non-string-file-text",
+        "non-string-file-hex"])
 def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
