@@ -103,7 +103,10 @@ def _load_store(root: Path):
 
 
 def _save_counters(path: Path, counters) -> None:
-    path.write_text(json.dumps({str(node): k for node, k in sorted(counters.items())}))
+    """Write beside path, then rename: a write cut short leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps({str(node): k for node, k in sorted(counters.items())}))
+    os.replace(tmp, path)
 
 
 def _load_counters(path: Path, manifest: FileManifest, least: int):
@@ -234,8 +237,7 @@ def cmd_extract(args) -> int:
     cluster = _open_cluster(args)
     cluster.inject_fault(args.node, Fault("lie_probability", epsilon=args.epsilon))
     try:
-        report = extractor.extract_node(cluster, args.node, cluster.rng,
-                                        rounds=args.rounds)
+        report = extractor.extract_node(cluster, args.node, cluster.rng)
     except extractor.ExtractionError as e:
         print(f"extraction failed: {e}")
         return 1
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("extract", help="recover a node's blocks from audits")
     s.add_argument("--dir", required=True)
     s.add_argument("--node", type=int, default=0)
-    s.add_argument("--rounds", type=_positive_int, default=15)
     s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--seed")
     s.set_defaults(func=cmd_extract)

@@ -40,9 +40,9 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     every node) then receive the new block: None means a plain copy, a mix
     row (or matrix of rows) over the node's rows so far plus the new one
     yields combined rows, whose tags are the combined stored tags.
-    `retire` finally drops the listed pre-existing local slots.  The
-    manifest and the stores change only after every input has been used,
-    so an append that raises leaves the file as it was.
+    `retire` finally drops the listed slots of the node's rows so far.  The
+    manifest and the stores change only once every input is used and the
+    rows span the widened file, so an append that raises leaves it as it was.
     """
     params = replace(manifest.params, m=manifest.params.m + 1)
     index, width = manifest.params.m, params.n + params.ell
@@ -60,11 +60,16 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
             np.atleast_2d(np.asarray(mix, dtype=np.uint8)), np.vstack([joined[node], new_row]))
         joined[node] = np.vstack([joined[node], add])
     for node, slots in (retire or {}).items():
-        joined[node] = np.delete(joined[node], slots, axis=0)
+        kept = np.setdiff1d(np.arange(len(joined[node])), slots)
+        if len(kept) + len(slots) != len(joined[node]):  # a slot absent or listed twice
+            raise ValueError(f"node {node}'s retired slots {slots} are not distinct rows of it")
+        joined[node] = joined[node][kept]
+    coeffs.update({node: np.ascontiguousarray(rows[:, width:]) for node, rows in joined.items()})
+    if field.matrix_rank(np.vstack(list(coeffs.values()))) < params.m:
+        raise ValueError(f"the appended file's rows do not span its {params.m} blocks")
 
     for node, rows in joined.items():
         payloads[node].rows = np.ascontiguousarray(rows[:, :width])
-        coeffs[node] = np.ascontiguousarray(rows[:, width:])
     manifest.node_coeffs.update(coeffs)
     manifest.params = params
     manifest.block_lengths.append(len(data))
@@ -117,6 +122,8 @@ def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  **append_kw) -> int:
     """Insert at a logical position: physically an append plus an ordering
     entry, so no stored block moves; returns the new source index."""
+    if type(position) is not int or not 0 <= position <= len(manifest.logical_order):
+        raise ValueError(f"insert position {position!r} is not in 0..{len(manifest.logical_order)}")
     index = append_block(manifest, payloads, keys, data, rng, **append_kw)
     manifest.logical_order.insert(position, manifest.logical_order.pop())
     return index

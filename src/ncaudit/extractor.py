@@ -2,20 +2,17 @@
 
 The prover answers aggregate challenges through the audit's own exchange
 (cluster.Cluster.exchange), which accepts an answer only under the query's
-own voucher and only if the auditor does; a random lie rarely passes.  Each
-target combination is asked R times with proportional coefficients
-(c * alpha for random nonzero c), normalized by 1/c, and settled by
-majority vote over the (data, tag) answers.  M independent majority
-winners pin down the node's blocks by elimination.  The extractor runs at
-the user, which issued each query's voucher and so can strip both the
-mask and the voucher from an accepted answer.
+own voucher and only if the auditor does.  Each of M independent target
+combinations is asked until two accepted answers in a row are equal: an
+accepted lie (about one random lie in q^ell) errs by a vector whose MAC is
+zero, which no tag check can catch, so it must not settle an equation
+alone.  The settled answers pin down the node's blocks by elimination, at
+the user, which issued each voucher and can strip it and the mask.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -27,7 +24,8 @@ class ExtractionError(RuntimeError):
     pass
 
 
-# failed votes allowed, as a multiple of the number of equations needed
+# answers rejected or unlike the accepted answer before them, allowed as a
+# multiple of the 2M answers that settle the M equations
 EXTRA_BUDGET = 3
 
 
@@ -38,55 +36,48 @@ class ExtractionReport:
     discarded: int  # answers the auditor rejected
 
 
-def extract_node(cluster, node: int, rng, rounds: int = 15) -> ExtractionReport:
+def extract_node(cluster, node: int, rng) -> ExtractionReport:
     """Rebuild all M blocks stored at `node` of a cluster.Cluster, with
-    their tags, from audit exchanges; `rng` draws the queries.
+    their tags, from audit exchanges; `rng` draws the equations.
 
-    `rounds` challenges per equation, M equations; an equation whose vote
-    is not a strict majority of accepted answers is redrawn with fresh
-    coefficients, up to EXTRA_BUDGET * M replacements in total.
+    An equation is settled by two equal accepted answers in a row; past
+    EXTRA_BUDGET * 2M answers that are rejected or unlike the accepted
+    answer before them, ExtractionError.
     """
     manifest, keys = cluster.manifest, cluster.user.keys
     rows = manifest.node_coeffs[node]
     M, n, fid = rows.shape[0], manifest.params.n, manifest.file_id.encode()
 
-    solved_alphas: List[np.ndarray] = []
-    solved_answers: List[np.ndarray] = []  # rows as the node stores them
-    queries, discarded, budget = 0, 0, EXTRA_BUDGET * M
+    solved_alphas, solved_answers = [], []  # answers: rows as the node stores them
+    queries, discarded = 0, 0
 
     while len(solved_alphas) < M:
         alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
-        if not alphas.any():
-            continue
         basis = np.stack(solved_alphas + [alphas])
         if field.matrix_rank(basis) < basis.shape[0]:
-            continue  # dependent on earlier equations
+            continue  # zero, or dependent on earlier equations
 
-        votes: Counter = Counter()
-        for _ in range(rounds):
-            c = int(rng.integers(1, 256))
-            scaled = field.vec_scale(c, alphas)
-            live = np.flatnonzero(scaled)
-            chal = Challenge(manifest.file_id, live, scaled[live], node)
+        live = np.flatnonzero(alphas)
+        chal = Challenge(manifest.file_id, live, alphas[live], node)
+        previous = None
+        while True:
             accepted, proof, voucher, _ = cluster.exchange(chal)
             queries += 1
-            if not accepted:
-                discarded += 1
-                continue
-            # the unmasked aggregate and its tag without the voucher
-            e_bar = ncrypt.dec(keys.k_e, fid, node, proof.k, proof.c_bar,
-                               manifest.params)
-            answer = np.concatenate([e_bar, proof.pad, proof.tag ^ voucher.value])
-            votes[field.vec_scale(field.inv(c), answer).tobytes()] += 1
-        if votes:
-            (win, count), = votes.most_common(1)
-            if count * 2 > sum(votes.values()):
-                solved_alphas.append(alphas)
-                solved_answers.append(np.frombuffer(win, dtype=np.uint8))
-                continue
-        budget -= 1
-        if budget < 0:
-            raise ExtractionError("vote budget exhausted")
+            discarded += not accepted
+            if accepted:
+                # the unmasked aggregate and its tag without the voucher
+                e_bar = ncrypt.dec(keys.k_e, fid, node, proof.k, proof.c_bar,
+                                   manifest.params)
+                answer = np.concatenate([e_bar, proof.pad, proof.tag ^ voucher.value])
+                if previous is not None and np.array_equal(answer, previous):
+                    break
+                previous = answer
+            # all answers but the two that settle each equation and the
+            # current one's first accepted answer
+            if queries - 2 * len(solved_alphas) - (previous is not None) > EXTRA_BUDGET * 2 * M:
+                raise ExtractionError("answer budget exhausted")
+        solved_alphas.append(alphas)
+        solved_answers.append(answer)
 
     # the M equations are independent, so the solution is unique; each one's
     # coefficient part is alphas times the manifest's rows, so the recovered

@@ -297,8 +297,7 @@ def test_criterion_10_retrievability():
     successes = 0
     for trial in range(100):
         try:
-            report = extractor.extract_node(c, node, np.random.default_rng(10_000 + trial),
-                                            rounds=15)
+            report = extractor.extract_node(c, node, np.random.default_rng(10_000 + trial))
         except extractor.ExtractionError:
             continue
         if not np.array_equal(report.rows, p.rows):

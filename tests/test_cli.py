@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,7 @@ def test_random_layout_exact_repair_rebuilds_every_node(tmp_path):
     ["corrupt", "--node", "1", "--delta", "256"],
     ["audit", "--rounds", "0"],
     ["audit", "--rounds", "-3"],
+    # extract has no --rounds: an unknown option
     ["extract", "--rounds", "0"],
     # n = 64: position 64 would be the first coefficient, which no node stores
     ["corrupt", "--node", "1", "--position", "64"],
@@ -325,6 +327,25 @@ def test_audits_advance_the_voucher_counter_and_leave_node_files(store, capsys):
     assert spent == {"0": 0, "1": 5, "2": counters["2"] - 1, "3": 0}
     assert {p: p.read_bytes() for p in (store / "nodes").rglob("*")
             if p.is_file()} == nodes
+
+
+@pytest.mark.parametrize("name", ["vouchers.json", "tpa.json"])
+def test_a_counter_write_cut_short_leaves_the_old_file(store, name, monkeypatch):
+    # the write of the named file stops halfway and raises, as on a full disk
+    before = (store / name).read_bytes()
+    write_text = Path.write_text
+
+    def cut_short(path, text, *args, **kwargs):
+        if not path.name.startswith(name):
+            return write_text(path, text, *args, **kwargs)
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    assert main(["audit", "--dir", str(store), "--node", "1"]) == 2
+    monkeypatch.undo()
+    assert (store / name).read_bytes() == before
+    assert main(["audit", "--dir", str(store), "--node", "1"]) == 0
 
 
 @pytest.mark.parametrize("doc", [

@@ -19,6 +19,12 @@ def _payloads(cluster):
     return {i: cluster.nodes[i].payload for i in cluster.nodes}
 
 
+def _file_state(cluster):
+    """The manifest's JSON and every node's store, shape and bytes."""
+    return cluster.manifest.to_json(), {i: (p.rows.shape, p.rows.tobytes())
+                                        for i, p in _payloads(cluster).items()}
+
+
 def _audit_all(cluster):
     return all(cluster.run_audit_round(node, 2)[0] for node in range(4))
 
@@ -73,18 +79,34 @@ def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
     (b"new", {"placements": {3: np.ones(7, dtype=np.uint8)}}),
     (b"new", {"retire": {1: [9]}}),
     (b"new", {"donations": [(0, 5, 3)]}),
-], ids=["data-too-long", "mix-too-long", "retired-slot-absent", "donated-slot-absent"])
+    # np.delete would take -1 as the new block's only copy
+    (b"new", {"retire": {1: [-1]}, "placements": {1: None}}),
+    (b"new", {"retire": {1: [0, 0]}}),
+    (b"new", {"placements": {}}),
+], ids=["data-too-long", "mix-too-long", "retired-slot-absent", "donated-slot-absent",
+        "retired-slot-negative", "retired-slot-twice", "new-block-placed-nowhere"])
 def test_refused_append_leaves_the_file_unchanged(cluster, rng, data, kw):
-    # every input is used before the manifest or a store changes
-    payloads = _payloads(cluster)
-    manifest = cluster.manifest.to_json()
-    stores = {i: (p.rows.shape, p.rows.tobytes()) for i, p in payloads.items()}
+    # every input is used, and the new rows span the file, before the
+    # manifest or a store changes
+    before = _file_state(cluster)
     with pytest.raises((ValueError, IndexError)):
-        dynamics.append_block(cluster.manifest, payloads, cluster.user.keys, data, rng, **kw)
-    assert cluster.manifest.to_json() == manifest
-    assert {i: (p.rows.shape, p.rows.tobytes()) for i, p in payloads.items()} == stores
+        dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                              data, rng, **kw)
+    assert _file_state(cluster) == before
     assert cluster.decode_current_file() == DATA
     assert _audit_all(cluster)
+
+
+@pytest.mark.parametrize("position", ["1", True, -1, 5])
+def test_refused_insert_leaves_the_file_unchanged(cluster, rng, position):
+    # positions 0..4 exist in a file of 4 blocks; any other is refused
+    # before the append
+    before = _file_state(cluster)
+    with pytest.raises(ValueError):
+        dynamics.insert_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                              position, b"new", rng)
+    assert _file_state(cluster) == before
+    assert cluster.decode_current_file() == DATA
 
 
 def test_update_patches_and_verifies(cluster, rng):

@@ -17,9 +17,8 @@ def cluster():
     return spawn_cluster(PARAMS, "random_functional", DATA, seed=99)
 
 
-def _extract(cluster, node, seed, rounds=15):
-    return extractor.extract_node(cluster, node, np.random.default_rng(seed),
-                                  rounds=rounds)
+def _extract(cluster, node, seed):
+    return extractor.extract_node(cluster, node, np.random.default_rng(seed))
 
 
 def test_extract_honest_node(cluster):
@@ -75,18 +74,20 @@ def test_extract_node_that_keeps_its_first_voucher(cluster):
 
 def test_extract_node_that_replays_its_first_voucher_half_the_time(cluster):
     # the TPA rejects an answer under a spent voucher, so it is discarded:
-    # every other answer but the first, whose voucher was the first one
+    # every other answer but the first, whose voucher was the first one; the
+    # first equation takes two queries and each later one four
     _answer_stale(cluster, 1, every=2)
     report = _extract(cluster, 1, seed=9)
     p = cluster.nodes[1].payload
     assert np.array_equal(report.rows, p.rows)
-    assert report.discarded == report.queries // 2 - 1 == 59
+    assert report.discarded == report.queries // 2 - 1 == 14
 
 
 def test_query_accounting(cluster):
+    # two answers settle each equation; the rest are within the budget
     report = _extract(cluster, 1, seed=5)
-    assert report.queries <= 15 * PARAMS.M * 4  # within the retry budget
-    assert report.queries >= PARAMS.M  # at least one per equation
+    M = PARAMS.M
+    assert 2 * M <= report.queries <= 2 * M + extractor.EXTRA_BUDGET * 2 * M
 
 
 def test_extract_after_update():

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ncaudit import audit, field, ncrypt, spacemac
+from ncaudit import audit, extractor, field, ncrypt, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import spawn_cluster
@@ -233,3 +233,70 @@ def test_a_k_above_the_announced_ones_burns_no_counter(cluster, monkeypatch):
     cluster.fail_and_repair(2, "exact")
     assert cluster.run_audit_round(2, 2)[0]
     assert len(checked) == 1
+
+
+# -------------------------------------------------------------- extraction
+
+def _extraction_cluster():
+    params = SystemParams(n=32, m=8, N=4, M=8, P=3, Q=1, ell=2, lambda_bits=80)
+    return spawn_cluster(params, "random_functional", bytes(range(240)), seed=99)
+
+
+def test_an_accepted_lie_settles_no_equation():
+    # the node's first answer is the truth plus an error delta on c_bar's
+    # first ell+1 symbols whose MAC is zero: the lucky lie, accepted with
+    # probability q^-ell, here built with k_v as an oracle.  Tags are
+    # linear, so a block solved from it would pass every tag check too
+    c = _extraction_cluster()
+    params, fid = c.manifest.params, c.manifest.file_id.encode()
+    units = np.eye(params.ell + 1, params.n + params.m, dtype=np.uint8)
+    macs = spacemac.mac(c.user.keys.k_v, fid, units, params.ell)
+    delta = np.zeros(params.n - 2, dtype=np.uint8)
+    delta[0], delta[1: params.ell + 1] = 1, field.solve_any(macs[1:].T, macs[0])
+    error = np.zeros(params.n + params.m, dtype=np.uint8)
+    error[: params.n - 2] = delta
+    assert not spacemac.mac(c.user.keys.k_v, fid, error, params.ell).any()
+
+    answer, lied = c.nodes[2].answer, []
+
+    def lucky_lie(chal, voucher):
+        proof = answer(chal, voucher)
+        if not lied:
+            lied.append(chal)
+            proof = Proof(proof.c_bar ^ delta, proof.nonce, proof.pad, proof.tag)
+        return proof
+
+    c.nodes[2].answer = lucky_lie
+    report = extractor.extract_node(c, 2, np.random.default_rng(1))
+    assert np.array_equal(report.rows, c.nodes[2].payload.rows)
+    # the lie was accepted, and cost one more answer than 2 per equation
+    assert report.discarded == 0
+    assert report.queries == 2 * params.M + 1
+
+
+def test_a_tpa_that_accepts_one_junk_answer_yields_no_wrong_rows():
+    # the TPA takes the first answer it should reject; the extraction ends
+    # in the node's rows or in ExtractionError, never in other rows
+    outcomes = []
+    for seed in range(40):
+        c = _extraction_cluster()
+        c.nodes[1].lie_epsilon = 0.5
+        verify, junk = c.tpa.verify, []
+
+        def verify_but_take_one_junk(chal, proof):
+            ok, stats = verify(chal, proof)
+            if not ok and not junk:
+                junk.append(proof)
+                return True, stats
+            return ok, stats
+
+        c.tpa.verify = verify_but_take_one_junk
+        try:
+            report = extractor.extract_node(c, 1, np.random.default_rng(seed))
+        except extractor.ExtractionError:
+            outcomes.append("error")
+            continue
+        assert junk
+        outcomes.append("rows" if np.array_equal(report.rows, c.nodes[1].payload.rows)
+                        else "wrong rows")
+    assert "wrong rows" not in outcomes, outcomes
