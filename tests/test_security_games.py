@@ -251,18 +251,17 @@ def test_an_accepted_lie_settles_no_equation():
     params, fid = c.manifest.params, c.manifest.file_id.encode()
     units = np.eye(params.ell + 1, params.n + params.m, dtype=np.uint8)
     macs = spacemac.mac(c.user.keys.k_v, fid, units, params.ell)
-    delta = np.zeros(params.n - 2, dtype=np.uint8)
-    delta[0], delta[1: params.ell + 1] = 1, field.solve_any(macs[1:].T, macs[0])
     error = np.zeros(params.n + params.m, dtype=np.uint8)
-    error[: params.n - 2] = delta
+    error[0], error[1: params.ell + 1] = 1, field.solve_any(macs[1:].T, macs[0])
     assert not spacemac.mac(c.user.keys.k_v, fid, error, params.ell).any()
+    delta = error[: params.n - 2]
 
     answer, lied = c.nodes[2].answer, []
 
     def lucky_lie(chal, voucher):
         proof = answer(chal, voucher)
         if not lied:
-            lied.append(chal)
+            lied.append(True)
             proof = Proof(proof.c_bar ^ delta, proof.nonce, proof.pad, proof.tag)
         return proof
 
