@@ -7,7 +7,8 @@ fixed seeds.  Each path feeds what it produced into its own SHA-256:
 - setup: the manifest, the keys and every node's stored rows;
 - audit: challenge, voucher and proof bytes, verdicts, bytes sent and
   multiplication counts, then the transcript and the ledgers;
-- extract: the extracted rows and the query counts;
+- extract: the challenges the extractor asked, the extracted rows and the
+  query counts;
 - repair: the plans' helpers, the rebuilt rows, the new coefficients and
   the ledgers;
 - dynamics: an update's tag delta, an append's index, the manifest and the
@@ -37,7 +38,7 @@ CHURN = SystemParams(n=1024, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 PINNED = {
     "setup": "05375759d52b8ff9f4ac12ed52e0e49e8e4ee1207cb596660ee073a714711bfa",
     "audit": "0945cbf4bc1a03a307f31b64c8222bcc43ec5692a228269058ef9d43e8419319",
-    "extract": "c0971ddbf4ec761d9fcb15ccea3afc849871459484003165093030bc82bdc482",
+    "extract": "f3282aea0e2b48903ae594b09bd5268fa6f8ba92e8e019e5dcc5c6581ccea425",
     "repair": "7a7e0bca0d9a8456049b3a736c9696df77a31e9813e3cedef2772741087b4246",
     "dynamics": "1c75081808de0ebb41df97f3375713abe2a3b97eb77370dd0d976858b1eef5e1",
     "cli": "844da6b481dd01a250c2bd20be97c10e4062eab28d3551f14fa639d08da29971",
@@ -95,11 +96,14 @@ def _session(d, params, layout, seed):
     cluster.nodes[1].payload.rows = clean
     d.add("audit", cluster.transcript, _ledgers(cluster))
 
+    asked, exchange_ = [], cluster.exchange
+    cluster.exchange = lambda chal: asked.append(chal.to_bytes()) or exchange_(chal)
     cluster.inject_fault(2, Fault("lie_probability", epsilon=0.25))
     report = extractor.extract_node(cluster, 2, rng)
     cluster.inject_fault(2, Fault("lie_probability", epsilon=0.0))
+    del cluster.exchange
     assert np.array_equal(report.rows, cluster.nodes[2].payload.rows)
-    d.add("extract", report.rows, report.queries, report.discarded)
+    d.add("extract", *asked, report.rows, report.queries, report.discarded)
 
     for node, mode in ((0, "exact"), (nodes[-1], "functional")):
         before = cluster.nodes[node].payload.rows.copy()
