@@ -58,14 +58,17 @@ def _seed(args) -> int | None:
 
 # ---------------------------------------------------------------- store I/O
 
-def _save_store(out: Path, manifest: FileManifest, keys: KeyMaterial,
-                payloads) -> None:
-    """Write the manifest, the keys and the given nodes' files."""
+def _save_store(out: Path, n: int, payloads, manifest: FileManifest | None = None,
+                keys: KeyMaterial | None = None) -> None:
+    """Write the given nodes' files, each row's n data symbols and its tags,
+    and the manifest and the keys if given: a command rewrites only what it
+    changed."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(manifest.to_json())
-    (out / "keys.json").write_text(json.dumps(
-        {"k_v": keys.k_v.hex(), "k_e": keys.k_e.hex()}, indent=1))
-    n = manifest.params.n
+    if manifest is not None:
+        (out / "manifest.json").write_text(manifest.to_json())
+    if keys is not None:
+        (out / "keys.json").write_text(json.dumps(
+            {"k_v": keys.k_v.hex(), "k_e": keys.k_e.hex()}, indent=1))
     for node, payload in payloads.items():
         ndir = out / "nodes" / f"node{node}"
         ndir.mkdir(parents=True, exist_ok=True)
@@ -191,7 +194,7 @@ def cmd_setup(args) -> int:
     keys = audit.keygen(params, None if seed is None else rng)
     manifest, payloads = audit.setup_file(src.read_bytes(), params, keys,
                                           code, rng, file_id=src.name)
-    _save_store(Path(args.out), manifest, keys, payloads)
+    _save_store(Path(args.out), params.n, payloads, manifest, keys)
     _save_counters(Path(args.out) / "vouchers.json", dict.fromkeys(payloads, 1))
     _save_counters(Path(args.out) / "tpa.json", dict.fromkeys(payloads, 0))
     print(f"wrote {args.out}: {params.N} nodes, {params.m} source blocks, "
@@ -215,7 +218,7 @@ def cmd_corrupt(args) -> int:
     cluster.inject_fault(args.node, Fault("corrupt_symbol", block=args.block,
                                           position=args.position,
                                           delta=args.delta % 256))
-    _save_store(Path(args.dir), cluster.manifest, cluster.user.keys,
+    _save_store(Path(args.dir), cluster.manifest.params.n,
                 {args.node: cluster.nodes[args.node].payload})
     print(f"flipped node {args.node} block {args.block} "
           f"position {args.position} by {args.delta % 256:#04x}")
@@ -225,8 +228,8 @@ def cmd_corrupt(args) -> int:
 def cmd_repair(args) -> int:
     cluster = _open_cluster(args)
     cluster.fail_and_repair(args.node, args.mode)
-    _save_store(Path(args.dir), cluster.manifest, cluster.user.keys,
-                {i: node.payload for i, node in cluster.nodes.items()})
+    _save_store(Path(args.dir), cluster.manifest.params.n,
+                {args.node: cluster.nodes[args.node].payload}, cluster.manifest)
     print(f"rebuilt node {args.node} ({args.mode}) from helpers "
           f"{cluster.transcript[-1]['helpers']}")
     return 0

@@ -86,13 +86,15 @@ class Fault:
     position: int = 0
     delta: int = 0
     epsilon: float = 0.0
-    snapshot: Optional[Tuple[List[CodedBlock], List[np.ndarray]]] = None
+    snapshot: Optional[np.ndarray] = None  # replay_old: the (M, n+ell) rows to serve
 
     def validate(self, store_size: int, width: int) -> None:
         """Check the fault against a store of store_size blocks of width
         symbols; ValueError if it does not fit."""
         if any(type(v) is not int for v in (self.block, self.position, self.delta)):
             raise ValueError("fault block, position and delta must be integers")
+        if type(self.epsilon) not in (int, float):
+            raise ValueError("fault epsilon must be a real number")
         if self.kind == "corrupt_symbol":
             if not 1 <= self.delta <= 255:
                 raise ValueError("corruption delta must be a nonzero symbol")
@@ -104,8 +106,8 @@ class Fault:
             if not 0 <= self.block < store_size:
                 raise ValueError("delete_block index out of range")
         elif self.kind == "replay_old":
-            if self.snapshot is None:
-                raise ValueError("replay_old needs a snapshot")
+            if not (isinstance(self.snapshot, np.ndarray) and self.snapshot.ndim == 2):
+                raise ValueError("replay_old needs a snapshot of the node's row matrix")
         elif self.kind == "lie_probability":
             if not 0 <= self.epsilon <= 1:
                 raise ValueError("epsilon outside [0, 1]")
@@ -136,8 +138,7 @@ class Node:
             p.rows[fault.block] = self.rng.integers(0, 256, size=p.rows.shape[1],
                                                     dtype=np.uint8)
         elif fault.kind == "replay_old":
-            blocks, tags = fault.snapshot
-            p.rows = np.hstack([np.stack([b.vec for b in blocks]), np.stack(tags)])
+            p.rows = fault.snapshot.copy()
         elif fault.kind == "lie_probability":
             self.lie_epsilon = fault.epsilon
 
@@ -313,9 +314,8 @@ def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
     return Cluster(manifest, user, payloads, rng)
 
 
-# the fields a scenario fault may set, with their JSON types
-FAULT_FIELDS = {"kind": str, "block": int, "position": int, "delta": int,
-                "epsilon": (int, float)}
+# the fields a scenario fault may set; Fault.validate checks their values
+FAULT_FIELDS = ("kind", "block", "position", "delta", "epsilon")
 
 
 def run_scenario(scenario: dict, out) -> int:
@@ -345,12 +345,12 @@ def run_scenario(scenario: dict, out) -> int:
                 raise ValueError(f"scenario step {i}: count must be an integer")
             ok, rec = cluster.run_audit_round(step["node"], step.get("count", 1))
             rejects += not ok
-        elif op == "fault" and isinstance(fault, dict) and "kind" in fault and all(
-                isinstance(v, FAULT_FIELDS.get(k, ())) for k, v in fault.items()):
+        elif op == "fault" and isinstance(fault, dict) and "kind" in fault and set(
+                fault) <= set(FAULT_FIELDS):
             cluster.inject_fault(step["node"], Fault(**fault))
         elif op == "fault":
             raise ValueError(f"scenario step {i}: a fault needs a kind and no field "
-                             f"outside {sorted(FAULT_FIELDS)}, each of its type")
+                             f"outside {sorted(FAULT_FIELDS)}")
         elif op == "repair":
             cluster.fail_and_repair(step["node"], step.get("mode", "exact"),
                                     step.get("helpers"))

@@ -96,18 +96,6 @@ class MultCounter:
 counter = MultCounter()
 
 
-def mul(a: int, b: int) -> int:
-    if counter.enabled:
-        counter.value += 1
-    return int(MUL[a, b])
-
-
-def inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
-    return int(_INV[a])
-
-
 def vec(values) -> np.ndarray:
     return np.asarray(values, dtype=np.uint8)
 

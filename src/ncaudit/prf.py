@@ -12,10 +12,10 @@ not used.  Domains are separated by an injective byte encoding:
 
 The keystream is keyed BLAKE2b in counter mode over the trailing index:
 symbol i is byte i mod 64 of the digest for chunk i // 64.  A call asks for
-a contiguous range of indices: it absorbs the key and the domain prefix
-into one hash state once, then hashes each chunk the range touches from a
-copy of that state, so bulk vector derivation needs one hash per 64
-symbols and sets up one keyed state per call.
+indices 1..count: it absorbs the key and the domain prefix into one hash
+state once, then hashes each chunk the range touches from a copy of that
+state, so bulk vector derivation needs one hash per 64 symbols and sets up
+one keyed state per call.
 """
 
 from __future__ import annotations
@@ -46,27 +46,22 @@ def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes
     return b"".join(parts)
 
 
-def _batch(key: bytes, prefix: bytes, start: int, count: int) -> np.ndarray:
-    """Symbols for trailing indices start..start+count-1: the keyed prefix
-    is absorbed once, and each chunk hashes on from a copy of that state."""
-    state = hashlib.blake2b(prefix, key=key[:64], digest_size=64)
+# -- public surface ---------------------------------------------------------
+
+def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
+               nonce: bytes = b"") -> np.ndarray:
+    """PRF outputs for trailing indices 1..count, as a vector."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    state = hashlib.blake2b(encode_domain(fn, file_id, head_indices, nonce),
+                            key=key[:64], digest_size=64)
     digests = []
-    for c in range(start // 64, (start + count - 1) // 64 + 1):
+    for c in range(count // 64 + 1):
         h = state.copy()
         h.update(struct.pack(">I", c))
         digests.append(h.digest())
     return np.frombuffer(bytearray().join(digests), dtype=np.uint8, count=count,
-                         offset=start % 64)
-
-
-# -- public surface ---------------------------------------------------------
-
-def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
-               nonce: bytes = b"", start: int = 1) -> np.ndarray:
-    """PRF outputs for trailing indices start..start+count-1, as a vector."""
-    if count < 1 or start < 1:
-        raise ValueError("count and start must be >= 1")
-    return _batch(key, encode_domain(fn, file_id, head_indices, nonce), start, count)
+                         offset=1)
 
 
 def derive_r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:

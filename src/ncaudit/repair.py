@@ -148,12 +148,6 @@ def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment]) -> np.nd
                                                       for h in plan.helpers]))
 
 
-def refresh_manifest(manifest: FileManifest, plan: RepairPlan) -> None:
-    """Record the replacement node's rows; defeats replay of pre-repair
-    proofs because the auditor aggregates coefficients from this record."""
-    manifest.node_coeffs[plan.failed] = plan.target_rows.copy()
-
-
 def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
                 failed: int, mode: str, helpers: Optional[List[int]], rng,
                 ) -> Tuple[RepairPlan, List[RepairShipment]]:
@@ -179,5 +173,7 @@ def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
     shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h, manifest.params.n)
                  for h in plan.helpers]
     payloads[failed] = NodePayload(reconstruct_node(plan, shipments), payloads[failed].k_e)
-    refresh_manifest(manifest, plan)
+    # the auditor aggregates coefficients from this record, so proofs from
+    # the pre-repair store are rejected (replay)
+    manifest.node_coeffs[failed] = plan.target_rows.copy()
     return plan, shipments

@@ -69,6 +69,5 @@ def mac(k_v: bytes, file_id: bytes, rows: np.ndarray, ell: int = 1) -> np.ndarra
     (k, n+m) block matrix; tag j is the dot product with r_j.  A tag is
     verified by recomputing it (audit.verify_block)."""
     length = rows.shape[-1]
-    for j in range(1, ell + 1):
-        r_vector(k_v, file_id, length, j)  # r_j cached, length or longer
+    r_vector(k_v, file_id, length, ell)  # r_1..r_ell cached, length or longer
     return combine_blocks(rows, _r_cache[k_v, file_id][:ell, :length].T)

@@ -189,7 +189,7 @@ def test_criterion_06_repair():
     assert all(c.run_audit_round(node, 2)[0]
                for node in range(4) for _ in range(25))
     # replay of pre-repair blocks after a functional repair
-    snap = c.snapshot_node(1)
+    snap = c.nodes[1].payload.rows.copy()
     c.fail_and_repair(1, "functional")
     c.inject_fault(1, Fault("replay_old", snapshot=snap))
     rejected = sum(not c.run_audit_round(1, 2)[0] for _ in range(1000))

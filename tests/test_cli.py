@@ -147,6 +147,13 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
     ({**_SCENARIO, "steps": [{"op": "fault", "node": 1, "fault": {
         "kind": "corrupt_symbol", "block": True, "position": 1, "delta": 5}},
         {"op": "audit", "node": 1, "count": 2}]}, "integers"),
+    ({**_SCENARIO, "steps": [{"op": "fault", "node": 1, "fault": {
+        "kind": "lie_probability", "epsilon": True}},
+        {"op": "audit", "node": 1, "count": 2}]}, "real number"),
+    ({**_SCENARIO, "steps": [{"op": "fault", "node": 1, "fault": {
+        "kind": "lie_probability", "epsilon": "0.5"}}]}, "real number"),
+    ({**_SCENARIO, "steps": [{"op": "fault", "node": 1, "fault": {
+        "kind": "lie_probability", "epsilon": None}}]}, "real number"),
     ({**_SCENARIO, "seed": "2"}, "seed"),
     ({**_SCENARIO, "seed": 2.5}, "seed"),
     ({**_SCENARIO, "file_text": 5}, "file_text"),
@@ -154,7 +161,8 @@ _SCENARIO = {"params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
 ], ids=["no-params", "no-node", "unknown-fault-field", "absent-node", "array",
         "non-object-step", "unknown-op", "string-count", "absent-helper",
         "string-helpers", "repeated-helper", "failed-node-as-helper",
-        "boolean-fault-block", "string-seed", "float-seed", "non-string-file-text",
+        "boolean-fault-block", "boolean-fault-epsilon", "string-fault-epsilon",
+        "null-fault-epsilon", "string-seed", "float-seed", "non-string-file-text",
         "non-string-file-hex"])
 def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "scenario.json"
@@ -281,7 +289,7 @@ def test_node_files_roundtrip(store, tmp_path):
     manifest, keys, payloads = _load_store(store)
     assert payloads[3].rows.shape == (2, 64 + 2)  # n data and ell tag symbols
     copy = tmp_path / "copy"
-    _save_store(copy, manifest, keys, payloads)
+    _save_store(copy, manifest.params.n, payloads, manifest, keys)
     for rel in ["nodes/node3/blocks.bin", "nodes/node3/tags.bin", "manifest.json"]:
         assert (copy / rel).read_bytes() == (store / rel).read_bytes()
 
@@ -294,6 +302,40 @@ def test_corrupt_rewrites_one_symbol(store):
     after = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64)
     assert [tuple(ix) for ix in np.argwhere(before != after)] == [(1, 63)]
     assert after[1, 63] == before[1, 63] ^ 9
+
+
+def test_each_command_writes_only_the_files_it_changes(tmp_path, monkeypatch):
+    # a write truncates the file first, so a kill inside a needless rewrite
+    # of keys.json would lose both of the store's keys
+    written = []
+
+    def recording(write):
+        def wrapper(self, data, *args, **kwargs):
+            written.append(self)
+            return write(self, data, *args, **kwargs)
+        return wrapper
+
+    for name in ("write_text", "write_bytes"):
+        monkeypatch.setattr(Path, name, recording(getattr(Path, name)))
+    src, store = tmp_path / "input.bin", tmp_path / "store"
+    src.write_bytes(bytes(range(200)))
+
+    def run(*argv):
+        written.clear()
+        assert main([str(a) for a in argv]) == 0
+        return sorted(p.relative_to(store).as_posix() for p in written)
+
+    node1 = ["nodes/node1/blocks.bin", "nodes/node1/tags.bin"]
+    assert run("setup", "--file", src, "--out", store, "--n", 64, "--ell", 2,
+               "--seed", "42") == sorted(
+        ["keys.json", "manifest.json", "tpa.json.tmp", "vouchers.json.tmp"]
+        + [f"nodes/node{i}/{f}" for i in range(4) for f in ("blocks.bin", "tags.bin")])
+    assert run("audit", "--dir", store, "--node", 1, "--seed", "5") \
+        == ["tpa.json.tmp", "vouchers.json.tmp"]
+    assert run("corrupt", "--dir", store, "--node", 1, "--delta", 9) == node1
+    for mode in ("exact", "functional"):
+        assert run("repair", "--dir", store, "--node", 1, "--mode", mode,
+                   "--seed", "6") == ["manifest.json"] + node1
 
 
 @settings(max_examples=40, deadline=None,

@@ -133,14 +133,24 @@ def test_fault_validation(cluster):
 @pytest.mark.parametrize("kind, field", [("corrupt_symbol", "block"),
                                          ("corrupt_symbol", "position"),
                                          ("corrupt_symbol", "delta"),
-                                         ("delete_block", "block")])
+                                         ("delete_block", "block"),
+                                         ("lie_probability", "epsilon")])
 def test_boolean_fault_fields_are_rejected(cluster, kind, field):
-    # a bool is an int, and rows[True, position] is the whole row at position
+    # a bool is an int, and rows[True, position] is the whole row at position;
+    # epsilon=True would be taken as 1, a node that always lies
     before = cluster.nodes[1].payload.rows.copy()
     fault = Fault(kind, **{"block": 1, "position": 1, "delta": 5, field: True})
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="real number" if field == "epsilon" else "integers"):
         cluster.inject_fault(1, fault)
     assert np.array_equal(cluster.nodes[1].payload.rows, before)
+    assert cluster.nodes[1].lie_epsilon == 0.0
+
+
+@pytest.mark.parametrize("epsilon", ["0.5", None, [0.5], 1j])
+def test_non_real_epsilon_is_rejected(cluster, epsilon):
+    with pytest.raises(ValueError, match="real number"):
+        cluster.inject_fault(1, Fault("lie_probability", epsilon=epsilon))
+    assert cluster.nodes[1].lie_epsilon == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +185,7 @@ def test_delete_block_fault_detected(cluster):
 
 
 def test_replay_fault_after_functional_repair(cluster):
-    snap = cluster.snapshot_node(1)
+    snap = cluster.nodes[1].payload.rows.copy()
     cluster.fail_and_repair(1, "functional")
     assert cluster.run_audit_round(1, 2)[0]
     cluster.inject_fault(1, Fault("replay_old", snapshot=snap))

@@ -202,7 +202,7 @@ def test_store_stays_two_matrices(cluster, rng):
     dynamics.update_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
                           4, b"again", rng)
     check()
-    snap = cluster.snapshot_node(1)
+    snap = cluster.nodes[1].payload.rows.copy()
     cluster.fail_and_repair(1, "functional")
     cluster.inject_fault(1, Fault("replay_old", snapshot=snap))
     check()
@@ -213,7 +213,7 @@ def test_node_missing_a_challenged_row_fails_its_audit(rng):
     # a node that replays a store from before an append lacks the appended
     # row; an audit that challenges it is rejected, not an error
     cluster = spawn_cluster(PARAMS, "evenodd4", DATA, seed=1)
-    snap = cluster.snapshot_node(1)
+    snap = cluster.nodes[1].payload.rows.copy()
     dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
                           b"appended", rng)
     cluster.inject_fault(1, Fault("replay_old", snapshot=snap))

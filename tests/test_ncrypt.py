@@ -19,7 +19,7 @@ NODE = 2
 def _scalar_dot(a, b):
     acc = 0
     for x, y in zip(a.tolist(), b.tolist()):
-        acc ^= field.mul(x, y)
+        acc ^= field.mul_shift_reduce(x, y)
     return acc
 
 

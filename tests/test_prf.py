@@ -47,13 +47,12 @@ def test_production_golden_vectors_across_chunks():
     # ranges that start, end and cross 64-symbol hash chunk boundaries
     assert prf.derive_mask(KEY, FID, NONCE_3_7, 200).tobytes() \
         == GOLDEN_PROD_F3_NODE3_K7_W200
-    assert prf.eval_range(KEY, prf.F1, FID, (2,), 10, start=60).tolist() \
+    assert prf.eval_range(KEY, prf.F1, FID, (2,), 69)[59:].tolist() \
         == GOLDEN_PROD_F1_KEY2_60_69
-    assert prf.eval_range(KEY, prf.F4, FID, (), 10, nonce=NONCE_3_7, start=60).tolist() \
+    assert prf.eval_range(KEY, prf.F4, FID, (), 69, nonce=NONCE_3_7)[59:].tolist() \
         == GOLDEN_PROD_F4_NODE3_K7_60_69
     for i, want in GOLDEN_PROD_F3_AT.items():
-        assert prf.eval_range(KEY, prf.F3, FID, (), 1, nonce=b"\xaa\xbb",
-                              start=i)[0] == want
+        assert prf.eval_range(KEY, prf.F3, FID, (), i, nonce=b"\xaa\xbb")[-1] == want
     nonce = struct.pack(">I", 4095) + (2**80 - 1).to_bytes(10, "big")
     row = prf.derive_mask(KEY, FID, nonce, 4094)
     assert hashlib.sha256(row.tobytes()).hexdigest() == GOLDEN_PROD_F3_W4094_SHA256
@@ -101,27 +100,24 @@ _DOMAINS = {prf.F1: ((2,), b""), prf.F3: ((), NONCE_3_7), prf.F4: ((), NONCE_3_7
 
 
 @settings(max_examples=80, deadline=None)
-@example(prf.F3, 64, 64, 0, 0)   # exactly one chunk, not the first
-@example(prf.F4, 127, 2, 63, 65)  # a two-symbol range across a boundary
-@given(st.sampled_from(sorted(_DOMAINS)), st.integers(1, 400), st.integers(1, 200),
-       st.integers(0, 130), st.integers(0, 130))
-def test_eval_range_is_the_slice_of_a_longer_range(fn, start, count, before, after):
-    # a range read alone equals the same symbols read inside a longer range
-    # that begins up to `before` symbols earlier and ends `after` later
+@example(prf.F3, 63, 1)   # the first chunk exactly, then one symbol of the next
+@example(prf.F4, 127, 130)  # ends on a chunk boundary, then crosses two more
+@given(st.sampled_from(sorted(_DOMAINS)), st.integers(1, 400), st.integers(0, 200))
+def test_eval_range_is_the_slice_of_a_longer_range(fn, count, after):
+    # a range read alone equals the same symbols read at the head of a range
+    # that ends `after` symbols later
     head, nonce = _DOMAINS[fn]
-    lo = max(1, start - before)
-    whole = prf.eval_range(KEY, fn, FID, head, start - lo + count + after,
-                           nonce=nonce, start=lo)
-    part = prf.eval_range(KEY, fn, FID, head, count, nonce=nonce, start=start)
+    whole = prf.eval_range(KEY, fn, FID, head, count + after, nonce=nonce)
+    part = prf.eval_range(KEY, fn, FID, head, count, nonce=nonce)
     assert part.dtype == np.uint8 and part.shape == (count,)
-    assert np.array_equal(part, whole[start - lo: start - lo + count])
+    assert np.array_equal(part, whole[:count])
 
 
 def test_single_eval_matches_batch():
+    # symbol i of a range is the last symbol of the range 1..i
     batch = prf.derive_mask(KEY, FID, b"\xee", 10)
     for i in range(10):
-        one = prf.eval_range(KEY, prf.F3, FID, (), 1, nonce=b"\xee", start=i + 1)[0]
-        assert one == batch[i]
+        assert prf.eval_range(KEY, prf.F3, FID, (), i + 1, nonce=b"\xee")[-1] == batch[i]
 
 
 def test_nonce_required_only_for_f3_and_f4():

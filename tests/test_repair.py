@@ -86,10 +86,9 @@ def test_functional_repair_needs_helpers_spanning_the_file(system, rng):
 
 def test_functional_repair_keeps_decodability(system, rng):
     keys, manifest, payloads = system
-    plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
-    rows = _run_repair(manifest, payloads, plan)
+    plan, _ = repair.repair_node(manifest, payloads, 1, "functional", [0, 2, 3], rng)
+    rows = payloads[1].rows
     blocks, tags = rows[:, :PARAMS.n], rows[:, PARAMS.n:]
-    repair.refresh_manifest(manifest, plan)
     # the rebuilt data symbols are the manifest's new rows times the sources
     assert np.array_equal(manifest.node_coeffs[1], plan.target_rows)
     helper_rows = audit.verified_rows(keys.k_v, manifest, {h: payloads[h] for h in (0, 2)})
@@ -105,8 +104,7 @@ def test_functional_repair_keeps_decodability(system, rng):
 def test_replay_detected_after_functional_repair(system, rng):
     keys, manifest, payloads = system
     old_rows = payloads[1].rows.copy()
-    plan = repair.plan_functional_repair(manifest, 1, [0, 2, 3], rng)
-    repair.refresh_manifest(manifest, plan)
+    repair.repair_node(manifest, payloads, 1, "functional", [0, 2, 3], rng)
     # the node serves its pre-repair store against refreshed records
     rejected = 0
     for k in range(1, 51):

@@ -29,7 +29,7 @@ def test_tag_is_keystream_dot(rng):
         r = spacemac.r_vector(KEY, FID, 20, j)
         expect = 0
         for x, y in zip(b.tolist(), r.tolist()):
-            expect ^= field.mul(x, y)
+            expect ^= field.mul_shift_reduce(x, y)
         assert tags[j - 1] == expect
 
 
