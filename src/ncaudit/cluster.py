@@ -315,7 +315,7 @@ def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
 
 
 # the fields a scenario fault may set; Fault.validate checks their values
-FAULT_FIELDS = ("kind", "block", "position", "delta", "epsilon")
+FAULT_FIELDS = {"kind", "block", "position", "delta", "epsilon"}
 
 
 def run_scenario(scenario: dict, out) -> int:
@@ -345,8 +345,8 @@ def run_scenario(scenario: dict, out) -> int:
                 raise ValueError(f"scenario step {i}: count must be an integer")
             ok, rec = cluster.run_audit_round(step["node"], step.get("count", 1))
             rejects += not ok
-        elif op == "fault" and isinstance(fault, dict) and "kind" in fault and set(
-                fault) <= set(FAULT_FIELDS):
+        elif (op == "fault" and isinstance(fault, dict) and "kind" in fault
+              and fault.keys() <= FAULT_FIELDS):
             cluster.inject_fault(step["node"], Fault(**fault))
         elif op == "fault":
             raise ValueError(f"scenario step {i}: a fault needs a kind and no field "

@@ -33,7 +33,6 @@ ATTEMPTS = 200
 class RepairPlan:
     """gamma: per-helper mixing rows; theta: how the replacement node
     combines the received blocks into its new blocks."""
-    failed: int
     helpers: List[int]
     gamma: Dict[int, np.ndarray]   # helper -> (Q, rows it stores)
     theta: np.ndarray              # (rows of the failed node, total_sent)
@@ -65,7 +64,7 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
     for used, gamma in _candidates(manifest, target, helpers, span.rank, rng):
         theta = field.solve_any(_sent_rows(manifest, used, gamma).T, target.T)
         if theta is not None:
-            return RepairPlan(failed, used, gamma, theta.T.copy(), target.copy())
+            return RepairPlan(used, gamma, theta.T.copy(), target.copy())
     raise PlanningError("no exact repair plan found")
 
 
@@ -112,7 +111,7 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
     sent = _sent_rows(manifest, helpers, gamma)
     theta = rng.integers(0, 256, size=(len(manifest.node_coeffs[failed]), len(sent)),
                          dtype=np.uint8)
-    return RepairPlan(failed, list(helpers), gamma, theta, combine_blocks(theta, sent))
+    return RepairPlan(list(helpers), gamma, theta, combine_blocks(theta, sent))
 
 
 @dataclass

@@ -60,10 +60,6 @@ def r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.
     return stack[key_index - 1, :length]
 
 
-def clear_cache():
-    _r_cache.clear()
-
-
 def mac(k_v: bytes, file_id: bytes, rows: np.ndarray, ell: int = 1) -> np.ndarray:
     """ell tags for an (n+m,) block, or an (ell,) tag row per row of a
     (k, n+m) block matrix; tag j is the dot product with r_j.  A tag is

@@ -122,7 +122,7 @@ def test_r_vector_skips_zero_keystream_symbols():
     assert (stream == 0).any()
     r = spacemac.r_vector(KEY, FID, 5000, 1)
     assert r.min() >= 1 and np.array_equal(r, stream[stream != 0][:5000])
-    spacemac.clear_cache()
+    spacemac._r_cache.clear()
     assert np.array_equal(spacemac.r_vector(KEY, FID, 300, 1), r[:300])
 
 
