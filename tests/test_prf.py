@@ -101,7 +101,7 @@ _DOMAINS = {prf.F1: ((2,), b""), prf.F3: ((), NONCE_3_7), prf.F4: ((), NONCE_3_7
 
 @settings(max_examples=80, deadline=None)
 @example(prf.F3, 63, 1)   # the first chunk exactly, then one symbol of the next
-@example(prf.F4, 127, 130)  # ends on a chunk boundary, then crosses two more
+@example(prf.F4, 127, 130)  # ends with a chunk; the longer range runs into three more
 @given(st.sampled_from(sorted(_DOMAINS)), st.integers(1, 400), st.integers(0, 200))
 def test_eval_range_is_the_slice_of_a_longer_range(fn, count, after):
     # a range read alone equals the same symbols read at the head of a range
