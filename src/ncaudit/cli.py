@@ -1,18 +1,20 @@
 """Command-line front end: setup / audit / corrupt / repair / extract /
 scenario.
 
-`setup` writes a store; every other command on a store opens a
-`cluster.Cluster` over it (the user, its nodes and the TPA) and calls the
-methods the simulator calls, then writes back what changed.
+`setup` builds a file's `cluster.Cluster` with `spawn_cluster`, as the
+simulator does, and saves it as a store; every other command on a store
+opens a Cluster over it (the user, its nodes and the TPA) and calls the
+methods the simulator calls, then writes back what changed.  Every store
+file is written beside itself and renamed over the old one (`_write`).
 
 On-disk layout written by `setup`:
     <dir>/manifest.json
-    <dir>/keys.json                 (hex keys; a real deployment would split these)
-    <dir>/vouchers.json             (node id -> the counter k of its next voucher)
-    <dir>/tpa.json                  (node id -> the last counter the TPA spent)
-    <dir>/nodes/node<i>/blocks.bin  (the node's M blocks, n data symbols each, row-major;
-                                     their coefficients are in the manifest only)
-    <dir>/nodes/node<i>/tags.bin    (their M tag rows, ell symbols each)
+    <dir>/keys.json               (hex keys; a real deployment would split these)
+    <dir>/vouchers.json           (node id -> the counter k of its next voucher)
+    <dir>/tpa.json                (node id -> the last counter the TPA spent)
+    <dir>/nodes/node<i>/rows.bin  (the node's M rows as held in memory: n data
+                                   symbols then ell tags each, row-major; their
+                                   coefficients are in the manifest only)
 
 Exit codes: 0 success / all audits accepted, 1 at least one audit rejected,
 a failed extraction or a voucher counter the TPA has spent (vouchers.json
@@ -30,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audit, repair
+from . import repair
 from .audit import KeyMaterial, NodePayload
 from .blocks import FileManifest, SystemParams
-from .cluster import Cluster, Fault, SpentCounterError, Tpa, User, make_layout, run_scenario
+from .cluster import (Cluster, Fault, SpentCounterError, Tpa, User, run_scenario,
+                      spawn_cluster)
 
 
 class UsageError(ValueError):
@@ -58,32 +61,38 @@ def _seed(args) -> int | None:
 
 # ---------------------------------------------------------------- store I/O
 
-def _save_store(out: Path, n: int, payloads, manifest: FileManifest | None = None,
+def _write(path: Path, data: bytes) -> None:
+    """The store's one writer: write beside path, then rename, so a write
+    cut short leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def _save_store(out: Path, payloads, manifest: FileManifest | None = None,
                 keys: KeyMaterial | None = None) -> None:
-    """Write the given nodes' files, each row's n data symbols and its tags,
-    and the manifest and the keys if given: a command rewrites only what it
-    changed."""
+    """Write the given nodes' row matrices, and the manifest and the keys
+    if given: a command rewrites only what it changed."""
     out.mkdir(parents=True, exist_ok=True)
     if manifest is not None:
-        (out / "manifest.json").write_text(manifest.to_json())
+        _write(out / "manifest.json", manifest.to_json().encode())
     if keys is not None:
-        (out / "keys.json").write_text(json.dumps(
-            {"k_v": keys.k_v.hex(), "k_e": keys.k_e.hex()}, indent=1))
+        _write(out / "keys.json", json.dumps(
+            {"k_v": keys.k_v.hex(), "k_e": keys.k_e.hex()}, indent=1).encode())
     for node, payload in payloads.items():
         ndir = out / "nodes" / f"node{node}"
         ndir.mkdir(parents=True, exist_ok=True)
-        (ndir / "blocks.bin").write_bytes(payload.rows[:, :n].tobytes())
-        (ndir / "tags.bin").write_bytes(payload.rows[:, n:].tobytes())
+        _write(ndir / "rows.bin", payload.rows.tobytes())
 
 
 def _load_matrix(path: Path, rows: int, width: int) -> np.ndarray:
-    """A (rows, width) symbol matrix stored row-major; ValueError unless the
-    file has exactly that many bytes."""
-    raw = path.read_bytes()
-    if len(raw) != rows * width:
-        raise ValueError(f"{path} holds {len(raw)} bytes, the manifest implies "
+    """A writable (rows, width) symbol matrix stored row-major; ValueError
+    unless the file has exactly that many bytes."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size != rows * width:
+        raise ValueError(f"{path} holds {raw.size} bytes, the manifest implies "
                          f"{rows} x {width}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
+    return raw.reshape(rows, width)
 
 
 def _load_store(root: Path):
@@ -95,21 +104,14 @@ def _load_store(root: Path):
     params = manifest.params
     if {len(keys.k_v), len(keys.k_e)} != {params.lambda_bits // 8}:
         raise ValueError(f"keys.json keys must be {params.lambda_bits // 8} bytes each")
-    payloads = {}
-    for node, rows in manifest.node_coeffs.items():
-        ndir = root / "nodes" / f"node{node}"
-        M = rows.shape[0]
-        payloads[node] = NodePayload(np.hstack(
-            [_load_matrix(ndir / "blocks.bin", M, params.n),
-             _load_matrix(ndir / "tags.bin", M, params.ell)]), keys.k_e)
+    payloads = {node: NodePayload(_load_matrix(root / "nodes" / f"node{node}" / "rows.bin",
+                                               len(rows), params.n + params.ell), keys.k_e)
+                for node, rows in manifest.node_coeffs.items()}
     return manifest, keys, payloads
 
 
 def _save_counters(path: Path, counters) -> None:
-    """Write beside path, then rename: a write cut short leaves the old file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps({str(node): k for node, k in sorted(counters.items())}))
-    os.replace(tmp, path)
+    _write(path, json.dumps({str(node): k for node, k in sorted(counters.items())}).encode())
 
 
 def _load_counters(path: Path, manifest: FileManifest, least: int):
@@ -175,28 +177,26 @@ def cmd_setup(args) -> int:
     src = Path(args.file)
     if not src.exists():
         raise UsageError(f"no such file: {src}")
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
     if args.layout == "evenodd4":
         if (args.m, args.nodes) != (4, 4):
             raise UsageError("the evenodd4 layout has m=4 and 4 nodes; "
                              "--m and --nodes need --layout random")
         params = SystemParams(n=args.n, m=4, N=4, M=2, P=3, Q=1, ell=args.ell,
                               lambda_bits=args.lam)
-        code = make_layout("evenodd4", params, rng)
     else:
         # Q rows from each of the P helpers can span the file's m sources
         M, P = -(-args.m // args.nodes) + 1, args.nodes - 1
         params = SystemParams(n=args.n, m=args.m, N=args.nodes, M=M, P=P,
                               Q=min(M, -(-args.m // max(P, 1))), ell=args.ell,
                               lambda_bits=args.lam)
-        code = make_layout("random_functional", params, rng)
-    keys = audit.keygen(params, None if seed is None else rng)
-    manifest, payloads = audit.setup_file(src.read_bytes(), params, keys,
-                                          code, rng, file_id=src.name)
-    _save_store(Path(args.out), params.n, payloads, manifest, keys)
-    _save_counters(Path(args.out) / "vouchers.json", dict.fromkeys(payloads, 1))
-    _save_counters(Path(args.out) / "tpa.json", dict.fromkeys(payloads, 0))
+    cluster = spawn_cluster(params, "evenodd4" if args.layout == "evenodd4"
+                            else "random_functional", src.read_bytes(), _seed(args),
+                            file_id=src.name)
+    out = Path(args.out)
+    _save_store(out, {i: node.payload for i, node in cluster.nodes.items()},
+                cluster.manifest, cluster.user.keys)
+    _save_counters(out / "vouchers.json", dict.fromkeys(cluster.nodes, 1))
+    _save_counters(out / "tpa.json", dict.fromkeys(cluster.nodes, 0))
     print(f"wrote {args.out}: {params.N} nodes, {params.m} source blocks, "
           f"n={params.n}, ell={params.ell}")
     return 0
@@ -218,8 +218,7 @@ def cmd_corrupt(args) -> int:
     cluster.inject_fault(args.node, Fault("corrupt_symbol", block=args.block,
                                           position=args.position,
                                           delta=args.delta % 256))
-    _save_store(Path(args.dir), cluster.manifest.params.n,
-                {args.node: cluster.nodes[args.node].payload})
+    _save_store(Path(args.dir), {args.node: cluster.nodes[args.node].payload})
     print(f"flipped node {args.node} block {args.block} "
           f"position {args.position} by {args.delta % 256:#04x}")
     return 0
@@ -228,8 +227,9 @@ def cmd_corrupt(args) -> int:
 def cmd_repair(args) -> int:
     cluster = _open_cluster(args)
     cluster.fail_and_repair(args.node, args.mode)
-    _save_store(Path(args.dir), cluster.manifest.params.n,
-                {args.node: cluster.nodes[args.node].payload}, cluster.manifest)
+    # an exact repair restores the node's coefficient rows: the manifest stays
+    _save_store(Path(args.dir), {args.node: cluster.nodes[args.node].payload},
+                cluster.manifest if args.mode == "functional" else None)
     print(f"rebuilt node {args.node} ({args.mode}) from helpers "
           f"{cluster.transcript[-1]['helpers']}")
     return 0

@@ -1,9 +1,9 @@
 """In-process three-party simulation: user, storage nodes, auditor.
 
 `Cluster` holds the three roles over one stored file.  `spawn_cluster`
-sets a file up in memory; the CLI opens a Cluster over a store on disk.
-So the simulator and the CLI run one audit round, one fault injection and
-one repair.
+sets a file up in memory for the simulator and for `ncaudit setup`, whose
+store the other CLI commands open as a Cluster.  So the simulator and the
+CLI run one set-up, one audit round, one fault injection and one repair.
 
 No sockets; messages are method calls, but every payload that would cross
 the wire is serialized and the byte ledgers are charged from the serialized
@@ -303,14 +303,19 @@ class Cluster:
 
 
 def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
-                  seed: int) -> Cluster:
-    """Set up a file under a named layout with keys, padding and every
-    role's generator drawn from one seeded generator."""
+                  seed: Optional[int], file_id: Optional[str] = None) -> Cluster:
+    """Set up a file under a named layout.  A seed draws the keys, the
+    padding and every role's generator from one generator, and names the
+    file unless file_id does; seed=None takes the keys from the OS CSPRNG
+    and the rest from OS entropy, and needs a file_id."""
+    if seed is None and not file_id:
+        raise ValueError("an unseeded cluster needs a file_id")
     rng = np.random.default_rng(seed)
-    user = User(audit.keygen(params, rng), np.random.default_rng(rng.integers(2**63)))
+    user = User(audit.keygen(params, None if seed is None else rng),
+                np.random.default_rng(rng.integers(2**63)))
     code = make_layout(layout, params, rng)
     manifest, payloads = audit.setup_file(file_bytes, params, user.keys, code, rng,
-                                          file_id=f"file-{seed:016x}")
+                                          file_id=file_id or f"file-{seed:016x}")
     return Cluster(manifest, user, payloads, rng)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import field, spacemac
 from .audit import KeyMaterial, NodePayload, verified_rows
-from .blocks import FileManifest, combine_blocks, make_source_block
+from .blocks import FileManifest, make_source_block
 
 
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
@@ -56,7 +56,7 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     for src, local, dst in donations or []:
         joined[dst] = np.vstack([joined[dst], joined[src][local]])
     for node, mix in (dict.fromkeys(payloads) if placements is None else placements).items():
-        add = new_row if mix is None else combine_blocks(
+        add = new_row if mix is None else field.combine_rows(
             np.atleast_2d(np.asarray(mix, dtype=np.uint8)), np.vstack([joined[node], new_row]))
         joined[node] = np.vstack([joined[node], add])
     for node, slots in (retire or {}).items():
@@ -87,6 +87,8 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     the returned delta into the manifest's running per-index deltas.
     """
     params = manifest.params
+    if type(index) is not int or not 0 <= index < params.m:
+        raise ValueError(f"update index {index!r} is not in 0..{params.m - 1}")
     fid = manifest.file_id.encode()
     old = _reconstruct_source(manifest, payloads, keys.k_v, index)
     new_block = make_source_block(data, params, index, rng)
@@ -97,7 +99,7 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
 
     for node, payload in payloads.items():
         column = manifest.node_coeffs[node][:, index: index + 1]
-        payload.rows[:, :params.n] ^= combine_blocks(column, diff[None, :params.n])
+        payload.rows[:, :params.n] ^= field.combine_rows(column, diff[None, :params.n])
     manifest.block_lengths[index] = len(data)
     manifest.deltas[index] = manifest.deltas.get(
         index, np.zeros(params.ell, dtype=np.uint8)) ^ delta
@@ -114,7 +116,7 @@ def _reconstruct_source(manifest: FileManifest, payloads: Dict[int, NodePayload]
     sol = field.solve_any(rows[:, params.n:].T, np.eye(params.m, dtype=np.uint8)[index])
     if sol is None:
         raise RuntimeError(f"source block {index} is not expressible")
-    return combine_blocks(sol, rows)
+    return field.combine_rows(sol, rows)
 
 
 def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import field
 from .audit import NodePayload
-from .blocks import CodedBlock, FileManifest, combine_blocks
+from .blocks import CodedBlock, FileManifest
 
 
 class PlanningError(RuntimeError):
@@ -42,7 +42,7 @@ class RepairPlan:
 def _sent_rows(manifest: FileManifest, helpers: List[int],
                gamma: Dict[int, np.ndarray]) -> np.ndarray:
     """Source-coefficient rows of every block the helpers transmit."""
-    return np.concatenate([combine_blocks(gamma[h], manifest.node_coeffs[h])
+    return np.concatenate([field.combine_rows(gamma[h], manifest.node_coeffs[h])
                            for h in helpers])
 
 
@@ -111,7 +111,7 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
     sent = _sent_rows(manifest, helpers, gamma)
     theta = rng.integers(0, 256, size=(len(manifest.node_coeffs[failed]), len(sent)),
                          dtype=np.uint8)
-    return RepairPlan(list(helpers), gamma, theta, combine_blocks(theta, sent))
+    return RepairPlan(list(helpers), gamma, theta, field.combine_rows(theta, sent))
 
 
 @dataclass
@@ -136,15 +136,15 @@ class RepairShipment:
 
 def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray,
                        helper: int, n: int) -> RepairShipment:
-    return RepairShipment(helper, combine_blocks(gamma_rows, payload.rows), n)
+    return RepairShipment(helper, field.combine_rows(gamma_rows, payload.rows), n)
 
 
 def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment]) -> np.ndarray:
     """The new node's (M, n+ell) rows: theta times the received rows, in
     plan.helpers order."""
     by_helper = {s.helper: s for s in shipments}
-    return combine_blocks(plan.theta, np.concatenate([by_helper[h].rows
-                                                      for h in plan.helpers]))
+    return field.combine_rows(plan.theta, np.concatenate([by_helper[h].rows
+                                                          for h in plan.helpers]))
 
 
 def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],

@@ -5,7 +5,7 @@ secret PRF-derived vector.  Tags of linear combinations are the same
 linear combinations of tags, which is what lets storage nodes maintain
 valid tags without the verification key: a node keeps each block's tags
 beside its data symbols in one row, and every combination of rows
-(blocks.combine_blocks) combines both.
+(field.combine_rows) combines both.
 ell parallel tags (independent key indices) push the forgery bound from
 1/q down to 1/q^ell.
 """
@@ -17,8 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import prf
-from .blocks import combine_blocks
+from . import field, prf
 
 R_CACHE_SIZE = 8
 # (k_v, file_id) -> r_1..r_j stacked tag-major, the rows of one read-only
@@ -66,4 +65,4 @@ def mac(k_v: bytes, file_id: bytes, rows: np.ndarray, ell: int = 1) -> np.ndarra
     verified by recomputing it (audit.verify_block)."""
     length = rows.shape[-1]
     r_vector(k_v, file_id, length, ell)  # r_1..r_ell cached, length or longer
-    return combine_blocks(rows, _r_cache[k_v, file_id][:ell, :length].T)
+    return field.combine_rows(rows, _r_cache[k_v, file_id][:ell, :length].T)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import blocks
+from ncaudit import blocks, field
 from ncaudit.blocks import FileManifest, SystemParams
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
@@ -41,14 +41,14 @@ def test_file_too_long(rng):
 def test_combine_is_linear(rng):
     rows, _ = blocks.make_source_blocks(bytes(range(56)), PARAMS, rng)
     alphas = rng.integers(0, 256, 4, dtype=np.uint8)
-    combined = blocks.combine_blocks(alphas, rows)
+    combined = field.combine_rows(alphas, rows)
     assert np.array_equal(combined[16:], alphas)
     # a (k, r) coefficient matrix gives one combination per row
     mix = rng.integers(0, 256, (3, 4), dtype=np.uint8)
-    many = blocks.combine_blocks(mix, rows)
+    many = field.combine_rows(mix, rows)
     assert many.shape == (3, 20)
     for j in range(3):
-        assert np.array_equal(many[j], blocks.combine_blocks(mix[j], rows))
+        assert np.array_equal(many[j], field.combine_rows(mix[j], rows))
 
 
 def test_decode_roundtrip(rng):
@@ -62,10 +62,9 @@ def test_decode_roundtrip(rng):
     # decode from random full-rank combinations, not the sources themselves
     while True:
         mix = rng.integers(0, 256, (4, 4), dtype=np.uint8)
-        from ncaudit import field
         if field.matrix_rank(mix) == 4:
             break
-    assert blocks.decode_file(blocks.combine_blocks(mix, rows), manifest) == data
+    assert blocks.decode_file(field.combine_rows(mix, rows), manifest) == data
 
 
 def test_decode_insufficient_rank(rng):

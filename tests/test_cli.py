@@ -31,11 +31,10 @@ def test_setup_writes_layout(store):
         "0": 0, "1": 0, "2": 0, "3": 0}
     for node in range(4):
         ndir = store / "nodes" / f"node{node}"
-        assert sorted(p.name for p in ndir.iterdir()) == ["blocks.bin", "tags.bin"]
-        # evenodd4: two blocks of n = 64 data symbols, two tags of ell = 2;
+        assert sorted(p.name for p in ndir.iterdir()) == ["rows.bin"]
+        # evenodd4: two rows of n = 64 data symbols and ell = 2 tag symbols;
         # the blocks' m = 4 coefficients are in the manifest only
-        assert (ndir / "blocks.bin").stat().st_size == 2 * 64
-        assert (ndir / "tags.bin").stat().st_size == 2 * 2
+        assert (ndir / "rows.bin").stat().st_size == 2 * (64 + 2)
     coeffs = json.loads((store / "manifest.json").read_text())["node_coeffs"]
     assert {node: np.array(rows).shape for node, rows in coeffs.items()} == {
         str(node): (2, 4) for node in range(4)}
@@ -46,7 +45,7 @@ def test_setup_deterministic(store, tmp_path, monkeypatch):
     rc = main(["setup", "--file", str(tmp_path / "input.bin"),
                "--out", str(out2), "--n", "64", "--ell", "2"])
     assert rc == 0
-    for rel in ["manifest.json", "nodes/node2/blocks.bin", "nodes/node2/tags.bin"]:
+    for rel in ["manifest.json", "keys.json", "nodes/node2/rows.bin"]:
         assert (store / rel).read_bytes() == (out2 / rel).read_bytes()
 
 
@@ -289,24 +288,24 @@ def test_node_files_roundtrip(store, tmp_path):
     manifest, keys, payloads = _load_store(store)
     assert payloads[3].rows.shape == (2, 64 + 2)  # n data and ell tag symbols
     copy = tmp_path / "copy"
-    _save_store(copy, manifest.params.n, payloads, manifest, keys)
-    for rel in ["nodes/node3/blocks.bin", "nodes/node3/tags.bin", "manifest.json"]:
+    _save_store(copy, payloads, manifest, keys)
+    for rel in ["nodes/node3/rows.bin", "manifest.json", "keys.json"]:
         assert (copy / rel).read_bytes() == (store / rel).read_bytes()
 
 
 def test_corrupt_rewrites_one_symbol(store):
-    path = store / "nodes" / "node1" / "blocks.bin"
-    before = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64)
+    path = store / "nodes" / "node1" / "rows.bin"
+    before = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64 + 2)
     assert main(["corrupt", "--dir", str(store), "--node", "1", "--block", "1",
                  "--position", "63", "--delta", "9"]) == 0
-    after = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64)
+    after = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(2, 64 + 2)
     assert [tuple(ix) for ix in np.argwhere(before != after)] == [(1, 63)]
     assert after[1, 63] == before[1, 63] ^ 9
 
 
 def test_each_command_writes_only_the_files_it_changes(tmp_path, monkeypatch):
-    # a write truncates the file first, so a kill inside a needless rewrite
-    # of keys.json would lose both of the store's keys
+    # every store file is written as <name>.tmp and renamed; a command that
+    # rewrote a file it did not change would widen the window a kill can hit
     written = []
 
     def recording(write):
@@ -325,24 +324,30 @@ def test_each_command_writes_only_the_files_it_changes(tmp_path, monkeypatch):
         assert main([str(a) for a in argv]) == 0
         return sorted(p.relative_to(store).as_posix() for p in written)
 
-    node1 = ["nodes/node1/blocks.bin", "nodes/node1/tags.bin"]
+    node1 = ["nodes/node1/rows.bin.tmp"]
     assert run("setup", "--file", src, "--out", store, "--n", 64, "--ell", 2,
                "--seed", "42") == sorted(
-        ["keys.json", "manifest.json", "tpa.json.tmp", "vouchers.json.tmp"]
-        + [f"nodes/node{i}/{f}" for i in range(4) for f in ("blocks.bin", "tags.bin")])
+        ["keys.json.tmp", "manifest.json.tmp", "tpa.json.tmp", "vouchers.json.tmp"]
+        + [f"nodes/node{i}/rows.bin.tmp" for i in range(4)])
     assert run("audit", "--dir", store, "--node", 1, "--seed", "5") \
         == ["tpa.json.tmp", "vouchers.json.tmp"]
     assert run("corrupt", "--dir", store, "--node", 1, "--delta", 9) == node1
-    for mode in ("exact", "functional"):
-        assert run("repair", "--dir", store, "--node", 1, "--mode", mode,
-                   "--seed", "6") == ["manifest.json"] + node1
+    # an exact repair restores the node's coefficient rows, so it leaves
+    # the manifest alone; a functional one gives the node new ones
+    manifest = (store / "manifest.json").read_bytes()
+    assert run("repair", "--dir", store, "--node", 1, "--mode", "exact",
+               "--seed", "6") == node1
+    assert (store / "manifest.json").read_bytes() == manifest
+    assert run("repair", "--dir", store, "--node", 1, "--mode", "functional",
+               "--seed", "6") == ["manifest.json.tmp"] + node1
+    assert not list(store.rglob("*.tmp"))
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["blocks.bin", "tags.bin"]), st.integers(0, 300))
-def test_node_file_of_wrong_length_is_rejected(store, name, length):
-    path = store / "nodes" / "node0" / name
+@given(st.integers(0, 300))
+def test_node_file_of_wrong_length_is_rejected(store, length):
+    path = store / "nodes" / "node0" / "rows.bin"
     good = path.read_bytes()
     path.write_bytes(bytes(length))
     try:
@@ -371,23 +376,46 @@ def test_audits_advance_the_voucher_counter_and_leave_node_files(store, capsys):
             if p.is_file()} == nodes
 
 
-@pytest.mark.parametrize("name", ["vouchers.json", "tpa.json"])
+@pytest.mark.parametrize("name", ["vouchers.json", "tpa.json", "manifest.json",
+                                  "keys.json", "nodes/node1/rows.bin"])
 def test_a_counter_write_cut_short_leaves_the_old_file(store, name, monkeypatch):
-    # the write of the named file stops halfway and raises, as on a full disk
-    before = (store / name).read_bytes()
-    write_text = Path.write_text
+    # the write of the named file stops halfway and raises, as on a full
+    # disk, in a command that writes it: only setup writes keys.json, and
+    # of the commands on a store only a functional repair the manifest
+    argv = {"keys.json": ["setup", "--file", store.parent / "input.bin", "--out", store,
+                          "--n", 64, "--ell", 2, "--seed", "43"],
+            "manifest.json": ["repair", "--dir", store, "--node", 1,
+                              "--mode", "functional"],
+            "nodes/node1/rows.bin": ["corrupt", "--dir", store, "--node", 1, "--delta", 9],
+            }.get(name, ["audit", "--dir", store, "--node", 1])
+    path = store / name
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
 
-    def cut_short(path, text, *args, **kwargs):
-        if not path.name.startswith(name):
-            return write_text(path, text, *args, **kwargs)
-        write_text(path, text[: len(text) // 2], *args, **kwargs)
+    def cut_short(target, data):
+        if target != path.with_name(path.name + ".tmp"):
+            return write_bytes(target, data)
+        write_bytes(target, data[: len(data) // 2])
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(Path, "write_text", cut_short)
-    assert main(["audit", "--dir", str(store), "--node", "1"]) == 2
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
+    assert main([str(a) for a in argv]) == 2
     monkeypatch.undo()
-    assert (store / name).read_bytes() == before
+    assert path.read_bytes() == before
+    _load_store(store)
     assert main(["audit", "--dir", str(store), "--node", "1"]) == 0
+
+
+def test_a_store_with_split_node_files_is_usage_error(store, capsys):
+    # a store written before a node had one file: blocks.bin held each
+    # row's n data symbols and tags.bin its ell tags
+    for ndir in (store / "nodes").iterdir():
+        rows = np.fromfile(ndir / "rows.bin", dtype=np.uint8).reshape(2, 64 + 2)
+        (ndir / "blocks.bin").write_bytes(rows[:, :64].tobytes())
+        (ndir / "tags.bin").write_bytes(rows[:, 64:].tobytes())
+        (ndir / "rows.bin").unlink()
+    assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
+    assert "rows.bin" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [

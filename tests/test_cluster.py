@@ -49,6 +49,18 @@ def test_same_seed_same_state():
     assert ra == rb
 
 
+def test_unseeded_clusters_share_no_key():
+    a, b = (spawn_cluster(PARAMS, "random_functional", DATA, seed=None, file_id="f")
+            for _ in range(2))
+    keys = [k for c in (a, b) for k in (c.user.keys.k_v, c.user.keys.k_e)]
+    assert len(set(keys)) == 4 and a.manifest.file_id == "f"
+    assert all(a.run_audit_round(node, 2)[0] for node in a.nodes)
+    assert a.decode_current_file() == DATA
+    # a seed names the file; without one the caller must
+    with pytest.raises(ValueError, match="file_id"):
+        spawn_cluster(PARAMS, "evenodd4", DATA, seed=None)
+
+
 def test_evenodd_requires_matching_params():
     bad = SystemParams(n=16, m=5, N=4, M=2, P=3, Q=1)
     with pytest.raises(ValueError):

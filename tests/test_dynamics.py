@@ -109,6 +109,20 @@ def test_refused_insert_leaves_the_file_unchanged(cluster, rng, position):
     assert cluster.decode_current_file() == DATA
 
 
+@pytest.mark.parametrize("update", [dynamics.update_block, dynamics.delete_block])
+@pytest.mark.parametrize("index", [-2, -1, 4, 1.0, True, "1", None])
+def test_refused_update_index_leaves_the_file_unchanged(cluster, rng, update, index):
+    # source indices 0..3 exist in a file of 4 blocks; -2 once patched
+    # every node and read a padding symbol as its coefficient
+    before = _file_state(cluster)
+    args = (index, b"new") if update is dynamics.update_block else (index,)
+    with pytest.raises(ValueError, match=f"index {index!r} "):
+        update(cluster.manifest, _payloads(cluster), cluster.user.keys, *args, rng)
+    assert _file_state(cluster) == before
+    assert not cluster.manifest.deltas
+    assert _audit_all(cluster) and cluster.decode_current_file() == DATA
+
+
 def test_update_patches_and_verifies(cluster, rng):
     payloads = _payloads(cluster)
     dynamics.update_block(cluster.manifest, payloads, cluster.user.keys,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ncaudit import dynamics, field
-from ncaudit.blocks import SystemParams, combine_blocks
+from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
 elem = st.integers(0, 255)
@@ -354,7 +354,7 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
 
     x = r.integers(0, 256, cols if width is None else (cols, width), dtype=np.uint8)
     x2 = x[:, None] if width is None else x
-    rhs2 = combine_blocks(a, x2)
+    rhs2 = field.combine_rows(a, x2)
     rhs = rhs2[:, 0] if width is None else rhs2
 
     want_a, want_b = a.copy(), rhs2.copy()
@@ -375,7 +375,7 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
     assert res.status == ("unique" if rank == cols else "rank_deficient")
     assert res.solution.shape == x.shape
     sol2 = res.solution[:, None] if width is None else res.solution
-    assert np.array_equal(combine_blocks(a, sol2), rhs2)
+    assert np.array_equal(field.combine_rows(a, sol2), rhs2)
     if rank == cols:
         assert np.array_equal(res.solution, x)
 
@@ -385,8 +385,8 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
     c = r.integers(0, 256, rows, dtype=np.uint8)
     delta = np.zeros(rhs2.shape[1], dtype=np.uint8)
     delta[r.integers(delta.size)] = r.integers(1, 256)
-    bad_row = combine_blocks(c, a)[None]
-    bad_rhs = (combine_blocks(c, rhs2) ^ delta)[None]
+    bad_row = field.combine_rows(c, a)[None]
+    bad_rhs = (field.combine_rows(c, rhs2) ^ delta)[None]
     bad = field.gaussian_solve(np.concatenate([a, bad_row]),
                                np.concatenate([rhs2, bad_rhs]))
     assert bad.status == "inconsistent" and bad.solution is None

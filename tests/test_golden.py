@@ -41,7 +41,7 @@ PINNED = {
     "extract": "f3282aea0e2b48903ae594b09bd5268fa6f8ba92e8e019e5dcc5c6581ccea425",
     "repair": "7a7e0bca0d9a8456049b3a736c9696df77a31e9813e3cedef2772741087b4246",
     "dynamics": "1c75081808de0ebb41df97f3375713abe2a3b97eb77370dd0d976858b1eef5e1",
-    "cli": "844da6b481dd01a250c2bd20be97c10e4062eab28d3551f14fa639d08da29971",
+    "cli": "0af98c835146ac39d5a59bac0faaf3223f7bb83e35c45d687372827f35436e9f",
 }
 
 

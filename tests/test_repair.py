@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncaudit import audit, field, ncrypt, repair, spacemac
-from ncaudit.blocks import SystemParams, combine_blocks, decode_source_data
+from ncaudit.blocks import SystemParams, decode_source_data
 from ncaudit.cluster import EVENODD4, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
@@ -93,7 +93,7 @@ def test_functional_repair_keeps_decodability(system, rng):
     assert np.array_equal(manifest.node_coeffs[1], plan.target_rows)
     helper_rows = audit.verified_rows(keys.k_v, manifest, {h: payloads[h] for h in (0, 2)})
     sources = decode_source_data(helper_rows, PARAMS.m)
-    assert np.array_equal(blocks, combine_blocks(manifest.node_coeffs[1], sources))
+    assert np.array_equal(blocks, field.combine_rows(manifest.node_coeffs[1], sources))
     stacked = np.concatenate(list(manifest.node_coeffs.values()), axis=0)
     assert field.matrix_rank(stacked) == PARAMS.m
     fid = manifest.file_id.encode()
@@ -120,7 +120,7 @@ def test_replay_detected_after_functional_repair(system, rng):
 def test_plan_sent_rows_consistent(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_exact_repair(manifest, 2, [0, 1, 3], rng)
-    sent = np.concatenate([combine_blocks(plan.gamma[h], manifest.node_coeffs[h])
+    sent = np.concatenate([field.combine_rows(plan.gamma[h], manifest.node_coeffs[h])
                            for h in plan.helpers])
     # theta applied to the sent rows reproduces the target rows
     rebuilt = np.stack([field.combine_rows(plan.theta[j], sent)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import blocks, field, prf, spacemac
+from ncaudit import field, prf, spacemac
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
@@ -49,8 +49,8 @@ def test_combined_tag_is_tag_of_combination(alphas):
     rng = np.random.default_rng(len(alphas) * 1000 + sum(alphas))
     rows = np.stack([_random_block(rng) for _ in alphas])
     tag_rows = spacemac.mac(KEY, FID, rows, ell=2)
-    combined_tag = blocks.combine_blocks(alphas, tag_rows)
-    combined = blocks.combine_blocks(alphas, rows)
+    combined_tag = field.combine_rows(alphas, tag_rows)
+    combined = field.combine_rows(alphas, rows)
     assert _verifies(combined, combined_tag)
 
 
