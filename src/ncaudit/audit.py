@@ -178,9 +178,10 @@ def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challen
 def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
               params: SystemParams) -> Proof:
     """Aggregate the challenged rows of the node's (M, n+ell) store, giving
-    the n data symbols and ell tag symbols of the combination at once;
-    mask the first n-2 with the voucher's mask and offset the tag by the
-    voucher, which costs no multiplication.
+    the n data symbols and ell tag symbols of the combination at once; the
+    rows are read from the store once per bit-plane, with no copy of the
+    challenged rows first.  Mask the first n-2 with the voucher's mask and
+    offset the tag by the voucher, which costs no multiplication.
 
     The coefficient part is neither stored nor transmitted: the auditor
     rebuilds it from its own records.  ValueError on a challenge index
@@ -189,7 +190,7 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
     n = params.n
     if chal.indices.max() >= rows.shape[0]:
         raise ValueError(f"challenge index outside a store of {rows.shape[0]} blocks")
-    agg = field.combine_rows(chal.alphas, rows[chal.indices])
+    agg = field.combine_rows(chal.alphas, rows, chal.indices)
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
@@ -197,8 +198,9 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
 
 
 def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
-    """The challenged combination's source coefficients, from the manifest."""
-    return field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node][chal.indices])
+    """The challenged combination's source coefficients, read from the
+    manifest's (M, m) rows of the node as gen_proof reads its store."""
+    return field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node], chal.indices)
 
 
 def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,

@@ -110,8 +110,9 @@ class FileManifest:
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
         """Parse a manifest; ValueError on malformed JSON, a missing key, a
-        wrong type, a coefficient row of the wrong width or an index or
-        symbol out of range."""
+        wrong type, a coefficient row of the wrong width, an index or
+        symbol out of range, a logical_order that repeats a source index,
+        or two keys ("3", "03") that name one node or one delta index."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("manifest must be a JSON object")
@@ -130,16 +131,17 @@ class FileManifest:
                 or not all(0 <= int(j) < params.m for j in deltas):
             raise ValueError("manifest node_coeffs and deltas must be objects, "
                              "deltas keyed by source index")
-        return cls(
-            file_id=doc["file_id"],
-            params=params,
-            block_lengths=lengths,
-            node_coeffs={int(node): _symbols(rows, (None, params.m), f"node {node} rows")
-                         for node, rows in node_coeffs.items()},
-            logical_order=_ints(doc["logical_order"], "logical_order", params.m),
-            deltas={int(j): _symbols(d, (params.ell,), f"delta {j}")
-                    for j, d in deltas.items()},
-        )
+        coeffs = {int(node): _symbols(rows, (None, params.m), f"node {node} rows")
+                  for node, rows in node_coeffs.items()}
+        order = _ints(doc["logical_order"], "logical_order", params.m)
+        delta_rows = {int(j): _symbols(d, (params.ell,), f"delta {j}")
+                      for j, d in deltas.items()}
+        if len(coeffs) < len(node_coeffs) or len(delta_rows) < len(deltas):
+            raise ValueError("manifest keys name one node or delta index twice")
+        if len(set(order)) < len(order):
+            raise ValueError("manifest logical_order repeats a source index")
+        return cls(file_id=doc["file_id"], params=params, block_lengths=lengths,
+                   node_coeffs=coeffs, logical_order=order, deltas=delta_rows)
 
 
 def make_source_block(data: bytes, params: SystemParams, index: int, rng) -> np.ndarray:

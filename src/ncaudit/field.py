@@ -9,15 +9,19 @@ makes one combination: it gathers every product at once, through flat
 table indices, for small or narrow inputs and otherwise bit-slices, by
 Horner's rule over the eight bit-planes of the coefficients (Plank, Greenan
 and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
-Instructions", FAST 2013).  The gather of a narrow input (w < r: few
-columns, many rows, such as a MAC's r-vectors, whose tag-major cache gives
-that order for free) lays its indices out as (w, r), so each output symbol
-reduces one contiguous run.  A (k, r) @ (r, w) product with a narrow
-output (w < k) is computed as its transpose.  Then fewer than 2^17 symbol
-products are one gather, laid out (k, w, r) when w < r; k and r both large
-take the Four-Russians method (Albrecht, Bard and Hart, "Algorithm 898",
-ACM TOMS 2010) on each bit-plane, as M4RIE does for GF(2^e) (Albrecht,
-ISSAC 2012); the rest make one combination per output row.
+Instructions", FAST 2013).  An index may name the combination's rows in a
+larger matrix, such as a node's store: the gather takes them once, and the
+bit-slicing reads each plane's rows straight from the matrix, once per
+bit-plane, with no copy of the selection first.  The gather of a narrow
+input (w < r: few columns, many rows, such as a MAC's r-vectors, whose
+tag-major cache gives that order for free) lays its indices out as (w, r),
+so each output symbol reduces one contiguous run.  A (k, r) @ (r, w)
+product with a narrow output (w < k) is computed as its transpose.  Then
+fewer than 2^17 symbol products are one gather, laid out (k, w, r) when
+w < r; k and r both large take the Four-Russians method (Albrecht, Bard and
+Hart, "Algorithm 898", ACM TOMS 2010) on each bit-plane, as M4RIE does for
+GF(2^e) (Albrecht, ISSAC 2012); the rest make one combination per output
+row.
 Gaussian elimination runs on one augmented array [A | B]: each pivot row is
 normalised with one table row, then every row is reduced in one step, its
 own table row read at the pivot row (a zero factor's table row is zero),
@@ -124,17 +128,28 @@ CHUNK = 256
 GATHER_MAX = 1 << 17
 
 
-def combine_rows(coeffs, rows: np.ndarray) -> np.ndarray:
+def combine_rows(coeffs, rows: np.ndarray, index=None) -> np.ndarray:
     """coeffs · rows: (r,) coefficients give the (w,) row
     sum_i coeffs[i] * rows[i], (k, r) ones the (k, w) matrix of k such
-    rows.  Counts one multiplication per coefficient and row symbol, k·r·w."""
+    rows.  With (r,) coefficients an (r,) index names the rows to combine,
+    sum_i coeffs[i] * rows[index[i]], read from rows with no copy of the
+    selection first.  Counts one multiplication per coefficient and
+    combined row symbol, k·r·w."""
     coeffs, rows = vec(coeffs), vec(rows)
-    if coeffs.shape[-1] != rows.shape[0]:
+    if index is not None:
+        index = np.asarray(index, dtype=np.intp)
+        if coeffs.ndim != 1 or index.ndim != 1:
+            raise ValueError("an index takes 1-D coefficients and is 1-D itself")
+        # one reduction: read unsigned, a negative entry is past every row
+        if index.size and index.view(np.uintp).max() >= rows.shape[0]:
+            raise ValueError(f"index outside the {rows.shape[0]} rows")
+    r = rows.shape[0] if index is None else index.shape[0]
+    if coeffs.shape[-1] != r:
         raise ValueError("length mismatch")
     if counter.enabled:
-        counter.value += int(rows.size) * (coeffs.shape[0] if coeffs.ndim == 2 else 1)
+        counter.value += r * rows.shape[1] * (coeffs.shape[0] if coeffs.ndim == 2 else 1)
     if coeffs.ndim == 1:
-        return _combine(coeffs, rows)
+        return _combine(coeffs, rows, index)
     narrow = rows.shape[1] < coeffs.shape[0]
     if narrow:  # the transposed product, rows.T @ coeffs.T, has the wide output
         coeffs, rows = rows.T, coeffs.T
@@ -164,17 +179,27 @@ def _gather(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(MUL.take(flat), axis=-2)
 
 
-def _combine(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i alphas[i] * rows[i], uncounted."""
+def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
+    """sum_i alphas[i] * rows[index[i]] (rows[i] with no index), uncounted."""
     # Bit-slicing pays a fixed cost of eight row selections, reductions and
     # doublings; on one CPU it beats the gather from about 128k symbols in
     # rows at least 256 wide.
-    r, w = rows.shape
-    if w < 256 or rows.size < GATHER_MAX:
-        return _gather(alphas, rows)
+    r, w = (rows.shape[0] if index is None else index.shape[0]), rows.shape[1]
+    if w < 256 or r * w < GATHER_MAX:
+        return _gather(alphas, rows if index is None else rows.take(index, axis=0))
+    if index is None:
+        index = np.arange(r)
+    # one buffer holds each plane's rows in turn: a fresh copy per plane
+    # lands on fresh pages, and made paper-scale audits ~8% slower.  The
+    # index is in range, so mode="clip" clamps nothing; it lets take fill
+    # the buffer unbuffered
+    buf = np.empty((r, w), dtype=np.uint8)
     out = np.zeros(w, dtype=np.uint8)
     for k in range(7, -1, -1):
-        out = MUL[2][out] ^ np.bitwise_xor.reduce(rows[(alphas >> k) & 1 == 1], axis=0)
+        picked = index[(alphas >> k) & 1 == 1]
+        plane = buf[: picked.size]
+        np.take(rows, picked, axis=0, out=plane, mode="clip")
+        out = MUL[2].take(out) ^ np.bitwise_xor.reduce(plane, axis=0)
     return out
 
 
@@ -210,7 +235,7 @@ def _four_russians(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         planes = acc.view(np.uint8)[:, :, :width]
         chunk = planes[7].copy()
         for b in range(6, -1, -1):
-            chunk = MUL[2][chunk]
+            chunk = MUL[2].take(chunk)
             chunk ^= planes[b]
         out[:, lo: lo + width] = chunk
     return out

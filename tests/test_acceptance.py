@@ -211,10 +211,10 @@ def paper_cluster():
     return spawn_cluster(params, "random_functional", data, seed=707)
 
 
-def _full_node_challenge(c, node=0):
-    # the round's first half, up to the node: a challenge of all C blocks
-    # and a voucher the TPA expects
-    chal = c.tpa.challenge(node, c.manifest.params.M)
+def _full_node_challenge(c, node=0, count=None):
+    # the round's first half, up to the node: a challenge of all C blocks,
+    # or of count of them, and a voucher the TPA expects
+    chal = c.tpa.challenge(node, count or c.manifest.params.M)
     voucher = c.user.issue(c.manifest, node)
     c.tpa.expect(node, voucher.k)
     return chal, voucher
@@ -238,6 +238,21 @@ def test_criterion_07_cost_formulas(paper_cluster):
     _report("7 cost formulas",
             f"gen {gen_total} == C*(n+ell); verify {vstats.mults} == "
             "C*m + ell*(n+m), exact")
+
+
+def test_criterion_07_partial_challenge_costs(paper_cluster):
+    # C = 200 of M = 300 stored blocks, still bit-sliced: the counts follow
+    # the challenged rows, not every row the store and the manifest hold
+    c = paper_cluster
+    params = c.manifest.params
+    n, m, ell, C = params.n, params.m, params.ell, 200
+    chal, voucher = _full_node_challenge(c, count=C)
+    with field.counter:
+        proof = c.nodes[0].answer(chal, voucher)
+        assert field.counter.value == C * (n + ell) == 821_200
+    with field.counter:
+        ok, vstats = c.tpa.verify(chal, proof)
+    assert ok and vstats.mults == C * m + ell * (n + m) == 145_960
 
 
 def test_criterion_08_timing(paper_cluster):

@@ -131,6 +131,13 @@ def _manifest_doc(rng):
     lambda d: d["node_coeffs"].update({"x": [[1, 0, 0, 0]]}),
     lambda d: d["deltas"].update({"1": [7, 7]}),
     lambda d: d["deltas"].update({"9": [7]}),
+    # one source index twice would be decoded twice (evenodd4 returned
+    # block 0 four times); two spellings of one key would silently
+    # overwrite each other
+    lambda d: d.update(logical_order=[0, 0, 0, 0]),
+    lambda d: d.update(logical_order=[0, 1, 2, 1]),
+    lambda d: d["node_coeffs"].update({"00": [[1, 0, 0, 0]]}),
+    lambda d: d["deltas"].update({"01": [9]}),
 ])
 def test_manifest_rejects_malformed(rng, edit):
     doc = _manifest_doc(rng)
@@ -172,6 +179,31 @@ def test_manifest_parser_raises_only_value_error(key, value):
         FileManifest.from_json(json.dumps(doc))
     except ValueError:
         pass
+
+
+# spellings int() reads as one key
+_SPELLINGS = st.sampled_from(["{}", "0{}", "00{}", " {}", "{} ", "+{}"])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 3), _SPELLINGS), max_size=5),
+       st.lists(st.tuples(st.integers(0, 3), _SPELLINGS), max_size=5),
+       st.lists(st.integers(0, 3), max_size=6))
+def test_manifest_parser_refuses_exactly_repeated_entries(nodes, deltas, order):
+    doc = _manifest_doc(np.random.default_rng(0))
+    doc["node_coeffs"] = {fmt.format(i): [[i, 0, 0, 0]] for i, fmt in nodes}
+    doc["deltas"] = {fmt.format(j): [j] for j, fmt in deltas}
+    doc["logical_order"] = order
+    keyed = {key: [int(k) for k in doc[key]] for key in ("node_coeffs", "deltas")}
+    if any(len(set(ids)) < len(ids) for ids in [order, *keyed.values()]):
+        with pytest.raises(ValueError):
+            FileManifest.from_json(json.dumps(doc))
+        return
+    back = FileManifest.from_json(json.dumps(doc))
+    assert back.logical_order == order
+    assert sorted(back.node_coeffs) == sorted(keyed["node_coeffs"])
+    assert all(back.node_coeffs[i][0, 0] == i for i in back.node_coeffs)
+    assert {j: int(d[0]) for j, d in back.deltas.items()} == {j: j for j in keyed["deltas"]}
 
 
 @settings(max_examples=100)

@@ -418,6 +418,22 @@ def test_a_store_with_split_node_files_is_usage_error(store, capsys):
     assert "rows.bin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(logical_order=[0, 0, 0, 0]),
+    lambda d: d["node_coeffs"].update({"03": d["node_coeffs"]["3"]}),
+    lambda d: d.update(deltas={"1": [1, 2], "01": [3, 4]}),
+])
+def test_manifest_naming_an_entry_twice_is_usage_error(store, edit, capsys):
+    path = store / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    raw = path.read_bytes()
+    assert main(["audit", "--dir", str(store), "--node", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert path.read_bytes() == raw
+
+
 @pytest.mark.parametrize("doc", [
     [], {"0": 0}, {"0": "1"}, {"x": 1}, {"0": 1.5},
     # a node left out would restart at k=1 and be issued used masks again

@@ -128,6 +128,39 @@ def test_combine_rows_property(shape, seed):
     assert field.combine_rows(alphas, rows).tolist() == _scalar_combination(alphas, rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_SHAPES, st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1))
+@example((1, 300), 5, False, 1)       # a one-row index
+@example((300, 1100), 200, False, 2)  # C < M at a bit-slicing width
+def test_indexed_combine_matches_scalar_sum(shape, extra, repeats, seed):
+    # the rows named by an unsorted index into a larger matrix, on both
+    # kernels, against the scalar sum over the selected copy
+    r = np.random.default_rng(seed)
+    (count, width), total = shape, shape[0] + extra
+    rows = r.integers(0, 256, (total, width), dtype=np.uint8)
+    index = r.choice(total, count, replace=repeats)
+    alphas = r.integers(0, 256, count, dtype=np.uint8)
+    alphas[:3] = [0, 1, 255][:count]
+    with field.counter:
+        got = field.combine_rows(alphas, rows, index)
+        assert field.counter.value == count * width
+    assert got.dtype == np.uint8
+    assert got.tolist() == _scalar_combination(alphas, rows[index])
+
+
+def test_indexed_combine_refuses_bad_indices():
+    rows = np.arange(12, dtype=np.uint8).reshape(4, 3)
+    alphas = np.array([1, 2], dtype=np.uint8)
+    for index in ([0], [0, 1, 2], [0, 4], [-1, 0], [[0, 1]]):
+        with pytest.raises(ValueError):
+            field.combine_rows(alphas, rows, index)
+    with pytest.raises(ValueError):  # an index takes one combination's coefficients
+        field.combine_rows(np.ones((2, 2), dtype=np.uint8), rows, [0, 1])
+    wide = np.zeros((600, 256), dtype=np.uint8)
+    with pytest.raises(ValueError):  # bit-sliced, past the last row
+        field.combine_rows(np.ones(600, dtype=np.uint8), wide, np.arange(1, 601))
+
+
 def test_counter_counts_each_helper():
     v = field.vec([1, 2, 3, 4])
     with field.counter:
@@ -420,9 +453,10 @@ def test_churn_matches_row_by_row_references(seed):
     # elimination swapped for the row-by-row references: the same bytes
     one_d = field.combine_rows
 
-    def combine_row_by_row(coeffs, rows):
+    def combine_row_by_row(coeffs, rows, index=None):
         coeffs = field.vec(coeffs)
-        return one_d(coeffs, rows) if coeffs.ndim == 1 else _combine_row_by_row(coeffs, rows)
+        return (one_d(coeffs, rows, index) if coeffs.ndim == 1
+                else _combine_row_by_row(coeffs, rows))
 
     want = _churn_once(seed)
     with mock.patch.object(field, "_eliminate", wraps=_eliminate_row_by_row) as elim, \
