@@ -42,8 +42,9 @@ class SystemParams:
             raise ValueError("m and ell must be >= 1")
         if self.M * self.N < self.m:
             raise ValueError("M*N must be >= m for decodability")
-        if self.lambda_bits % 8 != 0 or self.lambda_bits < 64:
-            raise ValueError("lambda_bits must be a multiple of 8, >= 64")
+        # keys are lambda_bits long, and keyed BLAKE2b takes at most 64 bytes
+        if self.lambda_bits % 8 != 0 or not 64 <= self.lambda_bits <= 512:
+            raise ValueError("lambda_bits must be a multiple of 8 from 64 to 512")
         return self
 
     def to_dict(self):

@@ -49,12 +49,14 @@ def extract_node(cluster, node: int, rng) -> ExtractionReport:
     M, n, fid = rows.shape[0], manifest.params.n, manifest.file_id.encode()
 
     solved_alphas, solved_answers = [], []  # answers: rows as the node stores them
+    # the draws asked so far, reduced, so that each new one is tested against
+    # them once rather than by eliminating all of them again
+    basis, pivots = np.empty((M, M), dtype=np.uint8), []
     queries, discarded = 0, 0
 
     while len(solved_alphas) < M:
         alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
-        basis = np.stack(solved_alphas + [alphas])
-        if field.matrix_rank(basis) < basis.shape[0]:
+        if not field.extend_basis(basis, pivots, alphas):
             continue  # zero, or dependent on earlier equations
 
         live = np.flatnonzero(alphas)

@@ -15,7 +15,9 @@ symbol i is byte i mod 64 of the digest for chunk i // 64.  A call asks for
 indices 1..count: it absorbs the key and the domain prefix into one hash
 state once, then hashes each chunk the range touches from a copy of that
 state, so bulk vector derivation needs one hash per 64 symbols and sets up
-one keyed state per call.
+one keyed state per call.  The key is used whole, so keys are at most 64
+bytes (lambda up to 512 bits): BLAKE2b refuses a longer one with
+ValueError rather than any of its bytes going unused.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     state = hashlib.blake2b(encode_domain(fn, file_id, head_indices, nonce),
-                            key=key[:64], digest_size=64)
+                            key=key, digest_size=64)
     digests = []
     for c in range(count // 64 + 1):
         h = state.copy()

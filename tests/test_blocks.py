@@ -20,6 +20,14 @@ def test_params_validation():
     PARAMS.validate()
 
 
+@pytest.mark.parametrize("bits", [56, 60, 520, 1024])
+def test_params_refuse_key_sizes_outside_64_to_512_bits(bits):
+    # keyed BLAKE2b takes at most 64 key bytes; a longer key was cut to them
+    with pytest.raises(ValueError, match="lambda_bits"):
+        SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, lambda_bits=bits).validate()
+    SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, lambda_bits=512).validate()
+
+
 def test_source_block_shape(rng):
     rows, lengths = blocks.make_source_blocks(b"x" * 30, PARAMS, rng)
     assert rows.shape == (4, 20) and rows.dtype == np.uint8

@@ -284,6 +284,21 @@ def test_malformed_keys_file_is_usage_error(store, doc, capsys):
     assert "keys.json" in capsys.readouterr().err
 
 
+def test_keys_past_512_bits_are_usage_errors(store, tmp_path, capsys):
+    # keyed BLAKE2b takes at most 64 key bytes; a 1024-bit key was cut to
+    # its first 512 bits and the store audited as usual
+    assert main(["setup", "--file", str(tmp_path / "input.bin"),
+                 "--out", str(tmp_path / "wide"), "--lam", "1024"]) == 2
+    assert not (tmp_path / "wide").exists()
+    path = store / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["params"]["lambda_bits"] = 1024
+    path.write_text(json.dumps(doc))
+    (store / "keys.json").write_text(json.dumps({"k_v": "a5" * 128, "k_e": "5a" * 128}))
+    assert main(["audit", "--dir", str(store), "--node", "0"]) == 2
+    assert "lambda_bits" in capsys.readouterr().err
+
+
 def test_node_files_roundtrip(store, tmp_path):
     manifest, keys, payloads = _load_store(store)
     assert payloads[3].rows.shape == (2, 64 + 2)  # n data and ell tag symbols

@@ -1,9 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ncaudit import dynamics, extractor
+from ncaudit import dynamics, extractor, field
 from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams, decode_file
 from ncaudit.cluster import Fault, spawn_cluster
@@ -142,3 +143,14 @@ def test_extract_node_that_answers_under_the_voucher_it_refused(cluster):
     report = _extract(cluster, 2, seed=11)
     assert np.array_equal(report.rows, cluster.nodes[2].payload.rows)
     assert report.discarded == sum(q % 3 != 2 for q in range(report.queries))
+
+
+def test_extraction_tests_each_draw_without_eliminating_its_basis():
+    # M=64: each draw is reduced against the accepted ones; the one
+    # elimination is the final solve, not one of the whole basis per draw
+    params = SystemParams(n=8, m=64, N=2, M=64, P=1, Q=1, ell=2, lambda_bits=80)
+    cluster = spawn_cluster(params, "random_functional", bytes(range(256)) + bytes(range(120)), seed=3)
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+        report = _extract(cluster, 1, seed=5)
+    assert np.array_equal(report.rows, cluster.nodes[1].payload.rows)
+    assert [call.args[0].shape for call in elim.call_args_list] == [(64, 64)]

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncaudit import dynamics, field
 from ncaudit.blocks import SystemParams
-from ncaudit.cluster import Fault, spawn_cluster
+from ncaudit.cluster import Fault, make_layout, spawn_cluster
 
 elem = st.integers(0, 255)
 
@@ -368,14 +369,30 @@ def _eliminate_row_by_row(a, b):
     return pivots, r
 
 
-@settings(max_examples=150, deadline=None)
+# the crossover of field._eliminate's two row reductions moved so that every
+# pivot takes the table of its multiples, or none does; "measured" leaves it
+FORMS = {"table": {"TABLE_ROWS": 0, "TABLE_MIN": 1},
+         "gather": {"TABLE_ROWS": 0, "TABLE_MIN": 1 << 62}}
+
+
+def _form(name):
+    return mock.patch.multiple(field, **FORMS[name]) if name in FORMS else contextlib.nullcontext()
+
+
+@settings(max_examples=250, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([2, 4, 256]),
        st.booleans(), st.booleans(), st.sampled_from([None, 0, 1, 3, 256, 1026]),
-       st.integers(0, 2**32 - 1))
-def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, seed):
+       st.sampled_from(["table", "gather", "measured"]), st.integers(0, 2**32 - 1))
+def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, form, seed):
     # tall, wide and square up to the simulator's sizes, right-hand sides
     # from none to a decode's width; small alphabets and duplicate rows make
-    # ranks below min(rows, cols); a zero column is never a pivot
+    # ranks below min(rows, cols); a zero column is never a pivot.  Each
+    # row reduction, forced, gives the row-by-row reference's bytes
+    with _form(form):
+        _check_elimination(rows, cols, alphabet, dup_row, zero_col, width, seed)
+
+
+def _check_elimination(rows, cols, alphabet, dup_row, zero_col, width, seed):
     r = np.random.default_rng(seed)
     a = r.integers(0, alphabet, (rows, cols), dtype=np.uint8)
     if dup_row and rows > 1:
@@ -423,6 +440,59 @@ def test_elimination_property(rows, cols, alphabet, dup_row, zero_col, width, se
     bad = field.gaussian_solve(np.concatenate([a, bad_row]),
                                np.concatenate([rhs2, bad_rhs]))
     assert bad.status == "inconsistent" and bad.solution is None
+
+
+def test_tall_elimination_past_the_crossover_matches_row_by_row():
+    # 260 rows reduce through tables at the measured crossover: with b at
+    # every pivot, for the rank alone at the first ones.  A zero column and
+    # a column summing two others make the rank 178 of 180 columns, and a
+    # row summing two others with b off makes the system inconsistent
+    r = np.random.default_rng(25)
+    a = r.integers(0, 256, (260, 180), dtype=np.uint8)
+    a[:, 7] = 0
+    a[:, 100] = a[:, 3] ^ a[:, 4]
+    b = r.integers(0, 256, (260, 200), dtype=np.uint8)
+    a[-1], b[-1] = a[0] ^ a[1], b[0] ^ b[1] ^ 1
+    want_a, want_b = a.copy(), b.copy()
+    want = _eliminate_row_by_row(want_a, want_b)
+    with mock.patch.object(field, "_multiples", wraps=field._multiples) as table:
+        got_a, got_b = a.copy(), b.copy()
+        assert field._eliminate(got_a, got_b) == want
+        assert table.call_count == want[1]
+        forward = a.copy()
+        assert field._eliminate(forward, None) == want
+    assert table.call_count > want[1]
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+    assert want[1] == 178 and field.gaussian_solve(a, b).status == "inconsistent"
+
+
+def test_paper_scale_layout_check_takes_the_table_form():
+    # the span check of m=500 sources over two nodes of 300 rows, which a
+    # retuned crossover must not switch back to single products
+    params = SystemParams(n=4096, m=500, N=2, M=300, P=1, Q=1, ell=10, lambda_bits=80)
+    with mock.patch.object(field, "_multiples", wraps=field._multiples) as table:
+        code = make_layout("random_functional", params, np.random.default_rng(1))
+    assert sorted(code) == [0, 1] and table.call_count > 250
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.sampled_from([2, 3, 256]), st.integers(1, 60),
+       st.integers(0, 2**32 - 1))
+def test_extend_basis_accepts_exactly_what_raises_the_rank(width, alphabet, draws, seed):
+    r = np.random.default_rng(seed)
+    basis, pivots, accepted = np.empty((width, width), dtype=np.uint8), [], []
+    for _ in range(draws):
+        v = r.integers(0, alphabet, width, dtype=np.uint8)
+        rank = field.matrix_rank(np.stack(accepted + [v]))
+        assert field.extend_basis(basis, pivots, v.copy()) == (rank > len(accepted))
+        if rank > len(accepted):
+            accepted.append(v)
+        k = len(pivots)
+        assert k == len(accepted)
+        # row i alone is nonzero at pivots[i], and 1 there; the rows span
+        # the accepted draws
+        assert np.array_equal(basis[:k, pivots], np.eye(k, dtype=np.uint8))
+        assert field.matrix_rank(np.vstack([basis[:k], *accepted])) == k
 
 
 def _churn_once(seed):

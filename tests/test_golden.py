@@ -24,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 
@@ -158,9 +159,25 @@ def _cli_session(d, tmp_path, monkeypatch):
               *(x for p in files for x in (p.relative_to(store).as_posix(), p.read_bytes())))
 
 
-def test_seeded_sessions_match_their_pinned_digests(tmp_path, monkeypatch):
+def _sessions(tmp_path, monkeypatch):
     d = _Digests()
     _session(d, EVENODD, "evenodd4", 16)
     _session(d, CHURN, "random_functional", 1024)
     _cli_session(d, tmp_path, monkeypatch)
-    assert d.hexdigests() == PINNED
+    return d.hexdigests()
+
+
+def test_seeded_sessions_match_their_pinned_digests(tmp_path, monkeypatch):
+    # no elimination here has the rows to take the table of a pivot's
+    # multiples: the churn shape's and the CLI's stay on single products
+    with mock.patch.object(field, "_multiples", wraps=field._multiples) as table:
+        assert _sessions(tmp_path, monkeypatch) == PINNED
+    assert table.call_count == 0
+
+
+def test_sessions_with_every_pivot_through_a_table_match_their_pinned_digests(
+        tmp_path, monkeypatch):
+    with mock.patch.multiple(field, TABLE_ROWS=0, TABLE_MIN=1), \
+            mock.patch.object(field, "_multiples", wraps=field._multiples) as table:
+        assert _sessions(tmp_path, monkeypatch) == PINNED
+    assert table.call_count > 100

@@ -120,6 +120,20 @@ def test_single_eval_matches_batch():
         assert prf.eval_range(KEY, prf.F3, FID, (), i + 1, nonce=b"\xee")[-1] == batch[i]
 
 
+def test_every_key_byte_counts_and_longer_keys_are_refused():
+    # a 128-byte key was cut to its first 64 bytes, so two keys differing
+    # only past them gave one mask
+    key = bytes(range(64))
+    for i in (0, 63):
+        other = bytearray(key)
+        other[i] ^= 1
+        assert not np.array_equal(prf.derive_mask(key, FID, b"\x01", 32),
+                                  prf.derive_mask(bytes(other), FID, b"\x01", 32))
+    for long_key in (key + b"\x00", key * 2):
+        with pytest.raises(ValueError):
+            prf.derive_mask(long_key, FID, b"\x01", 32)
+
+
 def test_nonce_required_only_for_f3_and_f4():
     with pytest.raises(ValueError):
         prf.encode_domain(prf.F1, FID, (1, 1), nonce=b"x")
