@@ -133,15 +133,16 @@ GATHER_MAX = 1 << 17
 # An elimination pivot that reduces k rows of L symbols from its column on
 # reads them from a table of its 256 multiples when (k - TABLE_ROWS) * L
 # reaches TABLE_MIN, and otherwise gathers k * L single products.  The
-# table costs about as much as the gathers of 64 rows, plus a fixed part.
-# On one CPU, measured per pivot, the table won from L = 28 at k = 600,
-# 56 at 384, 110 at 256, 180 at 192, 300 at 128, 700 at 96, 1,500 at 80
-# and 3,000 at 64; the rule asks for a little more than each of these.
-# Whole eliminations took 0.4-0.5x the time for the rank of 600x500,
-# 0.2-0.25x for a 600x500 | 600x4,106 decode, and 1.0x (no pivot takes
-# the table) for 64x64 | 64 and every system of 24 rows or fewer.
-TABLE_ROWS = 64
-TABLE_MIN = 1 << 15
+# table costs about what the gathers of 40 rows cost, plus a fixed part.
+# On one CPU, measured per pivot, the table won from L = 24 at k = 600,
+# 40 at 384, 64 at 256, 90 at 192, 170 at 128, 230 at 96, 450 at 64 and
+# 1,200 at 48, (k - 37) * L = 13,000 or so; the rule asks for a little
+# more.  Whole eliminations took 0.4x the time for the rank of 600x500,
+# 0.2x for a 600x500 | 600x4,106 decode, 0.6-0.7x for 64x64 | 2,048 and
+# 96x96 | 512, and 1.0x (no pivot takes the table) for 64x64 | 64 and
+# every system of 48 rows or fewer.
+TABLE_ROWS = 48
+TABLE_MIN = 1 << 14
 
 
 def combine_rows(coeffs, rows: np.ndarray, index=None) -> np.ndarray:
@@ -260,12 +261,12 @@ def _four_russians(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 _POWERS = MUL[1 << np.arange(8)]  # rows 1, 2, 4, ..., 128 of MUL
 
 
-def _multiples(v: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """v's 256 multiples, row s being s * v, written into the first
-    len(v) columns of table and returned: s * v is the XOR of v's doublings
+def _multiples(v: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """v's 256 multiples, row s being s * v, as a contiguous (256, len(v))
+    view of the front of a flat buffer: s * v is the XOR of v's doublings
     2^i * v at the set bits i of s, so the rows take one gather of 8 * len(v)
     products and eight XOR steps, each doubling the rows filled."""
-    t = table[:, : v.size]
+    t = buffer[: ORDER * v.size].reshape(ORDER, v.size)
     doublings = _POWERS.take(v, axis=1)
     t[0] = 0
     for i in range(8):
@@ -337,9 +338,10 @@ def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
         lo = r + 1 if b is None else 0
         if (rows - lo - TABLE_ROWS) * pivot.size >= TABLE_MIN:
             # one row of the pivot's multiples per row, picked by its factor;
-            # one table, as wide as the first pivot to use it needs, serves all
+            # one buffer, as large as the first pivot to use it needs, serves
+            # all (a contiguous table built ~15% faster than a strided one)
             if table is None:
-                table = np.empty((ORDER, w.shape[1] - c), dtype=np.uint8)
+                table = np.empty(ORDER * (w.shape[1] - c), dtype=np.uint8)
             w[lo:, c:] ^= _multiples(pivot, table).take(w[lo:, c], axis=0)
         else:  # each row's MUL row, read at the pivot row
             w[lo:, c:] ^= MUL[w[lo:, c]].take(pivot, axis=1)
