@@ -6,6 +6,9 @@ simulator does, and saves it as a store; every other command on a store
 opens a Cluster over it (the user, its nodes and the TPA) and calls the
 methods the simulator calls, then writes back what changed.  Every store
 file is written beside itself and renamed over the old one (`_write`).
+A command on a store holds an exclusive `flock` on its keys.json, which
+only `setup` writes, from before its first read until it exits, so
+commands on one store run one at a time.
 
 On-disk layout written by `setup`:
     <dir>/manifest.json
@@ -25,6 +28,8 @@ included), 3 internal failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -157,8 +162,9 @@ class _StoreTpa(Tpa):
 
 def _open_cluster(args) -> Cluster:
     """The store under --dir as a Cluster, after checking --node; its
-    generator is seeded by _seed."""
+    generator is seeded by _seed.  Locks the store first (module doc)."""
     root = Path(args.dir)
+    fcntl.flock(args.held.enter_context(open(root / "keys.json", "rb")), fcntl.LOCK_EX)
     manifest, keys, payloads = _load_store(root)
     if args.node not in manifest.node_coeffs:
         raise UsageError(f"no node {args.node} in this store "
@@ -317,7 +323,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with contextlib.ExitStack() as args.held:  # what the command holds until it exits
+            return args.func(args)
     except SpentCounterError as e:  # no voucher reached the node
         print(f"rejected: {e}; vouchers.json is behind tpa.json")
         return 1

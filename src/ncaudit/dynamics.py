@@ -4,9 +4,9 @@ The PRF that backs the tags is evaluated per position, so growing a vector
 leaves the tag contributions of existing positions untouched: appending a
 source block only widens the coefficient part, which the manifest alone
 holds, and every stored tag stays valid once the new coefficient column is
-zero for old blocks.  An append stages each node's new rows first and
-changes the manifest and the stores only once every input has been used,
-so it happens whole or not at all.
+zero for old blocks.  An append checks its inputs first and then adds one
+plain copy of the new block to each node it is given, so it happens whole
+or not at all.
 
 Updates never replace stored tags in place.  The auditor keeps one running
 tag delta per source index and compensates during verification, so stale
@@ -16,7 +16,7 @@ and fresh blocks can coexist on different nodes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -26,51 +26,34 @@ from .blocks import FileManifest, make_source_block
 
 
 def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
-                 keys: KeyMaterial, data: bytes, rng,
-                 placements: Dict[int, Optional[np.ndarray]] | None = None,
-                 donations: List[Tuple[int, int, int]] | None = None,
-                 retire: Dict[int, List[int]] | None = None) -> int:
+                 keys: KeyMaterial, data: bytes, rng) -> int:
     """Append one source block; returns its source index.
 
-    Each node's stored rows are joined to its manifest coefficient rows,
-    widened by a zero column, which changes no tag value and no stored
-    symbol; so a donation, a placement and a retire each edit one matrix.
-    `donations` first copies rows between nodes as (from_node, local_idx,
-    to_node) (layout rebalancing).  Nodes listed in `placements` (default:
-    every node) then receive the new block: None means a plain copy, a mix
-    row (or matrix of rows) over the node's rows so far plus the new one
-    yields combined rows, whose tags are the combined stored tags.
-    `retire` finally drops the listed slots of the node's rows so far.  The
-    manifest and the stores change only once every input is used and the
-    rows span the widened file, so an append that raises leaves it as it was.
+    Each node in `payloads` stores the new block's n data symbols and ell
+    tags as a plain copy.  Every node's coefficient rows widen by a zero
+    column, which changes no tag value and no stored symbol, and the nodes
+    given the block also gain its unit coefficient row.  Rows that span the
+    m old sources, joined by that unit row, span all m+1, so the file stays
+    decodable without a rank check.  Data longer than n-2 symbols, no node
+    and a node the manifest lacks are refused before anything changes.
     """
+    if not payloads:
+        raise ValueError("an append needs at least one node to store the new block")
+    if not set(payloads) <= set(manifest.node_coeffs):
+        raise ValueError(f"nodes {sorted(set(payloads) - set(manifest.node_coeffs))} "
+                         f"are not in this file (nodes {sorted(manifest.node_coeffs)})")
     params = replace(manifest.params, m=manifest.params.m + 1)
-    index, width = manifest.params.m, params.n + params.ell
+    index = manifest.params.m
     block = make_source_block(data, params, index, rng)
-    new_row = np.concatenate([block[:params.n],
-                              spacemac.mac(keys.k_v, manifest.file_id.encode(), block,
-                                           params.ell), block[params.n:]])
-    coeffs = {node: np.hstack([rows, np.zeros((len(rows), 1), dtype=np.uint8)])
-              for node, rows in manifest.node_coeffs.items()}
-    joined = {node: np.hstack([p.rows, coeffs[node]]) for node, p in payloads.items()}
-    for src, local, dst in donations or []:
-        joined[dst] = np.vstack([joined[dst], joined[src][local]])
-    for node, mix in (dict.fromkeys(payloads) if placements is None else placements).items():
-        add = new_row if mix is None else field.combine_rows(
-            np.atleast_2d(np.asarray(mix, dtype=np.uint8)), np.vstack([joined[node], new_row]))
-        joined[node] = np.vstack([joined[node], add])
-    for node, slots in (retire or {}).items():
-        kept = np.setdiff1d(np.arange(len(joined[node])), slots)
-        if len(kept) + len(slots) != len(joined[node]):  # a slot absent or listed twice
-            raise ValueError(f"node {node}'s retired slots {slots} are not distinct rows of it")
-        joined[node] = joined[node][kept]
-    coeffs.update({node: np.ascontiguousarray(rows[:, width:]) for node, rows in joined.items()})
-    if field.matrix_rank(np.vstack(list(coeffs.values()))) < params.m:
-        raise ValueError(f"the appended file's rows do not span its {params.m} blocks")
+    row = np.concatenate([block[:params.n],
+                          spacemac.mac(keys.k_v, manifest.file_id.encode(), block, params.ell)])
 
-    for node, rows in joined.items():
-        payloads[node].rows = np.ascontiguousarray(rows[:, :width])
-    manifest.node_coeffs.update(coeffs)
+    for node, rows in manifest.node_coeffs.items():
+        rows = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.uint8)])
+        manifest.node_coeffs[node] = (np.vstack([rows, block[params.n:]])
+                                      if node in payloads else rows)
+    for payload in payloads.values():
+        payload.rows = np.vstack([payload.rows, row])
     manifest.params = params
     manifest.block_lengths.append(len(data))
     manifest.logical_order.append(index)
@@ -81,9 +64,11 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  keys: KeyMaterial, index: int, data: bytes, rng) -> np.ndarray:
     """Replace source block `index` with new data; returns the tag delta.
 
-    The user downloads nothing but computes the new block's tag; nodes
-    reconstruct the old block among themselves, patch every stored block by
-    alpha_index * (new - old), and keep their stale tags.  The auditor folds
+    The old block is rebuilt from every node's stored rows whose tags
+    verify (`_reconstruct_source`), so the caller holding k_v reads every
+    stored row: 24 rows of 1,026 bytes at cluster-churn's shape, which no
+    ledger charges.  Each node then patches every stored block by
+    alpha_index * (new - old) and keeps its stale tags.  The auditor folds
     the returned delta into the manifest's running per-index deltas.
     """
     params = manifest.params
@@ -120,13 +105,12 @@ def _reconstruct_source(manifest: FileManifest, payloads: Dict[int, NodePayload]
 
 
 def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
-                 keys: KeyMaterial, position: int, data: bytes, rng,
-                 **append_kw) -> int:
+                 keys: KeyMaterial, position: int, data: bytes, rng) -> int:
     """Insert at a logical position: physically an append plus an ordering
     entry, so no stored block moves; returns the new source index."""
     if type(position) is not int or not 0 <= position <= len(manifest.logical_order):
         raise ValueError(f"insert position {position!r} is not in 0..{len(manifest.logical_order)}")
-    index = append_block(manifest, payloads, keys, data, rng, **append_kw)
+    index = append_block(manifest, payloads, keys, data, rng)
     manifest.logical_order.insert(position, manifest.logical_order.pop())
     return index
 

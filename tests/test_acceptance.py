@@ -332,32 +332,30 @@ def test_criterion_10_retrievability():
 # ----------------------------------------------------------------- 11
 
 def test_criterion_11_dynamics():
-    # rebalancing append: two nodes take plain copies of the new block, the
-    # last node is rebuilt around it using donated blocks
+    # append to a subset of nodes: nodes 1 and 2 each store a plain copy of
+    # the new block, nodes 0 and 3 keep their stores bit-identical, and
+    # every node's old coefficient rows gain a zero column
     params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2,
                           lambda_bits=80)
     c = spawn_cluster(params, "evenodd4", bytes(range(56)), seed=1111)
     payloads = {i: c.nodes[i].payload for i in c.nodes}
-    node0_tags = payloads[0].rows[:, 16:].copy()
-    b = {j: payloads[0].rows[j, :16].copy() for j in (0, 1)}
-    b[2] = payloads[1].rows[0, :16].copy()
-    b[3] = payloads[1].rows[1, :16].copy()
-
-    mixes = np.array([[1, 0, 0, 1, 0],    # (b2+b3) + b2       = b3
-                      [0, 1, 0, 1, 0],    # (b1+b2+b4) + b2    = b1+b4
-                      [0, 0, 0, 1, 1]],   # b2 + b5            = b2+b5
-                     dtype=np.uint8)
+    before = {i: (p.rows.copy(), c.manifest.node_coeffs[i].copy())
+              for i, p in payloads.items()}
     rng = np.random.default_rng(1)
-    dynamics.append_block(c.manifest, payloads, c.user.keys, b"fifth", rng,
-                          placements={1: None, 2: None, 3: mixes},
-                          donations=[(0, 0, 3), (0, 1, 3)],
-                          retire={3: [0, 1, 2, 3]})
-    assert np.array_equal(node0_tags, payloads[0].rows[:, 16:])
-    b5 = payloads[1].rows[-1, :16]
-    got = payloads[3].rows[:, :16]
-    assert np.array_equal(got[0], b[2])            # b3
-    assert np.array_equal(got[1], b[0] ^ b[3])     # b1+b4
-    assert np.array_equal(got[2], b[1] ^ b5)       # b2+b5
+    index = dynamics.append_block(c.manifest, {i: payloads[i] for i in (1, 2)},
+                                  c.user.keys, b"fifth", rng)
+    assert index == 4
+    for i, (rows, coeffs) in before.items():
+        given = i in (1, 2)
+        assert np.array_equal(payloads[i].rows[:2], rows)  # old tags bit-identical
+        assert np.array_equal(c.manifest.node_coeffs[i][:2, :4], coeffs)
+        assert not c.manifest.node_coeffs[i][:2, 4].any()
+        assert payloads[i].rows.shape[0] == c.manifest.node_coeffs[i].shape[0] == 2 + given
+    b5 = payloads[1].rows[-1]
+    assert np.array_equal(payloads[2].rows[-1], b5)
+    assert bytes(b5[:5]) == b"fifth" and not b5[5:14].any()
+    assert all(np.array_equal(c.manifest.node_coeffs[i][-1], np.eye(5, dtype=np.uint8)[4])
+               for i in (1, 2))
     assert all(c.run_audit_round(node, 2)[0] for node in range(4))
     assert c.decode_current_file() == bytes(range(56)) + b"fifth"
 
@@ -394,7 +392,7 @@ def test_criterion_11_dynamics():
                             for i in live])  # skip stale node
     assert decode_file(fresh, c2.manifest) == expect
     _report("11 dynamics",
-            "append layout exact with old tags bit-identical; update "
+            "append to 2 of 4 nodes with old tags bit-identical; update "
             f"accepts {accepted}/1000, rejects stale {rejected}/1000; "
             "insert/delete round-trips")
 

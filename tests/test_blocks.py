@@ -164,7 +164,7 @@ def test_manifest_ignores_unknown_keys(rng):
     # manifests written by older versions may carry keys no longer read
     doc = _manifest_doc(rng)
     plain = FileManifest.from_json(json.dumps(doc)).to_json()
-    doc["retired"] = 3
+    doc["obsolete"] = 3
     assert FileManifest.from_json(json.dumps(doc)).to_json() == plain
 
 

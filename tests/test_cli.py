@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ncaudit import audit
-from ncaudit.cluster import Node, Tpa
+from ncaudit.cluster import Cluster, Node, Tpa
 from ncaudit.cli import _load_store, _save_store, main
 
 
@@ -671,3 +673,50 @@ def test_one_node_store_repair_names_missing_helpers(tmp_path, mode, capsys):
                  "--nodes", "1", "--n", "64", "--seed", "3"]) == 0
     assert main(["repair", "--dir", str(out), "--node", "0", "--mode", mode]) == 2
     assert "no helper nodes to rebuild node 0" in capsys.readouterr().err
+
+
+def _racing_audit(store, barrier, results):
+    """One `audit` command, started with the other at the barrier; puts its
+    exit code and the counter k of every answer its TPA accepted."""
+    accepted, exchange = [], Cluster.exchange
+
+    def logged(self, chal):
+        verdict = exchange(self, chal)
+        if verdict[0]:
+            accepted.append(verdict[2].k)
+        return verdict
+
+    Cluster.exchange = logged
+    barrier.wait(timeout=60)
+    code = main(["audit", "--dir", str(store), "--node", "0", "--count", "3",
+                 "--rounds", "30"])
+    results.put((code, accepted))
+
+
+def test_two_commands_on_one_store_never_spend_one_counter_twice(tmp_path, monkeypatch):
+    # two audits of one node in two processes: each voucher counter must be
+    # spent once, or one mask would hide two aggregates from the TPA
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(256)) * 12)
+    store = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(store), "--layout", "random",
+                 "--m", "6", "--nodes", "4", "--n", "1024", "--ell", "2",
+                 "--seed", "5"]) == 0
+    monkeypatch.delenv("NCAUDIT_SEED", raising=False)  # challenges from OS entropy
+    ctx = multiprocessing.get_context("fork")
+    barrier, results = ctx.Barrier(2), ctx.Queue()
+    procs = [ctx.Process(target=_racing_audit, args=(store, barrier, results))
+             for _ in range(2)]
+    for proc in procs:
+        proc.start()
+    try:
+        outcomes = [results.get(timeout=120) for _ in procs]
+    finally:
+        for proc in procs:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+    assert [code for code, _ in outcomes] == [0, 0]
+    spent = [k for _, ks in outcomes for k in ks]
+    assert len(spent) == 60 and sorted(spent) == sorted(set(spent))
+    assert json.loads((store / "tpa.json").read_text())["0"] == 60

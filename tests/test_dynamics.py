@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncaudit import dynamics
-from ncaudit.audit import verified_rows
+from ncaudit.audit import NodePayload, verified_rows
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
@@ -31,34 +31,16 @@ def _audit_all(cluster):
 
 def test_append_leaves_old_tags_alone(cluster, rng):
     payloads = _payloads(cluster)
-    before = {i: payloads[i].rows[:, PARAMS.n:].copy() for i in payloads}
-    dynamics.append_block(cluster.manifest, payloads, cluster.user.keys,
-                          b"appended", rng, placements={1: None, 2: None})
-    for i in (0, 3):  # untouched nodes: tags bit-identical
-        assert np.array_equal(before[i], payloads[i].rows[:, PARAMS.n:])
+    before = {i: payloads[i].rows.copy() for i in payloads}
+    dynamics.append_block(cluster.manifest, {i: payloads[i] for i in (1, 2)},
+                          cluster.user.keys, b"appended", rng)
+    for i in (0, 3):  # nodes not given the block: stores bit-identical
+        assert np.array_equal(before[i], payloads[i].rows)
+    for i in (1, 2):  # given it: old rows and tags bit-identical, one copy added
+        assert np.array_equal(before[i], payloads[i].rows[:-1])
+    assert np.array_equal(payloads[1].rows[-1], payloads[2].rows[-1])
     assert _audit_all(cluster)
     assert cluster.decode_current_file() == DATA + b"appended"
-
-
-def test_append_mixed_placement(cluster, rng):
-    payloads = _payloads(cluster)
-    # node 3 stores old-block-0 + 5*new instead of a plain copy
-    mix = np.zeros(3, dtype=np.uint8)
-    mix[0], mix[2] = 1, 5
-    dynamics.append_block(cluster.manifest, payloads, cluster.user.keys,
-                          b"mix", rng, placements={3: mix})
-    assert _audit_all(cluster)
-    assert cluster.decode_current_file() == DATA + b"mix"
-
-
-def test_append_with_donation(cluster, rng):
-    payloads = _payloads(cluster)
-    dynamics.append_block(cluster.manifest, payloads, cluster.user.keys,
-                          b"dn", rng, placements={0: None},
-                          donations=[(1, 0, 3)])
-    # node 3 now also holds node 1's first block, with its original tag
-    assert np.array_equal(payloads[3].rows[-1], payloads[1].rows[0])
-    assert _audit_all(cluster)
 
 
 def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
@@ -74,24 +56,20 @@ def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
     assert cluster.decode_current_file() == DATA + b"appended"
 
 
-@pytest.mark.parametrize("data, kw", [
-    (bytes(15), {}),
-    (b"new", {"placements": {3: np.ones(7, dtype=np.uint8)}}),
-    (b"new", {"retire": {1: [9]}}),
-    (b"new", {"donations": [(0, 5, 3)]}),
-    # np.delete would take -1 as the new block's only copy
-    (b"new", {"retire": {1: [-1]}, "placements": {1: None}}),
-    (b"new", {"retire": {1: [0, 0]}}),
-    (b"new", {"placements": {}}),
-], ids=["data-too-long", "mix-too-long", "retired-slot-absent", "donated-slot-absent",
-        "retired-slot-negative", "retired-slot-twice", "new-block-placed-nowhere"])
-def test_refused_append_leaves_the_file_unchanged(cluster, rng, data, kw):
-    # every input is used, and the new rows span the file, before the
-    # manifest or a store changes
+@pytest.mark.parametrize("data, nodes, error", [
+    (bytes(15), [0, 1, 2, 3], "exceeds 14 bytes"),
+    (b"new", [], "at least one node"),
+    (b"new", [0, 4], r"nodes \[4\] are not in this file"),
+], ids=["data-too-long", "new-block-placed-nowhere", "unknown-node"])
+def test_refused_append_leaves_the_file_unchanged(cluster, rng, data, nodes, error):
+    # the data and the nodes are checked before the manifest or a store changes
     before = _file_state(cluster)
-    with pytest.raises((ValueError, IndexError)):
-        dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
-                              data, rng, **kw)
+    payloads = {i: p for i, p in _payloads(cluster).items() if i in nodes}
+    if 4 in nodes:  # a node the manifest lacks, holding a copy of node 0's store
+        payloads[4] = NodePayload(payloads[0].rows.copy(), payloads[0].k_e)
+    with pytest.raises(ValueError, match=error):
+        dynamics.append_block(cluster.manifest, payloads, cluster.user.keys,
+                              data, rng)
     assert _file_state(cluster) == before
     assert cluster.decode_current_file() == DATA
     assert _audit_all(cluster)
@@ -208,10 +186,9 @@ def test_store_stays_two_matrices(cluster, rng):
     check()
     cluster.fail_and_repair(1, "exact")
     check()
-    mix = np.ones(3, dtype=np.uint8)
-    dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
-                          b"more", rng, placements={2: None, 3: mix},
-                          donations=[(0, 1, 2)], retire={2: [0]})
+    payloads = _payloads(cluster)
+    dynamics.append_block(cluster.manifest, {i: payloads[i] for i in (2, 3)},
+                          cluster.user.keys, b"more", rng)
     check()
     dynamics.update_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
                           4, b"again", rng)
@@ -239,9 +216,9 @@ def test_node_missing_a_challenged_row_fails_its_audit(rng):
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_interleaved_writes_and_repairs_keep_every_row_verified(seed):
-    # exact and functional repairs, appends (plain and mixed placements, a
-    # row moved by donation and retire) and updates, in a seeded order:
-    # after every step each stored row's tags verify and the file decodes
+    # exact and functional repairs, appends to a seeded subset of the nodes
+    # and updates, in a seeded order: after every step each stored row's
+    # tags verify and the file decodes
     params = SystemParams(n=32, m=4, N=4, M=3, P=3, Q=3, ell=2, lambda_bits=80)
     rng = np.random.default_rng(seed)
     chunks = [rng.bytes(30) for _ in range(params.m)]
@@ -250,19 +227,10 @@ def test_interleaved_writes_and_repairs_keep_every_row_verified(seed):
 
     def append():
         payloads = _payloads(cluster)
-        src, dst = (int(i) for i in rng.choice(4, size=2, replace=False))
-        local = int(rng.integers(payloads[src].rows.shape[0]))
-        placements = {}
-        for node in (int(i) for i in rng.choice(4, size=2, replace=False)):
-            # a mix runs over the node's rows after the donation, then the new one
-            width = payloads[node].rows.shape[0] + (node == dst) + 1
-            mix = rng.integers(0, 256, size=width, dtype=np.uint8)
-            mix[-1] = rng.integers(1, 256)
-            placements[node] = None if rng.integers(2) else mix
+        given = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
         chunks.append(rng.bytes(int(rng.integers(1, 31))))
-        dynamics.append_block(cluster.manifest, payloads, keys, chunks[-1], rng,
-                              placements=placements, donations=[(src, local, dst)],
-                              retire={src: [local]})
+        dynamics.append_block(cluster.manifest, {int(i): payloads[int(i)] for i in given},
+                              keys, chunks[-1], rng)
 
     def update():
         index = int(rng.integers(len(chunks)))
