@@ -703,7 +703,7 @@ def test_two_commands_on_one_store_never_spend_one_counter_twice(tmp_path, monke
                  "--m", "6", "--nodes", "4", "--n", "1024", "--ell", "2",
                  "--seed", "5"]) == 0
     monkeypatch.delenv("NCAUDIT_SEED", raising=False)  # challenges from OS entropy
-    ctx = multiprocessing.get_context("fork")
+    ctx = multiprocessing.get_context("spawn")
     barrier, results = ctx.Barrier(2), ctx.Queue()
     procs = [ctx.Process(target=_racing_audit, args=(store, barrier, results))
              for _ in range(2)]
