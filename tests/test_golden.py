@@ -13,7 +13,10 @@ fixed seeds.  Each path feeds what it produced into its own SHA-256:
   the ledgers;
 - dynamics: an update's tag delta, an append's index, the manifest and the
   stores after them, and the decoded file;
-- cli: each command's exit code and output, and every store file after it.
+- cli: each command's exit code and output, and every store file after it;
+- scenario: the exit code and output of `ncaudit scenario` on a file whose
+  steps run every op, every fault kind a scenario can set and both repair
+  modes.
 
 The sessions run the paths in that order, so a change to one path also
 moves the digests of the paths after it in the same session.  A change that
@@ -43,6 +46,7 @@ PINNED = {
     "repair": "7a7e0bca0d9a8456049b3a736c9696df77a31e9813e3cedef2772741087b4246",
     "dynamics": "1c75081808de0ebb41df97f3375713abe2a3b97eb77370dd0d976858b1eef5e1",
     "cli": "0af98c835146ac39d5a59bac0faaf3223f7bb83e35c45d687372827f35436e9f",
+    "scenario": "7a29ce662da524a4200a9173534cbad2eaccaad09cc6a8ab889531bad14e8bc2",
 }
 
 
@@ -159,11 +163,39 @@ def _cli_session(d, tmp_path, monkeypatch):
               *(x for p in files for x in (p.relative_to(store).as_posix(), p.read_bytes())))
 
 
+def _scenario_session(d, tmp_path):
+    def fault(node, kind, **fields):
+        return {"op": "fault", "node": node, "fault": {"kind": kind, **fields}}
+
+    def audit(node, count=EVENODD.M):
+        return {"op": "audit", "node": node, "count": count}
+
+    steps = [
+        audit(0, 1), audit(1),
+        fault(1, "corrupt_symbol", block=0, position=3, delta=7), audit(1),
+        {"op": "repair", "node": 1, "mode": "exact", "helpers": [3, 0, 2]}, audit(1),
+        fault(2, "delete_block", block=1), audit(2),
+        {"op": "repair", "node": 2, "mode": "functional"}, audit(2),
+        fault(3, "lie_probability", epsilon=1.0), audit(3),
+        fault(3, "lie_probability", epsilon=0.0), audit(3),
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "params": EVENODD.to_dict(), "layout": "evenodd4", "seed": 21,
+        "file_hex": np.random.default_rng(21).bytes(50).hex(), "steps": steps}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["scenario", "--file", str(path)])
+    assert code == 1, out.getvalue()
+    d.add("scenario", code, out.getvalue())
+
+
 def _sessions(tmp_path, monkeypatch):
     d = _Digests()
     _session(d, EVENODD, "evenodd4", 16)
     _session(d, CHURN, "random_functional", 1024)
     _cli_session(d, tmp_path, monkeypatch)
+    _scenario_session(d, tmp_path)
     return d.hexdigests()
 
 
