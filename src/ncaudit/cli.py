@@ -4,8 +4,10 @@ scenario.
 `setup` builds a file's `cluster.Cluster` with `spawn_cluster`, as the
 simulator does, and saves it as a store; every other command on a store
 opens a Cluster over it (the user, its nodes and the TPA) and calls the
-methods the simulator calls, then writes back what changed.  Every store
-file is written beside itself and renamed over the old one (`_write`).
+methods the simulator calls, then writes back what changed.  Each step
+returns its record, which `audit` and `scenario` print as JSON lines; the
+Cluster keeps none.  Every store file is written beside itself and renamed
+over the old one (`_write`).
 A command on a store holds an exclusive `flock` on its keys.json, which
 only `setup` writes, from before its first read until it exits, so
 commands on one store run one at a time.
@@ -40,8 +42,7 @@ import numpy as np
 from . import repair
 from .audit import KeyMaterial, NodePayload
 from .blocks import FileManifest, SystemParams
-from .cluster import (Cluster, Fault, SpentCounterError, Tpa, User, run_scenario,
-                      spawn_cluster)
+from .cluster import Cluster, Fault, SpentCounterError, Tpa, User, spawn_cluster
 
 
 class UsageError(ValueError):
@@ -232,12 +233,11 @@ def cmd_corrupt(args) -> int:
 
 def cmd_repair(args) -> int:
     cluster = _open_cluster(args)
-    cluster.fail_and_repair(args.node, args.mode)
+    record = cluster.fail_and_repair(args.node, args.mode)
     # an exact repair restores the node's coefficient rows: the manifest stays
     _save_store(Path(args.dir), {args.node: cluster.nodes[args.node].payload},
                 cluster.manifest if args.mode == "functional" else None)
-    print(f"rebuilt node {args.node} ({args.mode}) from helpers "
-          f"{cluster.transcript[-1]['helpers']}")
+    print(f"rebuilt node {args.node} ({args.mode}) from helpers {record['helpers']}")
     return 0
 
 
@@ -256,8 +256,53 @@ def cmd_extract(args) -> int:
     return 0 if match else 1
 
 
+# the fields a scenario fault may set; Fault.validate checks their values
+FAULT_FIELDS = {"kind", "block", "position", "delta", "epsilon"}
+
+
 def cmd_scenario(args) -> int:
-    rejects = run_scenario(json.loads(Path(args.file).read_text()), sys.stdout)
+    """Run a declarative scenario and print each step's record as a JSON
+    line after the last step, so a malformed step (a ValueError naming it)
+    prints none; 1 if an audit was rejected."""
+    scenario = json.loads(Path(args.file).read_text())
+    if not (isinstance(scenario, dict) and isinstance(scenario.get("steps", []), list)):
+        raise ValueError("a scenario must be a JSON object with a list of steps")
+    params = SystemParams.from_dict(scenario.get("params"))
+    if type(scenario.get("seed", 0)) is not int:
+        raise ValueError("scenario seed must be an integer")
+    for key in ("file_hex", "file_text"):
+        if not isinstance(scenario.get(key, ""), str):
+            raise ValueError(f"scenario {key} must be a string")
+    cluster = spawn_cluster(params, scenario.get("layout", "evenodd4"),
+                            bytes.fromhex(scenario.get("file_hex", ""))
+                            or scenario.get("file_text", "").encode(),
+                            scenario.get("seed", 0))
+    records, rejects = [], 0
+    for i, step in enumerate(scenario.get("steps", [])):
+        if not (isinstance(step, dict) and type(step.get("node")) is int
+                and step["node"] in cluster.nodes):
+            raise ValueError(f"scenario step {i} must be an object naming a node "
+                             f"among {sorted(cluster.nodes)}")
+        op, fault = step.get("op"), step.get("fault")
+        if op == "audit":
+            if type(step.get("count", 1)) is not int:
+                raise ValueError(f"scenario step {i}: count must be an integer")
+            ok, record = cluster.run_audit_round(step["node"], step.get("count", 1))
+            rejects += not ok
+        elif (op == "fault" and isinstance(fault, dict) and "kind" in fault
+              and fault.keys() <= FAULT_FIELDS):
+            record = cluster.inject_fault(step["node"], Fault(**fault))
+        elif op == "fault":
+            raise ValueError(f"scenario step {i}: a fault needs a kind and no field "
+                             f"outside {sorted(FAULT_FIELDS)}")
+        elif op == "repair":
+            record = cluster.fail_and_repair(step["node"], step.get("mode", "exact"),
+                                             step.get("helpers"))
+        else:
+            raise ValueError(f"scenario step {i}: unknown op {op!r}")
+        records.append(record)
+    for record in records:
+        print(json.dumps(record))
     return 0 if rejects == 0 else 1
 
 

@@ -15,7 +15,6 @@ node's voucher counters once and in order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -213,7 +212,7 @@ class User:
 
 class Cluster:
     """The three roles over one stored file: the user, a node per payload
-    and the TPA, with the transcript of what they did."""
+    and the TPA.  Each protocol step returns its record and keeps none."""
 
     def __init__(self, manifest: FileManifest, user: User,
                  payloads: Dict[int, NodePayload], rng):
@@ -226,7 +225,6 @@ class Cluster:
         self.tpa = Tpa(user.keys.k_v, manifest,
                        np.random.default_rng(rng.integers(2**63)))
         self.rng = rng
-        self.transcript: List[dict] = []
 
     # -- protocol steps ------------------------------------------------
     def exchange(self, chal: Challenge) -> Tuple[bool, Optional[Proof], ncrypt.Voucher, int]:
@@ -255,21 +253,20 @@ class Cluster:
 
     def run_audit_round(self, node: int, count: int) -> Tuple[bool, dict]:
         accepted, _, _, sent = self.exchange(self.tpa.challenge(node, count))
-        record = {"event": "audit", "node": node, "count": count, "accepted": accepted,
-                  "proof_bytes": sent}
-        self.transcript.append(record)
-        return accepted, record
+        return accepted, {"event": "audit", "node": node, "count": count,
+                          "accepted": accepted, "proof_bytes": sent}
 
-    def inject_fault(self, node: int, fault: Fault) -> None:
+    def inject_fault(self, node: int, fault: Fault) -> dict:
         self.nodes[node].apply_fault(fault)
-        self.transcript.append({"event": "fault", "node": node, "kind": fault.kind})
+        return {"event": "fault", "node": node, "kind": fault.kind}
 
     def snapshot_node(self, node: int):
         return self.nodes[node].snapshot()
 
     def fail_and_repair(self, node: int, mode: str = "exact",
-                        helpers: Optional[List[int]] = None) -> None:
-        """Drop a node, rebuild it from P helpers, refresh the manifest."""
+                        helpers: Optional[List[int]] = None) -> dict:
+        """Drop a node, rebuild it from P helpers, refresh the manifest;
+        returns the repair's record, naming the helpers used."""
         payloads = {i: n.payload for i, n in self.nodes.items()}
         plan_rng = np.random.default_rng(self.rng.integers(2**63))
         plan, shipments = repair.repair_node(self.manifest, payloads, node, mode,
@@ -290,8 +287,7 @@ class Cluster:
                      np.random.default_rng(self.rng.integers(2**63)))
         fresh.ledger = self.nodes[node].ledger
         self.nodes[node] = fresh
-        self.transcript.append({"event": "repair", "node": node, "mode": mode,
-                                "helpers": plan.helpers})
+        return {"event": "repair", "node": node, "mode": mode, "helpers": plan.helpers}
 
     def decode_current_file(self) -> bytes:
         """Decode from the stored blocks whose tags verify under the user's
@@ -318,49 +314,3 @@ def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
                                           file_id=file_id or f"file-{seed:016x}")
     return Cluster(manifest, user, payloads, rng)
 
-
-# the fields a scenario fault may set; Fault.validate checks their values
-FAULT_FIELDS = {"kind", "block", "position", "delta", "epsilon"}
-
-
-def run_scenario(scenario: dict, out) -> int:
-    """Execute a declarative scenario; JSON records to `out`; returns the
-    number of rejected audits.  ValueError names a malformed step."""
-    if not (isinstance(scenario, dict) and isinstance(scenario.get("steps", []), list)):
-        raise ValueError("a scenario must be a JSON object with a list of steps")
-    params = SystemParams.from_dict(scenario.get("params"))
-    if type(scenario.get("seed", 0)) is not int:
-        raise ValueError("scenario seed must be an integer")
-    for key in ("file_hex", "file_text"):
-        if not isinstance(scenario.get(key, ""), str):
-            raise ValueError(f"scenario {key} must be a string")
-    cluster = spawn_cluster(params, scenario.get("layout", "evenodd4"),
-                            bytes.fromhex(scenario.get("file_hex", ""))
-                            or scenario.get("file_text", "").encode(),
-                            scenario.get("seed", 0))
-    rejects = 0
-    for i, step in enumerate(scenario.get("steps", [])):
-        if not (isinstance(step, dict) and type(step.get("node")) is int
-                and step["node"] in cluster.nodes):
-            raise ValueError(f"scenario step {i} must be an object naming a node "
-                             f"among {sorted(cluster.nodes)}")
-        op, fault = step.get("op"), step.get("fault")
-        if op == "audit":
-            if type(step.get("count", 1)) is not int:
-                raise ValueError(f"scenario step {i}: count must be an integer")
-            ok, rec = cluster.run_audit_round(step["node"], step.get("count", 1))
-            rejects += not ok
-        elif (op == "fault" and isinstance(fault, dict) and "kind" in fault
-              and fault.keys() <= FAULT_FIELDS):
-            cluster.inject_fault(step["node"], Fault(**fault))
-        elif op == "fault":
-            raise ValueError(f"scenario step {i}: a fault needs a kind and no field "
-                             f"outside {sorted(FAULT_FIELDS)}")
-        elif op == "repair":
-            cluster.fail_and_repair(step["node"], step.get("mode", "exact"),
-                                    step.get("helpers"))
-        else:
-            raise ValueError(f"scenario step {i}: unknown op {op!r}")
-    for rec in cluster.transcript:
-        out.write(json.dumps(rec) + "\n")
-    return rejects

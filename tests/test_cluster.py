@@ -1,7 +1,8 @@
-import io
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ncaudit import cluster as cl, dynamics, extractor
 from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
+from ncaudit.cli import main
 from ncaudit.cluster import Fault, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
@@ -205,6 +207,30 @@ def test_repair_moves_no_user_data(cluster):
     assert cluster.user.ledger.sent["coefficient_bytes"] > 0
 
 
+def test_cluster_keeps_no_per_step_state():
+    # a file is audited for as long as it is stored: 1,000 rounds and 10
+    # repairs must leave no record behind (a kept record is about 220 B)
+    c = spawn_cluster(PARAMS, "evenodd4", DATA, seed=8)
+
+    def steps(rounds, repairs):
+        for r in range(rounds):
+            assert c.run_audit_round(r % 4, 2)[0]
+        for r in range(repairs):
+            c.fail_and_repair(r % 4, "exact")
+
+    tracemalloc.start()
+    try:
+        steps(100, 4)  # warm-up: caches, counters and ledger entries settle
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        steps(1000, 10)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 32 * 1024, grown
+
+
 def test_random_functional_decodes_from_subsets():
     from ncaudit import field
     from ncaudit.blocks import decode_file
@@ -220,7 +246,7 @@ def test_random_functional_decodes_from_subsets():
     assert decoded == 4  # this seed's layout spans the file without any one node
 
 
-def test_scenario_runner(tmp_path):
+def test_scenario_runner(tmp_path, capsys):
     scenario = {
         "params": {"n": 16, "m": 4, "N": 4, "M": 2, "P": 3, "Q": 1,
                    "ell": 2, "lambda_bits": 80},
@@ -237,12 +263,12 @@ def test_scenario_runner(tmp_path):
             {"op": "audit", "node": 1, "count": 2},
         ],
     }
-    out = io.StringIO()
-    rejects = cl.run_scenario(scenario, out)
-    records = [json.loads(line) for line in out.getvalue().splitlines()]
-    audits = [r for r in records if r["event"] == "audit"]
-    assert rejects == 1
-    assert [r["accepted"] for r in audits] == [True, False, True]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["scenario", "--file", str(path)]) == 1  # one rejected audit
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["event"] for r in records] == ["audit", "fault", "audit", "repair", "audit"]
+    assert [r["accepted"] for r in records if r["event"] == "audit"] == [True, False, True]
 
 
 def test_decode_skips_corrupted_block(cluster):

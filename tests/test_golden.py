@@ -6,7 +6,8 @@ fixed seeds.  Each path feeds what it produced into its own SHA-256:
 
 - setup: the manifest, the keys and every node's stored rows;
 - audit: challenge, voucher and proof bytes, verdicts, bytes sent and
-  multiplication counts, then the transcript and the ledgers;
+  multiplication counts, then the records of the audit rounds and the
+  fault, and the ledgers;
 - extract: the challenges the extractor asked, the extracted rows and the
   query counts;
 - repair: the plans' helpers, the rebuilt rows, the new coefficients and
@@ -92,14 +93,18 @@ def _session(d, params, layout, seed):
               accepted, sent, field.counter.value)
         return accepted
 
+    records = []
     for node in nodes:
         assert exchange(node, 1) and exchange(node, params.M)
-        assert cluster.run_audit_round(node, params.M)[0]
+        accepted, record = cluster.run_audit_round(node, params.M)
+        assert accepted
+        records.append(record)
     clean = cluster.nodes[1].payload.rows.copy()
-    cluster.inject_fault(1, Fault("corrupt_symbol", block=0, position=3, delta=7))
+    records.append(cluster.inject_fault(1, Fault("corrupt_symbol", block=0, position=3,
+                                                 delta=7)))
     assert not exchange(1, params.M)
     cluster.nodes[1].payload.rows = clean
-    d.add("audit", cluster.transcript, _ledgers(cluster))
+    d.add("audit", records, _ledgers(cluster))
 
     asked, exchange_ = [], cluster.exchange
     cluster.exchange = lambda chal: asked.append(chal.to_bytes()) or exchange_(chal)
@@ -112,10 +117,10 @@ def _session(d, params, layout, seed):
 
     for node, mode in ((0, "exact"), (nodes[-1], "functional")):
         before = cluster.nodes[node].payload.rows.copy()
-        cluster.fail_and_repair(node, mode)
+        record = cluster.fail_and_repair(node, mode)
         after = cluster.nodes[node].payload.rows
         assert mode == "functional" or np.array_equal(after, before)
-        d.add("repair", cluster.transcript[-1], after, cluster.manifest.node_coeffs[node])
+        d.add("repair", record, after, cluster.manifest.node_coeffs[node])
     d.add("repair", _ledgers(cluster))
     assert all(cluster.run_audit_round(node, params.M)[0] for node in nodes)
 
