@@ -94,7 +94,7 @@ class FileManifest:
     params: SystemParams
     block_lengths: List[int]               # payload bytes per source block
     node_coeffs: Dict[int, np.ndarray]     # node -> (M, m) coefficient rows
-    logical_order: List[int] = dc_field(default_factory=list)
+    logical_order: List[int]               # source indices in file order
     deltas: Dict[int, np.ndarray] = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -200,7 +200,6 @@ def decode_file(rows: np.ndarray, manifest: FileManifest) -> bytes:
     m = manifest.params.m
     data = decode_source_data(rows, m)
     out = bytearray()
-    order = manifest.logical_order or list(range(m))
-    for j in order:
+    for j in manifest.logical_order:
         out += data[j, : manifest.block_lengths[j]].tobytes()
     return bytes(out)

@@ -69,11 +69,14 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     stored row: 24 rows of 1,026 bytes at cluster-churn's shape, which no
     ledger charges.  Each node then patches every stored block by
     alpha_index * (new - old) and keeps its stale tags.  The auditor folds
-    the returned delta into the manifest's running per-index deltas.
+    the returned delta into the manifest's running per-index deltas.  An
+    index outside the logical order, deleted or never there, is refused
+    before anything changes.
     """
     params = manifest.params
-    if type(index) is not int or not 0 <= index < params.m:
-        raise ValueError(f"update index {index!r} is not in 0..{params.m - 1}")
+    if type(index) is not int or index not in manifest.logical_order:
+        raise ValueError(f"update index {index!r} is not a live block of this file "
+                         f"(0..{params.m - 1}, less deleted ones)")
     fid = manifest.file_id.encode()
     old = _reconstruct_source(manifest, payloads, keys.k_v, index)
     new_block = make_source_block(data, params, index, rng)
@@ -118,7 +121,8 @@ def insert_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
 def delete_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
                  keys: KeyMaterial, index: int, rng) -> np.ndarray:
     """Delete = update to an all-zero data block plus a tombstone in the
-    logical order.  Coefficients keep their width; audits stay valid."""
+    logical order, so a deleted index is refused as an update's is.
+    Coefficients keep their width; audits stay valid."""
     delta = update_block(manifest, payloads, keys, index, b"", rng)
     manifest.block_lengths[index] = 0
     manifest.logical_order.remove(index)

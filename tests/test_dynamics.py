@@ -88,17 +88,26 @@ def test_refused_insert_leaves_the_file_unchanged(cluster, rng, position):
 
 
 @pytest.mark.parametrize("update", [dynamics.update_block, dynamics.delete_block])
-@pytest.mark.parametrize("index", [-2, -1, 4, 1.0, True, "1", None])
+@pytest.mark.parametrize("index", [-2, -1, 4, 1.0, True, "1", None,
+                                   pytest.param("deleted", id="deleted-1")])
 def test_refused_update_index_leaves_the_file_unchanged(cluster, rng, update, index):
     # source indices 0..3 exist in a file of 4 blocks; -2 once patched
-    # every node and read a padding symbol as its coefficient
+    # every node and read a padding symbol as its coefficient.  A deleted
+    # index once patched every node with data no decode showed, and a
+    # second delete rewrote the file before it failed
+    expect = DATA
+    if index == "deleted":
+        index, expect = 1, DATA[:14] + DATA[28:]
+        dynamics.delete_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                              index, rng)
     before = _file_state(cluster)
+    deltas = {j: d.tolist() for j, d in cluster.manifest.deltas.items()}
     args = (index, b"new") if update is dynamics.update_block else (index,)
     with pytest.raises(ValueError, match=f"index {index!r} "):
         update(cluster.manifest, _payloads(cluster), cluster.user.keys, *args, rng)
     assert _file_state(cluster) == before
-    assert not cluster.manifest.deltas
-    assert _audit_all(cluster) and cluster.decode_current_file() == DATA
+    assert {j: d.tolist() for j, d in cluster.manifest.deltas.items()} == deltas
+    assert _audit_all(cluster) and cluster.decode_current_file() == expect
 
 
 def test_update_patches_and_verifies(cluster, rng):
