@@ -280,9 +280,9 @@ class Cluster:
                                  int(ship.rows[:, :self.manifest.params.n].size))
             helper.ledger.charge(self.nodes[node].ledger, "tag_bytes",
                                  int(ship.tags.size))
-        # user tells the TPA the replacement coefficients
-        self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
-                                int(plan.target_rows.size))
+        if mode == "functional":  # user tells the TPA the new coefficients
+            self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
+                                    int(plan.target_rows.size))
         fresh = Node(node, payloads[node], self.manifest.params,
                      np.random.default_rng(self.rng.integers(2**63)))
         fresh.ledger = self.nodes[node].ledger

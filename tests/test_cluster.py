@@ -205,6 +205,11 @@ def test_repair_moves_no_user_data(cluster):
     assert cluster.user.ledger.sent["data_block_bytes"] == 0
     assert cluster.user.ledger.received["data_block_bytes"] == 0
     assert cluster.user.ledger.sent["coefficient_bytes"] > 0
+    # an exact repair leaves the coefficients the TPA holds as they were;
+    # a functional one tells it the node's M new rows of m
+    assert cluster.tpa.ledger.received["coefficient_bytes"] == 0
+    cluster.fail_and_repair(2, "functional")
+    assert cluster.tpa.ledger.received["coefficient_bytes"] == PARAMS.M * PARAMS.m
 
 
 def test_cluster_keeps_no_per_step_state():

@@ -44,7 +44,7 @@ PINNED = {
     "setup": "05375759d52b8ff9f4ac12ed52e0e49e8e4ee1207cb596660ee073a714711bfa",
     "audit": "0945cbf4bc1a03a307f31b64c8222bcc43ec5692a228269058ef9d43e8419319",
     "extract": "f3282aea0e2b48903ae594b09bd5268fa6f8ba92e8e019e5dcc5c6581ccea425",
-    "repair": "7a7e0bca0d9a8456049b3a736c9696df77a31e9813e3cedef2772741087b4246",
+    "repair": "b8ace661fa9950c5f0754255112cfc959166a7dc6c789d31f5c77d07c5993b21",
     "dynamics": "1c75081808de0ebb41df97f3375713abe2a3b97eb77370dd0d976858b1eef5e1",
     "cli": "0af98c835146ac39d5a59bac0faaf3223f7bb83e35c45d687372827f35436e9f",
     "scenario": "7a29ce662da524a4200a9173534cbad2eaccaad09cc6a8ab889531bad14e8bc2",
