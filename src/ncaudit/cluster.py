@@ -313,4 +313,3 @@ def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
     manifest, payloads = audit.setup_file(file_bytes, params, user.keys, code, rng,
                                           file_id=file_id or f"file-{seed:016x}")
     return Cluster(manifest, user, payloads, rng)
-

@@ -169,7 +169,9 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["scenario", "--file", str(path)]) == 2
-    assert reason in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    assert captured.out == ""  # the records of the steps before it are not printed
 
 
 def test_unseeded_setups_use_fresh_keys(tmp_path, monkeypatch):
