@@ -214,7 +214,7 @@ def test_repair_moves_no_user_data(cluster):
 
 def test_cluster_keeps_no_per_step_state():
     # a file is audited for as long as it is stored: 1,000 rounds and 10
-    # repairs must leave no record behind (a kept record is about 220 B)
+    # repairs must leave no record behind (a kept record is about 200 B)
     c = spawn_cluster(PARAMS, "evenodd4", DATA, seed=8)
 
     def steps(rounds, repairs):
