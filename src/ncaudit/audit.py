@@ -214,9 +214,10 @@ def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
     multiplication."""
     tags = np.asarray(tags, dtype=np.uint8)
     if manifest.deltas:
-        idx = sorted(manifest.deltas)
-        coeffs = rows[..., [manifest.params.n + i for i in idx]]
-        tags = tags ^ field.combine_rows(coeffs, np.stack([manifest.deltas[i] for i in idx]))
+        # an XOR sum, so the dict's own order serves
+        idx = np.fromiter(manifest.deltas, dtype=np.intp, count=len(manifest.deltas))
+        coeffs = rows[..., manifest.params.n + idx]
+        tags = tags ^ field.combine_rows(coeffs, np.array(list(manifest.deltas.values())))
     fid = manifest.file_id.encode()
     return np.all(spacemac.mac(k_v, fid, rows, manifest.params.ell) == tags, axis=-1)
 

@@ -314,7 +314,9 @@ def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
     with b None (only the rank is wanted), a row echelon form of a.
 
     Returns (pivot columns, rank).  Pivot choice is the first nonzero row,
-    so the result is deterministic for a given input ordering.
+    so the result is deterministic for a given input ordering: the row in
+    place when its entry is nonzero, and only otherwise a search of the
+    rows below and a swap.
     """
     rows, cols = a.shape
     w = a if b is None else np.concatenate((a, b), axis=1)
@@ -323,11 +325,11 @@ def _eliminate(a: np.ndarray, b: Optional[np.ndarray]):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(w[r:, c])
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
+        if not w[r, c]:  # only then search below for a pivot, and swap it up
+            nz = np.flatnonzero(w[r + 1:, c])
+            if nz.size == 0:
+                continue
+            p = r + 1 + int(nz[0])
             w[[r, p]] = w[[p, r]]
         # rows r on are zero left of c, so only w[:, c:] changes
         pivot = MUL[_INV[w[r, c]]].take(w[r, c:])

@@ -54,46 +54,74 @@ def _helper_rows(manifest: FileManifest, failed: int, helpers: List[int]) -> np.
     return np.concatenate([manifest.node_coeffs[h] for h in helpers])
 
 
-def plan_exact_repair(manifest: FileManifest, failed: int,
-                      helpers: List[int], rng) -> RepairPlan:
-    """gamma/theta rebuilding the failed node's rows: the first candidate that solves."""
-    target = manifest.node_coeffs[failed]
-    span = field.gaussian_solve(_helper_rows(manifest, failed, helpers).T, target.T)
+def _span_rank(stacked: np.ndarray, target: np.ndarray) -> int:
+    """The rank of the helpers' stacked rows; PlanningError unless they span
+    the failed node's rows."""
+    span = field.gaussian_solve(stacked.T, target.T)
     if span.status == "inconsistent":
         raise PlanningError("helpers do not span the failed node's rows")
-    for used, gamma in _candidates(manifest, target, helpers, span.rank, rng):
+    return span.rank
+
+
+def plan_exact_repair(manifest: FileManifest, failed: int,
+                      helpers: List[int], rng) -> RepairPlan:
+    """gamma/theta rebuilding the failed node's rows: the first candidate that
+    solves.  A plan that solves shows that the helpers span the failed node's
+    rows, so their span is solved for only when a candidate fails (to tell a
+    helper set that cannot span them from a bad draw), or first when
+    Q*|helpers| < min(sum M_h, m): only there can their rank, at most that
+    bound, exceed what Q rows per helper reach and turn off the random draws."""
+    target = manifest.node_coeffs[failed]
+    stacked = _helper_rows(manifest, failed, helpers)
+    reach = manifest.params.Q * len(helpers)
+    checked = reach < min(stacked.shape)
+    draws = not checked or reach >= _span_rank(stacked, target)
+    for used, gamma in _candidates(manifest, target, helpers, stacked, draws, rng):
         theta = field.solve_any(_sent_rows(manifest, used, gamma).T, target.T)
         if theta is not None:
             return RepairPlan(used, gamma, theta.T.copy(), target.copy())
+        if not checked:
+            _span_rank(stacked, target)
+            checked = True
     raise PlanningError("no exact repair plan found")
 
 
 def _candidates(manifest: FileManifest, target: np.ndarray, helpers: List[int],
-                rank: int, rng) -> Iterator[Tuple[List[int], Dict[int, np.ndarray]]]:
+                stacked: np.ndarray, draws: bool, rng,
+                ) -> Iterator[Tuple[List[int], Dict[int, np.ndarray]]]:
     """(helpers used, gamma) in the order an exact planner tries them: direct
-    copies if every target row is stored on a helper (at most Q per helper);
-    ATTEMPTS random gammas if Q rows per helper can reach the helpers' rank;
-    one {0,1} row per helper for at most 4 helpers of at most 4 rows."""
+    copies if every target row is stored on a helper (at most Q per helper),
+    each target row taking the first free equal row of the helpers' stacked
+    rows; ATTEMPTS random gammas if draws; one {0,1} row per helper for at
+    most 4 helpers of at most 4 rows."""
     Q = manifest.params.Q
     stored = manifest.node_coeffs
-    picks: List[Tuple[int, int]] = []  # (helper, local block index) per target row
-    for row in target:
-        hit = next(((h, j) for h in helpers if sum(p[0] == h for p in picks) < Q
-                    for j, s in enumerate(stored[h])
-                    if (h, j) not in picks and np.array_equal(s, row)), None)
-        if hit is None:
+    sizes = [len(stored[h]) for h in helpers]
+    owner = np.repeat(np.arange(len(helpers)), sizes)   # stacked row -> helper
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    equal = (target[:, None] == stacked[None]).all(axis=2)  # (M_f, sum M_h)
+    free, left = np.ones(len(owner), dtype=bool), np.full(len(helpers), Q)
+    picks: List[int] = []  # stacked row per target row
+    for row in equal:
+        hit = np.flatnonzero(row & free & (left[owner] > 0))
+        if hit.size == 0:
             break
-        picks.append(hit)
+        i = int(hit[0])
+        free[i] = False
+        left[owner[i]] -= 1
+        picks.append(i)
     else:
-        used = [h for h in helpers if any(p[0] == h for p in picks)]
-        yield used, {h: np.eye(len(stored[h]), dtype=np.uint8)[[j for g, j in picks if g == h]]
-                     for h in used}
-    if Q * len(helpers) >= rank:
+        picks = np.array(picks, dtype=np.intp)
+        used = [g for g in range(len(helpers)) if left[g] < Q]
+        yield [helpers[g] for g in used], {
+            helpers[g]: np.eye(sizes[g], dtype=np.uint8)[local[picks[owner[picks] == g]]]
+            for g in used}
+    if draws:
         for _ in range(ATTEMPTS):
             yield list(helpers), {h: rng.integers(0, 256, size=(Q, len(stored[h])),
                                                   dtype=np.uint8) for h in helpers}
-    if len(helpers) <= 4 and max(len(stored[h]) for h in helpers) <= 4:
-        bits = [itertools.product((0, 1), repeat=len(stored[h])) for h in helpers]
+    if len(helpers) <= 4 and max(sizes) <= 4:
+        bits = [itertools.product((0, 1), repeat=size) for size in sizes]
         for combo in itertools.product(*bits):
             if all(any(c) for c in combo):
                 yield list(helpers), {h: np.array([c], dtype=np.uint8)

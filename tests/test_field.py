@@ -442,6 +442,37 @@ def _check_elimination(rows, cols, alphabet, dup_row, zero_col, width, seed):
     assert bad.status == "inconsistent" and bad.solution is None
 
 
+@pytest.mark.parametrize("form", ["table", "gather"])
+@pytest.mark.parametrize("width", [None, 0, 5])
+def test_pivot_swaps_and_zero_columns_match_row_by_row(width, form):
+    # random matrices put a zero in place at a pivot about once in 256
+    # steps.  An upper triangular matrix with its rows reversed puts one
+    # there at every step but the middle one, so a row below is swapped up;
+    # an all-zero column is skipped, and a dependent last row ends up zero
+    r = np.random.default_rng(29)
+    u = np.triu(r.integers(1, 256, (7, 7), dtype=np.uint8))
+    a = np.insert(u[::-1], 3, 0, axis=1)
+    a = np.vstack([a, field.combine_rows([0, 5, 0, 0, 9, 0, 1], a)])
+    assert not a[0, 0] and not a[:, 3].any()
+    want_a = a.copy()
+    if width is None:
+        want = _eliminate_row_by_row(want_a, None)
+        forward = a.copy()
+        with _form(form):
+            assert field._eliminate(forward, None) == want
+        for i, c in enumerate(want[0]):
+            assert forward[i, c] == 1 and not forward[i + 1:, c].any()
+        assert not forward[want[1]:].any()
+    else:
+        b = r.integers(0, 256, (a.shape[0], width), dtype=np.uint8)
+        want_b, got_a, got_b = b.copy(), a.copy(), b.copy()
+        want = _eliminate_row_by_row(want_a, want_b)
+        with _form(form):
+            assert field._eliminate(got_a, got_b) == want
+        assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+    assert want == ([0, 1, 2, 4, 5, 6, 7], 7)
+
+
 def test_tall_elimination_past_the_crossover_matches_row_by_row():
     # 260 rows reduce through tables at the measured crossover: with b at
     # every pivot, for the rank alone at the first ones.  A zero column and
@@ -528,11 +559,13 @@ def test_churn_matches_row_by_row_references(seed):
         return (one_d(coeffs, rows, index) if coeffs.ndim == 1
                 else _combine_row_by_row(coeffs, rows))
 
-    want = _churn_once(seed)
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as plain:
+        want = _churn_once(seed)
     with mock.patch.object(field, "_eliminate", wraps=_eliminate_row_by_row) as elim, \
             mock.patch.object(field, "combine_rows", wraps=combine_row_by_row) as comb:
         got = _churn_once(seed)
-    assert elim.call_count > 5 and comb.called
+    # every elimination of the unswapped run took the reference
+    assert elim.call_count == plain.call_count > 0 and comb.called
     assert got[0].keys() == want[0].keys()
     assert all(np.array_equal(got[0][i], want[0][i]) for i in want[0])
     assert got[1:] == want[1:]

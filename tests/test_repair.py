@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncaudit import audit, field, ncrypt, repair, spacemac
 from ncaudit.blocks import SystemParams, decode_source_data
@@ -52,6 +56,89 @@ def test_exact_repair_impossible_without_span(system, rng):
     # nodes 0 and 2 alone cannot express node 3's second row (needs b4)
     with pytest.raises(repair.PlanningError):
         repair.plan_exact_repair(manifest, 3, [0, 2], rng)
+
+
+def test_helpers_that_cannot_span_are_named_after_a_failed_draw(rng):
+    # Q*|helpers| = 4 reaches min(sum M_h, m) = 4, so the planner tries a
+    # candidate before it solves for the helpers' span; nodes 1 and 2 span
+    # only e1..e3, and node 0 also stores e4
+    params = SystemParams(n=16, m=4, N=3, M=2, P=2, Q=2, ell=2, lambda_bits=80)
+    layout = {0: np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=np.uint8),
+              1: np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8),
+              2: np.array([[0, 0, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)}
+    keys = audit.keygen(params, rng)
+    manifest, payloads = audit.setup_file(bytes(range(56)), params, keys, layout, rng)
+    rows, doc = {i: p.rows.copy() for i, p in payloads.items()}, manifest.to_json()
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim, \
+            pytest.raises(repair.PlanningError, match="do not span"):
+        repair.repair_node(manifest, payloads, 0, "exact", [1, 2], rng)
+    # one random draw's solve, then the span's
+    assert elim.call_count == 2
+    assert all(np.array_equal(payloads[i].rows, rows[i]) for i in rows)
+    assert manifest.to_json() == doc
+
+
+def test_exact_repair_at_churn_shape_runs_one_elimination():
+    # m=16, N=6, M=4, P=5, Q=4: Q*|helpers| = 20 reaches min(20, 16), so the
+    # first random draw's solve is the only elimination
+    params = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
+    c = spawn_cluster(params, "random_functional", bytes(range(200)), seed=29)
+    for node in range(params.N):
+        before = c.nodes[node].payload.rows.copy()
+        with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+            c.fail_and_repair(node, "exact")
+        assert elim.call_count == 1
+        assert np.array_equal(c.nodes[node].payload.rows, before)
+
+
+def test_evenodd4_exact_repair_solves_the_span_first(system, rng):
+    # Q*|helpers| = 3 < min(sum M_h, m) = 4: the helpers' rank decides
+    # whether random draws can reach it, so their (m, sum M_h) span is the
+    # first elimination
+    keys, manifest, payloads = system
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+        repair.plan_exact_repair(manifest, 3, [0, 1, 2], rng)
+    assert elim.call_args_list[0].args[0].shape == (PARAMS.m, 3 * PARAMS.M)
+
+
+def _direct_copies_row_by_row(stored, target, helpers, Q):
+    # the per-row search the planner's equality matrix replaces: each target
+    # row takes the first helper, in order, with fewer than Q picks and a
+    # stored row equal to it and not yet picked
+    picks = []
+    for row in target:
+        hit = next(((h, j) for h in helpers if sum(p[0] == h for p in picks) < Q
+                    for j, s in enumerate(stored[h])
+                    if (h, j) not in picks and np.array_equal(s, row)), None)
+        if hit is None:
+            return None
+        picks.append(hit)
+    used = [h for h in helpers if any(p[0] == h for p in picks)]
+    return used, {h: [j for g, j in picks if g == h] for h in used}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_direct_copies_pick_as_the_row_by_row_search(Q, m, seed):
+    # five helpers of 1-3 rows over a two-symbol alphabet, so rows repeat
+    # within and across helpers; five helpers turn the {0,1} search off
+    r = np.random.default_rng(seed)
+    stored = {h: r.integers(0, 2, (r.integers(1, 4), m), dtype=np.uint8)
+              for h in range(1, 6)}
+    helpers = [int(h) for h in r.permutation(5) + 1]
+    stacked = np.concatenate([stored[h] for h in helpers])
+    target = stacked[r.integers(0, len(stacked), r.integers(1, 4))]
+    target[r.random(len(target)) < 0.2] ^= 1
+    manifest = SimpleNamespace(params=SimpleNamespace(Q=Q), node_coeffs=stored)
+    got = list(repair._candidates(manifest, target, helpers, stacked, False, None))
+    want = _direct_copies_row_by_row(stored, target, helpers, Q)
+    if want is None:
+        assert got == []
+    else:
+        (used, gamma), = got
+        assert used == want[0]
+        for h in used:
+            assert np.array_equal(gamma[h], np.eye(len(stored[h]), dtype=np.uint8)[want[1][h]])
 
 
 # seed-11 random_functional layouts (n=64, m=4, N=6, M=2, P=5) store no
