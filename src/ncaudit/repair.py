@@ -98,6 +98,7 @@ def _candidates(manifest: FileManifest, target: np.ndarray, helpers: List[int],
     stored = manifest.node_coeffs
     sizes = [len(stored[h]) for h in helpers]
     owner = np.repeat(np.arange(len(helpers)), sizes)   # stacked row -> helper
+    # stacked row -> its index among its helper's rows
     local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     equal = (target[:, None] == stacked[None]).all(axis=2)  # (M_f, sum M_h)
     free, left = np.ones(len(owner), dtype=bool), np.full(len(helpers), Q)
@@ -111,10 +112,10 @@ def _candidates(manifest: FileManifest, target: np.ndarray, helpers: List[int],
         left[owner[i]] -= 1
         picks.append(i)
     else:
-        picks = np.array(picks, dtype=np.intp)
+        picked = np.array(picks, dtype=np.intp)
         used = [g for g in range(len(helpers)) if left[g] < Q]
         yield [helpers[g] for g in used], {
-            helpers[g]: np.eye(sizes[g], dtype=np.uint8)[local[picks[owner[picks] == g]]]
+            helpers[g]: np.eye(sizes[g], dtype=np.uint8)[local[picked[owner[picked] == g]]]
             for g in used}
     if draws:
         for _ in range(ATTEMPTS):

@@ -446,12 +446,12 @@ def _check_elimination(rows, cols, alphabet, dup_row, zero_col, width, seed):
 @pytest.mark.parametrize("width", [None, 0, 5])
 def test_pivot_swaps_and_zero_columns_match_row_by_row(width, form):
     # random matrices put a zero in place at a pivot about once in 256
-    # steps.  An upper triangular matrix with its rows reversed puts one
-    # there at every step but the middle one, so a row below is swapped up;
+    # steps.  An upper triangular matrix with its first row moved last puts
+    # one there at every step but the last, so a row below is swapped up;
     # an all-zero column is skipped, and a dependent last row ends up zero
     r = np.random.default_rng(29)
     u = np.triu(r.integers(1, 256, (7, 7), dtype=np.uint8))
-    a = np.insert(u[::-1], 3, 0, axis=1)
+    a = np.insert(np.roll(u, -1, axis=0), 3, 0, axis=1)
     a = np.vstack([a, field.combine_rows([0, 5, 0, 0, 9, 0, 1], a)])
     assert not a[0, 0] and not a[:, 3].any()
     want_a = a.copy()
