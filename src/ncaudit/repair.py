@@ -39,11 +39,16 @@ class RepairPlan:
     target_rows: np.ndarray        # (rows of the failed node, m) new coefficients
 
 
-def _sent_rows(manifest: FileManifest, helpers: List[int],
-               gamma: Dict[int, np.ndarray]) -> np.ndarray:
-    """Source-coefficient rows of every block the helpers transmit."""
-    return np.concatenate([field.combine_rows(gamma[h], manifest.node_coeffs[h])
-                           for h in helpers])
+def _draw(manifest: FileManifest, helpers: List[int], rng) -> Dict[int, np.ndarray]:
+    """A random gamma: Q uniform rows over each helper's stored rows."""
+    return {h: rng.integers(0, 256, size=(manifest.params.Q, len(manifest.node_coeffs[h])),
+                            dtype=np.uint8) for h in helpers}
+
+
+def _sent_rows(manifest: FileManifest, gamma: Dict[int, np.ndarray]) -> np.ndarray:
+    """Source-coefficient rows of every block the helpers in gamma transmit."""
+    return np.concatenate([field.combine_rows(rows, manifest.node_coeffs[h])
+                           for h, rows in gamma.items()])
 
 
 def _helper_rows(manifest: FileManifest, failed: int, helpers: List[int]) -> np.ndarray:
@@ -65,68 +70,61 @@ def _span_rank(stacked: np.ndarray, target: np.ndarray) -> int:
 
 def plan_exact_repair(manifest: FileManifest, failed: int,
                       helpers: List[int], rng) -> RepairPlan:
-    """gamma/theta rebuilding the failed node's rows: the first candidate that
-    solves.  A plan that solves shows that the helpers span the failed node's
-    rows, so their span is solved for only when a candidate fails (to tell a
-    helper set that cannot span them from a bad draw), or first when
-    Q*|helpers| < min(sum M_h, m): only there can their rank, at most that
-    bound, exceed what Q rows per helper reach and turn off the random draws."""
+    """gamma/theta rebuilding the failed node's rows: the first candidate
+    gamma that solves."""
     target = manifest.node_coeffs[failed]
     stacked = _helper_rows(manifest, failed, helpers)
-    reach = manifest.params.Q * len(helpers)
-    checked = reach < min(stacked.shape)
-    draws = not checked or reach >= _span_rank(stacked, target)
-    for used, gamma in _candidates(manifest, target, helpers, stacked, draws, rng):
-        theta = field.solve_any(_sent_rows(manifest, used, gamma).T, target.T)
+    for gamma in _candidates(manifest, target, helpers, stacked, rng):
+        theta = field.solve_any(_sent_rows(manifest, gamma).T, target.T)
         if theta is not None:
-            return RepairPlan(used, gamma, theta.T.copy(), target.copy())
-        if not checked:
-            _span_rank(stacked, target)
-            checked = True
+            return RepairPlan(list(gamma), gamma, theta.T.copy(), target.copy())
     raise PlanningError("no exact repair plan found")
 
 
 def _candidates(manifest: FileManifest, target: np.ndarray, helpers: List[int],
-                stacked: np.ndarray, draws: bool, rng,
-                ) -> Iterator[Tuple[List[int], Dict[int, np.ndarray]]]:
-    """(helpers used, gamma) in the order an exact planner tries them: direct
-    copies if every target row is stored on a helper (at most Q per helper),
-    each target row taking the first free equal row of the helpers' stacked
-    rows; ATTEMPTS random gammas if draws; one {0,1} row per helper for at
-    most 4 helpers of at most 4 rows."""
-    Q = manifest.params.Q
-    stored = manifest.node_coeffs
+                stacked: np.ndarray, rng) -> Iterator[Dict[int, np.ndarray]]:
+    """gammas, keyed by the helpers used in order, as an exact planner tries
+    them: direct copies, if every target row is stored on some helper; up to
+    ATTEMPTS random draws; one {0,1} row per helper for at most 4 helpers of
+    at most 4 rows.  A gamma that solves shows that the helpers span the
+    target rows, so their span is solved (PlanningError unless they span
+    them) only once the first draw fails, or before any draw when
+    Q*|helpers| < min(sum M_h, m): only there can their rank, at most that
+    bound, exceed what Q rows per helper reach, and then no draw is made."""
+    Q, stored = manifest.params.Q, manifest.node_coeffs
+    if (target[:, None] == stacked[None]).all(axis=2).any(axis=1).all():
+        copies = _direct_copies(stored, target, helpers, Q)
+        if copies is not None:
+            yield copies
+    reach = Q * len(helpers)
+    if reach >= min(stacked.shape):
+        yield _draw(manifest, helpers, rng)
+        _span_rank(stacked, target)
+        yield from (_draw(manifest, helpers, rng) for _ in range(ATTEMPTS - 1))
+    elif reach >= _span_rank(stacked, target):
+        yield from (_draw(manifest, helpers, rng) for _ in range(ATTEMPTS))
     sizes = [len(stored[h]) for h in helpers]
-    owner = np.repeat(np.arange(len(helpers)), sizes)   # stacked row -> helper
-    # stacked row -> its index among its helper's rows
-    local = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    equal = (target[:, None] == stacked[None]).all(axis=2)  # (M_f, sum M_h)
-    free, left = np.ones(len(owner), dtype=bool), np.full(len(helpers), Q)
-    picks: List[int] = []  # stacked row per target row
-    for row in equal:
-        hit = np.flatnonzero(row & free & (left[owner] > 0))
-        if hit.size == 0:
-            break
-        i = int(hit[0])
-        free[i] = False
-        left[owner[i]] -= 1
-        picks.append(i)
-    else:
-        picked = np.array(picks, dtype=np.intp)
-        used = [g for g in range(len(helpers)) if left[g] < Q]
-        yield [helpers[g] for g in used], {
-            helpers[g]: np.eye(sizes[g], dtype=np.uint8)[local[picked[owner[picked] == g]]]
-            for g in used}
-    if draws:
-        for _ in range(ATTEMPTS):
-            yield list(helpers), {h: rng.integers(0, 256, size=(Q, len(stored[h])),
-                                                  dtype=np.uint8) for h in helpers}
     if len(helpers) <= 4 and max(sizes) <= 4:
         bits = [itertools.product((0, 1), repeat=size) for size in sizes]
         for combo in itertools.product(*bits):
             if all(any(c) for c in combo):
-                yield list(helpers), {h: np.array([c], dtype=np.uint8)
-                                      for h, c in zip(helpers, combo)}
+                yield {h: np.array([c], dtype=np.uint8) for h, c in zip(helpers, combo)}
+
+
+def _direct_copies(stored: Dict[int, np.ndarray], target: np.ndarray,
+                   helpers: List[int], Q: int) -> Optional[Dict[int, np.ndarray]]:
+    """gamma copying each target row from the first helper, in order, that
+    has fewer than Q picks and stores an equal row not yet picked; None if
+    some row has no such helper."""
+    picks: Dict[int, List[int]] = {h: [] for h in helpers}
+    for row in target:
+        hit = next(((h, j) for h in helpers if len(picks[h]) < Q
+                    for j, s in enumerate(stored[h])
+                    if j not in picks[h] and np.array_equal(s, row)), None)
+        if hit is None:
+            return None
+        picks[hit[0]].append(hit[1])
+    return {h: np.eye(len(stored[h]), dtype=np.uint8)[js] for h, js in picks.items() if js}
 
 
 def plan_functional_repair(manifest: FileManifest, failed: int,
@@ -135,9 +133,8 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
     whatever the draw they keep the file decodable if the helpers span it."""
     if field.matrix_rank(_helper_rows(manifest, failed, helpers)) < manifest.params.m:
         raise PlanningError("no functional repair keeps the file decodable")
-    gamma = {h: rng.integers(0, 256, size=(manifest.params.Q, len(manifest.node_coeffs[h])),
-                             dtype=np.uint8) for h in helpers}
-    sent = _sent_rows(manifest, helpers, gamma)
+    gamma = _draw(manifest, helpers, rng)
+    sent = _sent_rows(manifest, gamma)
     theta = rng.integers(0, 256, size=(len(manifest.node_coeffs[failed]), len(sent)),
                          dtype=np.uint8)
     return RepairPlan(list(helpers), gamma, theta, field.combine_rows(theta, sent))

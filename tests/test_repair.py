@@ -102,9 +102,9 @@ def test_evenodd4_exact_repair_solves_the_span_first(system, rng):
 
 
 def _direct_copies_row_by_row(stored, target, helpers, Q):
-    # the per-row search the planner's equality matrix replaces: each target
-    # row takes the first helper, in order, with fewer than Q picks and a
-    # stored row equal to it and not yet picked
+    # the per-row greedy search: each target row takes the first helper, in
+    # order, with fewer than Q picks and a stored row equal to it and not
+    # yet picked
     picks = []
     for row in target:
         hit = next(((h, j) for h in helpers if sum(p[0] == h for p in picks) < Q
@@ -129,16 +129,22 @@ def test_direct_copies_pick_as_the_row_by_row_search(Q, m, seed):
     stacked = np.concatenate([stored[h] for h in helpers])
     target = stacked[r.integers(0, len(stacked), r.integers(1, 4))]
     target[r.random(len(target)) < 0.2] ^= 1
-    manifest = SimpleNamespace(params=SimpleNamespace(Q=Q), node_coeffs=stored)
-    got = list(repair._candidates(manifest, target, helpers, stacked, False, None))
+    got = repair._direct_copies(stored, target, helpers, Q)
     want = _direct_copies_row_by_row(stored, target, helpers, Q)
     if want is None:
-        assert got == []
-    else:
-        (used, gamma), = got
-        assert used == want[0]
-        for h in used:
-            assert np.array_equal(gamma[h], np.eye(len(stored[h]), dtype=np.uint8)[want[1][h]])
+        assert got is None
+        return
+    assert list(got) == want[0]
+    for h in want[0]:
+        assert np.array_equal(got[h], np.eye(len(stored[h]), dtype=np.uint8)[want[1][h]])
+    # the planner's equality test lets the copies through as its first
+    # candidate, before any draw (rng None) or span solve
+    manifest = SimpleNamespace(params=SimpleNamespace(Q=Q), node_coeffs=stored)
+    with mock.patch.object(field, "_eliminate") as elim:
+        first = next(repair._candidates(manifest, target, helpers, stacked, None))
+    assert elim.call_count == 0
+    assert list(first) == want[0]
+    assert all(np.array_equal(first[h], got[h]) for h in got)
 
 
 # seed-11 random_functional layouts (n=64, m=4, N=6, M=2, P=5) store no
@@ -227,6 +233,25 @@ def test_exact_repair_copies_replicated_rows(rng):
     assert plan.helpers == [1]
     assert np.array_equal(plan.gamma[1], np.eye(2, dtype=np.uint8)[[1, 0]])
     assert np.array_equal(plan.theta, np.eye(2, dtype=np.uint8))
+    assert np.array_equal(payloads[0].rows, before)
+
+
+def test_replicated_rows_plan_from_copies_in_one_elimination(rng):
+    # Q*|helpers| = 2 < min(sum M_h, m) = 4, yet each of node 0's rows is
+    # stored on one helper: the copies' solve is the only elimination, and
+    # the helpers' span is never solved for
+    params = SystemParams(n=16, m=4, N=3, M=2, P=2, Q=1, ell=2, lambda_bits=80)
+    eye = np.eye(4, dtype=np.uint8)
+    layout = {0: eye[[0, 1]], 1: eye[[2, 0]], 2: eye[[1, 3]]}
+    keys = audit.keygen(params, rng)
+    manifest, payloads = audit.setup_file(bytes(range(56)), params, keys, layout, rng)
+    before = payloads[0].rows.copy()
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+        plan, _ = repair.repair_node(manifest, payloads, 0, "exact", [1, 2], rng)
+    assert elim.call_count == 1
+    assert plan.helpers == [1, 2]
+    assert np.array_equal(plan.gamma[1], np.eye(2, dtype=np.uint8)[[1]])
+    assert np.array_equal(plan.gamma[2], np.eye(2, dtype=np.uint8)[[0]])
     assert np.array_equal(payloads[0].rows, before)
 
 
