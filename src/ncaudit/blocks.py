@@ -38,8 +38,10 @@ class SystemParams:
             raise ValueError("only q = 2^8 is supported")
         if self.n < 4:
             raise ValueError("n must be >= 4 (two padding symbols)")
-        if self.m < 1 or self.ell < 1:
-            raise ValueError("m and ell must be >= 1")
+        if self.m < 1 or self.ell < 1 or self.Q < 1:
+            raise ValueError("m, ell and Q must be >= 1")
+        if self.P < 0:
+            raise ValueError("P must be >= 0")
         if self.M * self.N < self.m:
             raise ValueError("M*N must be >= m for decodability")
         # keys are lambda_bits long, and keyed BLAKE2b takes at most 64 bytes
@@ -111,8 +113,8 @@ class FileManifest:
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
         """Parse a manifest; ValueError on malformed JSON, a missing key, a
-        wrong type, a coefficient row of the wrong width, an index or
-        symbol out of range, a logical_order that repeats a source index,
+        wrong type, a coefficient row of the wrong width, an index,
+        node id or symbol out of range, a logical_order that repeats a source index,
         or two keys ("3", "03") that name one node or one delta index."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -137,6 +139,9 @@ class FileManifest:
         order = _ints(doc["logical_order"], "logical_order", params.m)
         delta_rows = {int(j): _symbols(d, (params.ell,), f"delta {j}")
                       for j, d in deltas.items()}
+        # the PRF nonce packs a node id as 32 bits
+        if not all(0 <= node < 2**32 for node in coeffs):
+            raise ValueError("manifest node ids must be integers in 0..2^32-1")
         if len(coeffs) < len(node_coeffs) or len(delta_rows) < len(deltas):
             raise ValueError("manifest keys name one node or delta index twice")
         if len(set(order)) < len(order):

@@ -17,6 +17,12 @@ def test_params_validation():
         SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, q=257).validate()
     with pytest.raises(ValueError):
         SystemParams(n=16, m=9, N=4, M=2, P=3, Q=1).validate()  # M*N < m
+    # a functional repair with Q = 0 wrote all-zero coefficient rows
+    with pytest.raises(ValueError, match="Q must be >= 1"):
+        SystemParams(n=16, m=4, N=4, M=2, P=3, Q=0).validate()
+    with pytest.raises(ValueError, match="P must be >= 0"):
+        SystemParams(n=16, m=4, N=4, M=2, P=-1, Q=1).validate()
+    SystemParams(n=16, m=4, N=4, M=2, P=0, Q=1).validate()
     PARAMS.validate()
 
 
@@ -137,6 +143,9 @@ def _manifest_doc(rng):
     lambda d: d["node_coeffs"].update({"0": [[1, 0, 0]]}),
     lambda d: d["node_coeffs"].update({"0": [[1, 0, 0, 0], [1]]}),
     lambda d: d["node_coeffs"].update({"x": [[1, 0, 0, 0]]}),
+    # the PRF nonce packs a node id as 32 bits
+    lambda d: d["node_coeffs"].update({"-1": [[1, 0, 0, 0]]}),
+    lambda d: d["node_coeffs"].update({"4294967296": [[1, 0, 0, 0]]}),
     lambda d: d["deltas"].update({"1": [7, 7]}),
     lambda d: d["deltas"].update({"9": [7]}),
     # one source index twice would be decoded twice (evenodd4 returned

@@ -453,6 +453,39 @@ def test_manifest_naming_an_entry_twice_is_usage_error(store, edit, capsys):
     assert path.read_bytes() == raw
 
 
+@pytest.mark.parametrize("node", ["-1", "4294967296"])
+def test_node_ids_past_32_bits_are_usage_errors(store, node, capsys):
+    # node 3 renamed everywhere: the PRF nonce packs a node id as 32 bits,
+    # and such an id exited 3 from inside the nonce's struct.pack
+    for name in ("manifest.json", "vouchers.json", "tpa.json"):
+        doc = json.loads((store / name).read_text())
+        entries = doc["node_coeffs"] if name == "manifest.json" else doc
+        entries[node] = entries.pop("3")
+        (store / name).write_text(json.dumps(doc))
+    (store / "nodes" / "node3").rename(store / "nodes" / f"node{node}")
+    assert main(["audit", "--dir", str(store), f"--node={node}"]) == 2
+    assert "node ids" in capsys.readouterr().err
+
+
+def test_a_manifest_with_q_zero_is_usage_error(tmp_path, capsys):
+    # a functional repair with Q = 0 exited 0 and wrote all-zero
+    # coefficient rows that audits then accepted
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    out = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(out), "--layout", "random",
+                 "--m", "6", "--nodes", "4", "--n", "64", "--ell", "2",
+                 "--seed", "2a"]) == 0
+    path = out / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["params"]["Q"] = 0
+    path.write_text(json.dumps(doc))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(["repair", "--dir", str(out), "--node", "1", "--mode", "functional"]) == 2
+    assert "Q must be >= 1" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("doc", [
     [], {"0": 0}, {"0": "1"}, {"x": 1}, {"0": 1.5},
     # a node left out would restart at k=1 and be issued used masks again
