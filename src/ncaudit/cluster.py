@@ -150,12 +150,6 @@ class Node:
             proof = Proof(junk, proof.nonce, proof.pad, proof.tag)
         return proof
 
-    def snapshot(self) -> Tuple[List[CodedBlock], List[np.ndarray]]:
-        """Copies of the stored blocks' data symbols one by one and of
-        their tag rows."""
-        rows, n = self.payload.rows.copy(), self.params.n
-        return [CodedBlock(row) for row in rows[:, :n]], list(rows[:, n:])
-
 
 class SpentCounterError(RuntimeError):
     """The user issued a node a counter the TPA has spent (the user's
@@ -260,8 +254,11 @@ class Cluster:
         self.nodes[node].apply_fault(fault)
         return {"event": "fault", "node": node, "kind": fault.kind}
 
-    def snapshot_node(self, node: int):
-        return self.nodes[node].snapshot()
+    def snapshot_node(self, node: int) -> Tuple[List[CodedBlock], List[np.ndarray]]:
+        """Copies of a node's stored blocks' data symbols one by one and of
+        their tag rows."""
+        rows, n = self.nodes[node].payload.rows.copy(), self.manifest.params.n
+        return [CodedBlock(row) for row in rows[:, :n]], list(rows[:, n:])
 
     def fail_and_repair(self, node: int, mode: str = "exact",
                         helpers: Optional[List[int]] = None) -> dict:
