@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name goes unused.
 
-A stand-in for a linter's unused-import rule, read from the source with
-`ast`.  The package root is left out: its imports are its exports.  A name
-counts as used where it is read in the code or inside a string annotation.
+A stand-in for a linter's unused-import and dead-code rules, read from the
+source with `ast`.  The package root is left out of the import check: its
+imports are its exports.  A name counts as used where it is read in the
+code or inside a string annotation.
 """
 
 import ast
@@ -52,3 +54,44 @@ def test_the_check_sees_string_annotations_and_unused_names():
                      "import numpy as np\n"
                      "x: 'Dict[str, Tuple[int, int]]' = {}\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["List", "np"]
+
+
+def _private_defs(statement):
+    """The private names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = getattr(statement, "targets", None) or [statement.target]
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _unreferenced_private_names(sources):
+    """(module, name) of each private module-level name that no other
+    statement of any of the sources reads."""
+    statements = [(module, s) for module, text in sources.items()
+                  for s in ast.parse(text).body]
+    # a module may read another's private name as an attribute (field._name)
+    used = [_used(s) | {node.attr for node in ast.walk(s) if isinstance(node, ast.Attribute)}
+            for _, s in statements]
+    return [(module, name) for i, (module, s) in enumerate(statements)
+            for name in _private_defs(s)
+            if not any(name in names for j, names in enumerate(used) if j != i)]
+
+
+def test_every_private_module_level_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    unused = [f"{module}: {name}" for module, name in _unreferenced_private_names(sources)]
+    assert not unused, f"private names nothing else in the package reads: {', '.join(unused)}"
+
+
+def test_the_check_sees_unreferenced_and_self_referencing_private_names():
+    sources = {"a.py": "_TABLE = {}\n_kept: int = 1\n"
+                       "def _walk(n):\n    return _walk(n - 1)\n",
+               "b.py": "from .a import _kept\n"
+                       "class _Box:\n    pass\n"
+                       "def f(x: '_Box'):\n    return _kept\n"}
+    assert _unreferenced_private_names(sources) == [("a.py", "_TABLE"), ("a.py", "_walk")]
