@@ -113,8 +113,8 @@ class FileManifest:
     @classmethod
     def from_json(cls, text: str) -> "FileManifest":
         """Parse a manifest; ValueError on malformed JSON, a missing key, a
-        wrong type, a coefficient row of the wrong width, an index,
-        node id or symbol out of range, a logical_order that repeats a source index,
+        wrong type, a coefficient row of the wrong width, an index, node id
+        or symbol out of range, a source index repeated in logical_order,
         or two keys ("3", "03") that name one node or one delta index."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
