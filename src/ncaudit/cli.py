@@ -136,8 +136,8 @@ class _StoreUser(User):
     """The user of a store: each voucher's counter is on disk before the
     node that is to spend it sees the voucher."""
 
-    def __init__(self, keys: KeyMaterial, rng, root: Path):
-        super().__init__(keys, rng)
+    def __init__(self, keys: KeyMaterial, root: Path):
+        super().__init__(keys)
         self.root = root
 
     def issue(self, manifest: FileManifest, node: int):
@@ -171,7 +171,7 @@ def _open_cluster(args) -> Cluster:
         raise UsageError(f"no node {args.node} in this store "
                          f"(nodes {sorted(manifest.node_coeffs)})")
     rng = np.random.default_rng(_seed(args))
-    user = _StoreUser(keys, rng, root)
+    user = _StoreUser(keys, root)
     user.next_k = _load_counters(root / "vouchers.json", manifest, 1)
     cluster = Cluster(manifest, user, payloads, rng)
     cluster.tpa = _StoreTpa(keys.k_v, manifest, cluster.tpa.rng, root)
@@ -256,7 +256,7 @@ def cmd_extract(args) -> int:
     return 0 if match else 1
 
 
-# the fields a scenario fault may set; Fault.validate checks their values
+# the fields a scenario fault may set; Node.apply_fault checks their values
 FAULT_FIELDS = {"kind", "block", "position", "delta", "epsilon"}
 
 

@@ -87,32 +87,6 @@ class Fault:
     epsilon: float = 0.0
     snapshot: Optional[np.ndarray] = None  # replay_old: the (M, n+ell) rows to serve
 
-    def validate(self, store_size: int, width: int) -> None:
-        """Check the fault against a store of store_size blocks of width
-        symbols; ValueError if it does not fit."""
-        if any(type(v) is not int for v in (self.block, self.position, self.delta)):
-            raise ValueError("fault block, position and delta must be integers")
-        if type(self.epsilon) not in (int, float):
-            raise ValueError("fault epsilon must be a real number")
-        if self.kind == "corrupt_symbol":
-            if not 1 <= self.delta <= 255:
-                raise ValueError("corruption delta must be a nonzero symbol")
-            if not 0 <= self.block < store_size:
-                raise ValueError("corrupt_symbol block out of range")
-            if not 0 <= self.position < width:
-                raise ValueError("corrupt_symbol position out of range")
-        elif self.kind == "delete_block":
-            if not 0 <= self.block < store_size:
-                raise ValueError("delete_block index out of range")
-        elif self.kind == "replay_old":
-            if not (isinstance(self.snapshot, np.ndarray) and self.snapshot.ndim == 2):
-                raise ValueError("replay_old needs a snapshot of the node's row matrix")
-        elif self.kind == "lie_probability":
-            if not 0 <= self.epsilon <= 1:
-                raise ValueError("epsilon outside [0, 1]")
-        else:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-
 
 class Node:
     """One storage node.  Holds k_e and its payload; never k_v."""
@@ -126,20 +100,38 @@ class Node:
         self.lie_epsilon = 0.0
 
     def apply_fault(self, fault: Fault) -> None:
-        """Apply a fault to the store.  delete_block overwrites the block and
-        its tag once with uniform symbols, which is what a node that lost
-        the block can answer with."""
+        """Check a fault against the store and apply it; ValueError if it
+        does not fit.  delete_block overwrites the block and its tag once
+        with uniform symbols, which is what a node that lost the block can
+        answer with."""
         p = self.payload
-        fault.validate(p.rows.shape[0], self.params.n)
+        if any(type(v) is not int for v in (fault.block, fault.position, fault.delta)):
+            raise ValueError("fault block, position and delta must be integers")
+        if type(fault.epsilon) not in (int, float):
+            raise ValueError("fault epsilon must be a real number")
         if fault.kind == "corrupt_symbol":
+            if not 1 <= fault.delta <= 255:
+                raise ValueError("corruption delta must be a nonzero symbol")
+            if not 0 <= fault.block < p.rows.shape[0]:
+                raise ValueError("corrupt_symbol block out of range")
+            if not 0 <= fault.position < self.params.n:
+                raise ValueError("corrupt_symbol position out of range")
             p.rows[fault.block, fault.position] ^= fault.delta
         elif fault.kind == "delete_block":
+            if not 0 <= fault.block < p.rows.shape[0]:
+                raise ValueError("delete_block index out of range")
             p.rows[fault.block] = self.rng.integers(0, 256, size=p.rows.shape[1],
                                                     dtype=np.uint8)
         elif fault.kind == "replay_old":
+            if not (isinstance(fault.snapshot, np.ndarray) and fault.snapshot.ndim == 2):
+                raise ValueError("replay_old needs a snapshot of the node's row matrix")
             p.rows = fault.snapshot.copy()
         elif fault.kind == "lie_probability":
+            if not 0 <= fault.epsilon <= 1:
+                raise ValueError("epsilon outside [0, 1]")
             self.lie_epsilon = fault.epsilon
+        else:
+            raise ValueError(f"unknown fault kind {fault.kind!r}")
 
     def answer(self, chal: Challenge, voucher) -> Proof:
         lying = self.lie_epsilon and self.rng.random() < self.lie_epsilon
@@ -190,9 +182,8 @@ class Tpa:
 class User:
     """Data owner: the only role holding both keys, so the voucher issuer."""
 
-    def __init__(self, keys: KeyMaterial, rng):
+    def __init__(self, keys: KeyMaterial):
         self.keys = keys
-        self.rng = rng
         self.ledger = ByteLedger()
         self.next_k: Dict[int, int] = {}  # node -> counter of its next voucher
 
@@ -262,29 +253,51 @@ class Cluster:
 
     def fail_and_repair(self, node: int, mode: str = "exact",
                         helpers: Optional[List[int]] = None) -> dict:
-        """Drop a node, rebuild it from P helpers, refresh the manifest;
-        returns the repair's record, naming the helpers used."""
-        payloads = {i: n.payload for i, n in self.nodes.items()}
+        """Drop a node and rebuild it from helper shipments; returns the
+        repair's record, naming the helpers used.  helpers=None takes the
+        first P other nodes; mode is "exact" or "functional".  A refused
+        repair changes no store, manifest row or ledger; PlanningError names
+        a helper that is not a distinct id of another node."""
+        manifest, params = self.manifest, self.manifest.params
         plan_rng = np.random.default_rng(self.rng.integers(2**63))
-        plan, shipments = repair.repair_node(self.manifest, payloads, node, mode,
-                                             helpers, plan_rng)
-        for ship in shipments:
-            helper = self.nodes[ship.helper]
+        others = sorted(set(manifest.node_coeffs) - {node})
+        if helpers is None:
+            helpers = others[:params.P]
+        if not isinstance(helpers, (list, tuple)):
+            raise repair.PlanningError(f"helpers must be a list of node ids, not {helpers!r}")
+        for i, h in enumerate(helpers):
+            if type(h) is not int or h not in others or h in helpers[:i]:
+                raise repair.PlanningError(f"helper {h!r} of node {node} is not a distinct "
+                                           f"id among the other nodes {others}")
+        if mode == "exact":
+            plan = repair.plan_exact_repair(manifest, node, helpers, plan_rng)
+        elif mode == "functional":
+            plan = repair.plan_functional_repair(manifest, node, helpers, plan_rng)
+        else:
+            raise ValueError(f"unknown repair mode {mode!r}")
+        lost, shipments = self.nodes[node], []
+        for h, gamma in plan.gamma.items():
+            helper = self.nodes[h]
+            ship = repair.make_repair_blocks(helper.payload, gamma, params.n)
             # user ships gamma to the helper (coefficient traffic, no data)
-            self.user.ledger.charge(helper.ledger, "coefficient_bytes",
-                                    int(plan.gamma[ship.helper].size))
-            helper.ledger.charge(self.nodes[node].ledger, "data_block_bytes",
-                                 int(ship.rows[:, :self.manifest.params.n].size))
-            helper.ledger.charge(self.nodes[node].ledger, "tag_bytes",
-                                 int(ship.tags.size))
-        if mode == "functional":  # user tells the TPA the new coefficients
+            self.user.ledger.charge(helper.ledger, "coefficient_bytes", int(gamma.size))
+            helper.ledger.charge(lost.ledger, "data_block_bytes",
+                                 int(ship.rows[:, :params.n].size))
+            helper.ledger.charge(lost.ledger, "tag_bytes", int(ship.tags.size))
+            shipments.append(ship)
+        if mode == "functional":
+            # user tells the TPA the new coefficients; the auditor aggregates
+            # them from the manifest, so proofs from the pre-repair store are
+            # rejected (replay)
             self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
                                     int(plan.target_rows.size))
-        fresh = Node(node, payloads[node], self.manifest.params,
-                     np.random.default_rng(self.rng.integers(2**63)))
-        fresh.ledger = self.nodes[node].ledger
+            manifest.node_coeffs[node] = plan.target_rows.copy()
+        fresh = Node(node, NodePayload(repair.reconstruct_node(plan, shipments),
+                                       lost.payload.k_e),
+                     params, np.random.default_rng(self.rng.integers(2**63)))
+        fresh.ledger = lost.ledger
         self.nodes[node] = fresh
-        return {"event": "repair", "node": node, "mode": mode, "helpers": plan.helpers}
+        return {"event": "repair", "node": node, "mode": mode, "helpers": list(plan.gamma)}
 
     def decode_current_file(self) -> bytes:
         """Decode from the stored blocks whose tags verify under the user's
@@ -304,8 +317,8 @@ def spawn_cluster(params: SystemParams, layout: str, file_bytes: bytes,
     if seed is None and not file_id:
         raise ValueError("an unseeded cluster needs a file_id")
     rng = np.random.default_rng(seed)
-    user = User(audit.keygen(params, None if seed is None else rng),
-                np.random.default_rng(rng.integers(2**63)))
+    user = User(audit.keygen(params, None if seed is None else rng))
+    rng.integers(2**63)  # a draw no role reads, kept so that seeded set-ups keep their bytes
     code = make_layout(layout, params, rng)
     manifest, payloads = audit.setup_file(file_bytes, params, user.keys, code, rng,
                                           file_id=file_id or f"file-{seed:016x}")

@@ -5,14 +5,15 @@ combines those (theta).  A stored row holds a block's data symbols and its
 tags, which are linear in the block, so each combination carries its tags
 along and neither the verification key nor file data is needed.  An exact
 repair reproduces the lost rows; a functional repair stores fresh
-combinations that keep the file decodable.
+combinations that keep the file decodable.  `Cluster.fail_and_repair`
+runs a repair; this module plans and combines, and changes no state.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -31,9 +32,9 @@ ATTEMPTS = 200
 
 @dataclass
 class RepairPlan:
-    """gamma: per-helper mixing rows; theta: how the replacement node
-    combines the received blocks into its new blocks."""
-    helpers: List[int]
+    """gamma: per-helper mixing rows, keyed by the helpers used in order;
+    theta: how the replacement node combines the received blocks into its
+    new blocks."""
     gamma: Dict[int, np.ndarray]   # helper -> (Q, rows it stores)
     theta: np.ndarray              # (rows of the failed node, total_sent)
     target_rows: np.ndarray        # (rows of the failed node, m) new coefficients
@@ -77,7 +78,7 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
     for gamma in _candidates(manifest, target, helpers, stacked, rng):
         theta = field.solve_any(_sent_rows(manifest, gamma).T, target.T)
         if theta is not None:
-            return RepairPlan(list(gamma), gamma, theta.T.copy(), target.copy())
+            return RepairPlan(gamma, theta.T.copy(), target.copy())
     raise PlanningError("no exact repair plan found")
 
 
@@ -137,7 +138,7 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
     sent = _sent_rows(manifest, gamma)
     theta = rng.integers(0, 256, size=(len(manifest.node_coeffs[failed]), len(sent)),
                          dtype=np.uint8)
-    return RepairPlan(list(helpers), gamma, theta, field.combine_rows(theta, sent))
+    return RepairPlan(gamma, theta, field.combine_rows(theta, sent))
 
 
 @dataclass
@@ -145,7 +146,6 @@ class RepairShipment:
     """One helper's contribution: its gamma rows times its stored rows,
     data and tag symbols alike.  The combined blocks' coefficients are
     gamma times the helper's manifest rows, so they are not shipped."""
-    helper: int
     rows: np.ndarray  # (Q, n+ell) combined blocks, each followed by its tag
     n: int
 
@@ -160,45 +160,11 @@ class RepairShipment:
         return self.rows[:, self.n:]
 
 
-def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray,
-                       helper: int, n: int) -> RepairShipment:
-    return RepairShipment(helper, field.combine_rows(gamma_rows, payload.rows), n)
+def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray, n: int) -> RepairShipment:
+    return RepairShipment(field.combine_rows(gamma_rows, payload.rows), n)
 
 
 def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment]) -> np.ndarray:
-    """The new node's (M, n+ell) rows: theta times the received rows, in
-    plan.helpers order."""
-    by_helper = {s.helper: s for s in shipments}
-    return field.combine_rows(plan.theta, np.concatenate([by_helper[h].rows
-                                                          for h in plan.helpers]))
-
-
-def repair_node(manifest: FileManifest, payloads: Dict[int, NodePayload],
-                failed: int, mode: str, helpers: Optional[List[int]], rng,
-                ) -> Tuple[RepairPlan, List[RepairShipment]]:
-    """Rebuild payloads[failed] from helper shipments and refresh the
-    manifest.  helpers=None takes the first P other nodes; mode is "exact"
-    or "functional".  Returns the plan and the shipments it moved.
-    PlanningError names a helper that is not a distinct id of another node."""
-    if helpers is None:
-        helpers = [h for h in sorted(payloads) if h != failed][: manifest.params.P]
-    others = sorted(set(manifest.node_coeffs) - {failed})
-    if not isinstance(helpers, (list, tuple)):
-        raise PlanningError(f"helpers must be a list of node ids, not {helpers!r}")
-    for i, h in enumerate(helpers):
-        if type(h) is not int or h not in others or h in helpers[:i]:
-            raise PlanningError(f"helper {h!r} of node {failed} is not a distinct "
-                                f"id among the other nodes {others}")
-    if mode == "exact":
-        plan = plan_exact_repair(manifest, failed, helpers, rng)
-    elif mode == "functional":
-        plan = plan_functional_repair(manifest, failed, helpers, rng)
-    else:
-        raise ValueError(f"unknown repair mode {mode!r}")
-    shipments = [make_repair_blocks(payloads[h], plan.gamma[h], h, manifest.params.n)
-                 for h in plan.helpers]
-    payloads[failed] = NodePayload(reconstruct_node(plan, shipments), payloads[failed].k_e)
-    # the auditor aggregates coefficients from this record, so proofs from
-    # the pre-repair store are rejected (replay)
-    manifest.node_coeffs[failed] = plan.target_rows.copy()
-    return plan, shipments
+    """The new node's (M, n+ell) rows: theta times the received rows, the
+    shipments taken in plan.gamma's helper order."""
+    return field.combine_rows(plan.theta, np.concatenate([s.rows for s in shipments]))

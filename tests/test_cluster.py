@@ -212,6 +212,47 @@ def test_repair_moves_no_user_data(cluster):
     assert cluster.tpa.ledger.received["coefficient_bytes"] == PARAMS.M * PARAMS.m
 
 
+CHURN_SHAPE = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
+
+
+def _cells(cluster):
+    """Every ledger cell: (role, direction, category) -> bytes."""
+    roles = {"user": cluster.user, "tpa": cluster.tpa, **cluster.nodes}
+    return {(role, direction, category): getattr(r.ledger, direction)[category]
+            for role, r in roles.items() for direction in ("sent", "received")
+            for category in cl.LEDGER_CATEGORIES}
+
+
+@pytest.mark.parametrize("mode", ["exact", "functional"])
+@pytest.mark.parametrize("params, layout", [(PARAMS, "evenodd4"),
+                                            (CHURN_SHAPE, "random_functional")],
+                         ids=["evenodd4", "churn"])
+def test_repair_moves_exactly_its_shipments_bytes(params, layout, mode):
+    # every plan at these shapes sends Q rows from each of the P helpers:
+    # user -> helper h its Q x M_h gamma, helper h -> new node Q rows of n
+    # data and ell tag symbols, and user -> TPA the M x m new coefficients
+    # of a functional repair; every other cell stays
+    for node in range(params.N):
+        c = spawn_cluster(params, layout, DATA, seed=40 + node)
+        before = _cells(c)
+        helpers = c.fail_and_repair(node, mode)["helpers"]
+        assert helpers == [h for h in range(params.N) if h != node][:params.P]
+        want = dict.fromkeys(before, 0)
+
+        def move(src, dst, category, nbytes):
+            want[src, "sent", category] += nbytes
+            want[dst, "received", category] += nbytes
+
+        for h in helpers:
+            move("user", h, "coefficient_bytes", params.Q * len(c.manifest.node_coeffs[h]))
+            move(h, node, "data_block_bytes", params.Q * params.n)
+            move(h, node, "tag_bytes", params.Q * params.ell)
+        if mode == "functional":
+            move("user", "tpa", "coefficient_bytes", params.M * params.m)
+        after = _cells(c)
+        assert {cell: after[cell] - before[cell] for cell in before} == want
+
+
 def test_cluster_keeps_no_per_step_state():
     # a file is audited for as long as it is stored: 1,000 rounds and 10
     # repairs must leave no record behind (a kept record is about 200 B)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncaudit import audit, field, ncrypt, repair, spacemac
 from ncaudit.blocks import SystemParams, decode_source_data
-from ncaudit.cluster import EVENODD4, spawn_cluster
+from ncaudit.cluster import EVENODD4, Cluster, User, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 
@@ -21,9 +21,40 @@ def system(rng):
 
 
 def _run_repair(manifest, payloads, plan):
-    shipments = [repair.make_repair_blocks(payloads[h], plan.gamma[h], h, PARAMS.n)
-                 for h in plan.helpers]
+    shipments = [repair.make_repair_blocks(payloads[h], gamma, manifest.params.n)
+                 for h, gamma in plan.gamma.items()]
     return repair.reconstruct_node(plan, shipments)
+
+
+def _state(cluster):
+    """Copies of everything a repair may change: every node's rows, the
+    manifest, every ledger cell, and the node objects themselves."""
+    roles = {"user": cluster.user, "tpa": cluster.tpa, **cluster.nodes}
+    return ({i: node.payload.rows.copy() for i, node in cluster.nodes.items()},
+            cluster.manifest.to_json(),
+            {role: (dict(r.ledger.sent), dict(r.ledger.received)) for role, r in roles.items()},
+            dict(cluster.nodes))
+
+
+def _assert_refused(cluster, error, match, *args, **kwargs):
+    """fail_and_repair(*args, **kwargs) raises error matching match and
+    leaves the cluster's state as it was."""
+    rows, doc, ledgers, nodes = _state(cluster)
+    with pytest.raises(error, match=match):
+        cluster.fail_and_repair(*args, **kwargs)
+    after = _state(cluster)
+    assert after[0].keys() == rows.keys()
+    assert all(np.array_equal(after[0][i], rows[i]) for i in rows)
+    assert after[1] == doc
+    assert after[2] == ledgers
+    assert all(after[3][i] is nodes[i] for i in nodes) and after[3].keys() == nodes.keys()
+
+
+def _cluster(params, layout, size, rng):
+    """A Cluster over a hand-made layout, as spawn_cluster would set one up."""
+    keys = audit.keygen(params, rng)
+    manifest, payloads = audit.setup_file(bytes(range(size)), params, keys, layout, rng)
+    return Cluster(manifest, User(keys), payloads, rng)
 
 
 @pytest.mark.parametrize("failed", [0, 1, 2, 3])
@@ -47,14 +78,15 @@ def test_repaired_tags_verify(system, rng):
 def test_exact_plan_respects_helper_budget(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_exact_repair(manifest, 3, [0, 1, 2], rng)
-    for h in plan.helpers:
-        assert plan.gamma[h].shape[0] <= PARAMS.Q
+    for gamma in plan.gamma.values():
+        assert gamma.shape[0] <= PARAMS.Q
 
 
 def test_exact_repair_impossible_without_span(system, rng):
     keys, manifest, payloads = system
-    # nodes 0 and 2 alone cannot express node 3's second row (needs b4)
-    with pytest.raises(repair.PlanningError):
+    # nodes 0 and 2 span the file, but one row from each cannot rebuild
+    # node 3's two rows
+    with pytest.raises(repair.PlanningError, match="no exact repair plan found"):
         repair.plan_exact_repair(manifest, 3, [0, 2], rng)
 
 
@@ -66,16 +98,12 @@ def test_helpers_that_cannot_span_are_named_after_a_failed_draw(rng):
     layout = {0: np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=np.uint8),
               1: np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8),
               2: np.array([[0, 0, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)}
-    keys = audit.keygen(params, rng)
-    manifest, payloads = audit.setup_file(bytes(range(56)), params, keys, layout, rng)
-    rows, doc = {i: p.rows.copy() for i, p in payloads.items()}, manifest.to_json()
-    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim, \
-            pytest.raises(repair.PlanningError, match="do not span"):
-        repair.repair_node(manifest, payloads, 0, "exact", [1, 2], rng)
+    cluster = _cluster(params, layout, 56, rng)
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+        _assert_refused(cluster, repair.PlanningError,
+                        "helpers do not span the failed node's rows", 0, "exact", [1, 2])
     # one random draw's solve, then the span's
     assert elim.call_count == 2
-    assert all(np.array_equal(payloads[i].rows, rows[i]) for i in rows)
-    assert manifest.to_json() == doc
 
 
 def test_exact_repair_at_churn_shape_runs_one_elimination():
@@ -162,12 +190,15 @@ def test_random_gamma_exact_repair_bit_for_bit(Q, gamma, theta):
     cluster = spawn_cluster(params, "random_functional", bytes(range(200)), seed=11)
     payloads = {i: node.payload for i, node in cluster.nodes.items()}
     before = payloads[0].rows.copy()
-    plan, _ = repair.repair_node(cluster.manifest, payloads, 0, "exact", None,
-                                 np.random.default_rng(5))
-    assert plan.helpers == [1, 2, 3, 4, 5]
-    assert [plan.gamma[h].tolist() for h in plan.helpers] == gamma
+    plan = repair.plan_exact_repair(cluster.manifest, 0, [1, 2, 3, 4, 5],
+                                    np.random.default_rng(5))
+    assert list(plan.gamma) == [1, 2, 3, 4, 5]
+    assert [g.tolist() for g in plan.gamma.values()] == gamma
     assert plan.theta.tolist() == theta
-    assert np.array_equal(payloads[0].rows, before)
+    assert np.array_equal(_run_repair(cluster.manifest, payloads, plan), before)
+    # the cluster's own repair draws its plan from its generator
+    assert cluster.fail_and_repair(0, "exact")["helpers"] == [1, 2, 3, 4, 5]
+    assert np.array_equal(cluster.nodes[0].payload.rows, before)
 
 
 def test_functional_repair_needs_helpers_spanning_the_file(system, rng):
@@ -179,11 +210,13 @@ def test_functional_repair_needs_helpers_spanning_the_file(system, rng):
 
 def test_functional_repair_keeps_decodability(system, rng):
     keys, manifest, payloads = system
-    plan, _ = repair.repair_node(manifest, payloads, 1, "functional", [0, 2, 3], rng)
-    rows = payloads[1].rows
+    cluster = Cluster(manifest, User(keys), payloads, rng)
+    old = manifest.node_coeffs[1].copy()
+    cluster.fail_and_repair(1, "functional", [0, 2, 3])
+    rows = cluster.nodes[1].payload.rows
     blocks, tags = rows[:, :PARAMS.n], rows[:, PARAMS.n:]
     # the rebuilt data symbols are the manifest's new rows times the sources
-    assert np.array_equal(manifest.node_coeffs[1], plan.target_rows)
+    assert not np.array_equal(manifest.node_coeffs[1], old)
     helper_rows = audit.verified_rows(keys.k_v, manifest, {h: payloads[h] for h in (0, 2)})
     sources = decode_source_data(helper_rows, PARAMS.m)
     assert np.array_equal(blocks, field.combine_rows(manifest.node_coeffs[1], sources))
@@ -197,7 +230,7 @@ def test_functional_repair_keeps_decodability(system, rng):
 def test_replay_detected_after_functional_repair(system, rng):
     keys, manifest, payloads = system
     old_rows = payloads[1].rows.copy()
-    repair.repair_node(manifest, payloads, 1, "functional", [0, 2, 3], rng)
+    Cluster(manifest, User(keys), payloads, rng).fail_and_repair(1, "functional", [0, 2, 3])
     # the node serves its pre-repair store against refreshed records
     rejected = 0
     for k in range(1, 51):
@@ -213,8 +246,8 @@ def test_replay_detected_after_functional_repair(system, rng):
 def test_plan_sent_rows_consistent(system, rng):
     keys, manifest, payloads = system
     plan = repair.plan_exact_repair(manifest, 2, [0, 1, 3], rng)
-    sent = np.concatenate([field.combine_rows(plan.gamma[h], manifest.node_coeffs[h])
-                           for h in plan.helpers])
+    sent = np.concatenate([field.combine_rows(gamma, manifest.node_coeffs[h])
+                           for h, gamma in plan.gamma.items()])
     # theta applied to the sent rows reproduces the target rows
     rebuilt = np.stack([field.combine_rows(plan.theta[j], sent)
                         for j in range(plan.theta.shape[0])])
@@ -226,14 +259,14 @@ def test_exact_repair_copies_replicated_rows(rng):
     params = SystemParams(n=16, m=2, N=3, M=2, P=2, Q=2, ell=2, lambda_bits=80)
     layout = {0: np.eye(2, dtype=np.uint8), 1: np.array([[0, 1], [1, 0]], dtype=np.uint8),
               2: np.array([[1, 1], [1, 2]], dtype=np.uint8)}
-    keys = audit.keygen(params, rng)
-    manifest, payloads = audit.setup_file(bytes(range(28)), params, keys, layout, rng)
-    before = payloads[0].rows.copy()
-    plan, _ = repair.repair_node(manifest, payloads, 0, "exact", [2, 1], rng)
-    assert plan.helpers == [1]
+    cluster = _cluster(params, layout, 28, rng)
+    before = cluster.nodes[0].payload.rows.copy()
+    plan = repair.plan_exact_repair(cluster.manifest, 0, [2, 1], rng)
+    assert list(plan.gamma) == [1]
     assert np.array_equal(plan.gamma[1], np.eye(2, dtype=np.uint8)[[1, 0]])
     assert np.array_equal(plan.theta, np.eye(2, dtype=np.uint8))
-    assert np.array_equal(payloads[0].rows, before)
+    assert cluster.fail_and_repair(0, "exact", [2, 1])["helpers"] == [1]
+    assert np.array_equal(cluster.nodes[0].payload.rows, before)
 
 
 def test_replicated_rows_plan_from_copies_in_one_elimination(rng):
@@ -243,32 +276,51 @@ def test_replicated_rows_plan_from_copies_in_one_elimination(rng):
     params = SystemParams(n=16, m=4, N=3, M=2, P=2, Q=1, ell=2, lambda_bits=80)
     eye = np.eye(4, dtype=np.uint8)
     layout = {0: eye[[0, 1]], 1: eye[[2, 0]], 2: eye[[1, 3]]}
-    keys = audit.keygen(params, rng)
-    manifest, payloads = audit.setup_file(bytes(range(56)), params, keys, layout, rng)
-    before = payloads[0].rows.copy()
+    cluster = _cluster(params, layout, 56, rng)
+    before = cluster.nodes[0].payload.rows.copy()
     with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
-        plan, _ = repair.repair_node(manifest, payloads, 0, "exact", [1, 2], rng)
+        record = cluster.fail_and_repair(0, "exact", [1, 2])
     assert elim.call_count == 1
-    assert plan.helpers == [1, 2]
+    assert record["helpers"] == [1, 2]
+    assert np.array_equal(cluster.nodes[0].payload.rows, before)
+    plan = repair.plan_exact_repair(cluster.manifest, 0, [1, 2], rng)
     assert np.array_equal(plan.gamma[1], np.eye(2, dtype=np.uint8)[[1]])
     assert np.array_equal(plan.gamma[2], np.eye(2, dtype=np.uint8)[[0]])
-    assert np.array_equal(payloads[0].rows, before)
 
 
 @pytest.mark.parametrize("mode", ["exact", "functional"])
 def test_one_node_store_names_missing_helpers(rng, mode):
     params = SystemParams(n=16, m=2, N=1, M=3, P=0, Q=1, ell=2, lambda_bits=80)
     layout = {0: np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)}
-    keys = audit.keygen(params, rng)
-    manifest, payloads = audit.setup_file(bytes(range(28)), params, keys, layout, rng)
-    with pytest.raises(repair.PlanningError, match="no helper nodes to rebuild node 0"):
-        repair.repair_node(manifest, payloads, 0, mode, None, rng)
+    _assert_refused(_cluster(params, layout, 28, rng), repair.PlanningError,
+                    "no helper nodes to rebuild node 0", 0, mode)
+
+
+@pytest.mark.parametrize("node, mode, helpers, error, match", [
+    (0, "exact", 3, repair.PlanningError, "helpers must be a list of node ids, not 3"),
+    (0, "exact", "123", repair.PlanningError, "helpers must be a list of node ids"),
+    (0, "exact", [1, 1, 2], repair.PlanningError, r"helper 1 of node 0 is not a distinct"),
+    (0, "exact", [1, 9], repair.PlanningError, r"helper 9 of node 0 .* nodes \[1, 2, 3\]"),
+    (0, "exact", [1, True], repair.PlanningError, "helper True of node 0"),
+    (0, "exactly", None, ValueError, "unknown repair mode 'exactly'"),
+    # node 0 holds b1 and b2 only, and node 3's rows need b3
+    (3, "exact", [0], repair.PlanningError, "helpers do not span the failed node's rows"),
+    # nodes 0 and 2 span the file, but one row from each cannot rebuild two
+    (3, "exact", [0, 2], repair.PlanningError, "no exact repair plan found"),
+    # node 0 holds b1 and b2 only
+    (3, "functional", [0], repair.PlanningError,
+     "no functional repair keeps the file decodable"),
+], ids=["int", "str", "repeated", "absent", "bool", "mode", "exact-span", "exact-no-plan",
+        "functional-span"])
+def test_refused_repair_changes_nothing(node, mode, helpers, error, match):
+    cluster = spawn_cluster(PARAMS, "evenodd4", bytes(range(56)), seed=3)
+    _assert_refused(cluster, error, match, node, mode, helpers)
+    # the refusal left a cluster that still repairs the node
+    assert cluster.fail_and_repair(node, "exact")["helpers"] == [h for h in range(4)
+                                                                 if h != node]
 
 
 def test_repair_rejects_the_failed_node_as_its_own_helper():
-    # its lost rows are no helper; CLI scenarios cover absent and repeated ids
+    # its lost rows are no helper; nor is an id the store lacks or repeats
     c = spawn_cluster(PARAMS, "evenodd4", bytes(range(56)), seed=3)
-    before = c.nodes[0].payload.rows.copy()
-    with pytest.raises(repair.PlanningError, match="helper 0 of node 0"):
-        c.fail_and_repair(0, helpers=[0, 1, 2])
-    assert np.array_equal(c.nodes[0].payload.rows, before)
+    _assert_refused(c, repair.PlanningError, "helper 0 of node 0", 0, helpers=[0, 1, 2])
