@@ -166,5 +166,5 @@ def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray, n: int) -> 
 
 def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment]) -> np.ndarray:
     """The new node's (M, n+ell) rows: theta times the received rows, the
-    shipments taken in plan.gamma's helper order."""
+    shipments given in plan.gamma's helper order."""
     return field.combine_rows(plan.theta, np.concatenate([s.rows for s in shipments]))
