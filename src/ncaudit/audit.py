@@ -133,26 +133,30 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
                ) -> Tuple[FileManifest, Dict[int, NodePayload]]:
     """Build source blocks, tag them, encode per-node payloads.
 
-    code_layout maps node id -> (M, m) coefficient rows.  A node's rows
-    are its coefficient rows times the sources' data symbols joined to
-    their tags: its tags come by the Combine route, never a fresh Mac.
+    code_layout maps node id -> (M, m) coefficient rows, which together
+    must span the m sources (ValueError otherwise), so that the file can be
+    decoded.  A node's rows are its coefficient rows times the sources'
+    data symbols joined to their tags: its tags come by the Combine route,
+    never a fresh Mac.
     """
     params.validate()
+    node_coeffs: Dict[int, np.ndarray] = {}
+    for node, rows in code_layout.items():
+        node_coeffs[node] = np.array(rows, dtype=np.uint8)
+        if node_coeffs[node].shape != (params.M, params.m):
+            raise ValueError(f"layout rows for node {node} must be (M, m)")
+    rank = field.matrix_rank(np.concatenate([np.zeros((0, params.m), np.uint8),
+                                             *node_coeffs.values()]))
+    if rank < params.m:
+        raise ValueError(f"layout rows span rank {rank} < m = {params.m}: undecodable")
     fid = file_id.encode()
     sources, lengths = make_source_blocks(file_bytes, params, rng)
     # each source row becomes its data symbols, then its tags; rebinding
     # frees the full rows before the per-node products
     sources = np.hstack([sources[:, :params.n],
                          spacemac.mac(keys.k_v, fid, sources, params.ell)])
-
-    payloads: Dict[int, NodePayload] = {}
-    node_coeffs: Dict[int, np.ndarray] = {}
-    for node, rows in code_layout.items():
-        rows = np.asarray(rows, dtype=np.uint8)
-        if rows.shape != (params.M, params.m):
-            raise ValueError(f"layout rows for node {node} must be (M, m)")
-        payloads[node] = NodePayload(combine_blocks(rows, sources), keys.k_e)
-        node_coeffs[node] = rows.copy()
+    payloads = {node: NodePayload(combine_blocks(rows, sources), keys.k_e)
+                for node, rows in node_coeffs.items()}
 
     manifest = FileManifest(
         file_id=file_id,

@@ -42,8 +42,6 @@ class SystemParams:
             raise ValueError("m, ell and Q must be >= 1")
         if self.P < 0:
             raise ValueError("P must be >= 0")
-        if self.M * self.N < self.m:
-            raise ValueError("M*N must be >= m for decodability")
         # keys are lambda_bits long, and keyed BLAKE2b takes at most 64 bytes
         if self.lambda_bits % 8 != 0 or not 64 <= self.lambda_bits <= 512:
             raise ValueError("lambda_bits must be a multiple of 8 from 64 to 512")

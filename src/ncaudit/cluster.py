@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import audit, field, ncrypt, repair
+from . import audit, ncrypt, repair
 from .audit import Challenge, KeyMaterial, NodePayload, Proof, VerifyStats
 from .blocks import CodedBlock, FileManifest, SystemParams, decode_file
 
@@ -41,8 +41,7 @@ def make_layout(layout: str, params: SystemParams, rng) -> Dict[int, np.ndarray]
     """Node -> (M, m) coefficient rows for a named layout.
 
     "evenodd4" is the fixed parity layout above.  "random_functional" draws
-    each node's rows uniformly, redrawing a node with an all-zero row, and
-    rejects a layout whose rows do not span all m source blocks.
+    each node's rows uniformly, redrawing a node with an all-zero row.
     """
     params.validate()
     if layout == "evenodd4":
@@ -58,9 +57,6 @@ def make_layout(layout: str, params: SystemParams, rng) -> Dict[int, np.ndarray]
             if all(rows[j].any() for j in range(params.M)):
                 code[node] = rows
                 break
-    stacked = np.concatenate(list(code.values()), axis=0)
-    if field.matrix_rank(stacked) < params.m:
-        raise ValueError("random layout failed to span the source space")
     return code
 
 
@@ -91,8 +87,7 @@ class Fault:
 class Node:
     """One storage node.  Holds k_e and its payload; never k_v."""
 
-    def __init__(self, node_id: int, payload: NodePayload, params: SystemParams, rng):
-        self.node_id = node_id
+    def __init__(self, payload: NodePayload, params: SystemParams, rng):
         self.payload = payload
         self.params = params
         self.rng = rng
@@ -204,7 +199,7 @@ class Cluster:
         self.manifest = manifest
         self.user = user
         self.nodes: Dict[int, Node] = {
-            node_id: Node(node_id, payload, manifest.params,
+            node_id: Node(payload, manifest.params,
                           np.random.default_rng(rng.integers(2**63)))
             for node_id, payload in payloads.items()}
         self.tpa = Tpa(user.keys.k_v, manifest,
@@ -256,10 +251,10 @@ class Cluster:
         """Drop a node and rebuild it from helper shipments; returns the
         repair's record, naming the helpers used.  helpers=None takes the
         first P other nodes; mode is "exact" or "functional".  A refused
-        repair changes no store, manifest row or ledger; PlanningError names
-        a helper that is not a distinct id of another node."""
+        repair changes no store, manifest row, ledger or generator state;
+        PlanningError names a helper that is not a distinct id of another
+        node."""
         manifest, params = self.manifest, self.manifest.params
-        plan_rng = np.random.default_rng(self.rng.integers(2**63))
         others = sorted(set(manifest.node_coeffs) - {node})
         if helpers is None:
             helpers = others[:params.P]
@@ -270,11 +265,18 @@ class Cluster:
                 raise repair.PlanningError(f"helper {h!r} of node {node} is not a distinct "
                                            f"id among the other nodes {others}")
         if mode == "exact":
-            plan = repair.plan_exact_repair(manifest, node, helpers, plan_rng)
+            planner = repair.plan_exact_repair
         elif mode == "functional":
-            plan = repair.plan_functional_repair(manifest, node, helpers, plan_rng)
+            planner = repair.plan_functional_repair
         else:
             raise ValueError(f"unknown repair mode {mode!r}")
+        state = self.rng.bit_generator.state
+        try:
+            plan = planner(manifest, node, helpers,
+                           np.random.default_rng(self.rng.integers(2**63)))
+        except repair.PlanningError:
+            self.rng.bit_generator.state = state
+            raise
         lost, shipments = self.nodes[node], []
         for h, gamma in plan.gamma.items():
             helper = self.nodes[h]
@@ -292,8 +294,7 @@ class Cluster:
             self.user.ledger.charge(self.tpa.ledger, "coefficient_bytes",
                                     int(plan.target_rows.size))
             manifest.node_coeffs[node] = plan.target_rows.copy()
-        fresh = Node(node, NodePayload(repair.reconstruct_node(plan, shipments),
-                                       lost.payload.k_e),
+        fresh = Node(NodePayload(repair.reconstruct_node(plan, shipments), lost.payload.k_e),
                      params, np.random.default_rng(self.rng.integers(2**63)))
         fresh.ledger = lost.ledger
         self.nodes[node] = fresh

@@ -6,7 +6,7 @@ from ncaudit import spacemac
 
 @pytest.fixture(autouse=True)
 def _fresh_mac_cache():
-    spacemac._r_cache.clear()
+    spacemac._r_matrix.cache_clear()
     yield
 
 

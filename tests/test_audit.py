@@ -27,6 +27,15 @@ def system(rng):
     return keys, manifest, payloads
 
 
+def test_setup_refuses_a_layout_that_cannot_be_decoded(rng):
+    # two nodes that both store b1 and b2: M*N = m = 4, but rank 2
+    params = SystemParams(n=16, m=4, N=2, M=2, P=1, Q=1, ell=2, lambda_bits=80)
+    both = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="span rank 2 < m = 4"):
+        audit.setup_file(bytes(range(56)), params, audit.keygen(params, rng),
+                         {0: both, 1: both}, rng)
+
+
 def test_honest_round_accepts(system, rng):
     keys, manifest, payloads = system
     for node in range(4):
@@ -69,7 +78,7 @@ def test_wrong_coefficients_rejected(system, rng):
 def test_gen_proof_deleted_block_rejected(system, rng):
     # a lost block is answered with the uniform junk the fault leaves behind
     keys, manifest, payloads = system
-    node = Node(0, payloads[0], PARAMS, rng)
+    node = Node(payloads[0], PARAMS, rng)
     node.apply_fault(Fault("delete_block", block=1))
     rejected = 0
     for _ in range(20):

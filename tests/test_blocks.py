@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncaudit import blocks, field
 from ncaudit.blocks import FileManifest, SystemParams
+from ncaudit.cluster import spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
 
@@ -15,8 +16,10 @@ def test_params_validation():
         SystemParams(n=3, m=4, N=4, M=2, P=3, Q=1).validate()
     with pytest.raises(ValueError):
         SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, q=257).validate()
-    with pytest.raises(ValueError):
-        SystemParams(n=16, m=9, N=4, M=2, P=3, Q=1).validate()  # M*N < m
+    # M*N < m rows cannot span the sources, which set-up refuses
+    with pytest.raises(ValueError, match="span rank 8 < m = 9"):
+        spawn_cluster(SystemParams(n=16, m=9, N=4, M=2, P=3, Q=1), "random_functional",
+                      b"", seed=1)
     # a functional repair with Q = 0 wrote all-zero coefficient rows
     with pytest.raises(ValueError, match="Q must be >= 1"):
         SystemParams(n=16, m=4, N=4, M=2, P=3, Q=0).validate()

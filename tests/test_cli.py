@@ -640,7 +640,7 @@ def test_every_voucher_is_on_disk_before_the_node_answers(store, argv, monkeypat
 
     def checked(self, chal, voucher):
         counters = json.loads((store / "vouchers.json").read_text())
-        assert counters[str(self.node_id)] > voucher.k
+        assert counters[str(voucher.node)] > voucher.k
         seen.append(voucher.k)
         return answer(self, chal, voucher)
 

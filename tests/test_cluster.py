@@ -253,6 +253,41 @@ def test_repair_moves_exactly_its_shipments_bytes(params, layout, mode):
         assert {cell: after[cell] - before[cell] for cell in before} == want
 
 
+@pytest.mark.parametrize("params, layout, epsilon", [
+    (PARAMS, "evenodd4", 0.0),
+    (PARAMS, "evenodd4", 0.5),
+    (SystemParams(n=32, m=8, N=4, M=8, P=3, Q=1, ell=2, lambda_bits=80), "random_functional",
+     0.3),
+], ids=["evenodd4", "evenodd4-lying", "random"])
+def test_extraction_moves_exactly_its_exchanges_bytes(params, layout, epsilon):
+    # each query is one exchange: TPA -> node its challenge, user -> node k
+    # and the voucher, user -> TPA k, node -> TPA one proof of n + k + ell
+    # symbols, lie or not; no data, tag or coefficient byte moves
+    c = spawn_cluster(params, layout, DATA, seed=21)
+    c.inject_fault(1, Fault("lie_probability", epsilon=epsilon))
+    exchange, challenges = c.exchange, []
+
+    def recorded(chal):
+        challenges.append(len(chal.to_bytes()))
+        return exchange(chal)
+
+    c.exchange = recorded
+    before = _cells(c)
+    queries = extractor.extract_node(c, 1, np.random.default_rng(3)).queries
+    after = _cells(c)
+    assert len(challenges) == queries
+    k = params.lambda_bits // 8
+    want = dict.fromkeys(before, 0)
+    for src, dst, category, nbytes in [
+            ("tpa", 1, "control_bytes", sum(challenges)),
+            ("user", 1, "voucher_bytes", queries * (k + params.ell)),
+            ("user", "tpa", "voucher_bytes", queries * k),
+            (1, "tpa", "proof_bytes", queries * (params.n + k + params.ell))]:
+        want[src, "sent", category] += nbytes
+        want[dst, "received", category] += nbytes
+    assert {cell: after[cell] - before[cell] for cell in before} == want
+
+
 def test_cluster_keeps_no_per_step_state():
     # a file is audited for as long as it is stored: 1,000 rounds and 10
     # repairs must leave no record behind (a kept record is about 200 B)

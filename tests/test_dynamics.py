@@ -3,7 +3,7 @@ import pytest
 
 from ncaudit import dynamics
 from ncaudit.audit import NodePayload, verified_rows
-from ncaudit.blocks import SystemParams
+from ncaudit.blocks import FileManifest, SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
@@ -54,6 +54,19 @@ def test_functional_repair_after_append_rebuilds_every_row(cluster, rng):
     assert cluster.nodes[1].params.m == cluster.manifest.params.m == PARAMS.m + 1
     assert all(cluster.run_audit_round(node, 3)[0] for node in range(4))
     assert cluster.decode_current_file() == DATA + b"appended"
+
+
+def test_manifest_reloads_after_appends_outgrow_m_times_n(rng):
+    # from the fifth append on, m = 9 sources exceed M*N = 8; each node then
+    # holds 8 rows, and the file still decodes and audits
+    cluster = spawn_cluster(PARAMS, "evenodd4", DATA, seed=3)
+    for i in range(6):
+        dynamics.append_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
+                              bytes([i]) * 3, rng)
+        text = cluster.manifest.to_json()
+        assert FileManifest.from_json(text).to_json() == text
+    assert cluster.decode_current_file() == DATA + b"".join(bytes([i]) * 3 for i in range(6))
+    assert all(cluster.run_audit_round(node, 8)[0] for node in range(4))
 
 
 @pytest.mark.parametrize("data, nodes, error", [

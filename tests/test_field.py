@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncaudit import dynamics, field
+from ncaudit import audit, dynamics, field
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, make_layout, spawn_cluster
 
@@ -498,12 +498,23 @@ def test_tall_elimination_past_the_crossover_matches_row_by_row():
 
 
 def test_paper_scale_layout_check_takes_the_table_form():
-    # the span check of m=500 sources over two nodes of 300 rows, which a
-    # retuned crossover must not switch back to single products
+    # set-up's span check of m=500 sources over two nodes of 300 rows, which
+    # a retuned crossover must not switch back to single products
     params = SystemParams(n=4096, m=500, N=2, M=300, P=1, Q=1, ell=10, lambda_bits=80)
-    with mock.patch.object(field, "_multiples", wraps=field._multiples) as table:
-        code = make_layout("random_functional", params, np.random.default_rng(1))
-    assert sorted(code) == [0, 1] and table.call_count > 250
+    rng = np.random.default_rng(1)
+    code = make_layout("random_functional", params, rng)
+    rank, tables = field.matrix_rank, []
+
+    def counted(a):
+        before = table.call_count
+        result = rank(a)
+        tables.append(table.call_count - before)
+        return result
+
+    with mock.patch.object(field, "_multiples", wraps=field._multiples) as table, \
+            mock.patch.object(field, "matrix_rank", counted):
+        manifest, _ = audit.setup_file(b"", params, audit.keygen(params, rng), code, rng)
+    assert sorted(manifest.node_coeffs) == [0, 1] and len(tables) == 1 and tables[0] > 250
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unused.
+"""No module of the package imports a name it never uses, no private
+module-level name goes unused, and no attribute set on self goes unread.
 
 A stand-in for a linter's unused-import and dead-code rules, read from the
 source with `ast`.  The package root is left out of the import check: its
@@ -95,3 +95,44 @@ def test_the_check_sees_unreferenced_and_self_referencing_private_names():
                        "class _Box:\n    pass\n"
                        "def f(x: '_Box'):\n    return _kept\n"}
     assert _unreferenced_private_names(sources) == [("a.py", "_TABLE"), ("a.py", "_walk")]
+
+
+def _unread_self_attributes(sources):
+    """(module, name) of each attribute that a method of the sources assigns
+    on self and that no source reads, either as a load or as the target of
+    an augmented assignment."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            read.add(node.target.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    assigned = {(module, node.attr) for module, tree in trees.items()
+                for method in ast.walk(tree)
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and method.args.args and method.args.args[0].arg == "self"
+                for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return sorted((module, name) for module, name in assigned if name not in read)
+
+
+def test_every_instance_attribute_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    unread = [f"{module}: self.{name}" for module, name in _unread_self_attributes(sources)]
+    assert not unread, f"attributes nothing in the package reads: {', '.join(unread)}"
+
+
+def test_the_check_sees_unread_attributes_and_augmented_ones():
+    sources = {"a.py": "class A:\n"
+                       "    def __init__(self, other):\n"
+                       "        self.kept, self.count, self.shared = 1, 0, 2\n"
+                       "        self.unread, other.elsewhere = 3, 4\n"
+                       "    def bump(self):\n"
+                       "        self.count += 1\n"
+                       "        return self.kept\n"
+                       "def peek(box):\n"
+                       "    box.lonely = 5\n",
+               "b.py": "def f(a):\n    return a.shared\n"}
+    assert _unread_self_attributes(sources) == [("a.py", "unread")]

@@ -28,18 +28,20 @@ def _run_repair(manifest, payloads, plan):
 
 def _state(cluster):
     """Copies of everything a repair may change: every node's rows, the
-    manifest, every ledger cell, and the node objects themselves."""
+    manifest, every ledger cell, the node objects themselves and the
+    cluster's generator state."""
     roles = {"user": cluster.user, "tpa": cluster.tpa, **cluster.nodes}
     return ({i: node.payload.rows.copy() for i, node in cluster.nodes.items()},
             cluster.manifest.to_json(),
             {role: (dict(r.ledger.sent), dict(r.ledger.received)) for role, r in roles.items()},
-            dict(cluster.nodes))
+            dict(cluster.nodes),
+            cluster.rng.bit_generator.state)
 
 
 def _assert_refused(cluster, error, match, *args, **kwargs):
     """fail_and_repair(*args, **kwargs) raises error matching match and
     leaves the cluster's state as it was."""
-    rows, doc, ledgers, nodes = _state(cluster)
+    rows, doc, ledgers, nodes, state = _state(cluster)
     with pytest.raises(error, match=match):
         cluster.fail_and_repair(*args, **kwargs)
     after = _state(cluster)
@@ -48,6 +50,7 @@ def _assert_refused(cluster, error, match, *args, **kwargs):
     assert after[1] == doc
     assert after[2] == ledgers
     assert all(after[3][i] is nodes[i] for i in nodes) and after[3].keys() == nodes.keys()
+    assert after[4] == state
 
 
 def _cluster(params, layout, size, rng):
@@ -318,6 +321,21 @@ def test_refused_repair_changes_nothing(node, mode, helpers, error, match):
     # the refusal left a cluster that still repairs the node
     assert cluster.fail_and_repair(node, "exact")["helpers"] == [h for h in range(4)
                                                                  if h != node]
+
+
+@pytest.mark.parametrize("helpers", [[0], [2]], ids=["own-helper", "exact-span"])
+def test_refused_repair_leaves_later_repairs_alone(helpers):
+    # at churn shape, a refused repair of node 0 must not change the rows
+    # that a later functional repair of node 1 draws
+    params = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
+    refused, plain = (spawn_cluster(params, "random_functional", bytes(range(200)), seed=5)
+                      for _ in range(2))
+    with pytest.raises(repair.PlanningError):
+        refused.fail_and_repair(0, "exact", helpers)
+    for c in (refused, plain):
+        c.fail_and_repair(1, "functional")
+    assert np.array_equal(refused.manifest.node_coeffs[1], plain.manifest.node_coeffs[1])
+    assert np.array_equal(refused.nodes[1].payload.rows, plain.nodes[1].payload.rows)
 
 
 def test_repair_rejects_the_failed_node_as_its_own_helper():

@@ -86,31 +86,36 @@ def test_cache_extends_monotonically():
 
 
 def test_r_cache_is_bounded():
-    # one entry per (k_v, file id), the least recently used dropped first
+    # one matrix per (k_v, file id, count, length), the least recently
+    # used dropped first; a dropped one is derived again, the same
     block = np.arange(20, dtype=np.uint8)
     first = spacemac.mac(KEY, b"file-0", block, ell=2)
     for i in range(100):
         spacemac.mac(KEY, f"file-{i}".encode(), block, ell=2)
-        assert len(spacemac._r_cache) <= spacemac.R_CACHE_SIZE
-    assert (KEY, b"file-99") in spacemac._r_cache
-    assert (KEY, b"file-0") not in spacemac._r_cache
-    assert np.array_equal(spacemac.mac(KEY, b"file-0", block, ell=2), first)
+        assert spacemac._r_matrix.cache_info().currsize <= spacemac.R_CACHE_SIZE
+    with mock.patch.object(prf, "derive_r_vector", wraps=prf.derive_r_vector) as derive:
+        spacemac.mac(KEY, b"file-99", block, ell=2)
+        assert derive.call_count == 0
+        assert np.array_equal(spacemac.mac(KEY, b"file-0", block, ell=2), first)
+        assert derive.call_count == 2
 
 
 def test_r_vectors_are_rows_of_one_read_only_matrix():
-    # each vector is derived once, when first asked for, and a longer
-    # request re-derives them all; earlier prefixes stay the same
+    # r_1..r_ell are derived once per length asked for, as the rows of one
+    # matrix; a shorter length is derived anew, with the same prefix
     block = np.arange(40, dtype=np.uint8)
     with mock.patch.object(prf, "derive_r_vector", wraps=prf.derive_r_vector) as derive:
         tags = spacemac.mac(KEY, FID, block, ell=3)
         assert derive.call_count == 3
-        spacemac.mac(KEY, FID, block[:30], ell=3)
+        assert np.array_equal(spacemac.mac(KEY, FID, block, ell=3), tags)
         assert derive.call_count == 3
-        spacemac.mac(KEY, FID, np.zeros(200, dtype=np.uint8), ell=2)
+        spacemac.mac(KEY, FID, block[:30], ell=3)
         assert derive.call_count == 6
-    stack = spacemac._r_cache[KEY, FID]
-    assert stack.shape[0] == 3 and stack.shape[1] >= 200 and not stack.flags.writeable
-    assert np.array_equal(spacemac.mac(KEY, FID, block, ell=3), tags)
+    stack = spacemac._r_matrix(KEY, FID, 3, 40)
+    assert stack.shape == (3, 40) and not stack.flags.writeable
+    for j in (1, 2, 3):
+        assert np.array_equal(spacemac.r_vector(KEY, FID, 40, j), stack[j - 1])
+        assert np.array_equal(spacemac.r_vector(KEY, FID, 30, j), stack[j - 1, :30])
     with pytest.raises(ValueError):
         spacemac.r_vector(KEY, FID, 50, 3)[0] = 1
 
@@ -122,7 +127,7 @@ def test_r_vector_skips_zero_keystream_symbols():
     assert (stream == 0).any()
     r = spacemac.r_vector(KEY, FID, 5000, 1)
     assert r.min() >= 1 and np.array_equal(r, stream[stream != 0][:5000])
-    spacemac._r_cache.clear()
+    spacemac._r_matrix.cache_clear()
     assert np.array_equal(spacemac.r_vector(KEY, FID, 300, 1), r[:300])
 
 
