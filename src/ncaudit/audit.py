@@ -3,7 +3,9 @@
 KeyGen / TagGen run at the user, GenProof at a storage node, VerifyProof at
 the auditor.  The auditor holds only the verification key and the coding
 coefficients; response data reaches it masked, and the tag reaches it
-offset by a one-time voucher (see ncrypt).
+offset by a one-time voucher (see ncrypt).  Tags are linear, so the
+auditor takes the MAC of a proof's coefficient part from a per-node table
+of its stored rows' coefficient tags (verify_proof).
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
     offset the tag by the voucher, which costs no multiplication.
 
     The coefficient part is neither stored nor transmitted: the auditor
-    rebuilds it from its own records.  ValueError on a challenge index
+    knows it from its own records.  ValueError on a challenge index
     outside the store.
     """
     n = params.n
@@ -199,12 +201,6 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
                  agg[n - 2: n].copy(), agg[n:] ^ voucher.value)
-
-
-def aggregate_coeffs(manifest: FileManifest, chal: Challenge) -> np.ndarray:
-    """The challenged combination's source coefficients, read from the
-    manifest's (M, m) rows of the node as gen_proof reads its store."""
-    return field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node], chal.indices)
 
 
 def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
@@ -241,15 +237,40 @@ def verified_rows(k_v: bytes, manifest: FileManifest,
 
 @dataclass
 class VerifyStats:
-    mults: int = 0  # C*m coefficient aggregation + ell*(n+m) verification dots
+    mults: int = 0  # ell*n data MAC + C*ell coefficient tags (+ C*|D| + |D|*ell deltas)
+
+
+# (k_v, file id, n, ell, node) -> ((shape, bytes) of the node's coefficient
+# rows, their (M, ell) coefficient tags); the oldest entry goes first
+COEFF_TAGS_SIZE = 64
+_coeff_tags: Dict[tuple, tuple] = {}
+
+
+def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
+                     r: np.ndarray) -> np.ndarray:
+    """Row j: the MAC of the node's stored row j's coefficient part, its
+    manifest coefficients times the MAC vectors' columns n..n+m of r.
+    Served while the node's rows equal, by content, those it was built
+    from; rebuilt otherwise, for M·m·ell multiplications."""
+    params, coeffs = manifest.params, manifest.node_coeffs[node]
+    key = (k_v, manifest.file_id, params.n, params.ell, node)
+    state = (coeffs.shape, coeffs.tobytes())
+    held = _coeff_tags.get(key)
+    if held is None or held[0] != state:
+        if held is None and len(_coeff_tags) >= COEFF_TAGS_SIZE:
+            del _coeff_tags[next(iter(_coeff_tags))]
+        held = _coeff_tags[key] = (state, field.combine_rows(coeffs, r[:, params.n:].T))
+    return held[1]
 
 
 def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof) -> Tuple[bool, VerifyStats]:
-    """Rebuild the expected coefficients, strip the voucher pad of the
-    proof's k, compensate the manifest's tag deltas and verify the tags.
-    Whether k was issued to the node and is unused is the caller's check
-    (cluster.Tpa)."""
+    """Strip the voucher pad of the proof's k and check verify_block's
+    equation for the row [c_bar, pad, alpha·C[indices]] by its parts: the
+    MAC of the n data symbols, the alpha-combination of the node's
+    coefficient tags (_coeff_tag_table) and of its coefficients on the
+    sources with tag deltas, those weighting the deltas.  Whether k was
+    issued to the node and is unused is the caller's check (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
@@ -258,10 +279,20 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     stats = VerifyStats()
     before = field.counter.value  # stays put while the counter is off
 
-    aug = aggregate_coeffs(manifest, chal)
-    row = np.concatenate([proof.c_bar, proof.pad, aug])
-    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k,
-                             params)
-    ok = bool(verify_block(k_v, manifest, row, proof.tag ^ s_k))
+    fid = manifest.file_id.encode()
+    r = spacemac.r_matrix(k_v, fid, ell, n + params.m)
+    table = _coeff_tag_table(k_v, manifest, chal.node, r)
+    tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad]), r[:, :n].T)
+    if manifest.deltas:
+        # the delta columns join the coefficient tags in one combination
+        idx = np.fromiter(manifest.deltas, dtype=np.intp, count=len(manifest.deltas))
+        part = field.combine_rows(chal.alphas, np.concatenate(
+            [table, manifest.node_coeffs[chal.node][:, idx]], axis=1), chal.indices)
+        tag ^= part[:ell] ^ field.combine_rows(part[ell:],
+                                               np.array(list(manifest.deltas.values())))
+    else:
+        tag ^= field.combine_rows(chal.alphas, table, chal.indices)
+    s_k = ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
+    ok = bool((tag == proof.tag ^ s_k).all())
     stats.mults = field.counter.value - before
     return ok, stats

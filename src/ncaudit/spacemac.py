@@ -48,10 +48,15 @@ def r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.
     return _r_matrix(k_v, file_id, key_index, length)[-1]
 
 
+def r_matrix(k_v: bytes, file_id: bytes, ell: int, length: int) -> np.ndarray:
+    """r_1..r_ell as the rows of one read-only (ell, length) matrix."""
+    r_vector(k_v, file_id, length, ell)  # the lookup perfbench traces as spacemac.r_vector
+    return _r_matrix(k_v, file_id, ell, length)
+
+
 def mac(k_v: bytes, file_id: bytes, rows: np.ndarray, ell: int = 1) -> np.ndarray:
     """ell tags for an (n+m,) block, or an (ell,) tag row per row of a
     (k, n+m) block matrix; tag j is the dot product with r_j.  A tag is
-    verified by recomputing it (audit.verify_block)."""
-    length = rows.shape[-1]
-    r_vector(k_v, file_id, length, ell)  # the lookup perfbench traces as spacemac.r_vector
-    return field.combine_rows(rows, _r_matrix(k_v, file_id, ell, length).T)
+    verified by recomputing it (audit.verify_block), or by tag algebra over
+    its parts (audit.verify_proof)."""
+    return field.combine_rows(rows, r_matrix(k_v, file_id, ell, rows.shape[-1]).T)

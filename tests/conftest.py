@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ncaudit import spacemac
+from ncaudit import audit, spacemac
 
 
 @pytest.fixture(autouse=True)
 def _fresh_mac_cache():
     spacemac._r_matrix.cache_clear()
+    audit._coeff_tags.clear()
     yield
 
 

@@ -2,12 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ncaudit import audit, field, ncrypt, spacemac
+from ncaudit import audit, dynamics, field, ncrypt, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
-from ncaudit.cluster import EVENODD4, Fault, Node
+from ncaudit.cluster import EVENODD4, Fault, Node, spawn_cluster
 
 PARAMS = SystemParams(n=32, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 _COUNTER = itertools.count(1)
@@ -175,10 +175,13 @@ def test_multiplication_counts(system, rng):
     # one product over C rows of n data and ell tag symbols; the direct mask
     # and the voucher cost none
     assert total == C * (n + ell)
-    with field.counter:
-        ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
-    assert ok
-    assert vstats.mults == C * m + ell * (n + m)
+    # the node's first verify builds its M*m*ell coefficient tags; a later
+    # one MACs the n data symbols and combines C of those tags
+    for table in (PARAMS.M * m * ell, 0):
+        with field.counter:
+            ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        assert ok
+        assert vstats.mults == table + ell * (n + C)
 
 
 def test_proof_privacy(system, rng):
@@ -275,3 +278,136 @@ def test_challenge_roundtrip_any(file_id, indices, data):
     back = Challenge.from_bytes(chal.to_bytes())
     assert _same_challenge(back, chal)
     assert back.indices.tolist() == indices and back.alphas.tolist() == alphas
+
+
+# ------------------------------------------- cached coefficient tags
+
+def _reference_verdict(k_v, manifest, chal, proof):
+    """verify_proof's equation as one full-row check: verify_block over
+    [c_bar, pad, alpha·C[indices]] against tau stripped of its pad."""
+    params = manifest.params
+    coeffs = field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node], chal.indices)
+    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k, params)
+    row = np.concatenate([proof.c_bar, proof.pad, coeffs])
+    return bool(audit.verify_block(k_v, manifest, row, proof.tag ^ s_k))
+
+
+def _round(cluster, node, count):
+    """A challenge of count blocks of the node, and the node's honest proof
+    under a voucher the TPA expects."""
+    chal = cluster.tpa.challenge(node, count)
+    voucher = cluster.user.issue(cluster.manifest, node)
+    cluster.tpa.expect(node, voucher.k)
+    return chal, cluster.nodes[node].answer(chal, voucher)
+
+
+def _verify_mults(cluster, node, count):
+    chal, proof = _round(cluster, node, count)
+    with field.counter:
+        ok, stats = cluster.tpa.verify(chal, proof)
+    assert ok
+    return stats.mults
+
+
+TAMPERS = ("none", "data", "pad", "tag", "coefficient row")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verdict_equals_the_full_row_check(data):
+    ell = data.draw(st.sampled_from([1, 2, 10]), "ell")
+    n = data.draw(st.integers(8, 40), "n")
+    m, N, M = data.draw(st.sampled_from([(2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 2, 4)]), "shape")
+    params = SystemParams(n=n, m=m, N=N, M=M, P=N - 1, Q=1, ell=ell, lambda_bits=80)
+    seed = data.draw(st.integers(0, 2**16), "seed")
+    try:
+        c = spawn_cluster(params, "random_functional", bytes(m * (n - 2)), seed)
+    except ValueError:  # a random layout of rank below m
+        assume(False)
+    rng = np.random.default_rng(seed)
+    payloads = {i: node.payload for i, node in c.nodes.items()}
+    for index in data.draw(st.sets(st.integers(0, m - 1), max_size=m), "updated"):
+        dynamics.update_block(c.manifest, payloads, c.user.keys, index, rng.bytes(3), rng)
+    node = data.draw(st.integers(0, N - 1), "node")
+    k_v = c.user.keys.k_v
+    # warm the node's table with an honest proof, which both checks accept
+    chal, proof = _round(c, node, M)
+    assert audit.verify_proof(k_v, c.manifest, chal, proof)[0]
+    assert _reference_verdict(k_v, c.manifest, chal, proof)
+
+    chal, proof = _round(c, node, data.draw(st.integers(1, M), "count"))
+    tamper = data.draw(st.sampled_from(TAMPERS), "tamper")
+    delta = data.draw(st.integers(1, 255), "delta")
+    if tamper == "coefficient row":
+        row = c.manifest.node_coeffs[node][chal.indices[0]]
+        row[data.draw(st.integers(0, m - 1), "column")] ^= delta
+    elif tamper != "none":
+        symbols = {"data": proof.c_bar, "pad": proof.pad, "tag": proof.tag}[tamper]
+        symbols[data.draw(st.integers(0, symbols.size - 1), "position")] ^= delta
+    ok = audit.verify_proof(k_v, c.manifest, chal, proof)[0]
+    assert ok == _reference_verdict(k_v, c.manifest, chal, proof)
+    assert ok == (tamper == "none")
+
+
+@pytest.mark.parametrize("field_name, values", [("ell", (1, 10)), ("n", (64, 96))])
+def test_same_seed_clusters_of_other_shapes_share_no_coefficient_tags(field_name, values):
+    # one seed and file id give the same keys and layout rows at every n
+    # and ell; only the MAC vectors' columns n..n+m and their count differ
+    clusters = []
+    for value in values:
+        params = SystemParams(**{**dict(n=64, m=6, N=3, M=4, P=2, Q=2, ell=2,
+                                        lambda_bits=80), field_name: value})
+        clusters.append(spawn_cluster(params, "random_functional",
+                                      bytes(6 * (params.n - 2)), 33, file_id="twin"))
+    assert np.array_equal(clusters[0].manifest.node_coeffs[0],
+                          clusters[1].manifest.node_coeffs[0])
+    for _ in range(2):
+        for c in clusters:
+            assert c.run_audit_round(0, 4)[0]
+
+
+def test_verify_costs_after_updates_appends_and_repairs():
+    params = SystemParams(n=64, m=6, N=3, M=4, P=2, Q=4, ell=2, lambda_bits=80)
+    c = spawn_cluster(params, "random_functional", bytes(range(200)), 41)
+    n, ell, C = params.n, params.ell, 3
+    payloads = {i: node.payload for i, node in c.nodes.items()}
+
+    def table(node):
+        M, m = c.manifest.node_coeffs[node].shape
+        return M * m * ell
+
+    assert _verify_mults(c, 0, C) == table(0) + ell * (n + C)
+    assert _verify_mults(c, 0, C) == ell * (n + C)
+    rng = np.random.default_rng(41)
+    for index in (1, 4):
+        dynamics.update_block(c.manifest, payloads, c.user.keys, index, b"new", rng)
+    # the challenged combination's coefficients on the updated sources D
+    # join its coefficient tags in one product, then weight their deltas
+    D = 2
+    warm = ell * n + C * (ell + D) + D * ell
+    assert _verify_mults(c, 0, C) == warm
+    # an append widens every node's rows and lengthens those it is given:
+    # each node's table is rebuilt once, at its new M and m
+    dynamics.append_block(c.manifest, {1: payloads[1]}, c.user.keys, b"tail", rng)
+    for node in (0, 1):
+        assert table(node) == (4 + node) * 7 * ell
+        assert _verify_mults(c, node, C) == table(node) + warm
+        assert _verify_mults(c, node, C) == warm
+    c.fail_and_repair(0, "exact")
+    assert _verify_mults(c, 0, C) == warm
+    c.fail_and_repair(0, "functional")
+    assert _verify_mults(c, 0, C) == table(0) + warm
+    assert _verify_mults(c, 0, C) == warm
+    assert _verify_mults(c, 1, C) == warm
+
+
+def test_coefficient_tags_are_bounded(monkeypatch):
+    monkeypatch.setattr(audit, "COEFF_TAGS_SIZE", 3)
+    params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
+    c = spawn_cluster(params, "evenodd4", bytes(56), 9)
+    for node in range(4):
+        assert c.run_audit_round(node, 2)[0]
+        assert len(audit._coeff_tags) == min(node + 1, 3)
+    # node 0's table went first, so its next verify builds it again
+    assert _verify_mults(c, 0, 2) == 2 * 4 * 2 + 2 * (16 + 2)
+    assert _verify_mults(c, 0, 2) == 2 * (16 + 2)

@@ -42,7 +42,7 @@ CHURN = SystemParams(n=1024, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 
 PINNED = {
     "setup": "05375759d52b8ff9f4ac12ed52e0e49e8e4ee1207cb596660ee073a714711bfa",
-    "audit": "0945cbf4bc1a03a307f31b64c8222bcc43ec5692a228269058ef9d43e8419319",
+    "audit": "809d8b1bd7ca5ddade19a8e413785c700c0521fa940ff639f74b218b483eb29d",
     "extract": "f3282aea0e2b48903ae594b09bd5268fa6f8ba92e8e019e5dcc5c6581ccea425",
     "repair": "b8ace661fa9950c5f0754255112cfc959166a7dc6c789d31f5c77d07c5993b21",
     "dynamics": "1c75081808de0ebb41df97f3375713abe2a3b97eb77370dd0d976858b1eef5e1",
