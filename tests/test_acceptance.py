@@ -220,13 +220,6 @@ def _full_node_challenge(c, node=0, count=None):
     return chal, voucher
 
 
-def _warm_up(c, node=0):
-    # one honest challenge and proof, so that the TPA's next verify of the
-    # node finds its coefficient tags built
-    chal, voucher = _full_node_challenge(c, node, 1)
-    return chal, c.nodes[node].answer(chal, voucher)
-
-
 def test_criterion_07_cost_formulas(paper_cluster):
     c = paper_cluster
     params = c.manifest.params
@@ -261,7 +254,8 @@ def test_criterion_07_partial_challenge_costs(paper_cluster):
     c = paper_cluster
     params = c.manifest.params
     n, ell, C = params.n, params.ell, 200
-    assert c.tpa.verify(*_warm_up(c))[0]
+    warm, voucher = _full_node_challenge(c, count=1)  # builds node 0's coefficient tags
+    assert c.tpa.verify(warm, c.nodes[0].answer(warm, voucher))[0]
     chal, voucher = _full_node_challenge(c, count=C)
     with field.counter:
         proof = c.nodes[0].answer(chal, voucher)
