@@ -244,7 +244,7 @@ def test_criterion_07_cost_formulas(paper_cluster):
     assert vstats.mults == ell * n + C * ell == 43_960
     _report("7 cost formulas",
             f"gen {gen_total} == C*(n+ell); verify {vstats.mults} == "
-            f"ell*(n+C), exact, after one table build of M*m*ell "
+            "ell*(n+C), exact, after one table build of M*m*ell "
             f"({cold.mults - vstats.mults})")
 
 
