@@ -127,9 +127,24 @@ FOUR_RUSSIANS_MIN = 32
 CHUNK = 256
 # Below this many symbol products (k·r·w, or r·w for one combination) a
 # product is one gather of flat table indices a << 8 | b, several times
-# faster than a two-array index; above it a combination bit-slices and a
-# product takes one of the other forms.
+# faster than a two-array index; above it a combination takes the digit
+# loop and a product one of the other forms.
 GATHER_MAX = 1 << 17
+# The digit loop splits each coefficient into two 4-bit digits when it
+# combines at least this many rows, and into four 2-bit digits otherwise.
+# On one CPU, against eight 1-bit digits (bit-planes), 4-bit digits took
+# 0.73-0.86x the time at 300 x 4,106, 0.52-0.68x at 4,596 x 500, 0.59-0.76x
+# at 1,000 and 2,000 x 300 and 0.80-0.83x at 512 x 1,024, but 1.2-1.5x
+# from 16 to 128 rows, where a digit's 15 runs cost more calls than its
+# fewer row reads save; 2-bit digits took 0.87-1.13x from 16 to 256 rows,
+# where the two widths met.
+NIBBLE_ROWS = 256
+# The digit loop takes a digit's rows into one buffer of all r rows when
+# the store and that copy fit in this much cache, and otherwise into one of
+# r/2 rows, a slab at a time: at 300 x 4,106 slabs took 0.73-0.86x the
+# bit-planes' time, a whole copy 0.92-1.14x; at 512 x 1,024 and 1,000 x 300
+# a whole copy ran ~8% faster than slabs.
+CACHE_BYTES = 2 << 20
 # An elimination pivot that reduces k rows of L symbols from its column on
 # reads them from a table of its 256 multiples when (k - TABLE_ROWS) * L
 # reaches TABLE_MIN, and otherwise gathers k * L single products.  The
@@ -198,25 +213,52 @@ def _gather(alphas: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
     """sum_i alphas[i] * rows[index[i]] (rows[i] with no index), uncounted."""
-    # Bit-slicing pays a fixed cost of eight row selections, reductions and
-    # doublings; on one CPU it beats the gather from about 128k symbols in
-    # rows at least 256 wide.
+    # The digit loop pays a fixed cost of a few calls per digit and digit
+    # value; on one CPU it beats the gather from about 128k symbols in rows
+    # at least 256 wide, unless there are very few rows (2x slower at 5).
     r, w = (rows.shape[0] if index is None else index.shape[0]), rows.shape[1]
     if w < 256 or r * w < GATHER_MAX:
         return _gather(alphas, rows if index is None else rows.take(index, axis=0))
     if index is None:
         index = np.arange(r)
-    # one buffer holds each plane's rows in turn: a fresh copy per plane
-    # lands on fresh pages, and made paper-scale audits ~8% slower.  The
-    # index is in range, so mode="clip" clamps nothing; it lets take fill
-    # the buffer unbuffered
-    buf = np.empty((r, w), dtype=np.uint8)
+    bits = 4 if r >= NIBBLE_ROWS else 2
+    base, passes = 1 << bits, 8 // bits
+    # digits[p]: each coefficient's p-th digit, the high one first; sorted,
+    # the rows of one digit value form a run that ends at ends[p][value]
+    digits = (alphas >> np.arange(8 - bits, -1, -bits, dtype=np.uint8)[:, None]) & (base - 1)
+    picked = index[np.argsort(digits, axis=1, kind="stable")]
+    keys = digits + base * np.arange(passes)[:, None]
+    ends = np.bincount(keys.ravel(), minlength=passes * base).reshape(passes, base)
+    ends = ends.cumsum(axis=1).tolist()
+    # one buffer takes each digit's rows in turn, a slab at a time: a fresh
+    # copy per bit-plane landed on fresh pages and made paper-scale audits
+    # ~8% slower.  The index is in range, so mode="clip" clamps nothing; it
+    # lets take fill the buffer unbuffered
+    slab = r if 2 * r * w <= CACHE_BYTES else -(-r // 2)
+    buf = np.empty((slab, w), dtype=np.uint8)
+    buckets = np.empty((base, w), dtype=np.uint8)
     out = np.zeros(w, dtype=np.uint8)
-    for k in range(7, -1, -1):
-        picked = index[(alphas >> k) & 1 == 1]
-        plane = buf[: picked.size]
-        np.take(rows, picked, axis=0, out=plane, mode="clip")
-        out = MUL[2].take(out) ^ np.bitwise_xor.reduce(plane, axis=0)
+    for sel, end in zip(picked, ends):
+        buckets.fill(0)  # a digit value no row has adds nothing
+        for lo in range(end[0], r, slab):
+            hi = min(lo + slab, r)
+            part = buf[: hi - lo]
+            np.take(rows, sel[lo:hi], axis=0, out=part, mode="clip")
+            for v in range(1, base):
+                a, b = max(end[v - 1], lo) - lo, min(end[v], hi) - lo
+                if a < b and end[v - 1] < lo:  # a run begun in the slab before
+                    buckets[v] ^= np.bitwise_xor.reduce(part[:b], axis=0)
+                elif a < b:
+                    np.bitwise_xor.reduce(part[a:b], axis=0, out=buckets[v])
+        # sum_v v * B_v by halving: the odd v give the digit's bit-plane 0,
+        # and the rest is 2 * sum_u u * (B_2u ^ B_2u+1); then Horner's rule
+        planes, sums = [], buckets
+        while len(sums) > 2:
+            planes.append(np.bitwise_xor.reduce(sums[1::2], axis=0))
+            sums = sums[0::2] ^ sums[1::2]
+        planes.append(sums[1])
+        for plane in reversed(planes):
+            out = MUL[2].take(out) ^ plane
     return out
 
 
