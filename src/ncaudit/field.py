@@ -6,20 +6,25 @@ tables of the generator 3; addition is XOR.  Vector work goes through two
 kernels on numpy uint8 arrays: vec_scale (one scaled vector) and
 combine_rows, coefficients times rows.  With (r,) coefficients combine_rows
 makes one combination: it gathers every product at once, through flat
-table indices, for small or narrow inputs and otherwise bit-slices, by
-Horner's rule over the eight bit-planes of the coefficients (Plank, Greenan
-and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
-Instructions", FAST 2013).  An index may name the combination's rows in a
-larger matrix, such as a node's store: the gather takes them once, and the
-bit-slicing reads each plane's rows straight from the matrix, once per
-bit-plane, with no copy of the selection first.  The gather of a narrow
-input (w < r: few columns, many rows, such as a MAC's r-vectors, whose
-tag-major cache gives that order for free) lays its indices out as (w, r),
-so each output symbol reduces one contiguous run.  A (k, r) @ (r, w)
-product with a narrow output (w < k) is computed as its transpose.  Then
-fewer than 2^17 symbol products are one gather, laid out (k, w, r) when
-w < r; k and r both large take the Four-Russians method (Albrecht, Bard and
-Hart, "Algorithm 898", ACM TOMS 2010) on each bit-plane, as M4RIE does for
+table indices, for small or narrow inputs, and otherwise splits each
+coefficient into digits, 4 bits wide from 256 rows on and 2 bits below, as
+Plank, Greenan and Miller split their tables ("Screaming Fast Galois Field
+Arithmetic Using Intel SIMD Instructions", FAST 2013).  For each digit,
+high to low, the rows are sorted by digit value; each value's run is
+XOR-reduced into one bucket row, and the buckets are joined by halving,
+sum_v v·B_v = odd(B) ^ 2·sum_u u·(B_2u ^ B_2u+1), and Horner's rule.  So a
+row is read once per digit, not once per set bit.  An index may name the
+combination's rows in a larger matrix, such as a node's store: the gather
+takes them once, and the digit loop takes each digit's rows from the
+matrix into one reused buffer, half of them at a time when the store and a
+whole copy would not fit in cache.  The gather of a narrow input (w < r:
+few columns, many rows, such as a MAC's r-vectors, whose tag-major cache
+gives that order for free) lays its indices out as (w, r), so each output
+symbol reduces one contiguous run.  A (k, r) @ (r, w) product with a
+narrow output (w < k) is computed as its transpose.  Then fewer than 2^17
+symbol products are one gather, laid out (k, w, r) when w < r; k and r
+both large take the Four-Russians method (Albrecht, Bard and Hart,
+"Algorithm 898", ACM TOMS 2010) on each bit-plane, as M4RIE does for
 GF(2^e) (Albrecht, ISSAC 2012); the rest make one combination per output
 row.
 Gaussian elimination runs on one augmented array [A | B]: each pivot row is
@@ -222,14 +227,7 @@ def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
     if index is None:
         index = np.arange(r)
     bits = 4 if r >= NIBBLE_ROWS else 2
-    base, passes = 1 << bits, 8 // bits
-    # digits[p]: each coefficient's p-th digit, the high one first; sorted,
-    # the rows of one digit value form a run that ends at ends[p][value]
-    digits = (alphas >> np.arange(8 - bits, -1, -bits, dtype=np.uint8)[:, None]) & (base - 1)
-    picked = index[np.argsort(digits, axis=1, kind="stable")]
-    keys = digits + base * np.arange(passes)[:, None]
-    ends = np.bincount(keys.ravel(), minlength=passes * base).reshape(passes, base)
-    ends = ends.cumsum(axis=1).tolist()
+    base = 1 << bits
     # one buffer takes each digit's rows in turn, a slab at a time: a fresh
     # copy per bit-plane landed on fresh pages and made paper-scale audits
     # ~8% slower.  The index is in range, so mode="clip" clamps nothing; it
@@ -238,12 +236,16 @@ def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
     buf = np.empty((slab, w), dtype=np.uint8)
     buckets = np.empty((base, w), dtype=np.uint8)
     out = np.zeros(w, dtype=np.uint8)
-    for sel, end in zip(picked, ends):
+    for shift in range(8 - bits, -1, -bits):  # the high digit first
+        digits = (alphas >> shift) & (base - 1)
+        # sorted by digit, the rows of digit value v are end[v-1]:end[v]
+        picked = index[np.argsort(digits, kind="stable")]
+        end = np.bincount(digits, minlength=base).cumsum().tolist()
         buckets.fill(0)  # a digit value no row has adds nothing
         for lo in range(end[0], r, slab):
             hi = min(lo + slab, r)
             part = buf[: hi - lo]
-            np.take(rows, sel[lo:hi], axis=0, out=part, mode="clip")
+            np.take(rows, picked[lo:hi], axis=0, out=part, mode="clip")
             for v in range(1, base):
                 a, b = max(end[v - 1], lo) - lo, min(end[v], hi) - lo
                 if a < b and end[v - 1] < lo:  # a run begun in the slab before
