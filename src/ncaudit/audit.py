@@ -186,8 +186,8 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
     """Aggregate the challenged rows of the node's (M, n+ell) store, giving
     the n data symbols and ell tag symbols of the combination at once; the
     rows are read from the store once per coefficient digit, with no copy
-    of the challenged rows first.  Mask the first n-2 with the voucher's mask and
-    offset the tag by the voucher, which costs no multiplication.
+    of the challenged rows first.  Mask the first n-2 with the voucher's
+    mask and offset the tag by the voucher, which costs no multiplication.
 
     The coefficient part is neither stored nor transmitted: the auditor
     knows it from its own records.  ValueError on a challenge index

@@ -137,18 +137,19 @@ CHUNK = 256
 GATHER_MAX = 1 << 17
 # The digit loop splits each coefficient into two 4-bit digits when it
 # combines at least this many rows, and into four 2-bit digits otherwise.
-# On one CPU, against eight 1-bit digits (bit-planes), 4-bit digits took
-# 0.73-0.86x the time at 300 x 4,106, 0.52-0.68x at 4,596 x 500, 0.59-0.76x
-# at 1,000 and 2,000 x 300 and 0.80-0.83x at 512 x 1,024, but 1.2-1.5x
-# from 16 to 128 rows, where a digit's 15 runs cost more calls than its
-# fewer row reads save; 2-bit digits took 0.87-1.13x from 16 to 256 rows,
-# where the two widths met.
+# On one CPU, against the eight bit-planes it replaced (1-bit digits),
+# 4-bit digits took 0.53x the time at 4,596 x 500, 0.62x at 600 x 4,106,
+# 0.81-0.86x at 300 x 4,106, 512 x 1,024 and 1,000 x 300, and 1.0-1.07x at
+# 256 x 1,024 and 500 x 300.  From 16 to 128 rows they took 1.2-1.5x, as a
+# digit's 15 runs cost more calls than its fewer row reads save, and 2-bit
+# digits 1.0-1.2x.
 NIBBLE_ROWS = 256
 # The digit loop takes a digit's rows into one buffer of all r rows when
 # the store and that copy fit in this much cache, and otherwise into one of
-# r/2 rows, a slab at a time: at 300 x 4,106 slabs took 0.73-0.86x the
-# bit-planes' time, a whole copy 0.92-1.14x; at 512 x 1,024 and 1,000 x 300
-# a whole copy ran ~8% faster than slabs.
+# r/2 rows, a slab at a time.  At 300 x 4,106 slabs took 0.73-0.86x the
+# bit-planes' time, a whole copy 0.92-1.14x (0.83 against 0.91 and 0.96 ms
+# with the store cold); at 512 x 1,024 and 1,000 x 300 a whole copy ran
+# ~8% faster than slabs.
 CACHE_BYTES = 2 << 20
 # An elimination pivot that reduces k rows of L symbols from its column on
 # reads them from a table of its 256 multiples when (k - TABLE_ROWS) * L
@@ -229,9 +230,9 @@ def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
     bits = 4 if r >= NIBBLE_ROWS else 2
     base = 1 << bits
     # one buffer takes each digit's rows in turn, a slab at a time: a fresh
-    # copy per bit-plane landed on fresh pages and made paper-scale audits
-    # ~8% slower.  The index is in range, so mode="clip" clamps nothing; it
-    # lets take fill the buffer unbuffered
+    # copy per step lands on fresh pages (one per bit-plane made paper-scale
+    # audits ~8% slower).  The index is in range, so mode="clip" clamps
+    # nothing; it lets take fill the buffer unbuffered
     slab = r if 2 * r * w <= CACHE_BYTES else -(-r // 2)
     buf = np.empty((slab, w), dtype=np.uint8)
     buckets = np.empty((base, w), dtype=np.uint8)

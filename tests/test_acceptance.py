@@ -249,7 +249,7 @@ def test_criterion_07_cost_formulas(paper_cluster):
 
 
 def test_criterion_07_partial_challenge_costs(paper_cluster):
-    # C = 200 of M = 300 stored blocks, still bit-sliced: the counts follow
+    # C = 200 of M = 300 stored blocks, still in the digit loop: the counts follow
     # the challenged rows, not every row the store and the manifest hold
     c = paper_cluster
     params = c.manifest.params

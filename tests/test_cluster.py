@@ -4,12 +4,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import cluster as cl, dynamics, extractor
+from ncaudit import cluster as cl, dynamics, extractor, field, repair
 from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cli import main
@@ -286,6 +287,73 @@ def test_extraction_moves_exactly_its_exchanges_bytes(params, layout, epsilon):
         want[src, "sent", category] += nbytes
         want[dst, "received", category] += nbytes
     assert {cell: after[cell] - before[cell] for cell in before} == want
+
+
+# every kernel form a product can take, forced: the forms as measured,
+# every 2-D product by Four Russians, or by one combination per output row
+KERNEL_FORMS = {"measured": {"GATHER_MAX": field.GATHER_MAX},
+                "four_russians": {"GATHER_MAX": 1, "FOUR_RUSSIANS_MIN": 1},
+                "per_row": {"GATHER_MAX": 1, "FOUR_RUSSIANS_MIN": 1 << 30}}
+
+
+@pytest.mark.parametrize("mode", ["exact", "functional"])
+@pytest.mark.parametrize("params, layout", [(PARAMS, "evenodd4"),
+                                            (CHURN_SHAPE, "random_functional")],
+                         ids=["evenodd4", "churn"])
+def test_repair_counts_exactly_its_products(params, layout, mode):
+    # the planner multiplies gamma_h · C_h, rows(gamma_h)·M_h·m, for each
+    # helper of each gamma it tries (repair._sent_rows), and a functional
+    # one theta · the sent rows' coefficients, M·P·Q·m; elimination is
+    # uncounted.  Each helper ships gamma_h · its rows, Q·M_h·(n+ell), and
+    # the new node combines theta · the P·Q shipped rows, M·P·Q·(n+ell).
+    # Every kernel form counts that and builds the same rows
+    width, sent_rows = params.n + params.ell, params.P * params.Q
+    for node in range(params.N):
+        built = []
+        for form, limits in KERNEL_FORMS.items():
+            c = spawn_cluster(params, layout, DATA, seed=40 + node)
+            with mock.patch.object(repair, "_sent_rows", wraps=repair._sent_rows) as sent, \
+                    mock.patch.multiple(field, **limits), field.counter:
+                c.fail_and_repair(node, mode)
+                count = field.counter.value
+            gammas = [call.args[1] for call in sent.call_args_list]
+            stored = {h: len(c.manifest.node_coeffs[h]) for h in gammas[-1]}
+            assert [len(g) for g in gammas[-1].values()] == [params.Q] * params.P
+            planner = sum(len(g) * stored[h] * params.m for gamma in gammas
+                          for h, g in gamma.items())
+            if mode == "functional":
+                planner += params.M * sent_rows * params.m
+            shipments = sum(params.Q * M_h * width for M_h in stored.values())
+            assert count == planner + shipments + params.M * sent_rows * width, form
+            built.append(c.nodes[node].payload.rows)
+        assert all(np.array_equal(rows, built[0]) for rows in built)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5], ids=["honest", "lying"])
+def test_extraction_counts_exactly_its_products(epsilon):
+    # each query is one exchange: the user's voucher, the MAC of its
+    # n-2 mask symbols, (n-2)·ell; the node's proof, C·(n+ell) for the C
+    # blocks its challenge names, lie or not; and the TPA's verify, ell·n
+    # for the data MAC and C·ell for the coefficient tags, after one table
+    # build of M·m·ell on the node's first verify.  The settled answers are
+    # solved uncounted and checked once, M·(n+m)·ell
+    n, m, M, ell = PARAMS.n, PARAMS.m, PARAMS.M, PARAMS.ell
+    c = spawn_cluster(PARAMS, "evenodd4", DATA, seed=21)
+    c.inject_fault(1, Fault("lie_probability", epsilon=epsilon))
+    exchange, challenged = c.exchange, []
+
+    def recorded(chal):
+        challenged.append(len(chal.indices))
+        return exchange(chal)
+
+    c.exchange = recorded
+    with field.counter:
+        queries = extractor.extract_node(c, 1, np.random.default_rng(3)).queries
+        count = field.counter.value
+    C = sum(challenged)
+    assert len(challenged) == queries and (epsilon == 0) == (queries == 2 * M)
+    assert count == (queries * (n - 2) * ell + C * (n + ell) + queries * ell * n + C * ell
+                     + M * m * ell + M * (n + m) * ell)
 
 
 def test_cluster_keeps_no_per_step_state():

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -100,8 +101,8 @@ def _scalar_combination(alphas, rows):
 @pytest.mark.parametrize("width", [10, 255, 256, 999, 1000, 1500, 2500])
 def test_combine_rows_matches_scalar_sum(width):
     # both kernels: combine_rows gathers below 256 columns or 2**17 symbols
-    # and bit-slices otherwise, so each width takes row counts on either side
-    # of the symbol threshold
+    # and takes the digit loop otherwise, so each width takes row counts on
+    # either side of the symbol threshold
     r = np.random.default_rng(width)
     deep = -(-(1 << 17) // width)
     for nrows in (1, 7, deep - 1, deep):
@@ -115,38 +116,98 @@ def test_combine_rows_matches_scalar_sum(width):
         assert not zero.any()
 
 
-# one strategy per kernel: small shapes gather, the large ones bit-slice
+# one strategy per kernel: small shapes gather; the large ones take the digit
+# loop, 2-bit digits below NIBBLE_ROWS rows and 4-bit ones from there on,
+# or gather where r·w falls short of GATHER_MAX
 _SHAPES = st.one_of(st.tuples(st.integers(1, 64), st.integers(1, 600)),
-                    st.tuples(st.integers(128, 400), st.integers(1024, 1200)))
+                    st.tuples(st.integers(100, 400), st.integers(256, 1400)))
+# coefficients that leave digit buckets empty: one value for all (every
+# bucket empty but one), a zero high digit, a zero low digit, or 0, 1, 255
+_KINDS = st.sampled_from(["random", "equal", "high zero", "low zero", "0/1/255"])
+
+
+def _alphas(rng, kind, count):
+    alphas = rng.integers(0, 256, count, dtype=np.uint8)
+    if kind == "equal":
+        alphas[:] = alphas[0]
+    elif kind == "high zero":
+        alphas &= 15
+    elif kind == "low zero":
+        alphas &= 240
+    elif kind == "0/1/255":
+        alphas = np.array([0, 1, 255], dtype=np.uint8)[rng.integers(0, 3, count)]
+    return alphas
+
+
+def _slabs(on):
+    # no cache room: every digit loop takes its rows half at a time, as one
+    # over a store past the cache does, so runs cross a slab boundary
+    return mock.patch.object(field, "CACHE_BYTES", 0) if on else contextlib.nullcontext()
 
 
 @settings(max_examples=40, deadline=None)
-@given(_SHAPES, st.integers(0, 2**32 - 1))
-def test_combine_rows_property(shape, seed):
+@given(_SHAPES, _KINDS, st.booleans(), st.integers(0, 2**32 - 1))
+@example((300, 1100), "equal", True, 1)      # 4-bit digits, one bucket
+@example((255, 1024), "high zero", True, 2)  # 2-bit digits, the crossover's edge
+@example((256, 1024), "low zero", False, 3)  # 4-bit digits
+@example((127, 1032), "random", False, 4)    # r·w just under GATHER_MAX
+@example((128, 1024), "random", True, 5)     # r·w at GATHER_MAX
+def test_combine_rows_property(shape, kind, slabs, seed):
     r = np.random.default_rng(seed)
     rows = r.integers(0, 256, shape, dtype=np.uint8)
-    alphas = r.integers(0, 256, shape[0], dtype=np.uint8)
-    assert field.combine_rows(alphas, rows).tolist() == _scalar_combination(alphas, rows)
+    alphas = _alphas(r, kind, shape[0])
+    with _slabs(slabs):
+        got = field.combine_rows(alphas, rows)
+    assert got.tolist() == _scalar_combination(alphas, rows)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_SHAPES, st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1))
-@example((1, 300), 5, False, 1)       # a one-row index
-@example((300, 1100), 200, False, 2)  # C < M at a bit-slicing width
-def test_indexed_combine_matches_scalar_sum(shape, extra, repeats, seed):
+@given(_SHAPES, st.integers(0, 40), st.booleans(), _KINDS, st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example((1, 300), 5, False, "random", False, 1)       # a one-row index
+@example((300, 1100), 200, False, "random", True, 2)   # C < M at a digit-loop width
+@example((300, 1024), 10, True, "0/1/255", True, 3)    # repeated rows
+@example((260, 600), 0, True, "high zero", True, 4)
+@example((200, 700), 30, True, "low zero", True, 5)
+@example((400, 1300), 0, False, "equal", True, 6)
+def test_indexed_combine_matches_scalar_sum(shape, extra, repeats, kind, slabs, seed):
     # the rows named by an unsorted index into a larger matrix, on both
     # kernels, against the scalar sum over the selected copy
     r = np.random.default_rng(seed)
     (count, width), total = shape, shape[0] + extra
     rows = r.integers(0, 256, (total, width), dtype=np.uint8)
     index = r.choice(total, count, replace=repeats)
-    alphas = r.integers(0, 256, count, dtype=np.uint8)
-    alphas[:3] = [0, 1, 255][:count]
-    with field.counter:
+    alphas = _alphas(r, kind, count)
+    with field.counter, _slabs(slabs):
         got = field.combine_rows(alphas, rows, index)
         assert field.counter.value == count * width
     assert got.dtype == np.uint8
     assert got.tolist() == _scalar_combination(alphas, rows[index])
+
+
+def test_paper_scale_combination_takes_one_slab_of_scratch():
+    # 300 of 300 stored rows of 4,106 symbols: the store and a whole copy
+    # would not fit the cache, so the digit loop takes half the rows at a
+    # time through one buffer.  Its scratch is that slab and the 16 bucket
+    # rows, and a few rows more for the halving's sums and the indices;
+    # a whole copy or a second slab would exceed it by hundreds of rows
+    rng = np.random.default_rng(34)
+    r, w = 300, 4106
+    rows = rng.integers(0, 256, (r, w), dtype=np.uint8)
+    index = rng.permutation(r)
+    alphas = rng.integers(1, 256, r, dtype=np.uint8)
+    want = field.combine_rows(alphas, rows, index)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = field.combine_rows(alphas, rows, index)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    slab, buckets, slack = -(-r // 2) * w, 16 * w, 24 * w
+    assert slab + buckets <= peak <= slab + buckets + slack, peak
 
 
 def test_indexed_combine_refuses_bad_indices():
@@ -158,7 +219,7 @@ def test_indexed_combine_refuses_bad_indices():
     with pytest.raises(ValueError):  # an index takes one combination's coefficients
         field.combine_rows(np.ones((2, 2), dtype=np.uint8), rows, [0, 1])
     wide = np.zeros((600, 256), dtype=np.uint8)
-    with pytest.raises(ValueError):  # bit-sliced, past the last row
+    with pytest.raises(ValueError):  # a digit-loop width, past the last row
         field.combine_rows(np.ones(600, dtype=np.uint8), wide, np.arange(1, 601))
 
 
@@ -218,6 +279,7 @@ def _products(draw):
 @example(("gather", 4, 1, 1024, "random"), 2)
 @example(("gather", 1, 1, 1, "0/1/255"), 3)
 @example(("gather", 3, 300, 10, "random"), 4)  # narrow: w < r
+@example(("per_row", 1, 5, 26215, "0/1/255"), 2)  # the digit loop, digits 0 in some passes
 def test_product_matches_row_by_row(product, seed):
     # every form of the 2-D product against one 1-D combination per row
     form, k, r, w, kind = product

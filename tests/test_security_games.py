@@ -16,10 +16,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from ncaudit import audit, extractor, field, ncrypt, spacemac
+from ncaudit import audit, dynamics, extractor, field, ncrypt, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
-from ncaudit.cluster import spawn_cluster
+from ncaudit.cluster import Fault, spawn_cluster
 
 TRIALS = 200
 ALPHA = 1e-6
@@ -233,6 +233,40 @@ def test_a_k_above_the_announced_ones_burns_no_counter(cluster, monkeypatch):
     cluster.fail_and_repair(2, "exact")
     assert cluster.run_audit_round(2, 2)[0]
     assert len(checked) == 1
+
+
+# ---------------------------------------------------- replay after update
+
+REPLAY_SEEDS = range(700, 750)
+
+
+def test_rows_replayed_from_before_an_update_are_rejected():
+    # the node holds a copy of its store from before the user updates
+    # source i, and serves it.  The TPA folds i's tag delta into every
+    # check, weighted by alpha · C[:, i]; the stale rows lack that change,
+    # so a full-node audit rejects unless alpha · C[:, i] or the delta is
+    # zero.  A column with one nonzero entry never gives zero; evenodd4's
+    # node 3 holds source 1 in both rows, which alpha cancels with
+    # probability 1/255, so that count is held to the binomial bound
+    params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
+    one_entry, two_entries = [], []
+    for seed in REPLAY_SEEDS:
+        rng = np.random.default_rng(seed)
+        c = spawn_cluster(params, "evenodd4", rng.bytes(50), seed=seed)
+        index = int(rng.integers(params.m))
+        before = {i: node.payload.rows.copy() for i, node in c.nodes.items()}
+        payloads = {i: node.payload for i, node in c.nodes.items()}
+        dynamics.update_block(c.manifest, payloads, c.user.keys, index, rng.bytes(14), rng)
+        for node, coeffs in c.manifest.node_coeffs.items():
+            entries = np.count_nonzero(coeffs[:, index])
+            if entries == 0:
+                continue
+            assert c.run_audit_round(node, params.M)[0]  # the updated store passes
+            c.inject_fault(node, Fault("replay_old", snapshot=before[node]))
+            tally = one_entry if entries == 1 else two_entries
+            tally += [c.run_audit_round(node, params.M)[0] for _ in range(2)]
+    assert len(one_entry) >= TRIALS and not any(one_entry)
+    assert sum(two_entries) <= _upper(len(two_entries), 1 / 255)
 
 
 # -------------------------------------------------------------- extraction
