@@ -7,20 +7,19 @@ kernels on numpy uint8 arrays: vec_scale (one scaled vector) and
 combine_rows, coefficients times rows.  With (r,) coefficients combine_rows
 makes one combination: it gathers every product at once, through flat
 table indices, for small or narrow inputs, and otherwise splits each
-coefficient into digits, 4 bits wide from 256 rows on and 2 bits below, as
-Plank, Greenan and Miller split their tables ("Screaming Fast Galois Field
-Arithmetic Using Intel SIMD Instructions", FAST 2013).  For each digit,
-high to low, the rows are sorted by digit value; each value's run is
-XOR-reduced into one bucket row, and the buckets are joined by halving,
-sum_v v·B_v = odd(B) ^ 2·sum_u u·(B_2u ^ B_2u+1), and Horner's rule.  So a
-row is read once per digit, not once per set bit.  An index may name the
-combination's rows in a larger matrix, such as a node's store: the gather
-takes them once, and the digit loop takes each digit's rows from the
-matrix into one reused buffer, half of them at a time when the store and a
-whole copy would not fit in cache.  The gather of a narrow input (w < r:
-few columns, many rows, such as a MAC's r-vectors, whose tag-major cache
-gives that order for free) lays its indices out as (w, r), so each output
-symbol reduces one contiguous run.  A (k, r) @ (r, w) product with a
+coefficient into two 4-bit digits, as Plank, Greenan and Miller split their
+tables ("Screaming Fast Galois Field Arithmetic Using Intel SIMD
+Instructions", FAST 2013).  For each digit the rows are sorted by digit
+value, and each value's run is XOR-reduced into one bucket row; the
+buckets of both digits are then joined by halving,
+sum_v v·B_v = odd(B) ^ 2·sum_u u·(B_2u ^ B_2u+1), Horner's rule and
+16·high ^ low.  So a row is read once per digit, not once per set bit.  An
+index may name the combination's rows in a larger matrix, such as a node's
+store: the gather takes them once, and the digit loop takes each digit's
+rows from the matrix into one reused buffer, half of them at a time.  The
+gather of a narrow input (w < r: few columns, many rows, such as a MAC's
+r-vectors, whose tag-major cache gives that order for free) lays its
+indices out as (w, r), so each output symbol reduces one contiguous run.  A (k, r) @ (r, w) product with a
 narrow output (w < k) is computed as its transpose.  Then fewer than 2^17
 symbol products are one gather, laid out (k, w, r) when w < r; k and r
 both large take the Four-Russians method (Albrecht, Bard and Hart,
@@ -135,22 +134,6 @@ CHUNK = 256
 # faster than a two-array index; above it a combination takes the digit
 # loop and a product one of the other forms.
 GATHER_MAX = 1 << 17
-# The digit loop splits each coefficient into two 4-bit digits when it
-# combines at least this many rows, and into four 2-bit digits otherwise.
-# On one CPU, against the eight bit-planes it replaced (1-bit digits),
-# 4-bit digits took 0.53x the time at 4,596 x 500, 0.62x at 600 x 4,106,
-# 0.81-0.86x at 300 x 4,106, 512 x 1,024 and 1,000 x 300, and 1.0-1.07x at
-# 256 x 1,024 and 500 x 300.  From 16 to 128 rows they took 1.2-1.5x, as a
-# digit's 15 runs cost more calls than its fewer row reads save, and 2-bit
-# digits 1.0-1.2x.
-NIBBLE_ROWS = 256
-# The digit loop takes a digit's rows into one buffer of all r rows when
-# the store and that copy fit in this much cache, and otherwise into one of
-# r/2 rows, a slab at a time.  At 300 x 4,106 slabs took 0.73-0.86x the
-# bit-planes' time, a whole copy 0.92-1.14x (0.83 against 0.91 and 0.96 ms
-# with the store cold); at 512 x 1,024 and 1,000 x 300 a whole copy ran
-# ~8% faster than slabs.
-CACHE_BYTES = 2 << 20
 # An elimination pivot that reduces k rows of L symbols from its column on
 # reads them from a table of its 256 multiples when (k - TABLE_ROWS) * L
 # reaches TABLE_MIN, and otherwise gathers k * L single products.  The
@@ -227,42 +210,46 @@ def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
         return _gather(alphas, rows if index is None else rows.take(index, axis=0))
     if index is None:
         index = np.arange(r)
-    bits = 4 if r >= NIBBLE_ROWS else 2
-    base = 1 << bits
-    # one buffer takes each digit's rows in turn, a slab at a time: a fresh
-    # copy per step lands on fresh pages (one per bit-plane made paper-scale
-    # audits ~8% slower).  The index is in range, so mode="clip" clamps
-    # nothing; it lets take fill the buffer unbuffered
-    slab = r if 2 * r * w <= CACHE_BYTES else -(-r // 2)
+    # One buffer of r/2 rows takes each digit's rows in turn, half at a
+    # time, so that a paper-scale store and the buffer stay in a 2 MiB L2; a
+    # fresh copy per step lands on fresh pages.  The index is in range, so
+    # mode="clip" clamps nothing; it lets take fill the buffer unbuffered.
+    # On one CPU, against the eight bit-planes this loop replaced, it took
+    # 0.72-0.86x their time at 300 x 4,106, 0.8-0.9x from 128 to 255 rows of
+    # 4,106 and at 512 x 1,024 and 1,000 x 300, 0.93-1.02x at 500 x 300 and
+    # 256 x 1,024; below that it loses, 1.07-1.23x at 32-64 rows of 4,106
+    # and 1.17x at 128 x 1,024.  Narrower digits lost more, and a whole copy
+    # instead of two halves saved 5-8% only below 160 rows of 4,106.
+    slab = -(-r // 2)
     buf = np.empty((slab, w), dtype=np.uint8)
-    buckets = np.empty((base, w), dtype=np.uint8)
-    out = np.zeros(w, dtype=np.uint8)
-    for shift in range(8 - bits, -1, -bits):  # the high digit first
-        digits = (alphas >> shift) & (base - 1)
+    buckets = np.zeros((2, 16, w), dtype=np.uint8)  # [high, low digit][value]
+    for d, digits in enumerate((alphas >> 4, alphas & 15)):
         # sorted by digit, the rows of digit value v are end[v-1]:end[v]
         picked = index[np.argsort(digits, kind="stable")]
-        end = np.bincount(digits, minlength=base).cumsum().tolist()
-        buckets.fill(0)  # a digit value no row has adds nothing
+        end = np.bincount(digits, minlength=16).cumsum().tolist()
+        runs = [(v, a, b) for v, a, b in zip(range(1, 16), end, end[1:]) if a < b]
         for lo in range(end[0], r, slab):
             hi = min(lo + slab, r)
             part = buf[: hi - lo]
             np.take(rows, picked[lo:hi], axis=0, out=part, mode="clip")
-            for v in range(1, base):
-                a, b = max(end[v - 1], lo) - lo, min(end[v], hi) - lo
-                if a < b and end[v - 1] < lo:  # a run begun in the slab before
-                    buckets[v] ^= np.bitwise_xor.reduce(part[:b], axis=0)
-                elif a < b:
-                    np.bitwise_xor.reduce(part[a:b], axis=0, out=buckets[v])
-        # sum_v v * B_v by halving: the odd v give the digit's bit-plane 0,
-        # and the rest is 2 * sum_u u * (B_2u ^ B_2u+1); then Horner's rule
-        planes, sums = [], buckets
-        while len(sums) > 2:
-            planes.append(np.bitwise_xor.reduce(sums[1::2], axis=0))
-            sums = sums[0::2] ^ sums[1::2]
-        planes.append(sums[1])
-        for plane in reversed(planes):
-            out = MUL[2].take(out) ^ plane
-    return out
+            for v, a, b in runs:
+                if a < lo < b:  # a run begun in the slab before
+                    buckets[d, v] ^= np.bitwise_xor.reduce(part[: min(b, hi) - lo], axis=0)
+                elif lo <= a < hi:
+                    np.bitwise_xor.reduce(part[a - lo: min(b, hi) - lo], axis=0,
+                                          out=buckets[d, v])
+    # sum_v v * B_v for both digits at once, by halving: the odd v give the
+    # digit's bit-plane 0, and the rest is 2 * sum_u u * (B_2u ^ B_2u+1);
+    # then Horner's rule, and alpha = 16 * high ^ low
+    planes, sums = [], buckets
+    while sums.shape[1] > 2:
+        planes.append(np.bitwise_xor.reduce(sums[:, 1::2], axis=1))
+        sums[:, 0::2] ^= sums[:, 1::2]
+        sums = sums[:, 0::2]
+    acc = sums[:, 1]
+    for plane in reversed(planes):
+        acc = MUL[2].take(acc) ^ plane
+    return MUL[16].take(acc[0]) ^ acc[1]
 
 
 def _four_russians(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
