@@ -215,11 +215,14 @@ def _combine(alphas: np.ndarray, rows: np.ndarray, index=None) -> np.ndarray:
     # fresh copy per step lands on fresh pages.  The index is in range, so
     # mode="clip" clamps nothing; it lets take fill the buffer unbuffered.
     # On one CPU, against the eight bit-planes this loop replaced, it took
-    # 0.72-0.86x their time at 300 x 4,106, 0.8-0.9x from 128 to 255 rows of
-    # 4,106 and at 512 x 1,024 and 1,000 x 300, 0.93-1.02x at 500 x 300 and
-    # 256 x 1,024; below that it loses, 1.07-1.23x at 32-64 rows of 4,106
-    # and 1.17x at 128 x 1,024.  Narrower digits lost more, and a whole copy
-    # instead of two halves saved 5-8% only below 160 rows of 4,106.
+    # 0.5-0.6x their time at 4,596 x 500 and 600 x 4,106, 0.77x at
+    # 300 x 4,106, 0.8-0.9x at 200-255 rows of 4,106, 512 x 1,024 and
+    # 1,000 x 300, and 0.97x at 128-160 rows of 4,106; it lost below that,
+    # 1.04-1.07x at 500 x 300, 1.05-1.25x at 32-96 rows of 4,106 and
+    # 1.16-1.36x at 128-256 rows of 1,024.  2-bit digits lost more from 96
+    # rows of 4,106 on, and 1-bit ones everywhere; a whole copy in place of
+    # the two halves ran 5-10% faster below 160 rows of 4,106, slower from
+    # 200 on.
     slab = -(-r // 2)
     buf = np.empty((slab, w), dtype=np.uint8)
     buckets = np.zeros((2, 16, w), dtype=np.uint8)  # [high, low digit][value]
