@@ -5,7 +5,7 @@ the auditor.  The auditor holds only the verification key and the coding
 coefficients; response data reaches it masked, and the tag reaches it
 offset by a one-time voucher (see ncrypt).  Tags are linear, so the
 auditor takes the MAC of a proof's coefficient part from a per-node table
-of its stored rows' coefficient tags (verify_proof).
+of its stored rows' coefficient tags, which the caller holds (verify_proof).
 """
 
 from __future__ import annotations
@@ -240,37 +240,30 @@ class VerifyStats:
     mults: int = 0  # ell*n data MAC + C*ell coefficient tags (+ C*|D| + |D|*ell deltas)
 
 
-# (k_v, file id, n, ell, node) -> ((shape, bytes) of the node's coefficient
-# rows, their (M, ell) coefficient tags); the oldest entry goes first
-COEFF_TAGS_SIZE = 64
-_coeff_tags: Dict[tuple, tuple] = {}
-
-
-def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
-                     r: np.ndarray) -> np.ndarray:
+def _coeff_tag_table(manifest: FileManifest, node: int, r: np.ndarray,
+                     tags: Dict[int, tuple]) -> np.ndarray:
     """Row j: the MAC of the node's stored row j's coefficient part, its
     manifest coefficients times the MAC vectors' columns n..n+m of r.
-    Served while the node's rows equal, by content, those it was built
-    from; rebuilt otherwise, for M·m·ell multiplications."""
-    params, coeffs = manifest.params, manifest.node_coeffs[node]
-    key = (k_v, manifest.file_id, params.n, params.ell, node)
+    Served from tags (node -> content of the rows it was built from, the
+    table) while the node's rows equal that content; rebuilt otherwise, for
+    M·m·ell multiplications."""
+    coeffs = manifest.node_coeffs[node]
     state = (coeffs.shape, coeffs.tobytes())
-    held = _coeff_tags.get(key)
+    held = tags.get(node)
     if held is None or held[0] != state:
-        if held is None and len(_coeff_tags) >= COEFF_TAGS_SIZE:
-            del _coeff_tags[next(iter(_coeff_tags))]
-        held = _coeff_tags[key] = (state, field.combine_rows(coeffs, r[:, params.n:].T))
+        held = tags[node] = (state, field.combine_rows(coeffs, r[:, manifest.params.n:].T))
     return held[1]
 
 
 def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
-                 proof: Proof) -> Tuple[bool, VerifyStats]:
+                 proof: Proof, tags: Dict[int, tuple]) -> Tuple[bool, VerifyStats]:
     """Strip the voucher pad of the proof's k and check verify_block's
     equation for the row [c_bar, pad, alpha·C[indices]] by its parts: the
     MAC of the n data symbols, the alpha-combination of the node's
-    coefficient tags (_coeff_tag_table) and of its coefficients on the
-    sources with tag deltas, those weighting the deltas.  Whether k was
-    issued to the node and is unused is the caller's check (cluster.Tpa)."""
+    coefficient tags (_coeff_tag_table, held in the caller's tags across
+    verifies) and of its coefficients on the sources with tag deltas, those
+    weighting the deltas.  Whether k was issued to the node and is unused
+    is the caller's check (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
@@ -281,7 +274,7 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
 
     fid = manifest.file_id.encode()
     r = spacemac.r_matrix(k_v, fid, ell, n + params.m)
-    table = _coeff_tag_table(k_v, manifest, chal.node, r)
+    table = _coeff_tag_table(manifest, chal.node, r, tags)
     tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad]), r[:, :n].T)
     if manifest.deltas:
         # the delta columns join the coefficient tags in one combination

@@ -145,7 +145,8 @@ class SpentCounterError(RuntimeError):
 
 class Tpa:
     """Auditor.  Holds k_v and the manifest; never k_e.  Per node it keeps
-    the last k it spent and the last k the user announced."""
+    the last k it spent, the last k the user announced and the table of its
+    rows' coefficient tags (audit.verify_proof)."""
 
     def __init__(self, k_v: bytes, manifest: FileManifest, rng):
         self._k_v = k_v
@@ -154,6 +155,7 @@ class Tpa:
         self.ledger = ByteLedger()
         self.last_spent: Dict[int, int] = {}
         self.issued_upto: Dict[int, int] = {}
+        self.coeff_tags: Dict[int, tuple] = {}
 
     def challenge(self, node: int, count: int) -> Challenge:
         return audit.gen_challenge(self.manifest, node, count, self.rng)
@@ -171,7 +173,7 @@ class Tpa:
         if not self.last_spent.get(chal.node, 0) < proof.k <= self.issued_upto.get(chal.node, 0):
             return False, VerifyStats()
         self.last_spent[chal.node] = proof.k
-        return audit.verify_proof(self._k_v, self.manifest, chal, proof)
+        return audit.verify_proof(self._k_v, self.manifest, chal, proof, self.coeff_tags)
 
 
 class User:

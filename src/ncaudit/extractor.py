@@ -6,8 +6,9 @@ own voucher and only if the auditor does.  Each of M independent target
 combinations is asked until two accepted answers in a row are equal: an
 accepted lie (about one random lie in q^ell) errs by a vector whose MAC is
 zero, which no tag check can catch, so it must not settle an equation
-alone.  The settled answers pin down the node's blocks by elimination, at
-the user, which issued each voucher and can strip it and the mask.
+alone.  Once M are settled, one solve pins down the node's blocks, at the
+user, which issued each voucher and can strip it and the mask; while the
+settled draws span less than the M blocks, one more is settled first.
 """
 
 from __future__ import annotations
@@ -49,17 +50,13 @@ def extract_node(cluster, node: int, rng) -> ExtractionReport:
     M, n, fid = rows.shape[0], manifest.params.n, manifest.file_id.encode()
 
     solved_alphas, solved_answers = [], []  # answers: rows as the node stores them
-    # the draws asked so far, reduced, so that each new one is tested against
-    # them once rather than by eliminating all of them again
-    basis, pivots = np.empty((M, M), dtype=np.uint8), []
-    queries, discarded = 0, 0
+    queries, discarded, result = 0, 0, None
 
-    while len(solved_alphas) < M:
+    while result is None or result.status == "rank_deficient":
         alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
-        if not field.extend_basis(basis, pivots, alphas):
-            continue  # zero, or dependent on earlier equations
-
         live = np.flatnonzero(alphas)
+        if not live.size:
+            continue
         chal = Challenge(manifest.file_id, live, alphas[live], node)
         previous = None
         while True:
@@ -80,11 +77,16 @@ def extract_node(cluster, node: int, rng) -> ExtractionReport:
                 raise ExtractionError("answer budget exhausted")
         solved_alphas.append(alphas)
         solved_answers.append(answer)
+        if len(solved_alphas) >= M:
+            # the solve tests the rank: while the settled draws span less
+            # than all M, one more is settled
+            result = field.gaussian_solve(np.stack(solved_alphas), np.stack(solved_answers))
 
-    # the M equations are independent, so the solution is unique; each one's
-    # coefficient part is alphas times the manifest's rows, so the recovered
-    # blocks are checked with those rows joined back
-    solved = field.gaussian_solve(np.stack(solved_alphas), np.stack(solved_answers)).solution
+    if result.status == "inconsistent":
+        raise ExtractionError("settled answers contradict one another")
+    # each equation's coefficient part is alphas times the manifest's rows,
+    # so the recovered blocks are checked with those rows joined back
+    solved = result.solution
     bad = np.flatnonzero(~verify_block(keys.k_v, manifest,
                                        np.hstack([solved[:, :n], rows]), solved[:, n:]))
     if bad.size:

@@ -313,28 +313,6 @@ def matrix_rank(a: np.ndarray) -> int:
     return _eliminate(np.array(a, dtype=np.uint8, copy=True), None)[1]
 
 
-def extend_basis(basis: np.ndarray, pivots: list, v: np.ndarray) -> bool:
-    """Add the row v to a basis unless v is in its span; True if added.
-
-    The basis is the first len(pivots) rows of `basis`, kept in reduced
-    form: row i alone is nonzero at column pivots[i], and 1 there.  So v
-    less its part in the span is v ^ v[pivots] · basis, one combination,
-    and adding a row clears its pivot column from the others in one step.
-    Uncounted, as elimination is.
-    """
-    k = len(pivots)
-    rest = v ^ _combine(v[pivots], basis[:k])
-    nz = np.flatnonzero(rest)
-    if nz.size == 0:
-        return False
-    q = int(nz[0])
-    row = MUL[_INV[rest[q]]].take(rest)
-    basis[:k] ^= MUL[basis[:k, q]].take(row, axis=1)
-    basis[k] = row
-    pivots.append(q)
-    return True
-
-
 @dataclass
 class GaussResult:
     """The outcome of gaussian_solve: its status, a particular solution

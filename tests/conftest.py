@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from ncaudit import audit, spacemac
+from ncaudit import spacemac
 
 
 @pytest.fixture(autouse=True)
 def _fresh_mac_cache():
     spacemac._r_matrix.cache_clear()
-    audit._coeff_tags.clear()
     yield
 
 

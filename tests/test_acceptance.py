@@ -85,7 +85,7 @@ def _detection_trials(ell, trials, seed, keys_to_try=100):
 
 
 def _detection_batch(params, keys, manifest, payloads, trials, rng):
-    accepts = 0
+    accepts, tags = 0, {}
     fid = manifest.file_id.encode()
     for k in range(1, trials + 1):
         node = int(rng.integers(4))
@@ -104,7 +104,7 @@ def _detection_batch(params, keys, manifest, payloads, trials, rng):
         voucher = ncrypt.setup(keys.k_e, keys.k_v, fid, node, k, params)
         proof = audit.gen_proof(p.rows, chal, keys.k_e, voucher, params)
         p.rows[target, pos] ^= delta             # restore
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
         accepts += ok
     return accepts
 

@@ -38,12 +38,13 @@ def test_setup_refuses_a_layout_that_cannot_be_decoded(rng):
 
 def test_honest_round_accepts(system, rng):
     keys, manifest, payloads = system
+    tags = {}
     for node in range(4):
         chal = audit.gen_challenge(manifest, node, 2, rng)
         p = payloads[node]
         proof = audit.gen_proof(p.rows, chal, keys.k_e,
                                 _voucher(keys, manifest, chal), PARAMS)
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
         assert ok
 
 
@@ -51,13 +52,13 @@ def test_corrupted_block_rejected(system, rng):
     keys, manifest, payloads = system
     p = payloads[1]
     p.rows[0, 3] ^= 0x40
-    rejections = 0
+    rejections, tags = 0, {}
     for _ in range(50):
         chal = Challenge(manifest.file_id, [0, 1], [int(rng.integers(1, 256)),
                                                     int(rng.integers(1, 256))], 1)
         proof = audit.gen_proof(p.rows, chal, keys.k_e,
                                 _voucher(keys, manifest, chal), PARAMS)
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
         rejections += not ok
     assert rejections == 50  # no MAC key symbol is 0, so the tags always change
 
@@ -71,7 +72,7 @@ def test_wrong_coefficients_rejected(system, rng):
                             _voucher(keys, manifest, chal), PARAMS)
     manifest.node_coeffs[2] = manifest.node_coeffs[2].copy()
     manifest.node_coeffs[2][0, 0] ^= 1
-    ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+    ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, {})
     assert not ok
 
 
@@ -80,11 +81,11 @@ def test_gen_proof_deleted_block_rejected(system, rng):
     keys, manifest, payloads = system
     node = Node(payloads[0], PARAMS, rng)
     node.apply_fault(Fault("delete_block", block=1))
-    rejected = 0
+    rejected, tags = 0, {}
     for _ in range(20):
         chal = Challenge(manifest.file_id, [0, 1], [5, int(rng.integers(1, 256))], 0)
         proof = node.answer(chal, _voucher(keys, manifest, chal))
-        rejected += not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
+        rejected += not audit.verify_proof(keys.k_v, manifest, chal, proof, tags)[0]
     assert rejected == 20
 
 
@@ -159,7 +160,7 @@ def test_proof_wire_roundtrip(system, rng):
     # data, counter k, two padding symbols, tag symbols
     assert len(raw) == (32 - 2) + 10 + 2 + 2
     back = Proof.from_bytes(raw, PARAMS)
-    ok, _ = audit.verify_proof(keys.k_v, manifest, chal, back)
+    ok, _ = audit.verify_proof(keys.k_v, manifest, chal, back, {})
     assert ok
 
 
@@ -177,9 +178,10 @@ def test_multiplication_counts(system, rng):
     assert total == C * (n + ell)
     # the node's first verify builds its M*m*ell coefficient tags; a later
     # one MACs the n data symbols and combines C of those tags
+    tags = {}
     for table in (PARAMS.M * m * ell, 0):
         with field.counter:
-            ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof)
+            ok, vstats = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
         assert ok
         assert vstats.mults == table + ell * (n + C)
 
@@ -230,7 +232,7 @@ def test_full_node_audit_catches_every_corruption(rng):
     keys = audit.keygen(params, rng)
     manifest, payloads = audit.setup_file(bytes(range(56)), params, keys,
                                           EVENODD4, rng)
-    p = payloads[2]
+    p, tags = payloads[2], {}
     for _ in range(2000):
         block, pos = int(rng.integers(2)), int(rng.integers(params.n))
         delta = int(rng.integers(1, 256))
@@ -239,7 +241,7 @@ def test_full_node_audit_catches_every_corruption(rng):
         proof = audit.gen_proof(p.rows, chal, keys.k_e,
                                 _voucher(keys, manifest, chal), params)
         p.rows[block, pos] ^= delta
-        assert not audit.verify_proof(keys.k_v, manifest, chal, proof)[0]
+        assert not audit.verify_proof(keys.k_v, manifest, chal, proof, tags)[0]
 
 
 def test_wire_parsers_reject_truncated_and_trailing(system, rng):
@@ -332,7 +334,7 @@ def test_verdict_equals_the_full_row_check(data):
     k_v = c.user.keys.k_v
     # warm the node's table with an honest proof, which both checks accept
     chal, proof = _round(c, node, M)
-    assert audit.verify_proof(k_v, c.manifest, chal, proof)[0]
+    assert audit.verify_proof(k_v, c.manifest, chal, proof, c.tpa.coeff_tags)[0]
     assert _reference_verdict(k_v, c.manifest, chal, proof)
 
     chal, proof = _round(c, node, data.draw(st.integers(1, M), "count"))
@@ -344,7 +346,7 @@ def test_verdict_equals_the_full_row_check(data):
     elif tamper != "none":
         symbols = {"data": proof.c_bar, "pad": proof.pad, "tag": proof.tag}[tamper]
         symbols[data.draw(st.integers(0, symbols.size - 1), "position")] ^= delta
-    ok = audit.verify_proof(k_v, c.manifest, chal, proof)[0]
+    ok = audit.verify_proof(k_v, c.manifest, chal, proof, c.tpa.coeff_tags)[0]
     assert ok == _reference_verdict(k_v, c.manifest, chal, proof)
     # an edited coefficient escapes both checks when its source's tag
     # delta happens to cancel its MAC vector entries
@@ -413,14 +415,3 @@ def test_verify_costs_after_updates_appends_and_repairs():
     assert _verify_mults(c, 0, C) == warm
     assert _verify_mults(c, 1, C) == warm
 
-
-def test_coefficient_tags_are_bounded(monkeypatch):
-    monkeypatch.setattr(audit, "COEFF_TAGS_SIZE", 3)
-    params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
-    c = spawn_cluster(params, "evenodd4", bytes(56), 9)
-    for node in range(4):
-        assert c.run_audit_round(node, 2)[0]
-        assert len(audit._coeff_tags) == min(node + 1, 3)
-    # node 0's table went first, so its next verify builds it again
-    assert _verify_mults(c, 0, 2) == 2 * 4 * 2 + 2 * (16 + 2)
-    assert _verify_mults(c, 0, 2) == 2 * (16 + 2)

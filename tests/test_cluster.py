@@ -356,6 +356,35 @@ def test_extraction_counts_exactly_its_products(epsilon):
                      + M * m * ell + M * (n + m) * ell)
 
 
+@pytest.mark.parametrize("params, layout", [(PARAMS, "evenodd4"),
+                                            (CHURN_SHAPE, "random_functional")],
+                         ids=["evenodd4", "churn"])
+def test_update_and_decode_count_exactly_their_products(params, layout):
+    # verify_block over the K stored rows MACs each, K·(n+m)·ell, and brings
+    # their tags up to date with the |D| running deltas, K·|D|·ell.  An
+    # update then combines the K verified rows into the old source,
+    # K·(n+m), MACs the difference, ell·(n+m), and patches each node's M_i
+    # rows, M_i·n; a decode's solve is uncounted
+    n, m, ell = params.n, params.m, params.ell
+    c = spawn_cluster(params, layout, DATA, seed=17)
+    payloads = {i: node.payload for i, node in c.nodes.items()}
+    K = sum(len(rows) for rows in c.manifest.node_coeffs.values())
+    width = n - 2
+    chunks = [DATA[i * width:(i + 1) * width] for i in range(m)]
+    rng = np.random.default_rng(17)
+    for D, index in enumerate((1, 3)):
+        with field.counter:
+            dynamics.update_block(c.manifest, payloads, c.user.keys, index, b"new", rng)
+            count = field.counter.value
+        assert count == (K * (n + m) * ell + K * D * ell + K * (n + m) + ell * (n + m)
+                         + sum(len(p.rows) * n for p in payloads.values()))
+        chunks[index] = b"new"
+    with field.counter:
+        assert c.decode_current_file() == b"".join(chunks)
+        count = field.counter.value
+    assert count == K * (n + m) * ell + K * 2 * ell
+
+
 def test_cluster_keeps_no_per_step_state():
     # a file is audited for as long as it is stored: 1,000 rounds and 10
     # repairs must leave no record behind (a kept record is about 200 B)
@@ -455,6 +484,7 @@ print("numpy.ma" in sys.modules)
 """
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(root / "src")}, timeout=60)
+                          env={"PYTHONPATH": str(root / "src"),
+                               "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["False"]

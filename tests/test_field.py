@@ -571,26 +571,6 @@ def test_paper_scale_layout_check_takes_the_table_form():
     assert sorted(manifest.node_coeffs) == [0, 1] and len(tables) == 1 and tables[0] > 250
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 24), st.sampled_from([2, 3, 256]), st.integers(1, 60),
-       st.integers(0, 2**32 - 1))
-def test_extend_basis_accepts_exactly_what_raises_the_rank(width, alphabet, draws, seed):
-    r = np.random.default_rng(seed)
-    basis, pivots, accepted = np.empty((width, width), dtype=np.uint8), [], []
-    for _ in range(draws):
-        v = r.integers(0, alphabet, width, dtype=np.uint8)
-        rank = field.matrix_rank(np.stack(accepted + [v]))
-        assert field.extend_basis(basis, pivots, v.copy()) == (rank > len(accepted))
-        if rank > len(accepted):
-            accepted.append(v)
-        k = len(pivots)
-        assert k == len(accepted)
-        # row i alone is nonzero at pivots[i], and 1 there; the rows span
-        # the accepted draws
-        assert np.array_equal(basis[:k, pivots], np.eye(k, dtype=np.uint8))
-        assert field.matrix_rank(np.vstack([basis[:k], *accepted])) == k
-
-
 def _churn_once(seed):
     # one cluster-churn round at n=64: an update, an exact and a functional
     # repair, a corruption caught by full-node audits, a decode

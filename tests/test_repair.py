@@ -235,13 +235,13 @@ def test_replay_detected_after_functional_repair(system, rng):
     old_rows = payloads[1].rows.copy()
     Cluster(manifest, User(keys), payloads, rng).fail_and_repair(1, "functional", [0, 2, 3])
     # the node serves its pre-repair store against refreshed records
-    rejected = 0
+    rejected, tags = 0, {}
     for k in range(1, 51):
         chal = audit.gen_challenge(manifest, 1, 2, rng)
         voucher = ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), 1, k,
                                PARAMS)
         proof = audit.gen_proof(old_rows, chal, keys.k_e, voucher, PARAMS)
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof)
+        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
         rejected += not ok
     assert rejected == 50
 
