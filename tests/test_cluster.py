@@ -376,8 +376,8 @@ def test_update_and_decode_count_exactly_their_products(params, layout):
         with field.counter:
             dynamics.update_block(c.manifest, payloads, c.user.keys, index, b"new", rng)
             count = field.counter.value
-        assert count == (K * (n + m) * ell + K * D * ell + K * (n + m) + ell * (n + m)
-                         + sum(len(p.rows) * n for p in payloads.values()))
+        # every node is patched, so the patches' Σ M_i·n is K·n
+        assert count == K * (n + m) * ell + K * D * ell + K * (n + m) + ell * (n + m) + K * n
         chunks[index] = b"new"
     with field.counter:
         assert c.decode_current_file() == b"".join(chunks)

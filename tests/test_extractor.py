@@ -156,10 +156,12 @@ def test_extraction_tests_each_draw_without_eliminating_its_basis():
     assert [call.args[0].shape for call in elim.call_args_list] == [(64, 64)]
 
 
-def _scripted(draws, seed):
-    """A generator whose integers() returns the given draws first, then
-    draws of its own."""
-    real, draws = np.random.default_rng(seed), list(draws)
+def _rank_deficient_rng(M, seed):
+    """A generator whose first M integers() draws span M-1 dimensions (the
+    last repeats the first), and which draws on its own after them."""
+    real = np.random.default_rng(seed)
+    draws = [real.integers(1, 256, size=M, dtype=np.uint8) for _ in range(M - 1)]
+    draws.append(draws[0].copy())
 
     class Scripted:
         def integers(self, *args, **kwargs):
@@ -167,19 +169,12 @@ def _scripted(draws, seed):
     return Scripted()
 
 
-def _rank_deficient_draws(M, seed):
-    # M draws spanning M-1 dimensions: the last repeats the first
-    r = np.random.default_rng(seed)
-    draws = [r.integers(1, 256, size=M, dtype=np.uint8) for _ in range(M - 1)]
-    return draws + [draws[0].copy()]
-
-
 def test_rank_deficient_draws_settle_one_more_equation(cluster):
     # the solve of the first M settled equations reports them rank
     # deficient, so one more is settled and the M+1 are solved
     M = PARAMS.M
     with mock.patch.object(field, "gaussian_solve", wraps=field.gaussian_solve) as solve:
-        report = extractor.extract_node(cluster, 0, _scripted(_rank_deficient_draws(M, 12), 13))
+        report = extractor.extract_node(cluster, 0, _rank_deficient_rng(M, 12))
     assert np.array_equal(report.rows, cluster.nodes[0].payload.rows)
     assert report.queries == 2 * (M + 1) and report.discarded == 0
     assert [call.args[0].shape for call in solve.call_args_list] == [(M, M), (M + 1, M)]
@@ -198,4 +193,4 @@ def test_settled_answers_that_contradict_one_another_raise(cluster):
 
     cluster.exchange = lying_exchange
     with pytest.raises(extractor.ExtractionError, match="contradict"):
-        extractor.extract_node(cluster, 0, _scripted(_rank_deficient_draws(M, 12), 13))
+        extractor.extract_node(cluster, 0, _rank_deficient_rng(M, 12))
