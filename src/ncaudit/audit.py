@@ -160,13 +160,9 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
     payloads = {node: NodePayload(combine_blocks(rows, sources), keys.k_e)
                 for node, rows in node_coeffs.items()}
 
-    manifest = FileManifest(
-        file_id=file_id,
-        params=params,
-        block_lengths=lengths,
-        node_coeffs=node_coeffs,
-        logical_order=list(range(params.m)),
-    )
+    manifest = FileManifest(file_id=file_id, params=params, block_lengths=lengths,
+                            node_coeffs=node_coeffs, logical_order=list(range(params.m)),
+                            deltas=np.zeros((params.m, params.ell), dtype=np.uint8))
     return manifest, payloads
 
 
@@ -191,11 +187,9 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
 
     The coefficient part is neither stored nor transmitted: the auditor
     knows it from its own records.  ValueError on a challenge index
-    outside the store.
+    outside the store (field.combine_rows's check).
     """
     n = params.n
-    if chal.indices.max() >= rows.shape[0]:
-        raise ValueError(f"challenge index outside a store of {rows.shape[0]} blocks")
     agg = field.combine_rows(chal.alphas, rows, chal.indices)
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
@@ -203,23 +197,28 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
                  agg[n - 2: n].copy(), agg[n:] ^ voucher.value)
 
 
+def _mac_vectors(k_v: bytes, manifest: FileManifest) -> np.ndarray:
+    """The file's current MAC vectors: r_1..r_ell as rows, with each
+    source's running tag delta XORed into its coefficient column n+i.  An
+    update leaves a stored row's tag the MAC of its row before the update,
+    while its data gained c_i·(new_i ⊕ old_i), whose MAC is c_i·δ_i; moving
+    c_i·δ_i onto the coefficient part keeps the tag the MAC of the current
+    row.  XORs only, no multiplication."""
+    params = manifest.params
+    r = spacemac.r_matrix(k_v, manifest.file_id.encode(), params.ell,
+                          params.n + params.m).copy()
+    r[:, params.n:] ^= manifest.deltas.T
+    return r
+
+
 def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
                  tags: np.ndarray):
-    """Whether tags made before the manifest's updates are the rows' tags:
-    one bool for an (n+m,) row and its (ell,) tag, one per row for (k, n+m)
-    rows and (k, ell) tags.
-
-    The running per-index tag deltas, weighted by each row's source
-    coefficients, bring the tags up to date; without deltas this costs no
-    multiplication."""
-    tags = np.asarray(tags, dtype=np.uint8)
-    if manifest.deltas:
-        # an XOR sum, so the dict's own order serves
-        idx = np.fromiter(manifest.deltas, dtype=np.intp, count=len(manifest.deltas))
-        coeffs = rows[..., manifest.params.n + idx]
-        tags = tags ^ field.combine_rows(coeffs, np.array(list(manifest.deltas.values())))
-    fid = manifest.file_id.encode()
-    return np.all(spacemac.mac(k_v, fid, rows, manifest.params.ell) == tags, axis=-1)
+    """Whether tags made before the manifest's updates are the rows' tags
+    under the current MAC vectors (_mac_vectors): one bool for an (n+m,)
+    row and its (ell,) tag, one per row for (k, n+m) rows and (k, ell)
+    tags."""
+    return np.all(field.combine_rows(rows, _mac_vectors(k_v, manifest).T) == tags,
+                  axis=-1)
 
 
 def verified_rows(k_v: bytes, manifest: FileManifest,
@@ -237,20 +236,21 @@ def verified_rows(k_v: bytes, manifest: FileManifest,
 
 @dataclass
 class VerifyStats:
-    mults: int = 0  # ell*n data MAC + C*ell coefficient tags (+ C*|D| + |D|*ell deltas)
+    mults: int = 0  # ell*n data MAC + C*ell coefficient tags (+ M*m*ell table rebuild)
 
 
-def _coeff_tag_table(manifest: FileManifest, node: int, r: np.ndarray,
+def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
                      tags: Dict[int, tuple]) -> np.ndarray:
     """Row j: the MAC of the node's stored row j's coefficient part, its
-    manifest coefficients times the MAC vectors' columns n..n+m of r.
-    Served from tags (node -> content of the rows it was built from, the
-    table) while the node's rows equal that content; rebuilt otherwise, for
-    M·m·ell multiplications."""
+    manifest coefficients times the current MAC vectors' columns n..n+m.
+    Served from tags (node -> content of the coefficient rows and deltas
+    it was built from, the table) while both equal that content; rebuilt
+    otherwise, for M·m·ell multiplications."""
     coeffs = manifest.node_coeffs[node]
-    state = (coeffs.shape, coeffs.tobytes())
+    state = (coeffs.shape, coeffs.tobytes(), manifest.deltas.tobytes())
     held = tags.get(node)
     if held is None or held[0] != state:
+        r = _mac_vectors(k_v, manifest)
         held = tags[node] = (state, field.combine_rows(coeffs, r[:, manifest.params.n:].T))
     return held[1]
 
@@ -259,11 +259,10 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof, tags: Dict[int, tuple]) -> Tuple[bool, VerifyStats]:
     """Strip the voucher pad of the proof's k and check verify_block's
     equation for the row [c_bar, pad, alpha·C[indices]] by its parts: the
-    MAC of the n data symbols, the alpha-combination of the node's
+    MAC of the n data symbols and the alpha-combination of the node's
     coefficient tags (_coeff_tag_table, held in the caller's tags across
-    verifies) and of its coefficients on the sources with tag deltas, those
-    weighting the deltas.  Whether k was issued to the node and is unused
-    is the caller's check (cluster.Tpa)."""
+    verifies).  Whether k was issued to the node and is unused is the
+    caller's check (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
@@ -274,17 +273,9 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
 
     fid = manifest.file_id.encode()
     r = spacemac.r_matrix(k_v, fid, ell, n + params.m)
-    table = _coeff_tag_table(manifest, chal.node, r, tags)
+    table = _coeff_tag_table(k_v, manifest, chal.node, tags)
     tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad]), r[:, :n].T)
-    if manifest.deltas:
-        # the delta columns join the coefficient tags in one combination
-        idx = np.fromiter(manifest.deltas, dtype=np.intp, count=len(manifest.deltas))
-        part = field.combine_rows(chal.alphas, np.concatenate(
-            [table, manifest.node_coeffs[chal.node][:, idx]], axis=1), chal.indices)
-        tag ^= part[:ell] ^ field.combine_rows(part[ell:],
-                                               np.array(list(manifest.deltas.values())))
-    else:
-        tag ^= field.combine_rows(chal.alphas, table, chal.indices)
+    tag ^= field.combine_rows(chal.alphas, table, chal.indices)
     s_k = ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
     ok = bool((tag == proof.tag ^ s_k).all())
     stats.mults = field.counter.value - before

@@ -13,7 +13,7 @@ needed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -88,14 +88,14 @@ def _ints(value, what: str, top: int) -> List[int]:
 
 @dataclass
 class FileManifest:
-    """Everything the user and TPA retain: parameters and coefficients."""
+    """Everything the user and TPA retain: parameters, coefficients, tag deltas."""
 
     file_id: str
     params: SystemParams
     block_lengths: List[int]               # payload bytes per source block
     node_coeffs: Dict[int, np.ndarray]     # node -> (M, m) coefficient rows
     logical_order: List[int]               # source indices in file order
-    deltas: Dict[int, np.ndarray] = dc_field(default_factory=dict)
+    deltas: np.ndarray                     # (m, ell) running tag delta per source
 
     def to_json(self) -> str:
         return json.dumps({
@@ -105,7 +105,7 @@ class FileManifest:
             "node_coeffs": {str(node): rows.tolist()
                             for node, rows in sorted(self.node_coeffs.items())},
             "logical_order": list(self.logical_order),
-            "deltas": {str(j): d.tolist() for j, d in sorted(self.deltas.items())},
+            "deltas": {str(j): d.tolist() for j, d in enumerate(self.deltas) if d.any()},
         }, indent=2)
 
     @classmethod
@@ -135,12 +135,13 @@ class FileManifest:
         coeffs = {int(node): _symbols(rows, (None, params.m), f"node {node} rows")
                   for node, rows in node_coeffs.items()}
         order = _ints(doc["logical_order"], "logical_order", params.m)
-        delta_rows = {int(j): _symbols(d, (params.ell,), f"delta {j}")
-                      for j, d in deltas.items()}
+        delta_rows = np.zeros((params.m, params.ell), dtype=np.uint8)
+        for j, d in deltas.items():
+            delta_rows[int(j)] = _symbols(d, (params.ell,), f"delta {j}")
         # the PRF nonce packs a node id as 32 bits
         if not all(0 <= node < 2**32 for node in coeffs):
             raise ValueError("manifest node ids must be integers in 0..2^32-1")
-        if len(coeffs) < len(node_coeffs) or len(delta_rows) < len(deltas):
+        if len(coeffs) < len(node_coeffs) or len(set(map(int, deltas))) < len(deltas):
             raise ValueError("manifest keys name one node or delta index twice")
         if len(set(order)) < len(order):
             raise ValueError("manifest logical_order repeats a source index")

@@ -8,9 +8,12 @@ zero for old blocks.  An append checks its inputs first and then adds one
 plain copy of the new block to each node it is given, so it happens whole
 or not at all.
 
-Updates never replace stored tags in place.  The auditor keeps one running
-tag delta per source index and compensates during verification, so stale
-and fresh blocks can coexist on different nodes.
+Updates never replace stored tags in place.  The manifest keeps one running
+tag delta per source, a row of its (m, ell) deltas, and every tag check
+folds them into the MAC vectors' coefficient columns (audit._mac_vectors),
+so stored tags from before an update stay valid for the patched rows.  The
+TPA holds k_v and these deltas, so it can test what an update changed
+(ROADMAP item 19).
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
 
     Each node in `payloads` stores the new block's n data symbols and ell
     tags as a plain copy.  Every node's coefficient rows widen by a zero
-    column, which changes no tag value and no stored symbol, and the nodes
-    given the block also gain its unit coefficient row.  Rows that span the
-    m old sources, joined by that unit row, span all m+1, so the file stays
-    decodable without a rank check.  Data longer than n-2 symbols, no node
+    column, which changes no tag value and no stored symbol, the manifest's
+    deltas gain a zero row, and the nodes given the block also gain its
+    unit coefficient row.  Rows that span the m old sources, joined by that
+    unit row, span all m+1, so the file stays decodable without a rank
+    check.  Data longer than n-2 symbols, no node
     and a node the manifest lacks are refused before anything changes.
     """
     if not payloads:
@@ -52,6 +56,7 @@ def append_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
         rows = np.hstack([rows, np.zeros((len(rows), 1), dtype=np.uint8)])
         manifest.node_coeffs[node] = (np.vstack([rows, block[params.n:]])
                                       if node in payloads else rows)
+    manifest.deltas = np.vstack([manifest.deltas, np.zeros((1, params.ell), dtype=np.uint8)])
     for payload in payloads.values():
         payload.rows = np.vstack([payload.rows, row])
     manifest.params = params
@@ -68,10 +73,10 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
     verify (`_reconstruct_source`), so the caller holding k_v reads every
     stored row: 24 rows of 1,026 bytes at cluster-churn's shape, which no
     ledger charges.  Each node then patches every stored block by
-    alpha_index * (new - old) and keeps its stale tags.  The auditor folds
-    the returned delta into the manifest's running per-index deltas.  An
-    index outside the logical order, deleted or never there, is refused
-    before anything changes.
+    alpha_index * (new - old) and keeps its stale tags, and the returned
+    delta is XORed into the manifest's delta row for the index.  An index
+    outside the logical order, deleted or never there, is refused before
+    anything changes.
     """
     params = manifest.params
     if type(index) is not int or index not in manifest.logical_order:
@@ -89,8 +94,7 @@ def update_block(manifest: FileManifest, payloads: Dict[int, NodePayload],
         column = manifest.node_coeffs[node][:, index: index + 1]
         payload.rows[:, :params.n] ^= field.combine_rows(column, diff[None, :params.n])
     manifest.block_lengths[index] = len(data)
-    manifest.deltas[index] = manifest.deltas.get(
-        index, np.zeros(params.ell, dtype=np.uint8)) ^ delta
+    manifest.deltas[index] ^= delta
     return delta
 
 

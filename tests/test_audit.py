@@ -94,7 +94,7 @@ def test_gen_proof_rejects_index_outside_store(system, rng, index):
     keys, manifest, payloads = system
     p = payloads[0]
     chal = Challenge(manifest.file_id, [0, index], [5, 7], 0)
-    with pytest.raises(ValueError, match="outside a store of 2 blocks"):
+    with pytest.raises(ValueError, match="index outside the 2 rows"):
         audit.gen_proof(p.rows, chal, keys.k_e,
                         _voucher(keys, manifest, chal), PARAMS)
 
@@ -285,13 +285,18 @@ def test_challenge_roundtrip_any(file_id, indices, data):
 # ------------------------------------------- cached coefficient tags
 
 def _reference_verdict(k_v, manifest, chal, proof):
-    """verify_proof's equation as one full-row check: verify_block over
-    [c_bar, pad, alpha·C[indices]] against tau stripped of its pad."""
+    """verify_proof's equation as one full-row check, with no shared code:
+    spacemac.mac of [c_bar, pad, alpha·C[indices]] against tau stripped of
+    its pad and brought up to date by hand, ⊕ c_i·δ_i over the sources i
+    with a nonzero delta."""
     params = manifest.params
     coeffs = field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node], chal.indices)
-    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k, params)
+    fid = manifest.file_id.encode()
+    tag = proof.tag ^ ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
+    for i in np.flatnonzero(manifest.deltas.any(axis=1)):
+        tag = tag ^ field.vec_scale(int(coeffs[i]), manifest.deltas[i])
     row = np.concatenate([proof.c_bar, proof.pad, coeffs])
-    return bool(audit.verify_block(k_v, manifest, row, proof.tag ^ s_k))
+    return bool((spacemac.mac(k_v, fid, row, params.ell) == tag).all())
 
 
 def _round(cluster, node, count):
@@ -379,6 +384,12 @@ def test_a_coefficient_edited_in_place_is_not_served_a_stale_table():
     assert not c.run_audit_round(0, 4)[0]
     coeffs[2, 3] ^= 1
     assert c.run_audit_round(0, 4)[0]
+    # so is a tag delta: the table holds the deltas folded in
+    column = np.flatnonzero(coeffs.any(axis=0))[0]
+    c.manifest.deltas[column] ^= 1
+    assert not c.run_audit_round(0, 4)[0]
+    c.manifest.deltas[column] ^= 1
+    assert c.run_audit_round(0, 4)[0]
 
 
 def test_verify_costs_after_updates_appends_and_repairs():
@@ -394,13 +405,14 @@ def test_verify_costs_after_updates_appends_and_repairs():
     assert _verify_mults(c, 0, C) == table(0) + ell * (n + C)
     assert _verify_mults(c, 0, C) == ell * (n + C)
     rng = np.random.default_rng(41)
+    warm = ell * (n + C)
+    # an update changes the deltas that every node's table folds in, so
+    # each node's first verify after it rebuilds the table; the warm cost
+    # stays ell·(n+C)
     for index in (1, 4):
         dynamics.update_block(c.manifest, payloads, c.user.keys, index, b"new", rng)
-    # the challenged combination's coefficients on the updated sources D
-    # join its coefficient tags in one product, then weight their deltas
-    D = 2
-    warm = ell * n + C * (ell + D) + D * ell
-    assert _verify_mults(c, 0, C) == warm
+        assert _verify_mults(c, 0, C) == table(0) + warm
+        assert _verify_mults(c, 0, C) == warm
     # an append widens every node's rows and lengthens those it is given:
     # each node's table is rebuilt once, at its new M and m
     dynamics.append_block(c.manifest, {1: payloads[1]}, c.user.keys, b"tail", rng)

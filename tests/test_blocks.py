@@ -75,7 +75,7 @@ def test_decode_roundtrip(rng):
         file_id="f", params=PARAMS,
         block_lengths=lengths,
         node_coeffs={0: np.eye(4, dtype=np.uint8)},
-        logical_order=[0, 1, 2, 3])
+        logical_order=[0, 1, 2, 3], deltas=np.zeros((4, 1), dtype=np.uint8))
     # decode from random full-rank combinations, not the sources themselves
     while True:
         mix = rng.integers(0, 256, (4, 4), dtype=np.uint8)
@@ -97,14 +97,16 @@ def test_manifest_json_roundtrip(rng):
         node_coeffs={0: rng.integers(0, 256, (2, 4), dtype=np.uint8),
                      3: rng.integers(0, 256, (2, 4), dtype=np.uint8)},
         logical_order=[0, 1, 2, 3],
-        deltas={1: np.array([7], dtype=np.uint8)})
+        deltas=np.array([[0], [7], [0], [0]], dtype=np.uint8))
     back = FileManifest.from_json(manifest.to_json())
     assert back.file_id == "demo"
     assert back.params == PARAMS
     assert back.block_lengths == manifest.block_lengths
     assert set(back.node_coeffs) == {0, 3}
     assert np.array_equal(back.node_coeffs[3], manifest.node_coeffs[3])
-    assert np.array_equal(back.deltas[1], manifest.deltas[1])
+    assert np.array_equal(back.deltas, manifest.deltas)
+    # the file holds the nonzero delta rows alone, keyed by source index
+    assert json.loads(manifest.to_json())["deltas"] == {"1": [7]}
     # deterministic serialization
     assert back.to_json() == manifest.to_json()
 
@@ -123,7 +125,7 @@ def _manifest_doc(rng):
         block_lengths=[14, 14, 14, 3],
         node_coeffs={0: rng.integers(0, 256, (2, 4), dtype=np.uint8)},
         logical_order=[0, 1, 2, 3],
-        deltas={1: np.array([7], dtype=np.uint8)})
+        deltas=np.array([[0], [7], [0], [0]], dtype=np.uint8))
     return json.loads(manifest.to_json())
 
 
@@ -223,7 +225,7 @@ def test_manifest_parser_refuses_exactly_repeated_entries(nodes, deltas, order):
     assert back.logical_order == order
     assert sorted(back.node_coeffs) == sorted(keyed["node_coeffs"])
     assert all(back.node_coeffs[i][0, 0] == i for i in back.node_coeffs)
-    assert {j: int(d[0]) for j, d in back.deltas.items()} == {j: j for j in keyed["deltas"]}
+    assert back.deltas[:, 0].tolist() == [j if j in keyed["deltas"] else 0 for j in range(4)]
 
 
 @settings(max_examples=100)
@@ -234,7 +236,7 @@ def test_manifest_roundtrip_any(coeffs, delta, order):
     manifest = FileManifest(
         file_id="f", params=PARAMS, block_lengths=[14, 0, 3, 1],
         node_coeffs={2: np.array(coeffs, dtype=np.uint8).reshape(2, 4)},
-        logical_order=list(order), deltas={3: np.array(delta, dtype=np.uint8)})
+        logical_order=list(order), deltas=np.array([[0], [0], [0], delta], dtype=np.uint8))
     back = FileManifest.from_json(manifest.to_json())
     assert back.to_json() == manifest.to_json()
     assert back.node_coeffs[2].dtype == np.uint8

@@ -360,11 +360,11 @@ def test_extraction_counts_exactly_its_products(epsilon):
                                             (CHURN_SHAPE, "random_functional")],
                          ids=["evenodd4", "churn"])
 def test_update_and_decode_count_exactly_their_products(params, layout):
-    # verify_block over the K stored rows MACs each, K·(n+m)·ell, and brings
-    # their tags up to date with the |D| running deltas, K·|D|·ell.  An
-    # update then combines the K verified rows into the old source,
-    # K·(n+m), MACs the difference, ell·(n+m), and patches each node's M_i
-    # rows, M_i·n; a decode's solve is uncounted
+    # verify_block over the K stored rows MACs each under the MAC vectors
+    # with the deltas folded in, K·(n+m)·ell, which the fold's XORs leave
+    # unchanged.  An update then combines the K verified rows into the old
+    # source, K·(n+m), MACs the difference, ell·(n+m), and patches each
+    # node's M_i rows, M_i·n; a decode's solve is uncounted
     n, m, ell = params.n, params.m, params.ell
     c = spawn_cluster(params, layout, DATA, seed=17)
     payloads = {i: node.payload for i, node in c.nodes.items()}
@@ -372,17 +372,17 @@ def test_update_and_decode_count_exactly_their_products(params, layout):
     width = n - 2
     chunks = [DATA[i * width:(i + 1) * width] for i in range(m)]
     rng = np.random.default_rng(17)
-    for D, index in enumerate((1, 3)):
+    for index in (1, 3):
         with field.counter:
             dynamics.update_block(c.manifest, payloads, c.user.keys, index, b"new", rng)
             count = field.counter.value
         # every node is patched, so the patches' Σ M_i·n is K·n
-        assert count == K * (n + m) * ell + K * D * ell + K * (n + m) + ell * (n + m) + K * n
+        assert count == K * (n + m) * ell + K * (n + m) + ell * (n + m) + K * n
         chunks[index] = b"new"
     with field.counter:
         assert c.decode_current_file() == b"".join(chunks)
         count = field.counter.value
-    assert count == K * (n + m) * ell + K * 2 * ell
+    assert count == K * (n + m) * ell
 
 
 def test_cluster_keeps_no_per_step_state():

@@ -114,12 +114,12 @@ def test_refused_update_index_leaves_the_file_unchanged(cluster, rng, update, in
         dynamics.delete_block(cluster.manifest, _payloads(cluster), cluster.user.keys,
                               index, rng)
     before = _file_state(cluster)
-    deltas = {j: d.tolist() for j, d in cluster.manifest.deltas.items()}
+    deltas = cluster.manifest.deltas.copy()
     args = (index, b"new") if update is dynamics.update_block else (index,)
     with pytest.raises(ValueError, match=f"index {index!r} "):
         update(cluster.manifest, _payloads(cluster), cluster.user.keys, *args, rng)
     assert _file_state(cluster) == before
-    assert {j: d.tolist() for j, d in cluster.manifest.deltas.items()} == deltas
+    assert np.array_equal(cluster.manifest.deltas, deltas)
     assert _audit_all(cluster) and cluster.decode_current_file() == expect
 
 
@@ -127,7 +127,8 @@ def test_update_patches_and_verifies(cluster, rng):
     payloads = _payloads(cluster)
     dynamics.update_block(cluster.manifest, payloads, cluster.user.keys,
                           1, b"fresh-content!", rng)
-    assert cluster.manifest.deltas  # auditor holds a running adjustment
+    # the manifest holds a running adjustment for source 1 alone
+    assert cluster.manifest.deltas.any(axis=1).tolist() == [False, True, False, False]
     assert _audit_all(cluster)
     expect = DATA[:14] + b"fresh-content!" + DATA[28:]
     assert cluster.decode_current_file() == expect

@@ -92,7 +92,8 @@ def test_query_accounting(cluster):
 
 
 def test_extract_after_update():
-    # the extractor compensates stale stored tags with the manifest's deltas
+    # the extractor checks stale stored tags under the MAC vectors with the
+    # manifest's deltas folded in
     params = SystemParams(n=64, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
     data = bytes(range(200)) + bytes(48)
     c = spawn_cluster(params, "evenodd4", data, seed=5)

@@ -120,11 +120,10 @@ def test_forger_recovers_r_once_pads_are_known():
 
 # ------------------------------------------------------ TPA left-or-right
 
-def _guess(k_v: bytes, manifest, chal: Challenge, proof: Proof, candidates):
-    """The TPA's guess at which candidate aggregate a proof hides: one whose
-    tag matches what the TPA can strip from the proof's tag, else None."""
+def _guess(k_v: bytes, manifest, seen, candidates):
+    """The TPA's guess at which candidate row a tag it sees belongs to: the
+    one candidate whose MAC matches, else None."""
     params, fid = manifest.params, manifest.file_id.encode()
-    seen = proof.tag ^ ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
     hits = [b for b, data in enumerate(candidates)
             if np.array_equal(spacemac.mac(k_v, fid, data, params.ell), seen)]
     return hits[0] if len(hits) == 1 else None
@@ -151,16 +150,54 @@ def _left_or_right(ell: int, seed: int) -> bool:
     candidates = [np.concatenate([field.vec_scale(alpha, np.frombuffer(bytes(f[:width]),
                                                                        dtype=np.uint8)),
                                   proof.pad, coeffs]) for f in files]
-    guess = _guess(k_v, manifest, chal, proof, candidates)
+    seen = proof.tag ^ ncrypt.voucher_pad(k_v, manifest.file_id.encode(), 0, proof.k,
+                                          params)
+    guess = _guess(k_v, manifest, seen, candidates)
     return (guess if guess is not None else int(rng.integers(2))) == secret
+
+
+# a coin flip's count, two-sided
+SLACK = _upper(TRIALS, 0.5) - TRIALS // 2
 
 
 @pytest.mark.parametrize("ell", [1, 10])
 def test_tpa_cannot_tell_files_apart(ell):
     correct = sum(_left_or_right(ell, 9_000 + t) for t in range(TRIALS))
-    # a coin flip's count, two-sided
-    slack = _upper(TRIALS, 0.5) - TRIALS // 2
-    assert abs(correct - TRIALS // 2) <= slack
+    assert abs(correct - TRIALS // 2) <= SLACK
+
+
+def _update_left_or_right(ell: int, seed: int) -> bool:
+    """The TPA knows the file, as in _left_or_right; the user updates
+    source block 0 to one of two contents one bit apart, and the TPA
+    guesses which from the manifest's tag delta for block 0, against the
+    MAC of each candidate's difference from the old block (pads and
+    coefficients unchanged).  True when the guess is right."""
+    params = _params(ell)
+    rng = np.random.default_rng(seed)
+    width = params.n - 2
+    file = rng.bytes(params.m * width)
+    contents = [rng.bytes(width)]
+    flipped = bytearray(contents[0])
+    flipped[int(rng.integers(width))] ^= 1 << int(rng.integers(8))
+    contents.append(bytes(flipped))
+    secret = int(rng.integers(2))
+    c = spawn_cluster(params, "evenodd4", file, seed=seed)
+    payloads = {i: node.payload for i, node in c.nodes.items()}
+    dynamics.update_block(c.manifest, payloads, c.user.keys, 0, contents[secret], rng)
+    manifest, k_v = c.manifest, c.user.keys.k_v  # the TPA's view
+    old = np.frombuffer(file[:width], dtype=np.uint8)
+    tail = np.zeros(2 + params.m, dtype=np.uint8)
+    candidates = [np.concatenate([old ^ np.frombuffer(new, dtype=np.uint8), tail])
+                  for new in contents]
+    guess = _guess(k_v, manifest, manifest.deltas[0], candidates)
+    return (guess if guess is not None else int(rng.integers(2))) == secret
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+@pytest.mark.parametrize("ell", [1, 10])
+def test_tpa_cannot_tell_updates_apart(ell):
+    correct = sum(_update_left_or_right(ell, 9_500 + t) for t in range(TRIALS))
+    assert abs(correct - TRIALS // 2) <= SLACK
 
 
 # ------------------------------------------------------------------ replay
