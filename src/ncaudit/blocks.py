@@ -42,7 +42,7 @@ class SystemParams:
             raise ValueError("m, ell and Q must be >= 1")
         if self.P < 0:
             raise ValueError("P must be >= 0")
-        # keys are lambda_bits long, and keyed BLAKE2b takes at most 64 bytes
+        # keys are lambda_bits long, and the PRF takes at most 64 key bytes
         if self.lambda_bits % 8 != 0 or not 64 <= self.lambda_bits <= 512:
             raise ValueError("lambda_bits must be a multiple of 8 from 64 to 512")
         return self

@@ -8,16 +8,18 @@ not used.  Domains are separated by an injective byte encoding:
     function id (1 byte)
     || u32 BE length of file id || file id
     || [u32 BE length of nonce || nonce]      (F3 and F4 only)
-    || u32 BE per integer index
+    || u32 BE per head index
 
-The keystream is keyed BLAKE2b in counter mode over the trailing index:
-symbol i is byte i mod 64 of the digest for chunk i // 64.  A call asks for
-indices 1..count: it absorbs the key and the domain prefix into one hash
-state once, then hashes each chunk the range touches from a copy of that
-state, so bulk vector derivation needs one hash per 64 symbols and sets up
-one keyed state per call.  The key is used whole, so keys are at most 64
-bytes (lambda up to 512 bits): BLAKE2b refuses a longer one with
-ValueError rather than any of its bytes going unused.
+The keystream is SHAKE256 keyed by prefix, a keyed sponge and so a PRF
+(as KMAC, NIST SP 800-185):
+
+    u8 length of key || key || encoded domain
+
+absorbed once and squeezed for exactly the symbols asked, symbol i being
+output byte i - 1, so a range is prefix-stable in its length.  A call asks
+for indices 1..count of one domain.  The key is used whole and its length
+is framed in one byte, so keys are at most 64 bytes (lambda up to 512
+bits): a longer one is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 F1, F3, F4 = 1, 3, 4
 NONCED = (F3, F4)
+MAX_KEY_BYTES = 64
 
 
 def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes:
@@ -52,18 +55,14 @@ def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes
 
 def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
                nonce: bytes = b"") -> np.ndarray:
-    """PRF outputs for trailing indices 1..count, as a vector."""
+    """PRF outputs for indices 1..count, as a writable vector."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    state = hashlib.blake2b(encode_domain(fn, file_id, head_indices, nonce),
-                            key=key, digest_size=64)
-    digests = []
-    for c in range(count // 64 + 1):
-        h = state.copy()
-        h.update(struct.pack(">I", c))
-        digests.append(h.digest())
-    return np.frombuffer(bytearray().join(digests), dtype=np.uint8, count=count,
-                         offset=1)
+    if len(key) > MAX_KEY_BYTES:
+        raise ValueError(f"PRF keys are at most {MAX_KEY_BYTES} bytes")
+    sponge = hashlib.shake_256(bytes([len(key)]) + key
+                               + encode_domain(fn, file_id, head_indices, nonce))
+    return np.frombuffer(bytearray(sponge.digest(count)), dtype=np.uint8)
 
 
 def derive_r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:

@@ -31,7 +31,7 @@ def test_params_validation():
 
 @pytest.mark.parametrize("bits", [56, 60, 520, 1024])
 def test_params_refuse_key_sizes_outside_64_to_512_bits(bits):
-    # keyed BLAKE2b takes at most 64 key bytes; a longer key was cut to them
+    # the PRF takes at most 64 key bytes; a longer key was once cut to them
     with pytest.raises(ValueError, match="lambda_bits"):
         SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, lambda_bits=bits).validate()
     SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, lambda_bits=512).validate()

@@ -289,7 +289,7 @@ def test_malformed_keys_file_is_usage_error(store, doc, capsys):
 
 
 def test_keys_past_512_bits_are_usage_errors(store, tmp_path, capsys):
-    # keyed BLAKE2b takes at most 64 key bytes; a 1024-bit key was cut to
+    # the PRF takes at most 64 key bytes; a 1024-bit key was once cut to
     # its first 512 bits and the store audited as usual
     assert main(["setup", "--file", str(tmp_path / "input.bin"),
                  "--out", str(tmp_path / "wide"), "--lam", "1024"]) == 2

@@ -351,7 +351,8 @@ def test_spawn_cluster_blocks_and_tags_golden():
     # coefficients hashed here are those printed before that form existed,
     # from per-row combinations, when nodes stored each block's
     # coefficients too, so they are joined back from the manifest; the tags
-    # were restated when MAC vectors began to skip zero keystream symbols
+    # were restated when MAC vectors began to skip zero keystream symbols,
+    # and again when the keystream became keyed SHAKE256
     params = SystemParams(n=605, m=40, N=2, M=36, P=1, Q=1, ell=3, lambda_bits=80)
     data = np.random.default_rng(13).bytes(40 * 603 - 17)
     with mock.patch.object(field, "_four_russians", wraps=field._four_russians) as fr:
@@ -362,7 +363,7 @@ def test_spawn_cluster_blocks_and_tags_golden():
         rows = c.nodes[i].payload.rows
         h.update(np.hstack([rows[:, :params.n], c.manifest.node_coeffs[i]]).tobytes())
         h.update(rows[:, params.n:].tobytes())
-    assert h.hexdigest() == "1fc65aceec1a9cbe2a2985ecc6097a57c8d572d2de2b85c0de52468fb3dc8b98"
+    assert h.hexdigest() == "c0b14411df9a28a13a0209e4c3a90efcc9a7e7235570def3e8b555b69a1ddaa4"
 
 
 def test_gaussian_solve_unique():

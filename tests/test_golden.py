@@ -41,12 +41,12 @@ EVENODD = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
 CHURN = SystemParams(n=1024, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 
 PINNED = {
-    "setup": "05375759d52b8ff9f4ac12ed52e0e49e8e4ee1207cb596660ee073a714711bfa",
-    "audit": "809d8b1bd7ca5ddade19a8e413785c700c0521fa940ff639f74b218b483eb29d",
-    "extract": "f3282aea0e2b48903ae594b09bd5268fa6f8ba92e8e019e5dcc5c6581ccea425",
-    "repair": "b8ace661fa9950c5f0754255112cfc959166a7dc6c789d31f5c77d07c5993b21",
-    "dynamics": "1c75081808de0ebb41df97f3375713abe2a3b97eb77370dd0d976858b1eef5e1",
-    "cli": "0af98c835146ac39d5a59bac0faaf3223f7bb83e35c45d687372827f35436e9f",
+    "setup": "2fff06b1734736d86b2f42486696f35d9861877c775e49c6c893c3ad5b03745b",
+    "audit": "9a6f7f6938a94bdc7673b1417f8fc958e177c9f2de45b6dfd95f2056659101c2",
+    "extract": "901b6f72ea2b837fc234a844b8db560268cf047326b91572fba08ac5b1dc32a6",
+    "repair": "983a44081160d1372f715a392ec9e21583d83c9e0c6148a0f632e74a834dfd8b",
+    "dynamics": "677c3d759792fc5ebbb43480b6df4c0c881e0d8ec7e6b7574ff75a8fa4f0dacb",
+    "cli": "0b2c99752047cf830ff983c11cee2913d8a237882085b9eb6ae91ad289ef9cf4",
     "scenario": "7a29ce662da524a4200a9173534cbad2eaccaad09cc6a8ab889531bad14e8bc2",
 }
 

@@ -1,5 +1,6 @@
 """Golden vectors are frozen outputs of an independent plain-Python
-reimplementation of the keyed-BLAKE2b keystream (computed once, pinned)."""
+reimplementation of the keyed-SHAKE256 keystream, its framing built by hand
+(computed once, pinned)."""
 
 import hashlib
 import struct
@@ -13,27 +14,27 @@ from ncaudit import prf
 KEY = bytes(range(32))
 FID = b"golden-file"
 
-GOLDEN_PROD_F1 = [123, 219, 144, 50, 28, 37, 219, 157]
-GOLDEN_PROD_F3 = [168, 99, 186, 52, 240, 119]
-GOLDEN_PROD_F4 = [166, 128, 133, 47, 7, 80]
+GOLDEN_PROD_F1 = [116, 142, 24, 60, 52, 169, 168, 178]
+GOLDEN_PROD_F3 = [30, 78, 99, 236, 208, 107]
+GOLDEN_PROD_F4 = [83, 242, 150, 213, 140, 71]
 # the nonce of audit k = 7 at node 3 under an 80-bit counter
 NONCE_3_7 = struct.pack(">I", 3) + (7).to_bytes(10, "big")
-# production outputs past the first 64-byte hash chunk
+# production outputs past the first 136-byte block SHAKE256 squeezes
 GOLDEN_PROD_F3_NODE3_K7_W200 = bytes.fromhex(
-    "01183ed7d6ba83f83e6995ca5ea6152e3cb4987f4fe57a22557403294a49c787"
-    "4002535d9d6faa9e4212a0e93e060e8f88b964b6acced53d661d64b82af2fda7"
-    "1fbaf0a1da22173929d46603c25fd6bf6ce956eed72cd5141c67665740362706"
-    "dfb9ef05aab80ec488fe652137a207d714d22e9e5fceead585f1fd2be8c0532b"
-    "8ff0a1c867f03b0413019ddfdd71d0f9cf9b9bfd31b234a9f3ac32b548ea1e9a"
-    "52296ff9572e9e3d5a1886ae3e0956b648ebdb673d1caaaaa35f769399b7eb01"
-    "f197bce44f6f2c2a"
+    "ea537370674fb85ba06853560a0552ba1d424e535da0b75b9b3f5ef8da7d5921"
+    "6da2226463f25c92d214d9dde0176418f991db3fda9088de015d02f2030db1a7"
+    "256bb6b63eced66e4113021ce62e110285e7e418c722ddc993fc1061bc183e9c"
+    "14583d7ee42bb682d5713ff1ab8d62c88e803993dbdf189e8f57bc10cc53cd36"
+    "ead2cc13bb6d03cb01d9b801c0d46d102c6291e591fc5ad93dc9106941638101"
+    "de6036640a16c6acfe9640857564c2fdee78535720bffa498e1be59c5f7b7371"
+    "fcccfa9c868e418b"
 )
-GOLDEN_PROD_F1_KEY2_60_69 = [162, 146, 255, 102, 34, 35, 55, 236, 212, 32]
-GOLDEN_PROD_F4_NODE3_K7_60_69 = [198, 37, 210, 223, 178, 113, 56, 172, 216, 222]
-GOLDEN_PROD_F3_AT = {63: 222, 64: 80, 65: 196, 128: 205}
+GOLDEN_PROD_F1_KEY2_130_139 = [93, 251, 174, 202, 26, 14, 230, 114, 255, 11]
+GOLDEN_PROD_F4_NODE3_K7_130_139 = [25, 192, 79, 240, 142, 83, 7, 10, 89, 41]
+GOLDEN_PROD_F3_AT = {135: 19, 136: 1, 137: 251, 272: 4}
 # the 4094-symbol mask of the largest 80-bit counter at node 4095
 GOLDEN_PROD_F3_W4094_SHA256 = (
-    "f9d88e26fe17567444768013be60d627cc38b2c818753e9db415ab70d7efaaec"
+    "3b4417b9497e73ba33d9b2fd03e9a4c884760f23961fb43140fc99ea80703f43"
 )
 
 
@@ -44,13 +45,13 @@ def test_production_golden_vectors():
 
 
 def test_production_golden_vectors_across_chunks():
-    # ranges that start, end and cross 64-symbol hash chunk boundaries
+    # ranges that start, end and cross SHAKE256's 136-byte output blocks
     assert prf.derive_mask(KEY, FID, NONCE_3_7, 200).tobytes() \
         == GOLDEN_PROD_F3_NODE3_K7_W200
-    assert prf.eval_range(KEY, prf.F1, FID, (2,), 69)[59:].tolist() \
-        == GOLDEN_PROD_F1_KEY2_60_69
-    assert prf.eval_range(KEY, prf.F4, FID, (), 69, nonce=NONCE_3_7)[59:].tolist() \
-        == GOLDEN_PROD_F4_NODE3_K7_60_69
+    assert prf.eval_range(KEY, prf.F1, FID, (2,), 139)[129:].tolist() \
+        == GOLDEN_PROD_F1_KEY2_130_139
+    assert prf.eval_range(KEY, prf.F4, FID, (), 139, nonce=NONCE_3_7)[129:].tolist() \
+        == GOLDEN_PROD_F4_NODE3_K7_130_139
     for i, want in GOLDEN_PROD_F3_AT.items():
         assert prf.eval_range(KEY, prf.F3, FID, (), i, nonce=b"\xaa\xbb")[-1] == want
     nonce = struct.pack(">I", 4095) + (2**80 - 1).to_bytes(10, "big")
@@ -100,8 +101,8 @@ _DOMAINS = {prf.F1: ((2,), b""), prf.F3: ((), NONCE_3_7), prf.F4: ((), NONCE_3_7
 
 
 @settings(max_examples=80, deadline=None)
-@example(prf.F3, 63, 1)   # the first chunk exactly, then one symbol of the next
-@example(prf.F4, 127, 130)  # ends with a chunk; the longer range runs into three more
+@example(prf.F3, 136, 1)   # the first output block exactly, then one symbol of the next
+@example(prf.F4, 272, 130)  # ends with a block; the longer range runs into the next
 @given(st.sampled_from(sorted(_DOMAINS)), st.integers(1, 400), st.integers(0, 200))
 def test_eval_range_is_the_slice_of_a_longer_range(fn, count, after):
     # a range read alone equals the same symbols read at the head of a range
@@ -111,6 +112,23 @@ def test_eval_range_is_the_slice_of_a_longer_range(fn, count, after):
     part = prf.eval_range(KEY, fn, FID, head, count, nonce=nonce)
     assert part.dtype == np.uint8 and part.shape == (count,)
     assert np.array_equal(part, whole[:count])
+
+
+@settings(max_examples=120, deadline=None)
+@example(bytes(64), prf.F1, (1,), b"", 5000)
+@example(b"\x00", prf.F3, (), b"\x00", 1)
+@given(st.binary(min_size=1, max_size=64), st.sampled_from(sorted(_DOMAINS)),
+       st.lists(st.integers(1, 2**32 - 1), max_size=3), st.binary(min_size=1, max_size=20),
+       st.integers(1, 5000))
+def test_eval_range_is_shake256_of_the_framed_key_and_domain(key, fn, head, nonce, count):
+    # symbol i is output byte i - 1 of SHAKE256 over the key, framed by its
+    # length in one byte, then the domain
+    nonce = nonce if fn in prf.NONCED else b""
+    out = prf.eval_range(key, fn, FID, head, count, nonce=nonce)
+    want = hashlib.shake_256(bytes([len(key)]) + key
+                             + prf.encode_domain(fn, FID, head, nonce)).digest(count)
+    assert out.dtype == np.uint8 and out.flags.writeable
+    assert out.tobytes() == want
 
 
 def test_single_eval_matches_batch():

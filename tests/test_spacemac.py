@@ -134,11 +134,11 @@ def test_r_vector_skips_zero_keystream_symbols():
 def test_full_node_audit_catches_a_corruption_where_the_keystream_is_zero():
     # at one tag, most file keys have a data position whose F1 keystream
     # symbol is 0; were that r_1's symbol, a corruption there would pass
-    # every audit.  Seed 3's key has one at position 34.
+    # every audit.  Seed 3's key has one at position 56.
     params = SystemParams(n=64, m=4, N=4, M=2, P=3, Q=1, ell=1, lambda_bits=80)
     c = spawn_cluster(params, "evenodd4", bytes(range(100)), seed=3)
     stream = prf.derive_r_vector(c.user.keys.k_v, c.manifest.file_id.encode(), params.n)
     pos = int(np.flatnonzero(stream == 0)[0])
-    assert pos == 34
+    assert pos == 56
     c.inject_fault(2, Fault("corrupt_symbol", block=0, position=pos, delta=1))
     assert not any(c.run_audit_round(2, 2)[0] for _ in range(20))
