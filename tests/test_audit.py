@@ -225,6 +225,25 @@ def test_challenge_coefficients_nonzero(system, rng):
     assert alphas.min() >= 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_full_challenge_takes_every_row_and_draws_only_its_alphas(seed):
+    # the aggregate is a sum, so a full challenge takes rows 0..M-1 in order
+    # and draws no permutation of them; a partial one draws distinct rows
+    params = SystemParams(n=16, m=8, N=2, M=5, P=1, Q=5, ell=2, lambda_bits=80)
+    manifest = spawn_cluster(params, "random_functional", bytes(range(80)), seed).manifest
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    chal = audit.gen_challenge(manifest, 1, params.M, rng)
+    assert chal.indices.tolist() == list(range(params.M))
+    assert chal.alphas.min() >= 1
+    assert np.array_equal(chal.alphas, twin.integers(1, 256, params.M, dtype=np.uint8))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    for count in range(1, params.M):
+        chal = audit.gen_challenge(manifest, 1, count, rng)
+        assert len(set(chal.indices.tolist())) == count
+        assert np.array_equal(chal.indices, twin.choice(params.M, count, replace=False))
+        assert np.array_equal(chal.alphas, twin.integers(1, 256, count, dtype=np.uint8))
+
+
 def test_full_node_audit_catches_every_corruption(rng):
     # a zero coefficient would leave the corrupted block out of the aggregate;
     # the coefficient part is never sent, so only data symbols are corrupted

@@ -42,7 +42,7 @@ CHURN = SystemParams(n=1024, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 
 PINNED = {
     "setup": "2fff06b1734736d86b2f42486696f35d9861877c775e49c6c893c3ad5b03745b",
-    "audit": "9a6f7f6938a94bdc7673b1417f8fc958e177c9f2de45b6dfd95f2056659101c2",
+    "audit": "e4c7a15ccf4ca2edfc375c1e0f357a24ec1c74cf7b1797819519499aa77b543b",
     "extract": "901b6f72ea2b837fc234a844b8db560268cf047326b91572fba08ac5b1dc32a6",
     "repair": "983a44081160d1372f715a392ec9e21583d83c9e0c6148a0f632e74a834dfd8b",
     "dynamics": "677c3d759792fc5ebbb43480b6df4c0c881e0d8ec7e6b7574ff75a8fa4f0dacb",
