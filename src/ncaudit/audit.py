@@ -169,8 +169,8 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
 def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challenge:
     """count distinct block indices with uniformly random nonzero
     coefficients: a zero would leave its block unchecked.  A full challenge
-    takes rows 0..M-1 in order, as the aggregate is a sum and so has none,
-    and draws only its coefficients."""
+    takes rows 0..M-1 in order, since the aggregate is a sum and ignores
+    their order, and draws only its coefficients."""
     M = manifest.node_coeffs[node].shape[0]
     if not 1 <= count <= M:
         raise ValueError(f"challenge count must be in [1, {M}]")
