@@ -6,10 +6,13 @@ coefficients; response data reaches it masked, and the tag reaches it
 offset by a one-time voucher (see ncrypt).  Tags are linear, so the
 auditor takes the MAC of a proof's coefficient part from a per-node table
 of its stored rows' coefficient tags, which the caller holds (verify_proof).
+A challenge is a row count and a seed, which the auditor derives for audit
+k under k_v (gen_challenge) and both ends expand (Challenge.expand).
 """
 
 from __future__ import annotations
 
+import functools
 import secrets
 import struct
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from . import field, ncrypt, spacemac
+from . import field, ncrypt, prf, spacemac
 from .blocks import FileManifest, SystemParams, make_source_blocks
 # setup_file's encoding, under the name the benchmark traces as blocks.encode
 from .field import combine_rows as combine_blocks
@@ -38,59 +41,47 @@ def keygen(params: SystemParams, rng=None) -> KeyMaterial:
     return KeyMaterial(k_v=draw(nbytes), k_e=draw(nbytes))
 
 
-# one challenge entry on the wire: u32 BE block index, then alpha
-_ENTRY = np.dtype([("index", ">u4"), ("alpha", "u1")])
-
-
 @dataclass
 class Challenge:
-    """Distinct block indices of a node and one coefficient alpha for
-    each, as two arrays.  The wire form is u32 BE length of file id ||
-    file id || u32 BE entry count || per entry, u32 BE index || alpha."""
+    """count rows of a node to aggregate, and the seed that both ends
+    expand into them and their coefficients (expand).  The wire form is
+    u32 BE length of file id || file id || u32 BE count || seed, lambda/8
+    bytes."""
     file_id: str
-    indices: np.ndarray  # (C,) intp block indices, distinct, below 2^32
-    alphas: np.ndarray   # (C,) uint8
-    node: int = 0        # addressing; not part of the wire format
+    count: int
+    seed: bytes
+    node: int = 0  # addressing; not part of the wire format
 
-    def __post_init__(self):
-        indices, alphas = np.asarray(self.indices), np.asarray(self.alphas)
-        if indices.ndim != 1 or indices.shape != alphas.shape:
-            raise ValueError("challenge indices and alphas must be 1-D and of one length")
-        if not indices.size:
-            raise ValueError("challenge needs at least one entry")
-        if indices.dtype.kind not in "iu" or alphas.dtype.kind not in "iu":
-            raise ValueError("challenge indices and alphas must be integers")
-        ordered = np.sort(indices)
-        if ordered[0] < 0 or ordered[-1] >= 1 << 32:
-            raise ValueError("challenge indices must be integers in [0, 2^32)")
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("challenge indices must be distinct")
-        self.indices, self.alphas = indices.astype(np.intp), alphas.astype(np.uint8)
-        if (self.alphas != alphas).any():
-            raise ValueError("challenge alphas must be integers in [0, 256)")
+    def expand(self, M: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The challenged rows of a node of M rows and their coefficients,
+        from F2 keyed by the seed (prf): all rows in order when count == M,
+        as the aggregate is a sum, else the count rows of least u32 rank;
+        the first count nonzero symbols, as a zero would leave its row
+        unchecked.  ValueError unless 1 <= count <= M."""
+        if not 1 <= self.count <= M:
+            raise ValueError(f"challenge count {self.count} outside [1, {M}]")
+        stream = functools.partial(prf.eval_range, self.seed, prf.F2, self.file_id.encode(),
+                                   nonce=struct.pack(">I", self.node))
+        indices = np.arange(M) if self.count == M else np.argsort(
+            stream((1,), 4 * M).view(">u4"), kind="stable")[:self.count]
+        return indices, prf.nonzero_symbols(functools.partial(stream, (2,)), self.count)
 
     def to_bytes(self) -> bytes:
         fid = self.file_id.encode()
-        records = np.empty(self.indices.size, dtype=_ENTRY)
-        records["index"], records["alpha"] = self.indices, self.alphas
-        return (struct.pack(">I", len(fid)) + fid + struct.pack(">I", records.size)
-                + records.tobytes())
+        return struct.pack(">I", len(fid)) + fid + struct.pack(">I", self.count) + self.seed
 
     @classmethod
-    def from_bytes(cls, raw: bytes, node: int = 0) -> "Challenge":
-        """Parse the wire format; ValueError on truncated or trailing bytes."""
+    def from_bytes(cls, raw: bytes, params: SystemParams, node: int = 0) -> "Challenge":
+        """Parse the wire format; ValueError unless raw has exactly the
+        length its file id and params imply."""
         if len(raw) < 4:
             raise ValueError("truncated challenge")
         (flen,) = struct.unpack_from(">I", raw)
-        if len(raw) < 8 + flen:
-            raise ValueError("truncated challenge")
-        fid = raw[4: 4 + flen].decode()
+        if len(raw) != 8 + flen + params.lambda_bits // 8:
+            raise ValueError(f"challenge needs {8 + flen + params.lambda_bits // 8} bytes, "
+                             f"got {len(raw)}")
         (count,) = struct.unpack_from(">I", raw, 4 + flen)
-        if len(raw) != 8 + flen + _ENTRY.itemsize * count:
-            raise ValueError(f"challenge of {count} entries needs "
-                             f"{8 + flen + _ENTRY.itemsize * count} bytes, got {len(raw)}")
-        records = np.frombuffer(raw, dtype=_ENTRY, offset=8 + flen)
-        return cls(fid, records["index"], records["alpha"], node)
+        return cls(raw[4:4 + flen].decode(), count, raw[8 + flen:], node)
 
 
 @dataclass
@@ -166,17 +157,17 @@ def setup_file(file_bytes: bytes, params: SystemParams, keys: KeyMaterial,
     return manifest, payloads
 
 
-def gen_challenge(manifest: FileManifest, node: int, count: int, rng) -> Challenge:
-    """count distinct block indices with uniformly random nonzero
-    coefficients: a zero would leave its block unchecked.  A full challenge
-    takes rows 0..M-1 in order, since the aggregate is a sum and ignores
-    their order, and draws only its coefficients."""
-    M = manifest.node_coeffs[node].shape[0]
+def gen_challenge(k_v: bytes, manifest: FileManifest, node: int, count: int,
+                  k: int) -> Challenge:
+    """Audit k's challenge of count rows of a node.  Its seed is F2 under
+    k_v at the audit's nonce (node, k), so the user, who issues voucher k,
+    can derive it too.  ValueError unless 1 <= count <= the node's rows."""
+    M, params = manifest.node_coeffs[node].shape[0], manifest.params
     if not 1 <= count <= M:
         raise ValueError(f"challenge count must be in [1, {M}]")
-    indices = np.arange(M) if count == M else rng.choice(M, size=count, replace=False)
-    alphas = rng.integers(1, 256, size=count, dtype=np.uint8)
-    return Challenge(manifest.file_id, indices, alphas, node)
+    seed = prf.eval_range(k_v, prf.F2, manifest.file_id.encode(), (), params.lambda_bits // 8,
+                          nonce=ncrypt.nonce(node, k, params))
+    return Challenge(manifest.file_id, count, seed.tobytes(), node)
 
 
 def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
@@ -188,11 +179,12 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
     mask and offset the tag by the voucher, which costs no multiplication.
 
     The coefficient part is neither stored nor transmitted: the auditor
-    knows it from its own records.  ValueError on a challenge index
-    outside the store (field.combine_rows's check).
+    knows it from its own records.  The challenge is expanded at the
+    store's own row count; ValueError if it counts more rows.
     """
     n = params.n
-    agg = field.combine_rows(chal.alphas, rows, chal.indices)
+    indices, alphas = chal.expand(rows.shape[0])
+    agg = field.combine_rows(alphas, rows, indices)
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
@@ -260,7 +252,8 @@ def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
 def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof, tags: Dict[int, tuple]) -> Tuple[bool, VerifyStats]:
     """Strip the voucher pad of the proof's k and check verify_block's
-    equation for the row [c_bar, pad, alpha·C[indices]] by its parts: the
+    equation for the row [c_bar, pad, alpha·C[indices]], the challenge
+    expanded at the node's rows in the manifest, by its parts: the
     MAC of the n data symbols and the alpha-combination of the node's
     coefficient tags (_coeff_tag_table, held in the caller's tags across
     verifies).  Whether k was issued to the node and is unused is the
@@ -277,7 +270,8 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     r = spacemac.r_matrix(k_v, fid, ell, n + params.m)
     table = _coeff_tag_table(k_v, manifest, chal.node, tags)
     tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad]), r[:, :n].T)
-    tag ^= field.combine_rows(chal.alphas, table, chal.indices)
+    indices, alphas = chal.expand(table.shape[0])
+    tag ^= field.combine_rows(alphas, table, indices)
     s_k = ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
     ok = bool((tag == proof.tag ^ s_k).all())
     stats.mults = field.counter.value - before

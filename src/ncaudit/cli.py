@@ -150,8 +150,8 @@ class _StoreTpa(Tpa):
     """The TPA of a store: each counter it spends is on disk before its
     verdict is out."""
 
-    def __init__(self, k_v: bytes, manifest: FileManifest, rng, root: Path):
-        super().__init__(k_v, manifest, rng)
+    def __init__(self, k_v: bytes, manifest: FileManifest, root: Path):
+        super().__init__(k_v, manifest)
         self.root = root
         self.last_spent = _load_counters(root / "tpa.json", manifest, 0)
 
@@ -174,7 +174,7 @@ def _open_cluster(args) -> Cluster:
     user = _StoreUser(keys, root)
     user.next_k = _load_counters(root / "vouchers.json", manifest, 1)
     cluster = Cluster(manifest, user, payloads, rng)
-    cluster.tpa = _StoreTpa(keys.k_v, manifest, cluster.tpa.rng, root)
+    cluster.tpa = _StoreTpa(keys.k_v, manifest, root)
     return cluster
 
 

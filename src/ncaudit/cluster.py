@@ -148,17 +148,17 @@ class Tpa:
     the last k it spent, the last k the user announced and the table of its
     rows' coefficient tags (audit.verify_proof)."""
 
-    def __init__(self, k_v: bytes, manifest: FileManifest, rng):
+    def __init__(self, k_v: bytes, manifest: FileManifest):
         self._k_v = k_v
         self.manifest = manifest
-        self.rng = rng
         self.ledger = ByteLedger()
         self.last_spent: Dict[int, int] = {}
         self.issued_upto: Dict[int, int] = {}
         self.coeff_tags: Dict[int, tuple] = {}
 
-    def challenge(self, node: int, count: int) -> Challenge:
-        return audit.gen_challenge(self.manifest, node, count, self.rng)
+    def challenge(self, node: int, count: int, k: int) -> Challenge:
+        """Audit k's challenge of count rows of the node."""
+        return audit.gen_challenge(self._k_v, self.manifest, node, count, k)
 
     def expect(self, node: int, k: int) -> None:
         """The user's notice that vouchers up to k were issued to node;
@@ -204,37 +204,40 @@ class Cluster:
             node_id: Node(payload, manifest.params,
                           np.random.default_rng(rng.integers(2**63)))
             for node_id, payload in payloads.items()}
-        self.tpa = Tpa(user.keys.k_v, manifest,
-                       np.random.default_rng(rng.integers(2**63)))
+        self.tpa = Tpa(user.keys.k_v, manifest)
         self.rng = rng
 
     # -- protocol steps ------------------------------------------------
-    def exchange(self, chal: Challenge) -> Tuple[bool, Optional[Proof], ncrypt.Voucher, int]:
-        """The TPA's challenge to a node, the user's next voucher for it (k
-        announced to the TPA), the node's answer on the wire and the TPA's
-        verdict: (accepted, proof, voucher, bytes the node sent).  An answer
-        the node cannot give, the TPA cannot parse, or under another
-        voucher is rejected; proof is None for the first two."""
-        node = self.nodes[chal.node]
-        self.tpa.ledger.charge(node.ledger, "control_bytes", len(chal.to_bytes()))
-        voucher = self.user.issue(self.manifest, chal.node)
-        self.tpa.expect(chal.node, voucher.k)
+    def exchange(self, node: int, count: int, seed: Optional[bytes] = None
+                 ) -> Tuple[bool, Optional[Proof], ncrypt.Voucher, int]:
+        """The user's next voucher for a node (k announced to the TPA), the
+        TPA's challenge of count of its rows, under seed if given, else
+        audit k's own, the node's answer on the wire and the TPA's verdict:
+        (accepted, proof, voucher, bytes the node sent).  An answer the node
+        cannot give, the TPA cannot parse, or under another voucher is
+        rejected; proof is None for the first two."""
+        target = self.nodes[node]
+        voucher = self.user.issue(self.manifest, node)
+        self.tpa.expect(node, voucher.k)
         k_bytes = self.manifest.params.lambda_bits // 8
-        self.user.ledger.charge(node.ledger, "voucher_bytes", k_bytes + voucher.value.size)
+        self.user.ledger.charge(target.ledger, "voucher_bytes", k_bytes + voucher.value.size)
         self.user.ledger.charge(self.tpa.ledger, "voucher_bytes", k_bytes)
+        chal = (self.tpa.challenge(node, count, voucher.k) if seed is None
+                else Challenge(self.manifest.file_id, count, seed, node))
+        self.tpa.ledger.charge(target.ledger, "control_bytes", len(chal.to_bytes()))
         raw, proof = b"", None
         try:
-            raw = node.answer(chal, voucher).to_bytes()
+            raw = target.answer(chal, voucher).to_bytes()
             proof = Proof.from_bytes(raw, self.manifest.params)
-        except ValueError:  # a challenged row it no longer stores, or a wrong length
+        except ValueError:  # more rows than it stores, or a wrong length
             pass
-        node.ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
+        target.ledger.charge(self.tpa.ledger, "proof_bytes", len(raw))
         accepted = (proof is not None and proof.k == voucher.k
                     and self.tpa.verify(chal, proof)[0])
         return accepted, proof, voucher, len(raw)
 
     def run_audit_round(self, node: int, count: int) -> Tuple[bool, dict]:
-        accepted, _, _, sent = self.exchange(self.tpa.challenge(node, count))
+        accepted, _, _, sent = self.exchange(node, count)
         return accepted, {"event": "audit", "node": node, "count": count,
                           "accepted": accepted, "proof_bytes": sent}
 

@@ -39,7 +39,8 @@ class ExtractionReport:
 
 def extract_node(cluster, node: int, rng) -> ExtractionReport:
     """Rebuild all M blocks stored at `node` of a cluster.Cluster, with
-    their tags, from audit exchanges; `rng` draws the equations.
+    their tags, from audit exchanges; `rng` draws each equation's seed, a
+    full challenge whose coefficients are the equation's.
 
     An equation is settled by two equal accepted answers in a row; past
     EXTRA_BUDGET * 2M answers that are rejected or unlike the accepted
@@ -53,14 +54,11 @@ def extract_node(cluster, node: int, rng) -> ExtractionReport:
     queries, discarded, result = 0, 0, None
 
     while result is None or result.status == "rank_deficient":
-        alphas = rng.integers(0, 256, size=M, dtype=np.uint8)
-        live = np.flatnonzero(alphas)
-        if not live.size:
-            continue
-        chal = Challenge(manifest.file_id, live, alphas[live], node)
+        seed = rng.bytes(manifest.params.lambda_bits // 8)
+        alphas = Challenge(manifest.file_id, M, seed, node).expand(M)[1]
         previous = None
         while True:
-            accepted, proof, voucher, _ = cluster.exchange(chal)
+            accepted, proof, voucher, _ = cluster.exchange(node, M, seed)
             queries += 1
             discarded += not accepted
             if accepted:

@@ -36,7 +36,7 @@ class Voucher:
     value: np.ndarray
 
 
-def _nonce(node: int, k: int, params) -> bytes:
+def nonce(node: int, k: int, params) -> bytes:
     """The PRF nonce of audit k at a node: u32 BE node id || k as on the wire."""
     if not 1 <= k < 1 << params.lambda_bits:
         raise ValueError(f"audit counter {k} outside 1..2^{params.lambda_bits}-1")
@@ -45,12 +45,12 @@ def _nonce(node: int, k: int, params) -> bytes:
 
 def mask_for_nonce(k_e: bytes, file_id: bytes, node: int, k: int, params) -> np.ndarray:
     """The mask m_k of audit k at a node, n-2 symbols."""
-    return prf.derive_mask(k_e, file_id, _nonce(node, k, params), params.n - 2)
+    return prf.derive_mask(k_e, file_id, nonce(node, k, params), params.n - 2)
 
 
 def voucher_pad(k_v: bytes, file_id: bytes, node: int, k: int, params) -> np.ndarray:
     """The pad s_k that the auditor strips from tau, ell symbols."""
-    return prf.derive_pad(k_v, file_id, _nonce(node, k, params), params.ell)
+    return prf.derive_pad(k_v, file_id, nonce(node, k, params), params.ell)
 
 
 def setup(k_e: bytes, k_v: bytes, file_id: bytes, node: int, k: int,

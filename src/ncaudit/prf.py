@@ -1,13 +1,15 @@
 """The three keyed pseudorandom functions used by the protocol.
 
-F1 (under k_v) derives the MAC vectors r_j, F3 (under k_e) the mask of one
-audit and F4 (under k_v) the one-time pad of that audit's voucher; an
-audit's nonce names the node and the audit counter k.  Function id 2 is
-not used.  Domains are separated by an injective byte encoding:
+F1 (under k_v) derives the MAC vectors r_j, F2 (under k_v) the seed of
+one audit's challenge, F3 (under k_e) the mask of that audit and F4 (under
+k_v) the one-time pad of its voucher; an audit's nonce names the node and
+the audit counter k.  Keyed by the seed, F2 at the node's u32 BE id and
+head index 1 or 2 expands the challenge (audit.Challenge.expand).  Domains
+are separated by an injective byte encoding:
 
     function id (1 byte)
     || u32 BE length of file id || file id
-    || [u32 BE length of nonce || nonce]      (F3 and F4 only)
+    || [u32 BE length of nonce || nonce]      (F2, F3 and F4 only)
     || u32 BE per head index
 
 The keystream is SHAKE256 keyed by prefix, a keyed sponge and so a PRF
@@ -29,19 +31,19 @@ import struct
 
 import numpy as np
 
-F1, F3, F4 = 1, 3, 4
-NONCED = (F3, F4)
+F1, F2, F3, F4 = 1, 2, 3, 4
+NONCED = (F2, F3, F4)
 MAX_KEY_BYTES = 64
 
 
 def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes:
     """Injective encoding of a PRF domain point, or of its leading indices;
-    ValueError on an unknown function, a nonce missing for F3 or F4 or given
-    to F1, or an index below 1."""
+    ValueError on an unknown function, a nonce missing for F2, F3 or F4 or
+    given to F1, or an index below 1."""
     if fn not in (F1, *NONCED):
         raise ValueError(f"unknown PRF function id {fn}")
     if (fn in NONCED) != bool(nonce):
-        raise ValueError("F3 and F4 need a nonce, and only they carry one")
+        raise ValueError("F2, F3 and F4 need a nonce, and only they carry one")
     if any(i < 1 for i in indices):
         raise ValueError("PRF indices must be >= 1")
     parts = [bytes([fn]), struct.pack(">I", len(file_id)), file_id]
@@ -63,6 +65,18 @@ def eval_range(key: bytes, fn: int, file_id: bytes, head_indices, count: int,
     sponge = hashlib.shake_256(bytes([len(key)]) + key
                                + encode_domain(fn, file_id, head_indices, nonce))
     return np.frombuffer(bytearray(sponge.digest(count)), dtype=np.uint8)
+
+
+def nonzero_symbols(derive, count: int) -> np.ndarray:
+    """The first count nonzero symbols of the prefix-stable range that
+    derive(length) reads, doubling length until they are in it."""
+    drawn = count + count // 64 + 64  # one keystream symbol in 256 is zero
+    while True:
+        stream = derive(drawn)
+        stream = stream[stream != 0]
+        if stream.shape[0] >= count:
+            return stream[:count]
+        drawn *= 2
 
 
 def derive_r_vector(k_v: bytes, file_id: bytes, length: int, key_index: int = 1) -> np.ndarray:

@@ -21,22 +21,11 @@ from . import field, prf
 R_CACHE_SIZE = 8
 
 
-def _nonzero_keystream(k_v: bytes, file_id: bytes, length: int, key_index: int) -> np.ndarray:
-    """The first `length` nonzero symbols of r_j's F1 keystream."""
-    drawn = length + length // 64 + 64  # one keystream symbol in 256 is zero
-    while True:
-        stream = prf.derive_r_vector(k_v, file_id, drawn, key_index)
-        stream = stream[stream != 0]
-        if stream.shape[0] >= length:
-            return stream[:length]
-        drawn *= 2
-
-
 @functools.lru_cache(maxsize=R_CACHE_SIZE)
 def _r_matrix(k_v: bytes, file_id: bytes, count: int, length: int) -> np.ndarray:
     """r_1..r_count as the rows of one read-only (count, length) matrix."""
-    stack = np.stack([_nonzero_keystream(k_v, file_id, length, j)
-                      for j in range(1, count + 1)])
+    stack = np.stack([prf.nonzero_symbols(functools.partial(
+        prf.derive_r_vector, k_v, file_id, key_index=j), length) for j in range(1, count + 1)])
     stack.flags.writeable = False
     return stack
 

@@ -89,15 +89,11 @@ def _detection_batch(params, keys, manifest, payloads, trials, rng):
     fid = manifest.file_id.encode()
     for k in range(1, trials + 1):
         node = int(rng.integers(4))
-        # the corrupted block must actually enter the aggregate: a zero
-        # coefficient would make acceptance correct rather than a miss
-        while True:
-            chal = audit.gen_challenge(manifest, node, 2, rng)
-            live = chal.indices[chal.alphas != 0].tolist()
-            if live:
-                break
+        # a full challenge: the corrupted block enters the aggregate with a
+        # nonzero coefficient, so an acceptance is a miss
+        chal = audit.gen_challenge(keys.k_v, manifest, node, 2, k)
         p = payloads[node]
-        target = live[int(rng.integers(len(live)))]
+        target = int(rng.integers(2))
         pos = int(rng.integers(params.n))
         delta = int(rng.integers(1, 256))
         p.rows[target, pos] ^= delta             # corrupt one data symbol
@@ -214,10 +210,9 @@ def paper_cluster():
 def _full_node_challenge(c, node=0, count=None):
     # the round's first half, up to the node: a challenge of all C blocks,
     # or of count of them, and a voucher the TPA expects
-    chal = c.tpa.challenge(node, count or c.manifest.params.M)
     voucher = c.user.issue(c.manifest, node)
     c.tpa.expect(node, voucher.k)
-    return chal, voucher
+    return c.tpa.challenge(node, count or c.manifest.params.M, voucher.k), voucher
 
 
 def test_criterion_07_cost_formulas(paper_cluster):
@@ -384,12 +379,13 @@ def test_criterion_11_dynamics():
     # distinguish stale from fresh; audit until 1000 rounds sample it
     rejected = rounds = 0
     while rounds < 1000:
-        chal = c2.tpa.challenge(stale, 2)
-        aug = field.combine_rows(chal.alphas, c2.manifest.node_coeffs[stale], chal.indices)
+        accepted_k, _, voucher, _ = c2.exchange(stale, 2)
+        indices, alphas = c2.tpa.challenge(stale, 2, voucher.k).expand(2)
+        aug = field.combine_rows(alphas, c2.manifest.node_coeffs[stale], indices)
         if not aug[1]:
             continue
         rounds += 1
-        rejected += not c2.exchange(chal)[0]
+        rejected += not accepted_k
     assert accepted == 1000
     assert rejected == 1000
 

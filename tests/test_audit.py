@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ncaudit import audit, dynamics, field, ncrypt, spacemac
+from ncaudit import audit, dynamics, field, ncrypt, prf, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import EVENODD4, Fault, Node, spawn_cluster
@@ -17,6 +20,15 @@ def _voucher(keys, manifest, chal):
     """A fresh voucher for the challenged node, as the user issues it."""
     return ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), chal.node,
                         next(_COUNTER), manifest.params)
+
+
+def _audit(keys, manifest, node, count):
+    """Audit k's challenge of count rows of a node, as the TPA derives it,
+    and voucher k, as the user issues it, for a fresh k."""
+    k = next(_COUNTER)
+    return (audit.gen_challenge(keys.k_v, manifest, node, count, k),
+            ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), node, k,
+                         manifest.params))
 
 
 @pytest.fixture
@@ -40,12 +52,11 @@ def test_honest_round_accepts(system, rng):
     keys, manifest, payloads = system
     tags = {}
     for node in range(4):
-        chal = audit.gen_challenge(manifest, node, 2, rng)
-        p = payloads[node]
-        proof = audit.gen_proof(p.rows, chal, keys.k_e,
-                                _voucher(keys, manifest, chal), PARAMS)
-        ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
-        assert ok
+        for count in (1, 2):
+            chal, voucher = _audit(keys, manifest, node, count)
+            proof = audit.gen_proof(payloads[node].rows, chal, keys.k_e, voucher, PARAMS)
+            ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
+            assert ok
 
 
 def test_corrupted_block_rejected(system, rng):
@@ -54,8 +65,7 @@ def test_corrupted_block_rejected(system, rng):
     p.rows[0, 3] ^= 0x40
     rejections, tags = 0, {}
     for _ in range(50):
-        chal = Challenge(manifest.file_id, [0, 1], [int(rng.integers(1, 256)),
-                                                    int(rng.integers(1, 256))], 1)
+        chal = Challenge(manifest.file_id, 2, rng.bytes(10), 1)
         proof = audit.gen_proof(p.rows, chal, keys.k_e,
                                 _voucher(keys, manifest, chal), PARAMS)
         ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, tags)
@@ -66,10 +76,8 @@ def test_corrupted_block_rejected(system, rng):
 def test_wrong_coefficients_rejected(system, rng):
     # proof is honest but the auditor's records disagree -> reject
     keys, manifest, payloads = system
-    chal = audit.gen_challenge(manifest, 2, 2, rng)
-    p = payloads[2]
-    proof = audit.gen_proof(p.rows, chal, keys.k_e,
-                            _voucher(keys, manifest, chal), PARAMS)
+    chal, voucher = _audit(keys, manifest, 2, 2)
+    proof = audit.gen_proof(payloads[2].rows, chal, keys.k_e, voucher, PARAMS)
     manifest.node_coeffs[2] = manifest.node_coeffs[2].copy()
     manifest.node_coeffs[2][0, 0] ^= 1
     ok, _ = audit.verify_proof(keys.k_v, manifest, chal, proof, {})
@@ -83,7 +91,7 @@ def test_gen_proof_deleted_block_rejected(system, rng):
     node.apply_fault(Fault("delete_block", block=1))
     rejected, tags = 0, {}
     for _ in range(20):
-        chal = Challenge(manifest.file_id, [0, 1], [5, int(rng.integers(1, 256))], 0)
+        chal = Challenge(manifest.file_id, 2, rng.bytes(10), 0)
         proof = node.answer(chal, _voucher(keys, manifest, chal))
         rejected += not audit.verify_proof(keys.k_v, manifest, chal, proof, tags)[0]
     assert rejected == 20
@@ -91,71 +99,44 @@ def test_gen_proof_deleted_block_rejected(system, rng):
 
 @pytest.mark.parametrize("index", [2, 99, 2**32 - 1])
 def test_gen_proof_rejects_index_outside_store(system, rng, index):
+    # a full challenge of index + 1 rows would take row index, outside the
+    # node's 2; a node that holds fewer rows than the manifest refuses a
+    # full challenge of the manifest's rows the same way
     keys, manifest, payloads = system
     p = payloads[0]
-    chal = Challenge(manifest.file_id, [0, index], [5, 7], 0)
-    with pytest.raises(ValueError, match="index outside the 2 rows"):
+    chal = Challenge(manifest.file_id, index + 1, rng.bytes(10), 0)
+    with pytest.raises(ValueError, match=rf"count {index + 1} outside \[1, 2\]"):
         audit.gen_proof(p.rows, chal, keys.k_e,
+                        _voucher(keys, manifest, chal), PARAMS)
+    chal = Challenge(manifest.file_id, 2, rng.bytes(10), 0)
+    with pytest.raises(ValueError, match=r"count 2 outside \[1, 1\]"):
+        audit.gen_proof(p.rows[:1], chal, keys.k_e,
                         _voucher(keys, manifest, chal), PARAMS)
 
 
 def _same_challenge(a, b):
-    return (a.file_id == b.file_id and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.alphas, b.alphas))
+    return (a.file_id, a.count, a.seed) == (b.file_id, b.count, b.seed)
 
 
 def test_challenge_wire_roundtrip():
-    chal = Challenge("some-file", [3, 0, 7], [200, 1, 255], node=2)
-    back = Challenge.from_bytes(chal.to_bytes(), node=2)
+    chal = Challenge("some-file", 3, bytes(range(10)), node=2)
+    back = Challenge.from_bytes(chal.to_bytes(), PARAMS, node=2)
     assert _same_challenge(back, chal) and back.node == 2
 
 
 def test_challenge_wire_golden():
-    # the bytes the struct-packed (>I, >IB records) encoding gave
-    chal = Challenge("some-file", [3, 0, 7, 2**32 - 1, 65536], [200, 1, 255, 0, 17])
+    # u32 BE file id length, file id, u32 BE count, the lambda/8-byte seed:
+    # 8 + |file id| + lambda/8 bytes whatever the count
+    chal = Challenge("some-file", 300, bytes.fromhex("00112233445566778899"))
     assert chal.to_bytes().hex() == (
-        "00000009736f6d652d66696c6500000005"
-        "00000003c8" "0000000001" "00000007ff" "ffffffff00" "0001000011")
-
-
-def test_challenge_rejects_duplicates():
-    with pytest.raises(ValueError, match="distinct"):
-        Challenge("f", [1, 1], [2, 3])
-    with pytest.raises(ValueError, match="distinct"):
-        Challenge("f", [5, 0, 9, 0], [1, 1, 1, 1])
-    with pytest.raises(ValueError, match="at least one"):
-        Challenge("f", [], [])
-
-
-@pytest.mark.parametrize("indices, alphas", [
-    pytest.param([2**32], [1], id="index-2^32"),
-    pytest.param([-1], [3], id="negative-index"),
-    pytest.param([2**64], [1], id="index-2^64"),
-    pytest.param([1.0], [1], id="float-index"),
-    pytest.param([1], [256], id="alpha-256"),
-    pytest.param([0, 1], [1, -1], id="negative-alpha"),
-    pytest.param([1], [True], id="bool-alpha"),
-])
-def test_challenge_rejects_entries_outside_the_wire_range(indices, alphas):
-    # each used to construct and then fail in to_bytes with struct.error
-    with pytest.raises(ValueError, match="must be integers"):
-        Challenge("f", indices, alphas)
-
-
-@pytest.mark.parametrize("indices, alphas", [
-    ([1, 2], [1]), ([1], [1, 2]), ([[1, 2]], [[1, 2]]), (3, 4),
-])
-def test_challenge_rejects_mismatched_or_non_1d_arrays(indices, alphas):
-    with pytest.raises(ValueError, match="1-D and of one length"):
-        Challenge("f", np.array(indices), np.array(alphas))
+        "00000009" "736f6d652d66696c65" "0000012c" "00112233445566778899")
+    assert len(Challenge("some-file", 2**32 - 1, bytes(10)).to_bytes()) == 8 + 9 + 10
 
 
 def test_proof_wire_roundtrip(system, rng):
     keys, manifest, payloads = system
-    chal = audit.gen_challenge(manifest, 3, 2, rng)
-    p = payloads[3]
-    proof = audit.gen_proof(p.rows, chal, keys.k_e,
-                            _voucher(keys, manifest, chal), PARAMS)
+    chal, voucher = _audit(keys, manifest, 3, 2)
+    proof = audit.gen_proof(payloads[3].rows, chal, keys.k_e, voucher, PARAMS)
     raw = proof.to_bytes()
     # data, counter k, two padding symbols, tag symbols
     assert len(raw) == (32 - 2) + 10 + 2 + 2
@@ -167,9 +148,8 @@ def test_proof_wire_roundtrip(system, rng):
 def test_multiplication_counts(system, rng):
     keys, manifest, payloads = system
     n, m, ell, C = PARAMS.n, PARAMS.m, PARAMS.ell, 2
-    chal = audit.gen_challenge(manifest, 0, C, rng)
+    chal, voucher = _audit(keys, manifest, 0, C)
     p = payloads[0]
-    voucher = _voucher(keys, manifest, chal)
     with field.counter:
         proof = audit.gen_proof(p.rows, chal, keys.k_e, voucher, PARAMS)
         total = field.counter.value
@@ -192,9 +172,10 @@ def test_proof_privacy(system, rng):
     # c_bar and public values, not the plain aggregate's tag
     keys, manifest, payloads = system
     p = payloads[0]
-    chal = Challenge(manifest.file_id, [0], [9], 0)
-    plain = field.vec_scale(9, np.concatenate([p.rows[0, :PARAMS.n],
-                                            manifest.node_coeffs[0][0]]))
+    chal = Challenge(manifest.file_id, 1, rng.bytes(10), 0)
+    (index,), (alpha,) = chal.expand(2)
+    plain = field.vec_scale(int(alpha), np.concatenate([p.rows[index, :PARAMS.n],
+                                                     manifest.node_coeffs[0][index]]))
     voucher = _voucher(keys, manifest, chal)
     proof = audit.gen_proof(p.rows, chal, keys.k_e, voucher, PARAMS)
     fid = manifest.file_id.encode()
@@ -218,30 +199,49 @@ def test_unseeded_keygen_leaves_generator_untouched(rng):
     assert (seeded.k_v, seeded.k_e) == (twin.bytes(10), twin.bytes(10))
 
 
-def test_challenge_coefficients_nonzero(system, rng):
+def test_challenge_coefficients_nonzero(system):
     keys, manifest, payloads = system
-    alphas = np.concatenate([audit.gen_challenge(manifest, 0, 2, rng).alphas
-                             for _ in range(2000)])
-    assert alphas.min() >= 1
+    alphas = np.concatenate([audit.gen_challenge(keys.k_v, manifest, 0, count, k).expand(2)[1]
+                             for k in range(1, 2001) for count in (1, 2)])
+    assert alphas.size == 6000 and alphas.min() >= 1
+
+
+def test_audit_k_seed_is_f2_under_k_v_at_the_node_and_k(system):
+    # SHAKE256 over u8 len(k_v) || k_v || the F2 domain at the audit's nonce,
+    # u32 BE node id || k as lambda/8 bytes BE, built by hand: the user, who
+    # holds k_v and issues voucher k, derives each audit's challenge too
+    keys, manifest, payloads = system
+    fid = manifest.file_id.encode()
+    seeds = set()
+    for node, k in itertools.product(range(4), (1, 2, 2**80 - 1)):
+        nonce = struct.pack(">I", node) + k.to_bytes(10, "big")
+        want = hashlib.shake_256(bytes([len(keys.k_v)]) + keys.k_v + bytes([2])
+                                 + struct.pack(">I", len(fid)) + fid
+                                 + struct.pack(">I", len(nonce)) + nonce).digest(10)
+        chal = audit.gen_challenge(keys.k_v, manifest, node, 1, k)
+        assert (chal.file_id, chal.count, chal.seed, chal.node) == (manifest.file_id, 1,
+                                                                    want, node)
+        seeds.add(chal.seed)
+    assert len(seeds) == 12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_full_challenge_takes_every_row_and_draws_only_its_alphas(seed):
     # the aggregate is a sum, so a full challenge takes rows 0..M-1 in order
-    # and draws no permutation of them; a partial one draws distinct rows
+    # and reads only its coefficients' range, no ranks; a partial one under
+    # the same seed takes distinct rows and a prefix of those coefficients
     params = SystemParams(n=16, m=8, N=2, M=5, P=1, Q=5, ell=2, lambda_bits=80)
-    manifest = spawn_cluster(params, "random_functional", bytes(range(80)), seed).manifest
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    chal = audit.gen_challenge(manifest, 1, params.M, rng)
-    assert chal.indices.tolist() == list(range(params.M))
-    assert chal.alphas.min() >= 1
-    assert np.array_equal(chal.alphas, twin.integers(1, 256, params.M, dtype=np.uint8))
-    assert rng.bit_generator.state == twin.bit_generator.state
+    c = spawn_cluster(params, "random_functional", bytes(range(80)), seed)
+    chal = audit.gen_challenge(c.user.keys.k_v, c.manifest, 1, params.M, 1)
+    with mock.patch.object(prf, "eval_range", wraps=prf.eval_range) as read:
+        indices, alphas = chal.expand(params.M)
+    assert indices.tolist() == list(range(params.M))
+    assert alphas.min() >= 1
+    assert [call.args[3] for call in read.call_args_list] == [(2,)]
     for count in range(1, params.M):
-        chal = audit.gen_challenge(manifest, 1, count, rng)
-        assert len(set(chal.indices.tolist())) == count
-        assert np.array_equal(chal.indices, twin.choice(params.M, count, replace=False))
-        assert np.array_equal(chal.alphas, twin.integers(1, 256, count, dtype=np.uint8))
+        rows, head = Challenge(chal.file_id, count, chal.seed, 1).expand(params.M)
+        assert len(set(rows.tolist())) == count and rows.max() < params.M
+        assert np.array_equal(head, alphas[:count])
 
 
 def test_full_node_audit_catches_every_corruption(rng):
@@ -256,20 +256,17 @@ def test_full_node_audit_catches_every_corruption(rng):
         block, pos = int(rng.integers(2)), int(rng.integers(params.n))
         delta = int(rng.integers(1, 256))
         p.rows[block, pos] ^= delta
-        chal = audit.gen_challenge(manifest, 2, 2, rng)
-        proof = audit.gen_proof(p.rows, chal, keys.k_e,
-                                _voucher(keys, manifest, chal), params)
+        chal, voucher = _audit(keys, manifest, 2, 2)
+        proof = audit.gen_proof(p.rows, chal, keys.k_e, voucher, params)
         p.rows[block, pos] ^= delta
         assert not audit.verify_proof(keys.k_v, manifest, chal, proof, tags)[0]
 
 
 def test_wire_parsers_reject_truncated_and_trailing(system, rng):
     keys, manifest, payloads = system
-    chal = audit.gen_challenge(manifest, 3, 2, rng)
-    p = payloads[3]
-    proof = audit.gen_proof(p.rows, chal, keys.k_e,
-                            _voucher(keys, manifest, chal), PARAMS)
-    for raw, parse in [(chal.to_bytes(), Challenge.from_bytes),
+    chal, voucher = _audit(keys, manifest, 3, 1)
+    proof = audit.gen_proof(payloads[3].rows, chal, keys.k_e, voucher, PARAMS)
+    for raw, parse in [(chal.to_bytes(), lambda b: Challenge.from_bytes(b, PARAMS)),
                        (proof.to_bytes(), lambda b: Proof.from_bytes(b, PARAMS))]:
         for bad in (raw[:-1], raw[:3], b"", raw + b"\x00"):
             with pytest.raises(ValueError):
@@ -277,39 +274,104 @@ def test_wire_parsers_reject_truncated_and_trailing(system, rng):
 
 
 @settings(max_examples=300)
-@given(st.one_of(st.binary(max_size=80), st.binary(min_size=44, max_size=44)))
+@given(st.one_of(st.binary(max_size=80), st.binary(min_size=44, max_size=44),
+                 st.builds(lambda fid, rest: struct.pack(">I", len(fid)) + fid + rest,
+                           st.binary(max_size=8), st.binary(max_size=16))))
 def test_wire_parsers_raise_only_value_error(raw):
-    # 44 bytes is a proof's length at PARAMS
-    for parse in (Challenge.from_bytes, lambda b: Proof.from_bytes(b, PARAMS)):
+    # 44 bytes is a proof's length at PARAMS; the third strategy frames a
+    # file id, so the challenge parser meets its length check
+    for parse in (lambda b: Challenge.from_bytes(b, PARAMS),
+                  lambda b: Proof.from_bytes(b, PARAMS)):
         try:
             parsed = parse(raw)
         except ValueError:
             continue
-        if isinstance(parsed, Proof):
-            assert parsed.to_bytes() == raw  # any accepted proof round-trips
+        assert parsed.to_bytes() == raw  # anything accepted round-trips
 
 
-@given(st.text(max_size=12),
-       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8, unique=True),
-       st.data())
-def test_challenge_roundtrip_any(file_id, indices, data):
-    alphas = data.draw(st.lists(st.integers(0, 255), min_size=len(indices),
-                                max_size=len(indices)))
-    chal = Challenge(file_id, indices, alphas)
-    back = Challenge.from_bytes(chal.to_bytes())
-    assert _same_challenge(back, chal)
-    assert back.indices.tolist() == indices and back.alphas.tolist() == alphas
+@given(st.text(max_size=12), st.integers(0, 2**32 - 1), st.binary(min_size=10, max_size=10),
+       st.integers(0, 2**32 - 1))
+def test_challenge_roundtrip_any(file_id, count, seed, node):
+    chal = Challenge(file_id, count, seed, node)
+    raw = chal.to_bytes()
+    assert len(raw) == 8 + len(file_id.encode()) + 10
+    back = Challenge.from_bytes(raw, PARAMS, node)
+    assert _same_challenge(back, chal) and back.node == node
+
+
+# ------------------------------------------------- challenge expansion
+
+def _expand_by_hand(file_id, count, seed, node, M):
+    """Challenge.expand in plain Python over hashlib, sharing no code with
+    ncaudit: SHAKE256 over u8 len(seed) || seed || the F2 domain at the
+    node's u32 BE id, head index 1 for the rows' u32 BE ranks and 2 for the
+    coefficients, the first count nonzero bytes."""
+    fid = file_id.encode()
+
+    def stream(index, length):
+        domain = (bytes([2]) + struct.pack(">I", len(fid)) + fid + struct.pack(">I", 4)
+                  + struct.pack(">I", node) + struct.pack(">I", index))
+        return hashlib.shake_256(bytes([len(seed)]) + seed + domain).digest(length)
+
+    if count == M:
+        rows = list(range(M))
+    else:
+        ranks = stream(1, 4 * M)
+        rows = sorted(range(M), key=lambda j: (ranks[4 * j: 4 * j + 4], j))[:count]
+    alphas = [b for b in stream(2, 2 * count + 64) if b][:count]
+    assert len(alphas) == count
+    return rows, alphas
+
+
+# frozen outputs of _expand_by_hand (computed once, pinned): the rows and
+# coefficients of challenges under SEED at node 3 of "golden-file"
+SEED = bytes(range(0xa0, 0xaa))
+EXPANDED = {
+    (3, 8): ([7, 4, 0], [235, 174, 84]),
+    (8, 8): (list(range(8)), [235, 174, 84, 31, 74, 177, 80, 220]),
+}
+# C = 100 of M = 300: SHA-256 of the rows as u16 BE, then the coefficients
+EXPANDED_100_300_SHA256 = "c16d20a4300b84a4af09c6ce1be640061dbebb413de1973a1a552a58da5383b8"
+
+
+def test_expansion_known_answers():
+    for (count, M), want in EXPANDED.items():
+        rows, alphas = Challenge("golden-file", count, SEED, node=3).expand(M)
+        assert (rows.tolist(), alphas.tolist()) == want
+    rows, alphas = Challenge("golden-file", 100, SEED, node=3).expand(300)
+    digest = hashlib.sha256(struct.pack(">100H", *rows) + alphas.tobytes()).hexdigest()
+    assert digest == EXPANDED_100_300_SHA256
+
+
+@settings(max_examples=150, deadline=None)
+@example("f", 1, bytes(10), 0, 1)
+@example("f", 299, bytes(10), 2**32 - 1, 300)
+@given(st.text(max_size=8), st.integers(1, 64), st.binary(min_size=1, max_size=64),
+       st.integers(0, 2**32 - 1), st.integers(0, 64))
+def test_expansion_equals_the_hand_built_one(file_id, count, seed, node, extra):
+    M = count + extra
+    rows, alphas = Challenge(file_id, count, seed, node).expand(M)
+    assert rows.dtype.kind in "iu" and alphas.dtype == np.uint8
+    assert (rows.tolist(), alphas.tolist()) == _expand_by_hand(file_id, count, seed, node, M)
+
+
+def test_expansion_refuses_a_count_outside_the_rows():
+    for count, M in ((0, 3), (4, 3), (1, 0)):
+        with pytest.raises(ValueError, match=rf"count {count} outside \[1, {M}\]"):
+            Challenge("f", count, bytes(10)).expand(M)
 
 
 # ------------------------------------------- cached coefficient tags
 
 def _reference_verdict(k_v, manifest, chal, proof):
     """verify_proof's equation as one full-row check, with no shared code:
-    spacemac.mac of [c_bar, pad, alpha·C[indices]] against tau stripped of
-    its pad and brought up to date by hand, ⊕ c_i·δ_i over the sources i
-    with a nonzero delta."""
-    params = manifest.params
-    coeffs = field.combine_rows(chal.alphas, manifest.node_coeffs[chal.node], chal.indices)
+    spacemac.mac of [c_bar, pad, alpha·C[indices]], the challenge expanded
+    by hand, against tau stripped of its pad and brought up to date by
+    hand, ⊕ c_i·δ_i over the sources i with a nonzero delta."""
+    params, rows = manifest.params, manifest.node_coeffs[chal.node]
+    indices, alphas = _expand_by_hand(chal.file_id, chal.count, chal.seed, chal.node,
+                                      rows.shape[0])
+    coeffs = field.combine_rows(np.array(alphas, dtype=np.uint8), rows, np.array(indices))
     fid = manifest.file_id.encode()
     tag = proof.tag ^ ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
     for i in np.flatnonzero(manifest.deltas.any(axis=1)):
@@ -321,9 +383,9 @@ def _reference_verdict(k_v, manifest, chal, proof):
 def _round(cluster, node, count):
     """A challenge of count blocks of the node, and the node's honest proof
     under a voucher the TPA expects."""
-    chal = cluster.tpa.challenge(node, count)
     voucher = cluster.user.issue(cluster.manifest, node)
     cluster.tpa.expect(node, voucher.k)
+    chal = cluster.tpa.challenge(node, count, voucher.k)
     return chal, cluster.nodes[node].answer(chal, voucher)
 
 
@@ -365,7 +427,7 @@ def test_verdict_equals_the_full_row_check(data):
     tamper = data.draw(st.sampled_from(TAMPERS), "tamper")
     delta = data.draw(st.integers(1, 255), "delta")
     if tamper == "coefficient row":
-        row = c.manifest.node_coeffs[node][chal.indices[0]]
+        row = c.manifest.node_coeffs[node][chal.expand(M)[0][0]]
         row[data.draw(st.integers(0, m - 1), "column")] ^= delta
     elif tamper != "none":
         symbols = {"data": proof.c_bar, "pad": proof.pad, "tag": proof.tag}[tamper]

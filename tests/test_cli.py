@@ -1,6 +1,9 @@
 import json
 import multiprocessing
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,39 @@ def test_repair_restores(store):
                  "--mode", "exact"]) == 0
     assert main(["audit", "--dir", str(store), "--node", "2",
                  "--count", "2", "--rounds", "5"]) == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _audit_process(store, *argv):
+    """One `ncaudit audit` in a process of its own; its exit code."""
+    return subprocess.run(
+        [sys.executable, "-m", "ncaudit.cli", "audit", "--dir", str(store), *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, timeout=60).returncode
+
+
+def test_seeded_audit_processes_do_not_repeat_their_challenge(store, tmp_path):
+    # each process reseeds its generators from --seed, so a challenge drawn
+    # from them was the same in every process: a node that saw one knew
+    # which block the next reads.  Find the block that the first seeded
+    # one-block audit of node 1 skips, on a copy of the store, corrupt that
+    # block, and audit again in separate seeded processes: audit k's
+    # challenge comes from k, so a later one reads the corrupted block
+    seeded = ["--node", "1", "--count", "1", "--seed", "7"]
+    copy = tmp_path / "copy"
+    shutil.copytree(store, copy)
+    assert main(["corrupt", "--dir", str(copy), "--node", "1", "--block", "0"]) == 0
+    skipped = 0 if _audit_process(copy, *seeded) == 0 else 1
+    assert main(["corrupt", "--dir", str(store), "--node", "1", "--block",
+                 str(skipped)]) == 0
+    codes = []
+    while len(codes) < 8 and 1 not in codes:
+        codes.append(_audit_process(store, *seeded))
+    # the store is seeded, so its keys and so every challenge are fixed: audit
+    # k = 1 reads block 0, as on the copy, and audit k = 2 reads block 1
+    assert (skipped, codes) == (1, [0, 1])
 
 
 def test_extract_command(store):
@@ -715,8 +751,8 @@ def _racing_audit(store, barrier, results):
     exit code and the counter k of every answer its TPA accepted."""
     accepted, exchange = [], Cluster.exchange
 
-    def logged(self, chal):
-        verdict = exchange(self, chal)
+    def logged(self, *args):
+        verdict = exchange(self, *args)
         if verdict[0]:
             accepted.append(verdict[2].k)
         return verdict
@@ -737,7 +773,7 @@ def test_two_commands_on_one_store_never_spend_one_counter_twice(tmp_path, monke
     assert main(["setup", "--file", str(src), "--out", str(store), "--layout", "random",
                  "--m", "6", "--nodes", "4", "--n", "1024", "--ell", "2",
                  "--seed", "5"]) == 0
-    monkeypatch.delenv("NCAUDIT_SEED", raising=False)  # challenges from OS entropy
+    monkeypatch.delenv("NCAUDIT_SEED", raising=False)
     ctx = multiprocessing.get_context("spawn")
     barrier, results = ctx.Barrier(2), ctx.Queue()
     procs = [ctx.Process(target=_racing_audit, args=(store, barrier, results))

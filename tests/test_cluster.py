@@ -122,9 +122,8 @@ def test_extraction_is_charged_to_the_ledgers(cluster):
         (n - 2) + k_bytes + 2 + ell)
     assert node.received["voucher_bytes"] == q * (k_bytes + ell)
     assert tpa.received["voucher_bytes"] == q * k_bytes
-    # a challenge of one or two entries: file id, entry count, 5 bytes an entry
-    head = 8 + len(cluster.manifest.file_id)
-    assert q * (head + 5) <= node.received["control_bytes"] <= q * (head + 10)
+    # a challenge: file id, count and a lambda/8-byte seed
+    assert node.received["control_bytes"] == q * (8 + len(cluster.manifest.file_id) + k_bytes)
 
 
 def test_fault_validation(cluster):
@@ -261,29 +260,50 @@ def test_repair_moves_exactly_its_shipments_bytes(params, layout, mode):
      0.3),
 ], ids=["evenodd4", "evenodd4-lying", "random"])
 def test_extraction_moves_exactly_its_exchanges_bytes(params, layout, epsilon):
-    # each query is one exchange: TPA -> node its challenge, user -> node k
-    # and the voucher, user -> TPA k, node -> TPA one proof of n + k + ell
-    # symbols, lie or not; no data, tag or coefficient byte moves
+    # each query is one exchange: TPA -> node its challenge of 8 + |file id|
+    # + k bytes, user -> node k and the voucher, user -> TPA k, node -> TPA
+    # one proof of n + k + ell symbols, lie or not; no data, tag or
+    # coefficient byte moves
     c = spawn_cluster(params, layout, DATA, seed=21)
     c.inject_fault(1, Fault("lie_probability", epsilon=epsilon))
-    exchange, challenges = c.exchange, []
-
-    def recorded(chal):
-        challenges.append(len(chal.to_bytes()))
-        return exchange(chal)
-
-    c.exchange = recorded
     before = _cells(c)
     queries = extractor.extract_node(c, 1, np.random.default_rng(3)).queries
     after = _cells(c)
-    assert len(challenges) == queries
     k = params.lambda_bits // 8
+    assert len(c.manifest.file_id) == 21
     want = dict.fromkeys(before, 0)
     for src, dst, category, nbytes in [
-            ("tpa", 1, "control_bytes", sum(challenges)),
+            ("tpa", 1, "control_bytes", queries * (8 + 21 + k)),
             ("user", 1, "voucher_bytes", queries * (k + params.ell)),
             ("user", "tpa", "voucher_bytes", queries * k),
             (1, "tpa", "proof_bytes", queries * (params.n + k + params.ell))]:
+        want[src, "sent", category] += nbytes
+        want[dst, "received", category] += nbytes
+    assert {cell: after[cell] - before[cell] for cell in before} == want
+
+
+@pytest.mark.parametrize("params, layout, count, control", [
+    (PARAMS, "evenodd4", 1, 39), (PARAMS, "evenodd4", 2, 39),
+    (SystemParams(n=64, m=6, N=3, M=4, P=2, Q=2, ell=3, lambda_bits=128),
+     "random_functional", 3, 45),
+], ids=["evenodd4-1", "evenodd4-2", "random-lambda128"])
+def test_an_audit_moves_exactly_its_exchanges_bytes(params, layout, count, control):
+    # one exchange: TPA -> node a challenge of 8 + |file id| + k bytes
+    # whatever its count, 39 at a seeded cluster's 21-byte file id and
+    # lambda = 80, as at paper scale; user -> node k and the voucher, user
+    # -> TPA k, node -> TPA one proof of n + k + ell symbols
+    c = spawn_cluster(params, layout, DATA, seed=22)
+    before = _cells(c)
+    assert c.run_audit_round(1, count)[0]
+    after = _cells(c)
+    k = params.lambda_bits // 8
+    assert control == 8 + len(c.manifest.file_id) + k
+    want = dict.fromkeys(before, 0)
+    for src, dst, category, nbytes in [
+            ("tpa", 1, "control_bytes", control),
+            ("user", 1, "voucher_bytes", k + params.ell),
+            ("user", "tpa", "voucher_bytes", k),
+            (1, "tpa", "proof_bytes", params.n + k + params.ell)]:
         want[src, "sent", category] += nbytes
         want[dst, "received", category] += nbytes
     assert {cell: after[cell] - before[cell] for cell in before} == want
@@ -342,9 +362,9 @@ def test_extraction_counts_exactly_its_products(epsilon):
     c.inject_fault(1, Fault("lie_probability", epsilon=epsilon))
     exchange, challenged = c.exchange, []
 
-    def recorded(chal):
-        challenged.append(len(chal.indices))
-        return exchange(chal)
+    def recorded(node, count, seed=None):
+        challenged.append(count)
+        return exchange(node, count, seed)
 
     c.exchange = recorded
     with field.counter:

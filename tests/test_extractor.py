@@ -158,15 +158,16 @@ def test_extraction_tests_each_draw_without_eliminating_its_basis():
 
 
 def _rank_deficient_rng(M, seed):
-    """A generator whose first M integers() draws span M-1 dimensions (the
-    last repeats the first), and which draws on its own after them."""
+    """A generator whose first M bytes() draws, the equations' seeds, span
+    M-1 dimensions (the last repeats the first), and which draws on its own
+    after them."""
     real = np.random.default_rng(seed)
-    draws = [real.integers(1, 256, size=M, dtype=np.uint8) for _ in range(M - 1)]
-    draws.append(draws[0].copy())
+    draws = [real.bytes(PARAMS.lambda_bits // 8) for _ in range(M - 1)]
+    draws.append(draws[0])
 
     class Scripted:
-        def integers(self, *args, **kwargs):
-            return draws.pop(0) if draws else real.integers(*args, **kwargs)
+        def bytes(self, length):
+            return draws.pop(0) if draws else real.bytes(length)
     return Scripted()
 
 
@@ -175,7 +176,7 @@ def test_rank_deficient_draws_settle_one_more_equation(cluster):
     # deficient, so one more is settled and the M+1 are solved
     M = PARAMS.M
     with mock.patch.object(field, "gaussian_solve", wraps=field.gaussian_solve) as solve:
-        report = extractor.extract_node(cluster, 0, _rank_deficient_rng(M, 12))
+        report = extractor.extract_node(cluster, 0, _rank_deficient_rng(M, 13))
     assert np.array_equal(report.rows, cluster.nodes[0].payload.rows)
     assert report.queries == 2 * (M + 1) and report.discarded == 0
     assert [call.args[0].shape for call in solve.call_args_list] == [(M, M), (M + 1, M)]
@@ -186,12 +187,34 @@ def test_settled_answers_that_contradict_one_another_raise(cluster):
     # MAC) on the repeated draw: its equation contradicts the first one's
     M, exchange, queries = PARAMS.M, cluster.exchange, itertools.count()
 
-    def lying_exchange(chal):
-        accepted, proof, voucher, sent = exchange(chal)
+    def lying_exchange(node, count, seed=None):
+        accepted, proof, voucher, sent = exchange(node, count, seed)
         if next(queries) >= 2 * (M - 1):
             proof = Proof(proof.c_bar ^ 1, proof.nonce, proof.pad, proof.tag)
         return accepted, proof, voucher, sent
 
     cluster.exchange = lying_exchange
     with pytest.raises(extractor.ExtractionError, match="contradict"):
-        extractor.extract_node(cluster, 0, _rank_deficient_rng(M, 12))
+        extractor.extract_node(cluster, 0, _rank_deficient_rng(M, 13))
+
+
+def test_each_equation_asks_a_seed_of_its_own(cluster):
+    # an equation is one full challenge under one seed, asked until two
+    # answers agree; the next asks a fresh seed, so M equations span the M
+    # rows.  The guard stops an extraction that would never span them
+    M, exchange, asked = PARAMS.M, cluster.exchange, []
+
+    def recorded(node, count, seed=None):
+        if len(asked) == 4 * M:
+            raise RuntimeError("the equations do not span the rows")
+        asked.append((count, seed))
+        return exchange(node, count, seed)
+
+    cluster.exchange = recorded
+    report = _extract(cluster, 0, seed=13)
+    assert np.array_equal(report.rows, cluster.nodes[0].payload.rows)
+    assert report.queries == len(asked) == 2 * M
+    assert {count for count, _ in asked} == {M}
+    seeds = [seed for _, seed in asked]
+    assert seeds[::2] == seeds[1::2] and len(set(seeds)) == M
+    assert {len(seed) for seed in seeds} == {PARAMS.lambda_bits // 8}

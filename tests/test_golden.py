@@ -8,8 +8,8 @@ fixed seeds.  Each path feeds what it produced into its own SHA-256:
 - audit: challenge, voucher and proof bytes, verdicts, bytes sent and
   multiplication counts, then the records of the audit rounds and the
   fault, and the ledgers;
-- extract: the challenges the extractor asked, the extracted rows and the
-  query counts;
+- extract: the node, count and seed of each challenge the extractor
+  asked, the extracted rows and the query counts;
 - repair: the plans' helpers, the rebuilt rows, the new coefficients and
   the ledgers;
 - dynamics: an update's tag delta, an append's index, the manifest and the
@@ -42,11 +42,11 @@ CHURN = SystemParams(n=1024, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 
 PINNED = {
     "setup": "2fff06b1734736d86b2f42486696f35d9861877c775e49c6c893c3ad5b03745b",
-    "audit": "e4c7a15ccf4ca2edfc375c1e0f357a24ec1c74cf7b1797819519499aa77b543b",
-    "extract": "901b6f72ea2b837fc234a844b8db560268cf047326b91572fba08ac5b1dc32a6",
-    "repair": "983a44081160d1372f715a392ec9e21583d83c9e0c6148a0f632e74a834dfd8b",
-    "dynamics": "677c3d759792fc5ebbb43480b6df4c0c881e0d8ec7e6b7574ff75a8fa4f0dacb",
-    "cli": "0b2c99752047cf830ff983c11cee2913d8a237882085b9eb6ae91ad289ef9cf4",
+    "audit": "34a95c045efbe76deeb511bf6db9b8ca15f49897c5574fc41d5de0eb6a1fbab7",
+    "extract": "8f1d328496a70b1ca63a47fca9d6f698e3c616de88ce4dde5f53bb75a4f7a927",
+    "repair": "b2ddca5f8c2ebbae3ddac29bfcdcdb9b08a0c02a0d806af65b4238b21951f860",
+    "dynamics": "2c82876afce8f7d1e709236facbe9e7750afd768a1e6d5b21bb950a3c18fb1b7",
+    "cli": "6d51201f2f67a5b823abbed12a920f0ba395d147bd264e579c97a99b11df7ae8",
     "scenario": "7a29ce662da524a4200a9173534cbad2eaccaad09cc6a8ab889531bad14e8bc2",
 }
 
@@ -87,8 +87,8 @@ def _session(d, params, layout, seed):
 
     def exchange(node, count):
         with field.counter:
-            chal = cluster.tpa.challenge(node, count)
-            accepted, proof, voucher, sent = cluster.exchange(chal)
+            accepted, proof, voucher, sent = cluster.exchange(node, count)
+        chal = cluster.tpa.challenge(node, count, voucher.k)  # the one the node answered
         d.add("audit", chal.to_bytes(), voucher.k, voucher.value, proof.to_bytes(),
               accepted, sent, field.counter.value)
         return accepted
@@ -107,13 +107,15 @@ def _session(d, params, layout, seed):
     d.add("audit", records, _ledgers(cluster))
 
     asked, exchange_ = [], cluster.exchange
-    cluster.exchange = lambda chal: asked.append(chal.to_bytes()) or exchange_(chal)
+    cluster.exchange = (lambda node, count, seed=None:
+                        asked.append((node, count, seed)) or exchange_(node, count, seed))
     cluster.inject_fault(2, Fault("lie_probability", epsilon=0.25))
     report = extractor.extract_node(cluster, 2, rng)
     cluster.inject_fault(2, Fault("lie_probability", epsilon=0.0))
     del cluster.exchange
     assert np.array_equal(report.rows, cluster.nodes[2].payload.rows)
-    d.add("extract", *asked, report.rows, report.queries, report.discarded)
+    d.add("extract", *(x for node, count, seed in asked for x in (node, count, seed)),
+          report.rows, report.queries, report.discarded)
 
     for node, mode in ((0, "exact"), (nodes[-1], "functional")):
         before = cluster.nodes[node].payload.rows.copy()

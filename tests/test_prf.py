@@ -15,6 +15,7 @@ KEY = bytes(range(32))
 FID = b"golden-file"
 
 GOLDEN_PROD_F1 = [116, 142, 24, 60, 52, 169, 168, 178]
+GOLDEN_PROD_F2 = [207, 69, 173, 65, 32, 204]
 GOLDEN_PROD_F3 = [30, 78, 99, 236, 208, 107]
 GOLDEN_PROD_F4 = [83, 242, 150, 213, 140, 71]
 # the nonce of audit k = 7 at node 3 under an 80-bit counter
@@ -30,6 +31,9 @@ GOLDEN_PROD_F3_NODE3_K7_W200 = bytes.fromhex(
     "fcccfa9c868e418b"
 )
 GOLDEN_PROD_F1_KEY2_130_139 = [93, 251, 174, 202, 26, 14, 230, 114, 255, 11]
+GOLDEN_PROD_F2_NODE3_K7_130_139 = [67, 232, 183, 143, 24, 191, 216, 234, 196, 238]
+# the 80-bit challenge seed of audit k = 7 at node 3
+GOLDEN_PROD_F2_SEED_NODE3_K7 = "d38be1a5f654a1309674"
 GOLDEN_PROD_F4_NODE3_K7_130_139 = [25, 192, 79, 240, 142, 83, 7, 10, 89, 41]
 GOLDEN_PROD_F3_AT = {135: 19, 136: 1, 137: 251, 272: 4}
 # the 4094-symbol mask of the largest 80-bit counter at node 4095
@@ -40,6 +44,8 @@ GOLDEN_PROD_F3_W4094_SHA256 = (
 
 def test_production_golden_vectors():
     assert prf.derive_r_vector(KEY, FID, 8, 1).tolist() == GOLDEN_PROD_F1
+    assert prf.eval_range(KEY, prf.F2, FID, (), 6, nonce=b"\xaa\xbb").tolist() \
+        == GOLDEN_PROD_F2
     assert prf.derive_mask(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PROD_F3
     assert prf.derive_pad(KEY, FID, b"\xaa\xbb", 6).tolist() == GOLDEN_PROD_F4
 
@@ -50,6 +56,9 @@ def test_production_golden_vectors_across_chunks():
         == GOLDEN_PROD_F3_NODE3_K7_W200
     assert prf.eval_range(KEY, prf.F1, FID, (2,), 139)[129:].tolist() \
         == GOLDEN_PROD_F1_KEY2_130_139
+    assert prf.eval_range(KEY, prf.F2, FID, (), 139, nonce=NONCE_3_7)[129:].tolist() \
+        == GOLDEN_PROD_F2_NODE3_K7_130_139
+    assert prf.eval_range(KEY, prf.F2, FID, (), 10, nonce=NONCE_3_7).tobytes().hex() == GOLDEN_PROD_F2_SEED_NODE3_K7
     assert prf.eval_range(KEY, prf.F4, FID, (), 139, nonce=NONCE_3_7)[129:].tolist() \
         == GOLDEN_PROD_F4_NODE3_K7_130_139
     for i, want in GOLDEN_PROD_F3_AT.items():
@@ -67,13 +76,15 @@ def test_prefix_stability():
 
 
 def test_function_domains_disjoint():
-    # F3 and F4 under one key and nonce: the mask and the pad of an audit
-    a = prf.derive_r_vector(KEY, FID, 16, 1)
-    b = prf.derive_mask(KEY, FID, NONCE_3_7, 16)
-    c = prf.derive_pad(KEY, FID, NONCE_3_7, 16)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(b, c)
+    # F2, F3 and F4 under one key and nonce: the challenge seed, the mask
+    # and the pad of an audit
+    streams = [prf.derive_r_vector(KEY, FID, 16, 1),
+               prf.eval_range(KEY, prf.F2, FID, (), 16, nonce=NONCE_3_7),
+               prf.derive_mask(KEY, FID, NONCE_3_7, 16),
+               prf.derive_pad(KEY, FID, NONCE_3_7, 16)]
+    for i, a in enumerate(streams):
+        for b in streams[i + 1:]:
+            assert not np.array_equal(a, b)
 
 
 def test_key_index_domains_disjoint():
@@ -90,14 +101,18 @@ def test_nonce_separates():
     # the node id and the counter k both sit in the nonce
     other_node = struct.pack(">I", 4) + (7).to_bytes(10, "big")
     other_k = struct.pack(">I", 3) + (8).to_bytes(10, "big")
-    for fn in (prf.derive_mask, prf.derive_pad):
+    def seed(key, file_id, nonce, count):
+        return prf.eval_range(key, prf.F2, file_id, (), count, nonce=nonce)
+
+    for fn in (seed, prf.derive_mask, prf.derive_pad):
         base = fn(KEY, FID, NONCE_3_7, 32)
         assert not np.array_equal(base, fn(KEY, FID, other_node, 32))
         assert not np.array_equal(base, fn(KEY, FID, other_k, 32))
 
 
 # head indices and nonce for one domain of each function
-_DOMAINS = {prf.F1: ((2,), b""), prf.F3: ((), NONCE_3_7), prf.F4: ((), NONCE_3_7)}
+_DOMAINS = {prf.F1: ((2,), b""), prf.F2: ((), NONCE_3_7), prf.F3: ((), NONCE_3_7),
+            prf.F4: ((), NONCE_3_7)}
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,14 +167,26 @@ def test_every_key_byte_counts_and_longer_keys_are_refused():
             prf.derive_mask(long_key, FID, b"\x01", 32)
 
 
-def test_nonce_required_only_for_f3_and_f4():
+def test_nonce_required_only_for_f2_f3_and_f4():
     with pytest.raises(ValueError):
         prf.encode_domain(prf.F1, FID, (1, 1), nonce=b"x")
-    for fn in (prf.F3, prf.F4):
+    for fn in (prf.F2, prf.F3, prf.F4):
         with pytest.raises(ValueError):
             prf.encode_domain(fn, FID, (1,), nonce=None)
-    with pytest.raises(ValueError):
-        prf.encode_domain(2, FID, (1,))  # no function has id 2
+    for fn in (0, 5):
+        with pytest.raises(ValueError, match="unknown PRF function id"):
+            prf.encode_domain(fn, FID, (1,), nonce=b"x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(min_size=0, max_size=300), st.integers(1, 600))
+def test_nonzero_symbols_are_the_first_nonzero_symbols_of_the_range(prefix_bytes, count):
+    # nonzero_symbols reads a range of its own choosing; any range long
+    # enough gives the same first count nonzero symbols, zeros or not
+    stream = np.frombuffer(prefix_bytes + bytes(600) + hashlib.shake_256(prefix_bytes).digest(
+        4 * count + 2000), dtype=np.uint8)
+    got = prf.nonzero_symbols(lambda length: stream[:length].copy(), count)
+    assert got.tolist() == [b for b in stream.tolist() if b][:count]
 
 
 def test_output_distribution_sanity():

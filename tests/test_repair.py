@@ -237,7 +237,7 @@ def test_replay_detected_after_functional_repair(system, rng):
     # the node serves its pre-repair store against refreshed records
     rejected, tags = 0, {}
     for k in range(1, 51):
-        chal = audit.gen_challenge(manifest, 1, 2, rng)
+        chal = audit.gen_challenge(keys.k_v, manifest, 1, 2, k)
         voucher = ncrypt.setup(keys.k_e, keys.k_v, manifest.file_id.encode(), 1, k,
                                PARAMS)
         proof = audit.gen_proof(old_rows, chal, keys.k_e, voucher, PARAMS)

@@ -3,7 +3,7 @@ what its role holds.
 
 * A node holds its payload (blocks, tags, k_e), its blocks' coefficient
   rows (the manifest's record of them), the vouchers the user issued to
-  it, and the challenges it answered.
+  it, and the challenges it answered, each a count and a seed.
 * A TPA holds k_v, the manifest, and every proof it received.
 
 Counts are checked against binomial tolerances: a bound is the smallest
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ncaudit import audit, dynamics, extractor, field, ncrypt, spacemac
-from ncaudit.audit import Challenge, Proof
+from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
 
@@ -31,6 +31,16 @@ def _upper(trials: int, p: float) -> int:
     for c in range(trials + 1):
         tail -= comb(trials, c) * p ** c * (1 - p) ** (trials - c)
         if tail < ALPHA:
+            return c
+    return trials
+
+
+def _lower(trials: int, p: float) -> int:
+    """The largest c with P(Binomial(trials, p) < c) < ALPHA."""
+    below = 0.0
+    for c in range(trials + 1):
+        below += comb(trials, c) * p ** c * (1 - p) ** (trials - c)
+        if below >= ALPHA:
             return c
     return trials
 
@@ -64,7 +74,8 @@ def _solve_r(blocks, tags, masks, vouchers, width):
 
 def _forge(ell: int, seed: int, strategy: str) -> bool:
     """A node edits one stored data symbol, patches its tag, and is
-    audited on the edited block; True when the TPA accepts."""
+    audited on every block, the edited one among them; True when the TPA
+    accepts."""
     params = _params(ell)
     c = spawn_cluster(params, "evenodd4", bytes(range(120)), seed=seed)
     node, fid = 1, c.manifest.file_id.encode()
@@ -88,8 +99,7 @@ def _forge(ell: int, seed: int, strategy: str) -> bool:
         patch = rng.integers(0, 256, ell, dtype=np.uint8)
     payload.rows[block, pos] ^= delta
     payload.rows[block, params.n:] ^= patch
-    chal = Challenge(c.manifest.file_id, [block], [int(rng.integers(1, 256))], node)
-    return c.exchange(chal)[0]  # under k = VOUCHERS + 1, the first announced
+    return c.exchange(node, params.M)[0]  # under k = VOUCHERS + 1, the first announced
 
 
 @pytest.mark.parametrize("strategy", ["algebra", "random"])
@@ -130,9 +140,10 @@ def _guess(k_v: bytes, manifest, seen, candidates):
 
 
 def _left_or_right(ell: int, seed: int) -> bool:
-    """Two files that differ in one byte; the TPA sees single-block
-    challenges of node 0, which stores source block 0 in the clear layout,
-    and guesses which file it audits.  True when the guess is right."""
+    """Two files that differ in one byte of source block 0; the TPA sees a
+    full challenge of node 0, which stores source blocks 0 and 1 in the
+    clear layout, and guesses which file it audits.  True when the guess
+    is right."""
     params = _params(ell)
     rng = np.random.default_rng(seed)
     width = params.n - 2
@@ -142,14 +153,13 @@ def _left_or_right(ell: int, seed: int) -> bool:
     secret = int(rng.integers(2))
     c = spawn_cluster(params, "evenodd4", bytes(files[secret]), seed=seed)
     manifest, k_v = c.manifest, c.user.keys.k_v  # the TPA's view
-    alpha = int(rng.integers(1, 256))
-    chal = Challenge(manifest.file_id, [0], [alpha], 0)
-    accepted, proof, *_ = c.exchange(chal)
+    accepted, proof, voucher, _ = c.exchange(0, params.M)
     assert accepted
-    coeffs = field.vec_scale(alpha, manifest.node_coeffs[0][0])
-    candidates = [np.concatenate([field.vec_scale(alpha, np.frombuffer(bytes(f[:width]),
-                                                                       dtype=np.uint8)),
-                                  proof.pad, coeffs]) for f in files]
+    indices, alphas = c.tpa.challenge(0, params.M, voucher.k).expand(params.M)
+    coeffs = field.combine_rows(alphas, manifest.node_coeffs[0], indices)
+    candidates = [np.concatenate([field.combine_rows(alphas, np.frombuffer(
+        bytes(f[:2 * width]), dtype=np.uint8).reshape(2, width), indices), proof.pad, coeffs])
+        for f in files]
     seen = proof.tag ^ ncrypt.voucher_pad(k_v, manifest.file_id.encode(), 0, proof.k,
                                           params)
     guess = _guess(k_v, manifest, seen, candidates)
@@ -200,6 +210,43 @@ def test_tpa_cannot_tell_updates_apart(ell):
     assert abs(correct - TRIALS // 2) <= SLACK
 
 
+# --------------------------------------------------------------- detection
+
+# (M, C, corrupted rows): an audit of C of a node's M rows accepts a node
+# with x one-symbol corruptions, in distinct rows and positions, exactly
+# when it skips them all, h = C(M-x, C)/C(M, C), or when two challenged
+# errors cancel: each row's error is alpha times a nonzero vector, so given
+# the others one alpha value at most cancels them, 1/255.  The corrupted
+# rows sit at both ends of the store
+DETECTION = [(4, 1, (3,)), (4, 2, (0,)), (6, 3, (4, 5)), (6, 2, (0, 2, 5)),
+             (8, 4, (7,)), (8, 7, (1, 6))]
+DETECTION_TRIALS = 1000
+FULL_TRIALS = 3000  # alphas drawn with zeros would accept one in 256
+
+
+def _corrupted_cluster(M: int, rows, seed: int):
+    params = SystemParams(n=16, m=M, N=2, M=M, P=1, Q=M, ell=2, lambda_bits=80)
+    c = spawn_cluster(params, "random_functional", bytes(range(14 * M)), seed=seed)
+    for row in rows:
+        c.inject_fault(0, Fault("corrupt_symbol", block=row, position=row, delta=row + 1))
+    return c
+
+
+@pytest.mark.parametrize("M, C, rows", DETECTION)
+def test_partial_audits_accept_at_the_hypergeometric_rate(M, C, rows):
+    c = _corrupted_cluster(M, rows, seed=500 + M * 10 + C)
+    h = comb(M - len(rows), C) / comb(M, C)
+    cancel = 0 if len(rows) == 1 else (1 - h) / 255
+    accepted = sum(c.run_audit_round(0, C)[0] for _ in range(DETECTION_TRIALS))
+    assert _lower(DETECTION_TRIALS, h) <= accepted <= _upper(DETECTION_TRIALS, h + cancel)
+
+
+@pytest.mark.parametrize("M", [2, 5])
+def test_a_full_audit_misses_no_one_symbol_corruption(M):
+    c = _corrupted_cluster(M, (M - 1,), seed=600 + M)
+    assert not any(c.run_audit_round(0, M)[0] for _ in range(FULL_TRIALS))
+
+
 # ------------------------------------------------------------------ replay
 
 @pytest.fixture
@@ -207,22 +254,29 @@ def cluster():
     return spawn_cluster(_params(2), "evenodd4", bytes(range(120)), seed=33)
 
 
+def _announced(cluster, node):
+    """The user's next voucher for a node, announced to the TPA."""
+    voucher = cluster.user.issue(cluster.manifest, node)
+    cluster.tpa.expect(node, voucher.k)
+    return voucher
+
+
 def test_reused_k_is_rejected(cluster):
-    chal = cluster.tpa.challenge(0, 2)
-    accepted, proof, *_ = cluster.exchange(chal)
+    accepted, proof, voucher, _ = cluster.exchange(0, 2)
     assert accepted
+    chal = cluster.tpa.challenge(0, 2, voucher.k)
     assert not cluster.tpa.verify(chal, proof)[0]  # the same proof again
     # an old voucher for a new challenge
-    voucher = cluster.user.issue(cluster.manifest, 0)
-    cluster.tpa.expect(0, voucher.k)
+    voucher = _announced(cluster, 0)
+    chal = cluster.tpa.challenge(0, 2, voucher.k)
     assert cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher))[0]
-    chal = cluster.tpa.challenge(0, 2)
+    chal = cluster.tpa.challenge(0, 2, voucher.k + 1)
     assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher))[0]
 
 
 def test_never_issued_k_is_rejected(cluster):
-    chal = cluster.tpa.challenge(0, 2)
     voucher = cluster.user.issue(cluster.manifest, 0)  # never announced
+    chal = cluster.tpa.challenge(0, 2, voucher.k)
     assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, voucher))[0]
     honest = cluster.nodes[0].answer(chal, voucher)
     forged = Proof(honest.c_bar, (999).to_bytes(10, "big"), honest.pad, honest.tag)
@@ -232,24 +286,20 @@ def test_never_issued_k_is_rejected(cluster):
 def test_another_nodes_k_is_rejected(cluster):
     for _ in range(3):
         assert cluster.run_audit_round(1, 2)[0]
-    stolen = cluster.user.issue(cluster.manifest, 1)  # k = 4, issued to node 1
-    cluster.tpa.expect(1, stolen.k)
-    chal = cluster.tpa.challenge(0, 2)
+    stolen = _announced(cluster, 1)  # k = 4, issued to node 1
+    chal = cluster.tpa.challenge(0, 2, stolen.k)
     assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, stolen))[0]
     # the voucher still serves the node it was issued to
-    chal = cluster.tpa.challenge(1, 2)
+    chal = cluster.tpa.challenge(1, 2, stolen.k)
     assert cluster.tpa.verify(chal, cluster.nodes[1].answer(chal, stolen))[0]
 
 
 def test_a_skipped_k_is_harmless_and_then_stale(cluster):
-    first = cluster.user.issue(cluster.manifest, 0)
-    cluster.tpa.expect(0, first.k)
-    second = cluster.user.issue(cluster.manifest, 0)
-    cluster.tpa.expect(0, second.k)
+    first, second = _announced(cluster, 0), _announced(cluster, 0)
     # the node answers under k = 2 first: accepted, and k = 1 is then spent
-    chal = cluster.tpa.challenge(0, 2)
+    chal = cluster.tpa.challenge(0, 2, second.k)
     assert cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, second))[0]
-    chal = cluster.tpa.challenge(0, 2)
+    chal = cluster.tpa.challenge(0, 2, first.k)
     assert not cluster.tpa.verify(chal, cluster.nodes[0].answer(chal, first))[0]
     assert cluster.run_audit_round(0, 2)[0]
 
@@ -265,7 +315,7 @@ def test_a_k_above_the_announced_ones_burns_no_counter(cluster, monkeypatch):
     checked, verify_proof = [], audit.verify_proof
     monkeypatch.setattr(audit, "verify_proof",
                         lambda *args: checked.append(args) or verify_proof(*args))
-    assert not cluster.tpa.verify(cluster.tpa.challenge(2, 2), junk)[0]
+    assert not cluster.tpa.verify(cluster.tpa.challenge(2, 2, 2), junk)[0]
     assert checked == []  # rejected unverified
     cluster.fail_and_repair(2, "exact")
     assert cluster.run_audit_round(2, 2)[0]
