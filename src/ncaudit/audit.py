@@ -161,10 +161,8 @@ def gen_challenge(k_v: bytes, manifest: FileManifest, node: int, count: int,
                   k: int) -> Challenge:
     """Audit k's challenge of count rows of a node.  Its seed is F2 under
     k_v at the audit's nonce (node, k), so the user, who issues voucher k,
-    can derive it too.  ValueError unless 1 <= count <= the node's rows."""
-    M, params = manifest.node_coeffs[node].shape[0], manifest.params
-    if not 1 <= count <= M:
-        raise ValueError(f"challenge count must be in [1, {M}]")
+    can derive it too; the count is checked where it is expanded."""
+    params = manifest.params
     seed = prf.eval_range(k_v, prf.F2, manifest.file_id.encode(), (), params.lambda_bits // 8,
                           nonce=ncrypt.nonce(node, k, params))
     return Challenge(manifest.file_id, count, seed.tobytes(), node)

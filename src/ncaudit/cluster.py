@@ -215,8 +215,11 @@ class Cluster:
         audit k's own, the node's answer on the wire and the TPA's verdict:
         (accepted, proof, voucher, bytes the node sent).  An answer the node
         cannot give, the TPA cannot parse, or under another voucher is
-        rejected; proof is None for the first two."""
-        target = self.nodes[node]
+        rejected; proof is None for the first two.  ValueError, before any
+        voucher, unless 1 <= count <= the node's rows in the manifest."""
+        target, M = self.nodes[node], len(self.manifest.node_coeffs[node])
+        if not 1 <= count <= M:
+            raise ValueError(f"challenge count must be in [1, {M}]")
         voucher = self.user.issue(self.manifest, node)
         self.tpa.expect(node, voucher.k)
         k_bytes = self.manifest.params.lambda_bits // 8

@@ -268,6 +268,9 @@ def test_random_layout_exact_repair_rebuilds_every_node(tmp_path):
     ["extract", "--rounds", "0"],
     # n = 64: position 64 would be the first coefficient, which no node stores
     ["corrupt", "--node", "1", "--position", "64"],
+    # evenodd4 nodes hold 2 rows; refused before a voucher counter is issued
+    ["audit", "--node", "1", "--count", "3"],
+    ["audit", "--node", "1", "--count", "0"],
 ])
 def test_out_of_range_ids_are_usage_errors(store, argv, capsys):
     before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}

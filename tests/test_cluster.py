@@ -83,6 +83,17 @@ def test_proof_bytes_per_round(cluster):
     assert record["proof_bytes"] == (n - 2) + lam // 8 + 2 + ell
 
 
+@pytest.mark.parametrize("count", [0, 3])
+def test_an_audit_of_a_count_outside_the_rows_is_refused_before_its_voucher(cluster, count):
+    # the exchange checks the count first, so a refused audit issues,
+    # announces and charges nothing
+    before, issued = _cells(cluster), dict(cluster.user.next_k)
+    with pytest.raises(ValueError, match=r"count must be in \[1, 2\]"):
+        cluster.run_audit_round(1, count)
+    assert _cells(cluster) == before and cluster.user.next_k == issued
+    assert cluster.tpa.issued_upto == {}
+
+
 def _refusing(answer):
     def refuse(chal, voucher):
         raise ValueError("no such row")
