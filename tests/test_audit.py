@@ -48,7 +48,7 @@ def test_setup_refuses_a_layout_that_cannot_be_decoded(rng):
                          {0: both, 1: both}, rng)
 
 
-def test_honest_round_accepts(system, rng):
+def test_honest_round_accepts(system):
     keys, manifest, payloads = system
     tags = {}
     for node in range(4):
@@ -73,7 +73,7 @@ def test_corrupted_block_rejected(system, rng):
     assert rejections == 50  # no MAC key symbol is 0, so the tags always change
 
 
-def test_wrong_coefficients_rejected(system, rng):
+def test_wrong_coefficients_rejected(system):
     # proof is honest but the auditor's records disagree -> reject
     keys, manifest, payloads = system
     chal, voucher = _audit(keys, manifest, 2, 2)
@@ -133,7 +133,7 @@ def test_challenge_wire_golden():
     assert len(Challenge("some-file", 2**32 - 1, bytes(10)).to_bytes()) == 8 + 9 + 10
 
 
-def test_proof_wire_roundtrip(system, rng):
+def test_proof_wire_roundtrip(system):
     keys, manifest, payloads = system
     chal, voucher = _audit(keys, manifest, 3, 2)
     proof = audit.gen_proof(payloads[3].rows, chal, keys.k_e, voucher, PARAMS)
@@ -145,7 +145,7 @@ def test_proof_wire_roundtrip(system, rng):
     assert ok
 
 
-def test_multiplication_counts(system, rng):
+def test_multiplication_counts(system):
     keys, manifest, payloads = system
     n, m, ell, C = PARAMS.n, PARAMS.m, PARAMS.ell, 2
     chal, voucher = _audit(keys, manifest, 0, C)
@@ -262,7 +262,7 @@ def test_full_node_audit_catches_every_corruption(rng):
         assert not audit.verify_proof(keys.k_v, manifest, chal, proof, tags)[0]
 
 
-def test_wire_parsers_reject_truncated_and_trailing(system, rng):
+def test_wire_parsers_reject_truncated_and_trailing(system):
     keys, manifest, payloads = system
     chal, voucher = _audit(keys, manifest, 3, 1)
     proof = audit.gen_proof(payloads[3].rows, chal, keys.k_e, voucher, PARAMS)
