@@ -289,7 +289,8 @@ class Cluster:
         for h, gamma in plan.gamma.items():
             helper = self.nodes[h]
             ship = repair.make_repair_blocks(helper.payload, gamma, params.n)
-            # user ships gamma to the helper (coefficient traffic, no data)
+            # user ships gamma to the helper (coefficient traffic, no data),
+            # the identity too, so a helper knows to ship its rows unmixed
             self.user.ledger.charge(helper.ledger, "coefficient_bytes", int(gamma.size))
             helper.ledger.charge(lost.ledger, "data_block_bytes",
                                  int(ship.rows[:, :params.n].size))

@@ -1,12 +1,15 @@
 """Rebuilding a lost node from coded helper blocks, tags included.
 
 Helpers send combinations (gamma) of their own stored rows and the new node
-combines those (theta).  A stored row holds a block's data symbols and its
-tags, which are linear in the block, so each combination carries its tags
-along and neither the verification key nor file data is needed.  An exact
-repair reproduces the lost rows; a functional repair stores fresh
-combinations that keep the file decodable.  `Cluster.fail_and_repair`
-runs a repair; this module plans and combines, and changes no state.
+combines those (theta).  A helper that may send as many rows as it stores
+sends them unmixed (gamma is the identity): the new node's theta mixes
+them anyway, so mixing first reaches no further.  A stored row holds a
+block's data symbols and its tags, which are linear in the block, so each
+combination carries its tags along and neither the verification key nor
+file data is needed.  An exact repair reproduces the lost rows; a
+functional repair stores fresh combinations that keep the file decodable.
+`Cluster.fail_and_repair` runs a repair; this module plans and combines,
+and changes no state.
 """
 
 from __future__ import annotations
@@ -33,23 +36,36 @@ ATTEMPTS = 200
 @dataclass
 class RepairPlan:
     """gamma: per-helper mixing rows, keyed by the helpers used in order;
-    theta: how the replacement node combines the received blocks into its
-    new blocks."""
-    gamma: Dict[int, np.ndarray]   # helper -> (Q, rows it stores)
+    a gamma whose rows are unit vectors selects stored rows, which the
+    helper ships as they are (the identity for a helper storing at most Q
+    rows, or direct copies); theta: how the replacement node combines the
+    received blocks into its new blocks."""
+    gamma: Dict[int, np.ndarray]   # helper -> (at most Q, rows it stores)
     theta: np.ndarray              # (rows of the failed node, total_sent)
     target_rows: np.ndarray        # (rows of the failed node, m) new coefficients
 
 
 def _draw(manifest: FileManifest, helpers: List[int], rng) -> Dict[int, np.ndarray]:
-    """A random gamma: Q uniform rows over each helper's stored rows."""
-    return {h: rng.integers(0, 256, size=(manifest.params.Q, len(manifest.node_coeffs[h])),
-                            dtype=np.uint8) for h in helpers}
+    """A gamma: the identity for a helper storing at most Q rows, which
+    draws nothing; Q uniform rows over its stored rows for any other."""
+    Q, stored = manifest.params.Q, manifest.node_coeffs
+    return {h: np.eye(len(stored[h]), dtype=np.uint8) if len(stored[h]) <= Q
+            else rng.integers(0, 256, size=(Q, len(stored[h])), dtype=np.uint8)
+            for h in helpers}
+
+
+def _mix(gamma_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """gamma_rows times rows: a copy of the rows it selects if each of its
+    rows is a unit vector, else their product."""
+    picks = [row.index(1) for row in gamma_rows.tolist() if sum(row) == 1]
+    if len(picks) < len(gamma_rows):
+        return field.combine_rows(gamma_rows, rows)
+    return rows.copy() if picks == list(range(len(rows))) else rows[picks]
 
 
 def _sent_rows(manifest: FileManifest, gamma: Dict[int, np.ndarray]) -> np.ndarray:
     """Source-coefficient rows of every block the helpers in gamma transmit."""
-    return np.concatenate([field.combine_rows(rows, manifest.node_coeffs[h])
-                           for h, rows in gamma.items()])
+    return np.concatenate([_mix(rows, manifest.node_coeffs[h]) for h, rows in gamma.items()])
 
 
 def _helper_rows(manifest: FileManifest, failed: int, helpers: List[int]) -> np.ndarray:
@@ -85,26 +101,33 @@ def plan_exact_repair(manifest: FileManifest, failed: int,
 def _candidates(manifest: FileManifest, target: np.ndarray, helpers: List[int],
                 stacked: np.ndarray, rng) -> Iterator[Dict[int, np.ndarray]]:
     """gammas, keyed by the helpers used in order, as an exact planner tries
-    them: direct copies, if every target row is stored on some helper; up to
-    ATTEMPTS random draws; one {0,1} row per helper for at most 4 helpers of
-    at most 4 rows.  A gamma that solves shows that the helpers span the
-    target rows, so their span is solved (PlanningError unless they span
-    them) only once the first draw fails, or before any draw when
-    Q*|helpers| < min(sum M_h, m): only there can their rank, at most that
-    bound, exceed what Q rows per helper reach, and then no draw is made."""
+    them: direct copies, if every target row is stored on some helper, as
+    they ship fewest rows.  When every helper stores at most Q rows, the one
+    gamma that ships them all unmixed follows, and its solve decides: it
+    spans all the helpers span, so PlanningError if it fails, and nothing is
+    drawn.  Otherwise up to ATTEMPTS random draws, then one {0,1} row per
+    helper for at most 4 helpers of at most 4 rows.  A gamma that solves
+    shows that the helpers span the target rows, so their span is solved
+    (PlanningError unless they span them) only once the first draw fails,
+    or before any draw when the rows sent, sum min(Q, M_h), are fewer than
+    min(sum M_h, m): only there can their rank, at most that bound, exceed
+    what the sent rows reach, and then no draw is made."""
     Q, stored = manifest.params.Q, manifest.node_coeffs
     if (target[:, None] == stacked[None]).all(axis=2).any(axis=1).all():
         copies = _direct_copies(stored, target, helpers, Q)
         if copies is not None:
             yield copies
-    reach = Q * len(helpers)
+    sizes = [len(stored[h]) for h in helpers]
+    if max(sizes) <= Q:
+        yield _draw(manifest, helpers, rng)
+        raise PlanningError("helpers do not span the failed node's rows")
+    reach = sum(min(Q, size) for size in sizes)
     if reach >= min(stacked.shape):
         yield _draw(manifest, helpers, rng)
         _span_rank(stacked, target)
         yield from (_draw(manifest, helpers, rng) for _ in range(ATTEMPTS - 1))
     elif reach >= _span_rank(stacked, target):
         yield from (_draw(manifest, helpers, rng) for _ in range(ATTEMPTS))
-    sizes = [len(stored[h]) for h in helpers]
     if len(helpers) <= 4 and max(sizes) <= 4:
         bits = [itertools.product((0, 1), repeat=size) for size in sizes]
         for combo in itertools.product(*bits):
@@ -130,8 +153,9 @@ def _direct_copies(stored: Dict[int, np.ndarray], target: np.ndarray,
 
 def plan_functional_repair(manifest: FileManifest, failed: int,
                            helpers: List[int], rng) -> RepairPlan:
-    """One random gamma and theta: the new rows lie in the helpers' span, so
-    whatever the draw they keep the file decodable if the helpers span it."""
+    """One gamma (_draw) and a random theta over the rows it sends: the new
+    rows lie in the helpers' span, so whatever the draw they keep the file
+    decodable if the helpers span it."""
     if field.matrix_rank(_helper_rows(manifest, failed, helpers)) < manifest.params.m:
         raise PlanningError("no functional repair keeps the file decodable")
     gamma = _draw(manifest, helpers, rng)
@@ -144,9 +168,10 @@ def plan_functional_repair(manifest: FileManifest, failed: int,
 @dataclass
 class RepairShipment:
     """One helper's contribution: its gamma rows times its stored rows,
-    data and tag symbols alike.  The combined blocks' coefficients are
-    gamma times the helper's manifest rows, so they are not shipped."""
-    rows: np.ndarray  # (Q, n+ell) combined blocks, each followed by its tag
+    data and tag symbols alike, or a copy of the rows a unit-vector gamma
+    selects.  The combined blocks' coefficients are gamma times the
+    helper's manifest rows, so they are not shipped."""
+    rows: np.ndarray  # (rows of gamma, n+ell) combined blocks, each followed by its tag
     n: int
 
     @property
@@ -161,7 +186,7 @@ class RepairShipment:
 
 
 def make_repair_blocks(payload: NodePayload, gamma_rows: np.ndarray, n: int) -> RepairShipment:
-    return RepairShipment(field.combine_rows(gamma_rows, payload.rows), n)
+    return RepairShipment(_mix(gamma_rows, payload.rows), n)
 
 
 def reconstruct_node(plan: RepairPlan, shipments: List[RepairShipment]) -> np.ndarray:

@@ -332,12 +332,15 @@ KERNEL_FORMS = {"measured": {"GATHER_MAX": field.GATHER_MAX},
                                             (CHURN_SHAPE, "random_functional")],
                          ids=["evenodd4", "churn"])
 def test_repair_counts_exactly_its_products(params, layout, mode):
-    # the planner multiplies gamma_h · C_h, rows(gamma_h)·M_h·m, for each
-    # helper of each gamma it tries (repair._sent_rows), and a functional
-    # one theta · the sent rows' coefficients, M·P·Q·m; elimination is
-    # uncounted.  Each helper ships gamma_h · its rows, Q·M_h·(n+ell), and
-    # the new node combines theta · the P·Q shipped rows, M·P·Q·(n+ell).
-    # Every kernel form counts that and builds the same rows
+    # a gamma_h whose rows are unit vectors selects stored rows, which are
+    # copied: the identity of a helper storing at most Q rows, direct
+    # copies, or {0,1} rows like evenodd4's.  Any other gamma_h is
+    # multiplied: the planner takes gamma_h · C_h, rows(gamma_h)·M_h·m, for
+    # each helper of each gamma it tries (repair._sent_rows), and the helper
+    # ships gamma_h · its rows, Q·M_h·(n+ell).  A functional planner also
+    # takes theta · the sent rows' coefficients, M·P·Q·m; elimination is
+    # uncounted.  The new node combines theta · the P·Q shipped rows,
+    # M·P·Q·(n+ell).  Every kernel form counts that and builds the same rows
     width, sent_rows = params.n + params.ell, params.P * params.Q
     for node in range(params.N):
         built = []
@@ -351,13 +354,26 @@ def test_repair_counts_exactly_its_products(params, layout, mode):
             stored = {h: len(c.manifest.node_coeffs[h]) for h in gammas[-1]}
             assert [len(g) for g in gammas[-1].values()] == [params.Q] * params.P
             planner = sum(len(g) * stored[h] * params.m for gamma in gammas
-                          for h, g in gamma.items())
+                          for h, g in gamma.items() if not _selects(g))
             if mode == "functional":
                 planner += params.M * sent_rows * params.m
-            shipments = sum(params.Q * M_h * width for M_h in stored.values())
-            assert count == planner + shipments + params.M * sent_rows * width, form
+            shipments = sum(params.Q * stored[h] * width for h, g in gammas[-1].items()
+                            if not _selects(g))
+            theta = params.M * sent_rows * width
+            assert count == planner + shipments + theta, form
+            if layout == "random_functional":
+                # every helper ships its Q = M_h rows unmixed: theta's
+                # products alone, M·P·Q·(n+ell), and a functional repair's
+                # M·(sum M_h)·m
+                assert len(gammas) == 1
+                assert count == theta + (mode == "functional") * params.M * sent_rows * params.m
             built.append(c.nodes[node].payload.rows)
         assert all(np.array_equal(rows, built[0]) for rows in built)
+
+
+def _selects(gamma_rows):
+    """Whether each row holds one 1 and zeros elsewhere."""
+    return bool(np.isin(gamma_rows, (0, 1)).all() and (gamma_rows.sum(axis=1) == 1).all())
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.5], ids=["honest", "lying"])

@@ -44,8 +44,8 @@ PINNED = {
     "setup": "2fff06b1734736d86b2f42486696f35d9861877c775e49c6c893c3ad5b03745b",
     "audit": "34a95c045efbe76deeb511bf6db9b8ca15f49897c5574fc41d5de0eb6a1fbab7",
     "extract": "8f1d328496a70b1ca63a47fca9d6f698e3c616de88ce4dde5f53bb75a4f7a927",
-    "repair": "b2ddca5f8c2ebbae3ddac29bfcdcdb9b08a0c02a0d806af65b4238b21951f860",
-    "dynamics": "2c82876afce8f7d1e709236facbe9e7750afd768a1e6d5b21bb950a3c18fb1b7",
+    "repair": "93c45c275b1ed12a145233c7534def7dc0235934add50e51cc43445bba2b3539",
+    "dynamics": "798afd6d7174deef121460c1aef59563a63a58357ec77bab6804a38be0529377",
     "cli": "6d51201f2f67a5b823abbed12a920f0ba395d147bd264e579c97a99b11df7ae8",
     "scenario": "7a29ce662da524a4200a9173534cbad2eaccaad09cc6a8ab889531bad14e8bc2",
 }

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncaudit import audit, field, ncrypt, repair, spacemac
 from ncaudit.blocks import SystemParams, decode_source_data
@@ -94,13 +94,14 @@ def test_exact_repair_impossible_without_span(system, rng):
 
 
 def test_helpers_that_cannot_span_are_named_after_a_failed_draw(rng):
-    # Q*|helpers| = 4 reaches min(sum M_h, m) = 4, so the planner tries a
-    # candidate before it solves for the helpers' span; nodes 1 and 2 span
-    # only e1..e3, and node 0 also stores e4
-    params = SystemParams(n=16, m=4, N=3, M=2, P=2, Q=2, ell=2, lambda_bits=80)
-    layout = {0: np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=np.uint8),
-              1: np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8),
-              2: np.array([[0, 0, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)}
+    # Q < M_h, so the helpers mix; the rows sent, Q*|helpers| = 4, reach
+    # min(sum M_h, m) = 4, so the planner tries a candidate before it
+    # solves for the helpers' span; nodes 1 and 2 span only e1..e3, and
+    # node 0 also stores e4
+    params = SystemParams(n=16, m=4, N=3, M=3, P=2, Q=2, ell=2, lambda_bits=80)
+    layout = {0: np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], dtype=np.uint8),
+              1: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], dtype=np.uint8),
+              2: np.array([[0, 0, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0]], dtype=np.uint8)}
     cluster = _cluster(params, layout, 56, rng)
     with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
         _assert_refused(cluster, repair.PlanningError,
@@ -110,8 +111,8 @@ def test_helpers_that_cannot_span_are_named_after_a_failed_draw(rng):
 
 
 def test_exact_repair_at_churn_shape_runs_one_elimination():
-    # m=16, N=6, M=4, P=5, Q=4: Q*|helpers| = 20 reaches min(20, 16), so the
-    # first random draw's solve is the only elimination
+    # m=16, N=6, M=4, P=5, Q=4: every helper ships its Q = M_h rows
+    # unmixed, and that plan's solve is the only elimination
     params = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
     c = spawn_cluster(params, "random_functional", bytes(range(200)), seed=29)
     for node in range(params.N):
@@ -120,6 +121,101 @@ def test_exact_repair_at_churn_shape_runs_one_elimination():
             c.fail_and_repair(node, "exact")
         assert elim.call_count == 1
         assert np.array_equal(c.nodes[node].payload.rows, before)
+
+
+CHURN_SHAPE = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
+
+
+def _shipments(cluster, node, mode):
+    """The helpers' (payload, gamma rows, shipment) of a repair, in order,
+    and the count of field.combine_rows calls it made."""
+    make, shipped = repair.make_repair_blocks, []
+
+    def recorded(payload, gamma_rows, n):
+        shipped.append((payload, gamma_rows, make(payload, gamma_rows, n)))
+        return shipped[-1][2]
+
+    with mock.patch.object(repair, "make_repair_blocks", side_effect=recorded), \
+            mock.patch.object(field, "combine_rows", wraps=field.combine_rows) as products:
+        cluster.fail_and_repair(node, mode)
+    return shipped, products.call_count
+
+
+def test_helpers_that_ship_all_they_store_send_them_unmixed():
+    # at churn shape each helper may ship Q = M_h rows, so under an identity
+    # gamma it ships a copy of its stored rows, data and tags, bit for bit;
+    # the only products are theta times the received rows and, in a
+    # functional repair, theta times their coefficients
+    for mode, products in (("exact", 1), ("functional", 2)):
+        c = spawn_cluster(CHURN_SHAPE, "random_functional", bytes(range(200)), seed=29)
+        stored = {i: node.payload.rows.copy() for i, node in c.nodes.items()}
+        shipped, calls = _shipments(c, 0, mode)
+        assert len(shipped) == 5 and calls == products
+        for h, (payload, gamma_rows, ship) in zip([1, 2, 3, 4, 5], shipped):
+            assert np.array_equal(gamma_rows, np.eye(4, dtype=np.uint8))
+            assert np.array_equal(ship.rows, stored[h])
+            assert not np.shares_memory(ship.rows, payload.rows)
+        assert mode == "functional" or np.array_equal(c.nodes[0].payload.rows, stored[0])
+    # an exact plan draws nothing and solves once
+    planner_rng = np.random.default_rng(5)
+    state = planner_rng.bit_generator.state
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+        plan = repair.plan_exact_repair(c.manifest, 0, [1, 2, 3, 4, 5], planner_rng)
+    assert elim.call_count == 1 and planner_rng.bit_generator.state == state
+    assert all(np.array_equal(g, np.eye(4, dtype=np.uint8)) for g in plan.gamma.values())
+    # three helpers' 12 rows do not span node 0's 4 random rows of 16
+    # symbols: that one solve refuses, and nothing is drawn or changed
+    with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
+        with pytest.raises(repair.PlanningError, match="helpers do not span"):
+            repair.plan_exact_repair(c.manifest, 0, [1, 2, 3], planner_rng)
+        assert elim.call_count == 1 and planner_rng.bit_generator.state == state
+        _assert_refused(c, repair.PlanningError, "helpers do not span the failed node's rows",
+                        0, "exact", [1, 2, 3])
+    assert elim.call_count == 2
+
+
+@st.composite
+def _unmixed_shapes(draw):
+    """random_functional shapes at n=16 where every helper may ship Q >= M
+    rows, and a node to fail."""
+    N, M = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    params = SystemParams(n=16, m=draw(st.integers(1, N * M)), N=N, M=M,
+                          P=draw(st.integers(1, N - 1)), Q=M + draw(st.integers(0, 2)),
+                          ell=2, lambda_bits=80)
+    return params, draw(st.integers(0, N - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unmixed_shapes())
+def test_unmixed_repairs_rebuild_exactly_and_keep_the_file_decodable(shape):
+    params, node, seed = shape
+    data = bytes(range(params.m * (params.n - 2) - 1))
+    try:
+        exact = spawn_cluster(params, "random_functional", data, seed)
+    except ValueError:  # a draw of rows that span fewer than m sources
+        assume(False)
+    functional = spawn_cluster(params, "random_functional", data, seed)
+    helpers = [h for h in range(params.N) if h != node][:params.P]
+    coeffs = exact.manifest.node_coeffs
+    stacked = np.concatenate([coeffs[h] for h in helpers])
+    rank = field.matrix_rank(stacked)
+    before = exact.nodes[node].payload.rows.copy()
+    # exact: the unmixed plan's one solve decides, and rebuilds bit for bit
+    if field.matrix_rank(np.vstack([stacked, coeffs[node]])) == rank:
+        exact.fail_and_repair(node, "exact", helpers)
+        assert np.array_equal(exact.nodes[node].payload.rows, before)
+    else:
+        _assert_refused(exact, repair.PlanningError, "helpers do not span", node, "exact",
+                        helpers)
+    # functional: helpers that span the file leave it decodable, and every
+    # node, the rebuilt one too, passes a full audit
+    if rank < params.m:
+        _assert_refused(functional, repair.PlanningError, "keeps the file decodable",
+                        node, "functional", helpers)
+        return
+    functional.fail_and_repair(node, "functional", helpers)
+    assert functional.decode_current_file() == data
+    assert all(functional.run_audit_round(i, params.M)[0] for i in range(params.N))
 
 
 def test_evenodd4_exact_repair_solves_the_span_first(system, rng):
@@ -179,22 +275,24 @@ def test_direct_copies_pick_as_the_row_by_row_search(Q, m, seed):
 
 
 # seed-11 random_functional layouts (n=64, m=4, N=6, M=2, P=5) store no
-# helper row twice, so rebuilding node 0 draws gamma at random; the planner's
-# generator is seeded with 5
+# helper row twice, so rebuilding node 0 at Q < M draws gamma at random; at
+# Q = M every helper ships its rows unmixed and nothing is drawn.  The
+# planner's generator is seeded with 5
 @pytest.mark.parametrize("Q, gamma, theta", [
     (1, [[[168, 229]], [[238, 171]], [[245, 153]], [[37, 53]], [[192, 173]]],
      [[36, 144, 1, 196, 0], [220, 214, 133, 222, 0]]),
-    (2, [[[168, 229], [184, 171]], [[238, 171], [20, 206]], [[245, 153], [204, 5]],
-         [[37, 53], [213, 206]], [[192, 173], [6, 120]]],
-     [[79, 191, 190, 22, 0, 0, 0, 0, 0, 0], [69, 141, 178, 43, 0, 0, 0, 0, 0, 0]]),
+    (2, [[[1, 0], [0, 1]]] * 5,
+     [[73, 246, 219, 26, 0, 0, 0, 0, 0, 0], [193, 225, 118, 162, 0, 0, 0, 0, 0, 0]]),
 ], ids=["Q<M", "Q=M"])
 def test_random_gamma_exact_repair_bit_for_bit(Q, gamma, theta):
     params = SystemParams(n=64, m=4, N=6, M=2, P=5, Q=Q, ell=2, lambda_bits=80)
     cluster = spawn_cluster(params, "random_functional", bytes(range(200)), seed=11)
     payloads = {i: node.payload for i, node in cluster.nodes.items()}
     before = payloads[0].rows.copy()
-    plan = repair.plan_exact_repair(cluster.manifest, 0, [1, 2, 3, 4, 5],
-                                    np.random.default_rng(5))
+    planner_rng = np.random.default_rng(5)
+    state = planner_rng.bit_generator.state
+    plan = repair.plan_exact_repair(cluster.manifest, 0, [1, 2, 3, 4, 5], planner_rng)
+    assert (planner_rng.bit_generator.state == state) == (Q == params.M)
     assert list(plan.gamma) == [1, 2, 3, 4, 5]
     assert [g.tolist() for g in plan.gamma.values()] == gamma
     assert plan.theta.tolist() == theta
