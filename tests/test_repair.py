@@ -10,6 +10,7 @@ from ncaudit.blocks import SystemParams, decode_source_data
 from ncaudit.cluster import EVENODD4, Cluster, User, spawn_cluster
 
 PARAMS = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2, lambda_bits=80)
+CHURN_SHAPE = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 
 
 @pytest.fixture
@@ -113,17 +114,13 @@ def test_helpers_that_cannot_span_are_named_after_a_failed_draw(rng):
 def test_exact_repair_at_churn_shape_runs_one_elimination():
     # m=16, N=6, M=4, P=5, Q=4: every helper ships its Q = M_h rows
     # unmixed, and that plan's solve is the only elimination
-    params = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
-    c = spawn_cluster(params, "random_functional", bytes(range(200)), seed=29)
-    for node in range(params.N):
+    c = spawn_cluster(CHURN_SHAPE, "random_functional", bytes(range(200)), seed=29)
+    for node in range(CHURN_SHAPE.N):
         before = c.nodes[node].payload.rows.copy()
         with mock.patch.object(field, "_eliminate", wraps=field._eliminate) as elim:
             c.fail_and_repair(node, "exact")
         assert elim.call_count == 1
         assert np.array_equal(c.nodes[node].payload.rows, before)
-
-
-CHURN_SHAPE = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
 
 
 def _shipments(cluster, node, mode):
@@ -425,8 +422,7 @@ def test_refused_repair_changes_nothing(node, mode, helpers, error, match):
 def test_refused_repair_leaves_later_repairs_alone(helpers):
     # at churn shape, a refused repair of node 0 must not change the rows
     # that a later functional repair of node 1 draws
-    params = SystemParams(n=64, m=16, N=6, M=4, P=5, Q=4, ell=2, lambda_bits=80)
-    refused, plain = (spawn_cluster(params, "random_functional", bytes(range(200)), seed=5)
+    refused, plain = (spawn_cluster(CHURN_SHAPE, "random_functional", bytes(range(200)), seed=5)
                       for _ in range(2))
     with pytest.raises(repair.PlanningError):
         refused.fail_and_repair(0, "exact", helpers)
