@@ -4,15 +4,15 @@ KeyGen / TagGen run at the user, GenProof at a storage node, VerifyProof at
 the auditor.  The auditor holds only the verification key and the coding
 coefficients; response data reaches it masked, and the tag reaches it
 offset by a one-time voucher (see ncrypt).  Tags are linear, so the
-auditor takes the MAC of a proof's coefficient part from a per-node table
-of its stored rows' coefficient tags, which the caller holds (verify_proof).
+auditor checks a proof in one product with a per-node table of the MAC
+vectors' data columns and the stored rows' coefficient tags, which the
+caller holds (verify_proof).
 A challenge is a row count and a seed, which the auditor derives for audit
 k under k_v (gen_challenge) and both ends expand (Challenge.expand).
 """
 
 from __future__ import annotations
 
-import functools
 import secrets
 import struct
 from dataclasses import dataclass
@@ -60,11 +60,13 @@ class Challenge:
         unchecked.  ValueError unless 1 <= count <= M."""
         if not 1 <= self.count <= M:
             raise ValueError(f"challenge count {self.count} outside [1, {M}]")
-        stream = functools.partial(prf.eval_range, self.seed, prf.F2, self.file_id.encode(),
-                                   nonce=struct.pack(">I", self.node))
+        fid, nonce = self.file_id.encode(), struct.pack(">I", self.node)
         indices = np.arange(M) if self.count == M else np.argsort(
-            stream((1,), 4 * M).view(">u4"), kind="stable")[:self.count]
-        return indices, prf.nonzero_symbols(functools.partial(stream, (2,)), self.count)
+            prf.eval_range(self.seed, prf.F2, fid, (1,), 4 * M, nonce).view(">u4"),
+            kind="stable")[:self.count]
+        return indices, prf.nonzero_symbols(
+            lambda length: prf.eval_range(self.seed, prf.F2, fid, (2,), length, nonce),
+            self.count)
 
     def to_bytes(self) -> bytes:
         fid = self.file_id.encode()
@@ -171,18 +173,19 @@ def gen_challenge(k_v: bytes, manifest: FileManifest, node: int, count: int,
 def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
               params: SystemParams) -> Proof:
     """Aggregate the challenged rows of the node's (M, n+ell) store, giving
-    the n data symbols and ell tag symbols of the combination at once; the
-    rows are read from the store once per coefficient digit, with no copy
-    of the challenged rows first.  Mask the first n-2 with the voucher's
-    mask and offset the tag by the voucher, which costs no multiplication.
+    the n data symbols and ell tag symbols of the combination at once; a
+    partial challenge's rows are read from the store by index, once per
+    coefficient digit, with no copy of them first, and a full one combines
+    the store as it is.  Mask the first n-2 with the voucher's mask and
+    offset the tag by the voucher, which costs no multiplication.
 
     The coefficient part is neither stored nor transmitted: the auditor
     knows it from its own records.  The challenge is expanded at the
     store's own row count; ValueError if it counts more rows.
     """
-    n = params.n
-    indices, alphas = chal.expand(rows.shape[0])
-    agg = field.combine_rows(alphas, rows, indices)
+    n, M = params.n, rows.shape[0]
+    indices, alphas = chal.expand(M)
+    agg = field.combine_rows(alphas, rows, None if chal.count == M else indices)
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
@@ -228,22 +231,25 @@ def verified_rows(k_v: bytes, manifest: FileManifest,
 
 @dataclass
 class VerifyStats:
-    mults: int = 0  # ell*n data MAC + C*ell coefficient tags (+ M*m*ell table rebuild)
+    mults: int = 0  # ell*(n+C): data MAC and coefficient tags (+ M*m*ell table rebuild)
 
 
 def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
                      tags: Dict[int, tuple]) -> np.ndarray:
-    """Row j: the MAC of the node's stored row j's coefficient part, its
-    manifest coefficients times the current MAC vectors' columns n..n+m.
-    Served from tags (node -> content of the coefficient rows and deltas
-    it was built from, the table) while both equal that content; rebuilt
-    otherwise, for M·m·ell multiplications."""
+    """The node's (n+M, ell) verify table, tag-major: the current MAC
+    vectors' (_mac_vectors) first n columns above row j, the MAC of the
+    node's stored row j's coefficient part, its manifest coefficients
+    times their columns n..n+m.  Served from tags (node -> content of the
+    coefficient rows and deltas it was built from, the table) while both
+    equal that content; rebuilt otherwise, for M·m·ell multiplications."""
     coeffs = manifest.node_coeffs[node]
     state = (coeffs.shape, coeffs.tobytes(), manifest.deltas.tobytes())
     held = tags.get(node)
     if held is None or held[0] != state:
+        n = manifest.params.n
         r = _mac_vectors(k_v, manifest)
-        held = tags[node] = (state, field.combine_rows(coeffs, r[:, manifest.params.n:].T))
+        held = tags[node] = (state, np.concatenate(
+            [r[:, :n], field.combine_rows(r[:, n:], coeffs.T)], axis=1).T)
     return held[1]
 
 
@@ -251,11 +257,11 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof, tags: Dict[int, tuple]) -> Tuple[bool, VerifyStats]:
     """Strip the voucher pad of the proof's k and check verify_block's
     equation for the row [c_bar, pad, alpha·C[indices]], the challenge
-    expanded at the node's rows in the manifest, by its parts: the
-    MAC of the n data symbols and the alpha-combination of the node's
-    coefficient tags (_coeff_tag_table, held in the caller's tags across
-    verifies).  Whether k was issued to the node and is unused is the
-    caller's check (cluster.Tpa)."""
+    expanded at the node's rows in the manifest, as one product: [c_bar,
+    pad, alpha] times the rows of the n data symbols and the challenged
+    rows in the node's table (_coeff_tag_table, held in the caller's tags
+    across verifies).  Whether k was issued to the node and is unused is
+    the caller's check (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
@@ -264,13 +270,13 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     stats = VerifyStats()
     before = field.counter.value  # stays put while the counter is off
 
-    fid = manifest.file_id.encode()
-    r = spacemac.r_matrix(k_v, fid, ell, n + params.m)
     table = _coeff_tag_table(k_v, manifest, chal.node, tags)
-    tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad]), r[:, :n].T)
-    indices, alphas = chal.expand(table.shape[0])
-    tag ^= field.combine_rows(alphas, table, indices)
-    s_k = ncrypt.voucher_pad(k_v, fid, chal.node, proof.k, params)
+    M = table.shape[0] - n
+    indices, alphas = chal.expand(M)
+    tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad, alphas]), table,
+                             None if chal.count == M
+                             else np.concatenate([np.arange(n), n + indices]))
+    s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k, params)
     ok = bool((tag == proof.tag ^ s_k).all())
     stats.mults = field.counter.value - before
     return ok, stats

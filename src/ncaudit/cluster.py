@@ -145,8 +145,8 @@ class SpentCounterError(RuntimeError):
 
 class Tpa:
     """Auditor.  Holds k_v and the manifest; never k_e.  Per node it keeps
-    the last k it spent, the last k the user announced and the table of its
-    rows' coefficient tags (audit.verify_proof)."""
+    the last k it spent, the last k the user announced and the table that
+    verifies its proofs (audit.verify_proof)."""
 
     def __init__(self, k_v: bytes, manifest: FileManifest):
         self._k_v = k_v

@@ -39,18 +39,16 @@ MAX_KEY_BYTES = 64
 def encode_domain(fn: int, file_id: bytes, indices, nonce: bytes = b"") -> bytes:
     """Injective encoding of a PRF domain point, or of its leading indices;
     ValueError on an unknown function, a nonce missing for F2, F3 or F4 or
-    given to F1, or an index below 1."""
+    given to F1, or an index outside 1..2^32-1, which a u32 cannot hold."""
     if fn not in (F1, *NONCED):
         raise ValueError(f"unknown PRF function id {fn}")
     if (fn in NONCED) != bool(nonce):
         raise ValueError("F2, F3 and F4 need a nonce, and only they carry one")
-    if any(i < 1 for i in indices):
-        raise ValueError("PRF indices must be >= 1")
-    parts = [bytes([fn]), struct.pack(">I", len(file_id)), file_id]
-    if fn in NONCED:
-        parts += [struct.pack(">I", len(nonce)), nonce]
-    parts += [struct.pack(">I", i) for i in indices]
-    return b"".join(parts)
+    if indices and not 1 <= min(indices) <= max(indices) < 1 << 32:
+        raise ValueError("PRF indices must be in 1..2^32-1")
+    return (struct.pack(">BI", fn, len(file_id)) + file_id
+            + (struct.pack(">I", len(nonce)) + nonce if nonce else b"")
+            + struct.pack(f">{len(indices)}I", *indices))
 
 
 # -- public surface ---------------------------------------------------------

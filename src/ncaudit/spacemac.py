@@ -46,6 +46,6 @@ def r_matrix(k_v: bytes, file_id: bytes, ell: int, length: int) -> np.ndarray:
 def mac(k_v: bytes, file_id: bytes, rows: np.ndarray, ell: int = 1) -> np.ndarray:
     """ell tags for an (n+m,) block, or an (ell,) tag row per row of a
     (k, n+m) block matrix; tag j is the dot product with r_j.  A tag is
-    verified by recomputing it (audit.verify_block), or by tag algebra over
-    its parts (audit.verify_proof)."""
+    verified by recomputing it (audit.verify_block), or in one product with
+    a table that holds the coefficient part's tags (audit.verify_proof)."""
     return field.combine_rows(rows, r_matrix(k_v, file_id, ell, rows.shape[-1]).T)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import struct
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ncaudit import audit, dynamics, field, ncrypt, prf, spacemac
+from ncaudit import audit, dynamics, field, ncrypt, prf, repair, spacemac
 from ncaudit.audit import Challenge, Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import EVENODD4, Fault, Node, spawn_cluster
@@ -405,7 +406,8 @@ TAMPERS = ("none", "data", "pad", "tag", "coefficient row")
 def test_verdict_equals_the_full_row_check(data):
     ell = data.draw(st.sampled_from([1, 2, 10]), "ell")
     n = data.draw(st.integers(8, 40), "n")
-    m, N, M = data.draw(st.sampled_from([(2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 2, 4)]), "shape")
+    m, N, M = data.draw(st.sampled_from([(2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 2, 4),
+                                         (3, 3, 2)]), "shape")
     params = SystemParams(n=n, m=m, N=N, M=M, P=N - 1, Q=1, ell=ell, lambda_bits=80)
     seed = data.draw(st.integers(0, 2**16), "seed")
     try:
@@ -416,7 +418,18 @@ def test_verdict_equals_the_full_row_check(data):
     payloads = {i: node.payload for i, node in c.nodes.items()}
     for index in data.draw(st.sets(st.integers(0, m - 1), max_size=m), "updated"):
         dynamics.update_block(c.manifest, payloads, c.user.keys, index, rng.bytes(3), rng)
+    # an append lengthens the rows of the nodes given the block, and a
+    # functional repair redraws a node's rows; both change the table
+    given = data.draw(st.sets(st.integers(0, N - 1), max_size=N), "appended to")
+    if given:
+        dynamics.append_block(c.manifest, {i: payloads[i] for i in given}, c.user.keys,
+                              rng.bytes(3), rng)
+    repaired = data.draw(st.sampled_from([None, *range(N)]), "repaired")
+    if repaired is not None:
+        with contextlib.suppress(repair.PlanningError):  # helpers that span too little
+            c.fail_and_repair(repaired, "functional")
     node = data.draw(st.integers(0, N - 1), "node")
+    M = len(c.manifest.node_coeffs[node])
     k_v = c.user.keys.k_v
     # warm the node's table with an honest proof, which both checks accept
     chal, proof = _round(c, node, M)
@@ -428,7 +441,7 @@ def test_verdict_equals_the_full_row_check(data):
     delta = data.draw(st.integers(1, 255), "delta")
     if tamper == "coefficient row":
         row = c.manifest.node_coeffs[node][chal.expand(M)[0][0]]
-        row[data.draw(st.integers(0, m - 1), "column")] ^= delta
+        row[data.draw(st.integers(0, row.size - 1), "column")] ^= delta
     elif tamper != "none":
         symbols = {"data": proof.c_bar, "pad": proof.pad, "tag": proof.tag}[tamper]
         symbols[data.draw(st.integers(0, symbols.size - 1), "position")] ^= delta

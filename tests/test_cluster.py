@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncaudit import cluster as cl, dynamics, extractor, field, repair
+from ncaudit import cluster as cl, dynamics, extractor, field, prf, repair
 from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cli import main
@@ -318,6 +319,28 @@ def test_an_audit_moves_exactly_its_exchanges_bytes(params, layout, count, contr
         want[src, "sent", category] += nbytes
         want[dst, "received", category] += nbytes
     assert {cell: after[cell] - before[cell] for cell in before} == want
+
+
+@pytest.mark.parametrize("params, layout, count", [
+    (PARAMS, "evenodd4", 2), (PARAMS, "evenodd4", 1),
+    (SystemParams(n=64, m=6, N=3, M=4, P=2, Q=2, ell=3, lambda_bits=128),
+     "random_functional", 4),
+    (SystemParams(n=64, m=6, N=3, M=4, P=2, Q=2, ell=3, lambda_bits=128),
+     "random_functional", 3),
+], ids=["evenodd4-full", "evenodd4-partial", "random-full", "random-partial"])
+def test_an_audit_derives_exactly_its_keystreams(params, layout, count):
+    # once the MAC vectors are cached, one exchange reads 7 keystreams for
+    # a full challenge: the voucher's mask (F3) and pad (F4), the
+    # challenge's seed (F2), the node's alphas (F2) and mask (F3), and the
+    # TPA's alphas (F2) and pad (F4).  A partial one adds the rows' ranks
+    # (F2) at each end, 9 in all
+    c = spawn_cluster(params, layout, DATA, seed=22)
+    assert c.run_audit_round(1, count)[0]  # caches the MAC vectors
+    with mock.patch.object(prf, "eval_range", wraps=prf.eval_range) as derive:
+        assert c.run_audit_round(1, count)[0]
+    full = count == len(c.manifest.node_coeffs[1])
+    assert Counter(call.args[1] for call in derive.call_args_list) \
+        == {prf.F2: 3 if full else 5, prf.F3: 2, prf.F4: 2}
 
 
 # every kernel form a product can take, forced: the forms as measured,

@@ -177,6 +177,25 @@ def test_indexed_combine_matches_scalar_sum(shape, extra, repeats, kind, seed):
     assert got.tolist() == _scalar_combination(alphas, rows[index])
 
 
+@settings(max_examples=40, deadline=None)
+@given(_SHAPES, _KINDS, st.integers(0, 2**32 - 1))
+@example((127, 1032), "random", 1)  # r·w just under GATHER_MAX: both gather
+@example((128, 1024), "random", 2)  # r·w at GATHER_MAX: both take the digit loop
+@example((600, 255), "equal", 3)    # past GATHER_MAX, too narrow for the digit loop
+@example((300, 4106), "random", 4)  # a paper-scale store
+def test_an_index_of_every_row_in_order_is_no_index(shape, kind, seed):
+    # a full challenge combines a store with no index (audit.gen_proof),
+    # where it once named rows 0..M-1: on either kernel the two agree
+    # bit for bit
+    r = np.random.default_rng(seed)
+    rows = r.integers(0, 256, shape, dtype=np.uint8)
+    alphas = _alphas(r, kind, shape[0])
+    whole = field.combine_rows(alphas, rows)
+    indexed = field.combine_rows(alphas, rows, np.arange(shape[0]))
+    assert whole.dtype == indexed.dtype == np.uint8 and whole.shape == (shape[1],)
+    assert whole.tobytes() == indexed.tobytes()
+
+
 def test_paper_scale_combination_takes_one_slab_of_scratch():
     # 300 of 300 stored rows of 4,106 symbols: the digit loop takes half
     # the rows at a time through one buffer.  Its scratch is that slab and

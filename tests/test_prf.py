@@ -132,16 +132,24 @@ def test_eval_range_is_the_slice_of_a_longer_range(fn, count, after):
 @settings(max_examples=120, deadline=None)
 @example(bytes(64), prf.F1, (1,), b"", 5000)
 @example(b"\x00", prf.F3, (), b"\x00", 1)
+@example(KEY, prf.F2, (1, 2**16, 3), b"\x07", 40)  # a three-index head
+@example(KEY, prf.F1, (2**32 - 1,), b"", 40)       # the largest index
 @given(st.binary(min_size=1, max_size=64), st.sampled_from(sorted(_DOMAINS)),
        st.lists(st.integers(1, 2**32 - 1), max_size=3), st.binary(min_size=1, max_size=20),
        st.integers(1, 5000))
 def test_eval_range_is_shake256_of_the_framed_key_and_domain(key, fn, head, nonce, count):
     # symbol i is output byte i - 1 of SHAKE256 over the key, framed by its
-    # length in one byte, then the domain
+    # length in one byte, then the domain, framed here by hand: function
+    # id, u32 BE length of file id, file id, for F2-F4 u32 BE length of
+    # nonce and nonce, then u32 BE per head index
     nonce = nonce if fn in prf.NONCED else b""
     out = prf.eval_range(key, fn, FID, head, count, nonce=nonce)
-    want = hashlib.shake_256(bytes([len(key)]) + key
-                             + prf.encode_domain(fn, FID, head, nonce)).digest(count)
+    domain = bytes([fn]) + struct.pack(">I", len(FID)) + FID
+    if fn in prf.NONCED:
+        domain += struct.pack(">I", len(nonce)) + nonce
+    for i in head:
+        domain += struct.pack(">I", i)
+    want = hashlib.shake_256(bytes([len(key)]) + key + domain).digest(count)
     assert out.dtype == np.uint8 and out.flags.writeable
     assert out.tobytes() == want
 
@@ -176,6 +184,16 @@ def test_nonce_required_only_for_f2_f3_and_f4():
     for fn in (0, 5):
         with pytest.raises(ValueError, match="unknown PRF function id"):
             prf.encode_domain(fn, FID, (1,), nonce=b"x")
+
+
+@pytest.mark.parametrize("head", [(0,), (-1,), (2**32,), (1, 2**32), (2**40, 1)])
+def test_an_index_outside_a_u32_from_1_is_refused(head):
+    # a u32 holds 0..2^32-1 and indices start at 1; 2^32 escaped as
+    # struct.error, which is not a ValueError
+    for fn, nonce in ((prf.F1, b""), (prf.F2, b"x")):
+        with pytest.raises(ValueError, match=r"1\.\.2\^32-1"):
+            prf.encode_domain(fn, FID, head, nonce)
+    assert len(prf.encode_domain(prf.F1, FID, (1, 2**32 - 1))) == 1 + 4 + len(FID) + 8
 
 
 @settings(max_examples=60, deadline=None)
