@@ -227,7 +227,8 @@ def test_criterion_07_cost_formulas(paper_cluster):
     assert gen_total == C * (n + ell) == 1_231_800
     assert len(proof.to_bytes()) == (n - 2) + 80 // 8 + 2 + ell
     # the first verify of a node builds its table of M*m*ell coefficient
-    # tags; later ones MAC the n data symbols and combine C of those tags
+    # tags; later ones take one product of the n data symbols and the C
+    # alphas with the MAC vectors' data columns stacked above those tags
     with field.counter:
         ok, cold = c.tpa.verify(chal, proof)
     assert ok and cold.mults == params.M * m * ell + ell * (n + C) == 1_543_960
