@@ -16,7 +16,7 @@ from __future__ import annotations
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,16 +52,16 @@ class Challenge:
     seed: bytes
     node: int = 0  # addressing; not part of the wire format
 
-    def expand(self, M: int) -> Tuple[np.ndarray, np.ndarray]:
+    def expand(self, M: int) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """The challenged rows of a node of M rows and their coefficients,
-        from F2 keyed by the seed (prf): all rows in order when count == M,
-        as the aggregate is a sum, else the count rows of least u32 rank;
-        the first count nonzero symbols, as a zero would leave its row
-        unchecked.  ValueError unless 1 <= count <= M."""
+        from F2 keyed by the seed (prf): None when count == M, meaning all
+        rows in order, as the aggregate is a sum, else the count rows of
+        least u32 rank; the first count nonzero symbols, as a zero would
+        leave its row unchecked.  ValueError unless 1 <= count <= M."""
         if not 1 <= self.count <= M:
             raise ValueError(f"challenge count {self.count} outside [1, {M}]")
         fid, nonce = self.file_id.encode(), struct.pack(">I", self.node)
-        indices = np.arange(M) if self.count == M else np.argsort(
+        indices = None if self.count == M else np.argsort(
             prf.eval_range(self.seed, prf.F2, fid, (1,), 4 * M, nonce).view(">u4"),
             kind="stable")[:self.count]
         return indices, prf.nonzero_symbols(
@@ -185,7 +185,7 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
     """
     n, M = params.n, rows.shape[0]
     indices, alphas = chal.expand(M)
-    agg = field.combine_rows(alphas, rows, None if chal.count == M else indices)
+    agg = field.combine_rows(alphas, rows, indices)
     c_bar = ncrypt.enc(k_e, chal.file_id.encode(), voucher.node, voucher.k,
                        agg[: n - 2], params)
     return Proof(c_bar, voucher.k.to_bytes(params.lambda_bits // 8, "big"),
@@ -236,12 +236,13 @@ class VerifyStats:
 
 def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
                      tags: Dict[int, tuple]) -> np.ndarray:
-    """The node's (n+M, ell) verify table, tag-major: the current MAC
-    vectors' (_mac_vectors) first n columns above row j, the MAC of the
-    node's stored row j's coefficient part, its manifest coefficients
-    times their columns n..n+m.  Served from tags (node -> content of the
-    coefficient rows and deltas it was built from, the table) while both
-    equal that content; rebuilt otherwise, for M·m·ell multiplications."""
+    """The node's (ell, n+M) verify table: row t is the current MAC
+    vector r_t's (_mac_vectors) first n symbols, then at column n+j tag
+    symbol t of the MAC of the node's stored row j's coefficient part, its
+    manifest coefficients times r_t's columns n..n+m.  Served from tags
+    (node -> content of the coefficient rows and deltas it was built from,
+    the table) while both equal that content; rebuilt otherwise, for
+    M·m·ell multiplications."""
     coeffs = manifest.node_coeffs[node]
     state = (coeffs.shape, coeffs.tobytes(), manifest.deltas.tobytes())
     held = tags.get(node)
@@ -249,7 +250,7 @@ def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
         n = manifest.params.n
         r = _mac_vectors(k_v, manifest)
         held = tags[node] = (state, np.concatenate(
-            [r[:, :n], field.combine_rows(r[:, n:], coeffs.T)], axis=1).T)
+            [r[:, :n], field.combine_rows(r[:, n:], coeffs.T)], axis=1))
     return held[1]
 
 
@@ -258,10 +259,10 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     """Strip the voucher pad of the proof's k and check verify_block's
     equation for the row [c_bar, pad, alpha·C[indices]], the challenge
     expanded at the node's rows in the manifest, as one product: [c_bar,
-    pad, alpha] times the rows of the n data symbols and the challenged
-    rows in the node's table (_coeff_tag_table, held in the caller's tags
-    across verifies).  Whether k was issued to the node and is unused is
-    the caller's check (cluster.Tpa)."""
+    pad, alpha] times the n data columns and the challenged columns of the
+    node's table (_coeff_tag_table, held in the caller's tags across
+    verifies).  Whether k was issued to the node and is unused is the
+    caller's check (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
@@ -271,11 +272,13 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     before = field.counter.value  # stays put while the counter is off
 
     table = _coeff_tag_table(k_v, manifest, chal.node, tags)
-    M = table.shape[0] - n
+    M = table.shape[1] - n
     indices, alphas = chal.expand(M)
-    tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad, alphas]), table,
-                             None if chal.count == M
-                             else np.concatenate([np.arange(n), n + indices]))
+    if indices is not None:
+        # a copy of the columns read: on rows ell symbols wide it costs
+        # less than combining through an index
+        table = np.concatenate([table[:, :n], table[:, n + indices]], axis=1)
+    tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad, alphas]), table.T)
     s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k, params)
     ok = bool((tag == proof.tag ^ s_k).all())
     stats.mults = field.counter.value - before

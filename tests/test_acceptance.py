@@ -228,7 +228,7 @@ def test_criterion_07_cost_formulas(paper_cluster):
     assert len(proof.to_bytes()) == (n - 2) + 80 // 8 + 2 + ell
     # the first verify of a node builds its table of M*m*ell coefficient
     # tags; later ones take one product of the n data symbols and the C
-    # alphas with the MAC vectors' data columns stacked above those tags
+    # alphas with the MAC vectors' data columns joined to those tags
     with field.counter:
         ok, cold = c.tpa.verify(chal, proof)
     assert ok and cold.mults == params.M * m * ell + ell * (n + C) == 1_543_960

@@ -228,15 +228,16 @@ def test_audit_k_seed_is_f2_under_k_v_at_the_node_and_k(system):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_full_challenge_takes_every_row_and_draws_only_its_alphas(seed):
-    # the aggregate is a sum, so a full challenge takes rows 0..M-1 in order
-    # and reads only its coefficients' range, no ranks; a partial one under
+    # the aggregate is a sum, so a full challenge names no index, taking
+    # rows 0..M-1 in order, and reads only its coefficients' range, no
+    # ranks; a partial one under
     # the same seed takes distinct rows and a prefix of those coefficients
     params = SystemParams(n=16, m=8, N=2, M=5, P=1, Q=5, ell=2, lambda_bits=80)
     c = spawn_cluster(params, "random_functional", bytes(range(80)), seed)
     chal = audit.gen_challenge(c.user.keys.k_v, c.manifest, 1, params.M, 1)
     with mock.patch.object(prf, "eval_range", wraps=prf.eval_range) as read:
         indices, alphas = chal.expand(params.M)
-    assert indices.tolist() == list(range(params.M))
+    assert indices is None
     assert alphas.min() >= 1
     assert [call.args[3] for call in read.call_args_list] == [(2,)]
     for count in range(1, params.M):
@@ -324,6 +325,11 @@ def _expand_by_hand(file_id, count, seed, node, M):
     return rows, alphas
 
 
+def _rows(indices, M):
+    """Challenge.expand's rows as a list: None names all M in order."""
+    return list(range(M)) if indices is None else indices.tolist()
+
+
 # frozen outputs of _expand_by_hand (computed once, pinned): the rows and
 # coefficients of challenges under SEED at node 3 of "golden-file"
 SEED = bytes(range(0xa0, 0xaa))
@@ -338,7 +344,7 @@ EXPANDED_100_300_SHA256 = "c16d20a4300b84a4af09c6ce1be640061dbebb413de1973a1a552
 def test_expansion_known_answers():
     for (count, M), want in EXPANDED.items():
         rows, alphas = Challenge("golden-file", count, SEED, node=3).expand(M)
-        assert (rows.tolist(), alphas.tolist()) == want
+        assert (_rows(rows, M), alphas.tolist()) == want
     rows, alphas = Challenge("golden-file", 100, SEED, node=3).expand(300)
     digest = hashlib.sha256(struct.pack(">100H", *rows) + alphas.tobytes()).hexdigest()
     assert digest == EXPANDED_100_300_SHA256
@@ -352,8 +358,10 @@ def test_expansion_known_answers():
 def test_expansion_equals_the_hand_built_one(file_id, count, seed, node, extra):
     M = count + extra
     rows, alphas = Challenge(file_id, count, seed, node).expand(M)
-    assert rows.dtype.kind in "iu" and alphas.dtype == np.uint8
-    assert (rows.tolist(), alphas.tolist()) == _expand_by_hand(file_id, count, seed, node, M)
+    assert (rows is None) == (extra == 0)
+    assert rows is None or rows.dtype.kind in "iu"
+    assert alphas.dtype == np.uint8
+    assert (_rows(rows, M), alphas.tolist()) == _expand_by_hand(file_id, count, seed, node, M)
 
 
 def test_expansion_refuses_a_count_outside_the_rows():
@@ -440,7 +448,7 @@ def test_verdict_equals_the_full_row_check(data):
     tamper = data.draw(st.sampled_from(TAMPERS), "tamper")
     delta = data.draw(st.integers(1, 255), "delta")
     if tamper == "coefficient row":
-        row = c.manifest.node_coeffs[node][chal.expand(M)[0][0]]
+        row = c.manifest.node_coeffs[node][_rows(chal.expand(M)[0], M)[0]]
         row[data.draw(st.integers(0, row.size - 1), "column")] ^= delta
     elif tamper != "none":
         symbols = {"data": proof.c_bar, "pad": proof.pad, "tag": proof.tag}[tamper]

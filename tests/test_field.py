@@ -155,45 +155,35 @@ def test_combine_rows_property(shape, kind, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_SHAPES, st.integers(0, 40), st.booleans(), _KINDS, st.integers(0, 2**32 - 1))
-@example((1, 300), 5, False, "random", 1)       # a one-row index
-@example((300, 1100), 200, False, "random", 2)  # C < M at a digit-loop width
-@example((300, 1024), 10, True, "0/1/255", 3)   # repeated rows
-@example((260, 600), 0, True, "high zero", 4)
-@example((200, 700), 30, True, "low zero", 5)
-@example((400, 1300), 0, False, "equal", 6)
-def test_indexed_combine_matches_scalar_sum(shape, extra, repeats, kind, seed):
-    # the rows named by an unsorted index into a larger matrix, on both
-    # kernels, against the scalar sum over the selected copy
+@given(_SHAPES, st.integers(0, 40), st.sampled_from(["distinct", "repeats", "in order"]),
+       _KINDS, st.integers(0, 2**32 - 1))
+@example((1, 300), 5, "distinct", "random", 1)       # a one-row index
+@example((300, 1100), 200, "distinct", "random", 2)  # C < M at a digit-loop width
+@example((300, 1024), 10, "repeats", "0/1/255", 3)
+@example((260, 600), 0, "repeats", "high zero", 4)
+@example((200, 700), 30, "repeats", "low zero", 5)
+@example((400, 1300), 0, "distinct", "equal", 6)
+# every row in order, which a full challenge no longer names (audit.gen_proof),
+# on both sides of the kernels' crossover
+@example((127, 1032), 0, "in order", "random", 7)    # r·w just under GATHER_MAX: gather
+@example((128, 1024), 0, "in order", "random", 8)    # r·w at GATHER_MAX: digit loop
+@example((600, 255), 0, "in order", "equal", 9)      # past GATHER_MAX, too narrow for it
+@example((300, 4106), 0, "in order", "random", 10)   # a paper-scale store
+def test_indexed_combine_matches_scalar_sum(shape, extra, order, kind, seed):
+    # the rows named by an index into a larger matrix, on both kernels,
+    # against the scalar sum over the selected copy; with no extra rows an
+    # index in order names every row, so it must equal no index
     r = np.random.default_rng(seed)
     (count, width), total = shape, shape[0] + extra
     rows = r.integers(0, 256, (total, width), dtype=np.uint8)
-    index = r.choice(total, count, replace=repeats)
+    index = (np.arange(count) if order == "in order"
+             else r.choice(total, count, replace=order == "repeats"))
     alphas = _alphas(r, kind, count)
     with field.counter:
         got = field.combine_rows(alphas, rows, index)
         assert field.counter.value == count * width
     assert got.dtype == np.uint8
     assert got.tolist() == _scalar_combination(alphas, rows[index])
-
-
-@settings(max_examples=40, deadline=None)
-@given(_SHAPES, _KINDS, st.integers(0, 2**32 - 1))
-@example((127, 1032), "random", 1)  # r·w just under GATHER_MAX: both gather
-@example((128, 1024), "random", 2)  # r·w at GATHER_MAX: both take the digit loop
-@example((600, 255), "equal", 3)    # past GATHER_MAX, too narrow for the digit loop
-@example((300, 4106), "random", 4)  # a paper-scale store
-def test_an_index_of_every_row_in_order_is_no_index(shape, kind, seed):
-    # a full challenge combines a store with no index (audit.gen_proof),
-    # where it once named rows 0..M-1: on either kernel the two agree
-    # bit for bit
-    r = np.random.default_rng(seed)
-    rows = r.integers(0, 256, shape, dtype=np.uint8)
-    alphas = _alphas(r, kind, shape[0])
-    whole = field.combine_rows(alphas, rows)
-    indexed = field.combine_rows(alphas, rows, np.arange(shape[0]))
-    assert whole.dtype == indexed.dtype == np.uint8 and whole.shape == (shape[1],)
-    assert whole.tobytes() == indexed.tobytes()
 
 
 def test_paper_scale_combination_takes_one_slab_of_scratch():
