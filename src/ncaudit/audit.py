@@ -192,41 +192,42 @@ def gen_proof(rows: np.ndarray, chal: Challenge, k_e: bytes, voucher: Voucher,
                  agg[n - 2: n].copy(), agg[n:] ^ voucher.value)
 
 
-def _mac_vectors(k_v: bytes, manifest: FileManifest) -> np.ndarray:
-    """The file's current MAC vectors: r_1..r_ell as rows, with each
-    source's running tag delta XORed into its coefficient column n+i.  An
-    update leaves a stored row's tag the MAC of its row before the update,
-    while its data gained c_i·(new_i ⊕ old_i), whose MAC is c_i·δ_i; moving
-    c_i·δ_i onto the coefficient part keeps the tag the MAC of the current
-    row.  XORs only, no multiplication."""
+def tag_table(k_v: bytes, manifest: FileManifest,
+              coeffs: Optional[np.ndarray] = None) -> np.ndarray:
+    """The table a tag is checked against (tags_match): row t is the MAC
+    vector r_t's n data columns, then with no coeffs its m coefficient
+    columns, else the coefficient tags of the (K, m) coeffs, for K·m·ell
+    multiplications.  Each source's running tag delta is XORed into
+    coefficient column n+i first: an update leaves a stored row's tag the
+    MAC of its row before the update, while its data gained
+    c_i·(new_i ⊕ old_i), whose MAC is c_i·δ_i; moving c_i·δ_i onto the
+    coefficient part keeps the tag the MAC of the current row."""
     params = manifest.params
-    r = spacemac.r_matrix(k_v, manifest.file_id.encode(), params.ell,
-                          params.n + params.m).copy()
-    r[:, params.n:] ^= manifest.deltas.T
-    return r
+    r = spacemac.r_matrix(k_v, manifest.file_id.encode(), params.ell, params.n + params.m)
+    columns = r[:, params.n:] ^ manifest.deltas.T
+    if coeffs is not None:
+        columns = field.combine_rows(columns, coeffs.T)
+    return np.concatenate([r[:, :params.n], columns], axis=1)
 
 
-def verify_block(k_v: bytes, manifest: FileManifest, rows: np.ndarray,
-                 tags: np.ndarray):
-    """Whether tags made before the manifest's updates are the rows' tags
-    under the current MAC vectors (_mac_vectors): one bool for an (n+m,)
-    row and its (ell,) tag, one per row for (k, n+m) rows and (k, ell)
-    tags."""
-    return np.all(field.combine_rows(rows, _mac_vectors(k_v, manifest).T) == tags,
-                  axis=-1)
+def tags_match(table: np.ndarray, symbols: np.ndarray, tags: np.ndarray):
+    """Whether symbols over the table's columns (tag_table) have the given
+    tags, in one product: one bool for a row and its (ell,) tag, one per
+    row for (k, ·) rows and (k, ell) tags."""
+    return (field.combine_rows(symbols, table.T) == tags).all(axis=-1)
 
 
 def verified_rows(k_v: bytes, manifest: FileManifest,
                   payloads: Dict[int, NodePayload]) -> np.ndarray:
     """The full (n+m)-symbol rows of every node's stored blocks, in node
     order, each joined to its coefficients from the manifest, whose tags
-    pass verify_block: a corrupted row is left out rather than poisoning a
-    solve over the stored rows."""
+    match: a corrupted row is left out rather than poisoning a solve over
+    the stored rows."""
     n, nodes = manifest.params.n, sorted(payloads)
     stored = np.concatenate([payloads[i].rows for i in nodes])
     rows = np.hstack([stored[:, :n], np.concatenate([manifest.node_coeffs[i]
                                                      for i in nodes])])
-    return rows[verify_block(k_v, manifest, rows, stored[:, n:])]
+    return rows[tags_match(tag_table(k_v, manifest), rows, stored[:, n:])]
 
 
 @dataclass
@@ -234,35 +235,16 @@ class VerifyStats:
     mults: int = 0  # ell*(n+C): data MAC and coefficient tags (+ M*m*ell table rebuild)
 
 
-def _coeff_tag_table(k_v: bytes, manifest: FileManifest, node: int,
-                     tags: Dict[int, tuple]) -> np.ndarray:
-    """The node's (ell, n+M) verify table: row t is the current MAC
-    vector r_t's (_mac_vectors) first n symbols, then at column n+j tag
-    symbol t of the MAC of the node's stored row j's coefficient part, its
-    manifest coefficients times r_t's columns n..n+m.  Served from tags
-    (node -> content of the coefficient rows and deltas it was built from,
-    the table) while both equal that content; rebuilt otherwise, for
-    M·m·ell multiplications."""
-    coeffs = manifest.node_coeffs[node]
-    state = (coeffs.shape, coeffs.tobytes(), manifest.deltas.tobytes())
-    held = tags.get(node)
-    if held is None or held[0] != state:
-        n = manifest.params.n
-        r = _mac_vectors(k_v, manifest)
-        held = tags[node] = (state, np.concatenate(
-            [r[:, :n], field.combine_rows(r[:, n:], coeffs.T)], axis=1))
-    return held[1]
-
-
 def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
                  proof: Proof, tags: Dict[int, tuple]) -> Tuple[bool, VerifyStats]:
-    """Strip the voucher pad of the proof's k and check verify_block's
+    """Strip the voucher pad of the proof's k and check tags_match's
     equation for the row [c_bar, pad, alpha·C[indices]], the challenge
     expanded at the node's rows in the manifest, as one product: [c_bar,
-    pad, alpha] times the n data columns and the challenged columns of the
-    node's table (_coeff_tag_table, held in the caller's tags across
-    verifies).  Whether k was issued to the node and is unused is the
-    caller's check (cluster.Tpa)."""
+    pad, alpha] over the n data columns and the challenged columns of the
+    node's tag_table.  The caller's tags (node -> content of the
+    coefficient rows and deltas a table was built from, the table) hold it
+    across verifies while both equal that content.  Whether k was issued
+    to the node and is unused is the caller's check (cluster.Tpa)."""
     params = manifest.params
     n, ell = params.n, params.ell
     if proof.c_bar.shape[0] != n - 2 or proof.tag.shape[0] != ell \
@@ -271,15 +253,19 @@ def verify_proof(k_v: bytes, manifest: FileManifest, chal: Challenge,
     stats = VerifyStats()
     before = field.counter.value  # stays put while the counter is off
 
-    table = _coeff_tag_table(k_v, manifest, chal.node, tags)
-    M = table.shape[1] - n
-    indices, alphas = chal.expand(M)
+    coeffs = manifest.node_coeffs[chal.node]
+    state = (coeffs.shape, coeffs.tobytes(), manifest.deltas.tobytes())
+    held = tags.get(chal.node)
+    if held is None or held[0] != state:
+        held = tags[chal.node] = (state, tag_table(k_v, manifest, coeffs))
+    table = held[1]
+    indices, alphas = chal.expand(len(coeffs))
     if indices is not None:
         # a copy of the columns read: on rows ell symbols wide it costs
         # less than combining through an index
         table = np.concatenate([table[:, :n], table[:, n + indices]], axis=1)
-    tag = field.combine_rows(np.concatenate([proof.c_bar, proof.pad, alphas]), table.T)
     s_k = ncrypt.voucher_pad(k_v, manifest.file_id.encode(), chal.node, proof.k, params)
-    ok = bool((tag == proof.tag ^ s_k).all())
+    ok = bool(tags_match(table, np.concatenate([proof.c_bar, proof.pad, alphas]),
+                         proof.tag ^ s_k))
     stats.mults = field.counter.value - before
     return ok, stats

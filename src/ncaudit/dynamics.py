@@ -10,7 +10,7 @@ or not at all.
 
 Updates never replace stored tags in place.  The manifest keeps one running
 tag delta per source, a row of its (m, ell) deltas, and every tag check
-folds them into the MAC vectors' coefficient columns (audit._mac_vectors),
+folds them into the MAC vectors' coefficient columns (audit.tag_table),
 so stored tags from before an update stay valid for the patched rows.  The
 TPA holds k_v and these deltas, so it can test what an update changed
 (ROADMAP item 19).

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field, ncrypt
-from .audit import Challenge, verify_block
+from .audit import Challenge, tag_table, tags_match
 
 
 class ExtractionError(RuntimeError):
@@ -85,8 +85,8 @@ def extract_node(cluster, node: int, rng) -> ExtractionReport:
     # each equation's coefficient part is alphas times the manifest's rows,
     # so the recovered blocks are checked with those rows joined back
     solved = result.solution
-    bad = np.flatnonzero(~verify_block(keys.k_v, manifest,
-                                       np.hstack([solved[:, :n], rows]), solved[:, n:]))
+    bad = np.flatnonzero(~tags_match(tag_table(keys.k_v, manifest),
+                                     np.hstack([solved[:, :n], rows]), solved[:, n:]))
     if bad.size:
         raise ExtractionError(f"recovered block {bad[0]} fails verification")
     return ExtractionReport(solved, queries, discarded)

@@ -296,6 +296,45 @@ def test_setup_with_no_nodes_or_blocks_is_usage_error(tmp_path, argv, capsys):
     assert not (tmp_path / "store").exists()
 
 
+# runs `ncaudit` with a store writer that ends the process, as a crash
+# would, just before it writes a node's rows.bin
+KILLED_AT_ROWS = """
+import os, sys
+from ncaudit import cli
+write = cli._write
+def _write(path, data):
+    if path.name == "rows.bin":
+        os._exit(9)
+    write(path, data)
+cli._write = _write
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 9")
+def test_a_functional_repair_killed_before_its_rows_leaves_the_node_auditable(tmp_path):
+    # the repair writes manifest.json, with the node's new coefficient rows,
+    # before the node's rows.bin: killed between the two, it leaves the old
+    # rows under the new coefficients, and the healthy node's audits reject
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    out = tmp_path / "store"
+    assert main(["setup", "--file", str(src), "--out", str(out), "--layout", "random",
+                 "--m", "6", "--nodes", "4", "--n", "256", "--ell", "2", "--seed", "2a"]) == 0
+    audit = ["audit", "--dir", str(out), "--node", "1", "--count", "2", "--rounds", "3"]
+    if main(audit) != 0:
+        pytest.fail("the node's audits reject before the repair")
+    killed = subprocess.run(
+        [sys.executable, "-c", KILLED_AT_ROWS, "repair", "--dir", str(out), "--node", "1",
+         "--mode", "functional"],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1",
+             "NCAUDIT_SEED": "2a"},
+        capture_output=True, timeout=60)
+    if killed.returncode != 9:  # not the defect: the kill point was never reached
+        pytest.fail(f"the repair exited {killed.returncode}, not at its rows.bin write")
+    assert main(audit) == 0
+
+
 def test_repair_with_no_plan_is_usage_error(tmp_path, capsys):
     # two surviving nodes hold 2 x 11 rows, fewer than m = 30
     src = tmp_path / "input.bin"

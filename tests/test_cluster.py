@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -210,6 +211,21 @@ def test_replay_fault_after_functional_repair(cluster):
     cluster.inject_fault(1, Fault("replay_old", snapshot=snap))
     rejected = sum(not cluster.run_audit_round(1, 2)[0] for _ in range(20))
     assert rejected == 20
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+def test_one_functional_repair_keeps_every_evenodd4_pair_decodable():
+    # evenodd4 tolerates any two node failures at set-up: every pair of
+    # nodes spans the m = 4 sources.  A functional repair draws the new
+    # node's rows at random from the helpers' rows, and must keep that
+    params = SystemParams(n=16, m=4, N=4, M=2, P=3, Q=1, ell=2)
+    for seed in range(2000):
+        c = spawn_cluster(params, "evenodd4", DATA, seed=seed)
+        c.fail_and_repair(seed % 4, "functional")
+        coeffs = c.manifest.node_coeffs
+        for i, j in combinations(sorted(coeffs), 2):
+            assert field.matrix_rank(np.vstack([coeffs[i], coeffs[j]])) == params.m, \
+                (seed, i, j)
 
 
 def test_repair_moves_no_user_data(cluster):
@@ -430,9 +446,9 @@ def test_extraction_counts_exactly_its_products(epsilon):
                                             (CHURN_SHAPE, "random_functional")],
                          ids=["evenodd4", "churn"])
 def test_update_and_decode_count_exactly_their_products(params, layout):
-    # verify_block over the K stored rows MACs each under the MAC vectors
-    # with the deltas folded in, K·(n+m)·ell, which the fold's XORs leave
-    # unchanged.  An update then combines the K verified rows into the old
+    # tags_match over the K stored rows MACs each under a tag_table of the
+    # MAC vectors with the deltas folded in, K·(n+m)·ell, which the fold's
+    # XORs leave unchanged.  An update then combines the K verified rows into the old
     # source, K·(n+m), MACs the difference, ell·(n+m), and patches each
     # node's M_i rows, M_i·n; a decode's solve is uncounted
     n, m, ell = params.n, params.m, params.ell

@@ -11,12 +11,14 @@ count that an adversary with the stated success probability exceeds with
 probability below 1e-6, so a deterministic seed that passes is not luck.
 """
 
+import functools
+import types
 from math import comb
 
 import numpy as np
 import pytest
 
-from ncaudit import audit, dynamics, extractor, field, ncrypt, spacemac
+from ncaudit import audit, dynamics, extractor, field, ncrypt, repair, spacemac
 from ncaudit.audit import Proof
 from ncaudit.blocks import SystemParams
 from ncaudit.cluster import Fault, spawn_cluster
@@ -420,3 +422,75 @@ def test_a_tpa_that_accepts_one_junk_answer_yields_no_wrong_rows():
         outcomes.append("rows" if np.array_equal(report.rows, c.nodes[1].payload.rows)
                         else "wrong rows")
     assert "wrong rows" not in outcomes, outcomes
+
+
+# ------------------------------------------------------------------ repair
+
+HELPER_SHAPE = SystemParams(n=64, m=6, N=3, M=4, P=2, Q=2, ell=2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_a_corrupted_helper_row_does_not_poison_a_repair():
+    # a helper with one corrupted row ships it into a functional repair of
+    # node 0; the repair must refuse with a typed error, or leave node 0
+    # rows that a full audit accepts.  Shipments are combined unchecked, so
+    # today every seed rebuilds a node whose audit rejects
+    for seed in range(20):
+        c = spawn_cluster(HELPER_SHAPE, "random_functional", bytes(range(200)), seed=seed)
+        c.inject_fault(1, Fault("corrupt_symbol", block=0, delta=1))
+        try:
+            c.fail_and_repair(0, "functional")
+        except repair.PlanningError:
+            continue
+        assert c.run_audit_round(0, HELPER_SHAPE.M)[0], seed
+
+
+# ---------------------------------------------------------- key visibility
+
+def _reaches(root, key: bytes) -> bool:
+    """Whether key's bytes lie in an object reachable from root through
+    instance attributes, containers and arrays.  Classes, modules,
+    functions and functools caches are not followed: what every role can
+    call is not what a role holds."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType,
+                                               types.MethodType, types.BuiltinFunctionType,
+                                               functools.partial)) \
+                or hasattr(obj, "cache_info"):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray, memoryview)):
+            if key in bytes(obj):
+                return True
+        elif isinstance(obj, np.ndarray):
+            if obj.dtype == object:
+                stack.extend(obj.ravel())
+            elif key in obj.tobytes():
+                return True
+            stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return False
+
+
+@pytest.mark.parametrize("params, layout", [(_params(2), "evenodd4"),
+                                            (HELPER_SHAPE, "random_functional")],
+                         ids=["evenodd4", "random_functional"])
+def test_a_node_reaches_only_k_e_and_the_tpa_only_k_v(params, layout):
+    # after an audit, which builds the TPA's table of the node, and a
+    # functional repair, which installs a new node and new coefficient rows
+    c = spawn_cluster(params, layout, bytes(range(120)), seed=41)
+    assert c.run_audit_round(0, params.M)[0]
+    c.fail_and_repair(1, "functional")
+    assert c.run_audit_round(1, params.M)[0]
+    keys = c.user.keys
+    for i, node in c.nodes.items():
+        assert _reaches(node, keys.k_e) and not _reaches(node, keys.k_v), i
+    assert _reaches(c.tpa, keys.k_v) and not _reaches(c.tpa, keys.k_e)
