@@ -448,9 +448,9 @@ def test_extraction_counts_exactly_its_products(epsilon):
 def test_update_and_decode_count_exactly_their_products(params, layout):
     # tags_match over the K stored rows MACs each under a tag_table of the
     # MAC vectors with the deltas folded in, K·(n+m)·ell, which the fold's
-    # XORs leave unchanged.  An update then combines the K verified rows into the old
-    # source, K·(n+m), MACs the difference, ell·(n+m), and patches each
-    # node's M_i rows, M_i·n; a decode's solve is uncounted
+    # XORs leave unchanged.  An update then combines the K verified rows
+    # into the old source, K·(n+m), MACs the difference, ell·(n+m), and
+    # patches each node's M_i rows, M_i·n; a decode's solve is uncounted
     n, m, ell = params.n, params.m, params.ell
     c = spawn_cluster(params, layout, DATA, seed=17)
     payloads = {i: node.payload for i, node in c.nodes.items()}
