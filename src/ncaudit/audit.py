@@ -13,9 +13,9 @@ k under k_v (gen_challenge) and both ends expand (Challenge.expand).
 
 from __future__ import annotations
 
-import secrets
 import struct
 from dataclasses import dataclass
+from os import urandom
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -34,9 +34,9 @@ class KeyMaterial:
 
 
 def keygen(params: SystemParams, rng=None) -> KeyMaterial:
-    """Two lambda-bit keys from the OS CSPRNG (secrets), or from rng when a
-    caller passes a generator it seeded on purpose, for reproducible runs."""
-    draw = secrets.token_bytes if rng is None else rng.bytes
+    """Two lambda-bit keys from the OS CSPRNG (os.urandom), or from rng when
+    a caller passes a generator it seeded on purpose, for reproducible runs."""
+    draw = urandom if rng is None else rng.bytes
     nbytes = params.lambda_bits // 8
     return KeyMaterial(k_v=draw(nbytes), k_e=draw(nbytes))
 

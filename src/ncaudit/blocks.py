@@ -7,7 +7,8 @@ combination weights in its last m coordinates.  A set of blocks is a row
 matrix with one block per row.  Nodes store only the n data symbols of
 theirs: the coefficient part of every stored block is kept once, in the
 manifest (FileManifest.node_coeffs), and joined back where a full row is
-needed.
+needed.  Repair's and the extractor's typed errors live here, beside the
+decode's, so that naming one loads neither module.
 """
 
 from __future__ import annotations
@@ -181,6 +182,14 @@ def make_source_blocks(file_bytes: bytes, params: SystemParams, rng):
 
 
 class UndecodableError(ValueError):
+    pass
+
+
+class PlanningError(RuntimeError):
+    pass
+
+
+class ExtractionError(RuntimeError):
     pass
 
 

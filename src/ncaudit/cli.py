@@ -39,9 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import repair
 from .audit import KeyMaterial, NodePayload
-from .blocks import FileManifest, SystemParams
+from .blocks import FileManifest, PlanningError, SystemParams
 from .cluster import Cluster, Fault, SpentCounterError, Tpa, User, spawn_cluster
 
 
@@ -161,16 +160,17 @@ class _StoreTpa(Tpa):
         return verdict
 
 
-def _open_cluster(args) -> Cluster:
-    """The store under --dir as a Cluster, after checking --node; its
-    generator is seeded by _seed.  Locks the store first (module doc)."""
+def _open_cluster(args, draws: bool = False) -> Cluster:
+    """The store under --dir as a Cluster, after checking --node and _seed;
+    a generator only for a command that draws.  Locks the store first (module doc)."""
     root = Path(args.dir)
     fcntl.flock(args.held.enter_context(open(root / "keys.json", "rb")), fcntl.LOCK_EX)
     manifest, keys, payloads = _load_store(root)
     if args.node not in manifest.node_coeffs:
         raise UsageError(f"no node {args.node} in this store "
                          f"(nodes {sorted(manifest.node_coeffs)})")
-    rng = np.random.default_rng(_seed(args))
+    seed = _seed(args)  # every command parses it, so a malformed one exits 2
+    rng = np.random.default_rng(seed) if draws else None
     user = _StoreUser(keys, root)
     user.next_k = _load_counters(root / "vouchers.json", manifest, 1)
     cluster = Cluster(manifest, user, payloads, rng)
@@ -232,7 +232,7 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    cluster = _open_cluster(args)
+    cluster = _open_cluster(args, draws=True)
     record = cluster.fail_and_repair(args.node, args.mode)
     # an exact repair restores the node's coefficient rows: the manifest stays
     _save_store(Path(args.dir), {args.node: cluster.nodes[args.node].payload},
@@ -243,7 +243,7 @@ def cmd_repair(args) -> int:
 
 def cmd_extract(args) -> int:
     from . import extractor
-    cluster = _open_cluster(args)
+    cluster = _open_cluster(args, draws=True)
     cluster.inject_fault(args.node, Fault("lie_probability", epsilon=args.epsilon))
     try:
         report = extractor.extract_node(cluster, args.node, cluster.rng)
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     except SpentCounterError as e:  # no voucher reached the node
         print(f"rejected: {e}; vouchers.json is behind tpa.json")
         return 1
-    except (UsageError, OSError, ValueError, repair.PlanningError) as e:
+    except (UsageError, OSError, ValueError, PlanningError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import audit, ncrypt, repair
+from . import audit, ncrypt
 from .audit import Challenge, KeyMaterial, NodePayload, Proof, VerifyStats
-from .blocks import CodedBlock, FileManifest, SystemParams, decode_file
+from .blocks import CodedBlock, FileManifest, PlanningError, SystemParams, decode_file
 
 # Fig.-style 4-node parity layout over m=4 source blocks (rows are nodes,
 # entries are source coefficients of each stored block).
@@ -194,7 +194,8 @@ class User:
 
 class Cluster:
     """The three roles over one stored file: the user, a node per payload
-    and the TPA.  Each protocol step returns its record and keeps none."""
+    and the TPA.  Each protocol step returns its record and keeps none.
+    With rng=None no role gets a generator; audits and corruptions need none."""
 
     def __init__(self, manifest: FileManifest, user: User,
                  payloads: Dict[int, NodePayload], rng):
@@ -202,7 +203,7 @@ class Cluster:
         self.user = user
         self.nodes: Dict[int, Node] = {
             node_id: Node(payload, manifest.params,
-                          np.random.default_rng(rng.integers(2**63)))
+                          None if rng is None else np.random.default_rng(rng.integers(2**63)))
             for node_id, payload in payloads.items()}
         self.tpa = Tpa(user.keys.k_v, manifest)
         self.rng = rng
@@ -262,27 +263,26 @@ class Cluster:
         repair changes no store, manifest row, ledger or generator state;
         PlanningError names a helper that is not a distinct id of another
         node."""
+        from . import repair  # only a repair loads the planner
         manifest, params = self.manifest, self.manifest.params
         others = sorted(set(manifest.node_coeffs) - {node})
         if helpers is None:
             helpers = others[:params.P]
         if not isinstance(helpers, (list, tuple)):
-            raise repair.PlanningError(f"helpers must be a list of node ids, not {helpers!r}")
+            raise PlanningError(f"helpers must be a list of node ids, not {helpers!r}")
         for i, h in enumerate(helpers):
             if type(h) is not int or h not in others or h in helpers[:i]:
-                raise repair.PlanningError(f"helper {h!r} of node {node} is not a distinct "
-                                           f"id among the other nodes {others}")
-        if mode == "exact":
-            planner = repair.plan_exact_repair
-        elif mode == "functional":
-            planner = repair.plan_functional_repair
-        else:
+                raise PlanningError(f"helper {h!r} of node {node} is not a distinct "
+                                    f"id among the other nodes {others}")
+        planner = {"exact": repair.plan_exact_repair,
+                   "functional": repair.plan_functional_repair}.get(mode)
+        if planner is None:
             raise ValueError(f"unknown repair mode {mode!r}")
         state = self.rng.bit_generator.state
         try:
             plan = planner(manifest, node, helpers,
                            np.random.default_rng(self.rng.integers(2**63)))
-        except repair.PlanningError:
+        except PlanningError:
             self.rng.bit_generator.state = state
             raise
         lost, shipments = self.nodes[node], []

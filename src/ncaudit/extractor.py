@@ -19,10 +19,7 @@ import numpy as np
 
 from . import field, ncrypt
 from .audit import Challenge, tag_table, tags_match
-
-
-class ExtractionError(RuntimeError):
-    pass
+from .blocks import ExtractionError
 
 
 # answers rejected or unlike the accepted answer before them, allowed as a

@@ -22,11 +22,7 @@ import numpy as np
 
 from . import field
 from .audit import NodePayload
-from .blocks import CodedBlock, FileManifest
-
-
-class PlanningError(RuntimeError):
-    pass
+from .blocks import CodedBlock, FileManifest, PlanningError
 
 
 # random gamma draws an exact planner tries before its {0,1} search

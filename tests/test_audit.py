@@ -188,7 +188,7 @@ def test_proof_privacy(system, rng):
 
 
 def test_unseeded_keygen_leaves_generator_untouched(rng):
-    # without a generator the keys come from the secrets module; a seeded
+    # without a generator the keys come from os.urandom; a seeded
     # generator gives the same keys as its first two lambda-bit draws
     state = rng.bit_generator.state
     a, b = audit.keygen(PARAMS), audit.keygen(PARAMS, None)

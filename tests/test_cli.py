@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ncaudit import audit
+import ncaudit
+from ncaudit import audit, extractor, repair
 from ncaudit.cluster import Cluster, Node, Tpa
 from ncaudit.cli import _load_store, _save_store, main
 
@@ -333,6 +334,47 @@ def test_a_functional_repair_killed_before_its_rows_leaves_the_node_auditable(tm
     if killed.returncode != 9:  # not the defect: the kill point was never reached
         pytest.fail(f"the repair exited {killed.returncode}, not at its rows.bin write")
     assert main(audit) == 0
+
+
+# runs `ncaudit`, then prints which of STARTUP the process loaded, as JSON
+LOADED = """
+import json, sys
+from ncaudit import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) & {%s})))
+sys.exit(code)
+"""
+# what a command that draws nothing, repairs nothing and extracts nothing
+# need not load; numpy.random imports secrets itself
+STARTUP = ("numpy.random", "secrets", "ncaudit.repair", "ncaudit.extractor")
+
+
+def _loaded(*argv):
+    """One `ncaudit` command in a process of its own: its exit code and the
+    modules of STARTUP it loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED % ", ".join(map(repr, STARTUP)), *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60)
+    return done.returncode, set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_what_it_runs(store, monkeypatch):
+    # audit and corrupt draw from no generator, so they build none, and a
+    # process start pays for no module it does not run; a malformed seed
+    # still fails them, though they ignore a good one
+    assert _loaded("audit", "--dir", store, "--node", "1", "--seed", "7") == (0, set())
+    assert _loaded("corrupt", "--dir", store, "--node", "1") == (0, set())
+    code, loaded = _loaded("repair", "--dir", store, "--node", "1")
+    assert code == 0 and "ncaudit.repair" in loaded and "ncaudit.extractor" not in loaded
+    code, loaded = _loaded("extract", "--dir", store, "--node", "2")
+    assert code == 0 and "ncaudit.extractor" in loaded
+    assert main(["audit", "--dir", str(store), "--seed", "zz"]) == 2
+    monkeypatch.setenv("NCAUDIT_SEED", "zz")
+    assert main(["corrupt", "--dir", str(store), "--node", "0"]) == 2
+    # the typed errors moved beside UndecodableError keep their old names
+    assert ncaudit.PlanningError is repair.PlanningError
+    assert ncaudit.ExtractionError is extractor.ExtractionError
 
 
 def test_repair_with_no_plan_is_usage_error(tmp_path, capsys):
@@ -749,7 +791,7 @@ def test_only_seeded_setup_draws_keys_from_numpy(tmp_path, monkeypatch, seed):
     # unseeded keys come from the OS CSPRNG: setup's generator then draws
     # only the two padding symbols per source block, never a key
     monkeypatch.delenv("NCAUDIT_SEED", raising=False)
-    monkeypatch.setattr(audit.secrets, "token_bytes", lambda n: bytes([0xA5]) * n)
+    monkeypatch.setattr(audit, "urandom", lambda n: bytes([0xA5]) * n)
     drawn, default_rng = [], np.random.default_rng
 
     class Spy:

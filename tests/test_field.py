@@ -243,6 +243,8 @@ def _wide_form(k, r, w):
     """The form a (k, r) @ (r, w) product with w >= k takes."""
     if k * r * w < GATHER:
         return "gather"
+    if r == 1:
+        return "outer"
     return "four_russians" if min(k, r) >= LO else "per_row"
 
 
@@ -281,6 +283,8 @@ def _products(draw):
 @example(("gather", 1, 1, 1, "0/1/255"), 3)
 @example(("gather", 3, 300, 10, "random"), 4)  # narrow: w < r
 @example(("per_row", 1, 5, 26215, "0/1/255"), 2)  # the digit loop, digits 0 in some passes
+@example(("per_row", 300, 1, 1024, "random"), 5)  # an outer product
+@example(("column", 1024, 1, 300, "0/1/255"), 6)  # an outer product, narrow
 def test_product_matches_row_by_row(product, seed):
     # every form of the 2-D product against one 1-D combination per row
     form, k, r, w, kind = product
@@ -297,11 +301,11 @@ def test_product_matches_row_by_row(product, seed):
         got = field.combine_rows(coeffs, rows)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
     assert got.flags.c_contiguous
-    out_rows = k
-    if form == "column":  # the transposed product, (w, r) @ (r, k)
-        form, out_rows = _wide_form(w, r, k), w
+    # a "per_row" draw with r = 1 is an outer product
+    form, out_rows = (_wide_form(w, r, k), w) if form == "column" else (_wide_form(k, r, w), k)
     assert fr.called == (form == "four_russians")
-    assert one.call_count == {"gather": 0, "four_russians": 0, "per_row": out_rows}[form]
+    assert one.call_count == {"gather": 0, "four_russians": 0, "outer": 0,
+                              "per_row": out_rows}[form]
 
 
 @pytest.mark.parametrize("k, r, w", [(2 * LO, 3 * LO, 7),          # narrow: one gather
@@ -317,6 +321,23 @@ def test_counter_reads_k_r_w_for_each_form(k, r, w):
     with field.counter:
         field.combine_rows(coeffs, rows)
         assert field.counter.value == k * r * w
+
+
+@pytest.mark.parametrize("k, w", [(300, 4096), (300, 1024)])
+def test_an_outer_product_is_every_scalar_product(k, w):
+    # (k, 1) @ (1, w) past GATHER_MAX, and its transpose, against a product
+    # table of shift and reduce; counted as k·w multiplications either way
+    table = np.array([[field.mul_shift_reduce(a, b) for b in range(256)] for a in range(256)],
+                     dtype=np.uint8)
+    rng = np.random.default_rng(k * w)
+    coeffs = rng.integers(0, 256, (k, 1), dtype=np.uint8)
+    row = rng.integers(0, 256, (1, w), dtype=np.uint8)
+    want = table[coeffs, row]
+    with field.counter:
+        assert np.array_equal(field.combine_rows(coeffs, row), want)
+        assert field.counter.value == k * w
+        assert np.array_equal(field.combine_rows(row.T, coeffs.T), want.T)
+        assert field.counter.value == 2 * k * w
 
 
 def _shift_reduce_product(x, rs):
